@@ -1,7 +1,5 @@
 //! The SkyBridge user-level API: registration and `direct_server_call`.
 
-use std::collections::HashMap;
-
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use sb_faultplane::{FaultHandle, FaultMix, FaultPoint};
 use sb_mem::{Gva, Hpa, PteFlags, PAGE_SIZE};
@@ -79,7 +77,8 @@ pub struct BatchSession {
     client_tid: ThreadId,
     client_pid: ProcessId,
     core: usize,
-    binding: Binding,
+    shared_buf: Gva,
+    connection: usize,
     server_pid: ProcessId,
     return_root: Hpa,
     return_identity: ProcessId,
@@ -105,9 +104,11 @@ impl BatchSession {
 pub struct SkyBridge {
     servers: Vec<ServerInfo>,
     handlers: Vec<Option<Handler>>,
-    bindings: HashMap<(ProcessId, ServerId), Binding>,
-    /// Per-process EPTP slot of each binding EPT root.
-    registered: HashMap<ProcessId, ()>,
+    /// `bindings[client][server]`, both grown on demand: the call path
+    /// reaches a binding by index, never by hash.
+    bindings: Vec<Vec<Option<Binding>>>,
+    /// `registered[pid]`: whether `register_process` has run for `pid`.
+    registered: Vec<bool>,
     /// Recorded security violations.
     pub violations: Vec<Violation>,
     /// Optional call timeout (§7 DoS defense).
@@ -137,7 +138,10 @@ impl std::fmt::Debug for SkyBridge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SkyBridge")
             .field("servers", &self.servers.len())
-            .field("bindings", &self.bindings.len())
+            .field(
+                "bindings",
+                &self.bindings.iter().flatten().flatten().count(),
+            )
             .field("violations", &self.violations)
             .field("call_count", &self.call_count)
             .finish()
@@ -150,8 +154,8 @@ impl SkyBridge {
         SkyBridge {
             servers: Vec::new(),
             handlers: Vec::new(),
-            bindings: HashMap::new(),
-            registered: HashMap::new(),
+            bindings: Vec::new(),
+            registered: Vec::new(),
             violations: Vec::new(),
             timeout: None,
             fn_list_gpa: None,
@@ -223,7 +227,7 @@ impl SkyBridge {
     /// unbind → revive → `register_client`. Returns whether a binding
     /// existed.
     pub fn unbind_client(&mut self, client: ProcessId, server: ServerId) -> bool {
-        match self.bindings.remove(&(client, server)) {
+        match self.binding_slot(client, server).and_then(Option::take) {
             Some(b) => {
                 self.servers[server].free_connections.push(b.connection);
                 true
@@ -238,7 +242,7 @@ impl SkyBridge {
     ///
     /// Idempotent. This is the "~200 LoC of Subkernel integration" work.
     pub fn register_process(&mut self, k: &mut Kernel, pid: ProcessId) -> Result<(), SbError> {
-        if self.registered.contains_key(&pid) {
+        if self.is_registered(pid) {
             return Ok(());
         }
         self.rewrite_process(k, pid)?;
@@ -271,7 +275,7 @@ impl SkyBridge {
         list.pin(0, own);
         k.processes[pid].own_ept = Some(own);
         k.processes[pid].eptp_list = Some(list);
-        self.registered.insert(pid, ());
+        *slot(&mut self.registered, pid) = true;
         self.reinstall_if_current(k, pid);
         Ok(())
     }
@@ -385,7 +389,7 @@ impl SkyBridge {
             return Err(SbError::NoSuchServer);
         }
         self.register_process(k, client_pid)?;
-        if self.bindings.contains_key(&(client_pid, server)) {
+        if self.binding(client_pid, server).is_some() {
             // Idempotent rebind: if a connection-slot exhaustion was
             // outstanding, the caller just observed it resolve.
             self.faults.recovered(FaultPoint::BufferExhaust);
@@ -457,9 +461,11 @@ impl SkyBridge {
         // of the dependency chain).
         let peers: Vec<(ProcessId, Gva, u64)> = self
             .bindings
-            .iter()
-            .filter(|((c, _), _)| *c == client_pid)
-            .map(|((_, s), b)| (self.servers[*s].process, b.shared_buf, b.buf_gpa))
+            .get(client_pid)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|b| (self.servers[b.server].process, b.shared_buf, b.buf_gpa))
             .collect();
         for (peer_pid, peer_buf, peer_gpa) in peers {
             if peer_pid != server_pid {
@@ -500,18 +506,15 @@ impl SkyBridge {
         }
         self.reinstall_if_current(k, client_pid);
 
-        self.bindings.insert(
-            (client_pid, server),
-            Binding {
-                server,
-                connection: next_conn,
-                server_key,
-                shared_buf,
-                buf_gpa: first.0,
-                server_stack,
-                ept_root,
-            },
-        );
+        *slot(slot(&mut self.bindings, client_pid), server) = Some(Binding {
+            server,
+            connection: next_conn,
+            server_key,
+            shared_buf,
+            buf_gpa: first.0,
+            server_stack,
+            ept_root,
+        });
         // A fresh binding succeeded: any outstanding slot-exhaustion
         // refusal has been retried past — the recovery path completed.
         self.faults.recovered(FaultPoint::BufferExhaust);
@@ -548,13 +551,34 @@ impl SkyBridge {
 
     /// The binding of `(client process, server)`, if registered.
     pub fn binding(&self, client: ProcessId, server: ServerId) -> Option<&Binding> {
-        self.bindings.get(&(client, server))
+        self.bindings.get(client)?.get(server)?.as_ref()
+    }
+
+    fn binding_slot(
+        &mut self,
+        client: ProcessId,
+        server: ServerId,
+    ) -> Option<&mut Option<Binding>> {
+        self.bindings.get_mut(client)?.get_mut(server)
+    }
+
+    fn is_registered(&self, pid: ProcessId) -> bool {
+        self.registered.get(pid).is_some_and(|&r| r)
+    }
+
+    /// The binding a call from `client` to `server` rides, or why it
+    /// cannot be made.
+    fn bound(&self, client: ProcessId, server: ServerId) -> Result<&Binding, SbError> {
+        if !self.is_registered(client) {
+            return Err(SbError::NotRegistered);
+        }
+        self.binding(client, server).ok_or(SbError::NotBound)
     }
 
     /// Overwrites a binding's presented key (attack simulation only: the
     /// client "guesses" a key instead of using the granted one).
     pub fn corrupt_binding_key(&mut self, client: ProcessId, server: ServerId, key: u64) {
-        if let Some(b) = self.bindings.get_mut(&(client, server)) {
+        if let Some(Some(b)) = self.binding_slot(client, server) {
             b.server_key = key;
         }
     }
@@ -598,14 +622,13 @@ impl SkyBridge {
         let client_pid = k.threads[client_tid].process;
         let core = k.threads[client_tid].core;
         debug_assert_eq!(k.current_thread(core), Some(client_tid));
-        if !self.registered.contains_key(&client_pid) {
-            return Err(SbError::NotRegistered);
-        }
-        let binding = self
-            .bindings
-            .get(&(client_pid, server))
-            .ok_or(SbError::NotBound)?
-            .clone();
+        let &Binding {
+            connection,
+            server_key,
+            shared_buf,
+            ept_root,
+            ..
+        } = self.bound(client_pid, server)?;
         if request.len() > layout::SB_SHARED_BUF_SIZE {
             return Err(SbError::MessageTooLarge);
         }
@@ -617,7 +640,7 @@ impl SkyBridge {
         let server_pid = self.servers[server].process;
         let handler_len = self.servers[server].handler_len;
         let mut b = Breakdown::new();
-        let cost = k.machine.cost.clone();
+        let (vmfunc, trampoline_logic) = (k.machine.cost.vmfunc, k.machine.cost.trampoline_logic);
         // The request-scoped trace id for every span of this call —
         // including the nested calls a handler makes, which run on the
         // same facility and see the same stamp.
@@ -635,7 +658,7 @@ impl SkyBridge {
             layout::TRAMPOLINE_BASE,
             trampoline::TRAMPOLINE_FETCH,
         )?;
-        k.machine.cpu_mut(core).advance(cost.trampoline_logic);
+        k.machine.cpu_mut(core).advance(trampoline_logic);
         // Per-call client key (§4.4): generated fresh, returned by the
         // server, rechecked below.
         let client_key = self.rng.next_u64();
@@ -662,7 +685,7 @@ impl SkyBridge {
         self.recorder
             .span(core, SpanKind::Trampoline, t0, t_marshal, corr);
         if request.len() > REGISTER_ARGS_MAX {
-            k.user_write(client_tid, binding.shared_buf, request)?;
+            k.user_write(client_tid, shared_buf, request)?;
             self.recorder.span(
                 core,
                 SpanKind::Marshal,
@@ -674,8 +697,8 @@ impl SkyBridge {
         b.add(Component::Other, k.machine.cpu(core).tsc - t0);
 
         // --- VMFUNC to the server EPT ---
-        self.vmfunc_to(k, core, client_pid, binding.ept_root)?;
-        b.add(Component::Vmfunc, cost.vmfunc);
+        self.vmfunc_to(k, core, client_pid, ept_root)?;
+        b.add(Component::Vmfunc, vmfunc);
 
         // --- server side: identity, stack, key check, handler ---
         // Everything between the two VMFUNCs is the Handler span: key
@@ -683,7 +706,7 @@ impl SkyBridge {
         // buffer.
         let t_srv = k.machine.cpu(core).tsc;
         k.identity_record(core, server_pid);
-        k.machine.cpu_mut(core).advance(cost.trampoline_logic / 2);
+        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
         // Key check against the server's table (a real read of server
         // memory under the server's address space).
         let table = self.servers[server].key_table;
@@ -692,16 +715,16 @@ impl SkyBridge {
             &mut k.machine,
             core,
             &k.mem,
-            table.add(8 * binding.connection as u64),
+            table.add(8 * connection as u64),
             &mut stored,
             true,
         )?;
         // Injected key corruption: the presented key is flipped on the
         // wire (a guessing attack); the table check below must refuse it.
         let presented_key = if self.faults.fire(FaultPoint::KeyCorrupt) {
-            binding.server_key ^ (1 + self.faults.draw(u64::MAX - 1))
+            server_key ^ (1 + self.faults.draw(u64::MAX - 1))
         } else {
-            binding.server_key
+            server_key
         };
         if u64::from_le_bytes(stored) != presented_key {
             // Refuse and notify the Subkernel (§4.4).
@@ -737,7 +760,7 @@ impl SkyBridge {
                 &mut k.machine,
                 core,
                 &k.mem,
-                binding.shared_buf,
+                shared_buf,
                 request.len(),
                 sb_mem::walk::Access::Read,
                 true,
@@ -769,8 +792,8 @@ impl SkyBridge {
             server,
             server_process: server_pid,
             caller: client_tid,
-            shared_buf: binding.shared_buf,
-            connection: binding.connection,
+            shared_buf,
+            connection,
         };
         let handler_t0 = k.machine.cpu(core).tsc;
         let mut handler = self.handlers[server].take().expect("handler re-entered");
@@ -840,7 +863,7 @@ impl SkyBridge {
                     &mut k.machine,
                     core,
                     &k.mem,
-                    binding.shared_buf,
+                    shared_buf,
                     reply_len,
                     sb_mem::walk::Access::Write,
                     true,
@@ -849,13 +872,13 @@ impl SkyBridge {
                     &mut k.machine,
                     core,
                     &mut k.mem,
-                    binding.shared_buf,
+                    shared_buf,
                     v,
                     true,
                 )?,
             }
         }
-        k.machine.cpu_mut(core).advance(cost.trampoline_logic / 2);
+        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
         b.add(Component::Other, k.machine.cpu(core).tsc - t0);
         self.recorder.span(
             core,
@@ -866,7 +889,7 @@ impl SkyBridge {
         );
 
         self.vmfunc_to(k, core, client_pid, return_root)?;
-        b.add(Component::Vmfunc, cost.vmfunc);
+        b.add(Component::Vmfunc, vmfunc);
 
         let t0 = k.machine.cpu(core).tsc;
         k.identity_record(core, return_identity);
@@ -901,7 +924,7 @@ impl SkyBridge {
         if reply_len > REGISTER_ARGS_MAX {
             k.user_touch(
                 client_tid,
-                binding.shared_buf,
+                shared_buf,
                 reply_len,
                 sb_mem::walk::Access::Read,
             )?;
@@ -954,20 +977,19 @@ impl SkyBridge {
         let client_pid = k.threads[client_tid].process;
         let core = k.threads[client_tid].core;
         debug_assert_eq!(k.current_thread(core), Some(client_tid));
-        if !self.registered.contains_key(&client_pid) {
-            return Err(SbError::NotRegistered);
-        }
-        let binding = self
-            .bindings
-            .get(&(client_pid, server))
-            .ok_or(SbError::NotBound)?
-            .clone();
+        let &Binding {
+            connection,
+            server_key,
+            shared_buf,
+            ept_root,
+            ..
+        } = self.bound(client_pid, server)?;
         if self.servers[server].dead {
             return Err(SbError::ServerDead { server });
         }
         let server_pid = self.servers[server].process;
         let handler_len = self.servers[server].handler_len;
-        let cost = k.machine.cost.clone();
+        let trampoline_logic = k.machine.cost.trampoline_logic;
         let return_root = Hpa(k.machine.cpu(core).ept_root);
         let return_identity = k.identity_current(core).unwrap_or(client_pid);
 
@@ -977,7 +999,7 @@ impl SkyBridge {
             layout::TRAMPOLINE_BASE,
             trampoline::TRAMPOLINE_FETCH,
         )?;
-        k.machine.cpu_mut(core).advance(cost.trampoline_logic);
+        k.machine.cpu_mut(core).advance(trampoline_logic);
         let client_key = self.rng.next_u64();
         let mut entry = [0u8; 8];
         sb_mem::walk::read_bytes(
@@ -995,9 +1017,9 @@ impl SkyBridge {
         );
 
         // One VMFUNC into the server EPT for the whole batch.
-        self.vmfunc_to_inner(k, core, client_pid, binding.ept_root)?;
+        self.vmfunc_to_inner(k, core, client_pid, ept_root)?;
         k.identity_record(core, server_pid);
-        k.machine.cpu_mut(core).advance(cost.trampoline_logic / 2);
+        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
 
         // Key check, once — it authorises the connection, and every
         // frame in the batch rides the same connection.
@@ -1007,14 +1029,14 @@ impl SkyBridge {
             &mut k.machine,
             core,
             &k.mem,
-            table.add(8 * binding.connection as u64),
+            table.add(8 * connection as u64),
             &mut stored,
             true,
         )?;
         let presented_key = if self.faults.fire(FaultPoint::KeyCorrupt) {
-            binding.server_key ^ (1 + self.faults.draw(u64::MAX - 1))
+            server_key ^ (1 + self.faults.draw(u64::MAX - 1))
         } else {
-            binding.server_key
+            server_key
         };
         if u64::from_le_bytes(stored) != presented_key {
             self.faults.detected(FaultPoint::KeyCorrupt);
@@ -1036,7 +1058,8 @@ impl SkyBridge {
             client_tid,
             client_pid,
             core,
-            binding,
+            shared_buf,
+            connection,
             server_pid,
             return_root,
             return_identity,
@@ -1065,7 +1088,7 @@ impl SkyBridge {
         debug_assert!(s.open, "batch_serve on a closed session");
         let core = s.core;
         let server = s.server;
-        let cost = k.machine.cost.clone();
+        let trampoline_logic = k.machine.cost.trampoline_logic;
         self.trace_corr = corr;
         let t_entry = k.machine.cpu(core).tsc;
         self.recorder.begin(core, SpanKind::Call, t_entry, corr);
@@ -1084,7 +1107,7 @@ impl SkyBridge {
                 &mut k.machine,
                 core,
                 &mut k.mem,
-                s.binding.shared_buf,
+                s.shared_buf,
                 request,
                 true,
             )?;
@@ -1103,7 +1126,7 @@ impl SkyBridge {
                 &mut k.machine,
                 core,
                 &k.mem,
-                s.binding.shared_buf,
+                s.shared_buf,
                 request.len(),
                 sb_mem::walk::Access::Read,
                 true,
@@ -1130,8 +1153,8 @@ impl SkyBridge {
             server,
             server_process: s.server_pid,
             caller: s.client_tid,
-            shared_buf: s.binding.shared_buf,
-            connection: s.binding.connection,
+            shared_buf: s.shared_buf,
+            connection: s.connection,
         };
         let handler_t0 = k.machine.cpu(core).tsc;
         let mut handler = self.handlers[server].take().expect("handler re-entered");
@@ -1187,7 +1210,7 @@ impl SkyBridge {
                     &mut k.machine,
                     core,
                     &k.mem,
-                    s.binding.shared_buf,
+                    s.shared_buf,
                     reply_len,
                     sb_mem::walk::Access::Write,
                     true,
@@ -1196,13 +1219,13 @@ impl SkyBridge {
                     &mut k.machine,
                     core,
                     &mut k.mem,
-                    s.binding.shared_buf,
+                    s.shared_buf,
                     v,
                     true,
                 )?,
             }
         }
-        k.machine.cpu_mut(core).advance(cost.trampoline_logic / 2);
+        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
         self.recorder.span(
             core,
             SpanKind::Handler,
@@ -1218,7 +1241,7 @@ impl SkyBridge {
                 &mut k.machine,
                 core,
                 &k.mem,
-                s.binding.shared_buf,
+                s.shared_buf,
                 reply_len,
                 sb_mem::walk::Access::Read,
                 true,
@@ -1369,6 +1392,14 @@ impl Default for SkyBridge {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// `v[i]`, growing `v` with defaults first if it is too short.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 /// Setup-time (uncharged) read of a process's memory.

@@ -7,8 +7,6 @@
 //! all — and the rest, which the base EPT identity-maps to the Subkernel
 //! with 1 GiB pages.
 
-use std::collections::HashMap;
-
 use crate::addr::{Hpa, PAGE_SIZE};
 
 /// Size of the region reserved for the Rootkernel (the paper reserves
@@ -18,10 +16,29 @@ pub const RESERVED_BYTES: u64 = 100 * 1024 * 1024;
 /// Total modeled RAM (16 GiB, matching the evaluation machine).
 pub const TOTAL_BYTES: u64 = 16 * 1024 * 1024 * 1024;
 
+// Every address this memory can hand out must be one the simulated caches
+// accept.
+const _: () = assert!(TOTAL_BYTES <= 1 << sb_sim::PADDR_BITS);
+
+type Frame = [u8; PAGE_SIZE as usize];
+
+/// Frames per second-level chunk (2 MiB of address space).
+const CHUNK_FRAMES: usize = 512;
+
+type Chunk = [Option<Box<Frame>>; CHUNK_FRAMES];
+
 /// Sparse host physical memory.
+///
+/// A two-level page directory indexed by page number: `chunks[page / 512]`
+/// is a table of 512 frame slots, `[page % 512]` the frame. Both levels
+/// grow on demand, so reaching a frame is index arithmetic and dependent
+/// loads — no hash — while memory stays proportional to the frames
+/// actually touched.
 #[derive(Debug, Default)]
 pub struct HostMem {
-    frames: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    chunks: Vec<Option<Box<Chunk>>>,
+    /// Frames currently materialized.
+    resident: usize,
     /// Next free frame in the reserved (Rootkernel) region.
     next_reserved: u64,
     /// Next free frame in the general region.
@@ -35,7 +52,8 @@ impl HostMem {
     /// zero page-table root can be used as a "none" sentinel.
     pub fn new() -> Self {
         HostMem {
-            frames: HashMap::new(),
+            chunks: Vec::new(),
+            resident: 0,
             next_reserved: PAGE_SIZE,
             next_general: RESERVED_BYTES,
         }
@@ -47,15 +65,14 @@ impl HostMem {
     ///
     /// Panics if the reserved region (100 MiB) is exhausted.
     pub fn alloc_reserved_frame(&mut self) -> Hpa {
-        let hpa = self.next_reserved;
+        let hpa = Hpa(self.next_reserved);
         assert!(
-            hpa + PAGE_SIZE <= RESERVED_BYTES,
+            hpa.0 + PAGE_SIZE <= RESERVED_BYTES,
             "Rootkernel reserved region exhausted"
         );
         self.next_reserved += PAGE_SIZE;
-        self.frames
-            .insert(hpa / PAGE_SIZE, Box::new([0; PAGE_SIZE as usize]));
-        Hpa(hpa)
+        self.frame_mut(hpa).fill(0);
+        hpa
     }
 
     /// Allocates a zeroed frame in the general (Subkernel-visible) region.
@@ -67,12 +84,14 @@ impl HostMem {
     ///
     /// Panics if the 16 GiB of modeled RAM are exhausted.
     pub fn alloc_frame(&mut self) -> Hpa {
-        let hpa = self.next_general;
-        assert!(hpa + PAGE_SIZE <= TOTAL_BYTES, "physical memory exhausted");
+        let hpa = Hpa(self.next_general);
+        assert!(
+            hpa.0 + PAGE_SIZE <= TOTAL_BYTES,
+            "physical memory exhausted"
+        );
         self.next_general += PAGE_SIZE;
-        self.frames
-            .insert(hpa / PAGE_SIZE, Box::new([0; PAGE_SIZE as usize]));
-        Hpa(hpa)
+        self.frame_mut(hpa).fill(0);
+        hpa
     }
 
     /// True if `hpa` lies in the Rootkernel-reserved region.
@@ -80,16 +99,41 @@ impl HostMem {
         hpa.0 < RESERVED_BYTES
     }
 
-    fn frame(&self, hpa: Hpa) -> &[u8; PAGE_SIZE as usize] {
-        self.frames
-            .get(&hpa.page_number())
+    /// `(chunk index, slot within the chunk)` of the frame holding `hpa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hpa` lies at or beyond [`TOTAL_BYTES`]: with direct
+    /// indexing an absurd address must fail here, not size a table.
+    fn index(hpa: Hpa) -> (usize, usize) {
+        assert!(
+            hpa.0 < TOTAL_BYTES,
+            "physical access at {hpa:?} is beyond the {TOTAL_BYTES:#x} bytes of modeled RAM"
+        );
+        let page = hpa.page_number() as usize;
+        (page / CHUNK_FRAMES, page % CHUNK_FRAMES)
+    }
+
+    fn frame(&self, hpa: Hpa) -> &Frame {
+        let (chunk, slot) = Self::index(hpa);
+        self.chunks
+            .get(chunk)
+            .and_then(|c| c.as_ref()?[slot].as_deref())
             .unwrap_or_else(|| panic!("access to unallocated frame {hpa:?}"))
     }
 
-    fn frame_mut(&mut self, hpa: Hpa) -> &mut [u8; PAGE_SIZE as usize] {
-        self.frames
-            .entry(hpa.page_number())
-            .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))
+    /// The frame holding `hpa`, materialized zeroed on first touch.
+    fn frame_mut(&mut self, hpa: Hpa) -> &mut Frame {
+        let (chunk, slot) = Self::index(hpa);
+        if chunk >= self.chunks.len() {
+            self.chunks.resize_with(chunk + 1, || None);
+        }
+        let chunk =
+            self.chunks[chunk].get_or_insert_with(|| Box::new([const { None }; CHUNK_FRAMES]));
+        chunk[slot].get_or_insert_with(|| {
+            self.resident += 1;
+            Box::new([0; PAGE_SIZE as usize])
+        })
     }
 
     /// Reads a naturally aligned little-endian `u64`.
@@ -143,13 +187,136 @@ impl HostMem {
 
     /// Number of frames currently materialized.
     pub fn resident_frames(&self) -> usize {
-        self.frames.len()
+        self.resident
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The `HashMap` of frames the page directory replaced, as the
+    /// reference: page number → contents.
+    #[derive(Default)]
+    struct RefMem {
+        frames: HashMap<u64, Vec<u8>>,
+    }
+
+    impl RefMem {
+        fn alloc(&mut self, hpa: Hpa) {
+            self.frames
+                .insert(hpa.page_number(), vec![0; PAGE_SIZE as usize]);
+        }
+
+        fn byte(&mut self, at: u64) -> &mut u8 {
+            let frame = self
+                .frames
+                .entry(at / PAGE_SIZE)
+                .or_insert_with(|| vec![0; PAGE_SIZE as usize]);
+            &mut frame[(at % PAGE_SIZE) as usize]
+        }
+
+        fn all_present(&self, at: u64, len: u64) -> bool {
+            (at / PAGE_SIZE..=(at + len - 1) / PAGE_SIZE).all(|p| self.frames.contains_key(&p))
+        }
+    }
+
+    /// Where the interesting edges are: the bottom of the reserved
+    /// region, the reserved/general border (also a chunk border), the
+    /// next chunk border inside the general region, and the top of RAM.
+    const EDGES: [u64; 4] = [
+        PAGE_SIZE,
+        RESERVED_BYTES,
+        RESERVED_BYTES + CHUNK_FRAMES as u64 * PAGE_SIZE,
+        TOTAL_BYTES - 3 * PAGE_SIZE,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Interleaved allocations, writes and reads across frame and
+        /// chunk borders read back exactly what a `HashMap` of frames
+        /// holds, and `resident_frames` counts exactly its entries.
+        #[test]
+        fn page_directory_matches_a_hashmap_of_frames(
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..EDGES.len(), 0u64..3 * PAGE_SIZE, 1u64..2 * PAGE_SIZE + 100, any::<u8>()),
+                1..60,
+            ),
+        ) {
+            let mut mem = HostMem::new();
+            let mut model = RefMem::default();
+            for (kind, edge, back, len, fill) in ops {
+                // A span starting up to three pages below an edge and
+                // running up to two pages: straddles it or not.
+                let at = (EDGES[edge] + PAGE_SIZE).saturating_sub(back).max(PAGE_SIZE);
+                let len = len.min(TOTAL_BYTES - at);
+                match kind {
+                    0 => model.alloc(mem.alloc_frame()),
+                    1 => model.alloc(mem.alloc_reserved_frame()),
+                    2..=4 => {
+                        let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                        mem.write_slice(Hpa(at), &data);
+                        for (i, &b) in data.iter().enumerate() {
+                            *model.byte(at + i as u64) = b;
+                        }
+                    }
+                    // Reading an unallocated frame panics, as it always
+                    // has; only fully present spans are read back.
+                    _ if model.all_present(at, len) => {
+                        let mut got = vec![0u8; len as usize];
+                        mem.read_slice(Hpa(at), &mut got);
+                        let want: Vec<u8> = (0..len).map(|i| *model.byte(at + i)).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(mem.resident_frames(), model.frames.len());
+            }
+        }
+    }
+
+    #[test]
+    fn allocation_zeroes_a_frame_a_stray_write_materialised() {
+        let mut m = HostMem::new();
+        m.write_u64(Hpa(RESERVED_BYTES + 8), 0xdead);
+        assert_eq!(m.resident_frames(), 1);
+        let f = m.alloc_frame();
+        assert_eq!(f.0, RESERVED_BYTES);
+        assert_eq!(m.read_u64(f.add(8)), 0);
+        assert_eq!(m.resident_frames(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Hpa(0x400000000) is beyond")]
+    fn write_at_the_end_of_ram_panics_naming_the_address() {
+        HostMem::new().write_u64(Hpa(TOTAL_BYTES), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is beyond")]
+    fn absurd_address_panics_instead_of_sizing_a_table() {
+        HostMem::new().write_slice(Hpa(u64::MAX - 4095), &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is beyond")]
+    fn read_running_off_the_end_of_ram_panics() {
+        let mut m = HostMem::new();
+        m.write_slice(Hpa(TOTAL_BYTES - 8), &[7; 8]);
+        let mut buf = [0u8; 16];
+        m.read_slice(Hpa(TOTAL_BYTES - 8), &mut buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated frame")]
+    fn read_of_an_untouched_frame_still_panics() {
+        HostMem::new().read_u64(Hpa(RESERVED_BYTES));
+    }
 
     #[test]
     fn allocators_stay_in_their_regions() {

@@ -209,10 +209,11 @@ pub fn translate(
     unreachable!("leaf level always returns")
 }
 
-/// Runs `f` for every cache line overlapped by `[gva, gva + len)`,
-/// translating page by page.
-#[allow(clippy::too_many_arguments)] // The hardware walk context really has this arity.
-fn for_each_line(
+/// Translates `gva` and touches, through the cache hierarchy, every
+/// 64-byte line of `[gva, gva + len)` that lies in `gva`'s page. Returns
+/// where the span starts in host memory and how many bytes it covers;
+/// callers loop until `len` is consumed.
+fn charge_span(
     m: &mut Machine,
     core: CpuId,
     mem: &HostMem,
@@ -220,23 +221,15 @@ fn for_each_line(
     len: usize,
     access: Access,
     user: bool,
-    mut f: impl FnMut(&mut Machine, Hpa, usize, usize),
-) -> Result<(), MemFault> {
-    let mut off = 0usize;
-    while off < len {
-        let at = gva.add(off as u64);
-        let in_page = ((PAGE_SIZE - at.page_offset()) as usize).min(len - off);
-        let hpa = translate(m, core, mem, at, access, user)?;
-        // Touch each 64-byte line of the span through the cache hierarchy.
-        let first_line = hpa.0 / 64;
-        let last_line = (hpa.0 + in_page as u64 - 1) / 64;
-        for line in first_line..=last_line {
-            m.mem_access(core, line * 64, access.cache_kind());
-        }
-        f(m, hpa, off, in_page);
-        off += in_page;
+) -> Result<(Hpa, usize), MemFault> {
+    let in_page = ((PAGE_SIZE - gva.page_offset()) as usize).min(len);
+    let hpa = translate(m, core, mem, gva, access, user)?;
+    let first_line = hpa.0 / 64;
+    let last_line = (hpa.0 + in_page as u64 - 1) / 64;
+    for line in first_line..=last_line {
+        m.mem_access(core, line * 64, access.cache_kind());
     }
-    Ok(())
+    Ok((hpa, in_page))
 }
 
 /// Reads guest-virtual memory into `buf`, charging translation and cache
@@ -249,24 +242,23 @@ pub fn read_bytes(
     buf: &mut [u8],
     user: bool,
 ) -> Result<(), MemFault> {
-    let len = buf.len();
-    let buf_cell = std::cell::RefCell::new(buf);
-    for_each_line(
-        m,
-        core,
-        mem,
-        gva,
-        len,
-        Access::Read,
-        user,
-        |_, hpa, off, n| {
-            mem.read_slice(hpa, &mut buf_cell.borrow_mut()[off..off + n]);
-        },
-    )
+    let mut off = 0;
+    while off < buf.len() {
+        let at = gva.add(off as u64);
+        let (hpa, n) = charge_span(m, core, mem, at, buf.len() - off, Access::Read, user)?;
+        mem.read_slice(hpa, &mut buf[off..off + n]);
+        off += n;
+    }
+    Ok(())
 }
 
 /// Writes `data` to guest-virtual memory, charging translation and cache
 /// traffic.
+///
+/// All-or-nothing: every page is translated and charged before any byte
+/// lands. The recursion holds each page's resolved span on the stack
+/// while the pages after it are translated (any of which may fault) and
+/// commits on the way back out — one frame per page written, no heap.
 pub fn write_bytes(
     m: &mut Machine,
     core: CpuId,
@@ -275,21 +267,12 @@ pub fn write_bytes(
     data: &[u8],
     user: bool,
 ) -> Result<(), MemFault> {
-    // Two-phase: translate/charge first (may fault), then commit.
-    let mut spans: Vec<(Hpa, usize, usize)> = Vec::new();
-    for_each_line(
-        m,
-        core,
-        mem,
-        gva,
-        data.len(),
-        Access::Write,
-        user,
-        |_, hpa, off, n| spans.push((hpa, off, n)),
-    )?;
-    for (hpa, off, n) in spans {
-        mem.write_slice(hpa, &data[off..off + n]);
+    if data.is_empty() {
+        return Ok(());
     }
+    let (hpa, n) = charge_span(m, core, mem, gva, data.len(), Access::Write, user)?;
+    write_bytes(m, core, mem, gva.add(n as u64), &data[n..], user)?;
+    mem.write_slice(hpa, &data[..n]);
     Ok(())
 }
 
@@ -307,7 +290,12 @@ pub fn touch_bytes(
     access: Access,
     user: bool,
 ) -> Result<(), MemFault> {
-    for_each_line(m, core, mem, gva, len, access, user, |_, _, _, _| {})
+    let mut off = 0;
+    while off < len {
+        let at = gva.add(off as u64);
+        off += charge_span(m, core, mem, at, len - off, access, user)?.1;
+    }
+    Ok(())
 }
 
 /// Models executing `len` bytes of code at `gva`: fetches every overlapped
@@ -320,7 +308,7 @@ pub fn fetch_code(
     len: usize,
     user: bool,
 ) -> Result<(), MemFault> {
-    for_each_line(m, core, mem, gva, len, Access::Fetch, user, |_, _, _, _| {})
+    touch_bytes(m, core, mem, gva, len, Access::Fetch, user)
 }
 
 /// Convenience: reads a guest-virtual little-endian `u64`.

@@ -12,6 +12,7 @@ use sb_sim::{AccessKind, CpuId, Cycles};
 use crate::{
     kernel::Kernel,
     layout,
+    personality::Personality,
     process::{Capability, ThreadId, ThreadState},
 };
 
@@ -62,9 +63,12 @@ impl Component {
 }
 
 /// Cycles attributed per component for one operation.
+///
+/// One slot per [`Component`], in [`Component::ALL`] order — built on
+/// every IPC and every `direct_server_call`, so it lives on the stack.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Breakdown {
-    parts: Vec<(Component, Cycles)>,
+    parts: [Cycles; Component::ALL.len()],
 }
 
 impl Breakdown {
@@ -73,46 +77,33 @@ impl Breakdown {
         Self::default()
     }
 
-    /// Adds cycles to a component (merging with an existing entry).
+    /// Adds cycles to a component.
     pub fn add(&mut self, component: Component, cycles: Cycles) {
-        if cycles == 0 {
-            return;
-        }
-        if let Some(e) = self.parts.iter_mut().find(|(c, _)| *c == component) {
-            e.1 += cycles;
-        } else {
-            self.parts.push((component, cycles));
-        }
+        self.parts[component as usize] += cycles;
     }
 
     /// Cycles attributed to one component.
     pub fn get(&self, component: Component) -> Cycles {
-        self.parts
-            .iter()
-            .find(|(c, _)| *c == component)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        self.parts[component as usize]
     }
 
     /// Sum over all components.
     pub fn total(&self) -> Cycles {
-        self.parts.iter().map(|(_, v)| v).sum()
+        self.parts.iter().sum()
     }
 
     /// Accumulates another breakdown into this one.
     pub fn merge(&mut self, other: &Breakdown) {
-        for &(c, v) in &other.parts {
-            self.add(c, v);
+        for (mine, theirs) in self.parts.iter_mut().zip(other.parts) {
+            *mine += theirs;
         }
     }
 
     /// Divides every bucket by `n` (averaging repeated runs).
     pub fn scaled_down(&self, n: u64) -> Breakdown {
-        let mut out = Breakdown::new();
-        for &(c, v) in &self.parts {
-            out.add(c, v / n);
+        Breakdown {
+            parts: self.parts.map(|v| v / n),
         }
-        out
     }
 }
 
@@ -169,6 +160,7 @@ impl Kernel {
     fn read_message(
         &mut self,
         b: &mut Breakdown,
+        p: &Personality,
         from: ThreadId,
         len: usize,
         read_core: CpuId,
@@ -177,8 +169,11 @@ impl Kernel {
             return Ok(None);
         }
         let src = self.threads[from].msg_buf;
-        let mut data = vec![0u8; len];
-        let p = self.personality.clone();
+        // The staging buffer is handed back by `deliver_message`, so the
+        // steady state allocates nothing.
+        let mut data = std::mem::take(&mut self.msg_staging);
+        data.clear();
+        data.resize(len, 0);
         if len <= p.register_msg_max {
             // In-register transfer: no memory copy is charged; move the
             // bytes for functional fidelity only.
@@ -244,23 +239,26 @@ impl Kernel {
     ) -> Result<(), IpcError> {
         let Some(data) = data else { return Ok(()) };
         let dst = self.threads[to].msg_buf;
-        if data.len() <= self.personality.register_msg_max {
+        let written = if data.len() <= self.personality.register_msg_max {
             let to_asp = self.processes[self.threads[to].process].asp;
             let (gpa, _) = to_asp.translate_setup(&self.mem, dst).unwrap();
             self.mem.write_slice(sb_mem::Hpa(gpa.0), &data);
-            return Ok(());
-        }
-        let t0 = self.tsc(write_core);
-        sb_mem::walk::write_bytes(
-            &mut self.machine,
-            write_core,
-            &mut self.mem,
-            dst,
-            &data,
-            false,
-        )?;
-        b.add(Component::MessageCopy, self.tsc(write_core) - t0);
-        Ok(())
+            Ok(())
+        } else {
+            let t0 = self.tsc(write_core);
+            let written = sb_mem::walk::write_bytes(
+                &mut self.machine,
+                write_core,
+                &mut self.mem,
+                dst,
+                &data,
+                false,
+            );
+            b.add(Component::MessageCopy, self.tsc(write_core) - t0);
+            written
+        };
+        self.msg_staging = data;
+        written.map_err(IpcError::Fault)
     }
 
     fn kernel_copy_buf_hpa(&self) -> u64 {
@@ -322,7 +320,7 @@ impl Kernel {
             let logic = p.fastpath_logic + p.drq_cost;
             self.machine.cpu_mut(ccore).advance(logic);
             b.add(Component::Other, logic);
-            let msg = self.read_message(&mut b, client, msg_len, ccore)?;
+            let msg = self.read_message(&mut b, &p, client, msg_len, ccore)?;
             let t0 = self.tsc(ccore);
             self.switch_address_space(ccore, sthread.process);
             b.add(Component::ContextSwitch, self.tsc(ccore) - t0);
@@ -332,7 +330,7 @@ impl Kernel {
             let logic = p.slowpath_logic;
             self.machine.cpu_mut(ccore).advance(logic);
             b.add(Component::Other, logic);
-            let msg = self.read_message(&mut b, client, msg_len, ccore)?;
+            let msg = self.read_message(&mut b, &p, client, msg_len, ccore)?;
             self.machine.cpu_mut(ccore).advance(p.schedule_cost);
             b.add(Component::Schedule, p.schedule_cost);
             let t0 = self.tsc(ccore);
@@ -345,7 +343,7 @@ impl Kernel {
             let logic = p.slowpath_logic;
             self.machine.cpu_mut(ccore).advance(logic);
             b.add(Component::Other, logic);
-            let msg = self.read_message(&mut b, client, msg_len, ccore)?;
+            let msg = self.read_message(&mut b, &p, client, msg_len, ccore)?;
             self.machine.ipi(ccore, score);
             b.add(Component::Ipi, self.machine.cost.ipi);
             self.current_set(ccore, None);
@@ -410,7 +408,7 @@ impl Kernel {
             let logic = p.fastpath_logic + p.drq_cost;
             self.machine.cpu_mut(score).advance(logic);
             b.add(Component::Other, logic);
-            reply_msg = self.read_message(&mut b, server, reply_len, score)?;
+            reply_msg = self.read_message(&mut b, &p, server, reply_len, score)?;
             let t0 = self.tsc(score);
             self.switch_address_space(score, cthread.process);
             b.add(Component::ContextSwitch, self.tsc(score) - t0);
@@ -419,7 +417,7 @@ impl Kernel {
             let logic = p.slowpath_logic;
             self.machine.cpu_mut(score).advance(logic);
             b.add(Component::Other, logic);
-            reply_msg = self.read_message(&mut b, server, reply_len, score)?;
+            reply_msg = self.read_message(&mut b, &p, server, reply_len, score)?;
             self.machine.cpu_mut(score).advance(p.schedule_cost);
             b.add(Component::Schedule, p.schedule_cost);
             let t0 = self.tsc(score);
@@ -430,7 +428,7 @@ impl Kernel {
             let logic = p.slowpath_logic;
             self.machine.cpu_mut(score).advance(logic);
             b.add(Component::Other, logic);
-            reply_msg = self.read_message(&mut b, server, reply_len, score)?;
+            reply_msg = self.read_message(&mut b, &p, server, reply_len, score)?;
             self.machine.ipi(score, ccore);
             b.add(Component::Ipi, self.machine.cost.ipi);
             self.current_set(score, None);

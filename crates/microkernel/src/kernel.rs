@@ -99,6 +99,9 @@ pub struct Kernel {
     pub identity_page: Gpa,
     /// Total synchronous IPCs performed.
     pub ipc_count: u64,
+    /// The in-kernel staging buffer a message crosses address spaces in,
+    /// reused from one IPC to the next.
+    pub(crate) msg_staging: Vec<u8>,
 }
 
 impl Kernel {
@@ -133,6 +136,7 @@ impl Kernel {
             run_queues: (0..cores).map(|_| VecDeque::new()).collect(),
             identity_page: Gpa(identity_frame.0),
             ipc_count: 0,
+            msg_staging: Vec::new(),
         }
     }
 
@@ -398,10 +402,11 @@ impl Kernel {
     /// SYSRET) plus KPTI CR3 writes, returning `(mode_cycles,
     /// kpti_cycles)` for breakdown attribution.
     pub(crate) fn mode_switch(&mut self, core: CpuId) -> (Cycles, Cycles) {
-        let cost = self.machine.cost.clone();
+        let (mode_cycles, cr3_write) =
+            (self.machine.cost.mode_switch(), self.machine.cost.cr3_write);
         let cpu = self.machine.cpu_mut(core);
         cpu.pmu.mode_switches += 1;
-        cpu.advance(cost.mode_switch());
+        cpu.advance(mode_cycles);
         let mut kpti_cycles = 0;
         if self.kpti {
             // Entry: switch to the kernel-half page table. KPTI keeps two
@@ -421,10 +426,10 @@ impl Kernel {
             };
             let cpu = self.machine.cpu_mut(core);
             cpu.load_cr3(kernel_cr3, 0);
-            cpu.advance(cost.cr3_write);
-            kpti_cycles += cost.cr3_write;
+            cpu.advance(cr3_write);
+            kpti_cycles += cr3_write;
         }
-        (cost.mode_switch(), kpti_cycles)
+        (mode_cycles, kpti_cycles)
     }
 
     /// Returns to user mode in the same process (non-IPC syscall exit):

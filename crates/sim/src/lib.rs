@@ -29,7 +29,7 @@ pub mod pmu;
 pub mod tlb;
 
 pub use crate::{
-    cache::{AccessKind, Cache, CacheConfig},
+    cache::{AccessKind, Cache, CacheConfig, PADDR_BITS},
     core::{Cpu, CpuId, CpuMode, PrivilegeLevel},
     cost::CostModel,
     lock::SimLock,

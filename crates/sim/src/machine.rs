@@ -117,7 +117,7 @@ impl Machine {
                 }
             }
         }
-        self.cores[core].tsc += latency;
+        cpu.tsc += latency;
         latency
     }
 

@@ -19,7 +19,7 @@
 /// `pcid` distinguishes guest address spaces; `ept_root` distinguishes
 /// extended page tables (the host-physical address of the active EPT PML4,
 /// or 0 when virtualization is off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TlbTag {
     /// Process-context identifier of the guest page table.
     pub pcid: u16,
@@ -66,7 +66,7 @@ impl TlbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TlbEntry {
     tag: TlbTag,
     /// Virtual page number.
@@ -78,11 +78,25 @@ struct TlbEntry {
     meta: u8,
 }
 
+impl TlbEntry {
+    fn matches(&self, tag: TlbTag, vpn: u64) -> bool {
+        self.vpn == vpn && self.tag == tag
+    }
+}
+
 /// A set-associative, LRU-replaced, tag-aware TLB.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<TlbEntry>>,
+    /// `sets - 1`.
+    set_mask: usize,
+    /// One flat `sets × ways` array. Set `s` owns
+    /// `slots[s * ways..][..ways]`; its first `fill[s]` slots are live,
+    /// least recently used first, most recently used last (the rest are
+    /// filler, never compared).
+    slots: Vec<TlbEntry>,
+    /// Live entries per set.
+    fill: Vec<u8>,
     /// Total lookups.
     pub accesses: u64,
     /// Lookups that missed (required a page walk).
@@ -94,15 +108,24 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate or the set count is not a power
-    /// of two.
+    /// Panics if the geometry is degenerate: zero ways, entries that are
+    /// not a whole number of sets, a set count that is not a power of two,
+    /// or more ways than the per-set fill counter holds.
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.ways > 0 && config.entries.is_multiple_of(config.ways));
+        assert!(
+            config.ways <= u8::MAX as usize,
+            "{} ways exceed the per-set fill counter (max {})",
+            config.ways,
+            u8::MAX
+        );
         let sets = config.sets();
-        assert!(sets.is_power_of_two());
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
         Tlb {
             config,
-            sets: vec![Vec::new(); sets],
+            set_mask: sets - 1,
+            slots: vec![TlbEntry::default(); config.entries],
+            fill: vec![0; sets],
             accesses: 0,
             misses: 0,
         }
@@ -114,7 +137,27 @@ impl Tlb {
     }
 
     fn set_of(&self, vpn: u64) -> usize {
-        (vpn as usize) & (self.sets.len() - 1)
+        (vpn as usize) & self.set_mask
+    }
+
+    /// The slots of `set` and its fill count.
+    fn set_mut(&mut self, set: usize) -> (&mut [TlbEntry], &mut u8) {
+        let ways = self.config.ways;
+        (&mut self.slots[set * ways..][..ways], &mut self.fill[set])
+    }
+
+    /// Drops the entries of `set` that `keep` rejects; survivors keep
+    /// their LRU order.
+    fn retain(&mut self, set: usize, keep: impl Fn(&TlbEntry) -> bool) {
+        let (slots, fill) = self.set_mut(set);
+        let mut kept = 0;
+        for i in 0..*fill as usize {
+            if keep(&slots[i]) {
+                slots[kept] = slots[i];
+                kept += 1;
+            }
+        }
+        *fill = kept as u8;
     }
 
     /// Looks up the translation of virtual page `vpn` under `tag`.
@@ -124,13 +167,17 @@ impl Tlb {
     /// performs the page walk and then calls [`Tlb::insert`].
     pub fn lookup(&mut self, tag: TlbTag, vpn: u64) -> Option<(u64, u8)> {
         self.accesses += 1;
-        let set_idx = self.set_of(vpn);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|e| e.vpn == vpn && e.tag == tag) {
-            let e = set.remove(pos);
-            let hit = (e.ppn, e.meta);
-            set.push(e);
-            Some(hit)
+        let set = self.set_of(vpn);
+        let (slots, fill) = self.set_mut(set);
+        let n = *fill as usize;
+        // Most lookups re-touch the page touched last: already in the MRU
+        // slot, nothing to reorder.
+        if n > 0 && slots[n - 1].matches(tag, vpn) {
+            return Some((slots[n - 1].ppn, slots[n - 1].meta));
+        }
+        if let Some(pos) = slots[..n].iter().position(|e| e.matches(tag, vpn)) {
+            slots[pos..n].rotate_left(1);
+            Some((slots[n - 1].ppn, slots[n - 1].meta))
         } else {
             self.misses += 1;
             None
@@ -139,44 +186,48 @@ impl Tlb {
 
     /// Inserts a translation, evicting the set's LRU entry if full.
     pub fn insert(&mut self, tag: TlbTag, vpn: u64, ppn: u64, meta: u8) {
-        let set_idx = self.set_of(vpn);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_idx];
-        set.retain(|e| !(e.vpn == vpn && e.tag == tag));
-        if set.len() == ways {
-            set.remove(0);
+        let set = self.set_of(vpn);
+        let (slots, fill) = self.set_mut(set);
+        let mut n = *fill as usize;
+        // One entry leaves — the page's previous translation if there is
+        // one, else the LRU entry of a full set — and the rest close up.
+        let leaving = slots[..n]
+            .iter()
+            .position(|e| e.matches(tag, vpn))
+            .or((n == slots.len()).then_some(0));
+        if let Some(pos) = leaving {
+            slots.copy_within(pos + 1..n, pos);
+            n -= 1;
         }
-        set.push(TlbEntry {
+        slots[n] = TlbEntry {
             tag,
             vpn,
             ppn,
             meta,
-        });
+        };
+        *fill = n as u8 + 1;
     }
 
     /// Flushes every entry (a non-PCID CR3 write, or `INVEPT` global).
     pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Flushes entries belonging to one tag (`INVPCID` single-context).
     pub fn flush_tag(&mut self, tag: TlbTag) {
-        for set in &mut self.sets {
-            set.retain(|e| e.tag != tag);
+        for set in 0..self.fill.len() {
+            self.retain(set, |e| e.tag != tag);
         }
     }
 
     /// Invalidates one page under one tag (`INVLPG`).
     pub fn flush_page(&mut self, tag: TlbTag, vpn: u64) {
-        let set_idx = self.set_of(vpn);
-        self.sets[set_idx].retain(|e| !(e.vpn == vpn && e.tag == tag));
+        self.retain(self.set_of(vpn), |e| !e.matches(tag, vpn));
     }
 
     /// Number of live entries.
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 
     /// Resets hit/miss statistics without touching entries.
@@ -188,7 +239,168 @@ impl Tlb {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The `Vec<Vec<TlbEntry>>` TLB the flat one replaced, kept verbatim
+    /// as the reference it must match operation for operation.
+    struct RefTlb {
+        config: TlbConfig,
+        sets: Vec<Vec<TlbEntry>>,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl RefTlb {
+        fn new(config: TlbConfig) -> Self {
+            RefTlb {
+                config,
+                sets: vec![Vec::new(); config.sets()],
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_of(&self, vpn: u64) -> usize {
+            (vpn as usize) & (self.sets.len() - 1)
+        }
+
+        fn lookup(&mut self, tag: TlbTag, vpn: u64) -> Option<(u64, u8)> {
+            self.accesses += 1;
+            let set_idx = self.set_of(vpn);
+            let set = &mut self.sets[set_idx];
+            if let Some(pos) = set.iter().position(|e| e.vpn == vpn && e.tag == tag) {
+                let e = set.remove(pos);
+                let hit = (e.ppn, e.meta);
+                set.push(e);
+                Some(hit)
+            } else {
+                self.misses += 1;
+                None
+            }
+        }
+
+        fn insert(&mut self, tag: TlbTag, vpn: u64, ppn: u64, meta: u8) {
+            let set_idx = self.set_of(vpn);
+            let ways = self.config.ways;
+            let set = &mut self.sets[set_idx];
+            set.retain(|e| !(e.vpn == vpn && e.tag == tag));
+            if set.len() == ways {
+                set.remove(0);
+            }
+            set.push(TlbEntry {
+                tag,
+                vpn,
+                ppn,
+                meta,
+            });
+        }
+
+        fn flush_all(&mut self) {
+            for set in &mut self.sets {
+                set.clear();
+            }
+        }
+
+        fn flush_tag(&mut self, tag: TlbTag) {
+            for set in &mut self.sets {
+                set.retain(|e| e.tag != tag);
+            }
+        }
+
+        fn flush_page(&mut self, tag: TlbTag, vpn: u64) {
+            let set_idx = self.set_of(vpn);
+            self.sets[set_idx].retain(|e| !(e.vpn == vpn && e.tag == tag));
+        }
+    }
+
+    /// The everyday shape plus the edges: one set of one way, direct
+    /// mapped, and 16 ways.
+    const GEOMETRIES: [TlbConfig; 4] = [
+        TlbConfig {
+            entries: 8,
+            ways: 2,
+        },
+        TlbConfig {
+            entries: 1,
+            ways: 1,
+        },
+        TlbConfig {
+            entries: 16,
+            ways: 1,
+        },
+        TlbConfig {
+            entries: 32,
+            ways: 16,
+        },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any stream of lookups, inserts and the three flushes leaves
+        /// the flat TLB and the reference with the same lookup results,
+        /// the same counters, and the same entries in the same LRU order
+        /// in every set.
+        #[test]
+        fn flat_tlb_matches_the_reference(
+            geometry in 0usize..GEOMETRIES.len(),
+            ops in proptest::collection::vec((0u8..40, 0u16..3, any::<bool>(), any::<u16>()), 1..500),
+        ) {
+            let config = GEOMETRIES[geometry];
+            let mut flat = Tlb::new(config);
+            let mut reference = RefTlb::new(config);
+            for (kind, pcid, nested, v) in ops {
+                let tag = TlbTag { pcid, ept_root: if nested { 0x7000 } else { 0 } };
+                // Three times the capacity in distinct pages.
+                let vpn = v as u64 % (config.entries as u64 * 3);
+                match kind {
+                    0 => {
+                        flat.flush_all();
+                        reference.flush_all();
+                    }
+                    1 => {
+                        flat.flush_tag(tag);
+                        reference.flush_tag(tag);
+                    }
+                    2..=4 => {
+                        flat.flush_page(tag, vpn);
+                        reference.flush_page(tag, vpn);
+                    }
+                    5..=19 => {
+                        flat.insert(tag, vpn, v as u64 + 7, v as u8);
+                        reference.insert(tag, vpn, v as u64 + 7, v as u8);
+                    }
+                    _ => prop_assert_eq!(flat.lookup(tag, vpn), reference.lookup(tag, vpn)),
+                }
+                prop_assert_eq!(flat.accesses, reference.accesses);
+                prop_assert_eq!(flat.misses, reference.misses);
+                for (set, want) in reference.sets.iter().enumerate() {
+                    let got = &flat.slots[set * config.ways..][..flat.fill[set] as usize];
+                    prop_assert_eq!(got, &want[..], "set {}", set);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the per-set fill counter")]
+    fn more_ways_than_the_fill_counter_holds_is_rejected() {
+        Tlb::new(TlbConfig {
+            entries: 512,
+            ways: 256,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        Tlb::new(TlbConfig {
+            entries: 12,
+            ways: 4,
+        });
+    }
 
     fn tiny() -> Tlb {
         Tlb::new(TlbConfig {
