@@ -1,7 +1,7 @@
 //! The database facade: catalog, transactions, and the four Table 4
 //! operations.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sb_fs::{FileApi, FsError, Inum};
 
@@ -28,6 +28,9 @@ pub enum DbError {
     RecordTooLarge,
     /// Catalog full or malformed.
     Catalog,
+    /// A table page whose count, length or child-pointer fields run past
+    /// the page or the file.
+    Corrupt,
     /// Underlying file-system failure.
     Fs(FsError),
 }
@@ -41,6 +44,7 @@ impl std::fmt::Display for DbError {
             DbError::KeyNotFound => write!(f, "key not found"),
             DbError::RecordTooLarge => write!(f, "record too large"),
             DbError::Catalog => write!(f, "catalog error"),
+            DbError::Corrupt => write!(f, "corrupt page"),
             DbError::Fs(e) => write!(f, "fs error: {e}"),
         }
     }
@@ -78,32 +82,70 @@ pub struct TxnCtx<'a, F: FileApi> {
 }
 
 impl<'a, F: FileApi> TxnCtx<'a, F> {
-    /// Reads a page.
-    pub fn read(&mut self, pno: u32) -> [u8; PAGE_SIZE] {
-        self.pager.read(self.fs, pno)
+    /// Reads a page of the file. A page number at or past the end can
+    /// only come from a corrupt child pointer.
+    pub fn read(&mut self, pno: u32) -> Result<&[u8; PAGE_SIZE], DbError> {
+        if pno >= self.pager.npages {
+            return Err(DbError::Corrupt);
+        }
+        Ok(self.pager.read(self.fs, pno))
     }
 
-    /// Writes a page, journaling its pre-image first (write transactions
-    /// only).
-    pub fn write(&mut self, pno: u32, data: &[u8; PAGE_SIZE]) {
+    /// Journals the pre-image of `pno` before its first modification
+    /// (write transactions only).
+    fn save_preimage(&mut self, pno: u32) {
         if let Some(j) = self.journal.as_deref_mut() {
             if !j.is_saved(pno) {
                 let pre = self.pager.read(self.fs, pno);
-                j.save(self.fs, pno, &pre).expect("journal write failed");
+                j.save(self.fs, pno, pre).expect("journal write failed");
             }
         }
+    }
+
+    /// Writes a whole page, journaling its pre-image first.
+    pub fn write(&mut self, pno: u32, data: &[u8; PAGE_SIZE]) {
+        self.save_preimage(pno);
         self.pager.write(self.fs, pno, data);
+    }
+
+    /// A page to update in place, its pre-image journaled first.
+    pub fn page_mut(&mut self, pno: u32) -> &mut [u8; PAGE_SIZE] {
+        self.save_preimage(pno);
+        self.pager.page_mut(self.fs, pno)
     }
 
     /// Allocates a fresh page.
     pub fn allocate(&mut self) -> u32 {
-        let mut unit = ();
-        self.pager.allocate(self.fs, &mut unit)
+        self.pager.allocate(self.fs)
     }
 }
 
 const CATALOG_PAGE: u32 = 0;
 const CATALOG_MAGIC: u32 = 0x5bdb_ca7a;
+
+/// Table name → root page, in name order (the order the catalog page
+/// lists them).
+type Tables = BTreeMap<String, u32>;
+
+/// Parses the catalog page: magic, a count byte, then `(name length,
+/// name, root page)` entries. The page comes from a file, so a bad magic
+/// or an entry that runs past the page is [`DbError::Catalog`].
+fn parse_catalog(page: &[u8; PAGE_SIZE]) -> Result<Tables, DbError> {
+    let field = |at: usize, len: usize| page.get(at..at + len).ok_or(DbError::Catalog);
+    if field(0, 4)? != CATALOG_MAGIC.to_le_bytes() {
+        return Err(DbError::Catalog);
+    }
+    let mut tables = Tables::new();
+    let mut at = 5;
+    for _ in 0..page[4] {
+        let len = field(at, 1)?[0] as usize;
+        let name = String::from_utf8_lossy(field(at + 1, len)?).into_owned();
+        let root = field(at + 1 + len, 4)?;
+        tables.insert(name, u32::from_le_bytes(root.try_into().expect("4 bytes")));
+        at += 5 + len;
+    }
+    Ok(tables)
+}
 
 /// An open database.
 ///
@@ -128,7 +170,7 @@ pub struct Database<F: FileApi> {
     journal: Journal,
     db_file: Inum,
     journal_file: Inum,
-    tables: HashMap<String, u32>,
+    tables: Tables,
 }
 
 impl<F: FileApi> Database<F> {
@@ -149,26 +191,14 @@ impl<F: FileApi> Database<F> {
         Journal::replay(&mut fs, jfile, db_file)?;
         let mut pager = Pager::new(&mut fs, db_file, cache_pages);
         // Load (or initialize) the catalog.
-        let mut tables = HashMap::new();
+        let mut tables = Tables::new();
         if pager.npages == 0 {
             let mut page = [0u8; PAGE_SIZE];
             page[..4].copy_from_slice(&CATALOG_MAGIC.to_le_bytes());
             pager.write(&mut fs, CATALOG_PAGE, &page);
             pager.flush(&mut fs)?;
         } else {
-            let page = pager.read(&mut fs, CATALOG_PAGE);
-            if u32::from_le_bytes(page[..4].try_into().unwrap()) != CATALOG_MAGIC {
-                return Err(DbError::Catalog);
-            }
-            let n = page[4] as usize;
-            let mut at = 5;
-            for _ in 0..n {
-                let len = page[at] as usize;
-                let name = String::from_utf8_lossy(&page[at + 1..at + 1 + len]).into_owned();
-                let root = u32::from_le_bytes(page[at + 1 + len..at + 5 + len].try_into().unwrap());
-                tables.insert(name, root);
-                at += 5 + len;
-            }
+            tables = parse_catalog(pager.read(&mut fs, CATALOG_PAGE))?;
         }
         Ok(Database {
             fs,
@@ -186,14 +216,22 @@ impl<F: FileApi> Database<F> {
         Ok(self.fs)
     }
 
+    /// A transaction context over this database; a write transaction
+    /// journals pre-images.
+    fn txn(&mut self, write: bool) -> TxnCtx<'_, F> {
+        TxnCtx {
+            fs: &mut self.fs,
+            pager: &mut self.pager,
+            journal: write.then_some(&mut self.journal),
+        }
+    }
+
     fn write_catalog(&mut self) -> Result<(), DbError> {
         let mut page = [0u8; PAGE_SIZE];
         page[..4].copy_from_slice(&CATALOG_MAGIC.to_le_bytes());
         page[4] = self.tables.len() as u8;
         let mut at = 5;
-        let mut entries: Vec<_> = self.tables.iter().collect();
-        entries.sort();
-        for (name, root) in entries {
+        for (name, root) in &self.tables {
             if at + 5 + name.len() > PAGE_SIZE || name.len() > 250 {
                 return Err(DbError::Catalog);
             }
@@ -202,12 +240,7 @@ impl<F: FileApi> Database<F> {
             page[at + 1 + name.len()..at + 5 + name.len()].copy_from_slice(&root.to_le_bytes());
             at += 5 + name.len();
         }
-        let mut ctx = TxnCtx {
-            fs: &mut self.fs,
-            pager: &mut self.pager,
-            journal: Some(&mut self.journal),
-        };
-        ctx.write(CATALOG_PAGE, &page);
+        self.txn(true).write(CATALOG_PAGE, &page);
         Ok(())
     }
 
@@ -216,16 +249,9 @@ impl<F: FileApi> Database<F> {
         if self.tables.contains_key(name) {
             return Err(DbError::TableExists);
         }
-        let root = {
-            let mut ctx = TxnCtx {
-                fs: &mut self.fs,
-                pager: &mut self.pager,
-                journal: Some(&mut self.journal),
-            };
-            let root = ctx.allocate();
-            ctx.write(root, &btree::Node::Leaf(vec![]).encode());
-            root
-        };
+        let mut ctx = self.txn(true);
+        let root = ctx.allocate();
+        ctx.write(root, &btree::Node::Leaf(vec![]).encode());
         self.tables.insert(name.to_string(), root);
         self.write_catalog()?;
         self.commit()
@@ -241,66 +267,57 @@ impl<F: FileApi> Database<F> {
         Ok(())
     }
 
-    /// `INSERT`: adds a new row; duplicate keys are refused (and the
-    /// transaction rolled back).
-    pub fn insert(&mut self, table: &str, key: i64, row: &[Value]) -> Result<(), DbError> {
+    /// Ends a failed write transaction: rolls back, then reports `e`.
+    fn abort<T>(&mut self, e: DbError) -> Result<T, DbError> {
+        self.rollback()?;
+        Err(e)
+    }
+
+    /// The body of `INSERT` (`must_exist == false`) and `UPDATE`
+    /// (`must_exist == true`): puts the row unless the key's presence is
+    /// wrong for the statement, which rolls the transaction back.
+    fn put(
+        &mut self,
+        table: &str,
+        key: i64,
+        row: &[Value],
+        must_exist: bool,
+    ) -> Result<(), DbError> {
         let root = self.root_of(table)?;
         let bytes = encode_record(row);
         if bytes.len() > btree::MAX_VALUE {
             return Err(DbError::RecordTooLarge);
         }
-        let (new_root, existed) = {
-            let mut ctx = TxnCtx {
-                fs: &mut self.fs,
-                pager: &mut self.pager,
-                journal: Some(&mut self.journal),
-            };
-            if btree::get(&mut ctx, root, key).is_some() {
-                (root, true)
-            } else {
-                btree::insert(&mut ctx, root, key, &bytes)
+        let mut ctx = self.txn(true);
+        let put = match btree::get(&mut ctx, root, key, |_| ()) {
+            Ok(found) if found.is_some() == must_exist => {
+                btree::insert(&mut ctx, root, key, &bytes).map(|(new_root, _)| new_root)
             }
+            Ok(Some(())) => Err(DbError::DuplicateKey),
+            Ok(None) => Err(DbError::KeyNotFound),
+            Err(e) => Err(e),
         };
-        if existed {
-            self.rollback()?;
-            return Err(DbError::DuplicateKey);
+        match put {
+            Ok(new_root) => {
+                if new_root != root {
+                    self.tables.insert(table.to_string(), new_root);
+                    self.write_catalog()?;
+                }
+                self.commit()
+            }
+            Err(e) => self.abort(e),
         }
-        if new_root != root {
-            self.tables.insert(table.to_string(), new_root);
-            self.write_catalog()?;
-        }
-        self.commit()
+    }
+
+    /// `INSERT`: adds a new row; duplicate keys are refused (and the
+    /// transaction rolled back).
+    pub fn insert(&mut self, table: &str, key: i64, row: &[Value]) -> Result<(), DbError> {
+        self.put(table, key, row, false)
     }
 
     /// `UPDATE`: replaces an existing row.
     pub fn update(&mut self, table: &str, key: i64, row: &[Value]) -> Result<(), DbError> {
-        let root = self.root_of(table)?;
-        let bytes = encode_record(row);
-        if bytes.len() > btree::MAX_VALUE {
-            return Err(DbError::RecordTooLarge);
-        }
-        let (new_root, existed) = {
-            let mut ctx = TxnCtx {
-                fs: &mut self.fs,
-                pager: &mut self.pager,
-                journal: Some(&mut self.journal),
-            };
-            if btree::get(&mut ctx, root, key).is_none() {
-                (root, false)
-            } else {
-                let r = btree::insert(&mut ctx, root, key, &bytes);
-                (r.0, true)
-            }
-        };
-        if !existed {
-            self.rollback()?;
-            return Err(DbError::KeyNotFound);
-        }
-        if new_root != root {
-            self.tables.insert(table.to_string(), new_root);
-            self.write_catalog()?;
-        }
-        self.commit()
+        self.put(table, key, row, true)
     }
 
     /// `SELECT … WHERE key =`: reads a row (served from the page cache
@@ -312,30 +329,19 @@ impl<F: FileApi> Database<F> {
         // the read-mostly YCSB mixes serialize on the file-system path.
         let mut head = [0u8; 8];
         self.fs.read_at(self.journal_file, 0, &mut head);
-        let mut ctx = TxnCtx {
-            fs: &mut self.fs,
-            pager: &mut self.pager,
-            journal: None,
-        };
-        Ok(btree::get(&mut ctx, root, key).and_then(|b| decode_record(&b)))
+        let mut ctx = self.txn(false);
+        Ok(btree::get(&mut ctx, root, key, decode_record)?.flatten())
     }
 
     /// `DELETE`: removes a row.
     pub fn delete(&mut self, table: &str, key: i64) -> Result<(), DbError> {
         let root = self.root_of(table)?;
-        let found = {
-            let mut ctx = TxnCtx {
-                fs: &mut self.fs,
-                pager: &mut self.pager,
-                journal: Some(&mut self.journal),
-            };
-            btree::delete(&mut ctx, root, key)
-        };
-        if !found {
-            self.rollback()?;
-            return Err(DbError::KeyNotFound);
+        let mut ctx = self.txn(true);
+        match btree::delete(&mut ctx, root, key) {
+            Ok(true) => self.commit(),
+            Ok(false) => self.abort(DbError::KeyNotFound),
+            Err(e) => self.abort(e),
         }
-        self.commit()
     }
 
     /// Range scan: rows with `lo <= key <= hi`, in key order (YCSB's
@@ -347,12 +353,8 @@ impl<F: FileApi> Database<F> {
         hi: i64,
     ) -> Result<Vec<(i64, Vec<Value>)>, DbError> {
         let root = self.root_of(table)?;
-        let mut ctx = TxnCtx {
-            fs: &mut self.fs,
-            pager: &mut self.pager,
-            journal: None,
-        };
-        Ok(btree::scan_range(&mut ctx, root, lo, hi)
+        let mut ctx = self.txn(false);
+        Ok(btree::scan_range(&mut ctx, root, lo, hi)?
             .into_iter()
             .filter_map(|(k, b)| decode_record(&b).map(|r| (k, r)))
             .collect())
@@ -360,34 +362,14 @@ impl<F: FileApi> Database<F> {
 
     /// Full scan of a table in key order.
     pub fn scan(&mut self, table: &str) -> Result<Vec<(i64, Vec<Value>)>, DbError> {
-        let root = self.root_of(table)?;
-        let mut ctx = TxnCtx {
-            fs: &mut self.fs,
-            pager: &mut self.pager,
-            journal: None,
-        };
-        Ok(btree::scan(&mut ctx, root)
-            .into_iter()
-            .filter_map(|(k, b)| decode_record(&b).map(|r| (k, r)))
-            .collect())
+        self.scan_range(table, i64::MIN, i64::MAX)
     }
 
     fn rollback(&mut self) -> Result<(), DbError> {
         self.journal.rollback(&mut self.fs, self.db_file)?;
         self.pager.invalidate();
         // Reload the catalog in case a root moved mid-transaction.
-        let page = self.pager.read(&mut self.fs, CATALOG_PAGE);
-        let n = page[4] as usize;
-        let mut tables = HashMap::new();
-        let mut at = 5;
-        for _ in 0..n {
-            let len = page[at] as usize;
-            let name = String::from_utf8_lossy(&page[at + 1..at + 1 + len]).into_owned();
-            let root = u32::from_le_bytes(page[at + 1 + len..at + 5 + len].try_into().unwrap());
-            tables.insert(name, root);
-            at += 5 + len;
-        }
-        self.tables = tables;
+        self.tables = parse_catalog(self.pager.read(&mut self.fs, CATALOG_PAGE))?;
         self.pager.npages = self.fs.size_of(self.db_file).div_ceil(PAGE_SIZE) as u32;
         Ok(())
     }
@@ -404,9 +386,7 @@ impl<F: FileApi> Database<F> {
 
     /// The names of all tables.
     pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<_> = self.tables.keys().cloned().collect();
-        v.sort();
-        v
+        self.tables.keys().cloned().collect()
     }
 
     /// Borrow of the underlying file system (I/O statistics).

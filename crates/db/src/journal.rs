@@ -6,8 +6,6 @@
 //! pre-images back — SQLite's classic journal mode, giving multi-page
 //! atomicity above the file system's single-transaction log.
 
-use std::collections::HashSet;
-
 use sb_fs::{FileApi, FsError, Inum};
 
 use crate::PAGE_SIZE;
@@ -19,10 +17,14 @@ const ENTRY_SIZE: usize = 4 + PAGE_SIZE;
 pub struct Journal {
     /// The journal file.
     file: Inum,
-    /// Pages whose pre-image is already saved this transaction.
-    saved: HashSet<u32>,
+    /// Pages whose pre-image is already saved this transaction, in save
+    /// order (a transaction touches a handful of pages: a scan finds one).
+    saved: Vec<u32>,
     /// Entries written this transaction.
     entries: u32,
+    /// The `ENTRY_SIZE` buffer every entry is assembled in, so that an
+    /// entry stays **one** file write.
+    entry: Vec<u8>,
     /// Completed commits.
     pub commits: u64,
     /// Rollbacks performed (explicit or recovery).
@@ -34,8 +36,9 @@ impl Journal {
     pub fn new(file: Inum) -> Self {
         Journal {
             file,
-            saved: HashSet::new(),
+            saved: Vec::new(),
             entries: 0,
+            entry: vec![0; ENTRY_SIZE],
             commits: 0,
             rollbacks: 0,
         }
@@ -54,14 +57,14 @@ impl Journal {
         pno: u32,
         preimage: &[u8; PAGE_SIZE],
     ) -> Result<(), FsError> {
-        if !self.saved.insert(pno) {
+        if self.is_saved(pno) {
             return Ok(());
         }
+        self.saved.push(pno);
         let off = 8 + self.entries as usize * ENTRY_SIZE;
-        let mut entry = Vec::with_capacity(ENTRY_SIZE);
-        entry.extend_from_slice(&pno.to_le_bytes());
-        entry.extend_from_slice(preimage);
-        fs.write_at(self.file, off, &entry)?;
+        self.entry[..4].copy_from_slice(&pno.to_le_bytes());
+        self.entry[4..].copy_from_slice(preimage);
+        fs.write_at(self.file, off, &self.entry)?;
         self.entries += 1;
         // Header: entry count (made valid *before* the data pages are
         // overwritten, so a crash mid-transaction rolls back).

@@ -148,6 +148,22 @@ fn large_records_near_page_size() {
 }
 
 #[test]
+fn split_with_a_large_record_straddling_the_midpoint() {
+    // Three records fill a leaf to the byte; a fourth, of the largest
+    // size, lands where the byte midpoint falls inside it. Both halves
+    // must fit a page whichever side it goes to.
+    let mut db = open_db(8192);
+    db.create_table("t").unwrap();
+    let blob = |entry: usize| [Value::Blob(vec![0xcd; entry - 16])];
+    for (key, entry) in [(1, 1300), (2, 1500), (4, 1288), (3, 1546)] {
+        db.insert("t", key, &blob(entry)).unwrap();
+    }
+    for (key, entry) in [(1, 1300), (2, 1500), (3, 1546), (4, 1288)] {
+        assert_eq!(db.query("t", key).unwrap().unwrap(), blob(entry));
+    }
+}
+
+#[test]
 fn multiple_tables_are_independent() {
     let mut db = open_db(16 * 1024);
     db.create_table("a").unwrap();

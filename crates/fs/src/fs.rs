@@ -131,6 +131,8 @@ pub struct FileSystem<D: BlockDevice> {
     dev: D,
     sb: Superblock,
     log: Log,
+    /// Where [`FileSystem::bread`] puts a block the log has not staged.
+    scratch: [u8; BSIZE],
 }
 
 impl<D: BlockDevice> FileSystem<D> {
@@ -163,6 +165,7 @@ impl<D: BlockDevice> FileSystem<D> {
             dev,
             sb,
             log: Log::new(logstart, nlog),
+            scratch: [0; BSIZE],
         };
         // Mark the metadata blocks used in the bitmap and create "/".
         fs.log.begin_op();
@@ -190,6 +193,7 @@ impl<D: BlockDevice> FileSystem<D> {
             dev,
             sb,
             log: Log::new(sb.logstart, sb.nlog),
+            scratch: [0; BSIZE],
         })
     }
 
@@ -208,6 +212,11 @@ impl<D: BlockDevice> FileSystem<D> {
         self.log.commits
     }
 
+    /// Block writes absorbed into an already-staged log slot so far.
+    pub fn absorbed(&self) -> u64 {
+        self.log.absorbed
+    }
+
     /// Direct access to the device (for I/O statistics).
     pub fn device(&self) -> &D {
         &self.dev
@@ -215,45 +224,51 @@ impl<D: BlockDevice> FileSystem<D> {
 
     // ----- block I/O through the log -----
 
-    fn bread(&mut self, bno: u32) -> [u8; BSIZE] {
-        let mut buf = [0u8; BSIZE];
-        self.log.read(&mut self.dev, bno, &mut buf);
-        buf
+    /// Borrows block `bno` as the current transaction sees it: the staged
+    /// copy if there is one, a fresh device read otherwise. Every call on
+    /// an unstaged block reaches the device — the block server is billed
+    /// per request, so there is no buffer cache to skip it.
+    fn bread(&mut self, bno: u32) -> &[u8; BSIZE] {
+        match self.log.staged(bno) {
+            Some(data) => data,
+            None => {
+                self.dev.read_block(bno, &mut self.scratch);
+                &self.scratch
+            }
+        }
     }
 
-    fn bwrite(&mut self, bno: u32, data: &[u8; BSIZE]) {
-        self.log.write(bno, data);
+    /// Stages block `bno` for a partial update (read-modify-write).
+    fn bmodify(&mut self, bno: u32) -> &mut [u8; BSIZE] {
+        self.log.modify(&mut self.dev, bno)
     }
 
     // ----- bitmap allocation -----
 
     fn bitmap_set(&mut self, bno: u32, used: bool) {
         let bblock = self.sb.bmapstart + bno / (BSIZE as u32 * 8);
-        let mut buf = self.bread(bblock);
+        let buf = self.bmodify(bblock);
         let bit = (bno % (BSIZE as u32 * 8)) as usize;
         if used {
             buf[bit / 8] |= 1 << (bit % 8);
         } else {
             buf[bit / 8] &= !(1 << (bit % 8));
         }
-        self.bwrite(bblock, &buf);
     }
 
     fn balloc(&mut self) -> Result<u32, FsError> {
         for bblock_i in 0..self.sb.size.div_ceil(BSIZE as u32 * 8) {
             let bblock = self.sb.bmapstart + bblock_i;
             let buf = self.bread(bblock);
-            for (byte, &v) in buf.iter().enumerate() {
-                if v != 0xff {
-                    let bit = v.trailing_ones() as usize;
-                    let bno = bblock_i * (BSIZE as u32 * 8) + (byte * 8 + bit) as u32;
-                    if bno >= self.sb.size {
-                        return Err(FsError::NoSpace);
-                    }
-                    self.bitmap_set(bno, true);
-                    self.bwrite(bno, &[0u8; BSIZE]);
-                    return Ok(bno);
+            if let Some(byte) = buf.iter().position(|&v| v != 0xff) {
+                let bit = buf[byte].trailing_ones() as usize;
+                let bno = bblock_i * (BSIZE as u32 * 8) + (byte * 8 + bit) as u32;
+                if bno >= self.sb.size {
+                    return Err(FsError::NoSpace);
                 }
+                self.bitmap_set(bno, true);
+                self.log.write(bno, &[0u8; BSIZE]);
+                return Ok(bno);
             }
         }
         Err(FsError::NoSpace)
@@ -274,15 +289,12 @@ impl<D: BlockDevice> FileSystem<D> {
     /// Reads an inode.
     pub fn read_inode(&mut self, inum: Inum) -> Dinode {
         let (b, off) = self.inode_block(inum);
-        let buf = self.bread(b);
-        Dinode::decode(&buf[off..off + INODE_SIZE])
+        Dinode::decode(&self.bread(b)[off..off + INODE_SIZE])
     }
 
     fn write_inode(&mut self, inum: Inum, d: &Dinode) {
         let (b, off) = self.inode_block(inum);
-        let mut buf = self.bread(b);
-        buf[off..off + INODE_SIZE].copy_from_slice(&d.encode());
-        self.bwrite(b, &buf);
+        self.bmodify(b)[off..off + INODE_SIZE].copy_from_slice(&d.encode());
     }
 
     fn ialloc(&mut self, typ: InodeType) -> Result<Inum, FsError> {
@@ -347,12 +359,15 @@ impl<D: BlockDevice> FileSystem<D> {
 
     /// Reads (allocating if asked) slot `slot` of the indirect block `ib`.
     fn indirect_slot(&mut self, ib: u32, slot: usize, alloc: bool) -> Result<u32, FsError> {
-        let mut ind = self.bread(ib);
+        let ind = self.bread(ib);
         let mut bno = u32::from_le_bytes(ind[slot * 4..slot * 4 + 4].try_into().unwrap());
         if bno == 0 && alloc {
+            // The indirect block is read once, before the allocation: the
+            // patched copy is staged whole, not re-read.
+            let mut ind = *ind;
             bno = self.balloc()?;
             ind[slot * 4..slot * 4 + 4].copy_from_slice(&bno.to_le_bytes());
-            self.bwrite(ib, &ind);
+            self.log.write(ib, &ind);
         }
         Ok(bno)
     }
@@ -392,9 +407,7 @@ impl<D: BlockDevice> FileSystem<D> {
             let boff = (off + done) % BSIZE;
             let chunk = (BSIZE - boff).min(data.len() - done);
             let bno = self.bmap(inum, fbn, true)?;
-            let mut buf = self.bread(bno);
-            buf[boff..boff + chunk].copy_from_slice(&data[done..done + chunk]);
-            self.bwrite(bno, &buf);
+            self.bmodify(bno)[boff..boff + chunk].copy_from_slice(&data[done..done + chunk]);
             done += chunk;
         }
         let mut d = self.read_inode(inum);
@@ -602,7 +615,7 @@ impl<D: BlockDevice> FileSystem<D> {
                 self.free_indirect(d.addrs[NDIRECT]);
             }
             if d.addrs[NDIRECT + 1] != 0 {
-                let dbl = self.bread(d.addrs[NDIRECT + 1]);
+                let dbl = *self.bread(d.addrs[NDIRECT + 1]);
                 for slot in 0..NINDIRECT {
                     let mid = u32::from_le_bytes(dbl[slot * 4..slot * 4 + 4].try_into().unwrap());
                     if mid != 0 {
@@ -633,7 +646,7 @@ impl<D: BlockDevice> FileSystem<D> {
 
     /// Frees an indirect block and everything it references.
     fn free_indirect(&mut self, ib: u32) {
-        let ind = self.bread(ib);
+        let ind = *self.bread(ib);
         for slot in 0..NINDIRECT {
             let bno = u32::from_le_bytes(ind[slot * 4..slot * 4 + 4].try_into().unwrap());
             if bno != 0 {
