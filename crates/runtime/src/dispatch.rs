@@ -1,31 +1,59 @@
-//! The serving loop: a discrete-event dispatcher over per-lane clocks.
+//! The serving loop: one discrete-event dispatcher over per-lane clocks,
+//! with two lane-queue disciplines.
 //!
-//! The runtime simulates an M/G/k server: arrivals (open-loop Poisson or
-//! closed-loop clients) enter the [`TenantFabric`] — per-tenant bounded
-//! queues under a deficit-round-robin scheduler; the dispatcher starts
-//! each scheduled request on the earliest-free lane, never starting a
-//! request before everything that starts earlier in simulated time has
-//! been issued. Within a tenant, service is arrival-order; across
-//! tenants the fabric's weights decide, and with a single tenant (the
-//! default when no [`TenantRegistry`] is configured) the fabric
-//! degenerates to the old global FIFO exactly. Lane clocks are the
-//! transport's simulated cores, so service times (and their cache/TLB
-//! history) come out of the machine model, not a distribution.
+//! The runtime simulates an M/G/k server. Arrivals (open-loop Poisson or
+//! closed-loop clients) pass the [`TenantFabric`]'s rate/quarantine gate
+//! and are offered to the *lane queue*; whatever happens to a request —
+//! completed, timed out, failed, or shed for one of three reasons — is
+//! booked by one function, [`Core::settle`], so `RunStats`, the tenant
+//! rows, the trace, the [`SloHandle`] and the fabric can never disagree.
+//! Lane clocks are the transport's simulated cores, so service times
+//! (and their cache/TLB history) come out of the machine model, not a
+//! distribution.
+//!
+//! What differs between the two serving modes is only *where admitted
+//! requests wait and when they are bound to a lane* — the [`LaneQueue`]
+//! the transport type selects:
+//!
+//! - **[`Central`] — one central queue, late binding**
+//!   ([`ServerRuntime`], any [`Transport`]). Requests wait in the
+//!   fabric's per-tenant queues under deficit round robin and each is
+//!   started on the earliest-free lane, never before everything that
+//!   starts earlier in simulated time has been issued; the queue
+//!   deadline is checked when service starts. Because the lane is chosen
+//!   at the last moment, the scheduler can reorder across tenants up to
+//!   the instant of service — the better discipline for weighted
+//!   fairness and for tail latency. With a single tenant (no
+//!   [`TenantRegistry`] configured) the fabric is the old global FIFO
+//!   exactly.
+//! - **[`Rings`] — per-lane rings, early binding** ([`RingRuntime`], a
+//!   [`RingTransport`]). An arrival is submitted at once into the
+//!   least-occupied lane's submission ring and the loop only decides
+//!   *when to ring the doorbell*: a lane that would otherwise idle
+//!   drains immediately (batches of one, direct-mode latency); a busy
+//!   lane accumulates frames and is drained at the batch budget, paying
+//!   one crossing per batch instead of one per call. Occupancy tracks ρ
+//!   by construction — no estimator, no tuning. The queue deadline
+//!   travels in the wire header and an expired frame completes at
+//!   batch-cut time without service; once a lane is batching, each
+//!   tenant may hold at most its weight's share of that lane's slots.
+//!   Frames already in a ring cannot be reordered, which is the price
+//!   of amortizing the crossing — the better discipline for throughput
+//!   on personalities whose crossing can be batched.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use sb_faultplane::{FaultHandle, FaultPoint};
 use sb_observe::{InstantKind, Recorder, SpanKind};
 use sb_sentinel::SloHandle;
 use sb_sim::Cycles;
-use sb_transport::{CallError, Request, Transport};
+use sb_transport::{CallError, Request, RingTransport, TenantId, Transport};
 
 use crate::{
     load::RequestFactory,
-    queue::AdmissionPolicy,
     stats::RunStats,
-    tenant::{Gate, TenantFabric, TenantRegistry},
+    tenant::{AdmissionPolicy, Gate, TenantFabric, TenantRegistry},
 };
 
 /// How the dispatcher retries failed calls.
@@ -56,7 +84,9 @@ pub struct RuntimeConfig {
     /// Bound on admitted-but-unserved requests. Zero is legal: under
     /// [`AdmissionPolicy::Shed`] every arrival is rejected; under
     /// [`AdmissionPolicy::Block`] arrivals rendezvous directly with the
-    /// earliest-free lane (no buffering).
+    /// earliest-free lane (no buffering). Unused by [`RingRuntime`],
+    /// where the submission ring's own capacity (fixed at
+    /// [`RingTransport`] construction) is the bound.
     pub queue_capacity: usize,
     /// What happens to arrivals that find the queue full.
     pub policy: AdmissionPolicy,
@@ -85,7 +115,7 @@ pub struct RuntimeConfig {
     pub slo: Option<SloHandle>,
     /// The tenant contract registry. `None` (the default) builds a
     /// single-tenant fabric from `queue_capacity` and `policy`, which
-    /// behaves exactly like the old global queue; pass a registry to get
+    /// behaves exactly like one global queue; pass a registry to get
     /// per-tenant queues, weights, rate limits, and SLO-driven actions.
     pub tenants: Option<TenantRegistry>,
 }
@@ -105,52 +135,180 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// A dispatcher bound to a transport.
-pub struct ServerRuntime<'a, T: Transport + ?Sized> {
-    transport: &'a mut T,
+/// The six ways a request leaves the runtime.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Completed,
+    TimedOut,
+    Failed,
+    /// Waited past its queue deadline; noticed on `lane`.
+    ShedDeadline {
+        lane: usize,
+    },
+    ShedQueueFull,
+    ShedRateLimit,
+}
+
+/// The loop's state that does not depend on the lane-queue discipline:
+/// configuration, storm windows, the tenant fabric, and the ledger of
+/// the run in progress.
+pub struct Core {
     cfg: RuntimeConfig,
     /// Active/past injected deadline storms as `[start, end]` windows of
     /// arrival time: requests arriving inside one see their effective
     /// queue deadline collapse to zero.
     storms: Vec<(Cycles, Cycles)>,
-    /// The tenant scheduling fabric. Lives on the runtime (not the run)
-    /// so per-tenant SLO state and the action log persist across runs
-    /// and are inspectable afterwards via [`ServerRuntime::fabric`].
+    /// Lives on the runtime (not the run) so per-tenant SLO state and
+    /// the action log persist across runs and are inspectable afterwards
+    /// via [`Runtime::fabric`].
     fabric: TenantFabric,
+    /// The recorder pseudo-lane queue events are stamped on
+    /// (`transport.lanes()` — the queue has no core of its own).
+    queue_lane: usize,
+    stats: RunStats,
+    /// Closed-loop clients freed since the loop last looked, with the
+    /// time each became free.
+    completions: Vec<(usize, Cycles)>,
 }
 
-impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
-    /// Wraps `transport` with the dispatcher configuration, handing the
-    /// configured recorder down so call-path spans and dispatcher events
-    /// land in the same trace.
-    pub fn new(transport: &'a mut T, cfg: RuntimeConfig) -> Self {
-        assert!(transport.lanes() > 0);
-        transport.attach_recorder(cfg.recorder.clone());
-        let registry = cfg
-            .tenants
-            .clone()
-            .unwrap_or_else(|| TenantRegistry::single(cfg.queue_capacity, cfg.policy));
-        ServerRuntime {
-            transport,
-            cfg,
-            storms: Vec::new(),
-            fabric: TenantFabric::new(registry),
+impl Core {
+    /// Books `req`'s outcome at time `t`: the one place a request can
+    /// complete and the one place it can be shed. Global and per-tenant
+    /// counters, the trace instant, the SLO tracker and the fabric are
+    /// updated together, in that order.
+    #[inline]
+    fn settle(&mut self, outcome: Outcome, req: &Request, t: Cycles) {
+        let stats = &mut self.stats;
+        let ts = stats.tenants.entry(req.tenant).or_default();
+        // A request that reached a lane frees its closed-loop client at
+        // `t`; one refused at the door is rescheduled by the caller.
+        if !matches!(outcome, Outcome::ShedQueueFull | Outcome::ShedRateLimit) {
+            if let Some(c) = req.client {
+                self.completions.push((c, t));
+            }
         }
+        let instant = match outcome {
+            Outcome::Completed => {
+                let latency = t - req.arrival;
+                stats.completed += 1;
+                ts.completed += 1;
+                stats.latencies.push_tagged(latency, req.id);
+                ts.latencies.push_tagged(latency, req.id);
+                if let Some(slo) = &self.cfg.slo {
+                    slo.complete(t, latency);
+                }
+                self.fabric.complete(req.tenant, t, latency);
+                return;
+            }
+            Outcome::TimedOut => {
+                stats.timed_out += 1;
+                ts.timed_out += 1;
+                None
+            }
+            Outcome::Failed => {
+                stats.failed += 1;
+                ts.failed += 1;
+                None
+            }
+            Outcome::ShedDeadline { lane } => {
+                stats.shed_deadline += 1;
+                ts.shed_deadline += 1;
+                Some((lane, InstantKind::ShedDeadline))
+            }
+            Outcome::ShedQueueFull => {
+                stats.shed_queue_full += 1;
+                ts.shed_queue_full += 1;
+                Some((self.queue_lane, InstantKind::ShedQueueFull))
+            }
+            Outcome::ShedRateLimit => {
+                stats.shed_rate_limit += 1;
+                ts.shed_rate_limit += 1;
+                Some((self.queue_lane, InstantKind::ShedRateLimit))
+            }
+        };
+        if let Some((lane, kind)) = instant {
+            self.cfg.recorder.instant(lane, kind, t, req.id);
+        }
+        if let Some(slo) = &self.cfg.slo {
+            slo.error(t);
+        }
+        self.fabric.error(req.tenant, t);
     }
 
-    /// The tenant fabric: per-tenant SLO health, quarantine state, and
-    /// the SLO-burn action log accumulated over this runtime's runs.
-    pub fn fabric(&self) -> &TenantFabric {
-        &self.fabric
+    /// Books a call error that will not be retried.
+    fn settle_error(&mut self, err: &CallError, req: &Request, t: Cycles) {
+        let outcome = match err {
+            CallError::Timeout { .. } => Outcome::TimedOut,
+            CallError::Failed(_) | CallError::CorrMismatch { .. } => Outcome::Failed,
+        };
+        self.settle(outcome, req, t);
     }
 
-    /// At each admission: maybe start a deadline storm at `t`. A storm is
+    /// Stamps `req`'s admission to the lane queue.
+    #[inline]
+    fn admitted(&self, req: &Request) {
+        self.cfg.recorder.instant(
+            self.queue_lane,
+            InstantKind::QueueAdmit,
+            req.arrival,
+            req.id,
+        );
+    }
+
+    /// Whether `tenant`'s arrivals wait for room instead of being shed.
+    #[inline]
+    fn blocks(&self, tenant: TenantId) -> bool {
+        self.fabric.policy(tenant) == AdmissionPolicy::Block
+    }
+
+    /// The retry step after attempt number `attempt` of request `id`
+    /// failed with `err` on `lane`. Returns `false` when the policy
+    /// allows no further attempt. Otherwise: a failure (crashed server,
+    /// broken binding) or a correlation mismatch (the lane holds a stale
+    /// reply, so the serving path is suspect) first runs the transport's
+    /// recovery path; then the lane idles through the exponential
+    /// backoff, and the caller re-issues the request.
+    fn retry<T: Transport + ?Sized>(
+        &mut self,
+        transport: &mut T,
+        lane: usize,
+        id: u64,
+        err: &CallError,
+        attempt: u32,
+    ) -> bool {
+        let Some(policy) = self.cfg.retry.as_ref().filter(|p| attempt < p.max_retries) else {
+            return false;
+        };
+        let backoff = policy.backoff_base << attempt.min(32);
+        let recorder = &self.cfg.recorder;
+        if matches!(err, CallError::Failed(_) | CallError::CorrMismatch { .. })
+            && transport.recover(lane)
+        {
+            self.stats.recoveries += 1;
+            recorder.instant(lane, InstantKind::Recovery, transport.now(lane), id);
+        }
+        let t = transport.now(lane);
+        transport.wait_until(lane, t.saturating_add(backoff));
+        let woke = transport.now(lane);
+        recorder.span(lane, SpanKind::Backoff, t, woke, id);
+        recorder.instant(lane, InstantKind::Retry, woke, id);
+        self.stats.retries += 1;
+        true
+    }
+
+    #[inline]
+    fn in_storm(&self, t: Cycles) -> bool {
+        self.storms.iter().any(|&(s, e)| t >= s && t <= e)
+    }
+
+    /// At each arrival: maybe start a deadline storm at `t`. A storm is
     /// detected the moment it starts (the collapsed deadline is the
     /// dispatcher's own machinery) and recovered when the run's final
-    /// drain has flushed every stale request ([`RunStats::seal`] time).
+    /// drain has flushed every stale request.
+    #[inline]
     fn maybe_storm(&mut self, t: Cycles) {
         let Some(f) = &self.cfg.faults else { return };
-        if self.storms.iter().any(|&(s, e)| t >= s && t <= e) {
+        if self.in_storm(t) {
             return; // One storm at a time.
         }
         if f.fire(FaultPoint::DeadlineStorm) {
@@ -160,20 +318,8 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
         }
     }
 
-    /// The queue deadline in force for `req`: zero inside a storm window.
-    fn effective_deadline(&self, arrival: Cycles) -> Option<Cycles> {
-        if self
-            .storms
-            .iter()
-            .any(|&(s, e)| arrival >= s && arrival <= e)
-        {
-            return Some(0);
-        }
-        self.cfg.queue_deadline
-    }
-
-    /// Closes out a run: every storm window has passed and the queue has
-    /// drained, so outstanding storm instances are recovered.
+    /// Closes out a run: every storm window has passed and the lane
+    /// queue has drained, so outstanding storm instances are recovered.
     fn settle_storms(&mut self) {
         if let Some(f) = &self.cfg.faults {
             if !self.storms.is_empty() {
@@ -183,6 +329,261 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
         self.storms.clear();
     }
 
+    /// The queue deadline in force for an arrival at `arrival`, as a
+    /// wait bound: zero inside a storm window.
+    #[inline]
+    fn queue_deadline(&self, arrival: Cycles) -> Option<Cycles> {
+        if self.in_storm(arrival) {
+            return Some(0);
+        }
+        self.cfg.queue_deadline
+    }
+}
+
+/// What a lane queue did with an offered arrival.
+pub enum Offer {
+    /// Queued; carries the depth to high-water.
+    Queued(usize),
+    /// Served on the spot without being buffered.
+    Served,
+    /// No room, and the tenant's policy does not wait for any.
+    Refused(Request),
+}
+
+/// Where admitted requests wait for a lane, and when they are bound to
+/// one: the part of serving that differs between [`ServerRuntime`] and
+/// [`RingRuntime`]. Crate-private: this module is not exported and the
+/// trait is not re-exported.
+pub trait LaneQueue {
+    /// The transport whose lanes serve the queue.
+    type Transport: Transport + ?Sized;
+
+    /// The serving transport.
+    fn transport(&mut self) -> &mut Self::Transport;
+
+    /// Starts every piece of queued work that can start at or before
+    /// `horizon`, earliest first, so nothing is issued out of order with
+    /// an arrival at the horizon.
+    fn pump(&mut self, core: &mut Core, horizon: Cycles);
+
+    /// Takes a gated arrival. At a full queue, a tenant whose policy
+    /// [`Core::blocks`] forces queued work through the lanes until the
+    /// arrival fits; any other is refused.
+    fn offer(&mut self, core: &mut Core, req: Request) -> Offer;
+}
+
+/// A dispatcher bound to a transport through lane queue `Q`: see
+/// [`ServerRuntime`] and [`RingRuntime`] for the two ways to build one.
+pub struct Runtime<Q: LaneQueue> {
+    core: Core,
+    lanes: Q,
+}
+
+/// The direct dispatcher: one central queue, requests bound to the
+/// earliest-free lane when service starts.
+pub type ServerRuntime<'a, T> = Runtime<Central<'a, T>>;
+
+/// The ring-mode dispatcher: requests bound to a lane's submission ring
+/// on arrival, drained by an adaptive doorbell.
+pub type RingRuntime<'a, T> = Runtime<Rings<'a, T>>;
+
+impl<'a, T: Transport + ?Sized> Runtime<Central<'a, T>> {
+    /// Wraps `transport` with the dispatcher configuration, handing the
+    /// configured recorder down so call-path spans and dispatcher events
+    /// land in the same trace.
+    pub fn new(transport: &'a mut T, cfg: RuntimeConfig) -> Self {
+        let capacity = cfg.queue_capacity;
+        Runtime::build(Central { transport }, cfg, capacity)
+    }
+}
+
+impl<'a, T: Transport> Runtime<Rings<'a, T>> {
+    /// Wraps `ring` with the dispatcher configuration. The
+    /// `queue_capacity` knob is unused here — the submission ring's own
+    /// capacity bounds admitted-but-unserved requests instead.
+    pub fn new(ring: &'a mut RingTransport<T>, cfg: RuntimeConfig) -> Self {
+        let lanes = Rings {
+            last_submit: vec![0; ring.lanes()],
+            ring,
+            inflight: HashMap::new(),
+            held: BTreeMap::new(),
+        };
+        Runtime::build(lanes, cfg, usize::MAX)
+    }
+}
+
+impl<Q: LaneQueue> Runtime<Q> {
+    /// `fabric_capacity` bounds the single tenant's queue when no
+    /// registry is configured.
+    fn build(mut lanes: Q, cfg: RuntimeConfig, fabric_capacity: usize) -> Self {
+        let transport = lanes.transport();
+        assert!(transport.lanes() > 0);
+        transport.attach_recorder(cfg.recorder.clone());
+        let registry = cfg
+            .tenants
+            .clone()
+            .unwrap_or_else(|| TenantRegistry::single(fabric_capacity, cfg.policy));
+        let core = Core {
+            cfg,
+            storms: Vec::new(),
+            fabric: TenantFabric::new(registry),
+            queue_lane: transport.lanes(),
+            stats: RunStats::new(transport.label(), transport.lanes()),
+            completions: Vec::new(),
+        };
+        Runtime { core, lanes }
+    }
+
+    /// The tenant fabric: per-tenant SLO health, quarantine state, and
+    /// the SLO-burn action log accumulated over this runtime's runs.
+    pub fn fabric(&self) -> &TenantFabric {
+        &self.core.fabric
+    }
+
+    /// The latest lane clock.
+    fn latest_clock(&mut self) -> Cycles {
+        let transport = self.lanes.transport();
+        (0..transport.lanes())
+            .map(|l| transport.now(l))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Opens a run and returns its epoch, the instant the server is
+    /// ready: the latest lane clock. Transport setup (boot, registration,
+    /// binary rewriting) runs on the same simulated cores that serve
+    /// requests, so lane clocks are well past zero when a run starts;
+    /// arrival times are offsets from this epoch, not from machine
+    /// power-on.
+    fn begin(&mut self) -> Cycles {
+        // The copy meter's reading now; `finish` turns it into the delta.
+        self.core.stats.bytes_copied = self.lanes.transport().bytes_copied();
+        self.latest_clock()
+    }
+
+    /// One arrival at `t`. Returns `false` when it was shed at the door
+    /// (by the fabric's gate or a full lane queue) — nothing will come
+    /// back for its client.
+    fn arrive(&mut self, t: Cycles, client: Option<usize>, factory: &mut RequestFactory) -> bool {
+        let Runtime { core, lanes } = self;
+        core.stats.offered += 1;
+        core.maybe_storm(t);
+        lanes.pump(core, t);
+        let req = factory.make(t, client);
+        core.stats.tenant_mut(req.tenant).offered += 1;
+        if core.fabric.gate(req.tenant, t) != Gate::Admit {
+            core.settle(Outcome::ShedRateLimit, &req, t);
+            return false;
+        }
+        match lanes.offer(core, req) {
+            Offer::Queued(depth) => {
+                core.stats.max_queue_depth = core.stats.max_queue_depth.max(depth);
+            }
+            Offer::Served => {}
+            Offer::Refused(req) => {
+                core.settle(Outcome::ShedQueueFull, &req, t);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Drains the lane queue, closes the run opened by [`Self::begin`]
+    /// and hands back its statistics.
+    fn finish(&mut self, start: Cycles) -> RunStats {
+        self.lanes.pump(&mut self.core, Cycles::MAX);
+        self.core.settle_storms();
+        let end = self.latest_clock();
+        let transport = self.lanes.transport();
+        let fresh = RunStats::new(transport.label(), transport.lanes());
+        let mut stats = std::mem::replace(&mut self.core.stats, fresh);
+        stats.start = start;
+        stats.end = end;
+        stats.bytes_copied = transport.bytes_copied() - stats.bytes_copied;
+        if let Some(slo) = &self.core.cfg.slo {
+            slo.tick(end);
+        }
+        self.core.fabric.tick(end);
+        stats.seal();
+        stats
+    }
+
+    /// Open-loop run: `arrivals` yields monotone arrival times relative to
+    /// server readiness (Poisson in the benches, arbitrary sequences in
+    /// the property tests); each arrival takes its operation from
+    /// `factory`. Arrivals are independent of service progress — under
+    /// overload the queue fills and the admission policy decides.
+    pub fn run_open_loop<I>(&mut self, arrivals: I, factory: &mut RequestFactory) -> RunStats
+    where
+        I: IntoIterator<Item = Cycles>,
+    {
+        let epoch = self.begin();
+        let mut first = None;
+        let mut clock = 0;
+        for t in arrivals {
+            let t = t.saturating_add(epoch).max(clock); // Never backwards.
+            clock = t;
+            first.get_or_insert(t);
+            self.arrive(t, None, factory);
+        }
+        self.finish(first.unwrap_or(0))
+    }
+
+    /// Closed-loop run: `clients` issuers each keep exactly one request in
+    /// flight, issuing the next one `think` cycles after the previous
+    /// completion, `ops_per_client` times. Offered load self-adjusts to
+    /// service capacity, so queue-full shedding only appears when
+    /// `clients` exceeds what the lane queue and the lanes hold.
+    pub fn run_closed_loop(
+        &mut self,
+        clients: usize,
+        ops_per_client: u64,
+        think: Cycles,
+        factory: &mut RequestFactory,
+    ) -> RunStats {
+        assert!(clients > 0);
+        let epoch = self.begin();
+        // One-cycle stagger breaks the all-at-once tie deterministically.
+        let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> = (0..clients)
+            .map(|c| Reverse((epoch + c as Cycles, c)))
+            .collect();
+        let mut remaining = vec![ops_per_client; clients];
+        loop {
+            for (c, done) in self.core.completions.drain(..) {
+                if remaining[c] > 0 {
+                    ready.push(Reverse((done.saturating_add(think), c)));
+                }
+            }
+            // Completions inside the pump may schedule arrivals earlier
+            // than `t`; flush them into the heap before admitting. With
+            // no client ready, whatever is still queued runs to the end.
+            let next = ready.peek().map(|&Reverse(tc)| tc);
+            let horizon = next.map_or(Cycles::MAX, |(t, _)| t);
+            self.lanes.pump(&mut self.core, horizon);
+            if !self.core.completions.is_empty() {
+                continue;
+            }
+            let Some((t, c)) = next else { break };
+            ready.pop();
+            remaining[c] -= 1;
+            // Like a completion, a shed lets the client issue its next
+            // op after a think pause rather than stopping forever.
+            if !self.arrive(t, Some(c), factory) && remaining[c] > 0 {
+                ready.push(Reverse((t.saturating_add(think.max(1)), c)));
+            }
+        }
+        self.finish(epoch)
+    }
+}
+
+/// The central-queue discipline: the fabric's per-tenant DRR queues
+/// hold admitted requests, and each is bound to the earliest-free lane
+/// only when its service starts.
+pub struct Central<'a, T: Transport + ?Sized> {
+    transport: &'a mut T,
+}
+
+impl<T: Transport + ?Sized> Central<'_, T> {
     /// The earliest-free lane and its clock.
     fn min_lane(&mut self) -> (usize, Cycles) {
         let mut best = (0, self.transport.now(0));
@@ -196,395 +597,259 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
     }
 
     /// Runs `req` on lane `l` (idling the lane to the arrival first),
-    /// applying the queue deadline and recording the outcome. Closed-loop
-    /// completions are reported through `completions`.
-    fn serve_one(
-        &mut self,
-        l: usize,
-        req: Request,
-        stats: &mut RunStats,
-        completions: &mut Vec<(usize, Cycles)>,
-    ) {
+    /// applying the queue deadline, retrying under the policy, and
+    /// booking the outcome.
+    fn serve(&mut self, core: &mut Core, l: usize, req: &Request) {
         self.transport.wait_until(l, req.arrival);
         let start = self.transport.now(l);
-        let client = req.client;
-        self.cfg.recorder.note_tenant(l, req.tenant);
+        core.cfg.recorder.note_tenant(l, req.tenant);
         if start > req.arrival {
             // Time between arrival and service start is queueing delay —
             // recorded against the serving lane, outside the call span.
-            self.cfg
+            core.cfg
                 .recorder
                 .span(l, SpanKind::QueueWait, req.arrival, start, req.id);
         }
-        let past_deadline = self
-            .effective_deadline(req.arrival)
-            .is_some_and(|d| start - req.arrival > d);
-        if past_deadline {
-            stats.shed_deadline += 1;
-            stats.tenant_mut(req.tenant).shed_deadline += 1;
-            self.cfg
-                .recorder
-                .instant(l, InstantKind::ShedDeadline, start, req.id);
-            if let Some(slo) = &self.cfg.slo {
-                slo.error(start);
-            }
-            self.fabric.error(req.tenant, start);
-        } else {
-            match self.call_with_retries(l, &req, stats) {
-                Ok(()) => {
-                    let done = self.transport.now(l);
-                    stats.completed += 1;
-                    stats.latencies.push_tagged(done - req.arrival, req.id);
-                    stats.busy[l] += done - start;
-                    let ts = stats.tenant_mut(req.tenant);
-                    ts.completed += 1;
-                    ts.latencies.push_tagged(done - req.arrival, req.id);
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.complete(done, done - req.arrival);
-                    }
-                    self.fabric.complete(req.tenant, done, done - req.arrival);
-                }
-                Err(CallError::Timeout { .. }) => {
-                    stats.timed_out += 1;
-                    stats.tenant_mut(req.tenant).timed_out += 1;
-                    stats.busy[l] += self.transport.now(l) - start;
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(self.transport.now(l));
-                    }
-                    let t = self.transport.now(l);
-                    self.fabric.error(req.tenant, t);
-                }
-                Err(CallError::Failed(_) | CallError::CorrMismatch { .. }) => {
-                    stats.failed += 1;
-                    stats.tenant_mut(req.tenant).failed += 1;
-                    stats.busy[l] += self.transport.now(l) - start;
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(self.transport.now(l));
-                    }
-                    let t = self.transport.now(l);
-                    self.fabric.error(req.tenant, t);
-                }
-            }
+        if core
+            .queue_deadline(req.arrival)
+            .is_some_and(|d| start - req.arrival > d)
+        {
+            core.settle(Outcome::ShedDeadline { lane: l }, req, start);
+            return;
         }
-        if let Some(c) = client {
-            completions.push((c, self.transport.now(l)));
-        }
-    }
-
-    /// One call plus the configured retry policy: exponential backoff
-    /// (idle lane time) before each re-attempt, and — for failures, the
-    /// recoverable class (crashed server, broken binding) — the
-    /// transport's recovery path (revive + rebind / respawn) before
-    /// retrying.
-    fn call_with_retries(
-        &mut self,
-        l: usize,
-        req: &Request,
-        stats: &mut RunStats,
-    ) -> Result<(), CallError> {
-        let mut last = match self.transport.call(l, req) {
-            Ok(_) => return Ok(()),
-            Err(e) => e,
-        };
-        let Some(policy) = self.cfg.retry.clone() else {
-            return Err(last);
-        };
-        for attempt in 0..policy.max_retries {
-            // A correlation mismatch means the lane holds a stale reply:
-            // the serving path is suspect, so it takes the same
-            // recover-then-retry route as an outright failure.
-            if matches!(last, CallError::Failed(_) | CallError::CorrMismatch { .. })
-                && self.transport.recover(l)
-            {
-                stats.recoveries += 1;
-                let t = self.transport.now(l);
-                self.cfg
-                    .recorder
-                    .instant(l, InstantKind::Recovery, t, req.id);
-            }
-            let backoff = policy.backoff_base << attempt.min(32);
-            let t = self.transport.now(l);
-            self.transport.wait_until(l, t.saturating_add(backoff));
-            let woke = self.transport.now(l);
-            self.cfg
-                .recorder
-                .span(l, SpanKind::Backoff, t, woke, req.id);
-            self.cfg
-                .recorder
-                .instant(l, InstantKind::Retry, woke, req.id);
-            stats.retries += 1;
+        let mut attempt = 0;
+        let result = loop {
             match self.transport.call(l, req) {
-                Ok(_) => return Ok(()),
-                Err(e) => last = e,
+                Ok(_) => break Ok(()),
+                Err(e) if core.retry(self.transport, l, req.id, &e, attempt) => attempt += 1,
+                Err(e) => break Err(e),
             }
+        };
+        let done = self.transport.now(l);
+        core.stats.busy[l] += done - start;
+        match result {
+            Ok(()) => core.settle(Outcome::Completed, req, done),
+            Err(e) => core.settle_error(&e, req, done),
         }
-        Err(last)
+    }
+}
+
+impl<T: Transport + ?Sized> LaneQueue for Central<'_, T> {
+    type Transport = T;
+
+    fn transport(&mut self) -> &mut T {
+        self.transport
     }
 
-    /// Starts queued requests in fabric (DRR) order, earliest-free lane
-    /// first, until no lane frees up at or before `horizon` (so no
-    /// service start is issued out of order with arrivals at the
-    /// horizon).
-    fn drain_until(
-        &mut self,
-        horizon: Cycles,
-        stats: &mut RunStats,
-        completions: &mut Vec<(usize, Cycles)>,
-    ) {
-        while !self.fabric.is_empty() {
+    /// Starts queued requests in fabric (DRR) order until no lane frees
+    /// up at or before `horizon`.
+    fn pump(&mut self, core: &mut Core, horizon: Cycles) {
+        while !core.fabric.is_empty() {
             let (l, t) = self.min_lane();
             if t > horizon {
                 break;
             }
-            let req = self.fabric.pop().expect("checked non-empty");
-            self.serve_one(l, req, stats, completions);
+            let req = core.fabric.pop().expect("checked non-empty");
+            self.serve(core, l, &req);
         }
     }
 
-    /// Shed-at-the-gate bookkeeping for an arrival the fabric's rate
-    /// limit or quarantine window refused.
-    fn shed_rate_limited(&mut self, req: &Request, t: Cycles, stats: &mut RunStats) {
-        stats.shed_rate_limit += 1;
-        stats.tenant_mut(req.tenant).shed_rate_limit += 1;
-        self.cfg.recorder.instant(
-            self.transport.lanes(),
-            InstantKind::ShedRateLimit,
-            t,
-            req.id,
-        );
-        if let Some(slo) = &self.cfg.slo {
-            slo.error(t);
-        }
-        self.fabric.error(req.tenant, t);
-    }
-
-    /// Admits `req` under its tenant's policy, given that tenant's lane
-    /// is full. Returns `true` when the request was consumed (shed or
-    /// served directly) and must not be queued by the caller.
-    fn admit_full(
-        &mut self,
-        req: &mut Option<Request>,
-        stats: &mut RunStats,
-        completions: &mut Vec<(usize, Cycles)>,
-    ) -> bool {
-        let tenant = req.as_ref().expect("arrival present").tenant;
-        match self.fabric.policy(tenant) {
-            AdmissionPolicy::Shed => {
-                stats.shed_queue_full += 1;
-                stats.tenant_mut(tenant).shed_queue_full += 1;
-                if let Some(r) = req.as_ref() {
-                    self.cfg.recorder.instant(
-                        self.transport.lanes(),
-                        InstantKind::ShedQueueFull,
-                        r.arrival,
-                        r.id,
-                    );
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(r.arrival);
-                    }
-                    self.fabric.error(tenant, r.arrival);
-                }
-                *req = None;
-                true
+    fn offer(&mut self, core: &mut Core, req: Request) -> Offer {
+        if core.fabric.is_full(req.tenant) {
+            if !core.blocks(req.tenant) {
+                return Offer::Refused(req);
             }
-            AdmissionPolicy::Block => {
-                if self.fabric.capacity(tenant) == 0 {
-                    // No slot can ever free: the arrival rendezvouses
-                    // directly with the earliest-free lane.
-                    let (l, _) = self.min_lane();
-                    let r = req.take().expect("arrival present");
-                    self.serve_one(l, r, stats, completions);
-                    return true;
-                }
-                // Free a slot in this tenant's lane by force-running
-                // fabric-scheduled requests on the earliest-free lane.
-                // DRR rotation reaches every backlogged tenant, so the
-                // loop always terminates.
-                while self.fabric.is_full(tenant) {
-                    let (l, _) = self.min_lane();
-                    let r = self.fabric.pop().expect("full lane implies work");
-                    self.serve_one(l, r, stats, completions);
-                }
-                false
+            if core.fabric.capacity(req.tenant) == 0 {
+                // No slot can ever free: the arrival rendezvouses
+                // directly with the earliest-free lane.
+                let (l, _) = self.min_lane();
+                self.serve(core, l, &req);
+                return Offer::Served;
+            }
+            // Free a slot in this tenant's queue by force-running
+            // fabric-scheduled requests on the earliest-free lane. DRR
+            // rotation reaches every backlogged tenant, so the loop
+            // always terminates.
+            while core.fabric.is_full(req.tenant) {
+                let (l, _) = self.min_lane();
+                let r = core.fabric.pop().expect("full queue implies work");
+                self.serve(core, l, &r);
             }
         }
+        core.admitted(&req);
+        core.fabric.push(req);
+        Offer::Queued(core.fabric.len())
     }
+}
 
-    /// Queues `req` on its tenant's lane, stamping the admission on the
-    /// dispatcher's pseudo-lane (`transport.lanes()` — the queue has no
-    /// core of its own).
-    fn admit(&mut self, req: Request) {
-        self.cfg.recorder.instant(
-            self.transport.lanes(),
-            InstantKind::QueueAdmit,
-            req.arrival,
-            req.id,
-        );
-        self.fabric.push(req);
-    }
+/// The per-lane-rings discipline: the submission ring *is* the queue.
+/// The fabric's gate and SLO machinery are used; its queues are not.
+pub struct Rings<'a, T: Transport> {
+    ring: &'a mut RingTransport<T>,
+    /// Outstanding submissions: corr → (request, attempts so far).
+    inflight: HashMap<u64, (Request, u32)>,
+    /// Latest submit stamp per lane — a doorbell never rings before the
+    /// frames it would drain were submitted.
+    last_submit: Vec<Cycles>,
+    /// Submission slots currently held, per (lane, tenant).
+    held: BTreeMap<(usize, TenantId), usize>,
+}
 
-    /// The instant the server is ready: the latest lane clock. Transport
-    /// setup (boot, registration, binary rewriting) runs on the same
-    /// simulated cores that serve requests, so lane clocks are well past
-    /// zero when a run starts; arrival times are offsets from this epoch,
-    /// not from machine power-on.
-    fn epoch(&mut self) -> Cycles {
-        (0..self.transport.lanes())
-            .map(|l| self.transport.now(l))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Open-loop run: `arrivals` yields monotone arrival times relative to
-    /// server readiness (Poisson in the benches, arbitrary sequences in
-    /// the property tests); each arrival takes its operation from
-    /// `factory`. Arrivals are independent of service progress — under
-    /// overload the queue fills and the admission policy decides.
-    pub fn run_open_loop<I>(&mut self, arrivals: I, factory: &mut RequestFactory) -> RunStats
-    where
-        I: IntoIterator<Item = Cycles>,
-    {
-        let mut stats = RunStats::new(self.transport.label(), self.transport.lanes());
-        let copied_at_start = self.transport.bytes_copied();
-        let mut completions = Vec::new();
-        let epoch = self.epoch();
-        let mut first = None;
-        let mut clock = 0;
-        for t in arrivals {
-            let t = t.saturating_add(epoch).max(clock); // Never backwards.
-            clock = t;
-            first.get_or_insert(t);
-            let req = factory.make(t, None);
-            stats.offered += 1;
-            stats.tenant_mut(req.tenant).offered += 1;
-            self.maybe_storm(t);
-            self.drain_until(t, &mut stats, &mut completions);
-            if self.fabric.gate(req.tenant, t) != Gate::Admit {
-                self.shed_rate_limited(&req, t, &mut stats);
-                continue;
-            }
-            if self.fabric.is_full(req.tenant) {
-                let mut req = Some(req);
-                if self.admit_full(&mut req, &mut stats, &mut completions) {
-                    continue;
-                }
-                let r = req.take().expect("not consumed");
-                self.admit(r);
-            } else {
-                self.admit(req);
-            }
-            stats.max_queue_depth = stats.max_queue_depth.max(self.fabric.len());
+impl<T: Transport> Rings<'_, T> {
+    /// Whether a submit by `id` on `lane` would exceed its batch share:
+    /// its weight's share of the ring (among the tenants seen so far),
+    /// at least one slot. Only binds once the lane is batching
+    /// (occupancy at the budget) — an uncontended ring is
+    /// work-conserving and any tenant may fill it, and with a single
+    /// tenant the share is the whole ring.
+    fn over_share(&self, core: &Core, lane: usize, id: TenantId) -> bool {
+        let cfg = self.ring.config();
+        if self.ring.sq_len(lane) < cfg.batch_budget.max(1) {
+            return false;
         }
-        self.drain_until(Cycles::MAX, &mut stats, &mut completions);
-        self.settle_storms();
-        stats.start = first.unwrap_or(0);
-        stats.end = (0..self.transport.lanes())
-            .map(|l| self.transport.now(l))
-            .max()
-            .unwrap_or(0);
-        stats.bytes_copied = self.transport.bytes_copied() - copied_at_start;
-        if let Some(slo) = &self.cfg.slo {
-            slo.tick(stats.end);
-        }
-        self.fabric.tick(stats.end);
-        stats.seal();
-        stats
+        let weight = core.fabric.registry().weight(id);
+        let share = (cfg.capacity as u64 * weight / core.fabric.seen_weight().max(1)).max(1);
+        self.held.get(&(lane, id)).copied().unwrap_or(0) >= share as usize
     }
 
-    /// Closed-loop run: `clients` issuers each keep exactly one request in
-    /// flight, issuing the next one `think` cycles after the previous
-    /// completion, `ops_per_client` times. Offered load self-adjusts to
-    /// service capacity, so queue-full shedding only appears when
-    /// `clients` exceeds `queue_capacity + lanes`.
-    pub fn run_closed_loop(
-        &mut self,
-        clients: usize,
-        ops_per_client: u64,
-        think: Cycles,
-        factory: &mut RequestFactory,
-    ) -> RunStats {
-        assert!(clients > 0);
-        let mut stats = RunStats::new(self.transport.label(), self.transport.lanes());
-        let copied_at_start = self.transport.bytes_copied();
-        let mut completions: Vec<(usize, Cycles)> = Vec::new();
-        let epoch = self.epoch();
-        // One-cycle stagger breaks the all-at-once tie deterministically.
-        let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> = (0..clients)
-            .map(|c| Reverse((epoch + c as Cycles, c)))
-            .collect();
-        let mut remaining = vec![ops_per_client; clients];
-        loop {
-            for (c, done) in completions.drain(..) {
-                if remaining[c] > 0 {
-                    ready.push(Reverse((done.saturating_add(think), c)));
-                }
-            }
-            let Some(&Reverse((t, c))) = ready.peek() else {
-                if self.fabric.is_empty() {
-                    break;
-                }
-                self.drain_until(Cycles::MAX, &mut stats, &mut completions);
+    /// Submits `req` to `lane` with its wire deadline: the queue
+    /// deadline as an absolute cycle stamp (0 = none), so inside a storm
+    /// window the frame expires the moment anything delays its batch.
+    fn submit(&mut self, core: &Core, lane: usize, req: &Request) -> bool {
+        let deadline = core
+            .queue_deadline(req.arrival)
+            .map_or(0, |d| req.arrival.saturating_add(d).max(1));
+        self.ring.submit_with_deadline(lane, req, deadline).is_ok()
+    }
+
+    /// Records a submitted frame as outstanding.
+    fn track(&mut self, lane: usize, req: Request, attempts: u32, at: Cycles) {
+        self.last_submit[lane] = self.last_submit[lane].max(at);
+        *self.held.entry((lane, req.tenant)).or_insert(0) += 1;
+        self.inflight.insert(req.id, (req, attempts));
+    }
+
+    /// Rings `lane`'s doorbell (no earlier than its frames' submit
+    /// stamps), charges the lane's busy time, and reaps every posted
+    /// completion — resubmitting retriable failures under the retry
+    /// policy.
+    fn drain_lane(&mut self, core: &mut Core, lane: usize) {
+        self.ring.wait_until(lane, self.last_submit[lane]);
+        let before = self.ring.now(lane);
+        self.ring.doorbell(lane);
+        core.stats.busy[lane] += self.ring.now(lane) - before;
+
+        let mut resubmit: Vec<(Request, u32)> = Vec::new();
+        while let Some(c) = self.ring.pop_completion(lane) {
+            let now = self.ring.now(lane);
+            let Some((req, attempts)) = self.inflight.remove(&c.corr) else {
+                debug_assert!(false, "completion for unknown corr {}", c.corr);
                 continue;
             };
-            // Completions inside the drain may schedule arrivals earlier
-            // than `t`; flush them into the heap before admitting.
-            self.drain_until(t, &mut stats, &mut completions);
-            if !completions.is_empty() {
-                continue;
+            if let Some(h) = self.held.get_mut(&(lane, req.tenant)) {
+                *h = h.saturating_sub(1);
             }
-            ready.pop();
-            stats.offered += 1;
-            remaining[c] -= 1;
-            self.maybe_storm(t);
-            let req = factory.make(t, Some(c));
-            stats.tenant_mut(req.tenant).offered += 1;
-            if self.fabric.gate(req.tenant, t) != Gate::Admit {
-                self.shed_rate_limited(&req, t, &mut stats);
-                // Like a shed, the client retries its next op after a
-                // think pause rather than stopping forever.
-                if remaining[c] > 0 {
-                    ready.push(Reverse((t.saturating_add(think.max(1)), c)));
+            match c.result {
+                // Expired at batch-cut time — burned no service time,
+                // exactly like the central queue's start-time check.
+                _ if c.expired => core.settle(Outcome::ShedDeadline { lane }, &req, now),
+                Ok(_) => core.settle(Outcome::Completed, &req, now),
+                Err(e) if core.retry(self.ring, lane, req.id, &e, attempts) => {
+                    resubmit.push((req, attempts + 1));
                 }
-                continue;
+                Err(e) => core.settle_error(&e, &req, now),
             }
-            if self.fabric.is_full(req.tenant) {
-                let tenant = req.tenant;
-                let mut req = Some(req);
-                if self.admit_full(&mut req, &mut stats, &mut completions) {
-                    if req.is_none()
-                        && matches!(self.fabric.policy(tenant), AdmissionPolicy::Shed)
-                        && remaining[c] > 0
-                    {
-                        ready.push(Reverse((t.saturating_add(think.max(1)), c)));
-                    }
+        }
+        // Re-queue retries. The doorbell freed at least as many slots
+        // as it posted completions, so these always fit; a refused
+        // resubmission would be a bookkeeping bug, not load. Retries may
+        // briefly exceed a tenant's share; the cap applies to fresh
+        // admissions only.
+        for (req, attempts) in resubmit {
+            let t = self.ring.now(lane);
+            if self.submit(core, lane, &req) {
+                self.track(lane, req, attempts, t);
+            } else {
+                core.settle(Outcome::Failed, &req, t);
+            }
+        }
+    }
+}
+
+impl<T: Transport> LaneQueue for Rings<'_, T> {
+    type Transport = RingTransport<T>;
+
+    fn transport(&mut self) -> &mut RingTransport<T> {
+        self.ring
+    }
+
+    /// Latency-mode drains: while any lane with pending frames would go
+    /// idle at or before `horizon`, drain it — earliest lane first.
+    fn pump(&mut self, core: &mut Core, horizon: Cycles) {
+        loop {
+            let mut best: Option<(Cycles, usize)> = None;
+            for l in 0..self.ring.lanes() {
+                if self.ring.sq_len(l) == 0 {
                     continue;
                 }
-                let r = req.take().expect("not consumed");
-                self.admit(r);
-            } else {
-                self.admit(req);
+                let at = self.ring.now(l).max(self.last_submit[l]);
+                if at <= horizon && best.is_none_or(|(bt, _)| at < bt) {
+                    best = Some((at, l));
+                }
             }
-            stats.max_queue_depth = stats.max_queue_depth.max(self.fabric.len());
+            let Some((_, l)) = best else { break };
+            self.drain_lane(core, l);
         }
-        self.settle_storms();
-        stats.start = epoch;
-        stats.end = (0..self.transport.lanes())
-            .map(|l| self.transport.now(l))
-            .max()
-            .unwrap_or(0);
-        stats.bytes_copied = self.transport.bytes_copied() - copied_at_start;
-        if let Some(slo) = &self.cfg.slo {
-            slo.tick(stats.end);
+        debug_assert!(
+            horizon < Cycles::MAX || self.inflight.is_empty(),
+            "every submission reaps exactly one completion"
+        );
+    }
+
+    fn offer(&mut self, core: &mut Core, req: Request) -> Offer {
+        // Least-occupied ring first, earliest clock breaking ties.
+        let lane = (0..self.ring.lanes())
+            .min_by_key(|&l| (self.ring.sq_len(l), self.ring.now(l)))
+            .expect("at least one lane");
+        core.cfg.recorder.note_tenant(lane, req.tenant);
+        // A tenant past its batch share is refused exactly like a full
+        // ring — the slots it cannot take stay open for others.
+        let mut placed = !self.over_share(core, lane, req.tenant) && self.submit(core, lane, &req);
+        if !placed && core.blocks(req.tenant) {
+            // Pump the lane until a slot frees and the tenant is back
+            // inside its share (retries are bounded, so this
+            // terminates). An oversized frame still cannot be placed.
+            while self.ring.sq_len(lane) >= self.ring.config().capacity
+                || self.over_share(core, lane, req.tenant)
+            {
+                self.drain_lane(core, lane);
+            }
+            placed = self.submit(core, lane, &req);
         }
-        self.fabric.tick(stats.end);
-        stats.seal();
-        stats
+        if !placed {
+            return Offer::Refused(req);
+        }
+        core.admitted(&req);
+        let t = req.arrival;
+        self.track(lane, req, 0, t);
+        let depth = self.ring.sq_len(lane);
+        // An *idle* lane whose ring just reached the budget is drained
+        // now — one crossing, one full batch. A busy lane keeps
+        // accumulating: its slots only free once the server consumes
+        // them, so back-pressure (and shedding) works exactly like the
+        // central queue.
+        if depth >= self.ring.config().batch_budget.max(1)
+            && self.ring.now(lane).max(self.last_submit[lane]) <= t
+        {
+            self.drain_lane(core, lane);
+        }
+        Offer::Queued(depth)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use sb_transport::FixedServiceTransport;
+    use sb_transport::{FixedServiceTransport, RingConfig};
     use sb_ycsb::WorkloadSpec;
 
     use super::*;
@@ -599,6 +864,22 @@ mod tests {
             policy,
             ..RuntimeConfig::default()
         }
+    }
+
+    fn ring(
+        lanes: usize,
+        service: Cycles,
+        capacity: usize,
+        budget: usize,
+    ) -> RingTransport<FixedServiceTransport> {
+        RingTransport::new(
+            FixedServiceTransport::new(lanes, service),
+            RingConfig {
+                capacity,
+                batch_budget: budget,
+                slot_bytes: 4096,
+            },
+        )
     }
 
     /// offered must equal the sum of all outcome counters.
@@ -889,5 +1170,134 @@ mod tests {
         let r = h.report();
         assert!(r.injected() > 0, "storms must actually start");
         assert_eq!(r.leaked(), 0, "settle_storms closes every window: {r}");
+    }
+
+    #[test]
+    fn underload_drains_eagerly_with_direct_latency() {
+        let mut r = ring(2, 100, 16, 8);
+        let mut rt = RingRuntime::new(&mut r, RuntimeConfig::default());
+        let arrivals: Vec<Cycles> = (0..50).map(|i| i * 100).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert_eq!(s.completed, 50);
+        assert_eq!(s.shed(), 0);
+        assert_eq!(s.p50(), 100, "shallow rings must not add batching delay");
+        assert_conserved(&s);
+    }
+
+    #[test]
+    fn overload_batches_and_sheds_at_ring_capacity() {
+        let mut r = ring(1, 1000, 4, 4);
+        let mut rt = RingRuntime::new(&mut r, RuntimeConfig::default());
+        let arrivals: Vec<Cycles> = (0..200).map(|i| i * 10).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert!(s.shed_queue_full > 0, "10x overload must shed at the ring");
+        assert!(s.max_queue_depth <= 4);
+        assert!(s.completed > 0);
+        assert_conserved(&s);
+    }
+
+    #[test]
+    fn block_policy_pumps_instead_of_shedding() {
+        let mut r = ring(1, 1000, 4, 4);
+        let mut rt = RingRuntime::new(
+            &mut r,
+            RuntimeConfig {
+                policy: AdmissionPolicy::Block,
+                ..RuntimeConfig::default()
+            },
+        );
+        let arrivals: Vec<Cycles> = (0..100).map(|i| i * 10).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert_eq!(s.shed_queue_full, 0);
+        assert_eq!(s.completed, 100);
+        assert_conserved(&s);
+    }
+
+    #[test]
+    fn ring_deadline_expires_stale_frames_without_service() {
+        let mut r = ring(1, 10_000, 16, 8);
+        let mut rt = RingRuntime::new(
+            &mut r,
+            RuntimeConfig {
+                queue_deadline: Some(100),
+                ..RuntimeConfig::default()
+            },
+        );
+        let arrivals: Vec<Cycles> = (0..30).map(|i| i * 50).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert_conserved(&s);
+        assert!(s.shed_deadline > 0, "queued frames must expire");
+        assert!(s.completed >= 1);
+        assert_eq!(
+            s.busy[0],
+            s.completed * 10_000,
+            "expired frames burn no lane time"
+        );
+    }
+
+    #[test]
+    fn storms_collapse_ring_deadlines_and_settle() {
+        use sb_faultplane::{FaultHandle, FaultMix};
+
+        let h = FaultHandle::new(
+            0x5708_0002,
+            FaultMix::none().with(FaultPoint::DeadlineStorm, 2_500),
+        );
+        let mut r = ring(1, 1_000, 64, 8);
+        let mut rt = RingRuntime::new(
+            &mut r,
+            RuntimeConfig {
+                queue_deadline: Some(1_000_000),
+                faults: Some(h.clone()),
+                ..RuntimeConfig::default()
+            },
+        );
+        let arrivals: Vec<Cycles> = (0..400).map(|i| i * 250).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert_conserved(&s);
+        assert!(s.shed_deadline > 0, "storm windows must expire stale work");
+        assert!(s.completed > 0);
+        let rep = h.report();
+        assert!(rep.injected() > 0);
+        assert_eq!(rep.leaked(), 0, "{rep}");
+    }
+
+    #[test]
+    fn ring_closed_loop_self_paces_with_direct_latency() {
+        // 4 clients over 2 lanes x 16 slots: nothing can be refused, and
+        // every offered request is accounted for exactly once.
+        let mut r = ring(2, 100, 16, 8);
+        let mut rt = RingRuntime::new(&mut r, RuntimeConfig::default());
+        let s = rt.run_closed_loop(4, 50, 0, &mut factory());
+        assert_eq!(s.offered, 200);
+        assert_eq!(s.completed, 200);
+        assert_eq!(s.shed(), 0, "4 clients cannot overrun the rings");
+        assert_conserved(&s);
+        assert!(s.tenants_conserved());
+
+        // At light load (think time ten services long) an idle ring
+        // drains at once: the closed loop reads the direct loop's p50.
+        let mut e = FixedServiceTransport::new(2, 100);
+        let direct = ServerRuntime::new(&mut e, cfg(16, AdmissionPolicy::Shed)).run_closed_loop(
+            2,
+            50,
+            1_000,
+            &mut factory(),
+        );
+        let mut r = ring(2, 100, 16, 8);
+        let light = RingRuntime::new(&mut r, RuntimeConfig::default()).run_closed_loop(
+            2,
+            50,
+            1_000,
+            &mut factory(),
+        );
+        assert_eq!(light.completed, 100);
+        assert_eq!(
+            light.p50(),
+            100,
+            "shallow rings must not add batching delay"
+        );
+        assert_eq!(light.p50(), direct.p50());
+        assert_conserved(&light);
     }
 }

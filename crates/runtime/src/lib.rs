@@ -18,11 +18,17 @@
 //!   flips in a single address space; `FixedServiceTransport` is the
 //!   synthetic backend for dispatcher tests, and [`Faulty`] wraps any of
 //!   them with the chaos fault plane.
-//! * [`ServerRuntime`] — a discrete-event dispatcher: one bounded
-//!   [`queue::DispatchQueue`] per server, admission control
-//!   ([`AdmissionPolicy::Shed`] vs [`AdmissionPolicy::Block`]), optional
-//!   queue deadlines, and per-call DoS-timeout budgets via the existing
-//!   `skybridge` §7 machinery.
+//! * The one discrete-event serving loop (`dispatch.rs`): the
+//!   [`TenantFabric`]'s gate, one outcome ledger, one retry path,
+//!   admission control ([`AdmissionPolicy::Shed`] vs
+//!   [`AdmissionPolicy::Block`]), optional queue deadlines, and per-call
+//!   DoS-timeout budgets via the existing `skybridge` §7 machinery. The
+//!   transport it is built over selects one of two lane-queue
+//!   disciplines: [`ServerRuntime`] (any [`Transport`]) keeps admitted
+//!   requests in the fabric's per-tenant DRR queues and binds each to
+//!   the earliest-free lane when service starts; [`RingRuntime`] (a
+//!   [`RingTransport`]) binds each arrival to a lane's submission ring
+//!   at once and batches the crossing behind an adaptive doorbell.
 //! * [`PoissonArrivals`] / [`RequestFactory`] — open-loop Poisson and
 //!   closed-loop load generation over `sb-ycsb` key mixes.
 //! * [`RunStats`] — throughput, p50/p95/p99 latency in simulated cycles,
@@ -30,11 +36,8 @@
 //!   utilization (JSON serialization lives in `sb-bench`'s report
 //!   module).
 
-pub mod dispatch;
+mod dispatch;
 pub mod load;
-pub mod queue;
-pub mod ring_run;
-pub mod service;
 pub mod sky;
 pub mod stats;
 pub mod tenant;
@@ -44,17 +47,16 @@ pub use sb_observe::Recorder;
 pub use sb_sentinel::{SloHandle, SloSpec};
 pub use sb_transport::{
     CallError, Faulty, FixedServiceTransport, MpkTransport, Request, RingConfig, RingTransport,
-    TenantId, Transport,
+    ServiceSpec, TenantId, Transport,
 };
 
 pub use crate::{
-    dispatch::{RetryPolicy, RuntimeConfig, ServerRuntime},
+    dispatch::{RetryPolicy, RingRuntime, RuntimeConfig, ServerRuntime},
     load::{PoissonArrivals, RequestFactory},
-    queue::AdmissionPolicy,
-    ring_run::RingRuntime,
-    service::ServiceSpec,
     sky::SkyBridgeTransport,
     stats::{LatencyTrack, RunStats, TenantStats, EXACT_LATENCY_CAP},
-    tenant::{Gate, RateLimit, TenantAction, TenantFabric, TenantRegistry, TenantSpec},
+    tenant::{
+        AdmissionPolicy, Gate, RateLimit, TenantAction, TenantFabric, TenantRegistry, TenantSpec,
+    },
     trap::TrapIpcTransport,
 };

@@ -1,5 +1,5 @@
 //! Load generation: YCSB-mix request factories, tenant assignment, and
-//! open-loop arrival processes (Poisson, diurnal, bursty).
+//! the open-loop Poisson arrival process.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -190,121 +190,6 @@ impl Iterator for PoissonArrivals {
     }
 }
 
-/// A diurnally modulated Poisson process: the instantaneous rate swings
-/// sinusoidally around the base rate with the given period, like a
-/// day/night traffic curve compressed into simulated cycles. Fully
-/// deterministic for a given seed.
-#[derive(Debug)]
-pub struct DiurnalArrivals {
-    rng: SmallRng,
-    /// Mean inter-arrival gap at the midline, in cycles.
-    base_mean: f64,
-    /// Peak-to-midline rate swing, in `[0, 1)`: at `0.5` the peak rate
-    /// is 1.5x the base and the trough 0.5x.
-    amplitude: f64,
-    /// One full day, in cycles.
-    period: f64,
-    t: f64,
-}
-
-impl DiurnalArrivals {
-    /// Arrivals around a `base_mean` gap, swinging by `amplitude` over
-    /// `period` cycles.
-    pub fn new(base_mean: f64, amplitude: f64, period: Cycles, seed: u64) -> Self {
-        assert!(base_mean > 0.0, "mean inter-arrival must be positive");
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must stay below 1 or the trough rate hits zero"
-        );
-        assert!(period > 0, "a day has positive length");
-        DiurnalArrivals {
-            rng: SmallRng::seed_from_u64(seed),
-            base_mean,
-            amplitude,
-            period: period as f64,
-            t: 0.0,
-        }
-    }
-}
-
-impl Iterator for DiurnalArrivals {
-    type Item = Cycles;
-
-    fn next(&mut self) -> Option<Cycles> {
-        // Thin the gap by the instantaneous rate multiplier at the
-        // current clock: rate(t) = base * (1 + A sin(2πt/P)).
-        let phase = (self.t / self.period) * std::f64::consts::TAU;
-        let rate_mult = 1.0 + self.amplitude * phase.sin();
-        let mean = self.base_mean / rate_mult;
-        let u: f64 = self.rng.gen();
-        self.t += -mean * (1.0 - u).ln();
-        Some(self.t as Cycles)
-    }
-}
-
-/// A two-phase burst process: calm stretches at one rate, storm windows
-/// at another, alternating on a fixed cadence — the arrival shape of a
-/// misbehaving tenant replaying a thundering herd. Deterministic for a
-/// given seed.
-#[derive(Debug)]
-pub struct BurstArrivals {
-    rng: SmallRng,
-    /// Mean gap during calm stretches, in cycles.
-    calm_mean: f64,
-    /// Mean gap inside a burst window (smaller = harder storm).
-    burst_mean: f64,
-    /// Calm stretch length, in cycles.
-    calm_len: f64,
-    /// Burst window length, in cycles.
-    burst_len: f64,
-    t: f64,
-}
-
-impl BurstArrivals {
-    /// Arrivals alternating `calm_len` cycles at a `calm_mean` gap with
-    /// `burst_len` cycles at a `burst_mean` gap.
-    pub fn new(
-        calm_mean: f64,
-        burst_mean: f64,
-        calm_len: Cycles,
-        burst_len: Cycles,
-        seed: u64,
-    ) -> Self {
-        assert!(calm_mean > 0.0 && burst_mean > 0.0);
-        assert!(calm_len > 0 && burst_len > 0);
-        BurstArrivals {
-            rng: SmallRng::seed_from_u64(seed),
-            calm_mean,
-            burst_mean,
-            calm_len: calm_len as f64,
-            burst_len: burst_len as f64,
-            t: 0.0,
-        }
-    }
-
-    /// Whether simulated time `t` falls inside a burst window.
-    pub fn in_burst(&self, t: Cycles) -> bool {
-        let cycle = self.calm_len + self.burst_len;
-        (t as f64) % cycle >= self.calm_len
-    }
-}
-
-impl Iterator for BurstArrivals {
-    type Item = Cycles;
-
-    fn next(&mut self) -> Option<Cycles> {
-        let cycle = self.calm_len + self.burst_len;
-        let mean = if self.t % cycle < self.calm_len {
-            self.calm_mean
-        } else {
-            self.burst_mean
-        };
-        let u: f64 = self.rng.gen();
-        self.t += -mean * (1.0 - u).ln();
-        Some(self.t as Cycles)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,68 +270,5 @@ mod tests {
         for (a, b) in solo.iter().zip(&t3) {
             assert_eq!((a.key, a.write, a.payload), (b.key, b.write, b.payload));
         }
-    }
-
-    #[test]
-    fn diurnal_arrivals_swing_the_rate_with_the_period() {
-        // One full day of 1M cycles, ±60% swing. Count arrivals in the
-        // peak quarter (phase π/2) vs the trough quarter (3π/2).
-        let day = 1_000_000u64;
-        let times: Vec<Cycles> = DiurnalArrivals::new(200.0, 0.6, day, 11)
-            .take_while(|&t| t < day)
-            .collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "monotone");
-        let quarter = |lo: u64, hi: u64| times.iter().filter(|&&t| t >= lo && t < hi).count();
-        let peak = quarter(day / 8, 3 * day / 8);
-        let trough = quarter(5 * day / 8, 7 * day / 8);
-        assert!(
-            peak as f64 > trough as f64 * 2.0,
-            "peak {peak} must clearly outdraw trough {trough}"
-        );
-    }
-
-    #[test]
-    fn diurnal_is_deterministic_per_seed() {
-        let a: Vec<Cycles> = DiurnalArrivals::new(300.0, 0.4, 500_000, 9)
-            .take(500)
-            .collect();
-        let b: Vec<Cycles> = DiurnalArrivals::new(300.0, 0.4, 500_000, 9)
-            .take(500)
-            .collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn burst_arrivals_storm_inside_the_window() {
-        // Calm gap 1000, burst gap 20: the burst window holds far more
-        // arrivals per cycle than the calm stretch.
-        let b = BurstArrivals::new(1_000.0, 20.0, 100_000, 20_000, 3);
-        assert!(!b.in_burst(50_000));
-        assert!(b.in_burst(110_000));
-        let times: Vec<Cycles> = BurstArrivals::new(1_000.0, 20.0, 100_000, 20_000, 3)
-            .take_while(|&t| t < 240_000)
-            .collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "monotone");
-        let calm = times.iter().filter(|&&t| t < 100_000).count() as f64 / 100_000.0;
-        let storm = times
-            .iter()
-            .filter(|&&t| (100_000..120_000).contains(&t))
-            .count() as f64
-            / 20_000.0;
-        assert!(
-            storm > calm * 10.0,
-            "storm density {storm} must dwarf calm {calm}"
-        );
-    }
-
-    #[test]
-    fn burst_is_deterministic_per_seed() {
-        let a: Vec<Cycles> = BurstArrivals::new(500.0, 25.0, 10_000, 5_000, 77)
-            .take(400)
-            .collect();
-        let b: Vec<Cycles> = BurstArrivals::new(500.0, 25.0, 10_000, 5_000, 77)
-            .take(400)
-            .collect();
-        assert_eq!(a, b);
     }
 }

@@ -25,11 +25,9 @@ use sb_sim::Cycles;
 use sb_transport::{
     verify_reply_corr,
     wire::{Lane, OP_TAG_OFFSET},
-    BatchComplete, CallError, CopyMeter, Request, Transport,
+    BatchComplete, CallError, CopyMeter, Request, ServiceSpec, Transport, DATA_BASE, RECORD_LINE,
 };
 use skybridge::{HandlerReply, SbError, ServerId, SkyBridge};
-
-use crate::service::{ServiceSpec, DATA_BASE, RECORD_LINE};
 
 /// The SkyBridge transport.
 pub struct SkyBridgeTransport {

@@ -1,10 +1,9 @@
 //! The tenant fabric: per-tenant weighted-fair lanes behind one server.
 //!
-//! The single global [`DispatchQueue`](crate::queue::DispatchQueue) gave
-//! every arrival the same FIFO — which means one tenant's storm starves
-//! everyone behind it. This module replaces it on the serving path with
-//! a **fabric** of per-tenant bounded queues scheduled by deficit round
-//! robin:
+//! One global FIFO gives every arrival the same queue — which means one
+//! tenant's storm starves everyone behind it. The serving path instead
+//! queues through a **fabric** of per-tenant bounded queues scheduled by
+//! deficit round robin:
 //!
 //! - **Admission** is per tenant: a token-bucket [`RateLimit`] caps a
 //!   tenant's sustained arrival rate (storms shed at the door, before
@@ -34,7 +33,15 @@ use sb_sentinel::{SloHandle, SloHealth, SloSpec};
 use sb_sim::Cycles;
 use sb_transport::{Request, TenantId};
 
-use crate::queue::AdmissionPolicy;
+/// What happens to an arrival that finds its queue full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Reject it immediately (load shedding); the client sees an error.
+    Shed,
+    /// Block the producer until a slot frees; the wait is charged to the
+    /// request's latency.
+    Block,
+}
 
 /// How long a quarantined aggressor's new arrivals are shed, in cycles.
 pub const QUARANTINE_WINDOW: Cycles = 5_000_000;
@@ -269,6 +276,8 @@ pub struct TenantFabric {
     /// rotates this.
     active: VecDeque<TenantId>,
     queued: usize,
+    /// Sum of the registry weights of every tenant seen so far.
+    seen_weight: u64,
     actions: Vec<TenantAction>,
 }
 
@@ -284,15 +293,24 @@ impl TenantFabric {
             lanes: BTreeMap::new(),
             active: VecDeque::new(),
             queued: 0,
+            seen_weight: 0,
             actions: Vec::new(),
         }
     }
 
     fn lane_mut(&mut self, id: TenantId) -> &mut TenantLane {
         let registry = &self.registry;
-        self.lanes
-            .entry(id)
-            .or_insert_with(|| TenantLane::new(registry.spec(id).clone()))
+        let seen_weight = &mut self.seen_weight;
+        self.lanes.entry(id).or_insert_with(|| {
+            *seen_weight += registry.weight(id);
+            TenantLane::new(registry.spec(id).clone())
+        })
+    }
+
+    /// The summed registry weight of every tenant that has arrived so
+    /// far — the denominator of a tenant's share of a ring.
+    pub(crate) fn seen_weight(&self) -> u64 {
+        self.seen_weight
     }
 
     /// Total requests queued across all tenants.

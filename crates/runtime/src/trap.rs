@@ -22,10 +22,8 @@ use sb_sim::Cycles;
 use sb_transport::{
     verify_reply_corr,
     wire::{Lane, WIRE_HEADER_LEN},
-    CallError, CopyMeter, Request, Transport,
+    CallError, CopyMeter, Request, ServiceSpec, Transport, DATA_BASE, RECORD_LINE,
 };
-
-use crate::service::{ServiceSpec, DATA_BASE, RECORD_LINE};
 
 struct TrapWorker {
     client: ThreadId,

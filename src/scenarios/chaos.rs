@@ -26,13 +26,12 @@ use sb_faultplane::{FaultHandle, FaultMix, FaultObserver, FaultPoint, FaultRepor
 use sb_fs::{log::Log, BlockDevice, FaultyDisk, RamDisk, BSIZE};
 use sb_observe::{FaultCounts, Recorder, Registry, DEFAULT_RING_CAPACITY};
 use sb_runtime::{
-    Faulty, MpkTransport, PoissonArrivals, RequestFactory, RetryPolicy, RingConfig, RingRuntime,
-    RingTransport, RunStats, RuntimeConfig, ServerRuntime, SkyBridgeTransport, Transport,
-    TrapIpcTransport,
+    Faulty, MpkTransport, PoissonArrivals, RequestFactory, RetryPolicy, RingConfig, RingTransport,
+    RunStats, RuntimeConfig, SkyBridgeTransport, Transport, TrapIpcTransport,
 };
 use sb_sentinel::{postmortem, BundleReceipt, PostmortemInput, PostmortemSpec, SloHandle, SloSpec};
 
-use crate::scenarios::runtime::{Backend, ServingScenario};
+use crate::scenarios::runtime::{serve_open_loop, Backend, ServingScenario};
 
 /// Lanes (and cores) per chaos cell.
 pub const CHAOS_WORKERS: usize = 2;
@@ -226,7 +225,7 @@ fn chaos_cell(
     // from inside the facility, the trap transports through the
     // call-boundary wrapper. Faults attach only after setup, so boot and
     // registration run in calm weather.
-    let mut engine: Box<dyn Transport> = match backend {
+    let engine: Box<dyn Transport> = match backend {
         Backend::SkyBridge => {
             let mut t = SkyBridgeTransport::new(CHAOS_WORKERS, &spec);
             t.attach_faults(faults.clone());
@@ -266,15 +265,7 @@ fn chaos_cell(
     };
     let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
     let arrivals = PoissonArrivals::new(12_000.0, seed ^ 0xa55a).take(requests as usize);
-    let stats = match ring {
-        Some(rc) => {
-            let mut rt = RingTransport::new(engine, rc);
-            let stats = RingRuntime::new(&mut rt, cfg).run_open_loop(arrivals, &mut factory);
-            engine = rt.into_inner();
-            stats
-        }
-        None => ServerRuntime::new(engine.as_mut(), cfg).run_open_loop(arrivals, &mut factory),
-    };
+    let (stats, mut engine) = serve_open_loop(engine, ring, cfg, arrivals, &mut factory, |s, _| s);
 
     // Quiesce: stop injecting, run every lane's recovery path (revive a
     // still-dead server, rebind a still-unbound connection), then prove

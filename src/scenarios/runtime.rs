@@ -5,15 +5,15 @@
 //! closed lock-step loop — right for latency figures, blind to queueing.
 //! This module runs the same two application shapes *as services* on the
 //! `sb-runtime` dispatcher: N server threads pinned to simulated cores,
-//! one bounded dispatch queue with admission control, and an open-loop
+//! a bounded lane queue with admission control, and an open-loop
 //! Poisson (or closed-loop) client population, so saturation, shedding,
 //! and tail latency become measurable per IPC backend.
 
 use sb_microkernel::Personality;
 use sb_runtime::{
     MpkTransport, PoissonArrivals, RequestFactory, RingConfig, RingRuntime, RingTransport,
-    RunStats, RuntimeConfig, ServerRuntime, ServiceSpec, SkyBridgeTransport, Transport,
-    TrapIpcTransport,
+    RunStats, RuntimeConfig, ServerRuntime, ServiceSpec, SkyBridgeTransport, TenantFabric,
+    Transport, TrapIpcTransport,
 };
 use sb_ycsb::WorkloadSpec;
 
@@ -137,6 +137,28 @@ pub fn build_ring_backend(
     RingTransport::new(build_backend(scenario, backend, lanes), ring)
 }
 
+/// One open-loop run over `engine`: through rings and [`RingRuntime`]
+/// when `ring` gives a geometry, else through [`ServerRuntime`]. Returns
+/// what `read` makes of the stats and the tenant fabric, and the engine.
+pub fn serve_open_loop<R>(
+    mut engine: Box<dyn Transport>,
+    ring: Option<RingConfig>,
+    runtime: RuntimeConfig,
+    arrivals: impl IntoIterator<Item = u64>,
+    factory: &mut RequestFactory,
+    read: impl FnOnce(RunStats, &TenantFabric) -> R,
+) -> (R, Box<dyn Transport>) {
+    let Some(geometry) = ring else {
+        let mut rt = ServerRuntime::new(engine.as_mut(), runtime);
+        let out = read(rt.run_open_loop(arrivals, factory), rt.fabric());
+        return (out, engine);
+    };
+    let mut rings = RingTransport::new(engine, geometry);
+    let mut rt = RingRuntime::new(&mut rings, runtime);
+    let out = read(rt.run_open_loop(arrivals, factory), rt.fabric());
+    (out, rings.into_inner())
+}
+
 /// One open-loop serving run in ring mode: the same arrival stream as
 /// [`run_open_loop`], dispatched through [`RingRuntime`]'s adaptive
 /// doorbell instead of the direct per-call queue.
@@ -151,10 +173,11 @@ pub fn run_ring_open_loop(
     requests: u64,
     seed: u64,
 ) -> RunStats {
-    let mut transport = build_ring_backend(scenario, backend, lanes, ring);
+    let engine = build_backend(scenario, backend, lanes);
     let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
     let arrivals = PoissonArrivals::new(mean_inter_arrival, seed).take(requests as usize);
-    RingRuntime::new(&mut transport, runtime).run_open_loop(arrivals, &mut factory)
+    let ring = Some(ring);
+    serve_open_loop(engine, ring, runtime, arrivals, &mut factory, |s, _| s).0
 }
 
 /// One open-loop serving run: `requests` Poisson arrivals at a mean gap
@@ -168,10 +191,10 @@ pub fn run_open_loop(
     requests: u64,
     seed: u64,
 ) -> RunStats {
-    let mut transport = build_backend(scenario, backend, lanes);
+    let engine = build_backend(scenario, backend, lanes);
     let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
     let arrivals = PoissonArrivals::new(mean_inter_arrival, seed).take(requests as usize);
-    ServerRuntime::new(transport.as_mut(), runtime).run_open_loop(arrivals, &mut factory)
+    serve_open_loop(engine, None, runtime, arrivals, &mut factory, |s, _| s).0
 }
 
 /// One closed-loop serving run: `clients` issuers, one in-flight request

@@ -10,20 +10,20 @@
 //! headroom of its solo p99, with zero victim SLO breach episodes,
 //! while the aggressor is classified and quarantined.
 //!
-//! Both serving paths are covered: the direct dispatcher
-//! ([`sb_runtime::ServerRuntime`]) and the ring pump
+//! Both lane-queue disciplines are covered: the central queue
+//! ([`sb_runtime::ServerRuntime`]) and the per-lane rings
 //! ([`sb_runtime::RingRuntime`]), across every IPC personality.
 
 use std::collections::BTreeMap;
 
 use sb_runtime::{
-    AdmissionPolicy, PoissonArrivals, RateLimit, RequestFactory, RingConfig, RingRuntime, RunStats,
-    RuntimeConfig, ServerRuntime, TenantAction, TenantId, TenantRegistry, TenantSpec,
+    AdmissionPolicy, PoissonArrivals, RateLimit, RequestFactory, RingConfig, RunStats,
+    RuntimeConfig, TenantAction, TenantFabric, TenantId, TenantRegistry, TenantSpec,
 };
 use sb_sentinel::{SloHealth, SloSpec};
 use sb_sim::Cycles;
 
-use crate::scenarios::runtime::{build_backend, build_ring_backend, Backend, ServingScenario};
+use crate::scenarios::runtime::{build_backend, serve_open_loop, Backend, ServingScenario};
 
 /// The aggressor's tenant id (victims are `1..=VICTIMS`).
 pub const AGGRESSOR: TenantId = 1000;
@@ -244,28 +244,16 @@ fn run_cell(
         tenants: Some(registry()),
         ..RuntimeConfig::default()
     };
-    let mut healths = BTreeMap::new();
-    if ring_mode {
-        let mut transport = build_ring_backend(scenario, backend, LANES, RingConfig::default());
-        let mut rt = RingRuntime::new(&mut transport, cfg);
-        let stats = rt.run_open_loop(arrivals, &mut factory);
-        for v in (1..=VICTIMS).chain([AGGRESSOR]) {
-            if let Some(h) = rt.fabric().slo_health(v) {
-                healths.insert(v, h);
-            }
-        }
-        (stats, rt.fabric().actions().to_vec(), healths)
-    } else {
-        let mut transport = build_backend(scenario, backend, LANES);
-        let mut rt = ServerRuntime::new(transport.as_mut(), cfg);
-        let stats = rt.run_open_loop(arrivals, &mut factory);
-        for v in (1..=VICTIMS).chain([AGGRESSOR]) {
-            if let Some(h) = rt.fabric().slo_health(v) {
-                healths.insert(v, h);
-            }
-        }
-        (stats, rt.fabric().actions().to_vec(), healths)
-    }
+    let engine = build_backend(scenario, backend, LANES);
+    let ring = ring_mode.then(RingConfig::default);
+    let read = |stats, fabric: &TenantFabric| {
+        let healths = (1..=VICTIMS)
+            .chain([AGGRESSOR])
+            .filter_map(|v| Some((v, fabric.slo_health(v)?)))
+            .collect();
+        (stats, fabric.actions().to_vec(), healths)
+    };
+    serve_open_loop(engine, ring, cfg, arrivals, &mut factory, read).0
 }
 
 /// Runs one noisy-neighbor cell: solo baseline, then the contended run
