@@ -42,7 +42,7 @@
 //!   on personalities whose crossing can be batched.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use sb_faultplane::{FaultHandle, FaultPoint};
 use sb_observe::{InstantKind, Recorder, SpanKind};
@@ -52,7 +52,7 @@ use sb_transport::{CallError, Request, RingTransport, TenantId, Transport};
 
 use crate::{
     load::RequestFactory,
-    stats::RunStats,
+    stats::{RunStats, TenantStats},
     tenant::{AdmissionPolicy, Gate, TenantFabric, TenantRegistry},
 };
 
@@ -166,12 +166,25 @@ pub struct Core {
     /// (`transport.lanes()` — the queue has no core of its own).
     queue_lane: usize,
     stats: RunStats,
+    /// The run's per-tenant rows by fabric slot — `None` until the
+    /// tenant arrives in *this* run — moved into `stats.tenants` by
+    /// [`Runtime::finish`].
+    rows: Vec<Option<TenantStats>>,
     /// Closed-loop clients freed since the loop last looked, with the
     /// time each became free.
     completions: Vec<(usize, Cycles)>,
 }
 
 impl Core {
+    /// The run's row for the tenant in fabric slot `slot`.
+    #[inline]
+    fn row(rows: &mut Vec<Option<TenantStats>>, slot: usize) -> &mut TenantStats {
+        if slot >= rows.len() {
+            rows.resize_with(slot + 1, || None);
+        }
+        rows[slot].get_or_insert_with(TenantStats::default)
+    }
+
     /// Books `req`'s outcome at time `t`: the one place a request can
     /// complete and the one place it can be shed. Global and per-tenant
     /// counters, the trace instant, the SLO tracker and the fabric are
@@ -179,7 +192,7 @@ impl Core {
     #[inline]
     fn settle(&mut self, outcome: Outcome, req: &Request, t: Cycles) {
         let stats = &mut self.stats;
-        let ts = stats.tenants.entry(req.tenant).or_default();
+        let ts = Core::row(&mut self.rows, self.fabric.slot(req.tenant));
         // A request that reached a lane frees its closed-loop client at
         // `t`; one refused at the door is rescheduled by the caller.
         if !matches!(outcome, Outcome::ShedQueueFull | Outcome::ShedRateLimit) {
@@ -404,9 +417,9 @@ impl<'a, T: Transport> Runtime<Rings<'a, T>> {
     pub fn new(ring: &'a mut RingTransport<T>, cfg: RuntimeConfig) -> Self {
         let lanes = Rings {
             last_submit: vec![0; ring.lanes()],
+            held: vec![Vec::new(); ring.lanes()],
             ring,
-            inflight: HashMap::new(),
-            held: BTreeMap::new(),
+            retried: Vec::new(),
         };
         Runtime::build(lanes, cfg, usize::MAX)
     }
@@ -429,6 +442,7 @@ impl<Q: LaneQueue> Runtime<Q> {
             fabric: TenantFabric::new(registry),
             queue_lane: transport.lanes(),
             stats: RunStats::new(transport.label(), transport.lanes()),
+            rows: Vec::new(),
             completions: Vec::new(),
         };
         Runtime { core, lanes }
@@ -470,7 +484,7 @@ impl<Q: LaneQueue> Runtime<Q> {
         core.maybe_storm(t);
         lanes.pump(core, t);
         let req = factory.make(t, client);
-        core.stats.tenant_mut(req.tenant).offered += 1;
+        Core::row(&mut core.rows, core.fabric.slot(req.tenant)).offered += 1;
         if core.fabric.gate(req.tenant, t) != Gate::Admit {
             core.settle(Outcome::ShedRateLimit, &req, t);
             return false;
@@ -500,6 +514,11 @@ impl<Q: LaneQueue> Runtime<Q> {
         stats.start = start;
         stats.end = end;
         stats.bytes_copied = transport.bytes_copied() - stats.bytes_copied;
+        let fabric = &self.core.fabric;
+        stats.tenants.extend(
+            (self.core.rows.drain(..).enumerate())
+                .filter_map(|(slot, row)| Some((fabric.tenant_at(slot), row?))),
+        );
         if let Some(slo) = &self.core.cfg.slo {
             slo.tick(end);
         }
@@ -682,34 +701,36 @@ impl<T: Transport + ?Sized> LaneQueue for Central<'_, T> {
     }
 }
 
-/// The per-lane-rings discipline: the submission ring *is* the queue.
-/// The fabric's gate and SLO machinery are used; its queues are not.
+/// The per-lane-rings discipline: the submission ring *is* the queue,
+/// and — since a completion hands its request back — the ledger of
+/// what is in flight too. The fabric's gate and SLO machinery are used;
+/// its queues are not.
 pub struct Rings<'a, T: Transport> {
     ring: &'a mut RingTransport<T>,
-    /// Outstanding submissions: corr → (request, attempts so far).
-    inflight: HashMap<u64, (Request, u32)>,
     /// Latest submit stamp per lane — a doorbell never rings before the
     /// frames it would drain were submitted.
     last_submit: Vec<Cycles>,
-    /// Submission slots currently held, per (lane, tenant).
-    held: BTreeMap<(usize, TenantId), usize>,
+    /// `(corr, attempts so far)` of the in-flight requests that are
+    /// resubmissions; a request on its first attempt is not listed.
+    retried: Vec<(u64, u32)>,
+    /// Submission slots currently held, `[lane][tenant slot]`.
+    held: Vec<Vec<usize>>,
 }
 
 impl<T: Transport> Rings<'_, T> {
-    /// Whether a submit by `id` on `lane` would exceed its batch share:
-    /// its weight's share of the ring (among the tenants seen so far),
-    /// at least one slot. Only binds once the lane is batching
-    /// (occupancy at the budget) — an uncontended ring is
-    /// work-conserving and any tenant may fill it, and with a single
+    /// Whether a submit by the tenant in `slot` on `lane` would exceed
+    /// its batch share: its weight's share of the ring (among the
+    /// tenants seen so far), at least one slot. Only binds once the
+    /// lane is batching (occupancy at the budget) — an uncontended ring
+    /// is work-conserving and any tenant may fill it, and with a single
     /// tenant the share is the whole ring.
-    fn over_share(&self, core: &Core, lane: usize, id: TenantId) -> bool {
+    fn over_share(&self, core: &Core, lane: usize, slot: usize) -> bool {
         let cfg = self.ring.config();
         if self.ring.sq_len(lane) < cfg.batch_budget.max(1) {
             return false;
         }
-        let weight = core.fabric.registry().weight(id);
-        let share = (cfg.capacity as u64 * weight / core.fabric.seen_weight().max(1)).max(1);
-        self.held.get(&(lane, id)).copied().unwrap_or(0) >= share as usize
+        let held = self.held[lane].get(slot).copied().unwrap_or(0);
+        held >= core.fabric.share(slot, cfg.capacity)
     }
 
     /// Submits `req` to `lane` with its wire deadline: the queue
@@ -722,11 +743,14 @@ impl<T: Transport> Rings<'_, T> {
         self.ring.submit_with_deadline(lane, req, deadline).is_ok()
     }
 
-    /// Records a submitted frame as outstanding.
-    fn track(&mut self, lane: usize, req: Request, attempts: u32, at: Cycles) {
+    /// Books a frame submitted at `at` by the tenant in `slot`.
+    fn track(&mut self, lane: usize, slot: usize, at: Cycles) {
         self.last_submit[lane] = self.last_submit[lane].max(at);
-        *self.held.entry((lane, req.tenant)).or_insert(0) += 1;
-        self.inflight.insert(req.id, (req, attempts));
+        let held = &mut self.held[lane];
+        if slot >= held.len() {
+            held.resize(slot + 1, 0);
+        }
+        held[slot] += 1;
     }
 
     /// Rings `lane`'s doorbell (no earlier than its frames' submit
@@ -742,13 +766,14 @@ impl<T: Transport> Rings<'_, T> {
         let mut resubmit: Vec<(Request, u32)> = Vec::new();
         while let Some(c) = self.ring.pop_completion(lane) {
             let now = self.ring.now(lane);
-            let Some((req, attempts)) = self.inflight.remove(&c.corr) else {
-                debug_assert!(false, "completion for unknown corr {}", c.corr);
-                continue;
-            };
-            if let Some(h) = self.held.get_mut(&(lane, req.tenant)) {
+            let req = c.req;
+            if let Some(h) = self.held[lane].get_mut(core.fabric.slot(req.tenant)) {
                 *h = h.saturating_sub(1);
             }
+            // Attempts before this one; the entry is re-listed if the
+            // request goes round again.
+            let listed = self.retried.iter().position(|&(id, _)| id == req.id);
+            let attempts = listed.map_or(0, |at| self.retried.swap_remove(at).1);
             match c.result {
                 // Expired at batch-cut time — burned no service time,
                 // exactly like the central queue's start-time check.
@@ -768,7 +793,9 @@ impl<T: Transport> Rings<'_, T> {
         for (req, attempts) in resubmit {
             let t = self.ring.now(lane);
             if self.submit(core, lane, &req) {
-                self.track(lane, req, attempts, t);
+                let slot = core.fabric.slot(req.tenant);
+                self.track(lane, slot, t);
+                self.retried.push((req.id, attempts));
             } else {
                 core.settle(Outcome::Failed, &req, t);
             }
@@ -801,7 +828,8 @@ impl<T: Transport> LaneQueue for Rings<'_, T> {
             self.drain_lane(core, l);
         }
         debug_assert!(
-            horizon < Cycles::MAX || self.inflight.is_empty(),
+            horizon < Cycles::MAX
+                || (0..self.ring.lanes()).all(|l| self.ring.submitted(l) == self.ring.acked(l)),
             "every submission reaps exactly one completion"
         );
     }
@@ -812,15 +840,16 @@ impl<T: Transport> LaneQueue for Rings<'_, T> {
             .min_by_key(|&l| (self.ring.sq_len(l), self.ring.now(l)))
             .expect("at least one lane");
         core.cfg.recorder.note_tenant(lane, req.tenant);
+        let slot = core.fabric.slot(req.tenant);
         // A tenant past its batch share is refused exactly like a full
         // ring — the slots it cannot take stay open for others.
-        let mut placed = !self.over_share(core, lane, req.tenant) && self.submit(core, lane, &req);
+        let mut placed = !self.over_share(core, lane, slot) && self.submit(core, lane, &req);
         if !placed && core.blocks(req.tenant) {
             // Pump the lane until a slot frees and the tenant is back
             // inside its share (retries are bounded, so this
             // terminates). An oversized frame still cannot be placed.
             while self.ring.sq_len(lane) >= self.ring.config().capacity
-                || self.over_share(core, lane, req.tenant)
+                || self.over_share(core, lane, slot)
             {
                 self.drain_lane(core, lane);
             }
@@ -831,7 +860,7 @@ impl<T: Transport> LaneQueue for Rings<'_, T> {
         }
         core.admitted(&req);
         let t = req.arrival;
-        self.track(lane, req, 0, t);
+        self.track(lane, slot, t);
         let depth = self.ring.sq_len(lane);
         // An *idle* lane whose ring just reached the budget is drained
         // now — one crossing, one full batch. A busy lane keeps
@@ -1262,6 +1291,60 @@ mod tests {
         assert_eq!(rep.leaked(), 0, "{rep}");
     }
 
+    /// Weights are configuration, and configuration can be anything:
+    /// sums and products of weights near `u64::MAX` must saturate or
+    /// widen, not overflow — in neither discipline may they panic or
+    /// wrap a tenant's share round to someone else's.
+    #[test]
+    fn near_max_tenant_weights_saturate_instead_of_overflowing() {
+        use crate::tenant::TenantSpec;
+
+        let spec = |weight| TenantSpec {
+            weight,
+            queue_capacity: 4,
+            ..TenantSpec::default()
+        };
+        let config = || RuntimeConfig {
+            tenants: Some(
+                TenantRegistry::new(spec(1))
+                    .with(0, spec(u64::MAX))
+                    .with(1, spec(u64::MAX / 2))
+                    .with(2, spec(1)),
+            ),
+            ..RuntimeConfig::default()
+        };
+        let zipf =
+            || RequestFactory::with_zipf_tenants(WorkloadSpec::ycsb_a(1000, 64), 64, 4, 0x5eed);
+        let check = |s: &RunStats| {
+            assert_conserved(s);
+            assert!(s.tenants_conserved());
+            assert_eq!(s.tenants.len(), 4);
+            for (id, t) in &s.tenants {
+                assert!(t.completed > 0, "tenant {id} was starved outright: {t:?}");
+            }
+        };
+
+        // Rings, 10x overloaded so every lane is batching and the
+        // share cap binds: the two weight-1 tenants still get the one
+        // slot a share rounds up to.
+        let mut r = ring(1, 1_000, 4, 2);
+        let mut rt = RingRuntime::new(&mut r, config());
+        let s = rt.run_open_loop((0..2_000).map(|i| i * 100), &mut zipf());
+        assert!(
+            s.shed_queue_full > 0,
+            "the share cap and the ring must bind"
+        );
+        check(&s);
+        for slot in 0..4 {
+            assert!((1..=4).contains(&rt.fabric().share(slot, 4)));
+        }
+
+        // The central queue, where the weights feed the DRR deficit.
+        let mut e = FixedServiceTransport::new(1, 500);
+        let mut rt = ServerRuntime::new(&mut e, config());
+        check(&rt.run_open_loop((0..2_000).map(|i| i * 600), &mut zipf()));
+    }
+
     #[test]
     fn ring_closed_loop_self_paces_with_direct_latency() {
         // 4 clients over 2 lanes x 16 slots: nothing can be refused, and
@@ -1299,5 +1382,351 @@ mod tests {
         );
         assert_eq!(light.p50(), direct.p50());
         assert_conserved(&light);
+    }
+}
+
+/// The rings discipline with its bookkeeping written the naive way — a
+/// `HashMap` of every outstanding request keyed by corr and an ordered
+/// map of slots held per `(lane, tenant)` — kept as the executable
+/// specification of [`Rings`]: the property below runs both over
+/// arbitrary arrivals, tenant contracts, ring geometries, deadlines,
+/// retry policies and injected faults and requires identical
+/// [`RunStats`], fabric action logs and fault ledgers.
+#[cfg(test)]
+mod model {
+    use std::collections::{BTreeMap, HashMap};
+
+    use proptest::prelude::*;
+    use sb_faultplane::FaultMix;
+    use sb_sentinel::SloSpec;
+    use sb_transport::{Faulty, FixedServiceTransport, RingConfig};
+    use sb_ycsb::WorkloadSpec;
+
+    use super::*;
+    use crate::tenant::{RateLimit, TenantSpec};
+
+    struct ModelRings<'a, T: Transport> {
+        ring: &'a mut RingTransport<T>,
+        inflight: HashMap<u64, (Request, u32)>,
+        last_submit: Vec<Cycles>,
+        held: BTreeMap<(usize, TenantId), usize>,
+    }
+
+    impl<T: Transport> ModelRings<'_, T> {
+        fn over_share(&self, core: &Core, lane: usize, id: TenantId) -> bool {
+            let cfg = self.ring.config();
+            if self.ring.sq_len(lane) < cfg.batch_budget.max(1) {
+                return false;
+            }
+            let registry = core
+                .cfg
+                .tenants
+                .as_ref()
+                .expect("the property configures one");
+            let weight = registry.weight(id) as u128;
+            let seen = core.fabric.seen_weight().max(1) as u128;
+            let share = (cfg.capacity as u128 * weight / seen).max(1);
+            self.held.get(&(lane, id)).copied().unwrap_or(0) as u128 >= share
+        }
+
+        fn submit(&mut self, core: &Core, lane: usize, req: &Request) -> bool {
+            let deadline = core
+                .queue_deadline(req.arrival)
+                .map_or(0, |d| req.arrival.saturating_add(d).max(1));
+            self.ring.submit_with_deadline(lane, req, deadline).is_ok()
+        }
+
+        fn track(&mut self, lane: usize, req: Request, attempts: u32, at: Cycles) {
+            self.last_submit[lane] = self.last_submit[lane].max(at);
+            *self.held.entry((lane, req.tenant)).or_insert(0) += 1;
+            self.inflight.insert(req.id, (req, attempts));
+        }
+
+        fn drain_lane(&mut self, core: &mut Core, lane: usize) {
+            self.ring.wait_until(lane, self.last_submit[lane]);
+            let before = self.ring.now(lane);
+            self.ring.doorbell(lane);
+            core.stats.busy[lane] += self.ring.now(lane) - before;
+
+            let mut resubmit: Vec<(Request, u32)> = Vec::new();
+            while let Some(c) = self.ring.pop_completion(lane) {
+                let now = self.ring.now(lane);
+                let (req, attempts) = self
+                    .inflight
+                    .remove(&c.corr)
+                    .expect("completion for a tracked corr");
+                *self.held.get_mut(&(lane, req.tenant)).expect("held slot") -= 1;
+                match c.result {
+                    _ if c.expired => core.settle(Outcome::ShedDeadline { lane }, &req, now),
+                    Ok(_) => core.settle(Outcome::Completed, &req, now),
+                    Err(e) if core.retry(self.ring, lane, req.id, &e, attempts) => {
+                        resubmit.push((req, attempts + 1));
+                    }
+                    Err(e) => core.settle_error(&e, &req, now),
+                }
+            }
+            for (req, attempts) in resubmit {
+                let t = self.ring.now(lane);
+                assert!(
+                    self.submit(core, lane, &req),
+                    "a freed slot takes the retry"
+                );
+                self.track(lane, req, attempts, t);
+            }
+        }
+    }
+
+    impl<T: Transport> LaneQueue for ModelRings<'_, T> {
+        type Transport = RingTransport<T>;
+
+        fn transport(&mut self) -> &mut RingTransport<T> {
+            self.ring
+        }
+
+        fn pump(&mut self, core: &mut Core, horizon: Cycles) {
+            loop {
+                let mut best: Option<(Cycles, usize)> = None;
+                for l in 0..self.ring.lanes() {
+                    if self.ring.sq_len(l) == 0 {
+                        continue;
+                    }
+                    let at = self.ring.now(l).max(self.last_submit[l]);
+                    if at <= horizon && best.is_none_or(|(bt, _)| at < bt) {
+                        best = Some((at, l));
+                    }
+                }
+                let Some((_, l)) = best else { break };
+                self.drain_lane(core, l);
+            }
+            assert!(horizon < Cycles::MAX || self.inflight.is_empty());
+        }
+
+        fn offer(&mut self, core: &mut Core, req: Request) -> Offer {
+            let lane = (0..self.ring.lanes())
+                .min_by_key(|&l| (self.ring.sq_len(l), self.ring.now(l)))
+                .expect("at least one lane");
+            core.cfg.recorder.note_tenant(lane, req.tenant);
+            let mut placed =
+                !self.over_share(core, lane, req.tenant) && self.submit(core, lane, &req);
+            if !placed && core.blocks(req.tenant) {
+                while self.ring.sq_len(lane) >= self.ring.config().capacity
+                    || self.over_share(core, lane, req.tenant)
+                {
+                    self.drain_lane(core, lane);
+                }
+                placed = self.submit(core, lane, &req);
+            }
+            if !placed {
+                return Offer::Refused(req);
+            }
+            core.admitted(&req);
+            let t = req.arrival;
+            self.track(lane, req, 0, t);
+            let depth = self.ring.sq_len(lane);
+            if depth >= self.ring.config().batch_budget.max(1)
+                && self.ring.now(lane).max(self.last_submit[lane]) <= t
+            {
+                self.drain_lane(core, lane);
+            }
+            Offer::Queued(depth)
+        }
+    }
+
+    /// The tenant ids a schedule draws from: dense small ids plus the
+    /// two ends of the id space.
+    const IDS: [TenantId; 6] = [0, 1, 2, 3, 300, TenantId::MAX];
+
+    #[derive(Debug, Clone)]
+    struct Case {
+        lanes: usize,
+        ring: RingConfig,
+        gaps: Vec<Cycles>,
+        schedule: Vec<TenantId>,
+        /// Per entry of `IDS`: weight, blocking, rate-limited.
+        contracts: Vec<(u64, bool, bool)>,
+        queue_deadline: Option<Cycles>,
+        retry: Option<RetryPolicy>,
+        /// Per-10k rates of handler panics, hangs and deadline storms.
+        faults: (u32, u32, u32),
+        fault_seed: u64,
+        closed_loop: bool,
+    }
+
+    fn case() -> impl Strategy<Value = Case> {
+        let geometry = (
+            1usize..4,
+            prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(16usize)],
+            prop_oneof![Just(1usize), Just(2usize), Just(8usize)],
+        );
+        let load = (
+            proptest::collection::vec(0u64..260, 1..220),
+            proptest::collection::vec(0usize..IDS.len(), 220..221),
+            proptest::collection::vec((1u64..6, any::<bool>(), any::<bool>()), 6..7),
+        );
+        let policy = (
+            prop_oneof![Just(None), Just(Some(0u64)), Just(Some(400u64))],
+            prop_oneof![
+                Just(None),
+                (0u32..4, 1u64..500).prop_map(|(max_retries, backoff_base)| Some(RetryPolicy {
+                    max_retries,
+                    backoff_base
+                }))
+            ],
+            (
+                prop_oneof![Just(0u32), Just(400u32), Just(3_000u32)],
+                prop_oneof![Just(0u32), Just(300u32)],
+                prop_oneof![Just(0u32), Just(500u32)],
+            ),
+            any::<u64>(),
+            any::<bool>(),
+        );
+        (geometry, load, policy).prop_map(
+            |(
+                (lanes, capacity, batch_budget),
+                (gaps, schedule, contracts),
+                (queue_deadline, retry, faults, fault_seed, closed_loop),
+            )| Case {
+                lanes,
+                ring: RingConfig {
+                    capacity,
+                    batch_budget,
+                    slot_bytes: 4096,
+                },
+                gaps,
+                schedule: schedule.into_iter().map(|i| IDS[i]).collect(),
+                contracts,
+                queue_deadline,
+                retry,
+                faults,
+                fault_seed,
+                closed_loop,
+            },
+        )
+    }
+
+    fn registry(contracts: &[(u64, bool, bool)]) -> TenantRegistry {
+        let slo = SloSpec {
+            latency_objective: 600,
+            error_budget: 0.05,
+            fast_window: 2_000,
+            slow_window: 20_000,
+            fast_burn: 4.0,
+            slow_burn: 2.0,
+        };
+        let mut reg = TenantRegistry::default();
+        for (&id, &(weight, block, limited)) in IDS.iter().zip(contracts) {
+            reg = reg.with(
+                id,
+                TenantSpec {
+                    weight,
+                    queue_capacity: 8,
+                    policy: if block {
+                        AdmissionPolicy::Block
+                    } else {
+                        AdmissionPolicy::Shed
+                    },
+                    rate: limited.then_some(RateLimit {
+                        per_mcycle: 2_000.0,
+                        burst: 3.0,
+                    }),
+                    slo: Some(slo),
+                },
+            );
+        }
+        reg
+    }
+
+    /// Everything a run leaves behind, rendered for comparison: every
+    /// `RunStats` field and tenant row, the fabric's action log, the
+    /// fault ledger and the ring's own submit/ack ledger.
+    fn run(case: &Case, model: bool) -> String {
+        let (panics, hangs, storms) = case.faults;
+        let faults = FaultHandle::new(
+            case.fault_seed,
+            FaultMix::none()
+                .with(FaultPoint::HandlerPanic, panics)
+                .with(FaultPoint::HandlerHang, hangs)
+                .with(FaultPoint::DeadlineStorm, storms),
+        );
+        let inner = Faulty::new(
+            FixedServiceTransport::new(case.lanes, 100),
+            faults.clone(),
+            700,
+        );
+        let mut ring = RingTransport::new(inner, case.ring);
+        let cfg = RuntimeConfig {
+            queue_deadline: case.queue_deadline,
+            retry: case.retry.clone(),
+            faults: Some(faults.clone()),
+            tenants: Some(registry(&case.contracts)),
+            ..RuntimeConfig::default()
+        };
+        let mut factory = RequestFactory::with_tenant_schedule(
+            WorkloadSpec::ycsb_a(1_000, 64),
+            48,
+            case.schedule.clone(),
+        );
+        let arrivals = case.gaps.iter().scan(0, |t, g| {
+            *t += g;
+            Some(*t)
+        });
+        fn drive<Q: LaneQueue>(
+            mut rt: Runtime<Q>,
+            case: &Case,
+            arrivals: impl Iterator<Item = Cycles>,
+            factory: &mut RequestFactory,
+        ) -> String {
+            let stats = if case.closed_loop {
+                let clients = 1 + case.gaps.len() % 5;
+                rt.run_closed_loop(
+                    clients,
+                    1 + case.gaps.len() as u64 / 8,
+                    case.gaps[0],
+                    factory,
+                )
+            } else {
+                rt.run_open_loop(arrivals, factory)
+            };
+            assert!(stats.tenants_conserved(), "{stats:?}");
+            assert_eq!(
+                stats.offered,
+                stats.completed + stats.shed() + stats.timed_out + stats.failed
+            );
+            format!("{stats:?}\n{:?}", rt.fabric().actions())
+        }
+        let out = if model {
+            let lanes = ModelRings {
+                last_submit: vec![0; ring.lanes()],
+                ring: &mut ring,
+                inflight: HashMap::new(),
+                held: BTreeMap::new(),
+            };
+            drive(
+                Runtime::build(lanes, cfg, usize::MAX),
+                case,
+                arrivals,
+                &mut factory,
+            )
+        } else {
+            drive(
+                RingRuntime::new(&mut ring, cfg),
+                case,
+                arrivals,
+                &mut factory,
+            )
+        };
+        let ledger: Vec<(u64, u64)> = (0..case.lanes)
+            .map(|l| (ring.submitted(l), ring.acked(l)))
+            .collect();
+        format!("{out}\n{:?}\n{ledger:?}", faults.report())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn rings_match_the_naive_bookkeeping(case in case()) {
+            prop_assert_eq!(run(&case, false), run(&case, true));
+        }
     }
 }

@@ -23,9 +23,10 @@
 //!   while inside its rate contract is a victim and gets its weight
 //!   widened. Every action is logged for incident reports.
 //!
-//! Determinism: tenant state lives in a `BTreeMap`, the active list is
-//! activation-ordered, and the token bucket is pure cycle arithmetic —
-//! identical runs replay identically, which the chaos suite requires.
+//! Determinism: tenant state lives in a dense table in order of first
+//! arrival, the active list is activation-ordered, and the token bucket
+//! is pure cycle arithmetic — identical runs replay identically, which
+//! the chaos suite requires.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -216,9 +217,36 @@ impl TenantAction {
     }
 }
 
+/// Tenant id → dense slot number, for the ids seen so far: a two-level
+/// table, `pages[id / 256][id % 256]` holding the slot number plus one
+/// (zero, or an absent page: not seen). Pages exist only where an id
+/// was seen, so memory follows the tenants that arrived — one 1 KiB
+/// page per 256-id neighbourhood touched, under a directory of at most
+/// 256 pointers — never the largest id: one request from tenant 65 535
+/// costs a page, not 65 536 lanes.
+#[derive(Debug, Default)]
+struct SlotIndex(Vec<Option<Box<[u32; 256]>>>);
+
+impl SlotIndex {
+    #[inline]
+    fn get(&self, id: TenantId) -> Option<usize> {
+        let page = self.0.get(id as usize / 256)?.as_ref()?;
+        (page[id as usize % 256] as usize).checked_sub(1)
+    }
+
+    fn insert(&mut self, id: TenantId, slot: usize) {
+        let page = id as usize / 256;
+        if self.0.len() <= page {
+            self.0.resize_with(page + 1, || None);
+        }
+        self.0[page].get_or_insert_with(|| Box::new([0; 256]))[id as usize % 256] = slot as u32 + 1;
+    }
+}
+
 /// One tenant's live scheduling state.
 #[derive(Debug)]
 struct TenantLane {
+    id: TenantId,
     spec: TenantSpec,
     queue: VecDeque<Request>,
     /// DRR deficit in request-service credits.
@@ -242,10 +270,11 @@ struct TenantLane {
 }
 
 impl TenantLane {
-    fn new(spec: TenantSpec) -> Self {
+    fn new(id: TenantId, spec: TenantSpec) -> Self {
         let bucket = spec.rate.map(TokenBucket::new);
         let slo = spec.slo.map(SloHandle::new);
         TenantLane {
+            id,
             spec,
             queue: VecDeque::new(),
             deficit: 0,
@@ -271,12 +300,17 @@ impl TenantLane {
 #[derive(Debug)]
 pub struct TenantFabric {
     registry: TenantRegistry,
-    lanes: BTreeMap<TenantId, TenantLane>,
-    /// Tenants with queued work, in activation order; the DRR scan
-    /// rotates this.
-    active: VecDeque<TenantId>,
+    /// One lane per tenant seen, in order of first arrival; a tenant's
+    /// position is its *slot*, which [`SlotIndex`] finds from its id.
+    lanes: Vec<TenantLane>,
+    index: SlotIndex,
+    /// Slots of the tenants with queued work, in activation order; the
+    /// DRR scan rotates this.
+    active: VecDeque<usize>,
     queued: usize,
-    /// Sum of the registry weights of every tenant seen so far.
+    /// Sum of the registry weights of every tenant seen so far,
+    /// saturating: past `u64::MAX` every share is already below one
+    /// slot and is rounded up to it.
     seen_weight: u64,
     actions: Vec<TenantAction>,
 }
@@ -290,7 +324,8 @@ impl TenantFabric {
     pub fn new(registry: TenantRegistry) -> Self {
         TenantFabric {
             registry,
-            lanes: BTreeMap::new(),
+            lanes: Vec::new(),
+            index: SlotIndex::default(),
             active: VecDeque::new(),
             queued: 0,
             seen_weight: 0,
@@ -298,19 +333,49 @@ impl TenantFabric {
         }
     }
 
-    fn lane_mut(&mut self, id: TenantId) -> &mut TenantLane {
-        let registry = &self.registry;
-        let seen_weight = &mut self.seen_weight;
-        self.lanes.entry(id).or_insert_with(|| {
-            *seen_weight += registry.weight(id);
-            TenantLane::new(registry.spec(id).clone())
+    /// `id`'s slot: its position among the tenants seen so far, in
+    /// order of first arrival. A first sight creates the tenant's lane.
+    #[inline]
+    pub(crate) fn slot(&mut self, id: TenantId) -> usize {
+        self.index.get(id).unwrap_or_else(|| {
+            let slot = self.lanes.len();
+            self.index.insert(id, slot);
+            self.seen_weight = self.seen_weight.saturating_add(self.registry.weight(id));
+            let spec = self.registry.spec(id).clone();
+            self.lanes.push(TenantLane::new(id, spec));
+            slot
         })
     }
 
-    /// The summed registry weight of every tenant that has arrived so
-    /// far — the denominator of a tenant's share of a ring.
+    fn lane(&self, id: TenantId) -> Option<&TenantLane> {
+        self.index.get(id).map(|slot| &self.lanes[slot])
+    }
+
+    fn lane_mut(&mut self, id: TenantId) -> &mut TenantLane {
+        let slot = self.slot(id);
+        &mut self.lanes[slot]
+    }
+
+    /// The summed registry weight of every tenant seen so far — what
+    /// the rings reference model divides by.
+    #[cfg(test)]
     pub(crate) fn seen_weight(&self) -> u64 {
         self.seen_weight
+    }
+
+    /// The id of the tenant in `slot`.
+    pub(crate) fn tenant_at(&self, slot: usize) -> TenantId {
+        self.lanes[slot].id
+    }
+
+    /// The share of `of` ring slots the tenant in `slot` may hold: its
+    /// registry weight over the summed weight of every tenant that has
+    /// arrived so far, at least one slot. Widened, because a configured
+    /// weight times a ring capacity need not fit 64 bits.
+    pub(crate) fn share(&self, slot: usize, of: usize) -> usize {
+        let weight = self.lanes[slot].spec.weight.max(1) as u128;
+        let share = of as u128 * weight / self.seen_weight.max(1) as u128;
+        (share as usize).max(1)
     }
 
     /// Total requests queued across all tenants.
@@ -325,18 +390,12 @@ impl TenantFabric {
 
     /// The queue bound for `id`'s lane.
     pub fn capacity(&self, id: TenantId) -> usize {
-        self.lanes
-            .get(&id)
-            .map(|l| l.spec.queue_capacity)
-            .unwrap_or_else(|| self.registry.spec(id).queue_capacity)
+        self.registry.spec(id).queue_capacity
     }
 
     /// The admission policy for `id`'s arrivals at a full lane.
     pub fn policy(&self, id: TenantId) -> AdmissionPolicy {
-        self.lanes
-            .get(&id)
-            .map(|l| l.spec.policy)
-            .unwrap_or_else(|| self.registry.spec(id).policy)
+        self.registry.spec(id).policy
     }
 
     /// Whether `id`'s lane is at its bound.
@@ -347,7 +406,7 @@ impl TenantFabric {
 
     /// Requests queued for one tenant.
     pub fn tenant_depth(&self, id: TenantId) -> usize {
-        self.lanes.get(&id).map_or(0, |l| l.queue.len())
+        self.lane(id).map_or(0, |l| l.queue.len())
     }
 
     /// The rate/quarantine admission gate for an arrival of `id` at
@@ -374,8 +433,8 @@ impl TenantFabric {
     /// [`TenantFabric::is_full`] first; pushing past the bound is a
     /// dispatcher bug, exactly as with the old global queue.
     pub fn push(&mut self, req: Request) {
-        let id = req.tenant;
-        let lane = self.lane_mut(id);
+        let slot = self.slot(req.tenant);
+        let lane = &mut self.lanes[slot];
         assert!(
             lane.queue.len() < lane.spec.queue_capacity,
             "admission past the queue bound"
@@ -383,7 +442,7 @@ impl TenantFabric {
         lane.queue.push_back(req);
         if !lane.in_active {
             lane.in_active = true;
-            self.active.push_back(id);
+            self.active.push_back(slot);
         }
         self.queued += 1;
     }
@@ -397,8 +456,8 @@ impl TenantFabric {
             return None;
         }
         loop {
-            let &id = self.active.front().expect("queued > 0 implies active");
-            let lane = self.lanes.get_mut(&id).expect("active lanes exist");
+            let &slot = self.active.front().expect("queued > 0 implies active");
+            let lane = &mut self.lanes[slot];
             if !lane.charged {
                 lane.deficit = lane
                     .deficit
@@ -437,21 +496,21 @@ impl TenantFabric {
     /// Records a completion for per-tenant SLO tracking and runs the
     /// action rule on a fresh breach.
     pub fn complete(&mut self, id: TenantId, t: Cycles, latency: Cycles) {
-        let lane = self.lane_mut(id);
-        if let Some(slo) = &lane.slo {
+        let slot = self.slot(id);
+        if let Some(slo) = &self.lanes[slot].slo {
             slo.complete(t, latency);
+            self.act_on_breach(slot, t);
         }
-        self.act_on_breach(id, t);
     }
 
     /// Records a failed/shed/timed-out outcome for per-tenant SLO
     /// tracking and runs the action rule on a fresh breach.
     pub fn error(&mut self, id: TenantId, t: Cycles) {
-        let lane = self.lane_mut(id);
-        if let Some(slo) = &lane.slo {
+        let slot = self.slot(id);
+        if let Some(slo) = &self.lanes[slot].slo {
             slo.error(t);
+            self.act_on_breach(slot, t);
         }
-        self.act_on_breach(id, t);
     }
 
     /// The SLO-burn action rule, evaluated on the *edge* of a breach
@@ -460,8 +519,9 @@ impl TenantFabric {
     /// quarantine its new arrivals; a tenant breaching while inside its
     /// rate contract is a victim — widen its weight so the scheduler
     /// favors draining its backlog.
-    fn act_on_breach(&mut self, id: TenantId, t: Cycles) {
-        let lane = self.lanes.get_mut(&id).expect("lane exists");
+    fn act_on_breach(&mut self, slot: usize, t: Cycles) {
+        let lane = &mut self.lanes[slot];
+        let id = lane.id;
         let Some(slo) = &lane.slo else { return };
         let health = slo.health();
         if !health.in_breach || lane.offered_since < MIN_ACTION_EVIDENCE {
@@ -503,7 +563,7 @@ impl TenantFabric {
     /// [`sb_sentinel::SloTracker::tick`]) — called at end of run so idle
     /// tenants' burn rates decay instead of staying stale.
     pub fn tick(&mut self, t: Cycles) {
-        for lane in self.lanes.values_mut() {
+        for lane in &self.lanes {
             if let Some(slo) = &lane.slo {
                 slo.tick(t);
             }
@@ -512,8 +572,7 @@ impl TenantFabric {
 
     /// The SLO health of `id`'s tracker, if it has an objective.
     pub fn slo_health(&self, id: TenantId) -> Option<SloHealth> {
-        self.lanes
-            .get(&id)
+        self.lane(id)
             .and_then(|l| l.slo.as_ref())
             .map(|s| s.health())
     }
@@ -521,7 +580,7 @@ impl TenantFabric {
     /// A clone of `id`'s SLO handle, if it has an objective (for
     /// postmortem bundles scoped to the offending tenant).
     pub fn slo_handle(&self, id: TenantId) -> Option<SloHandle> {
-        self.lanes.get(&id).and_then(|l| l.slo.clone())
+        self.lane(id).and_then(|l| l.slo.clone())
     }
 
     /// Every SLO-burn action taken so far, in order.
@@ -531,22 +590,14 @@ impl TenantFabric {
 
     /// Whether `id` is quarantined at `now`.
     pub fn quarantined(&self, id: TenantId, now: Cycles) -> bool {
-        self.lanes
-            .get(&id)
-            .is_some_and(|l| now < l.quarantined_until)
+        self.lane(id).is_some_and(|l| now < l.quarantined_until)
     }
 
     /// `id`'s current effective weight (spec weight times any boost).
     pub fn effective_weight(&self, id: TenantId) -> u64 {
-        self.lanes
-            .get(&id)
+        self.lane(id)
             .map(|l| l.effective_weight())
             .unwrap_or_else(|| self.registry.weight(id))
-    }
-
-    /// The registry the fabric was built over.
-    pub fn registry(&self) -> &TenantRegistry {
-        &self.registry
     }
 }
 

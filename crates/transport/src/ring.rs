@@ -22,7 +22,7 @@
 //! - **Exactly one completion per submission.** A consumed entry posts
 //!   exactly one completion; an entry the serving transport did not
 //!   consume (batch aborted by a server death or a forced timeout
-//!   return) goes *back to the ring front* in order and is drained by a
+//!   return) *stays at the ring front* in order and is drained by a
 //!   later doorbell. Nothing is lost, nothing is duplicated — across
 //!   wrap-around, capacity-1 rings, and arbitrary batch budgets.
 //! - **Deadlines are completions, not drops.** A frame whose wire
@@ -34,11 +34,13 @@
 //!   back-pressures the doorbell (entries simply stay submitted) rather
 //!   than overwriting unacknowledged completions.
 
+use std::collections::VecDeque;
+
 use sb_observe::{Recorder, SpanKind};
 use sb_sim::Cycles;
 
 use crate::transport::{CallError, Transport};
-use crate::wire::{CopyMeter, Request, WireHeader, WIRE_HEADER_LEN};
+use crate::wire::{CopyMeter, Lane, Request, WireHeader};
 
 /// Ring geometry and drain policy.
 #[derive(Debug, Clone, Copy)]
@@ -100,24 +102,42 @@ pub struct RingCompletion {
     /// The call outcome: reply length, or the error the crossing (or
     /// the deadline) produced.
     pub result: Result<usize, CallError>,
+    /// The request as submitted, handed back with its completion — the
+    /// submitter needs no table of its own to learn what `corr` was.
+    pub req: Request,
 }
 
-/// A queued submission: the staged wire frame plus the request the
-/// serving transport re-materialises it from.
+/// One ring slot. While queued its buffer holds the staged wire frame;
+/// the completion writes the reply over the frame's payload, as a
+/// server answers in place in the shared buffer. Slots (and so their
+/// buffers) are recycled: acknowledged → spare → next submission.
 #[derive(Debug)]
-struct SqEntry {
-    frame: Vec<u8>,
+struct Slot {
+    /// The staged frame, then the posted reply. Sized to what it
+    /// carries, never to `slot_bytes`.
+    buf: Lane,
+    /// The request the serving transport re-materialises the frame from.
     req: Request,
-    submitted: Cycles,
     deadline: Cycles,
-}
-
-#[derive(Debug)]
-struct CqEntry {
-    corr: u64,
     expired: bool,
     result: Result<usize, CallError>,
-    reply: Vec<u8>,
+}
+
+/// One lane's rings, oldest entry first: `slots[..completed]` is the
+/// completion ring, `slots[completed..]` the submission ring. Posting
+/// a completion moves the boundary, not the entry.
+#[derive(Debug, Default)]
+struct LaneRings {
+    slots: VecDeque<Slot>,
+    completed: usize,
+    /// The last acknowledged slot; its buffer is the `Transport::reply`
+    /// view.
+    acked: Option<Slot>,
+    /// Total frames ever submitted / completions posted / completions
+    /// acknowledged — the power-loss drill's ledger.
+    submitted_total: u64,
+    posted_total: u64,
+    acked_total: u64,
 }
 
 /// The doorbell adapter: per-lane submission/completion rings over any
@@ -126,15 +146,12 @@ struct CqEntry {
 pub struct RingTransport<T: Transport> {
     inner: T,
     cfg: RingConfig,
-    sq: Vec<std::collections::VecDeque<SqEntry>>,
-    cq: Vec<std::collections::VecDeque<CqEntry>>,
-    /// Last acknowledged reply per lane (the `Transport::reply` view).
-    last: Vec<Vec<u8>>,
-    /// Total frames ever submitted / completions posted / completions
-    /// acknowledged per lane — the power-loss drill's ledger.
-    submitted_total: Vec<u64>,
-    posted_total: Vec<u64>,
-    acked_total: Vec<u64>,
+    lanes: Vec<LaneRings>,
+    /// Slots not in any ring, waiting for the next submission.
+    spare: Vec<Slot>,
+    /// The live requests of the batch being drained (reused storage for
+    /// the contiguous slice [`Transport::call_batch`] takes).
+    batch: Vec<Request>,
     meter: CopyMeter,
     recorder: Recorder,
     label: String,
@@ -150,12 +167,9 @@ impl<T: Transport> RingTransport<T> {
         RingTransport {
             inner,
             cfg,
-            sq: (0..lanes).map(|_| Default::default()).collect(),
-            cq: (0..lanes).map(|_| Default::default()).collect(),
-            last: vec![Vec::new(); lanes],
-            submitted_total: vec![0; lanes],
-            posted_total: vec![0; lanes],
-            acked_total: vec![0; lanes],
+            lanes: (0..lanes).map(|_| LaneRings::default()).collect(),
+            spare: Vec::new(),
+            batch: Vec::new(),
             meter: CopyMeter::new(),
             recorder: Recorder::off(),
             label,
@@ -209,28 +223,22 @@ impl<T: Transport> RingTransport<T> {
                 cap: self.cfg.slot_bytes,
             });
         }
-        if self.sq[lane].len() >= self.cfg.capacity {
+        if self.sq_len(lane) >= self.cfg.capacity {
             return Err(RingError::Full);
         }
-        let mut frame = vec![0u8; req.wire_len()];
-        WireHeader {
-            opcode: req.write as u8,
-            corr: req.id,
-            deadline,
-            len: req.payload_len() as u32,
-            tenant: req.tenant,
-        }
-        .write_to(&mut frame[..WIRE_HEADER_LEN]);
-        frame[WIRE_HEADER_LEN..WIRE_HEADER_LEN + 8].copy_from_slice(&req.key.to_le_bytes());
-        frame[WIRE_HEADER_LEN + crate::wire::OP_TAG_OFFSET] = req.write as u8;
-        self.meter.add(frame.len());
-        self.sq[lane].push_back(SqEntry {
-            frame,
+        let mut slot = self.spare.pop().unwrap_or_else(|| Slot {
+            buf: Lane::new(),
             req: req.clone(),
-            submitted: req.arrival,
             deadline,
+            expired: false,
+            result: Ok(0),
         });
-        self.submitted_total[lane] += 1;
+        slot.req = req.clone();
+        slot.deadline = deadline;
+        slot.buf.encode(req, deadline, &self.meter);
+        let rings = &mut self.lanes[lane];
+        rings.slots.push_back(slot);
+        rings.submitted_total += 1;
         Ok(())
     }
 
@@ -239,164 +247,160 @@ impl<T: Transport> RingTransport<T> {
     /// completes expired entries as [`CallError::Timeout`] without
     /// service, drains the live ones through one
     /// [`Transport::call_batch`], and posts completions. Entries the
-    /// serving transport did not consume return to the ring front.
+    /// serving transport did not consume stay at the ring front.
     /// Returns the number of completions posted.
     pub fn doorbell(&mut self, lane: usize) -> usize {
         let now = self.inner.now(lane);
-        let mut cq_space = self.cfg.capacity.saturating_sub(self.cq[lane].len());
+        let rings = &mut self.lanes[lane];
         // Cut the batch: up to the budget, one completion slot reserved
-        // per entry, expiry judged once at cut time.
-        let mut cut: Vec<SqEntry> = Vec::new();
-        while cut.len() < self.cfg.batch_budget && cq_space > 0 && !self.sq[lane].is_empty() {
-            cut.push(self.sq[lane].pop_front().expect("checked nonempty"));
-            cq_space -= 1;
-        }
-        if cut.is_empty() {
+        // per entry, expiry judged once at cut time. Only live entries
+        // cross the boundary; expired ones must not burn service time.
+        let cq_space = self.cfg.capacity.saturating_sub(rings.completed);
+        let cut = (rings.slots.len() - rings.completed)
+            .min(self.cfg.batch_budget)
+            .min(cq_space);
+        if cut == 0 {
             return 0;
         }
-        let expired: Vec<bool> = cut
-            .iter()
-            .map(|e| e.deadline != 0 && now > e.deadline)
-            .collect();
-        // Only live entries cross the boundary; expired ones must not
-        // burn service time.
-        let reqs: Vec<Request> = cut
-            .iter()
-            .zip(&expired)
-            .filter(|&(_, &x)| !x)
-            .map(|(e, _)| e.req.clone())
-            .collect();
-        let mut live_done: Vec<CqEntry> = Vec::new();
-        let consumed = if reqs.is_empty() {
+        let cut = rings.completed..rings.completed + cut;
+        self.batch.clear();
+        for slot in rings.slots.range_mut(cut.clone()) {
+            slot.expired = slot.deadline != 0 && now > slot.deadline;
+            if !slot.expired {
+                self.batch.push(slot.req.clone());
+            }
+        }
+        let consumed = if self.batch.is_empty() {
             0
         } else {
             self.recorder.begin(lane, SpanKind::Doorbell, now, 0);
-            let consumed = {
-                let inner = &mut self.inner;
-                let meter = &self.meter;
-                let mut post = |i: usize, result: Result<usize, CallError>, reply: &[u8]| {
-                    meter.add(reply.len());
-                    live_done.push(CqEntry {
-                        corr: reqs[i].id,
-                        expired: false,
-                        result,
-                        reply: reply.to_vec(),
-                    });
-                };
-                inner.call_batch(lane, &reqs, &mut post)
+            // Completions arrive in batch order, so the live slot each
+            // belongs to is found by walking the cut alongside them.
+            let meter = &self.meter;
+            let mut live = rings.slots.range_mut(cut.clone()).filter(|s| !s.expired);
+            let mut done = 0usize;
+            let mut post = |i: usize, result: Result<usize, CallError>, reply: &[u8]| {
+                debug_assert_eq!(i, done, "batch completions arrive in order");
+                let slot = live.next().expect("surplus batch completions");
+                meter.add(reply.len());
+                slot.buf.set_reply(reply);
+                slot.result = result;
+                done += 1;
             };
+            let consumed = self.inner.call_batch(lane, &self.batch, &mut post);
             let end = self.inner.now(lane).max(now);
             self.recorder.end(lane, SpanKind::Doorbell, end, 0);
-            consumed.min(reqs.len())
+            let consumed = consumed.min(self.batch.len());
+            assert_eq!(
+                done, consumed,
+                "call_batch posts one completion per consumed entry"
+            );
+            consumed
         };
         // Post completions in submission order. The completed prefix
         // runs up to the first live entry the server did not consume;
-        // everything after it — expired or not — returns to the ring
-        // front intact, so completions never overtake each other.
-        let mut live_idx = 0usize;
-        let mut restore_from = cut.len();
-        for (i, is_expired) in expired.iter().enumerate() {
-            if *is_expired {
-                continue;
-            }
-            if live_idx < consumed {
-                live_idx += 1;
+        // everything after it — expired or not — stays in the
+        // submission ring, so completions never overtake each other.
+        let mut live_left = consumed;
+        let mut posted = 0usize;
+        for slot in rings.slots.range_mut(cut) {
+            if slot.expired {
+                slot.buf.set_reply(&[]);
+                slot.result = Err(CallError::Timeout {
+                    elapsed: now - slot.deadline,
+                });
+            } else if live_left > 0 {
+                live_left -= 1;
             } else {
-                restore_from = i;
                 break;
             }
-        }
-        let tail = cut.split_off(restore_from);
-        let mut posted = 0usize;
-        let mut live_iter = live_done.into_iter();
-        for (e, is_expired) in cut.into_iter().zip(expired) {
-            if e.submitted < now {
+            if slot.req.arrival < now {
                 self.recorder
-                    .span(lane, SpanKind::RingWait, e.submitted, now, e.req.id);
+                    .span(lane, SpanKind::RingWait, slot.req.arrival, now, slot.req.id);
             }
-            let entry = if is_expired {
-                CqEntry {
-                    corr: e.req.id,
-                    expired: true,
-                    result: Err(CallError::Timeout {
-                        elapsed: now - e.deadline,
-                    }),
-                    reply: Vec::new(),
-                }
-            } else {
-                live_iter
-                    .next()
-                    .expect("call_batch posts one completion per consumed entry")
-            };
-            self.cq[lane].push_back(entry);
-            self.posted_total[lane] += 1;
             posted += 1;
         }
-        debug_assert!(live_iter.next().is_none(), "surplus batch completions");
-        for e in tail.into_iter().rev() {
-            self.sq[lane].push_front(e);
-        }
+        rings.completed += posted;
+        rings.posted_total += posted as u64;
         posted
     }
 
-    /// Acknowledges the oldest completion on `lane`, if any. The reply
-    /// bytes move into the lane's acknowledged-reply buffer (readable
-    /// via [`RingTransport::completion_reply`] / `Transport::reply`).
+    /// Acknowledges the oldest completion on `lane`, if any. Its slot
+    /// becomes the lane's acknowledged-reply view (readable via
+    /// [`RingTransport::completion_reply`] / `Transport::reply`) and the
+    /// slot acknowledged before it returns to the spares.
     pub fn pop_completion(&mut self, lane: usize) -> Option<RingCompletion> {
-        let e = self.cq[lane].pop_front()?;
-        self.last[lane].clear();
-        self.last[lane].extend_from_slice(&e.reply);
-        self.acked_total[lane] += 1;
-        Some(RingCompletion {
-            corr: e.corr,
-            expired: e.expired,
-            result: e.result,
-        })
+        let rings = &mut self.lanes[lane];
+        if rings.completed == 0 {
+            return None;
+        }
+        let mut slot = rings.slots.pop_front()?;
+        rings.completed -= 1;
+        rings.acked_total += 1;
+        let completion = RingCompletion {
+            corr: slot.req.id,
+            expired: slot.expired,
+            result: std::mem::replace(&mut slot.result, Ok(0)),
+            req: slot.req.clone(),
+        };
+        self.spare.extend(rings.acked.replace(slot));
+        Some(completion)
     }
 
     /// The last acknowledged reply on `lane` (valid until the next pop).
     pub fn completion_reply(&self, lane: usize) -> &[u8] {
-        &self.last[lane]
+        self.lanes[lane]
+            .acked
+            .as_ref()
+            .map_or(&[], |s| s.buf.reply())
     }
 
     /// Frames currently queued in `lane`'s submission ring.
     pub fn sq_len(&self, lane: usize) -> usize {
-        self.sq[lane].len()
+        let rings = &self.lanes[lane];
+        rings.slots.len() - rings.completed
     }
 
     /// Completions currently waiting to be acknowledged on `lane`.
     pub fn cq_len(&self, lane: usize) -> usize {
-        self.cq[lane].len()
+        self.lanes[lane].completed
     }
 
     /// Correlation ids of the frames still queued on `lane`, parsed out
     /// of the slots' wire headers — proof the ring really carries wire
     /// frames, and the power-loss drill's durable set.
     pub fn queued_corrs(&self, lane: usize) -> Vec<u64> {
-        self.sq[lane]
-            .iter()
-            .filter_map(|e| WireHeader::parse(&e.frame).map(|h| h.corr))
+        let rings = &self.lanes[lane];
+        rings
+            .slots
+            .range(rings.completed..)
+            .filter_map(|s| WireHeader::parse(s.buf.wire()).map(|h| h.corr))
             .collect()
     }
 
     /// Correlation ids of completions posted but not yet acknowledged.
     pub fn unacked_corrs(&self, lane: usize) -> Vec<u64> {
-        self.cq[lane].iter().map(|e| e.corr).collect()
+        let rings = &self.lanes[lane];
+        rings
+            .slots
+            .range(..rings.completed)
+            .map(|s| s.req.id)
+            .collect()
     }
 
     /// Total frames ever submitted on `lane`.
     pub fn submitted(&self, lane: usize) -> u64 {
-        self.submitted_total[lane]
+        self.lanes[lane].submitted_total
     }
 
     /// Total completions ever posted on `lane`.
     pub fn posted(&self, lane: usize) -> u64 {
-        self.posted_total[lane]
+        self.lanes[lane].posted_total
     }
 
     /// Total completions ever acknowledged (popped) on `lane`.
     pub fn acked(&self, lane: usize) -> u64 {
-        self.acked_total[lane]
+        self.lanes[lane].acked_total
     }
 }
 
@@ -444,7 +448,7 @@ impl<T: Transport> Transport for RingTransport<T> {
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        &self.last[lane]
+        self.completion_reply(lane)
     }
 
     fn recover(&mut self, lane: usize) -> bool {

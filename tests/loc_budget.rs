@@ -29,7 +29,7 @@ const BUDGET: &[(&str, usize)] = &[
     ("observe", 1_800),
     ("rewriter", 1_950),
     ("rootkernel", 450),
-    ("runtime", 1_800),
+    ("runtime", 1_850),
     ("sentinel", 850),
     ("sim", 750),
     ("transport", 1_100),
