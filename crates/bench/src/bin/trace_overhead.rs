@@ -22,8 +22,13 @@
 //! one-off host spike can't fail CI but a real regression still does.
 //! Gates, all CI-enforced:
 //!
-//! 1. `disabled` within 5% of `baseline` — attached-but-off is free;
-//! 2. `enabled` within 5% of `disabled` — the always-on tax is bounded;
+//! 1. `disabled` within [`DISABLED_TAX_BUDGET_NS`] host ns per call of
+//!    `baseline` — attached-but-off is free;
+//! 2. `(enabled − disabled) ÷ events recorded per call` within
+//!    [`EVENT_TAX_BUDGET_NS`] — the always-on tax is bounded. The tax is
+//!    a constant per recorded event, not a share of the call: stated as a
+//!    percentage it grew every time the simulator under it got faster,
+//!    and the gate tripped on a cheaper call with an unchanged tracer;
 //! 3. the in-call phase self-times decompose end-to-end cycles within
 //!    5% (they are equal by construction; the gate catches regressions
 //!    in the emit sites, e.g. a dropped or double-counted span);
@@ -53,8 +58,16 @@ use sb_observe::{
 use sb_runtime::{RequestFactory, ServiceSpec, SkyBridgeTransport, Transport, TrapIpcTransport};
 use sb_ycsb::WorkloadSpec;
 
-/// Host-noise guard on the two overhead gates: 5% relative.
-const OVERHEAD_BUDGET: f64 = 0.05;
+/// Budget on the enabled tax, in host ns per recorded event. An emit is
+/// a flag read, a 24-byte ring write and the sampler's two compares:
+/// 8–14 ns measured. 25 ns absorbs the host noise on a difference of two
+/// minima and still fails an emit that got twice as dear.
+const EVENT_TAX_BUDGET_NS: f64 = 25.0;
+/// Budget on an attached-but-off recorder, in host ns per call over the
+/// baseline. Each emit is then one flag read (about a nanosecond, a
+/// dozen times a call at most); 40 ns is what min-of-N still jitters by
+/// on a 1–4 µs call.
+const DISABLED_TAX_BUDGET_NS: f64 = 40.0;
 /// Tolerance on the phase-decomposition identity.
 const PHASE_TOLERANCE: f64 = 0.05;
 
@@ -89,6 +102,12 @@ struct TransportResult {
     baseline_ns: f64,
     disabled_ns: f64,
     enabled_ns: f64,
+    /// Events the live recorder took per timed call.
+    events_per_call: f64,
+    /// `disabled − baseline`, host ns per call.
+    disabled_tax_ns: f64,
+    /// `(enabled − disabled) ÷ events per call`, host ns per event.
+    event_tax_ns: f64,
     phases: Json,
     phase_ratio: f64,
     trace_events: u64,
@@ -118,8 +137,8 @@ fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
     // alternating every round so slow host drift cancels; min-of-N
     // filters the jitter on top.
     let recorder = Recorder::new(knob("SB_RING", sb_observe::DEFAULT_RING_CAPACITY));
-    // The enabled mode carries the cycle sampler too, so the ≤5% tax
-    // gate bounds spans *and* sampling together — the full always-on
+    // The enabled mode carries the cycle sampler too, so the per-event
+    // tax gate bounds spans *and* sampling together — the full always-on
     // observability cost, not just the event writes. `SB_SAMPLE=0`
     // isolates the span-only tax when attributing a breach.
     if knob("SB_SAMPLE", 1) != 0 {
@@ -139,16 +158,23 @@ fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
     // honest on busy shared hosts where a single re-run still lands
     // inside the same noise window.
     let mut ns = [f64::INFINITY; 3];
+    let mut events_per_call = 0.0;
+    let (mut disabled_tax_ns, mut event_tax_ns) = (0.0, 0.0);
     for pass in 0..4 {
         for i in 0..reps {
             for j in 0..3usize {
                 let m = if i % 2 == 0 { j } else { 2 - j };
                 t.attach_recorder(modes[m].clone());
+                let recorded = recorder.recorded();
                 ns[m] = ns[m].min(rep(t.as_mut(), calls));
+                if m == 2 {
+                    events_per_call = (recorder.recorded() - recorded) as f64 / calls as f64;
+                }
             }
         }
-        let within_budget = |cost: f64, base: f64| cost <= base * (1.0 + OVERHEAD_BUDGET);
-        if within_budget(ns[1], ns[0]) && within_budget(ns[2], ns[1]) {
+        disabled_tax_ns = ns[1] - ns[0];
+        event_tax_ns = (ns[2] - ns[1]) / events_per_call;
+        if disabled_tax_ns <= DISABLED_TAX_BUDGET_NS && event_tax_ns <= EVENT_TAX_BUDGET_NS {
             break;
         }
         if pass < 3 {
@@ -161,16 +187,17 @@ fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
     let [baseline_ns, disabled_ns, enabled_ns] = ns;
     t.attach_recorder(recorder.clone());
 
-    if disabled_ns > baseline_ns * (1.0 + OVERHEAD_BUDGET) {
+    if disabled_tax_ns > DISABLED_TAX_BUDGET_NS {
         failures.push(format!(
-            "{name}: disabled recorder costs {disabled_ns:.0} ns/call vs {baseline_ns:.0} baseline"
+            "{name}: disabled recorder costs {disabled_ns:.0} ns/call vs {baseline_ns:.0} baseline \
+             (budget {DISABLED_TAX_BUDGET_NS:.0} ns/call)"
         ));
     }
-    if enabled_ns > disabled_ns * (1.0 + OVERHEAD_BUDGET) {
+    if event_tax_ns > EVENT_TAX_BUDGET_NS {
         failures.push(format!(
-            "{name}: enabled tracing costs {enabled_ns:.0} ns/call vs {disabled_ns:.0} disabled \
-             (budget {:.0}%)",
-            OVERHEAD_BUDGET * 100.0
+            "{name}: enabled tracing costs {enabled_ns:.0} ns/call vs {disabled_ns:.0} disabled: \
+             {event_tax_ns:.1} ns per event at {events_per_call:.1} events/call \
+             (budget {EVENT_TAX_BUDGET_NS:.0} ns/event)"
         ));
     }
 
@@ -257,6 +284,9 @@ fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
         baseline_ns,
         disabled_ns,
         enabled_ns,
+        events_per_call,
+        disabled_tax_ns,
+        event_tax_ns,
         phases,
         phase_ratio,
         trace_events: trace.events,
@@ -281,7 +311,8 @@ fn main() {
             format!("{:.0}", r.baseline_ns),
             format!("{:.0}", r.disabled_ns),
             format!("{:.0}", r.enabled_ns),
-            format!("{:+.1}%", (r.enabled_ns / r.disabled_ns - 1.0) * 100.0),
+            format!("{:.1}", r.events_per_call),
+            format!("{:.1}", r.event_tax_ns),
             format!("{:.1}%", r.phase_ratio * 100.0),
         ]);
         json_rows.push(
@@ -292,8 +323,9 @@ fn main() {
                 .field("baseline_ns_per_call", r.baseline_ns)
                 .field("disabled_ns_per_call", r.disabled_ns)
                 .field("enabled_ns_per_call", r.enabled_ns)
-                .field("enabled_overhead", r.enabled_ns / r.disabled_ns - 1.0)
-                .field("disabled_overhead", r.disabled_ns / r.baseline_ns - 1.0)
+                .field("events_per_call", r.events_per_call)
+                .field("event_tax_ns", r.event_tax_ns)
+                .field("disabled_tax_ns", r.disabled_tax_ns)
                 .field("phase_sum_over_end_to_end", r.phase_ratio)
                 .field("trace_events", r.trace_events)
                 .field("trace_valid_json", r.trace_valid)
@@ -309,7 +341,8 @@ fn main() {
             "baseline ns",
             "disabled ns",
             "enabled ns",
-            "enabled tax",
+            "events/call",
+            "ns/event",
             "phase cover",
         ],
         &rows,
@@ -345,7 +378,8 @@ fn main() {
 
     let doc = Json::obj()
         .field("bench", "trace_overhead")
-        .field("overhead_budget", OVERHEAD_BUDGET)
+        .field("event_tax_budget_ns", EVENT_TAX_BUDGET_NS)
+        .field("disabled_tax_budget_ns", DISABLED_TAX_BUDGET_NS)
         .field("phase_tolerance", PHASE_TOLERANCE)
         .field("rows", Json::Arr(json_rows))
         .field("pmu_delta", snapshot_json(&pmu));

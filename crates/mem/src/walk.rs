@@ -224,11 +224,8 @@ fn charge_span(
 ) -> Result<(Hpa, usize), MemFault> {
     let in_page = ((PAGE_SIZE - gva.page_offset()) as usize).min(len);
     let hpa = translate(m, core, mem, gva, access, user)?;
-    let first_line = hpa.0 / 64;
-    let last_line = (hpa.0 + in_page as u64 - 1) / 64;
-    for line in first_line..=last_line {
-        m.mem_access(core, line * 64, access.cache_kind());
-    }
+    let lines = (hpa.0 + in_page as u64).div_ceil(64) - hpa.0 / 64;
+    m.mem_access_span(core, hpa.0, lines as usize, access.cache_kind());
     Ok((hpa, in_page))
 }
 
@@ -683,6 +680,61 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         read_bytes(&mut e.m, 0, &e.mem, Gva(0x50_0100), &mut out, true).unwrap();
         assert_eq!(out, data);
+    }
+
+    /// One run per page, one access per 64-byte line the bytes overlap.
+    #[test]
+    fn a_span_touches_each_overlapped_line_once() {
+        let mut e = env();
+        let asp = user_space(&mut e.mem, 1);
+        activate(&mut e.m, &asp);
+        let mut lines_of = |at: u64, len: usize| {
+            let (before, tlb) = (e.m.cpu(0).l1d.accesses, e.m.cpu(0).dtlb.accesses);
+            touch_bytes(&mut e.m, 0, &e.mem, Gva(at), len, Access::Read, true).unwrap();
+            let cpu = e.m.cpu(0);
+            // The walk's own PTE reads go through the L1d too.
+            let walked = cpu.pmu.walk_memory_accesses;
+            (cpu.l1d.accesses - before, cpu.dtlb.accesses - tlb, walked)
+        };
+        let (_, _, walks) = lines_of(0x50_0000, 1);
+        assert_eq!(lines_of(0x50_0000, 1), (1, 1, walks));
+        assert_eq!(lines_of(0x50_003f, 2), (2, 1, walks), "straddles two lines");
+        assert_eq!(
+            lines_of(0x50_0fff, 1),
+            (1, 1, walks),
+            "last byte of the page"
+        );
+        assert_eq!(lines_of(0x50_0040, 64), (1, 1, walks), "exactly one line");
+        assert_eq!(lines_of(0x50_0000, 4096), (64, 1, walks));
+        let (lines, pages, _) = lines_of(0x50_0020, 4096);
+        assert_eq!(
+            (lines, pages),
+            (65 + 4, 2),
+            "a second page: one walk, 65 lines"
+        );
+    }
+
+    /// A zero-length access is a no-op: nothing is translated, so it
+    /// cannot even fault.
+    #[test]
+    fn zero_length_accesses_do_nothing() {
+        let mut e = env();
+        let asp = user_space(&mut e.mem, 1);
+        activate(&mut e.m, &asp);
+        let unmapped = Gva(0x7777_7020);
+        let before = e.m.cpu(0).clone();
+        touch_bytes(&mut e.m, 0, &e.mem, unmapped, 0, Access::Write, true).unwrap();
+        fetch_code(&mut e.m, 0, &e.mem, unmapped, 0, true).unwrap();
+        read_bytes(&mut e.m, 0, &e.mem, unmapped, &mut [], true).unwrap();
+        write_bytes(&mut e.m, 0, &mut e.mem, unmapped, &[], true).unwrap();
+        let cpu = e.m.cpu(0);
+        assert_eq!((cpu.tsc, cpu.pmu), (before.tsc, before.pmu));
+        for (tlb, was) in [(&cpu.itlb, &before.itlb), (&cpu.dtlb, &before.dtlb)] {
+            assert_eq!(tlb.accesses, was.accesses);
+        }
+        for (cache, was) in [(&cpu.l1i, &before.l1i), (&cpu.l1d, &before.l1d)] {
+            assert_eq!(cache.accesses, was.accesses);
+        }
     }
 
     #[test]

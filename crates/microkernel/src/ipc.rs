@@ -217,11 +217,9 @@ impl Kernel {
         self.machine.cpu_mut(read_core).advance(per_copy);
         if p.copies_per_transfer >= 2 {
             // Zircon: stage through an in-kernel channel buffer.
-            for off in (0..len).step_by(64) {
-                let hpa = self.kernel_copy_buf_hpa() + off as u64;
-                self.machine
-                    .mem_access(read_core, hpa, AccessKind::DataWrite);
-            }
+            let buf = self.kernel_copy_buf_hpa();
+            self.machine
+                .mem_access_span(read_core, buf, len.div_ceil(64), AccessKind::DataWrite);
             self.machine.cpu_mut(read_core).advance(per_copy);
         }
         b.add(Component::MessageCopy, self.tsc(read_core) - t0);

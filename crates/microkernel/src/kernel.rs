@@ -465,36 +465,30 @@ impl Kernel {
         data_bytes: usize,
         data_seed: usize,
     ) {
-        let tag = self.kernel_tag(core);
-        let mut off = 0usize;
-        while off < text_bytes.min(KERNEL_TEXT_BYTES) {
-            let hpa = self.kernel_text_hpa + off as u64;
-            self.machine
-                .mem_access(core, hpa, AccessKind::InstructionFetch);
-            if off.is_multiple_of(PAGE_SIZE as usize) {
-                let vpn = layout::KERNEL_TEXT_VPN_BASE + (off as u64 >> 12);
-                let cpu = self.machine.cpu_mut(core);
-                if cpu.itlb.lookup(tag, vpn).is_none() {
-                    cpu.pmu.itlb_misses += 1;
-                    cpu.itlb.insert(tag, vpn, hpa >> 12, 0);
-                }
-            }
-            off += 64;
+        // One run of lines through the caches, then one TLB step per
+        // page of the run: caches and TLBs share no state and a TLB step
+        // does not advance the clock, so the order between them is free.
+        let text = text_bytes.min(KERNEL_TEXT_BYTES);
+        self.machine.mem_access_span(
+            core,
+            self.kernel_text_hpa,
+            text.div_ceil(64),
+            AccessKind::InstructionFetch,
+        );
+        for off in (0..text).step_by(PAGE_SIZE as usize) {
+            self.kernel_tlb_touch(core, true, off);
         }
+        // Clamped to the region: lines past it are someone else's.
         let base = (data_seed * 4096) % (KERNEL_DATA_BYTES / 2);
-        let mut off = 0usize;
-        while off < data_bytes.min(KERNEL_DATA_BYTES) {
-            let hpa = self.kernel_data_hpa + (base + off) as u64;
-            self.machine.mem_access(core, hpa, AccessKind::DataRead);
-            if off.is_multiple_of(PAGE_SIZE as usize) {
-                let vpn = layout::KERNEL_DATA_VPN_BASE + ((base + off) as u64 >> 12);
-                let cpu = self.machine.cpu_mut(core);
-                if cpu.dtlb.lookup(tag, vpn).is_none() {
-                    cpu.pmu.dtlb_misses += 1;
-                    cpu.dtlb.insert(tag, vpn, hpa >> 12, 0);
-                }
-            }
-            off += 64;
+        let data = data_bytes.min(KERNEL_DATA_BYTES - base);
+        self.machine.mem_access_span(
+            core,
+            self.kernel_data_hpa + base as u64,
+            data.div_ceil(64),
+            AccessKind::DataRead,
+        );
+        for off in (base..base + data).step_by(PAGE_SIZE as usize) {
+            self.kernel_tlb_touch(core, false, off);
         }
         // Scattered kernel structures: one line in each of `data_pages`
         // distinct pages (TCBs, capability tables, kernel stacks). This
@@ -508,12 +502,30 @@ impl Kernel {
                 + (p * 192) % PAGE_SIZE as usize;
             let hpa = self.kernel_data_hpa + page_off as u64;
             self.machine.mem_access(core, hpa, AccessKind::DataRead);
-            let vpn = layout::KERNEL_DATA_VPN_BASE + (page_off as u64 >> 12);
-            let cpu = self.machine.cpu_mut(core);
-            if cpu.dtlb.lookup(tag, vpn).is_none() {
-                cpu.pmu.dtlb_misses += 1;
-                cpu.dtlb.insert(tag, vpn, hpa >> 12, 0);
-            }
+            self.kernel_tlb_touch(core, false, page_off);
+        }
+    }
+
+    /// Looks the kernel page at byte `off` of the text or data region up
+    /// in the i- or d-TLB, refilling it on a miss. Kernel mappings are
+    /// linear, so the frame follows from the offset.
+    fn kernel_tlb_touch(&mut self, core: CpuId, text: bool, off: usize) {
+        let tag = self.kernel_tag(core);
+        let (region, vpn_base) = if text {
+            (self.kernel_text_hpa, layout::KERNEL_TEXT_VPN_BASE)
+        } else {
+            (self.kernel_data_hpa, layout::KERNEL_DATA_VPN_BASE)
+        };
+        let (vpn, ppn) = (vpn_base + (off as u64 >> 12), (region + off as u64) >> 12);
+        let cpu = self.machine.cpu_mut(core);
+        let (tlb, misses) = if text {
+            (&mut cpu.itlb, &mut cpu.pmu.itlb_misses)
+        } else {
+            (&mut cpu.dtlb, &mut cpu.pmu.dtlb_misses)
+        };
+        if tlb.lookup(tag, vpn).is_none() {
+            *misses += 1;
+            tlb.insert(tag, vpn, ppn, 0);
         }
     }
 
@@ -783,6 +795,56 @@ mod tests {
         k.kernel_work(0, 16384, 2048);
         let d = k.machine.cpu(0).pmu.delta(&before);
         assert_eq!(d.l1i_misses, 0);
+    }
+
+    /// A personality whose footprints exceed the kernel image is billed
+    /// the image, not whatever `alloc_region` handed out after it: no
+    /// panic, the text run stops at the last text line, and no data run
+    /// — from any seed — reaches the line after the data region.
+    #[test]
+    fn footprints_larger_than_the_kernel_image_stay_inside_it() {
+        for (personality, server_core) in Personality::all().into_iter().zip([0, 1, 0]) {
+            let mut k = Kernel::boot(KernelConfig::native(Personality {
+                text_fast: usize::MAX,
+                text_slow: usize::MAX,
+                data_touch: usize::MAX,
+                data_pages: 10_000,
+                ..personality
+            }));
+            let cp = k.create_process(&small_code());
+            let sp = k.create_process(&small_code());
+            // Thirty idle threads and endpoints first: the data run
+            // starts one page further in for each.
+            for _ in 0..30 {
+                k.create_thread(cp, 2);
+                k.create_endpoint(sp);
+            }
+            let client = k.create_thread(cp, 0);
+            let server = k.create_thread(sp, server_core);
+            let (ep, _) = k.create_endpoint(sp);
+            let send_slot = k.grant_send(cp, ep);
+            k.server_recv(server, ep);
+            k.run_thread(client);
+            for _ in 0..3 {
+                k.ipc_roundtrip(client, send_slot, server).unwrap();
+            }
+            k.schedule(0);
+            let past_text = k.kernel_text_hpa + KERNEL_TEXT_BYTES as u64;
+            let past_data = k.kernel_data_hpa + KERNEL_DATA_BYTES as u64;
+            for cpu in &k.machine.cores {
+                // (The line after the text *is* the first data line, so
+                // the data caches may hold it; only a fetch is a leak.)
+                assert!(cpu.l1i.accesses == 0 || cpu.l1i.probe(past_text - 64));
+                assert!(!cpu.l1i.probe(past_text), "core {}", cpu.id);
+                assert!(!cpu.l1d.probe(past_data), "core {}", cpu.id);
+                assert!(!cpu.l2.probe(past_data), "core {}", cpu.id);
+            }
+            assert!(!k.machine.l3.probe(past_data));
+            assert!(
+                k.machine.l3.probe(past_data - 64),
+                "the run ends on the last data line"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! hierarchy: physically indexed, set-associative, LRU-replaced caches whose
 //! geometries default to the Skylake i7-6700K the paper used.
 
-use crate::Cycles;
+use crate::{lru::SetLru, Cycles};
 
 /// What an access is, for routing and PMU accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,14 +99,8 @@ pub struct Cache {
     line_shift: u32,
     /// `sets - 1`.
     set_mask: usize,
-    /// One flat `sets × ways` array. Set `s` owns
-    /// `slots[s * ways..][..ways]`; its first `fill[s]` slots hold line
-    /// addresses, least recently used first, most recently used last.
-    /// Untouched sets are never written, so an 8 MiB L3 costs host memory
-    /// only where the simulated program has been.
-    slots: Vec<u32>,
-    /// Lines resident per set.
-    fill: Vec<u8>,
+    /// The resident line addresses, by set.
+    lru: SetLru<u32, ()>,
     /// Total lookups.
     pub accesses: u64,
     /// Lookups that missed.
@@ -130,12 +124,6 @@ impl Cache {
             "line_bytes must be a power of two, got {}",
             config.line_bytes
         );
-        assert!(
-            config.ways <= u8::MAX as usize,
-            "{} ways exceed the per-set fill counter (max {})",
-            config.ways,
-            u8::MAX
-        );
         assert_eq!(config.size_bytes % (config.ways * config.line_bytes), 0);
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
@@ -151,8 +139,7 @@ impl Cache {
             config,
             line_shift,
             set_mask: sets - 1,
-            slots: vec![0; sets * config.ways],
-            fill: vec![0; sets],
+            lru: SetLru::new(sets, config.ways),
             accesses: 0,
             misses: 0,
         }
@@ -163,79 +150,93 @@ impl Cache {
         &self.config
     }
 
-    /// `(set index, line address)` of `paddr`.
+    /// The line address of `first`, the first of a run of `lines`.
     ///
     /// # Panics
     ///
-    /// Panics if `paddr` does not fit [`PADDR_BITS`] — a wider address
-    /// would lose its top bits in the 32-bit tag and alias another line.
-    fn locate(&self, paddr: u64) -> (usize, u32) {
+    /// Panics if the last line of the run does not fit [`PADDR_BITS`] — a
+    /// wider address would lose its top bits in the 32-bit tag and alias
+    /// another line.
+    #[inline(always)]
+    fn first_line(&self, first: u64, lines: u64) -> u64 {
+        let start = first >> self.line_shift;
+        let limit = 1u64 << (PADDR_BITS - self.line_shift);
         assert!(
-            paddr >> PADDR_BITS == 0,
-            "physical address {paddr:#x} is wider than {PADDR_BITS} bits"
+            start < limit && lines <= limit - start,
+            "physical address {:#x} is wider than {PADDR_BITS} bits",
+            (start as u128 + lines as u128 - 1) << self.line_shift
         );
-        let line = (paddr >> self.line_shift) as u32;
-        (line as usize & self.set_mask, line)
+        start
     }
 
-    /// The resident lines of `set`, least recently used first.
-    fn lines(&self, set: usize) -> &[u32] {
-        let base = set * self.config.ways;
-        &self.slots[base..base + self.fill[set] as usize]
-    }
-
-    /// Looks up the line holding `paddr`, filling it on a miss.
+    /// Looks up `lines` consecutive lines, the first being the one that
+    /// holds `first`, filling each that misses, and returns how many
+    /// missed. `missed` is handed the address of each missing line at
+    /// once and in line order, so a hierarchy can descend before the next
+    /// line is looked at. On a miss the LRU line of the set is evicted
+    /// (the model is not inclusive and does not track dirtiness;
+    /// write-back traffic is folded into miss latency). Zero lines is a
+    /// no-op.
     ///
-    /// Returns `true` on a hit. On a miss the LRU line of the set is
-    /// evicted (the model is not inclusive and does not track dirtiness;
-    /// write-back traffic is folded into miss latency).
-    pub fn access(&mut self, paddr: u64) -> bool {
-        self.accesses += 1;
-        let (set, line) = self.locate(paddr);
-        let ways = self.config.ways;
-        let n = self.fill[set] as usize;
-        let slots = &mut self.slots[set * ways..][..ways];
-        // Most accesses re-touch the line touched last: already in the
-        // MRU slot, nothing to reorder.
-        if n > 0 && slots[n - 1] == line {
-            return true;
+    /// # Panics
+    ///
+    /// Panics, before anything is looked up or counted, if the last line
+    /// lies beyond [`PADDR_BITS`].
+    #[inline(always)]
+    pub fn access_run(&mut self, first: u64, lines: u64, mut missed: impl FnMut(u64)) -> u64 {
+        if lines == 0 {
+            return 0;
         }
-        if let Some(pos) = slots[..n].iter().position(|&l| l == line) {
-            slots[pos..n].rotate_left(1);
-            true
-        } else {
-            self.misses += 1;
-            if n == ways {
-                slots.rotate_left(1);
-                slots[n - 1] = line;
-            } else {
-                slots[n] = line;
-                self.fill[set] += 1;
+        let start = self.first_line(first, lines);
+        self.accesses += lines;
+        let mut misses = 0;
+        for line in start..start + lines {
+            if !self
+                .lru
+                .put(line as usize & self.set_mask, line as u32, (), false)
+            {
+                misses += 1;
+                missed(line << self.line_shift);
             }
-            false
         }
+        self.misses += misses;
+        misses
+    }
+
+    /// Looks up the line holding `paddr`, filling it on a miss: the
+    /// one-line case of [`Cache::access_run`]. Returns `true` on a hit.
+    pub fn access(&mut self, paddr: u64) -> bool {
+        self.access_run(paddr, 1, |_| {}) == 0
     }
 
     /// Looks up without filling (used to probe state in tests).
     pub fn probe(&self, paddr: u64) -> bool {
-        let (set, line) = self.locate(paddr);
-        self.lines(set).contains(&line)
+        let line = self.first_line(paddr, 1);
+        self.lru
+            .contains(line as usize & self.set_mask, line as u32)
     }
 
     /// Invalidates the whole cache (e.g. `WBINVD`); statistics survive.
     pub fn flush(&mut self) {
-        self.fill.fill(0);
+        self.lru.clear();
     }
 
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.fill.iter().map(|&n| n as usize).sum()
+        self.lru.resident()
     }
 
     /// Resets the hit/miss statistics without touching cache state.
     pub fn reset_stats(&mut self) {
         self.accesses = 0;
         self.misses = 0;
+    }
+
+    /// The resident lines of `set`, least recently used first.
+    #[cfg(test)]
+    pub(crate) fn lru_order(&self, set: usize) -> Vec<u64> {
+        let order = self.lru.lru_order(set);
+        order.iter().map(|&(line, ())| line as u64).collect()
     }
 }
 
@@ -309,8 +310,9 @@ mod tests {
     }
 
     /// The everyday shape plus the edges: one set of one way, direct
-    /// mapped, and an L3-like 16 ways.
-    const GEOMETRIES: [CacheConfig; 4] = [
+    /// mapped, an L3-like 16 ways, and two way counts (3, 12) no
+    /// modelled level has, so nothing can lean on a power of two.
+    const GEOMETRIES: [CacheConfig; 6] = [
         CacheConfig {
             size_bytes: 512,
             ways: 2,
@@ -331,15 +333,32 @@ mod tests {
             ways: 16,
             line_bytes: 64,
         },
+        CacheConfig {
+            size_bytes: 768,
+            ways: 3,
+            line_bytes: 64,
+        },
+        CacheConfig {
+            size_bytes: 1536,
+            ways: 12,
+            line_bytes: 64,
+        },
     ];
+
+    /// Every set of `flat` holds what `reference` holds, in LRU order.
+    fn assert_same_sets(flat: &Cache, reference: &RefCache) {
+        for (set, want) in reference.sets.iter().enumerate() {
+            assert_eq!(&flat.lru_order(set), want, "set {set}");
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any stream of accesses and flushes leaves the flat cache and
-        /// the reference with the same hit/miss sequence, the same
-        /// counters, and the same lines in the same LRU order in every
-        /// set.
+        /// Any stream of accesses, runs of lines and flushes leaves the
+        /// flat cache and the reference with the same hit/miss sequence,
+        /// the same counters, and the same lines in the same LRU order in
+        /// every set.
         #[test]
         fn flat_cache_matches_the_reference(
             geometry in 0usize..GEOMETRIES.len(),
@@ -352,20 +371,68 @@ mod tests {
             // and evictions all happen.
             let span = (config.size_bytes * 3) as u64;
             for (kind, a) in ops {
-                if kind == 0 {
-                    flat.flush();
-                    reference.flush();
-                } else {
-                    let paddr = a as u64 % span;
-                    prop_assert_eq!(flat.access(paddr), reference.access(paddr));
+                let paddr = a as u64 % span;
+                match kind {
+                    0 => {
+                        flat.flush();
+                        reference.flush();
+                    }
+                    // A run of 0..=40 lines (every geometry here has at
+                    // most 16 sets, so the set index wraps): the same
+                    // misses, reported in line order.
+                    1..=8 => {
+                        let lines = (a as u64 >> 20) % 41;
+                        let mut missed = Vec::new();
+                        let misses = flat.access_run(paddr, lines, |line| missed.push(line));
+                        let want: Vec<u64> = (0..lines)
+                            .map(|l| (paddr & !63) + l * 64)
+                            .filter(|&line| !reference.access(line))
+                            .collect();
+                        prop_assert_eq!(&missed, &want);
+                        prop_assert_eq!(misses, want.len() as u64);
+                    }
+                    _ => prop_assert_eq!(flat.access(paddr), reference.access(paddr)),
                 }
                 prop_assert_eq!(flat.accesses, reference.accesses);
                 prop_assert_eq!(flat.misses, reference.misses);
-                for (set, want) in reference.sets.iter().enumerate() {
-                    let got: Vec<u64> = flat.lines(set).iter().map(|&l| l as u64).collect();
-                    prop_assert_eq!(&got, want, "set {}", set);
+                assert_same_sets(&flat, &reference);
+            }
+        }
+    }
+
+    /// 200 000 accesses confined to one set, with flushes in between:
+    /// whatever a representation counts per set (a 16-bit recency clock
+    /// wraps after 65 535 touches) wraps here, three times, and the
+    /// victims must stay the reference's. The 256 × 500-op proptest
+    /// above never gets that far.
+    #[test]
+    fn one_set_hammered_past_any_wrap_matches_the_reference() {
+        for config in [GEOMETRIES[0], GEOMETRIES[4], GEOMETRIES[5]] {
+            let mut flat = Cache::new(config);
+            let mut reference = RefCache::new(config);
+            let stride = (config.sets() * config.line_bytes) as u64;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..200_000u32 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if i % 30_011 == 30_010 {
+                    flat.flush();
+                    reference.flush();
+                }
+                // Twice the ways in distinct lines of set 0, skewed so
+                // that hits, reorders and evictions all stay frequent.
+                let pick = (x >> 33) % (config.ways as u64 * 2);
+                let paddr = pick.min((x >> 50) % (config.ways as u64 * 2)) * stride;
+                assert_eq!(flat.access(paddr), reference.access(paddr), "access {i}");
+                if i % 251 == 0 || i > 199_000 {
+                    assert_same_sets(&flat, &reference);
                 }
             }
+            assert_eq!(
+                (flat.accesses, flat.misses),
+                (reference.accesses, reference.misses)
+            );
         }
     }
 
@@ -407,6 +474,38 @@ mod tests {
         c.access(0x1000);
         // Same low 32 line bits as 0x1000: a truncating tag would hit.
         c.access(0x1000 | 1 << 38);
+    }
+
+    /// A run whose last line lies beyond the address space, or whose end
+    /// overflows `u64`, is refused before a slot or counter moves and
+    /// before anything descends.
+    #[test]
+    fn a_bad_run_is_refused_whole() {
+        let mut c = tiny();
+        c.access_run(0xfc0, 3, |_| {});
+        let top = 1u64 << PADDR_BITS;
+        for (first, lines) in [(top - 64, 2), (top - 9, 2), (top, 1), (u64::MAX, u64::MAX)] {
+            let mut bad = c.clone();
+            let mut descended = false;
+            let run = std::panic::AssertUnwindSafe(|| {
+                bad.access_run(first, lines, |_| descended = true);
+            });
+            assert!(
+                std::panic::catch_unwind(run).is_err(),
+                "{first:#x} + {lines}"
+            );
+            assert!(!descended);
+            assert_eq!((bad.accesses, bad.misses), (c.accesses, c.misses));
+            for set in 0..c.config().sets() {
+                assert_eq!(bad.lru_order(set), c.lru_order(set));
+            }
+        }
+        assert_eq!(
+            c.access_run(u64::MAX, 0, |_| {}),
+            0,
+            "an empty run is a no-op"
+        );
+        assert_eq!(c.accesses, 3);
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub mod cache;
 pub mod core;
 pub mod cost;
 pub mod lock;
+mod lru;
 pub mod machine;
 pub mod pmu;
 pub mod tlb;

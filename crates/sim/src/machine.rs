@@ -3,8 +3,9 @@
 //! [`Machine`] is the single entry point the upper layers use to charge
 //! time and memory traffic. Every simulated memory access — instruction
 //! fetch, data access, page-walk step — funnels through
-//! [`Machine::mem_access`], which walks the private L1/L2 of the issuing
-//! core and the shared L3, charges the hit/miss latencies from the
+//! [`Machine::mem_access_span`] (a run of lines; [`Machine::mem_access`] is
+//! the one-line case), which walks the private L1/L2 of the issuing core
+//! and the shared L3, charges the hit/miss latencies from the
 //! [`CostModel`], and updates the core's PMU. Cross-core interactions (IPIs)
 //! join per-core clocks explicitly.
 
@@ -84,39 +85,70 @@ impl Machine {
         &mut self.cores[id]
     }
 
-    /// Performs one memory access at host-physical address `hpa` on behalf
-    /// of `core`, walking L1 → L2 → L3 → DRAM.
+    /// Performs `lines` memory accesses on behalf of `core`, one to each
+    /// of `lines` consecutive 64-byte lines starting with the one that
+    /// holds host-physical address `hpa`, each walking L1 → L2 → L3 →
+    /// DRAM before the next is issued.
     ///
     /// Each level is filled on a miss (the hierarchy is modeled as
     /// inclusive on fills). The hit/miss latencies from the cost model are
-    /// charged to the core's clock and the latency is returned.
-    pub fn mem_access(&mut self, core: CpuId, hpa: u64, kind: AccessKind) -> Cycles {
-        let cpu = &mut self.cores[core];
-        let mut latency = self.cost.l1_hit;
-        let l1_hit = if kind.is_instruction() {
-            let hit = cpu.l1i.access(hpa);
-            if !hit {
-                cpu.pmu.l1i_misses += 1;
-            }
-            hit
-        } else {
-            let hit = cpu.l1d.access(hpa);
-            if !hit {
-                cpu.pmu.l1d_misses += 1;
-            }
-            hit
-        };
-        if !l1_hit {
-            latency += self.cost.l2_hit;
-            if !cpu.l2.access(hpa) {
-                cpu.pmu.l2_misses += 1;
-                latency += self.cost.l3_hit;
-                if !self.l3.access(hpa) {
-                    cpu.pmu.l3_misses += 1;
-                    latency += self.cost.dram;
-                }
-            }
+    /// charged to the core's clock and their sum is returned. Zero lines
+    /// is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any cache, counter or clock changed, if `core` does
+    /// not exist or the last line lies beyond [`crate::PADDR_BITS`].
+    pub fn mem_access_span(
+        &mut self,
+        core: CpuId,
+        hpa: u64,
+        lines: usize,
+        kind: AccessKind,
+    ) -> Cycles {
+        // A run of one (an 8-byte read, a PTE) takes the copy below that
+        // has no loop to set up.
+        if lines == 1 {
+            return self.mem_access(core, hpa, kind);
         }
+        self.span(core, hpa, lines, kind)
+    }
+
+    /// Performs one memory access at host-physical address `hpa` on behalf
+    /// of `core`: [`Machine::mem_access_span`] compiled for a run of one,
+    /// with no loop around the line.
+    pub fn mem_access(&mut self, core: CpuId, hpa: u64, kind: AccessKind) -> Cycles {
+        self.span(core, hpa, 1, kind)
+    }
+
+    /// The one hierarchy walk, under both entry points above.
+    #[inline(always)]
+    fn span(&mut self, core: CpuId, hpa: u64, lines: usize, kind: AccessKind) -> Cycles {
+        let cpu = &mut self.cores[core];
+        let (l1, l1_misses) = if kind.is_instruction() {
+            (&mut cpu.l1i, &mut cpu.pmu.l1i_misses)
+        } else {
+            (&mut cpu.l1d, &mut cpu.pmu.l1d_misses)
+        };
+        let (l2, l3) = (&mut cpu.l2, &mut self.l3);
+        let (mut l2_missed, mut l3_missed) = (0, 0);
+        let l1_missed = l1.access_run(hpa, lines as u64, |line| {
+            if !l2.access(line) {
+                l2_missed += 1;
+                l3_missed += !l3.access(line) as u64;
+            }
+        });
+        let mut latency = lines as u64 * self.cost.l1_hit;
+        if l1_missed != 0 {
+            *l1_misses += l1_missed;
+            cpu.pmu.l2_misses += l2_missed;
+            cpu.pmu.l3_misses += l3_missed;
+            latency += l1_missed * self.cost.l2_hit
+                + l2_missed * self.cost.l3_hit
+                + l3_missed * self.cost.dram;
+        }
+        // Nothing reads the clock or the PMU inside a run, so both are
+        // written once, here.
         cpu.tsc += latency;
         latency
     }
@@ -165,10 +197,206 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::PADDR_BITS;
 
     fn machine() -> Machine {
         Machine::skylake()
+    }
+
+    /// The per-line hierarchy walk `mem_access_span` replaced, kept
+    /// verbatim as the reference a run of lines must match line for line.
+    fn per_line(m: &mut Machine, core: CpuId, hpa: u64, kind: AccessKind) -> Cycles {
+        let cpu = &mut m.cores[core];
+        let mut latency = m.cost.l1_hit;
+        let l1_hit = if kind.is_instruction() {
+            let hit = cpu.l1i.access(hpa);
+            if !hit {
+                cpu.pmu.l1i_misses += 1;
+            }
+            hit
+        } else {
+            let hit = cpu.l1d.access(hpa);
+            if !hit {
+                cpu.pmu.l1d_misses += 1;
+            }
+            hit
+        };
+        if !l1_hit {
+            latency += m.cost.l2_hit;
+            if !cpu.l2.access(hpa) {
+                cpu.pmu.l2_misses += 1;
+                latency += m.cost.l3_hit;
+                if !m.l3.access(hpa) {
+                    cpu.pmu.l3_misses += 1;
+                    latency += m.cost.dram;
+                }
+            }
+        }
+        cpu.tsc += latency;
+        latency
+    }
+
+    /// Two cores under an L3 small enough (128 KiB) for the streams
+    /// below to evict from it.
+    fn small_machine() -> Machine {
+        Machine::new(MachineConfig {
+            cores: 2,
+            cost: CostModel::skylake(),
+            l3: CacheConfig {
+                size_bytes: 128 * 1024,
+                ways: 16,
+                line_bytes: 64,
+            },
+        })
+    }
+
+    /// Every level of `m`, private ones first.
+    fn levels(m: &Machine) -> Vec<&Cache> {
+        let private = m.cores.iter().flat_map(|c| [&c.l1i, &c.l1d, &c.l2]);
+        private.chain([&m.l3]).collect()
+    }
+
+    /// Clocks, PMUs and every level's counters agree; with `contents`,
+    /// so does every set of every level, in LRU order.
+    fn assert_same_state(span: &Machine, lines: &Machine, contents: bool) {
+        for (a, b) in span.cores.iter().zip(&lines.cores) {
+            assert_eq!((a.tsc, a.pmu), (b.tsc, b.pmu), "core {}", a.id);
+        }
+        for (level, (a, b)) in levels(span).into_iter().zip(levels(lines)).enumerate() {
+            assert_eq!(
+                (a.accesses, a.misses),
+                (b.accesses, b.misses),
+                "level {level}"
+            );
+            for set in 0..a.config().sets() * contents as usize {
+                assert_eq!(
+                    a.lru_order(set),
+                    b.lru_order(set),
+                    "level {level} set {set}"
+                );
+            }
+        }
+    }
+
+    const KINDS: [AccessKind; 3] = [
+        AccessKind::InstructionFetch,
+        AccessKind::DataRead,
+        AccessKind::DataWrite,
+    ];
+
+    /// `(base, lines)` of the regions the streams below start their runs
+    /// in: 16 KiB at the bottom of memory (L1 hits), 64 KiB that alias it
+    /// in every level's sets, 512 KiB in the middle, and the last 512 KiB
+    /// below `2^PADDR_BITS`.
+    const REGIONS: [(u64, u64); 4] = [
+        (0, 256),
+        (1 << 20, 1024),
+        (0x1234_5000, 8192),
+        ((1 << PADDR_BITS) - (512 << 10), 8192),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any stream of runs — empty, one line, longer than the L1 has
+        /// sets (so the set index wraps), across 4 KiB pages, starting
+        /// mid-line, ending on the last line of the address space,
+        /// missing one, two or all three levels, from two cores sharing
+        /// the L3 — leaves a machine driven by `mem_access_span` and one
+        /// driven line by line with the same returned latencies, clocks,
+        /// PMUs, counters and per-set contents in LRU order.
+        #[test]
+        fn a_run_matches_the_same_lines_one_by_one(
+            runs in proptest::collection::vec(
+                (0usize..2, 0usize..4, 0u64..8192, 0u64..64, 0usize..=130, 0usize..3),
+                1..120,
+            ),
+        ) {
+            let (mut span, mut lines) = (small_machine(), small_machine());
+            for (i, (core, region, line, byte, len, kind)) in runs.into_iter().enumerate() {
+                let (base, span_lines) = REGIONS[region];
+                let hpa = base + line % span_lines * 64 + byte;
+                // A run may end on the last line of the address space,
+                // not beyond it.
+                let len = len.min((((1u64 << PADDR_BITS) - hpa).div_ceil(64)) as usize);
+                let got = span.mem_access_span(core, hpa, len, KINDS[kind]);
+                let want: Cycles = (0..len as u64)
+                    .map(|l| per_line(&mut lines, core, (hpa & !63) + l * 64, KINDS[kind]))
+                    .sum();
+                prop_assert_eq!(got, want, "run {}", i);
+                assert_same_state(&span, &lines, i % 16 == 0);
+            }
+            assert_same_state(&span, &lines, true);
+        }
+    }
+
+    #[test]
+    fn a_run_that_ends_on_the_last_line_of_the_address_space_is_taken() {
+        let mut m = machine();
+        let c = m.cost.clone();
+        let top = 1u64 << PADDR_BITS;
+        let cold = m.mem_access_span(0, top - 3 * 64 + 9, 3, AccessKind::DataRead);
+        assert_eq!(cold, 3 * (c.l1_hit + c.l2_hit + c.l3_hit + c.dram));
+        assert!(m.cores[0].l1d.probe(top - 1));
+    }
+
+    /// Runs `f` on a clone of `m` and returns the clone if `f` panicked.
+    fn after_panic(m: &Machine, f: impl FnOnce(&mut Machine)) -> Machine {
+        let mut m = m.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut m)));
+        assert!(caught.is_err(), "expected a panic");
+        m
+    }
+
+    /// A run with any line beyond the address space, or an end that
+    /// overflows `u64`, is refused before a slot, counter or clock moves;
+    /// so is a core that does not exist.
+    #[test]
+    fn a_bad_run_changes_nothing() {
+        let mut m = small_machine();
+        m.mem_access_span(1, 0x4000, 40, AccessKind::DataWrite);
+        let top = 1u64 << PADDR_BITS;
+        let bad: [(CpuId, u64, usize); 5] = [
+            (0, top - 64, 2),
+            (0, top - 130 * 64, 131),
+            (1, top, 1),
+            (1, u64::MAX - 63, usize::MAX),
+            (2, 0x4000, 1),
+        ];
+        for (core, hpa, len) in bad {
+            for kind in KINDS {
+                let after = after_panic(&m, |m| {
+                    m.mem_access_span(core, hpa, len, kind);
+                });
+                assert_same_state(&after, &m, true);
+            }
+        }
+        let after = after_panic(&m, |m| {
+            m.mem_access(0, top, AccessKind::DataRead);
+        });
+        assert_same_state(&after, &m, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "physical address 0x1000000000 is wider than 36 bits")]
+    fn a_run_past_the_address_space_names_its_last_line() {
+        machine().mem_access_span(0, (1 << PADDR_BITS) - 64, 2, AccessKind::InstructionFetch);
+    }
+
+    #[test]
+    #[should_panic(expected = "physical address 0x20ffffffffffffff80 is wider than 36 bits")]
+    fn a_run_whose_end_overflows_names_its_last_line() {
+        machine().mem_access_span(0, u64::MAX, 1 << 63, AccessKind::DataRead);
+    }
+
+    #[test]
+    fn an_empty_run_is_a_no_op_wherever_it_starts() {
+        let mut m = machine();
+        assert_eq!(m.mem_access_span(0, u64::MAX, 0, AccessKind::DataRead), 0);
+        assert_same_state(&m, &machine(), true);
     }
 
     #[test]

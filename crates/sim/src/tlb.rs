@@ -14,6 +14,8 @@
 //! entries resident but unreachable under the new tag; capacity pressure
 //! across address spaces then produces the observed thrashing.
 
+use crate::lru::SetLru;
+
 /// The tag under which a translation was cached.
 ///
 /// `pcid` distinguishes guest address spaces; `ept_root` distinguishes
@@ -66,37 +68,16 @@ impl TlbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TlbEntry {
-    tag: TlbTag,
-    /// Virtual page number.
-    vpn: u64,
-    /// Host-physical page number the translation resolved to.
-    ppn: u64,
-    /// Opaque permission bits cached with the translation (the walker
-    /// defines their meaning).
-    meta: u8,
-}
-
-impl TlbEntry {
-    fn matches(&self, tag: TlbTag, vpn: u64) -> bool {
-        self.vpn == vpn && self.tag == tag
-    }
-}
-
 /// A set-associative, LRU-replaced, tag-aware TLB.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
     /// `sets - 1`.
     set_mask: usize,
-    /// One flat `sets × ways` array. Set `s` owns
-    /// `slots[s * ways..][..ways]`; its first `fill[s]` slots are live,
-    /// least recently used first, most recently used last (the rest are
-    /// filler, never compared).
-    slots: Vec<TlbEntry>,
-    /// Live entries per set.
-    fill: Vec<u8>,
+    /// `(tag, virtual page number)` → `(host-physical page number,
+    /// permission bits)`, by set. The walker defines what the permission
+    /// bits mean.
+    lru: SetLru<(TlbTag, u64), (u64, u8)>,
     /// Total lookups.
     pub accesses: u64,
     /// Lookups that missed (required a page walk).
@@ -113,19 +94,12 @@ impl Tlb {
     /// or more ways than the per-set fill counter holds.
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.ways > 0 && config.entries.is_multiple_of(config.ways));
-        assert!(
-            config.ways <= u8::MAX as usize,
-            "{} ways exceed the per-set fill counter (max {})",
-            config.ways,
-            u8::MAX
-        );
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Tlb {
             config,
             set_mask: sets - 1,
-            slots: vec![TlbEntry::default(); config.entries],
-            fill: vec![0; sets],
+            lru: SetLru::new(sets, config.ways),
             accesses: 0,
             misses: 0,
         }
@@ -140,94 +114,46 @@ impl Tlb {
         (vpn as usize) & self.set_mask
     }
 
-    /// The slots of `set` and its fill count.
-    fn set_mut(&mut self, set: usize) -> (&mut [TlbEntry], &mut u8) {
-        let ways = self.config.ways;
-        (&mut self.slots[set * ways..][..ways], &mut self.fill[set])
-    }
-
-    /// Drops the entries of `set` that `keep` rejects; survivors keep
-    /// their LRU order.
-    fn retain(&mut self, set: usize, keep: impl Fn(&TlbEntry) -> bool) {
-        let (slots, fill) = self.set_mut(set);
-        let mut kept = 0;
-        for i in 0..*fill as usize {
-            if keep(&slots[i]) {
-                slots[kept] = slots[i];
-                kept += 1;
-            }
-        }
-        *fill = kept as u8;
-    }
-
     /// Looks up the translation of virtual page `vpn` under `tag`.
     ///
     /// Returns the cached `(host-physical page number, permission meta)`
     /// on a hit. Counts the access either way; on a miss the caller
     /// performs the page walk and then calls [`Tlb::insert`].
+    #[inline]
     pub fn lookup(&mut self, tag: TlbTag, vpn: u64) -> Option<(u64, u8)> {
         self.accesses += 1;
-        let set = self.set_of(vpn);
-        let (slots, fill) = self.set_mut(set);
-        let n = *fill as usize;
-        // Most lookups re-touch the page touched last: already in the MRU
-        // slot, nothing to reorder.
-        if n > 0 && slots[n - 1].matches(tag, vpn) {
-            return Some((slots[n - 1].ppn, slots[n - 1].meta));
-        }
-        if let Some(pos) = slots[..n].iter().position(|e| e.matches(tag, vpn)) {
-            slots[pos..n].rotate_left(1);
-            Some((slots[n - 1].ppn, slots[n - 1].meta))
-        } else {
-            self.misses += 1;
-            None
-        }
+        let hit = self.lru.get(self.set_of(vpn), (tag, vpn));
+        self.misses += hit.is_none() as u64;
+        hit
     }
 
-    /// Inserts a translation, evicting the set's LRU entry if full.
+    /// Inserts a translation — over the page's previous one if there is
+    /// one, else evicting the set's LRU entry if full.
     pub fn insert(&mut self, tag: TlbTag, vpn: u64, ppn: u64, meta: u8) {
-        let set = self.set_of(vpn);
-        let (slots, fill) = self.set_mut(set);
-        let mut n = *fill as usize;
-        // One entry leaves — the page's previous translation if there is
-        // one, else the LRU entry of a full set — and the rest close up.
-        let leaving = slots[..n]
-            .iter()
-            .position(|e| e.matches(tag, vpn))
-            .or((n == slots.len()).then_some(0));
-        if let Some(pos) = leaving {
-            slots.copy_within(pos + 1..n, pos);
-            n -= 1;
-        }
-        slots[n] = TlbEntry {
-            tag,
-            vpn,
-            ppn,
-            meta,
-        };
-        *fill = n as u8 + 1;
+        self.lru
+            .put(self.set_of(vpn), (tag, vpn), (ppn, meta), true);
     }
 
     /// Flushes every entry (a non-PCID CR3 write, or `INVEPT` global).
     pub fn flush_all(&mut self) {
-        self.fill.fill(0);
+        self.lru.clear();
     }
 
     /// Flushes entries belonging to one tag (`INVPCID` single-context).
     pub fn flush_tag(&mut self, tag: TlbTag) {
-        for set in 0..self.fill.len() {
-            self.retain(set, |e| e.tag != tag);
+        for set in 0..=self.set_mask {
+            self.lru.retain(set, |&(t, _)| t != tag);
         }
     }
 
     /// Invalidates one page under one tag (`INVLPG`).
     pub fn flush_page(&mut self, tag: TlbTag, vpn: u64) {
-        self.retain(self.set_of(vpn), |e| !e.matches(tag, vpn));
+        self.lru.retain(self.set_of(vpn), |&k| k != (tag, vpn));
     }
 
     /// Number of live entries.
     pub fn resident(&self) -> usize {
-        self.fill.iter().map(|&n| n as usize).sum()
+        self.lru.resident()
     }
 
     /// Resets hit/miss statistics without touching entries.
@@ -242,6 +168,14 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct TlbEntry {
+        tag: TlbTag,
+        vpn: u64,
+        ppn: u64,
+        meta: u8,
+    }
 
     /// The `Vec<Vec<TlbEntry>>` TLB the flat one replaced, kept verbatim
     /// as the reference it must match operation for operation.
@@ -316,8 +250,8 @@ mod tests {
     }
 
     /// The everyday shape plus the edges: one set of one way, direct
-    /// mapped, and 16 ways.
-    const GEOMETRIES: [TlbConfig; 4] = [
+    /// mapped, 16 ways, and two way counts (3, 12) no modelled TLB has.
+    const GEOMETRIES: [TlbConfig; 6] = [
         TlbConfig {
             entries: 8,
             ways: 2,
@@ -334,7 +268,58 @@ mod tests {
             entries: 32,
             ways: 16,
         },
+        TlbConfig {
+            entries: 12,
+            ways: 3,
+        },
+        TlbConfig {
+            entries: 24,
+            ways: 12,
+        },
     ];
+
+    /// The live entries of `set`, least recently used first.
+    fn lru_order(t: &Tlb, set: usize) -> Vec<TlbEntry> {
+        let entry = |&((tag, vpn), (ppn, meta))| TlbEntry {
+            tag,
+            vpn,
+            ppn,
+            meta,
+        };
+        t.lru.lru_order(set).iter().map(entry).collect()
+    }
+
+    /// Every set of `flat` holds what `reference` holds, in LRU order.
+    fn assert_same_sets(flat: &Tlb, reference: &RefTlb) {
+        for (set, want) in reference.sets.iter().enumerate() {
+            assert_eq!(&lru_order(flat, set), want, "set {set}");
+        }
+    }
+
+    /// One step of the operation mix both reference tests drive.
+    fn step(flat: &mut Tlb, reference: &mut RefTlb, kind: u8, tag: TlbTag, vpn: u64, v: u16) {
+        match kind {
+            0 => {
+                flat.flush_all();
+                reference.flush_all();
+            }
+            1 => {
+                flat.flush_tag(tag);
+                reference.flush_tag(tag);
+            }
+            2..=4 => {
+                flat.flush_page(tag, vpn);
+                reference.flush_page(tag, vpn);
+            }
+            5..=19 => {
+                flat.insert(tag, vpn, v as u64 + 7, v as u8);
+                reference.insert(tag, vpn, v as u64 + 7, v as u8);
+            }
+            _ => assert_eq!(flat.lookup(tag, vpn), reference.lookup(tag, vpn)),
+        }
+        assert_eq!(flat.accesses, reference.accesses);
+        assert_eq!(flat.misses, reference.misses);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -355,30 +340,40 @@ mod tests {
                 let tag = TlbTag { pcid, ept_root: if nested { 0x7000 } else { 0 } };
                 // Three times the capacity in distinct pages.
                 let vpn = v as u64 % (config.entries as u64 * 3);
-                match kind {
-                    0 => {
-                        flat.flush_all();
-                        reference.flush_all();
-                    }
-                    1 => {
-                        flat.flush_tag(tag);
-                        reference.flush_tag(tag);
-                    }
-                    2..=4 => {
-                        flat.flush_page(tag, vpn);
-                        reference.flush_page(tag, vpn);
-                    }
-                    5..=19 => {
-                        flat.insert(tag, vpn, v as u64 + 7, v as u8);
-                        reference.insert(tag, vpn, v as u64 + 7, v as u8);
-                    }
-                    _ => prop_assert_eq!(flat.lookup(tag, vpn), reference.lookup(tag, vpn)),
-                }
-                prop_assert_eq!(flat.accesses, reference.accesses);
-                prop_assert_eq!(flat.misses, reference.misses);
-                for (set, want) in reference.sets.iter().enumerate() {
-                    let got = &flat.slots[set * config.ways..][..flat.fill[set] as usize];
-                    prop_assert_eq!(got, &want[..], "set {}", set);
+                step(&mut flat, &mut reference, kind, tag, vpn, v);
+                assert_same_sets(&flat, &reference);
+            }
+        }
+    }
+
+    /// 200 000 lookups and inserts confined to one set, with the three
+    /// flushes in between: whatever a representation counts per set (a
+    /// 16-bit recency clock wraps after 65 535 touches) wraps here, and
+    /// the victims must stay the reference's.
+    #[test]
+    fn one_set_hammered_past_any_wrap_matches_the_reference() {
+        for config in [GEOMETRIES[0], GEOMETRIES[4], GEOMETRIES[5]] {
+            let mut flat = Tlb::new(config);
+            let mut reference = RefTlb::new(config);
+            let sets = config.sets() as u64;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..200_000u32 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let tag = TlbTag::bare((x >> 60) as u16 % 2);
+                // Twice the ways in distinct pages of set 0.
+                let vpn = (x >> 33) % (config.ways as u64 * 2) * sets;
+                // Mostly lookups and inserts; a flush of some kind about
+                // every thousand steps.
+                let kind = match (x >> 40) % 1000 {
+                    0 => (x >> 20) as u8 % 5,
+                    r if r < 300 => 5,
+                    _ => 20,
+                };
+                step(&mut flat, &mut reference, kind, tag, vpn, i as u16);
+                if i % 251 == 0 || i > 199_000 {
+                    assert_same_sets(&flat, &reference);
                 }
             }
         }

@@ -31,7 +31,7 @@ const BUDGET: &[(&str, usize)] = &[
     ("rootkernel", 450),
     ("runtime", 1_850),
     ("sentinel", 850),
-    ("sim", 750),
+    ("sim", 800),
     ("transport", 1_100),
     ("ycsb", 250),
 ];
