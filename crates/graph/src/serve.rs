@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sb_observe::{Recorder, SpanKind};
-use sb_sim::Cycles;
+use sb_sim::{Cycles, Pmu};
 use sb_transport::{verify_reply_corr, CallError, CopyMeter, Lane, Request, Transport};
 
 use crate::cell::{CellDisk, GraphCell, HopCtx, HopLink, SharedTransport};
@@ -158,6 +158,14 @@ impl GraphTransport {
             .collect()
     }
 
+    /// Each node's PMU counters, in spec order — which node's TLB is
+    /// thrashing, which one's caches miss. Nodes on synthetic transports
+    /// (no simulated hardware underneath) are left out.
+    pub fn node_pmus(&self) -> Vec<(String, Pmu)> {
+        let pmu = |n: &NodeHop| Some((n.name.clone(), n.transport.borrow().pmu()?));
+        self.nodes.iter().filter_map(pmu).collect()
+    }
+
     /// One inner-transport hop: idle the node's lane forward to the
     /// request clock, cross, return the advanced clock.
     fn hop(&self, node: usize, lane: usize, req: &Request, t: Cycles) -> Result<Cycles, CallError> {
@@ -284,5 +292,12 @@ impl Transport for GraphTransport {
             n.transport.borrow_mut().attach_recorder(recorder.clone());
         }
         self.recorder = recorder;
+    }
+
+    /// The sum over the nodes' machines ([`GraphTransport::node_pmus`]
+    /// has them apart).
+    fn pmu(&self) -> Option<Pmu> {
+        let pmus = self.nodes.iter().filter_map(|n| n.transport.borrow().pmu());
+        pmus.reduce(|sum, pmu| sum.merge(&pmu))
     }
 }

@@ -7,7 +7,7 @@
 //! hierarchy: physically indexed, set-associative, LRU-replaced caches whose
 //! geometries default to the Skylake i7-6700K the paper used.
 
-use crate::{lru::SetLru, Cycles};
+use crate::lru::SetLru;
 
 /// What an access is, for routing and PMU accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,6 +87,31 @@ impl CacheConfig {
 /// what lets a line address be stored in 32 bits without ever aliasing.
 pub const PADDR_BITS: u32 = 36;
 
+/// Entries of the run memo an instruction cache carries.
+pub(crate) const MEMO_ENTRIES: usize = 64;
+
+/// A memo entry may sit in any of this many neighbouring slots (all of
+/// them, in a smaller memo).
+const MEMO_WAYS: usize = 4;
+
+/// One run a [`Cache`] with a run memo vouches for.
+///
+/// While `epoch` is the cache's — the eager lookup the entry was made
+/// for filled nothing, and nothing was filled or flushed since — every
+/// line of the run is resident, so a repeat of the run is known to miss
+/// nowhere without looking, and all it owes the sets is recency, which
+/// nothing can observe before the next fill.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    /// `first line << 32 | lines`; no run is zero.
+    run: u64,
+    /// The cache's epoch just before the run was last looked up eagerly.
+    epoch: u64,
+    /// The cache's tick at the last repeat of the run. Past the cache's
+    /// `settled`, that repeat is not yet in the sets' LRU order.
+    tick: u64,
+}
+
 /// One set-associative, LRU-replaced cache level.
 ///
 /// Tags are full line addresses, so the model never aliases distinct lines.
@@ -101,6 +126,15 @@ pub struct Cache {
     set_mask: usize,
     /// The resident line addresses, by set.
     lru: SetLru<u32, ()>,
+    /// The run memo: a power of two of entries, none on a cache without
+    /// one.
+    memo: Vec<MemoEntry>,
+    /// Bumped by everything that can remove a line: a fill, a flush.
+    epoch: u64,
+    /// Counts the runs the memo answered.
+    tick: u64,
+    /// `tick` when the sets' LRU order was last brought up to date.
+    settled: u64,
     /// Total lookups.
     pub accesses: u64,
     /// Lookups that missed.
@@ -140,8 +174,30 @@ impl Cache {
             line_shift,
             set_mask: sets - 1,
             lru: SetLru::new(sets, config.ways),
+            memo: Vec::new(),
+            epoch: 0,
+            tick: 0,
+            settled: 0,
             accesses: 0,
             misses: 0,
+        }
+    }
+
+    /// [`Cache::new`] with a run memo of `entries` in front of the sets:
+    /// a run that repeats while nothing is filled or flushed costs one
+    /// probe of the memo, and is brought into the sets' LRU order before
+    /// anything can tell. The cache behaves like one without a memo, to
+    /// the last victim.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Cache::new`] does, and if `entries` is not a power of
+    /// two or more than [`MEMO_ENTRIES`].
+    pub(crate) fn with_run_memo(config: CacheConfig, entries: usize) -> Self {
+        assert!(entries.is_power_of_two() && entries <= MEMO_ENTRIES);
+        Cache {
+            memo: vec![MemoEntry::default(); entries],
+            ..Cache::new(config)
         }
     }
 
@@ -189,6 +245,11 @@ impl Cache {
         }
         let start = self.first_line(first, lines);
         self.accesses += lines;
+        // The memo stands in front of the one eager lookup; a cache
+        // without one pays this test and nothing else.
+        if !self.memo.is_empty() && self.repeats(start, lines) {
+            return 0;
+        }
         let mut misses = 0;
         for line in start..start + lines {
             if !self
@@ -199,8 +260,77 @@ impl Cache {
                 missed(line << self.line_shift);
             }
         }
-        self.misses += misses;
+        if misses != 0 {
+            self.misses += misses;
+            self.epoch += 1;
+        }
         misses
+    }
+
+    /// Whether the memo knows every line of the run to be resident. If
+    /// so, the repeat is noted and its recency owed. If not, what is owed
+    /// is settled, for an eager lookup follows, and the run is vouched
+    /// for ahead of that lookup — over a dead entry if there is one, else
+    /// over the run that has not repeated for longest: if a line turns
+    /// out absent, its fill kills the new entry along with all others.
+    ///
+    /// Out of line, and cold as seen from a cache without a memo: nothing
+    /// of it may sit in, or spill registers around, that cache's lookup.
+    #[cold]
+    #[inline(never)]
+    fn repeats(&mut self, start: u64, lines: u64) -> bool {
+        // `first_line` keeps both halves within 32 bits (a run of 2^32
+        // lines starts at line 0 and reads as line 1, no lines — a run
+        // that does not exist).
+        let (run, epoch, next) = (start << 32 | lines, self.epoch, self.tick + 1);
+        let known = |e: &&mut MemoEntry| e.run == run && e.epoch == epoch;
+        if let Some(entry) = self.memo_slots(run).iter_mut().find(known) {
+            entry.tick = next;
+            self.tick = next;
+            return true;
+        }
+        self.settle();
+        let tick = self.tick;
+        let value = |e: &&mut MemoEntry| (e.epoch == epoch, e.tick);
+        let entry = self.memo_slots(run).iter_mut().min_by_key(value);
+        *entry.expect("a memo has a slot") = MemoEntry { run, epoch, tick };
+        false
+    }
+
+    /// The memo slots `run` may sit in.
+    fn memo_slots(&mut self, run: u64) -> &mut [MemoEntry] {
+        let ways = MEMO_WAYS.min(self.memo.len());
+        let hash = run.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - MEMO_ENTRIES.ilog2());
+        let base = hash as usize & (self.memo.len() - ways);
+        &mut self.memo[base..base + ways]
+    }
+
+    /// Brings the sets' LRU order up to date with the runs the memo has
+    /// answered since the last time.
+    ///
+    /// Between two settles no line is filled or evicted, so each set's
+    /// order depends only on when each line was *last* touched; the last
+    /// touch of a line is by the last-repeated run that holds it; so
+    /// replaying each such run once, in the order of their last repeats,
+    /// leaves every set as the eager lookups would have. (The 16-bit
+    /// stamps differ; their order, which is all an eviction reads, does
+    /// not.)
+    #[cold]
+    #[inline(never)]
+    fn settle(&mut self) {
+        if self.tick == self.settled {
+            return;
+        }
+        let owed = |e: &&MemoEntry| e.epoch == self.epoch && e.tick > self.settled;
+        let mut owed: Vec<MemoEntry> = self.memo.iter().filter(owed).copied().collect();
+        owed.sort_unstable_by_key(|e| e.tick);
+        for MemoEntry { run, .. } in owed {
+            for line in run >> 32..(run >> 32) + (run & u32::MAX as u64) {
+                let resident = self.lru.get(line as usize & self.set_mask, line as u32);
+                assert!(resident.is_some(), "line {line:#x} left under the memo");
+            }
+        }
+        self.settled = self.tick;
     }
 
     /// Looks up the line holding `paddr`, filling it on a miss: the
@@ -219,6 +349,8 @@ impl Cache {
     /// Invalidates the whole cache (e.g. `WBINVD`); statistics survive.
     pub fn flush(&mut self) {
         self.lru.clear();
+        // Recency owed to lines that are gone is owed to no one.
+        self.epoch += 1;
     }
 
     /// Number of lines currently resident.
@@ -235,28 +367,20 @@ impl Cache {
     /// The resident lines of `set`, least recently used first.
     #[cfg(test)]
     pub(crate) fn lru_order(&self, set: usize) -> Vec<u64> {
+        if self.tick != self.settled {
+            let mut now = self.clone();
+            now.settle();
+            return now.lru_order(set);
+        }
         let order = self.lru.lru_order(set);
         order.iter().map(|&(line, ())| line as u64).collect()
     }
 }
 
-/// Latencies of the Skylake hierarchy, expressed as *additional* cycles per
-/// level over the previous one. Kept alongside the geometry so benches can
-/// describe the hierarchy in one place.
-#[derive(Debug, Clone, Copy)]
-pub struct HierarchyLatency {
-    /// L1 hit.
-    pub l1: Cycles,
-    /// Extra on L1 miss, L2 hit.
-    pub l2: Cycles,
-    /// Extra on L2 miss, L3 hit.
-    pub l3: Cycles,
-    /// Extra on L3 miss (DRAM).
-    pub dram: Cycles,
-}
-
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use proptest::prelude::*;
 
     use super::*;
@@ -434,6 +558,176 @@ mod tests {
                 (reference.accesses, reference.misses)
             );
         }
+    }
+
+    /// Makes the same access to a cache with a run memo and to one
+    /// without, and holds every observable of the first to the second's:
+    /// the misses, the addresses handed down and their order, the
+    /// counters, and whether each of `probes` is resident.
+    fn same_access(
+        memo: &mut Cache,
+        plain: &mut Cache,
+        (first, lines): (u64, u64),
+        probes: &[u64],
+    ) -> Result<(), TestCaseError> {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let misses = memo.access_run(first, lines, |line| got.push(line));
+        prop_assert_eq!(
+            misses,
+            plain.access_run(first, lines, |line| want.push(line))
+        );
+        prop_assert_eq!(got, want);
+        prop_assert_eq!((memo.accesses, memo.misses), (plain.accesses, plain.misses));
+        prop_assert_eq!(memo.resident_lines(), plain.resident_lines());
+        for &paddr in probes {
+            prop_assert_eq!(memo.probe(paddr), plain.probe(paddr), "probe {:#x}", paddr);
+        }
+        Ok(())
+    }
+
+    /// Every set of the two caches holds the same lines in the same LRU
+    /// order. Looking does not settle `memo`: what it owes stays owed.
+    fn assert_same_order(memo: &Cache, plain: &Cache) {
+        for set in 0..plain.config().sets() {
+            assert_eq!(memo.lru_order(set), plain.lru_order(set), "set {set}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A stream drawn from a small alphabet of runs, so that runs
+        /// repeat — overlapping ones, ones that share sets, single
+        /// lines, ones longer than the cache has sets or lines — mixed
+        /// with stray lines that evict what a memo entry vouches for and
+        /// with flushes that find recency still owed, through a memo of
+        /// one entry, of fewer entries than the alphabet has runs (so
+        /// that an entry that is owed recency is overwritten), or of the
+        /// size an L1i carries: nothing a caller can see tells the cache
+        /// with the memo from the one without.
+        #[test]
+        fn a_run_memo_changes_nothing_a_caller_can_see(
+            geometry in 0usize..GEOMETRIES.len(),
+            entries in 0usize..4,
+            reach in 1u64..=4,
+            alphabet in proptest::collection::vec((any::<u32>(), 0u64..48), 1..13),
+            steps in proptest::collection::vec((0u8..40, any::<u16>()), 1..300),
+        ) {
+            let config = GEOMETRIES[geometry];
+            let entries = [1, 2, 8, MEMO_ENTRIES][entries];
+            let (mut memo, mut plain) = (Cache::with_run_memo(config, entries), Cache::new(config));
+            // Runs start within half the capacity (they can all be
+            // resident at once) to twice it (they cannot); a quarter of
+            // them are one line, the longest is 35.
+            let span = config.size_bytes as u64 * reach / 2;
+            let alphabet: Vec<(u64, u64)> = alphabet
+                .into_iter()
+                .map(|(a, lines)| (a as u64 % span, lines.saturating_sub(12).max(1)))
+                .collect();
+            let probes: Vec<u64> = alphabet
+                .iter()
+                .flat_map(|&(first, lines)| (0..lines).map(move |l| first + l * 64))
+                .collect();
+            for (step, (kind, pick)) in steps.into_iter().enumerate() {
+                match kind {
+                    0 => {
+                        memo.flush();
+                        plain.flush();
+                    }
+                    // A line from anywhere in three times the capacity.
+                    1..=3 => {
+                        let stray = pick as u64 * 64 % (config.size_bytes as u64 * 3);
+                        same_access(&mut memo, &mut plain, (stray, 1), &probes)?;
+                    }
+                    _ => {
+                        let run = alphabet[pick as usize % alphabet.len()];
+                        same_access(&mut memo, &mut plain, run, &probes)?;
+                    }
+                }
+                if step % 8 == 0 {
+                    assert_same_order(&memo, &plain);
+                }
+            }
+            assert_same_order(&memo, &plain);
+        }
+    }
+
+    /// Touches set 0 of both caches once per index in `touches`, through
+    /// a one-entry memo that two lines fight over, so it never answers.
+    fn pumped((mut memo, mut plain): (Cache, Cache), touches: Range<u64>) -> (Cache, Cache) {
+        for i in touches {
+            same_access(&mut memo, &mut plain, (i % 2 * 256, 1), &[]).expect("same access");
+        }
+        (memo, plain)
+    }
+
+    /// A nine-line run — lines 0, 4 and 8 are set 0's of four ways —
+    /// repeats `repeats` times, all answered by the memo, and three
+    /// fills then take set 0's victims one by one.
+    fn repeats_then_fills((mut memo, mut plain): (Cache, Cache), repeats: u64) {
+        let mut access = |first_line: u64, lines: u64, order: bool| {
+            same_access(&mut memo, &mut plain, (first_line * 64, lines), &[]).expect("same access");
+            if order {
+                assert_same_order(&memo, &plain);
+            }
+            (memo.tick, memo.settled, memo.probe(16 * 64))
+        };
+        access(16, 1, true);
+        // The first pass fills line 8, the second finds all nine.
+        access(0, 9, true);
+        let (tick, ..) = access(0, 9, true);
+        assert_eq!(tick, 0, "nothing has repeated yet");
+        let answered = (0..repeats).map(|_| access(0, 9, false)).last();
+        assert_eq!(
+            answered,
+            Some((repeats, 0, true)),
+            "every repeat answered, none applied"
+        );
+        // Line 16 is the oldest of set 0, then the run's lines in order.
+        let (.., line_16_stays) = access(20, 1, true);
+        assert!(
+            !line_16_stays,
+            "the first victim is the line no repeat touched"
+        );
+        access(24, 1, true);
+        access(28, 1, true);
+    }
+
+    /// Repeats the memo answered never reach a set's 16-bit clock, so
+    /// 70 000 of them must neither wrap it nor lose their place in the
+    /// order; and the one replay that applies them must re-stamp the set
+    /// when it is that replay that crosses the wrap (seven touches follow
+    /// the pumped ones before its three).
+    #[test]
+    fn repeats_the_memo_answered_survive_the_stamp_wrap() {
+        let config = CacheConfig {
+            size_bytes: 1024,
+            ways: 4,
+            line_bytes: 64,
+        };
+        let cold = (Cache::with_run_memo(config, 1), Cache::new(config));
+        let mut pair = pumped(cold, 0..65_518);
+        for pump in 65_518..65_532 {
+            let repeats = if pump == 65_526 { 70_000 } else { 3 };
+            repeats_then_fills(pair.clone(), repeats);
+            pair = pumped(pair, pump..pump + 1);
+        }
+    }
+
+    /// A flush drops the recency the memo still owes along with the
+    /// lines it was owed to: the runs miss again, in full.
+    #[test]
+    fn a_flush_with_recency_owed_forgets_the_runs() {
+        let mut c = Cache::with_run_memo(tiny().config, 2);
+        for _ in 0..3 {
+            c.access_run(0, 4, |_| {});
+            c.access_run(0x100, 2, |_| {});
+        }
+        assert_eq!((c.misses, c.tick, c.settled), (6, 2, 0));
+        c.flush();
+        assert_eq!(c.access_run(0, 4, |_| {}), 4);
+        assert_eq!(c.access_run(0x100, 2, |_| {}), 2);
+        assert_eq!(c.lru_order(0), [0, 4]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The shared L3 lives in [`crate::machine::Machine`].
 
 use crate::{
-    cache::{Cache, CacheConfig},
+    cache::{Cache, CacheConfig, MEMO_ENTRIES},
     pmu::Pmu,
     tlb::{Tlb, TlbConfig, TlbTag},
     Cycles,
@@ -84,7 +84,7 @@ impl Cpu {
             pcid: 0,
             ept_root: 0,
             pkru: 0,
-            l1i: Cache::new(CacheConfig::skylake_l1i()),
+            l1i: Cache::with_run_memo(CacheConfig::skylake_l1i(), MEMO_ENTRIES),
             l1d: Cache::new(CacheConfig::skylake_l1d()),
             l2: Cache::new(CacheConfig::skylake_l2()),
             itlb: Tlb::new(TlbConfig::skylake_itlb()),

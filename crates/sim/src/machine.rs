@@ -298,38 +298,91 @@ mod tests {
         ((1 << PADDR_BITS) - (512 << 10), 8192),
     ];
 
+    /// `(core, region, line, byte, lines, kind)`: a run of `lines` lines
+    /// by `core`, from `byte` of `line` of `REGIONS[region]`.
+    type Run = (usize, usize, u64, u64, usize, usize);
+
+    /// Every run the streams below can hold: empty, one line, longer
+    /// than the L1 has sets (so the set index wraps), across 4 KiB
+    /// pages, starting mid-line, ending on the last line of the address
+    /// space, missing one, two or all three levels.
+    fn any_run() -> impl Strategy<Value = Run> {
+        (
+            0usize..2,
+            0usize..4,
+            0u64..8192,
+            0u64..64,
+            0usize..=130,
+            0usize..3,
+        )
+    }
+
+    /// Drives one machine by `runs` through `mem_access_span` and one,
+    /// whose instruction caches carry no run memo, through the per-line
+    /// walk: the same returned latencies, clocks, PMUs and counters after
+    /// every run, the same per-set contents in LRU order at every level
+    /// after every `contents_every` runs and the last.
+    fn assert_runs_match_lines(
+        runs: impl Iterator<Item = Run>,
+        contents_every: usize,
+    ) -> Result<(), TestCaseError> {
+        let (mut span, mut lines) = (small_machine(), small_machine());
+        for cpu in &mut lines.cores {
+            cpu.l1i = Cache::new(*cpu.l1i.config());
+        }
+        for (i, (core, region, line, byte, len, kind)) in runs.enumerate() {
+            let (base, span_lines) = REGIONS[region];
+            let hpa = base + line % span_lines * 64 + byte;
+            // A run may end on the last line of the address space, not
+            // beyond it.
+            let len = len.min((((1u64 << PADDR_BITS) - hpa).div_ceil(64)) as usize);
+            let got = span.mem_access_span(core, hpa, len, KINDS[kind]);
+            let want: Cycles = (0..len as u64)
+                .map(|l| per_line(&mut lines, core, (hpa & !63) + l * 64, KINDS[kind]))
+                .sum();
+            prop_assert_eq!(got, want, "run {}", i);
+            assert_same_state(&span, &lines, i % contents_every == 0);
+        }
+        assert_same_state(&span, &lines, true);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any stream of runs — empty, one line, longer than the L1 has
-        /// sets (so the set index wraps), across 4 KiB pages, starting
-        /// mid-line, ending on the last line of the address space,
-        /// missing one, two or all three levels, from two cores sharing
-        /// the L3 — leaves a machine driven by `mem_access_span` and one
-        /// driven line by line with the same returned latencies, clocks,
-        /// PMUs, counters and per-set contents in LRU order.
+        /// Any stream of runs from two cores sharing the L3 leaves a
+        /// machine driven by `mem_access_span` and one driven line by
+        /// line in the same state.
         #[test]
         fn a_run_matches_the_same_lines_one_by_one(
-            runs in proptest::collection::vec(
-                (0usize..2, 0usize..4, 0u64..8192, 0u64..64, 0usize..=130, 0usize..3),
-                1..120,
-            ),
+            runs in proptest::collection::vec(any_run(), 1..120),
         ) {
-            let (mut span, mut lines) = (small_machine(), small_machine());
-            for (i, (core, region, line, byte, len, kind)) in runs.into_iter().enumerate() {
-                let (base, span_lines) = REGIONS[region];
-                let hpa = base + line % span_lines * 64 + byte;
-                // A run may end on the last line of the address space,
-                // not beyond it.
-                let len = len.min((((1u64 << PADDR_BITS) - hpa).div_ceil(64)) as usize);
-                let got = span.mem_access_span(core, hpa, len, KINDS[kind]);
-                let want: Cycles = (0..len as u64)
-                    .map(|l| per_line(&mut lines, core, (hpa & !63) + l * 64, KINDS[kind]))
-                    .sum();
-                prop_assert_eq!(got, want, "run {}", i);
-                assert_same_state(&span, &lines, i % 16 == 0);
-            }
-            assert_same_state(&span, &lines, true);
+            assert_runs_match_lines(runs.into_iter(), 16)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The same for a stream that keeps coming back to a few runs —
+        /// most of them instruction fetches out of the 16 KiB that fit
+        /// an L1i, so that the run memos of both cores answer, are owed
+        /// recency when another run fills, and are settled — down to
+        /// the shared L3's order.
+        #[test]
+        fn repeating_runs_match_the_same_lines_one_by_one(
+            alphabet in proptest::collection::vec((any_run(), 0u8..4), 1..10),
+            picks in proptest::collection::vec(any::<u8>(), 1..200),
+        ) {
+            let alphabet: Vec<Run> = alphabet
+                .into_iter()
+                .map(|((core, region, line, byte, len, kind), near)| match near {
+                    0 => (core, region, line, byte, len, kind),
+                    _ => (core, 0, line, byte, len % 24, 0),
+                })
+                .collect();
+            let runs = picks.into_iter().map(|p| alphabet[p as usize % alphabet.len()]);
+            assert_runs_match_lines(runs, 64)?;
         }
     }
 

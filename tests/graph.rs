@@ -211,3 +211,57 @@ fn open_loop_over_the_graph_conserves_requests() {
         );
     }
 }
+
+/// `GraphTransport::node_pmus` shows which node's TLB is thrashing, and
+/// on the standard graph one is: every crossing into the fs node takes
+/// exactly three d-TLB misses, each a nested walk (67 walk accesses in
+/// all), forever, while the other nodes walk a few times per hundred
+/// requests. The cause is in DESIGN.md §9 ("Known modeling deviations"):
+/// five pages the crossing touches share d-TLB set 0 of four ways. A
+/// change that moves these figures has changed the model.
+#[test]
+fn node_pmus_show_the_fs_node_thrashing_one_dtlb_set() {
+    const OPS: u64 = 4_000;
+    let spec = GraphSpec::standard(4096, 48, 256);
+    let mut t = build_graph(&Backend::SkyBridge, &spec, 1);
+    let payload = client_payload(&spec);
+    let mut reads = Workload::new(WorkloadSpec {
+        seed: 42,
+        ..WorkloadSpec::ycsb_c(spec.records, spec.value_len)
+    });
+    let mut drive = |t: &mut sb_graph::GraphTransport, ids: std::ops::Range<u64>| {
+        for id in ids {
+            drive_one(t, id, reads.next_op().key, false, payload);
+        }
+    };
+    drive(&mut t, 1..2_001);
+    let (warm, warm_sum) = (t.node_pmus(), t.pmu().expect("kernel-backed nodes"));
+    drive(&mut t, 2_001..2_001 + OPS);
+
+    let nodes: Vec<_> = t
+        .node_pmus()
+        .into_iter()
+        .zip(&warm)
+        .map(|((name, now), (_, then))| (name, now.delta(then)))
+        .collect();
+    let names: Vec<&str> = nodes.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["gateway", "cache", "db", "fs"]);
+    let sum = nodes
+        .iter()
+        .fold(sb_sim::Pmu::new(), |sum, (_, d)| sum.merge(d));
+    assert_eq!(t.pmu().expect("kernel-backed nodes").delta(&warm_sum), sum);
+
+    for (name, d) in &nodes[..3] {
+        assert_eq!(d.page_walks, d.dtlb_misses, "{name}");
+        assert!(d.page_walks * 5 < OPS, "{name}: {} walks", d.page_walks);
+    }
+    let (_, fs) = &nodes[3];
+    // A crossing is a VMFUNC in and a VMFUNC out.
+    let crossings = fs.vmfuncs / 2;
+    assert!(crossings > OPS / 2, "{crossings} crossings into fs");
+    assert_eq!(
+        (fs.dtlb_misses, fs.page_walks, fs.walk_memory_accesses),
+        (3 * crossings, 3 * crossings, 67 * crossings)
+    );
+    assert_eq!(sum.l1i_misses, 0);
+}

@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Where does the host clock go? A sampling profile of one benchmark workload.
+#
+#   tools/hostprof.sh <workload> [seed] [seconds]
+#
+# Builds `benchmark/` unmodified, with frame pointers and symbols, into
+# target/hostprof; runs `sb-benchmark --workload W` untraced under an
+# LD_PRELOAD sampler (tools/hostprof/sampler.c: SIGALRM every 200 us,
+# rip + rbp chain); prints self / inclusive / caller tables restricted to
+# the measured loop (`Prepared>::run`) via tools/hostprof/report.py.
+# Needs gcc, python3 and nm; x86-64 Linux only. Not part of Tier-1 or CI.
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+workload="${1:?usage: $0 <workload> [seed] [seconds]}"
+seed="${2:-42}"
+seconds="${3:-10}"
+for tool in gcc python3 nm cargo; do
+    command -v "$tool" >/dev/null || {
+        echo "$0: needs \`$tool\` on PATH" >&2
+        exit 1
+    }
+done
+
+out="$root/target/hostprof"
+mkdir -p "$out"
+RUSTFLAGS="-C force-frame-pointers=yes -g" CARGO_TARGET_DIR="$out" \
+    cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml" 1>&2
+gcc -O2 -shared -fPIC -o "$out/sampler.so" "$root/tools/hostprof/sampler.c"
+
+SBPROF_OUT="$out/samples.txt" LD_PRELOAD="$out/sampler.so" \
+    "$out/release/sb-benchmark" --out "$out/out" \
+    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 >/dev/null
+python3 "$root/tools/hostprof/report.py" "$out/samples.txt"
