@@ -262,12 +262,9 @@ impl SkyBridge {
         );
         // The process's own EPT, pinned at slot 0 of its EPTP list.
         let cr3 = k.processes[pid].cr3();
-        let own = if let Some(mut rk) = k.rootkernel.take() {
+        let own = if let Some(rk) = k.rootkernel.as_mut() {
             let core = k.threads[k.processes[pid].threads[0]].core;
-            let (machine, mem) = (&mut k.machine, &mut k.mem);
-            let own = rk.process_ept(machine, core, mem, cr3);
-            k.rootkernel = Some(rk);
-            own
+            rk.process_ept(&mut k.machine, core, &mut k.mem, cr3)
         } else {
             Hpa(0)
         };
@@ -424,11 +421,9 @@ impl SkyBridge {
         // CR3 GPA to the server's page-table root (§4.3).
         let client_cr3 = k.processes[client_pid].cr3();
         let server_cr3 = k.processes[server_pid].cr3();
-        let ept_root = if let Some(mut rk) = k.rootkernel.take() {
+        let ept_root = if let Some(rk) = k.rootkernel.as_mut() {
             let core = k.threads[client_tid].core;
-            let root = rk.bind(&mut k.machine, core, &mut k.mem, client_cr3, server_cr3);
-            k.rootkernel = Some(rk);
-            root
+            rk.bind(&mut k.machine, core, &mut k.mem, client_cr3, server_cr3)
         } else {
             Hpa(0)
         };
@@ -530,14 +525,13 @@ impl SkyBridge {
         for core in 0..k.machine.num_cores() {
             if let Some(tid) = k.current_thread(core) {
                 if k.threads[tid].process == pid {
-                    if let (Some(mut rk), Some(list)) =
-                        (k.rootkernel.take(), k.processes[pid].eptp_list.clone())
+                    if let (Some(rk), Some(list)) =
+                        (k.rootkernel.as_mut(), k.processes[pid].eptp_list.clone())
                     {
                         rk.install_eptp_list(&mut k.machine, core, list);
                         // Re-enter the process's own EPT.
                         rk.vmfunc(&mut k.machine, core, 0, 0)
                             .expect("slot 0 pinned");
-                        k.rootkernel = Some(rk);
                     }
                 }
             }
@@ -1331,7 +1325,7 @@ impl SkyBridge {
         pid: ProcessId,
         root: Hpa,
     ) -> Result<(), SbError> {
-        let Some(mut rk) = k.rootkernel.take() else {
+        let Some(rk) = k.rootkernel.as_mut() else {
             // SkyBridge requires the Rootkernel underneath the Subkernel.
             return Err(SbError::Vmfunc(
                 sb_rootkernel::VmfuncError::NotInNonRootMode,
@@ -1352,7 +1346,7 @@ impl SkyBridge {
             // the Rootkernel repairs the list.
             None => rk.vmfunc(&mut k.machine, core, 0, usize::MAX),
         };
-        let out = match result {
+        match result {
             Ok(()) => Ok(()),
             Err(_) => {
                 // Slot fault: the Rootkernel validates the root against
@@ -1360,7 +1354,6 @@ impl SkyBridge {
                 // This exit is where an evicted slot becomes *observed*.
                 self.faults.detected(FaultPoint::EptpEvict);
                 let Some(list) = k.processes[pid].eptp_list.as_mut() else {
-                    k.rootkernel = Some(rk);
                     self.violations
                         .push(Violation::VmfuncFault { process: pid });
                     return Err(SbError::Vmfunc(sb_rootkernel::VmfuncError::InvalidIndex));
@@ -1382,9 +1375,7 @@ impl SkyBridge {
                     }
                 }
             }
-        };
-        k.rootkernel = Some(rk);
-        out
+        }
     }
 }
 

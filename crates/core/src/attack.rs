@@ -79,12 +79,10 @@ pub fn raw_vmfunc(
     eptp_index: usize,
 ) -> AttackOutcome {
     let core = k.threads[attacker].core;
-    let Some(mut rk) = k.rootkernel.take() else {
+    let Some(rk) = k.rootkernel.as_mut() else {
         return AttackOutcome::Faulted(VmfuncError::NotInNonRootMode);
     };
-    let r = rk.vmfunc(&mut k.machine, core, 0, eptp_index);
-    k.rootkernel = Some(rk);
-    match r {
+    match rk.vmfunc(&mut k.machine, core, 0, eptp_index) {
         Ok(()) => AttackOutcome::Succeeded,
         Err(e) => AttackOutcome::Faulted(e),
     }
@@ -94,9 +92,8 @@ pub fn raw_vmfunc(
 /// operations see a consistent machine).
 pub fn restore_own_ept(k: &mut Kernel, attacker: ThreadId) {
     let core = k.threads[attacker].core;
-    if let Some(mut rk) = k.rootkernel.take() {
+    if let Some(rk) = k.rootkernel.as_mut() {
         let _ = rk.vmfunc(&mut k.machine, core, 0, 0);
-        k.rootkernel = Some(rk);
     }
 }
 

@@ -63,13 +63,13 @@ impl EptPerms {
         exec: false,
     };
 
-    fn bits(self) -> u64 {
+    pub(crate) fn bits(self) -> u64 {
         (self.read as u64) * EPT_READ
             + (self.write as u64) * EPT_WRITE
             + (self.exec as u64) * EPT_EXEC
     }
 
-    fn from_bits(bits: u64) -> Self {
+    pub(crate) fn from_bits(bits: u64) -> Self {
         EptPerms {
             read: bits & EPT_READ != 0,
             write: bits & EPT_WRITE != 0,

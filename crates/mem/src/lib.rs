@@ -35,6 +35,6 @@ pub use crate::{
     ept::{Ept, EptPerms, PageSize},
     fault::MemFault,
     paging::{AddressSpace, PteFlags},
-    phys::HostMem,
+    phys::{HostMem, WalkMemoStats},
     walk::{read_bytes, translate, write_bytes, Access},
 };

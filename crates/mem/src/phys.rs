@@ -7,7 +7,12 @@
 //! all — and the rest, which the base EPT identity-maps to the Subkernel
 //! with 1 GiB pages.
 
-use crate::addr::{Hpa, PAGE_SIZE};
+use std::cell::{Cell, Ref, RefCell};
+
+use crate::{
+    addr::{Gpa, Hpa, PAGE_SIZE},
+    walk::{MemoWalk, WalkKey},
+};
 
 /// Size of the region reserved for the Rootkernel (the paper reserves
 /// 100 MiB; we round to a 2 MiB boundary).
@@ -25,7 +30,31 @@ type Frame = [u8; PAGE_SIZE as usize];
 /// Frames per second-level chunk (2 MiB of address space).
 const CHUNK_FRAMES: usize = 512;
 
-type Chunk = [Option<Box<Frame>>; CHUNK_FRAMES];
+/// 2 MiB of address space.
+#[derive(Debug)]
+struct Chunk {
+    frames: [Option<Box<Frame>>; CHUNK_FRAMES],
+    /// One bit per frame, set for good once a memoised walk has read the
+    /// frame: from then on a write to it moves [`HostMem::tables_epoch`].
+    watched: [Cell<u64>; CHUNK_FRAMES / 64],
+}
+
+/// Slots of the walk memo's table: 64 KiB, allocated on the first
+/// install and below the allocator's `mmap` threshold.
+const WALK_SLOTS: usize = 512;
+const _: () = assert!(WALK_SLOTS * size_of::<MemoWalk>() == 64 << 10);
+
+/// What the walk memo has done so far ([`HostMem::walk_memo_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkMemoStats {
+    /// Walks replayed from the memo.
+    pub answered: u64,
+    /// Walks made eagerly and recorded.
+    pub installed: u64,
+    /// Writes to a frame a recorded walk had read; each voids every
+    /// record.
+    pub invalidated: u64,
+}
 
 /// Sparse host physical memory.
 ///
@@ -34,6 +63,11 @@ type Chunk = [Option<Box<Frame>>; CHUNK_FRAMES];
 /// grow on demand, so reaching a frame is index arithmetic and dependent
 /// loads — no hash — while memory stays proportional to the frames
 /// actually touched.
+///
+/// It also keeps the walk memo of [`crate::walk`] (DESIGN.md §19), because
+/// it is what can tell when a recorded walk stops being true: every write
+/// goes through one private accessor, and a write to a frame some
+/// recorded walk has read moves `tables_epoch`, which voids every record.
 #[derive(Debug, Default)]
 pub struct HostMem {
     chunks: Vec<Option<Box<Chunk>>>,
@@ -43,6 +77,16 @@ pub struct HostMem {
     next_reserved: u64,
     /// Next free frame in the general region.
     next_general: u64,
+    /// The successful page walks [`crate::walk`] vouches for, direct-mapped
+    /// by key; empty until the first one.
+    walks: RefCell<Vec<MemoWalk>>,
+    /// Counts the writes to watched frames. A recorded walk stands while
+    /// this is what it was when the walk was made: nothing the walk read
+    /// has been written since, so walking again would read the same.
+    tables_epoch: u64,
+    /// Walks replayed from `walks`, and walks recorded there.
+    pub(crate) walks_answered: Cell<u64>,
+    walks_installed: Cell<u64>,
 }
 
 impl HostMem {
@@ -52,10 +96,9 @@ impl HostMem {
     /// zero page-table root can be used as a "none" sentinel.
     pub fn new() -> Self {
         HostMem {
-            chunks: Vec::new(),
-            resident: 0,
             next_reserved: PAGE_SIZE,
             next_general: RESERVED_BYTES,
+            ..Default::default()
         }
     }
 
@@ -118,22 +161,65 @@ impl HostMem {
         let (chunk, slot) = Self::index(hpa);
         self.chunks
             .get(chunk)
-            .and_then(|c| c.as_ref()?[slot].as_deref())
+            .and_then(|c| c.as_ref()?.frames[slot].as_deref())
             .unwrap_or_else(|| panic!("access to unallocated frame {hpa:?}"))
     }
 
-    /// The frame holding `hpa`, materialized zeroed on first touch.
+    /// The frame holding `hpa`, materialized zeroed on first touch: the
+    /// one way to a frame's bytes for everything that writes, so the one
+    /// place that has to notice a write to a watched frame.
     fn frame_mut(&mut self, hpa: Hpa) -> &mut Frame {
         let (chunk, slot) = Self::index(hpa);
         if chunk >= self.chunks.len() {
             self.chunks.resize_with(chunk + 1, || None);
         }
-        let chunk =
-            self.chunks[chunk].get_or_insert_with(|| Box::new([const { None }; CHUNK_FRAMES]));
-        chunk[slot].get_or_insert_with(|| {
+        let chunk = self.chunks[chunk].get_or_insert_with(|| {
+            Box::new(Chunk {
+                frames: [const { None }; CHUNK_FRAMES],
+                watched: Default::default(),
+            })
+        });
+        self.tables_epoch += chunk.watched[slot / 64].get() >> (slot % 64) & 1;
+        chunk.frames[slot].get_or_insert_with(|| {
             self.resident += 1;
             Box::new([0; PAGE_SIZE as usize])
         })
+    }
+
+    /// The recorded walk of `key`, if there is one and it still stands.
+    pub(crate) fn memoised_walk(&self, key: WalkKey) -> Option<Ref<'_, MemoWalk>> {
+        let known = |w: &&MemoWalk| w.is_of(key) && w.epoch == self.tables_epoch;
+        let walks = self.walks.borrow();
+        let slot = walk_slot(key, walks.len());
+        Ref::filter_map(walks, |walks| walks.get(slot).filter(known)).ok()
+    }
+
+    /// Records `walk`, just made of `key`, over whatever shares its slot,
+    /// and watches every frame it read.
+    pub(crate) fn memoise_walk(&self, key: WalkKey, mut walk: MemoWalk) {
+        walk.epoch = self.tables_epoch;
+        for entry in walk.entries() {
+            let (chunk, slot) = Self::index(Hpa(entry));
+            let chunk = self.chunks[chunk].as_ref().expect("the walk read it");
+            let word = &chunk.watched[slot / 64];
+            word.set(word.get() | 1 << (slot % 64));
+        }
+        let mut walks = self.walks.borrow_mut();
+        if walks.is_empty() {
+            walks.resize(WALK_SLOTS, MemoWalk::new((Gpa(0), 0, u64::MAX)));
+        }
+        let slot = walk_slot(key, walks.len());
+        walks[slot] = walk;
+        self.walks_installed.set(self.walks_installed.get() + 1);
+    }
+
+    /// What the walk memo has answered, recorded and had voided so far.
+    pub fn walk_memo_stats(&self) -> WalkMemoStats {
+        WalkMemoStats {
+            answered: self.walks_answered.get(),
+            installed: self.walks_installed.get(),
+            invalidated: self.tables_epoch,
+        }
     }
 
     /// Reads a naturally aligned little-endian `u64`.
@@ -166,7 +252,15 @@ impl HostMem {
         while done < buf.len() {
             let off = addr.page_offset() as usize;
             let n = (PAGE_SIZE as usize - off).min(buf.len() - done);
-            buf[done..done + n].copy_from_slice(&self.frame(addr)[off..off + n]);
+            let (dst, src) = (&mut buf[done..done + n], &self.frame(addr)[off..off + n]);
+            // A word (a key, a list entry) and a line (a record) are what
+            // the call path reads: at a length the compiler can see they
+            // move by value, not through libc.
+            match n {
+                8 => dst[..8].copy_from_slice(&src[..8]),
+                64 => dst[..64].copy_from_slice(&src[..64]),
+                _ => dst.copy_from_slice(src),
+            }
             addr = addr.add(n as u64);
             done += n;
         }
@@ -191,6 +285,14 @@ impl HostMem {
     }
 }
 
+/// Where in a table of `slots` (a power of two, or none) the walk of
+/// `key` is kept: the pages of an aligned 2 MiB each in a slot of their
+/// own, where depending on which 2 MiB of which address space it is.
+fn walk_slot((cr3, root, vpn): WalkKey, slots: usize) -> usize {
+    let region = (cr3.0 ^ root.rotate_left(24) ^ vpn >> 9).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (vpn ^ region >> 32) as usize & slots.wrapping_sub(1)
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -198,6 +300,19 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    impl HostMem {
+        /// [`HostMem::new`] with a walk memo of `slots` (a power of two)
+        /// in place of the 512 allocated on the first install.
+        pub(crate) fn with_walk_slots(slots: usize) -> Self {
+            assert!(slots.is_power_of_two());
+            let mem = HostMem::new();
+            mem.walks
+                .borrow_mut()
+                .resize(slots, MemoWalk::new((Gpa(0), 0, u64::MAX)));
+            mem
+        }
+    }
 
     /// The `HashMap` of frames the page directory replaced, as the
     /// reference: page number → contents.

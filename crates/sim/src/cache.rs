@@ -101,7 +101,7 @@ const MEMO_WAYS: usize = 4;
 /// line of the run is resident, so a repeat of the run is known to miss
 /// nowhere without looking, and all it owes the sets is recency, which
 /// nothing can observe before the next fill.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct MemoEntry {
     /// `first line << 32 | lines`; no run is zero.
     run: u64,
@@ -117,7 +117,13 @@ struct MemoEntry {
 /// Tags are full line addresses, so the model never aliases distinct lines.
 /// The cache is a pure hit/miss filter: latency charging is done by the
 /// hierarchy walker in [`crate::machine::Machine`].
-#[derive(Debug, Clone)]
+///
+/// Equality is of the representation — every slot, stamp and counter —
+/// so two caches that were put through the same lookups are equal, and
+/// two that hold the same lines in the same order after different
+/// histories need not be: what a twin test wants, not a notion of "same
+/// contents".
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     /// `log2(line_bytes)`.

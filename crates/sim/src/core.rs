@@ -33,8 +33,10 @@ pub enum PrivilegeLevel {
     User,
 }
 
-/// One simulated core.
-#[derive(Debug, Clone)]
+/// One simulated core. Equal to another when its registers, clock and
+/// PMU are and its caches and TLBs went through the same history
+/// (see [`Cache`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cpu {
     /// This core's index.
     pub id: CpuId,

@@ -8,7 +8,7 @@
 //! and ordered forever.
 
 /// `sets × ways` slots of key `K` and payload `V`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SetLru<K, V> {
     ways: usize,
     /// Set `s` owns slots `s * ways..(s + 1) * ways`; its first
@@ -22,7 +22,7 @@ pub(crate) struct SetLru<K, V> {
     meta: Vec<SetMeta>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SetMeta {
     /// The last stamp the set handed out.
     clock: u16,

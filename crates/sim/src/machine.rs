@@ -4,7 +4,8 @@
 //! time and memory traffic. Every simulated memory access — instruction
 //! fetch, data access, page-walk step — funnels through
 //! [`Machine::mem_access_span`] (a run of lines; [`Machine::mem_access`] is
-//! the one-line case), which walks the private L1/L2 of the issuing core
+//! the one-line case, [`Machine::mem_access_each`] the case of lines that
+//! are not neighbours), which walks the private L1/L2 of the issuing core
 //! and the shared L3, charges the hit/miss latencies from the
 //! [`CostModel`], and updates the core's PMU. Cross-core interactions (IPIs)
 //! join per-core clocks explicitly.
@@ -111,19 +112,43 @@ impl Machine {
         if lines == 1 {
             return self.mem_access(core, hpa, kind);
         }
-        self.span(core, hpa, lines, kind)
+        self.runs(core, [(hpa, lines as u64)], kind)
     }
 
     /// Performs one memory access at host-physical address `hpa` on behalf
     /// of `core`: [`Machine::mem_access_span`] compiled for a run of one,
     /// with no loop around the line.
     pub fn mem_access(&mut self, core: CpuId, hpa: u64, kind: AccessKind) -> Cycles {
-        self.span(core, hpa, 1, kind)
+        self.runs(core, [(hpa, 1)], kind)
     }
 
-    /// The one hierarchy walk, under both entry points above.
+    /// Performs one memory access at each of `hpas`, in order, as so many
+    /// calls of [`Machine::mem_access`] would — with the core, its L1 and
+    /// the latencies looked up once, and the clock and PMU written once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` does not exist, before anything changed; and at
+    /// the first address beyond [`crate::PADDR_BITS`], with the accesses
+    /// before it made and counted in the caches but not yet charged.
+    pub fn mem_access_each(
+        &mut self,
+        core: CpuId,
+        hpas: impl IntoIterator<Item = u64>,
+        kind: AccessKind,
+    ) -> Cycles {
+        self.runs(core, hpas.into_iter().map(|hpa| (hpa, 1)), kind)
+    }
+
+    /// The one hierarchy walk, under the three entry points above: each
+    /// of `runs` is `(address in the first line, lines)`.
     #[inline(always)]
-    fn span(&mut self, core: CpuId, hpa: u64, lines: usize, kind: AccessKind) -> Cycles {
+    fn runs(
+        &mut self,
+        core: CpuId,
+        runs: impl IntoIterator<Item = (u64, u64)>,
+        kind: AccessKind,
+    ) -> Cycles {
         let cpu = &mut self.cores[core];
         let (l1, l1_misses) = if kind.is_instruction() {
             (&mut cpu.l1i, &mut cpu.pmu.l1i_misses)
@@ -131,14 +156,17 @@ impl Machine {
             (&mut cpu.l1d, &mut cpu.pmu.l1d_misses)
         };
         let (l2, l3) = (&mut cpu.l2, &mut self.l3);
-        let (mut l2_missed, mut l3_missed) = (0, 0);
-        let l1_missed = l1.access_run(hpa, lines as u64, |line| {
-            if !l2.access(line) {
-                l2_missed += 1;
-                l3_missed += !l3.access(line) as u64;
-            }
-        });
-        let mut latency = lines as u64 * self.cost.l1_hit;
+        let (mut lines, mut l1_missed, mut l2_missed, mut l3_missed) = (0, 0, 0, 0);
+        for (hpa, run) in runs {
+            lines += run;
+            l1_missed += l1.access_run(hpa, run, |line| {
+                if !l2.access(line) {
+                    l2_missed += 1;
+                    l3_missed += !l3.access(line) as u64;
+                }
+            });
+        }
+        let mut latency = lines * self.cost.l1_hit;
         if l1_missed != 0 {
             *l1_misses += l1_missed;
             cpu.pmu.l2_misses += l2_missed;
@@ -383,6 +411,35 @@ mod tests {
                 .collect();
             let runs = picks.into_iter().map(|p| alphabet[p as usize % alphabet.len()]);
             assert_runs_match_lines(runs, 64)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Scattered lines through `mem_access_each` — few enough sets
+        /// for them to evict one another at every level — leave the
+        /// machine as the same lines do one by one, and cost the same.
+        #[test]
+        fn scattered_lines_match_the_same_lines_one_by_one(
+            batches in proptest::collection::vec(
+                (0usize..2, 0usize..3, proptest::collection::vec((0u64..4, 0u64..40, 0u64..64), 0..30)),
+                1..40,
+            ),
+        ) {
+            let (mut each, mut lines) = (small_machine(), small_machine());
+            for cpu in &mut lines.cores {
+                cpu.l1i = Cache::new(*cpu.l1i.config());
+            }
+            for (i, (core, kind, batch)) in batches.into_iter().enumerate() {
+                // Sets 0..4 of the L1, forty tags deep.
+                let hpas = batch.iter().map(|(set, tag, byte)| tag << 12 | set << 6 | byte);
+                let got = each.mem_access_each(core, hpas.clone(), KINDS[kind]);
+                let want: Cycles = hpas.map(|hpa| per_line(&mut lines, core, hpa, KINDS[kind])).sum();
+                prop_assert_eq!(got, want);
+                assert_same_state(&each, &lines, i % 8 == 0);
+            }
+            assert_same_state(&each, &lines, true);
         }
     }
 

@@ -68,8 +68,9 @@ impl TlbConfig {
     }
 }
 
-/// A set-associative, LRU-replaced, tag-aware TLB.
-#[derive(Debug, Clone)]
+/// A set-associative, LRU-replaced, tag-aware TLB. Equal to another as
+/// a [`crate::Cache`] is: after the same history.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     config: TlbConfig,
     /// `sets - 1`.

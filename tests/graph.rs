@@ -3,10 +3,16 @@
 //! connected cross-hop traces, snapshot/replay reproduction, power-loss
 //! recovery, and dispatcher conservation.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
-use sb_graph::GraphSpec;
+use sb_graph::{GraphSpec, GraphTransport};
+use sb_mem::WalkMemoStats;
 use sb_observe::Recorder;
-use sb_runtime::{AdmissionPolicy, RuntimeConfig, Transport};
+use sb_runtime::{
+    AdmissionPolicy, CallError, Request, RuntimeConfig, ServiceSpec, SkyBridgeTransport, Transport,
+};
 use sb_sentinel::assemble;
 use sb_ycsb::{OpKind, Workload, WorkloadSpec};
 use skybridge_repro::scenarios::graph::{
@@ -264,4 +270,98 @@ fn node_pmus_show_the_fs_node_thrashing_one_dtlb_set() {
         (3 * crossings, 3 * crossings, 67 * crossings)
     );
     assert_eq!(sum.l1i_misses, 0);
+}
+
+/// A node's SkyBridge transport that, after every call, leaves its
+/// kernel's walk-memo counters where the test can read them (a graph
+/// owns its nodes as `dyn Transport`).
+struct MemoWatch {
+    inner: SkyBridgeTransport,
+    stats: Rc<Cell<WalkMemoStats>>,
+}
+
+impl Transport for MemoWatch {
+    fn label(&self) -> &str {
+        self.inner.label()
+    }
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+    fn now(&mut self, lane: usize) -> u64 {
+        self.inner.now(lane)
+    }
+    fn wait_until(&mut self, lane: usize, time: u64) {
+        self.inner.wait_until(lane, time)
+    }
+    fn bind(&mut self, lane: usize) -> bool {
+        self.inner.bind(lane)
+    }
+    fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
+        let out = self.inner.call(lane, req);
+        self.stats.set(self.inner.k.mem.walk_memo_stats());
+        out
+    }
+    fn reply(&self, lane: usize) -> &[u8] {
+        self.inner.reply(lane)
+    }
+    fn pmu(&self) -> Option<sb_sim::Pmu> {
+        self.inner.pmu()
+    }
+}
+
+/// The walk memo (DESIGN.md §19) must not be able to die silently: one
+/// write per request to a frame some walk has read, or two hot pages
+/// sharing a memo slot, would cost the whole gain and move no simulated
+/// figure. Once the graph is warm, on reads and writes alike, nothing
+/// is recorded, nothing is voided, and every walk of every node —
+/// the fs node's three per crossing above all — is answered.
+#[test]
+fn the_walk_memo_answers_every_steady_state_walk_of_every_node() {
+    let spec = GraphSpec::standard(4096, 48, 256);
+    let stats: Vec<Rc<Cell<WalkMemoStats>>> = spec.nodes.iter().map(|_| Rc::default()).collect();
+    let transports = spec
+        .nodes
+        .iter()
+        .zip(&stats)
+        .map(|(n, stats)| {
+            let svc = ServiceSpec::default()
+                .with_records(spec.records)
+                .with_cpu(n.cpu)
+                .with_footprint(n.footprint);
+            Box::new(MemoWatch {
+                inner: SkyBridgeTransport::new(1, &svc),
+                stats: stats.clone(),
+            }) as Box<dyn Transport>
+        })
+        .collect();
+    let mut t = GraphTransport::assemble("graph:skybridge", &spec, transports, 1).expect("valid");
+    let payload = client_payload(&spec);
+    let mut keys = Workload::new(WorkloadSpec {
+        seed: 42,
+        ..WorkloadSpec::ycsb_c(spec.records, spec.value_len)
+    });
+    // One request in eight a write: the journal and the fs log walk too.
+    let mut drive = |t: &mut GraphTransport, ids: std::ops::Range<u64>| {
+        for id in ids {
+            drive_one(t, id, keys.next_op().key, id % 8 == 0, payload);
+        }
+    };
+    drive(&mut t, 1..1_001);
+    let warm: Vec<_> = stats.iter().map(|s| s.get()).collect();
+    let warm_pmus = t.node_pmus();
+    drive(&mut t, 1_001..11_001);
+
+    let mut walks = 0;
+    for (i, (name, pmu)) in t.node_pmus().into_iter().enumerate() {
+        let (now, warm) = (stats[i].get(), warm[i]);
+        assert_eq!(
+            (now.installed, now.invalidated),
+            (warm.installed, warm.invalidated),
+            "{name}: the memo recorded or voided a walk in steady state"
+        );
+        let walked = pmu.delta(&warm_pmus[i].1).page_walks;
+        assert_eq!(now.answered - warm.answered, walked, "{name}");
+        walks += walked;
+    }
+    assert!(walks > 30_000, "{walks} walks in 10 000 requests");
 }

@@ -6,7 +6,7 @@ use sb_microkernel::Personality;
 use sb_runtime::{
     AdmissionPolicy, CallError, FixedServiceTransport, Request, RequestFactory, RingConfig,
     RingRuntime, RingTransport, RunStats, RuntimeConfig, ServerRuntime, ServiceSpec,
-    SkyBridgeTransport, Transport,
+    SkyBridgeTransport, Transport, TrapIpcTransport,
 };
 use sb_ycsb::WorkloadSpec;
 use skybridge::SbError;
@@ -260,4 +260,51 @@ proptest! {
         prop_assert_eq!(s.completed, offered);
         prop_assert!(s.max_queue_depth <= capacity);
     }
+}
+
+/// `calls` calls on lane 0 from `first`, striding over the default
+/// spec's 10 000 records — more pages than a d-TLB holds.
+fn call_loop(t: &mut impl Transport, first: u64, calls: u64) {
+    for id in first..first + calls {
+        let req = Request {
+            id,
+            arrival: 0,
+            key: id * 7919 % 10_000,
+            write: id % 4 == 0,
+            payload: 64,
+            client: None,
+            tenant: 0,
+        };
+        t.call(0, &req).expect("served");
+    }
+}
+
+/// The walk memo (DESIGN.md §19) must not be able to die silently —
+/// see `tests/graph.rs` for the graph. On one SkyBridge and one trap
+/// connection, once warm, over 10 000 further calls: no walk recorded,
+/// none voided, and every walk the PMU counted answered by the memo.
+#[test]
+fn the_walk_memo_answers_every_steady_state_walk_of_a_connection() {
+    fn check<T: Transport>(mut t: T, kernel: impl Fn(&T) -> &sb_microkernel::Kernel) {
+        let label = t.label().to_string();
+        call_loop(&mut t, 0, 2_000);
+        let k = kernel(&t);
+        let (warm, walks) = (k.mem.walk_memo_stats(), k.machine.pmu_total().page_walks);
+        call_loop(&mut t, 2_000, 10_000);
+        let k = kernel(&t);
+        let now = k.mem.walk_memo_stats();
+        let walked = k.machine.pmu_total().page_walks - walks;
+        assert!(walked > 1_000, "{label}: {walked} walks");
+        assert_eq!(
+            (now.installed, now.invalidated),
+            (warm.installed, warm.invalidated),
+            "{label}: the memo recorded or voided a walk in steady state"
+        );
+        assert_eq!(now.answered - warm.answered, walked, "{label}");
+    }
+    let spec = ServiceSpec::default();
+    check(SkyBridgeTransport::new(1, &spec), |t| &t.k);
+    check(TrapIpcTransport::new(Personality::sel4(), 1, &spec), |t| {
+        &t.k
+    });
 }

@@ -1,17 +1,27 @@
 """Symbolise and tabulate a tools/hostprof/sampler.c dump.
 
-    report.py SAMPLES [ROOT_FRAME_SUBSTRING]
+    report.py SAMPLES [ROOT_FRAME_SUBSTRING] [--under SYMBOL_SUBSTRING]
 
 Keeps the samples whose stack holds a frame matching ROOT (default: the
 benchmark's measured loop, `Prepared>::run`), cuts each stack at that
-frame, and prints self, inclusive and caller tables. Symbols come from
+frame, and prints self, inclusive and caller tables. With `--under`, also
+prints what the outermost frame matching SYMBOL was running — itself, or
+which callee — and who called it, each as a share of the kept samples
+(so `--under walk::translate` sizes the walk's parts against the whole
+run, and `--under libc.so` names who calls into libc). Symbols come from
 `nm -C` on the profiled executable (the first file mapped; a PIE's load
 bias is the start of its offset-0 mapping); frames anywhere else — libc
 is stripped of all but its exports — read as `[object]`.
 """
 import bisect, collections, os, re, subprocess, sys
 
-samples, root = sys.argv[1], (sys.argv[2:] or ["Prepared>::run"])[0]
+args = sys.argv[1:]
+under = None
+if "--under" in args:
+    at = args.index("--under")
+    under = args[at + 1]
+    del args[at : at + 2]
+samples, root = args[0], (args[1:] or ["Prepared>::run"])[0]
 maps, stacks = [], []  # (start, end, bias, path); [pc, ...]
 bias = {}
 for line in open(samples):
@@ -46,7 +56,7 @@ def name(pc):
     return "[unmapped]"
 
 
-self_, inclusive, callers = (collections.Counter() for _ in range(3))
+self_, inclusive, callers, callees, parents = (collections.Counter() for _ in range(5))
 kept = 0
 for pcs in stacks:
     # A return address belongs to the call before it.
@@ -58,6 +68,11 @@ for pcs in stacks:
     self_[frames[0]] += 1
     inclusive.update(set(frames))
     callers[(frames[0], frames[1] if len(frames) > 1 else "-")] += 1
+    # Outermost match: frames run leaf first.
+    at = max((i for i, f in enumerate(frames) if under and under in f), default=None)
+    if at is not None:
+        callees[frames[at - 1] if at else "(self)"] += 1
+        parents[frames[at + 1] if at + 1 < len(frames) else "-"] += 1
 
 print("%d samples, %d under a frame matching %r" % (len(stacks), kept, root))
 for title, counts in (("self", self_), ("inclusive", inclusive)):
@@ -70,3 +85,10 @@ for sym, _ in self_.most_common(10):
     for (leaf, caller), n in callers.most_common():
         if leaf == sym and n * 50 >= self_[sym]:
             print("%9d %6.1f    <- %s" % (n, 100.0 * n / self_[sym], caller))
+if under:
+    total = sum(callees.values())
+    print("\n%d samples (%.1f %% of the run) under a frame matching %r" % (total, 100.0 * total / max(kept, 1), under))
+    for title, counts in (("running", callees), ("called by", parents)):
+        print("\n%-9s %6s  %s, as a share of the run" % ("samples", "%", title))
+        for sym, n in counts.most_common(25):
+            print("%9d %6.1f  %s" % (n, 100.0 * n / max(kept, 1), sym))
