@@ -9,16 +9,17 @@
 //! with the sentinel armed: an unrecovered fault or SLO breach must
 //! produce a postmortem bundle under `results/postmortem/`, and the
 //! drill cell proves the recorder fires end-to-end by leaking a fault on
-//! purpose. The process exits non-zero on any leak, on an incident
-//! without a bundle, or on a drill bundle that fails schema validation.
+//! purpose. The gates: no fault leaks, every incident has a bundle, and
+//! the drill's bundle exists and is valid JSON.
 //!
 //! Knobs: `SB_CHAOS_SEEDS` (seeds per cell, default 3), `SB_REQUESTS`
 //! (arrivals per serving cell, default 400), `SB_FS_SEEDS` (seeds per FS
 //! mix, default 64).
 
 use sb_bench::{
+    gate::{finish, Bound, Gate},
     knob, print_table,
-    report::{chaos_outcome_json, fs_chaos_json, results_dir, write_json, Json},
+    report::{chaos_outcome_json, fs_chaos_json, receipt_json, results_dir, Json},
 };
 use sb_sentinel::PostmortemSpec;
 use skybridge_repro::scenarios::chaos::{
@@ -71,15 +72,6 @@ fn main() {
                             mix.name
                         );
                     }
-                }
-                if let Some(r) = &out.postmortem {
-                    println!(
-                        "postmortem: {} ({} events, {} clipped, {} overwritten)",
-                        r.path.display(),
-                        r.included_events,
-                        r.truncated_events,
-                        r.ring_dropped
-                    );
                 }
                 row.push(format!(
                     "inj={} rec={} leak={} done={} shed={} fail={} slo={}",
@@ -147,38 +139,15 @@ fn main() {
     // schema-clean bundle. Its deliberate leak does not count against
     // the suite's zero-leak gate.
     let drill = run_postmortem_drill(&Backend::SkyBridge, 0xd811_0001, 120, &flight);
-    let drill_json = match &drill.postmortem {
-        Some(r) => {
-            let body = std::fs::read_to_string(&r.path)
-                .unwrap_or_else(|e| panic!("drill bundle {} unreadable: {e}", r.path.display()));
-            if let Err(e) = sb_observe::validate_json(&body) {
-                eprintln!(
-                    "FAIL: drill bundle {} is not valid JSON: {e}",
-                    r.path.display()
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "flight-recorder drill: {} ({} events, {} clipped, {} overwritten)",
-                r.path.display(),
-                r.included_events,
-                r.truncated_events,
-                r.ring_dropped
-            );
-            Json::obj()
-                .field("path", r.path.display().to_string())
-                .field("included_events", r.included_events)
-                .field("truncated_events", r.truncated_events)
-                .field("ring_dropped", r.ring_dropped)
+    let mut drill_valid = 0.0;
+    let drill_json = drill.postmortem.as_ref().map_or(Json::Null, |r| {
+        match std::fs::read_to_string(&r.path).map(|body| sb_observe::validate_json(&body)) {
+            Ok(Ok(())) => drill_valid = 1.0,
+            Ok(Err(e)) => eprintln!("drill bundle {} is not valid JSON: {e}", r.path.display()),
+            Err(e) => eprintln!("drill bundle {} unreadable: {e}", r.path.display()),
         }
-        None => {
-            eprintln!(
-                "FAIL: the drill leaked {} fault(s) but the flight recorder wrote no bundle",
-                drill.report.unrecovered()
-            );
-            std::process::exit(1);
-        }
-    };
+        receipt_json(r)
+    });
 
     let doc = Json::obj()
         .field("bench", "chaos")
@@ -190,19 +159,18 @@ fn main() {
         .field("drill", drill_json)
         .field("serving_cells", Json::Arr(json_rows))
         .field("fs_cells", Json::Arr(fs_json));
-    match write_json("chaos", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if leaked_total > 0 {
-        eprintln!("FAIL: {leaked_total} faults leaked (injected but never detected/recovered)");
-        std::process::exit(1);
-    }
-    if missing_bundles > 0 {
-        eprintln!("FAIL: {missing_bundles} incident(s) fired without a postmortem bundle");
-        std::process::exit(1);
-    }
-    println!("all injected faults detected and recovered; zero leaks");
-    println!("sentinel: {incidents} incident(s), every one with a postmortem bundle");
+    finish(
+        "chaos",
+        &doc,
+        vec![
+            Gate::none("faults never detected or recovered", leaked_total, "faults"),
+            Gate::none("incidents without a bundle", missing_bundles, "incidents"),
+            Gate::new(
+                "schema-clean drill bundles",
+                drill_valid,
+                Bound::AtLeast(1.0),
+                "bundles",
+            ),
+        ],
+    );
 }

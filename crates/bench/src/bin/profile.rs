@@ -23,21 +23,21 @@
 //!
 //! The diff gate is the regression-attribution contract: an end-to-end
 //! regression beyond 1% whose residual (the part no named phase
-//! explains) exceeds 5% of the baseline exits non-zero. A regression
-//! that *is* attributed still prints its per-phase account but leaves
-//! the verdict to the perf-trajectory gates; an unattributed one means
-//! the instrumentation lost track of where cycles went, which is a bug
-//! in its own right. Without a committed baseline the matrix runs
-//! twice and diffs the second pass against the first (identical by
-//! determinism — the mechanics stay exercised).
+//! explains) exceeds 5% of the baseline breaches it. A regression that
+//! *is* attributed still prints its per-phase account but is not this
+//! bin's to judge; an unattributed one means the instrumentation lost
+//! track of where cycles went, which is a bug in its own right. A run
+//! without a baseline to diff against breaches the gate;
+//! `SB_PROFILE_WRITE=1` writes one first.
 //!
 //! Knobs: `SB_PROFILE_CALLS` (timed calls per personality, default
 //! 65,536), `SB_PERIOD` (sample grid period, default
 //! [`DEFAULT_SAMPLE_PERIOD`]), `SB_PROFILE_WRITE=1` rewrites
 //! `results/profile_baseline.json` from this run.
 
-use sb_bench::report::{read_to_string, results_dir, write_json, write_raw, Json};
-use sb_bench::{baseline_field, knob, print_table};
+use sb_bench::gate::{finish, Gate};
+use sb_bench::report::{results_dir, write_json, write_raw, Json};
+use sb_bench::{knob, print_table};
 use sb_observe::{
     attribute, collapsed_lines, compare_shares, fold_samples, fold_samples_by_tenant, PhaseProfile,
     Recorder, Sample, SamplerConfig, ShareComparison, SpanKind, DEFAULT_RING_CAPACITY,
@@ -59,6 +59,29 @@ const RESIDUAL_GATE: f64 = 0.05;
 const CYCLES_PER_NS: f64 = 4.0;
 /// Tenants in the profiled mix (Zipf-skewed, like the tenant bench).
 const TENANTS: u16 = 4;
+
+/// Pulls `"<field>":<x>` for the row `"transport":"<label>"` out of the
+/// committed baseline document without a JSON parser: rows are flat and
+/// emitted by [`profile_row`], so field order is stable.
+fn baseline_field(doc: &str, label: &str, field: &str) -> Option<f64> {
+    let key = format!("\"transport\":\"{label}\"");
+    let at = doc.find(&key)?;
+    let rest = &doc[at..];
+    // Bound the lookup to this row: rows need not share a field set
+    // (per-phase fields differ by personality), so a missing field must
+    // read as absent, not as the next row's value.
+    let rest = match rest[key.len()..].find("\"transport\":\"") {
+        Some(next) => &rest[..key.len() + next],
+        None => rest,
+    };
+    let needle = format!("\"{field}\":");
+    let ns_at = rest.find(&needle)?;
+    let tail = &rest[ns_at + needle.len()..];
+    let end = tail
+        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
+        .unwrap_or(tail.len());
+    tail[..end].parse().ok()
+}
 
 struct BackendProfile {
     label: String,
@@ -283,42 +306,44 @@ fn diff_row(d: &BackendDiff) -> Json {
 
 fn main() {
     let calls = knob("SB_PROFILE_CALLS", 65_536) as u64;
-    let mut failures: Vec<String> = Vec::new();
+    let mut gates = Vec::new();
 
     let mut profiles = Vec::new();
+    let mut inexact = 0u64;
     for backend in Backend::all() {
         match profile_backend(&backend, calls) {
             Ok(p) => profiles.push(p),
-            Err(e) => failures.push(e),
+            Err(e) => {
+                eprintln!("{e}");
+                inexact += 1;
+            }
         }
     }
+    gates.push(Gate::none(
+        "lossy captures or sampled shares off exact",
+        inexact,
+        "personalities",
+    ));
 
     // The flamegraphs: one collapsed-stack file per personality, plus a
     // per-tenant variant rooted at the tenant.
     let mut gate_rows = Vec::new();
     for p in &profiles {
         let folds = fold_samples(&p.samples, &p.label);
-        if let Err(e) = write_raw(
+        gates.push(Gate::written(write_raw(
             &format!("flamegraphs/{}.collapsed", p.label),
             &collapsed_lines(&folds),
-        ) {
-            failures.push(format!("{}: could not write flamegraph: {e}", p.label));
-        }
+        )));
         let mut tenants = String::new();
         for (tenant, folds) in fold_samples_by_tenant(&p.samples, &p.label) {
             for (stack, count) in &folds {
                 tenants.push_str(&format!("tenant{tenant};{stack} {count}\n"));
             }
         }
-        if let Err(e) = write_raw(
+        gates.push(Gate::written(write_raw(
             &format!("flamegraphs/{}.tenants.collapsed", p.label),
             &tenants,
-        ) {
-            failures.push(format!(
-                "{}: could not write tenant flamegraph: {e}",
-                p.label
-            ));
-        }
+        )));
         let worst = p
             .shares
             .iter()
@@ -355,89 +380,79 @@ fn main() {
         .field("rows", Json::Arr(rows.clone()));
 
     if knob("SB_PROFILE_WRITE", 0) != 0 {
-        match write_json("profile_baseline", &rows_doc) {
-            Ok(path) => println!("\nwrote baseline {}", path.display()),
-            Err(e) => failures.push(format!("could not write baseline: {e}")),
-        }
+        gates.push(Gate::written(write_json("profile_baseline", &rows_doc)));
     }
 
-    // The diff: against the committed baseline when present, else a
-    // deterministic second pass of the same matrix.
-    let baseline = read_to_string(&results_dir().join("profile_baseline.json"))
-        .ok()
-        .or_else(|| {
-            println!("\nno committed baseline; re-running the matrix for a self-diff");
-            let rows: Vec<Json> = Backend::all()
-                .iter()
-                .filter_map(|b| profile_backend(b, calls).ok())
-                .map(|p| profile_row(&p))
-                .collect();
-            Some(Json::obj().field("rows", Json::Arr(rows)).to_string())
-        });
+    // The diff against the committed baseline (with `SB_PROFILE_WRITE`,
+    // the one just written); without one no row finds its baseline row
+    // and the gate is breached.
+    let baseline =
+        std::fs::read_to_string(results_dir().join("profile_baseline.json")).unwrap_or_default();
 
     let mut diffs = Vec::new();
-    if let Some(doc) = &baseline {
-        let mut diff_table = Vec::new();
-        for p in &profiles {
-            let Some(d) = diff_backend(doc, p) else {
-                failures.push(format!("{}: no baseline row to diff against", p.label));
-                continue;
-            };
-            let d_e2e = d.cur_e2e - d.base_e2e;
-            let account = if d.deltas.is_empty() {
-                "unchanged".to_string()
-            } else {
-                d.deltas
-                    .iter()
-                    .map(PhaseDelta::render)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            diff_table.push(vec![
-                d.label.clone(),
-                format!("{:+.1} cyc ({:+.1} ns)", d_e2e, d_e2e / CYCLES_PER_NS),
-                format!(
-                    "{:+.2}%",
-                    if d.base_e2e > 0.0 {
-                        (d.cur_e2e / d.base_e2e - 1.0) * 100.0
-                    } else {
-                        0.0
-                    }
-                ),
-                format!("{:+.1} cyc", d.residual),
-                account,
-            ]);
-            if d.unattributed_regression {
-                failures.push(format!(
-                    "{}: end-to-end regressed {:+.1} cycles/call but named phases explain \
-                     only {:+.1} (residual {:+.1}, gate {:.0}% of baseline)",
-                    d.label,
-                    d_e2e,
-                    d_e2e - d.residual,
-                    d.residual,
-                    RESIDUAL_GATE * 100.0
-                ));
-            }
-            diffs.push(d);
+    let (mut undiffed, mut unattributed) = (0u64, 0u64);
+    let mut diff_table = Vec::new();
+    for p in &profiles {
+        let Some(d) = diff_backend(&baseline, p) else {
+            eprintln!("{}: no baseline row to diff against", p.label);
+            undiffed += 1;
+            continue;
+        };
+        let d_e2e = d.cur_e2e - d.base_e2e;
+        let account = if d.deltas.is_empty() {
+            "unchanged".to_string()
+        } else {
+            d.deltas
+                .iter()
+                .map(PhaseDelta::render)
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        diff_table.push(vec![
+            d.label.clone(),
+            format!("{:+.1} cyc ({:+.1} ns)", d_e2e, d_e2e / CYCLES_PER_NS),
+            format!(
+                "{:+.2}%",
+                if d.base_e2e > 0.0 {
+                    (d.cur_e2e / d.base_e2e - 1.0) * 100.0
+                } else {
+                    0.0
+                }
+            ),
+            format!("{:+.1} cyc", d.residual),
+            account,
+        ]);
+        if d.unattributed_regression {
+            eprintln!(
+                "{}: end-to-end regressed {:+.1} cycles/call but named phases explain \
+                 only {:+.1} (residual {:+.1}, gate {:.0}% of baseline)",
+                d.label,
+                d_e2e,
+                d_e2e - d.residual,
+                d.residual,
+                RESIDUAL_GATE * 100.0
+            );
+            unattributed += 1;
         }
-        print_table(
-            "profile diff vs baseline (Δ per call; ns at 4 GHz)",
-            &["transport", "e2e Δ", "e2e Δ%", "residual", "attribution"],
-            &diff_table,
-        );
+        diffs.push(d);
     }
+    print_table(
+        "profile diff vs baseline (Δ per call; ns at 4 GHz)",
+        &["transport", "e2e Δ", "e2e Δ%", "residual", "attribution"],
+        &diff_table,
+    );
+
+    gates.push(Gate::none(
+        "rows without a baseline row",
+        undiffed,
+        "personalities",
+    ));
+    gates.push(Gate::none(
+        "regressions no phase explains",
+        unattributed,
+        "personalities",
+    ));
 
     let doc = rows_doc.field("diff", Json::Arr(diffs.iter().map(diff_row).collect()));
-    match write_json("profile", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("sampled shares match exact profiles; every regression attributed");
+    finish("profile", &doc, gates);
 }

@@ -1,412 +1,114 @@
-//! The sentinel tax and the perf trajectory: host ns per call with the
-//! full sentinel armed (tracing + online SLO tracking) against plain
-//! always-on tracing, plus the critical-path decomposition of multi-hop
-//! chains, plus the committed ns/call baseline gate.
+//! Critical-path decomposition of multi-hop chains, per personality.
 //!
-//! Three sections, all CI-enforced:
+//! A depth-3 nested IPC chain (client → server → server → leaf) runs on
+//! every personality with causal tracing armed; each request's span
+//! tree is assembled from the event rings and its critical path must
+//! cover the client-observed end-to-end cycles within 5% on every
+//! request. Simulated cycles per direct call ride along in the rows
+//! (`results/sentinel.json`).
 //!
-//! 1. **Overhead gate** — on one transport instance per personality,
-//!    interleaved min-of-N (order alternating every round, one full
-//!    re-measurement pass on a breach): `sentinel` mode (live recorder
-//!    plus per-call SLO recording, the production configuration) must
-//!    cost at most 5% over `traced` mode, the live recorder alone —
-//!    PR 4's enabled mode.
-//! 2. **Critical path** — a depth-3 chain per personality, assembled
-//!    into span trees; the critical path must cover end-to-end cycles
-//!    within 5% on every request.
-//! 3. **Perf trajectory** — fresh sentinel-armed ns/call per
-//!    personality is compared against the committed baseline at
-//!    `results/BENCH_runtime.json` — the single canonical copy — and
-//!    then written back to the same path (the baseline is read before
-//!    the write; refreshing it means committing the rewritten file).
-//!    Override the path with `SB_BENCH_BASELINE`. Any personality
-//!    regressing more than 10% fails the run, after up to two fresh
-//!    re-measurements. The gate demands *coherent* regression across
-//!    two signals: raw ns/call, and ns/call divided by the minimum
-//!    of a memory-bound reference loop probed between reps (the
-//!    "host speed unit"). A real code regression inflates both
-//!    together; host noise moves them apart — a sustained slow host
-//!    inflates raw ns but divides out of the units, while a lucky
-//!    layout draw for the reference loop moves the units while raw
-//!    ns stands still — so only the *smaller* of the two regressions
-//!    counts against the budget. Re-measurements run in a *fresh
-//!    child process* (`SB_ONLY=<transport>` re-exec): the residual
-//!    run-to-run variance is the address-space layout drawn at
-//!    process start, which no amount of in-process repetition
-//!    re-rolls. Simulated cycles per call ride along in the rows as
-//!    the fully machine-independent signal.
-//!
-//! Knobs: `SB_CALLS` (timed calls per rep, default 3,000), `SB_REPS`
-//! (repetitions per mode, default 5), `SB_BENCH_BASELINE` (baseline
-//! path, default `results/BENCH_runtime.json`; set to `off` to skip
-//! the gate).
-
-use std::hint::black_box;
-use std::time::Instant;
+//! What the sentinel costs on the host clock is not measured here: the
+//! tracer's tax is `benchmark/`'s `trace.overhead_pct` and
+//! `observe.emit.host_ns`, and the SLO tracker's is held as a count —
+//! good completions inside one bucket evaluate the burn rule zero times
+//! and allocate nothing (`tests/ring_alloc.rs`).
 
 use sb_bench::{
-    baseline_field, knob, print_table,
-    report::{write_json, Json},
-    unit_probe,
+    gate::{finish, Bound, Gate},
+    print_table,
+    report::Json,
+    service_cycles,
 };
 use sb_observe::Recorder;
-use sb_runtime::{RequestFactory, Transport};
-use sb_sentinel::{assemble, SloHandle, SloSpec};
-use sb_ycsb::WorkloadSpec;
+use sb_sentinel::assemble;
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 use skybridge_repro::scenarios::sentinel::chain_for;
 
-/// The sentinel's ns/call budget over plain tracing: 5% relative.
-const SENTINEL_BUDGET: f64 = 0.05;
 /// Tolerance on critical-path coverage of end-to-end cycles.
 const PATH_TOLERANCE: f64 = 0.05;
-/// The perf-trajectory gate: >10% ns/call over the committed baseline
-/// fails.
-const REGRESSION_BUDGET: f64 = 0.10;
-
-fn factory() -> RequestFactory {
-    RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64)
-}
-
-/// One timed repetition. Both modes execute this exact function — one
-/// call site, `inline(never)` — so they share machine code, loop shape,
-/// alignment, and per-call `now()` reads, and the measured difference
-/// is the sentinel's SLO recording and nothing else. (Letting the two
-/// modes inline separately skews a ~1 µs SkyBridge call by >10% from
-/// code layout alone.) With `slo: None` this is PR 4's `traced` enabled
-/// mode; with `Some` it is the full production path the dispatcher
-/// runs.
-#[inline(never)]
-fn rep(t: &mut dyn Transport, calls: u64, slo: Option<&SloHandle>) -> f64 {
-    let mut f = factory();
-    let wall = Instant::now();
-    for _ in 0..calls {
-        let r = f.make(t.now(0), None);
-        match t.call(0, &r) {
-            Ok(_) => {
-                let done = t.now(0);
-                if let Some(s) = slo {
-                    s.complete(done, done.saturating_sub(r.arrival));
-                }
-                black_box(done);
-            }
-            Err(_) => {
-                if let Some(s) = slo {
-                    s.error(t.now(0));
-                }
-            }
-        }
-        black_box(t.reply(0));
-    }
-    wall.elapsed().as_nanos() as f64 / calls as f64
-}
-
-// The KV store behind the service grows until the 10k keyspace is fully
-// populated; warming must ride past that point or the first-timed mode
-// runs against a smaller, faster store and the comparison is unfair.
-fn warm(t: &mut dyn Transport) {
-    let mut f = factory();
-    for _ in 0..25_000 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("warm call");
-    }
-}
-
-struct BackendResult {
-    label: String,
-    traced_ns: f64,
-    sentinel_ns: f64,
-    /// `min(sentinel rep ns) / min(unit probe ns)` over the whole
-    /// interleaved run — the host-speed-normalized cost the
-    /// trajectory gate compares.
-    units_per_call: f64,
-    /// The best (quiet-window) unit probe, for the record.
-    unit_ns: f64,
-    cycles_per_call: f64,
-    path_cover: f64,
-    dominant: String,
-    failures: Vec<String>,
-}
-
-fn run_backend(backend: &Backend, calls: u64, reps: u64) -> BackendResult {
-    let label = backend.label().to_string();
-    let mut failures = Vec::new();
-
-    // Both modes run on ONE transport instance (separate instances
-    // differ by several percent from allocation layout alone), reps
-    // interleaved with alternating order so slow host drift cancels;
-    // min-of-N filters scheduler noise, and a gate breach earns one
-    // full re-measurement pass with the minima carried over.
-    let mut t = build_backend(ServingScenario::Kv, backend, 1);
-    let recorder = Recorder::new(sb_observe::DEFAULT_RING_CAPACITY);
-    t.attach_recorder(recorder.clone());
-    let slo = SloHandle::new(SloSpec::default());
-    let mut unit_arr = vec![0u64; 1 << 19]; // 4 MiB of u64.
-    warm(t.as_mut());
-    let mut ns = [f64::INFINITY; 2];
-    let mut unit_ns = f64::INFINITY;
-    for pass in 0..3 {
-        for i in 0..reps {
-            for j in 0..2usize {
-                let m = if i % 2 == 0 { j } else { 1 - j };
-                let slo_arg = if m == 0 { None } else { Some(&slo) };
-                ns[m] = ns[m].min(rep(t.as_mut(), calls, slo_arg));
-            }
-            // Probe the unit between reps so its samples share the
-            // run's timeline: both minima land in quiet windows.
-            unit_ns = unit_ns.min(unit_probe(&mut unit_arr));
-        }
-        if ns[1] <= ns[0] * (1.0 + SENTINEL_BUDGET) {
-            break;
-        }
-        if pass == 0 {
-            eprintln!("note: {label}: sentinel gate breached on pass 1, re-measuring");
-        }
-    }
-    let [traced_ns, sentinel_ns] = ns;
-    let units_per_call = sentinel_ns / unit_ns;
-    if sentinel_ns > traced_ns * (1.0 + SENTINEL_BUDGET) {
-        failures.push(format!(
-            "{label}: sentinel costs {sentinel_ns:.0} ns/call vs {traced_ns:.0} traced \
-             (budget {:.0}%)",
-            SENTINEL_BUDGET * 100.0
-        ));
-    }
-
-    // The machine-independent signal: simulated cycles per call on a
-    // deterministic run.
-    let cycles_per_call = {
-        let t0 = t.now(0);
-        let mut f = factory();
-        let n = 512u64;
-        for _ in 0..n {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("cycle-count call");
-        }
-        (t.now(0) - t0) as f64 / n as f64
-    };
-
-    // Critical path on a fresh multi-hop chain: the assembled tree must
-    // cover the client-observed end-to-end cycles on every request.
-    let chain_rec = Recorder::new(sb_observe::DEFAULT_RING_CAPACITY);
-    let run = chain_for(backend, 3, 8, &chain_rec);
-    let forest = assemble(&chain_rec);
-    let mut worst = 1.0f64;
-    let mut dominant = String::from("-");
-    for &(corr, end_to_end) in &run.requests {
-        match forest.request(corr) {
-            Some(tr) => {
-                let cover = if end_to_end == 0 {
-                    1.0
-                } else {
-                    tr.critical_path_cycles() as f64 / end_to_end as f64
-                };
-                if (cover - 1.0).abs() > (worst - 1.0).abs() {
-                    worst = cover;
-                }
-                if let Some(step) = tr.dominant() {
-                    dominant = format!("{} ({} cyc)", step.kind.name(), step.cycles);
-                }
-            }
-            None => failures.push(format!("{label}: request {corr} missing from the forest")),
-        }
-    }
-    if (worst - 1.0).abs() > PATH_TOLERANCE {
-        failures.push(format!(
-            "{label}: critical path covers {:.1}% of end-to-end cycles",
-            worst * 100.0
-        ));
-    }
-
-    BackendResult {
-        label,
-        traced_ns,
-        sentinel_ns,
-        units_per_call,
-        unit_ns,
-        cycles_per_call,
-        path_cover: worst,
-        dominant,
-        failures,
-    }
-}
-
-/// Re-times one backend in a fresh child process (`SB_ONLY` mode).
-/// Once the unit calibration has divided host speed out, the dominant
-/// run-to-run variance left is the address-space layout drawn at
-/// process start — re-rolled only by a re-exec, never by repeating
-/// the measurement in-process.
-fn remeasure(label: &str, calls: u64, reps: u64) -> Option<(f64, f64)> {
-    let exe = std::env::current_exe().ok()?;
-    let out = std::process::Command::new(exe)
-        .env("SB_ONLY", label)
-        .env("SB_CALLS", calls.to_string())
-        .env("SB_REPS", reps.to_string())
-        .output()
-        .ok()?;
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let field = |key: &str| -> Option<f64> {
-        let prefix = format!("{key}:");
-        let line = stdout.lines().find(|l| l.starts_with(&prefix))?;
-        line[prefix.len()..].trim().parse().ok()
-    };
-    Some((field("ns_per_call")?, field("units_per_call")?))
-}
 
 fn main() {
-    let calls = knob("SB_CALLS", 3_000) as u64;
-    let reps = knob("SB_REPS", 5) as u64;
-    if let Ok(only) = std::env::var("SB_ONLY") {
-        // Child re-measure mode: one backend under a freshly drawn
-        // address-space layout; the parent parses the line below.
-        let backend = Backend::all()
-            .into_iter()
-            .find(|b| b.label() == only)
-            .unwrap_or_else(|| panic!("SB_ONLY={only}: unknown transport"));
-        let r = run_backend(&backend, calls, reps);
-        println!("ns_per_call:{}", r.sentinel_ns);
-        println!("units_per_call:{}", r.units_per_call);
-        return;
-    }
-    let baseline_path = std::env::var("SB_BENCH_BASELINE")
-        .unwrap_or_else(|_| "results/BENCH_runtime.json".to_string());
-
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let mut bench_rows = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let baseline = if baseline_path == "off" {
-        None
-    } else {
-        std::fs::read_to_string(&baseline_path).ok()
-    };
-
+    let mut gates = Vec::new();
+    let mut missing = 0u64;
     for backend in Backend::all() {
-        let r = run_backend(&backend, calls, reps);
-        let base = baseline.as_deref().and_then(|doc| {
-            Some((
-                baseline_field(doc, &r.label, "ns_per_call")?,
-                baseline_field(doc, &r.label, "units_per_call")?,
-            ))
-        });
-        // The gate value: the *smaller* regression of the two signals.
-        // Raw ns and host-normalized units move apart under host noise
-        // but together under a real code regression.
-        let reg = |ns: f64, units: f64, (base_ns, base_units): (f64, f64)| {
-            (ns / base_ns).min(units / base_units) - 1.0
-        };
-        // A breach of the trajectory gate earns up to two fresh
-        // re-measurements in child processes — same policy as the tax
-        // gate: a transient hiccup or an unlucky layout draw must not
-        // read as a code regression; a real regression survives every
-        // re-roll.
-        let (mut gate_ns, mut gate_units) = (r.sentinel_ns, r.units_per_call);
-        if let Some(base) = base {
-            let mut tries = 0;
-            while reg(gate_ns, gate_units, base) > REGRESSION_BUDGET && tries < 2 {
-                tries += 1;
-                eprintln!(
-                    "note: {}: baseline gate breached ({gate_ns:.0} ns, {gate_units:.0} \
-                     units vs {:.0} ns, {:.0} units), re-measuring in a fresh process",
-                    r.label, base.0, base.1
-                );
-                let (ns2, units2) = remeasure(&r.label, calls, reps).unwrap_or_else(|| {
-                    // A host where re-exec is unavailable still gets an
-                    // in-process retry for its burst-filtering value.
-                    let again = run_backend(&backend, calls, reps);
-                    (again.sentinel_ns, again.units_per_call)
-                });
-                gate_ns = gate_ns.min(ns2);
-                gate_units = gate_units.min(units2);
+        let label = backend.label();
+
+        // Simulated cycles per call in steady state: the KV store behind
+        // the service grows until the 10k keyspace is fully populated,
+        // so warm past that point. The 512 measured calls then replay
+        // the head of a stream the lane has just served 3,000 calls of —
+        // the cache state the committed column was captured in (a timed
+        // repetition of 3,000 calls used to come first), and a lane's
+        // cache state is part of the figure.
+        let mut t = build_backend(ServingScenario::Kv, &backend, 1);
+        service_cycles(t.as_mut(), 0, 25_000);
+        service_cycles(t.as_mut(), 0, 3_000);
+        let cycles_per_call = service_cycles(t.as_mut(), 0, 512);
+
+        // Critical path on a fresh multi-hop chain: the assembled tree
+        // must cover the client-observed end-to-end cycles on every
+        // request.
+        let recorder = Recorder::new(sb_observe::DEFAULT_RING_CAPACITY);
+        let run = chain_for(&backend, 3, 8, &recorder);
+        let forest = assemble(&recorder);
+        let mut worst = 1.0f64;
+        let mut dominant = String::from("-");
+        for &(corr, end_to_end) in &run.requests {
+            let Some(tr) = forest.request(corr) else {
+                eprintln!("{label}: request {corr} missing from the forest");
+                missing += 1;
+                continue;
+            };
+            let cover = if end_to_end == 0 {
+                1.0
+            } else {
+                tr.critical_path_cycles() as f64 / end_to_end as f64
+            };
+            if (cover - 1.0).abs() > (worst - 1.0).abs() {
+                worst = cover;
+            }
+            if let Some(step) = tr.dominant() {
+                dominant = format!("{} ({} cyc)", step.kind.name(), step.cycles);
             }
         }
-        let vs_baseline = base.map(|base| {
-            let ratio = reg(gate_ns, gate_units, base);
-            if ratio > REGRESSION_BUDGET {
-                failures.push(format!(
-                    "{}: {gate_ns:.0} ns/call and {gate_units:.0} units/call both \
-                     regressed {:+.1}% over the committed {:.0} ns / {:.0} units \
-                     (budget {:.0}%)",
-                    r.label,
-                    ratio * 100.0,
-                    base.0,
-                    base.1,
-                    REGRESSION_BUDGET * 100.0
-                ));
-            }
-            ratio
-        });
+        gates.push(Gate::new(
+            format!("{label}: worst |critical path / end-to-end - 1|"),
+            (worst - 1.0).abs(),
+            Bound::AtMost(PATH_TOLERANCE),
+            "ratio",
+        ));
+
         rows.push(vec![
-            r.label.clone(),
-            format!("{:.0}", r.traced_ns),
-            format!("{:.0}", r.sentinel_ns),
-            format!("{:+.1}%", (r.sentinel_ns / r.traced_ns - 1.0) * 100.0),
-            format!("{:.0}", r.cycles_per_call),
-            format!("{:.1}%", r.path_cover * 100.0),
-            vs_baseline.map_or("-".to_string(), |d| format!("{:+.1}%", d * 100.0)),
+            label.to_string(),
+            format!("{cycles_per_call:.0}"),
+            format!("{:.1}%", worst * 100.0),
+            dominant.clone(),
         ]);
         json_rows.push(
             Json::obj()
-                .field("transport", r.label.as_str())
-                .field("traced_ns_per_call", r.traced_ns)
-                .field("sentinel_ns_per_call", r.sentinel_ns)
-                .field("sentinel_overhead", r.sentinel_ns / r.traced_ns - 1.0)
-                .field("cycles_per_call", r.cycles_per_call)
-                .field("critical_path_cover", r.path_cover)
-                .field("dominant_step", r.dominant.as_str()),
+                .field("transport", label)
+                .field("cycles_per_call", cycles_per_call)
+                .field("critical_path_cover", worst)
+                .field("dominant_step", dominant),
         );
-        bench_rows.push(
-            Json::obj()
-                .field("transport", r.label.as_str())
-                .field("ns_per_call", r.sentinel_ns)
-                .field("units_per_call", r.units_per_call)
-                .field("host_unit_ns", r.unit_ns)
-                .field("cycles_per_call", r.cycles_per_call),
-        );
-        failures.extend(r.failures);
     }
     print_table(
-        &format!("sentinel tax ({calls} calls/rep, best of {reps})"),
-        &[
-            "transport",
-            "traced ns",
-            "sentinel ns",
-            "sentinel tax",
-            "sim cyc/call",
-            "path cover",
-            "vs baseline",
-        ],
+        "critical paths of a depth-3 chain (simulated cycles)",
+        &["transport", "sim cyc/call", "path cover", "dominant step"],
         &rows,
     );
-    if baseline.is_none() && baseline_path != "off" {
-        println!("note: no committed baseline at {baseline_path}; regression gate skipped");
-    }
+
+    gates.push(Gate::none(
+        "requests without a span tree",
+        missing,
+        "requests",
+    ));
 
     let doc = Json::obj()
         .field("bench", "sentinel")
-        .field("sentinel_budget", SENTINEL_BUDGET)
         .field("path_tolerance", PATH_TOLERANCE)
-        .field("regression_budget", REGRESSION_BUDGET)
         .field("rows", Json::Arr(json_rows));
-    match write_json("sentinel", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-    let bench_doc = Json::obj()
-        .field("bench", "runtime_baseline")
-        .field("calls", calls)
-        .field("reps", reps)
-        .field("rows", Json::Arr(bench_rows));
-    match write_json("BENCH_runtime", &bench_doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_runtime.json: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("sentinel tax within budget; critical paths cover end-to-end; no regression");
+    finish("sentinel", &doc, gates);
 }

@@ -26,8 +26,10 @@
 //! 4,000), `SB_TENANT_SEED` (stream seed, default 0x7e47).
 
 use sb_bench::{
+    calibrate,
+    gate::{finish, Bound, Gate},
     knob, print_table,
-    report::{run_stats_json, write_json, Json},
+    report::{run_stats_json, Json},
 };
 use sb_runtime::{
     AdmissionPolicy, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
@@ -66,27 +68,6 @@ fn jain_index(stats: &RunStats) -> f64 {
         return 1.0;
     }
     sum * sum / (ratios.len() as f64 * sum_sq)
-}
-
-/// Deterministic direct-mode cycles per call, for scaling the arrival
-/// rate to ρ.
-fn cycles_per_call(backend: &Backend) -> f64 {
-    let mut t = build_backend(ServingScenario::Kv, backend, 1);
-    let mut f = RequestFactory::new(
-        ServingScenario::Kv.workload(),
-        ServingScenario::Kv.payload(),
-    );
-    for _ in 0..512 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    let t0 = t.now(0);
-    let n = 512u64;
-    for _ in 0..n {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    (t.now(0) - t0) as f64 / n as f64
 }
 
 /// Every tenant on the default contract, each with its own bounded lane.
@@ -136,30 +117,30 @@ fn quarantine_count(out: &TenantOutcome) -> usize {
 fn main() {
     let requests = knob("SB_TENANT_REQUESTS", 4_000) as u64;
     let seed = knob("SB_TENANT_SEED", 0x7e47) as u64;
-    let mut failures: Vec<String> = Vec::new();
+    let (mut unbalanced, mut unquarantined, mut unisolated) = (0u64, 0u64, 0u64);
+    let mut least_fair = f64::INFINITY;
 
     // Section 1: the skew sweep.
     let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
     for backend in Backend::all() {
-        let gap = cycles_per_call(&backend) / RHO;
+        // Steady-state direct-mode cycles per call scale the arrival
+        // rate to ρ.
+        let gap = calibrate(&backend, 512, 512) / RHO;
         for &tenants in &TENANT_COUNTS {
             for zipf in [false, true] {
                 let skew = if zipf { "zipf" } else { "uniform" };
                 let stats = run_sweep_cell(&backend, tenants, zipf, gap, requests, seed);
                 let jain = jain_index(&stats);
                 if !stats.tenants_conserved() {
-                    failures.push(format!(
+                    unbalanced += 1;
+                    eprintln!(
                         "{} {tenants} tenants {skew}: per-tenant ledgers do not balance",
                         backend.label()
-                    ));
+                    );
                 }
-                if !zipf && jain < FAIRNESS_FLOOR {
-                    failures.push(format!(
-                        "{} {tenants} tenants uniform: Jain index {jain:.4} below \
-                         floor {FAIRNESS_FLOOR}",
-                        backend.label()
-                    ));
+                if !zipf {
+                    least_fair = least_fair.min(jain);
                 }
                 let top: Vec<String> = stats
                     .top_tenants(TOP_K)
@@ -210,26 +191,22 @@ fn main() {
             let isolated = out.isolated(ISOLATION_HEADROOM);
             let quarantined = out.aggressor_quarantined();
             if !out.solo.tenants_conserved() || !out.contended.tenants_conserved() {
-                failures.push(format!(
+                unbalanced += 1;
+                eprintln!(
                     "{} {}: noisy-neighbor ledgers do not balance",
                     out.backend, out.mode
-                ));
+                );
             }
-            if !quarantined {
-                failures.push(format!(
-                    "{} {}: storming aggressor was never quarantined",
-                    out.backend, out.mode
-                ));
-            }
+            unquarantined += u64::from(!quarantined);
             if !isolated {
-                failures.push(format!(
-                    "{} {}: victim isolation breached (worst p99 ratio {:.3}, \
-                     headroom {ISOLATION_HEADROOM}): {:?}",
+                unisolated += 1;
+                eprintln!(
+                    "{} {}: victim isolation breached (worst p99 ratio {:.3}): {:?}",
                     out.backend,
                     out.mode,
                     out.worst_ratio(),
                     out.victims
-                ));
+                );
             }
             let breaches: u64 = out.victims.iter().map(|v| v.breaches).sum();
             nn_rows.push(vec![
@@ -293,19 +270,19 @@ fn main() {
         .field("isolation_headroom", ISOLATION_HEADROOM)
         .field("sweep", Json::Arr(sweep_json))
         .field("noisy_neighbor", Json::Arr(nn_json));
-    match write_json("tenant", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "tenant gates hold: uniform Jain >= {FAIRNESS_FLOOR}, every noisy-neighbor cell \
-         isolated within {ISOLATION_HEADROOM}x and the aggressor quarantined"
+    finish(
+        "tenant",
+        &doc,
+        vec![
+            Gate::none("cells with unbalanced tenant ledgers", unbalanced, "cells"),
+            Gate::new(
+                "lowest Jain index, uniform cells",
+                least_fair,
+                Bound::AtLeast(FAIRNESS_FLOOR),
+                "index",
+            ),
+            Gate::none("storms never quarantined", unquarantined, "cells"),
+            Gate::none("storms that reached a victim", unisolated, "cells"),
+        ],
     );
 }

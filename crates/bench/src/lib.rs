@@ -1,73 +1,28 @@
-//! Benchmark harness support: table formatting and paper reference
-//! values.
+//! The simulated-clock harness: paper artefacts and gated sweeps.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (`cargo run --release -p sb-bench --bin
-//! table4`, …). This library holds the shared plumbing: aligned table
-//! printing, paper-reference constants for side-by-side output, and
-//! environment knobs for run sizes.
+//! Two jobs, one way to do each. The [`paper`] table regenerates every
+//! table and figure of the paper's evaluation (`cargo run --release -p
+//! sb-bench --bin paper [NAME…]`); the gated bins (`chaos`, `graph`,
+//! `ring`, `tenant`, `runtime_scaling`, `sentinel`, `profile`) each run
+//! a sweep, write `results/<bin>.json` and end in [`gate::finish`], the
+//! one verdict printer and exit path. Nothing here reads the host clock:
+//! how fast the simulator runs is `benchmark/`'s ledger
+//! (`results/BENCH_history.jsonl`), so every number this crate prints
+//! is deterministic and every file it writes is diffed against
+//! `results/` by `tools/regen_results.sh`.
 
 use std::fmt::Display;
-use std::hint::black_box;
-use std::time::Instant;
 
+use sb_runtime::{RequestFactory, Transport};
+use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+
+pub mod gate;
+pub mod paper;
 pub mod report;
 
-/// One probe of the host speed unit: ns per iteration of a fixed
-/// reference loop — xorshift-indexed reads and writes over the caller's
-/// working set (4 MiB by convention), deliberately memory-bound like
-/// the simulator itself. Gates that compare against a committed ns
-/// baseline divide their minimum rep time by the minimum probe time,
-/// with probes interleaved between reps across the whole run: each
-/// minimum lands in a quiet window of the host, so host speed (CPU
-/// steal, throttling, a neighbor hammering the cache) divides out of
-/// the comparison. A pure-register reference does not work here:
-/// shared hosts perturb the memory subsystem far more than the core
-/// clock.
-pub fn unit_probe(arr: &mut [u64]) -> f64 {
-    const ITERS: u64 = 1_000_000;
-    let mask = arr.len() - 1;
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut sum = 0u64;
-    let wall = Instant::now();
-    for _ in 0..ITERS {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let i = (x as usize) & mask;
-        sum = sum.wrapping_add(arr[i]);
-        arr[i] = sum ^ x;
-    }
-    black_box((&arr, sum));
-    wall.elapsed().as_nanos() as f64 / ITERS as f64
-}
-
-/// Pulls `"<field>":<x>` for the row `"transport":"<label>"` out of a
-/// committed baseline document without a JSON parser: rows are flat and
-/// emitted by the sentinel bin, so field order is stable.
-pub fn baseline_field(doc: &str, label: &str, field: &str) -> Option<f64> {
-    let key = format!("\"transport\":\"{label}\"");
-    let at = doc.find(&key)?;
-    let rest = &doc[at..];
-    // Bound the lookup to this row: rows need not share a field set
-    // (per-phase fields differ by personality), so a missing field must
-    // read as absent, not as the next row's value.
-    let rest = match rest[key.len()..].find("\"transport\":\"") {
-        Some(next) => &rest[..key.len() + next],
-        None => rest,
-    };
-    let needle = format!("\"{field}\":");
-    let ns_at = rest.find(&needle)?;
-    let tail = &rest[ns_at + needle.len()..];
-    let end = tail
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Prints an aligned table: `header` then `rows`, all columns padded.
-pub fn print_table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>]) {
-    println!("\n=== {title} ===");
+/// An aligned table as text: a blank line, the `=== title ===` banner,
+/// `header`, a rule, then `rows`, every column right-aligned.
+pub fn table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>]) -> String {
     let hdr: Vec<String> = header.iter().map(|h| h.to_string()).collect();
     let body: Vec<Vec<String>> = rows
         .iter()
@@ -88,25 +43,21 @@ pub fn print_table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Ve
             .enumerate()
             .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(8)))
             .collect();
-        println!("  {}", cells.join("  "));
+        format!("  {}\n", cells.join("  "))
     };
-    line(&hdr);
-    println!(
-        "  {}",
-        widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    );
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let mut out = format!("\n=== {title} ===\n");
+    out += &line(&hdr);
+    out += &line(&rule);
     for row in &body {
-        line(row);
+        out += &line(row);
     }
+    out
 }
 
-/// Formats `measured` next to the paper's reference value.
-pub fn with_ref(measured: impl Display, paper: impl Display) -> String {
-    format!("{measured} (paper {paper})")
+/// Prints [`table`] to stdout.
+pub fn print_table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>]) {
+    print!("{}", table(title, header, rows));
 }
 
 /// Relative speedup `a` over `b`, formatted the way the paper quotes it
@@ -123,12 +74,55 @@ pub fn speedup(faster: f64, slower: f64) -> String {
     }
 }
 
-/// Reads a run-size knob from the environment.
+/// The request stream the serving sweeps drive: the KV scenario's
+/// YCSB-A mix over 10,000 records, 64-byte payloads.
+pub fn kv_factory() -> RequestFactory {
+    let scenario = ServingScenario::Kv;
+    RequestFactory::new(scenario.workload(), scenario.payload())
+}
+
+/// Mean simulated cycles per direct call on lane 0 of `t`: `warm` calls
+/// of a fresh [`kv_factory`] stream, then `n` more, measured.
+pub fn service_cycles(t: &mut dyn Transport, warm: u64, n: u64) -> f64 {
+    let mut f = kv_factory();
+    let mut drive = |t: &mut dyn Transport, calls: u64| {
+        for _ in 0..calls {
+            let r = f.make(t.now(0), None);
+            t.call(0, &r).expect("calibration call");
+        }
+    };
+    drive(t, warm);
+    let t0 = t.now(0);
+    drive(t, n);
+    (t.now(0) - t0) as f64 / n as f64
+}
+
+/// [`service_cycles`] of a fresh one-lane KV server on `backend` — the
+/// service rate the sweeps scale their arrival rates against.
+pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> f64 {
+    service_cycles(
+        build_backend(ServingScenario::Kv, backend, 1).as_mut(),
+        warm,
+        n,
+    )
+}
+
+/// Reads a run-size knob from the environment: `default` when unset. A
+/// value that does not parse ends the run — `SB_REQUESTS=2oo` must not
+/// silently run a different experiment under the same label.
 pub fn knob(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let value = std::env::var_os(name);
+    let value = value.as_ref().map(|v| v.to_string_lossy());
+    parse_knob(name, value.as_deref(), default).unwrap_or_else(|e| gate::die(&[e]))
+}
+
+fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("{name}={v:?} is not a run size: {e}")),
+    }
 }
 
 #[cfg(test)]
@@ -145,5 +139,21 @@ mod tests {
     #[test]
     fn knob_defaults() {
         assert_eq!(knob("SB_DOES_NOT_EXIST_XYZ", 42), 42);
+        assert_eq!(parse_knob("SB_OPS", None, 42), Ok(42));
+        assert_eq!(parse_knob("SB_OPS", Some("7"), 42), Ok(7));
+    }
+
+    #[test]
+    fn a_knob_that_does_not_parse_is_an_error_naming_it() {
+        for bad in ["2oo", "", "-1", "0x10", "1e3"] {
+            let e = parse_knob("SB_REQUESTS", Some(bad), 42).unwrap_err();
+            assert!(e.contains("SB_REQUESTS") && e.contains(bad), "{e}");
+        }
+    }
+
+    #[test]
+    fn tables_right_align_every_column() {
+        let t = table("t", &["a", "long"], &[vec!["xyz", "1"]]);
+        assert_eq!(t, "\n=== t ===\n    a  long\n  ---  ----\n  xyz     1\n");
     }
 }

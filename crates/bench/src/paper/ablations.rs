@@ -7,7 +7,6 @@
 //! * pass-through vs commercial exit controls (§4.1);
 //! * the >512-server EPTP-list LRU extension (§10).
 
-use sb_bench::print_table;
 use sb_mem::{
     ept::{Ept, EptPerms, PageSize},
     paging::{AddressSpace, PteFlags},
@@ -15,10 +14,24 @@ use sb_mem::{
     walk, Gpa, Gva, HostMem, Hpa,
 };
 use sb_microkernel::{ipc::Component, Kernel, KernelConfig, Personality};
+use sb_rootkernel::{vmcs::ExitControls, Rootkernel, RootkernelConfig};
 use sb_sim::Machine;
 use skybridge::SkyBridge;
 
-fn ept_walk_ablation() {
+use super::ipc::{ipc_pair, sky_pair};
+use super::PaperRow;
+use crate::{knob, table};
+
+/// Maps `pages` 4 KiB pages above the reserved region one by one, as a
+/// commodity hypervisor's EPT would hold them.
+fn map_4k(ept: &Ept, mem: &mut HostMem, pages: u64) {
+    for page in 0..pages {
+        let at = RESERVED_BYTES + page * 4096;
+        ept.map(mem, Gpa(at), Hpa(at), PageSize::Size4K, EptPerms::RWX);
+    }
+}
+
+fn ept_walk(out: &mut String) {
     let mut rows = Vec::new();
     for (name, granule) in [
         ("no EPT (native)", None),
@@ -43,19 +56,14 @@ fn ept_walk_ablation() {
                     PageSize::Size2M,
                     EptPerms::RWX,
                 ),
-                PageSize::Size4K => {
-                    for page in 0..16384u64 {
-                        let at = RESERVED_BYTES + page * 4096;
-                        ept.map(&mut mem, Gpa(at), Hpa(at), PageSize::Size4K, EptPerms::RWX);
-                    }
-                }
+                PageSize::Size4K => map_4k(&ept, &mut mem, 16384),
             }
             m.cpu_mut(0).load_eptp(ept.root.0);
         }
         m.cpu_mut(0).load_cr3(asp.root_gpa.0, 1);
         let before = m.cpu(0).pmu;
         let t0 = m.cpu(0).tsc;
-        walk::read_u64(&mut m, 0, &mem, Gva(0x50_0000), true).unwrap();
+        walk::read_u64(&mut m, 0, &mem, Gva(0x50_0000), true).expect("mapped above");
         let d = m.cpu(0).pmu.delta(&before);
         rows.push(vec![
             name.to_string(),
@@ -63,14 +71,14 @@ fn ept_walk_ablation() {
             (m.cpu(0).tsc - t0).to_string(),
         ]);
     }
-    print_table(
+    *out += &table(
         "Ablation: TLB-miss nested-walk cost by EPT granularity",
         &["configuration", "walk memory accesses", "cold-walk cycles"],
         &rows,
     );
 }
 
-fn ept_copy_ablation() {
+fn ept_copy(out: &mut String) {
     let mut mem = HostMem::new();
     let base = Ept::new(&mut mem);
     base.map_identity_range(
@@ -87,12 +95,9 @@ fn ept_copy_ablation() {
     let (_, deep) = Ept::deep_copy(&mut mem, &base);
     // A 4 KiB-managed EPT for contrast.
     let fine = Ept::new(&mut mem);
-    for page in 0..32768u64 {
-        let at = RESERVED_BYTES + page * 4096;
-        fine.map(&mut mem, Gpa(at), Hpa(at), PageSize::Size4K, EptPerms::RWX);
-    }
+    map_4k(&fine, &mut mem, 32768);
     let (_, deep_fine) = Ept::deep_copy(&mut mem, &fine);
-    print_table(
+    *out += &table(
         "Ablation: EPT pages written per client/server binding",
         &["strategy", "pages written"],
         &[
@@ -112,69 +117,47 @@ fn ept_copy_ablation() {
     );
 }
 
-fn kpti_ablation() {
+fn kpti(out: &mut String) {
     let mut rows = Vec::new();
     for kpti in [false, true] {
-        let mut k = Kernel::boot(KernelConfig {
+        let config = KernelConfig {
             kpti,
             ..KernelConfig::native(Personality::sel4())
-        });
-        let code = sb_rewriter::corpus::generate(41, 2048, 0);
-        let cp = k.create_process(&code);
-        let sp = k.create_process(&code);
-        let client = k.create_thread(cp, 0);
-        let server = k.create_thread(sp, 0);
-        let (ep, _) = k.create_endpoint(sp);
-        let slot = k.grant_send(cp, ep);
-        k.server_recv(server, ep);
-        k.run_thread(client);
+        };
+        let (mut k, client, slot, server) = ipc_pair(config, 41, 2048, false);
         for _ in 0..64 {
-            k.ipc_roundtrip(client, slot, server).unwrap();
+            k.ipc_roundtrip(client, slot, server)
+                .expect("warm roundtrip");
         }
-        let b = k.ipc_roundtrip(client, slot, server).unwrap();
+        let b = k.ipc_roundtrip(client, slot, server).expect("roundtrip");
         rows.push(vec![
             if kpti { "KPTI on" } else { "KPTI off" }.to_string(),
             b.get(Component::ContextSwitch).to_string(),
             b.total().to_string(),
         ]);
     }
-    print_table(
+    *out += &table(
         "Ablation: Meltdown mitigation (KPTI) on the seL4 fastpath roundtrip",
         &["configuration", "context-switch cycles", "total cycles"],
         &rows,
     );
 }
 
-fn message_size_ablation() {
-    let mut k = Kernel::boot(KernelConfig::with_rootkernel(Personality::sel4()));
-    let mut sb = SkyBridge::new();
-    let code = sb_rewriter::corpus::generate(42, 2048, 0);
-    let cp = k.create_process(&code);
-    let sp = k.create_process(&code);
-    let client = k.create_thread(cp, 0);
-    let server_tid = k.create_thread(sp, 0);
-    let server = sb
-        .register_server(
-            &mut k,
-            server_tid,
-            4,
-            64,
-            Box::new(|_, _, _, _| Ok(vec![].into())),
-        )
-        .unwrap();
-    sb.register_client(&mut k, client, server).unwrap();
-    k.run_thread(client);
+fn message_size(out: &mut String) {
+    let (mut k, mut sb, client, server) = sky_pair(Personality::sel4(), 42);
     let mut rows = Vec::new();
     for size in [0usize, 16, 64, 128, 512, 2048, 8192] {
         let msg = vec![7u8; size];
         for _ in 0..32 {
-            sb.direct_server_call(&mut k, client, server, &msg).unwrap();
+            sb.direct_server_call(&mut k, client, server, &msg)
+                .expect("warm call");
         }
         let core = k.core_of(client);
         let t0 = k.machine.cpu(core).tsc;
         let iters = 64;
         for _ in 0..iters {
-            sb.direct_server_call(&mut k, client, server, &msg).unwrap();
+            sb.direct_server_call(&mut k, client, server, &msg)
+                .expect("call");
         }
         let avg = (k.machine.cpu(core).tsc - t0) / iters;
         rows.push(vec![
@@ -188,16 +171,14 @@ fn message_size_ablation() {
             avg.to_string(),
         ]);
     }
-    print_table(
+    *out += &table(
         "Ablation: direct_server_call latency vs message size",
         &["message", "path", "cycles/roundtrip"],
         &rows,
     );
 }
 
-fn exit_controls_ablation() {
-    use sb_mem::HostMem;
-    use sb_rootkernel::{vmcs::ExitControls, Rootkernel, RootkernelConfig};
+fn exit_controls(out: &mut String) {
     let mut rows = Vec::new();
     for (name, controls) in [
         ("SkyBridge pass-through", ExitControls::skybridge()),
@@ -228,64 +209,65 @@ fn exit_controls_ablation() {
             (machine.cpu(0).tsc - t0).to_string(),
         ]);
     }
-    print_table(
+    *out += &table(
         "Ablation: exit controls under 1k interrupts + 5k CR3 writes",
         &["configuration", "VM exits", "cycles of exit overhead"],
         &rows,
     );
 }
 
-fn eptp_lru_ablation() {
-    // The §10 extension: more servers than EPTP slots. Bind one client to
-    // 520 servers and round-robin calls across 514 of them; stale slots
-    // fault to the Rootkernel and get reinstalled.
+/// The §10 extension: more servers than EPTP slots. Bind one client to
+/// 520 servers and round-robin calls across them; stale slots fault to
+/// the Rootkernel and get reinstalled.
+fn eptp_lru(out: &mut String) {
     let mut k = Kernel::boot(KernelConfig::with_rootkernel(Personality::sel4()));
     let mut sb = SkyBridge::new();
     let code = sb_rewriter::corpus::generate(43, 1024, 0);
     let cp = k.create_process(&code);
     let client = k.create_thread(cp, 0);
     let mut servers = Vec::new();
-    let n_servers = sb_bench::knob("SB_LRU_SERVERS", 520);
-    for i in 0..n_servers {
+    for _ in 0..knob("SB_LRU_SERVERS", 520) {
         let sp = k.create_process(&code);
         let tid = k.create_thread(sp, 0);
         let sid = sb
             .register_server(&mut k, tid, 2, 64, Box::new(|_, _, _, _| Ok(vec![].into())))
-            .unwrap();
-        sb.register_client(&mut k, client, sid).unwrap();
+            .expect("register a null server");
+        sb.register_client(&mut k, client, sid)
+            .expect("register the client");
         servers.push(sid);
-        let _ = i;
     }
     k.run_thread(client);
-    let exits0 = k.rootkernel.as_ref().unwrap().exits.total();
+    let exits = |k: &Kernel| {
+        let rk = k.rootkernel.as_ref().expect("booted with a Rootkernel");
+        rk.exits.total()
+    };
+    let exits0 = exits(&k);
     let core = k.core_of(client);
     let t0 = k.machine.cpu(core).tsc;
     let calls = 2 * servers.len();
     for i in 0..calls {
         let sid = servers[i % servers.len()];
-        sb.direct_server_call(&mut k, client, sid, &[]).unwrap();
+        sb.direct_server_call(&mut k, client, sid, &[])
+            .expect("call");
     }
     let avg = (k.machine.cpu(core).tsc - t0) / calls as u64;
-    let faults = k.rootkernel.as_ref().unwrap().exits.total() - exits0;
-    print_table(
+    *out += &table(
         "Extension (§10): EPTP-list LRU with more servers than slots",
         &["servers", "calls", "slot-fault exits", "avg cycles/call"],
         &[vec![
             servers.len().to_string(),
             calls.to_string(),
-            faults.to_string(),
+            (exits(&k) - exits0).to_string(),
             avg.to_string(),
         ]],
     );
-    println!(
-        "  (each fault = one VM exit + EPTP-list reinstall; with ≤ 511\n\
-         bound servers the fault count is zero)"
-    );
+    *out += "  (each fault = one VM exit + EPTP-list reinstall; with ≤ 511\n\
+             bound servers the fault count is zero)\n";
 }
 
-fn temporary_mapping_ablation() {
-    // §8.1: L4's temporary mapping halves the copy cost of long IPC
-    // messages; "orthogonal to SkyBridge".
+/// §8.1: L4's temporary mapping halves the copy cost of long IPC
+/// messages; "orthogonal to SkyBridge".
+fn temporary_mapping(out: &mut String) {
     let mut rows = Vec::new();
     for (name, personality) in [
         ("seL4 (two copies)", Personality::sel4()),
@@ -294,45 +276,37 @@ fn temporary_mapping_ablation() {
             Personality::sel4().with_temporary_mapping(),
         ),
     ] {
-        let mut k = Kernel::boot(KernelConfig::native(personality));
-        let code = sb_rewriter::corpus::generate(44, 1024, 0);
-        let cp = k.create_process(&code);
-        let sp = k.create_process(&code);
-        let client = k.create_thread(cp, 0);
-        let server = k.create_thread(sp, 0);
-        let (ep, _) = k.create_endpoint(sp);
-        let slot = k.grant_send(cp, ep);
-        k.server_recv(server, ep);
-        k.run_thread(client);
+        let (mut k, client, slot, server) =
+            ipc_pair(KernelConfig::native(personality), 44, 1024, false);
         let mut row = vec![name.to_string()];
         for len in [256usize, 1024, 4096] {
             for _ in 0..32 {
-                k.ipc_call(client, slot, len).unwrap();
-                k.ipc_reply(server, client, 0).unwrap();
+                k.ipc_call(client, slot, len).expect("warm call");
+                k.ipc_reply(server, client, 0).expect("warm reply");
             }
             let mut sum = 0u64;
             for _ in 0..64 {
-                let mut b = k.ipc_call(client, slot, len).unwrap();
-                b.merge(&k.ipc_reply(server, client, 0).unwrap());
+                let mut b = k.ipc_call(client, slot, len).expect("call");
+                b.merge(&k.ipc_reply(server, client, 0).expect("reply"));
                 sum += b.get(Component::MessageCopy);
             }
             row.push((sum / 64).to_string());
         }
         rows.push(row);
     }
-    print_table(
+    *out += &table(
         "§8.1: temporary mapping vs two-copy long messages (copy cycles)",
         &["configuration", "256 B", "1 KiB", "4 KiB"],
         &rows,
     );
 }
 
-fn main() {
-    temporary_mapping_ablation();
-    ept_walk_ablation();
-    ept_copy_ablation();
-    kpti_ablation();
-    message_size_ablation();
-    exit_controls_ablation();
-    eptp_lru_ablation();
+pub fn ablations(_: &[PaperRow], out: &mut String) {
+    temporary_mapping(out);
+    ept_walk(out);
+    ept_copy(out);
+    kpti(out);
+    message_size(out);
+    exit_controls(out);
+    eptp_lru(out);
 }

@@ -8,14 +8,11 @@
 //! crates (`sb-runtime`, the scenario modules) stay serialization-free;
 //! their result structs are rendered to rows here.
 
-use std::{
-    fmt, fs,
-    io::Write,
-    path::{Path, PathBuf},
-};
+use std::{fmt, fs, io::Write, path::PathBuf};
 
 use sb_observe::Snapshot;
 use sb_runtime::RunStats;
+use sb_sentinel::BundleReceipt;
 use skybridge_repro::scenarios::chaos::{ChaosOutcome, FsChaosOutcome};
 
 /// A JSON value.
@@ -213,6 +210,15 @@ pub fn run_stats_json(s: &RunStats) -> Json {
     row
 }
 
+/// Where a postmortem bundle went and what it holds.
+pub fn receipt_json(r: &BundleReceipt) -> Json {
+    Json::obj()
+        .field("path", r.path.display().to_string())
+        .field("included_events", r.included_events)
+        .field("truncated_events", r.truncated_events)
+        .field("ring_dropped", r.ring_dropped)
+}
+
 /// One serving chaos cell as a JSON row (`results/chaos.json`).
 pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
     let mut rows = Vec::new();
@@ -233,13 +239,7 @@ pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("slow_burn", out.slo.slow_burn)
         .field("breaches", out.slo.breaches)
         .field("breached", out.slo.breached());
-    let postmortem = out.postmortem.as_ref().map_or(Json::Null, |r| {
-        Json::obj()
-            .field("path", r.path.display().to_string())
-            .field("included_events", r.included_events)
-            .field("truncated_events", r.truncated_events)
-            .field("ring_dropped", r.ring_dropped)
-    });
+    let postmortem = out.postmortem.as_ref().map_or(Json::Null, receipt_json);
     Json::obj()
         .field("mix", mix)
         .field("seed", seed)
@@ -357,11 +357,6 @@ pub fn write_raw(name: &str, contents: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Reads a previously written report back (test support).
-pub fn read_to_string(path: &Path) -> std::io::Result<String> {
-    fs::read_to_string(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,7 +465,7 @@ mod tests {
         std::env::set_var("SB_RESULTS_DIR", &dir);
         let j = Json::obj().field("x", 1u64);
         let path = write_json("unit", &j).unwrap();
-        assert_eq!(read_to_string(&path).unwrap(), "{\"x\":1}\n");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "{\"x\":1}\n");
         std::env::remove_var("SB_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -195,8 +195,8 @@ pub fn validate_recorder_nesting(rec: &Recorder) -> Result<u64, String> {
 
 // --- a dependency-free JSON validity checker -----------------------------
 //
-// The workspace builds offline (no serde); tests and the trace_overhead
-// gate still need to prove the exported document *is* JSON. This is a
+// The workspace builds offline (no serde); tests and the chaos bin's
+// drill still need to prove the exported document *is* JSON. This is a
 // strict recursive-descent recogniser — it accepts exactly the JSON
 // grammar, no extensions.
 

@@ -7,7 +7,7 @@
 //! trampoline / switch / marshal / handler self-cycles plus whatever the
 //! `call` span itself didn't delegate (uninstrumented glue), and the sum
 //! of all phases equals the sum of call durations by construction — the
-//! property the `trace_overhead` bench gates on.
+//! property `tests/observe.rs::phases_fit_inside_their_calls` holds.
 
 use std::collections::BTreeMap;
 

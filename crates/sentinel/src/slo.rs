@@ -108,6 +108,7 @@ pub struct SloTracker {
     first_breach: Option<Cycles>,
     last_t: Cycles,
     last_eval_slot: Cycles,
+    evaluations: u64,
 }
 
 impl SloTracker {
@@ -131,6 +132,7 @@ impl SloTracker {
             first_breach: None,
             last_t: 0,
             last_eval_slot: Cycles::MAX,
+            evaluations: 0,
         }
     }
 
@@ -222,6 +224,7 @@ impl SloTracker {
     }
 
     fn evaluate(&mut self, t: Cycles) {
+        self.evaluations += 1;
         let fast = self.burn_rate(t, self.spec.fast_window);
         let slow = self.burn_rate(t, self.spec.slow_window);
         let breaching = fast >= self.spec.fast_burn && slow >= self.spec.slow_burn;
@@ -230,6 +233,12 @@ impl SloTracker {
             self.first_breach.get_or_insert(t);
         }
         self.in_breach = breaching;
+    }
+
+    /// How many times the burn rule has been evaluated — the tracker's
+    /// only O(buckets) work, so its cost per record as a count.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 
     /// The current health reading.

@@ -159,8 +159,8 @@ pub trait Transport {
     }
 
     /// Total bytes the transport's marshalling layer has physically
-    /// copied since construction (the `transport_hotpath` bench's
-    /// bytes-copied-per-call numerator).
+    /// copied since construction (the numerator of the benchmark's
+    /// `transport.bytes_copied_per_op`).
     fn bytes_copied(&self) -> u64 {
         0
     }

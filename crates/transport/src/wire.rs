@@ -20,8 +20,8 @@
 //! and the reply for the echo service contract *is* the payload half of
 //! the buffer — no `to_vec()`, no read-back copy, no reply
 //! materialisation on the hot path. [`CopyMeter`] counts the bytes the
-//! marshalling layer actually moves so the `transport_hotpath` bench can
-//! prove the copy went away.
+//! marshalling layer actually moves, so the benchmark's
+//! `transport.bytes_copied_per_op` can show the copy stays away.
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -291,3 +291,74 @@ fn ring_runs_keep_spans_connected_and_phases_closed() {
         "doorbell and corr-0 spans land in the ambient bucket"
     );
 }
+
+/// What batching buys, in the simulated quantities it is made of. (The
+/// `ring` bench used to gate this on the host clock — a saturated
+/// batch-of-eight under 294 host units per call against ~278 for a
+/// direct call; `benchmark/`'s `transport.ring_b1` / `ring_b8` rows
+/// carry the nanoseconds now.) A saturated SkyBridge ring pays the
+/// crossing — trampoline, function-list fetch, key check, two VMFUNCs —
+/// once per doorbell: eight frames behind one doorbell switch EPTP an
+/// eighth as often as eight doorbells of one frame, and cost fewer
+/// cycles per call than batch-of-one and than a direct call.
+#[test]
+fn a_full_batch_pays_the_crossing_once() {
+    const BUDGET: usize = 8;
+    const CALLS: u64 = 1024;
+    let mut rt = build_ring_backend(
+        ServingScenario::Kv,
+        &Backend::SkyBridge,
+        1,
+        RingConfig {
+            capacity: 2 * BUDGET,
+            batch_budget: BUDGET,
+            slot_bytes: 4096,
+        },
+    );
+    let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+    // Direct calls first: one pass to warm up, one for the baseline.
+    let mut direct_pass = |t: &mut Box<dyn Transport>| {
+        let t0 = t.now(0);
+        for _ in 0..CALLS {
+            let r = factory.make(t.now(0), None);
+            t.call(0, &r).expect("direct call");
+        }
+        (t.now(0) - t0) as f64 / CALLS as f64
+    };
+    direct_pass(rt.inner_mut());
+    let direct = direct_pass(rt.inner_mut());
+    // `(cycles, VMFUNCs)` per call with `frames` behind each doorbell.
+    let mut saturated = |frames: usize| {
+        let vmfuncs = |rt: &RingTransport<Box<dyn Transport>>| {
+            rt.inner().pmu().expect("simulated hardware").vmfuncs
+        };
+        let (t0, v0) = (rt.now(0), vmfuncs(&rt));
+        for _ in 0..CALLS / frames as u64 {
+            for _ in 0..frames {
+                let r = factory.make(rt.now(0), None);
+                rt.submit(0, &r).expect("ring slot");
+            }
+            rt.doorbell(0);
+            while let Some(c) = rt.pop_completion(0) {
+                c.result.expect("frame served");
+            }
+        }
+        (
+            (rt.now(0) - t0) as f64 / CALLS as f64,
+            (vmfuncs(&rt) - v0) as f64 / CALLS as f64,
+        )
+    };
+    let (one_cycles, one_vmfuncs) = saturated(1);
+    let (batch_cycles, batch_vmfuncs) = saturated(BUDGET);
+    println!("cycles/call: direct {direct}, batch of one {one_cycles}, of {BUDGET} {batch_cycles}");
+    assert_eq!(one_vmfuncs, 2.0, "a doorbell of one is one round trip");
+    assert_eq!(
+        batch_vmfuncs,
+        2.0 / BUDGET as f64,
+        "one round trip per batch"
+    );
+    assert!(
+        batch_cycles < one_cycles && batch_cycles < direct,
+        "batch of {BUDGET}: {batch_cycles} cycles/call; batch of one {one_cycles}; direct {direct}"
+    );
+}

@@ -5,7 +5,9 @@
 //! things: that a warmed-up `RingRuntime` over `RingTransport` serves
 //! its steady state without allocating per request, and that the dense
 //! per-tenant state costs memory in proportion to the tenants a run
-//! actually saw — not to the largest tenant id anyone sent.
+//! actually saw — not to the largest tenant id anyone sent. The same
+//! allocator holds what the sentinel's SLO tracker may cost per
+//! completion, as counts rather than nanoseconds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +17,7 @@ use sb_runtime::{
     RingRuntime, RingTransport, RunStats, RuntimeConfig, ServerRuntime, TenantId, TenantRegistry,
     TenantSpec,
 };
+use sb_sentinel::{SloSpec, SloTracker};
 use sb_ycsb::WorkloadSpec;
 
 thread_local! {
@@ -243,4 +246,36 @@ fn four_thousand_tenants_cost_memory_in_proportion() {
     let per_tenant = bytes / (2 * ids.len() as u64);
     println!("bytes allocated per tenant per run: {per_tenant}");
     assert!(per_tenant <= 24 * 1024, "{per_tenant} B per tenant per run");
+}
+
+/// The sentinel tax as the property it protects. `sb-bench --bin
+/// sentinel` used to gate "SLO recording costs ≤ 5% host ns per call
+/// over tracing alone"; what keeps that true is that a good completion
+/// is two counter bumps and a histogram bucket: inside one bucket of
+/// the slow window, good completions never run the burn rule's scan
+/// over the buckets and never touch the heap. Bad records and bucket
+/// boundaries do pay for an evaluation — one each.
+#[test]
+fn good_completions_inside_one_bucket_evaluate_nothing_and_allocate_nothing() {
+    let spec = SloSpec::default();
+    let mut slo = SloTracker::new(spec);
+    slo.complete(0, 1); // Opens the bucket: one evaluation.
+    assert_eq!(slo.evaluations(), 1);
+
+    // A hundred cycles is far inside one bucket of any slow window.
+    let completions = 10_000;
+    let ((), allocations, _) = counted(|| {
+        for i in 0..completions {
+            slo.complete(i % 100, spec.latency_objective);
+        }
+    });
+    assert_eq!(slo.evaluations(), 1, "good records inside one bucket");
+    assert_eq!(allocations, 0, "recording a completion allocated");
+    assert_eq!(slo.health().good, completions + 1);
+
+    slo.complete(spec.slow_window, 1);
+    assert_eq!(slo.evaluations(), 2, "a bucket boundary evaluates once");
+    let ((), allocations, _) = counted(|| slo.error(spec.slow_window + 1));
+    assert_eq!(slo.evaluations(), 3, "a bad record evaluates once");
+    assert_eq!(allocations, 0, "evaluating the burn rule allocated");
 }

@@ -10,8 +10,10 @@
 # the measured loop (`Prepared>::run`) via tools/hostprof/report.py; with
 # `under` (a symbol substring, e.g. `walk::translate`), also what that
 # frame was running and who called it, as shares of the run. The samples
-# stay in target/hostprof/samples.txt for further `report.py` queries.
-# Needs gcc, python3 and nm; x86-64 Linux only. Not part of Tier-1 or CI.
+# stay in target/hostprof/samples.txt for further `report.py` queries
+# (`--under SYMBOL`, `--lines SYMBOL` for a function's hottest source lines).
+# Needs gcc, python3, nm and (for `--lines`) addr2line; x86-64 Linux only.
+# Not part of Tier-1 or CI.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -28,7 +30,11 @@ done
 
 out="$root/target/hostprof"
 mkdir -p "$out"
-RUSTFLAGS="-C force-frame-pointers=yes -g" CARGO_TARGET_DIR="$out" \
+# Line tables through the profile, not `-g`: cargo strips the debuginfo
+# of a release build whose profile leaves `debug` unset, whatever
+# RUSTFLAGS asked rustc to emit, and addr2line then answers `?`.
+export CARGO_PROFILE_RELEASE_DEBUG=line-tables-only
+RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR="$out" \
     cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml" 1>&2
 gcc -O2 -shared -fPIC -o "$out/sampler.so" "$root/tools/hostprof/sampler.c"
 

@@ -1,6 +1,6 @@
 """Symbolise and tabulate a tools/hostprof/sampler.c dump.
 
-    report.py SAMPLES [ROOT_FRAME_SUBSTRING] [--under SYMBOL_SUBSTRING]
+    report.py SAMPLES [ROOT_FRAME_SUBSTRING] [--under SYMBOL_SUBSTRING] [--lines SYMBOL_SUBSTRING]
 
 Keeps the samples whose stack holds a frame matching ROOT (default: the
 benchmark's measured loop, `Prepared>::run`), cuts each stack at that
@@ -8,7 +8,10 @@ frame, and prints self, inclusive and caller tables. With `--under`, also
 prints what the outermost frame matching SYMBOL was running — itself, or
 which callee — and who called it, each as a share of the kept samples
 (so `--under walk::translate` sizes the walk's parts against the whole
-run, and `--under libc.so` names who calls into libc). Symbols come from
+run, and `--under libc.so` names who calls into libc). With `--lines`,
+also prints the source lines of the samples whose leaf frame matches
+SYMBOL (`addr2line` on the executable's line tables; inlined code reads
+as its own source line, not its caller's), as shares of the run. Symbols come from
 `nm -C` on the profiled executable (the first file mapped; a PIE's load
 bias is the start of its offset-0 mapping); frames anywhere else — libc
 is stripped of all but its exports — read as `[object]`.
@@ -16,11 +19,13 @@ is stripped of all but its exports — read as `[object]`.
 import bisect, collections, os, re, subprocess, sys
 
 args = sys.argv[1:]
-under = None
-if "--under" in args:
-    at = args.index("--under")
-    under = args[at + 1]
-    del args[at : at + 2]
+options = {"--under": None, "--lines": None}
+for flag in options:
+    if flag in args:
+        at = args.index(flag)
+        options[flag] = args[at + 1]
+        del args[at : at + 2]
+under, lines = options["--under"], options["--lines"]
 samples, root = args[0], (args[1:] or ["Prepared>::run"])[0]
 maps, stacks = [], []  # (start, end, bias, path); [pc, ...]
 bias = {}
@@ -56,7 +61,12 @@ def name(pc):
     return "[unmapped]"
 
 
-self_, inclusive, callers, callees, parents = (collections.Counter() for _ in range(5))
+def file_offset(pc):
+    """`pc` as an address in the executable's file, for addr2line."""
+    return next(pc - base for start, end, base, _ in maps if start <= pc < end)
+
+
+self_, inclusive, callers, callees, parents, leaf_pcs = (collections.Counter() for _ in range(6))
 kept = 0
 for pcs in stacks:
     # A return address belongs to the call before it.
@@ -66,6 +76,8 @@ for pcs in stacks:
         continue
     frames, kept = frames[: cut + 1], kept + 1
     self_[frames[0]] += 1
+    if lines and lines in frames[0]:
+        leaf_pcs[file_offset(pcs[0])] += 1
     inclusive.update(set(frames))
     callers[(frames[0], frames[1] if len(frames) > 1 else "-")] += 1
     # Outermost match: frames run leaf first.
@@ -92,3 +104,16 @@ if under:
         print("\n%-9s %6s  %s, as a share of the run" % ("samples", "%", title))
         for sym, n in counts.most_common(25):
             print("%9d %6.1f  %s" % (n, 100.0 * n / max(kept, 1), sym))
+if lines:
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))) + os.sep
+    where = subprocess.run(
+        ["addr2line", "-e", exe] + ["%x" % pc for pc in leaf_pcs], capture_output=True, text=True
+    ).stdout.splitlines()
+    by_line = collections.Counter()
+    for line, n in zip(where, leaf_pcs.values()):
+        by_line[line.removeprefix(repo)] += n
+    total = sum(leaf_pcs.values())
+    print("\n%d samples (%.1f %% of the run) with a leaf frame matching %r" % (total, 100.0 * total / max(kept, 1), lines))
+    print("\n%-9s %6s  source line, as a share of the run" % ("samples", "%"))
+    for line, n in by_line.most_common(25):
+        print("%9d %6.1f  %s" % (n, 100.0 * n / max(kept, 1), line))
