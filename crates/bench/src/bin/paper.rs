@@ -3,27 +3,47 @@
 //! `paper NAME…` prints the named artefacts (`table1`…`table6`,
 //! `figure2`, `figure7`, `figure8`, `figure9_11`, `ablations`); `paper`
 //! alone writes every one to `<results dir>/<name>.txt` (and
-//! `figure9_11.json`), ready to diff against the committed `results/`.
+//! `figure9_11.json`) plus `fidelity.json`, one line per `measured
+//! (paper)` cell, ready to diff against the committed `results/`.
 //!
 //! Run-size knobs: `SB_OPS`, `SB_KVLEN`, `SB_ITERS`, `SB_RECORDS`,
 //! `SB_ELF_LIMIT`, `SB_LRU_SERVERS`; `SB_RESULTS_DIR` moves the output.
 
 use sb_bench::gate::{self, Gate};
 use sb_bench::paper::{find, EXPERIMENTS};
-use sb_bench::report::write_raw;
+use sb_bench::report::{write_raw, Json};
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
     if names.is_empty() {
-        let gates: Vec<Gate> = EXPERIMENTS
+        let mut ledger = Vec::new();
+        let mut gates: Vec<Gate> = EXPERIMENTS
             .iter()
-            .map(|e| Gate::written(write_raw(&format!("{}.txt", e.name), &e.text())))
+            .map(|e| {
+                let (text, cells) = e.artefact();
+                ledger.extend(cells.0.iter().map(|c| {
+                    Json::obj()
+                        .field("experiment", e.name)
+                        .field("row", c.row.as_str())
+                        .field("column", c.column.as_str())
+                        .field("paper", c.paper)
+                        .field("measured", c.measured)
+                        .field("ratio", c.measured / c.paper)
+                        .to_string()
+                }));
+                Gate::written(write_raw(&format!("{}.txt", e.name), &text))
+            })
             .collect();
+        let ledger = format!(
+            "{{\"bench\":\"fidelity\",\"rows\":[\n{}\n]}}\n",
+            ledger.join(",\n")
+        );
+        gates.push(Gate::written(write_raw("fidelity.json", &ledger)));
         gate::verdict("paper", &gates);
     }
     for name in &names {
         match find(name) {
-            Some(e) => print!("{}", e.text()),
+            Some(e) => print!("{}", e.artefact().0),
             None => {
                 let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
                 gate::die(&[format!(

@@ -19,7 +19,7 @@ use sb_sim::Machine;
 use skybridge::SkyBridge;
 
 use super::ipc::{ipc_pair, sky_pair};
-use super::PaperRow;
+use super::{Ledger, PaperRow};
 use crate::{knob, table};
 
 /// Maps `pages` 4 KiB pages above the reserved region one by one, as a
@@ -217,8 +217,9 @@ fn exit_controls(out: &mut String) {
 }
 
 /// The §10 extension: more servers than EPTP slots. Bind one client to
-/// 520 servers and round-robin calls across them; stale slots fault to
-/// the Rootkernel and get reinstalled.
+/// every server the function list holds (512, one more than the EPTP
+/// list's free slots) and round-robin calls across them; stale slots
+/// fault to the Rootkernel and get reinstalled.
 fn eptp_lru(out: &mut String) {
     let mut k = Kernel::boot(KernelConfig::with_rootkernel(Personality::sel4()));
     let mut sb = SkyBridge::new();
@@ -226,7 +227,7 @@ fn eptp_lru(out: &mut String) {
     let cp = k.create_process(&code);
     let client = k.create_thread(cp, 0);
     let mut servers = Vec::new();
-    for _ in 0..knob("SB_LRU_SERVERS", 520) {
+    for _ in 0..knob("SB_LRU_SERVERS", sb_microkernel::layout::SB_SERVERS) {
         let sp = k.create_process(&code);
         let tid = k.create_thread(sp, 0);
         let sid = sb
@@ -301,7 +302,7 @@ fn temporary_mapping(out: &mut String) {
     );
 }
 
-pub fn ablations(_: &[PaperRow], out: &mut String) {
+pub fn ablations(_: &[PaperRow], out: &mut String, _: &mut Ledger) {
     temporary_mapping(out);
     ept_walk(out);
     ept_copy(out);

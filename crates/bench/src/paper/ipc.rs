@@ -9,7 +9,7 @@ use sb_microkernel::{
 use sb_rootkernel::EptpList;
 use skybridge::{ServerId, SkyBridge};
 
-use super::PaperRow;
+use super::{Ledger, PaperRow};
 use crate::{knob, table};
 
 /// §2.1.1's mode-switch components, then Table 2 proper (`value ±
@@ -92,7 +92,7 @@ pub(super) fn sky_pair(
     (k, sb, client, server)
 }
 
-pub fn table2(paper: &[PaperRow], out: &mut String) {
+pub fn table2(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     // §2.1.1 mode-switch components, measured as the model charges them.
     let cost = sb_sim::CostModel::skylake();
     let mut measured = vec![
@@ -150,6 +150,7 @@ pub fn table2(paper: &[PaperRow], out: &mut String) {
                 [value, deviation] => format!("{value}±{deviation}"),
                 _ => p[0].to_string(),
             };
+            ledger.cell(operation, "measured", cycles as f64, p[0]);
             vec![operation.to_string(), format!("{cycles} (paper {paper})")]
         })
         .collect();
@@ -195,7 +196,7 @@ fn skybridge_bar(personality: Personality, iters: usize) -> Breakdown {
     total.scaled_down(iters as u64)
 }
 
-pub fn figure7(paper: &[PaperRow], out: &mut String) {
+pub fn figure7(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let iters = knob("SB_ITERS", 2000);
     let kernels = [
         Personality::sel4(),
@@ -217,7 +218,7 @@ pub fn figure7(paper: &[PaperRow], out: &mut String) {
     for ((name, total), b) in paper.iter().zip(&bars) {
         let mut row = vec![name.to_string()];
         row.extend(Component::ALL.iter().map(|&c| b.get(c).to_string()));
-        row.push(format!("{} ({})", b.total(), total[0]));
+        row.push(ledger.cell(name, "total", b.total() as f64, total[0]));
         rows.push(row);
     }
     let mut header = vec!["configuration"];

@@ -5,7 +5,7 @@
 use sb_ycsb::kv::KV_LENGTHS;
 use skybridge_repro::scenarios::kv::{KvMode, KvPipeline};
 
-use super::PaperRow;
+use super::{Ledger, PaperRow};
 use crate::{knob, table};
 
 /// Table 1, misses across 512 operations: i-cache, d-cache, L2, L3,
@@ -34,36 +34,36 @@ const MODES: [(&str, KvMode); 5] = [
     ("SkyBridge", KvMode::SkyBridge),
 ];
 
-pub fn table1(paper: &[PaperRow], out: &mut String) {
+pub fn table1(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let ops = knob("SB_OPS", 512);
     let len = knob("SB_KVLEN", 64);
+    let header = ["layout", "i-cache", "d-cache", "L2", "L3", "i-TLB", "d-TLB"];
     let mut rows = Vec::new();
-    for ((name, _), (_, mode)) in paper.iter().zip(MODES) {
+    for ((name, paper), (_, mode)) in paper.iter().zip(MODES) {
         let mut p = KvPipeline::new(mode, len, ops + 128);
         p.run_ops(64); // Warm up, as the paper's measured region is hot.
         let pmu = p.run_ops(ops).pmu;
-        rows.push(vec![
-            name.to_string(),
-            pmu.l1i_misses.to_string(),
-            pmu.l1d_misses.to_string(),
-            pmu.l2_misses.to_string(),
-            pmu.l3_misses.to_string(),
-            pmu.itlb_misses.to_string(),
-            pmu.dtlb_misses.to_string(),
-        ]);
+        let misses = [
+            pmu.l1i_misses,
+            pmu.l1d_misses,
+            pmu.l2_misses,
+            pmu.l3_misses,
+            pmu.itlb_misses,
+            pmu.dtlb_misses,
+        ];
+        let mut row = vec![name.to_string()];
+        for ((&n, &paper), column) in misses.iter().zip(*paper).zip(&header[1..]) {
+            row.push(ledger.cell(name, column, n as f64, paper));
+        }
+        rows.push(row);
     }
     *out += &table(
-        &format!("Table 1: processor-structure misses across {ops} KV ops"),
-        &["layout", "i-cache", "d-cache", "L2", "L3", "i-TLB", "d-TLB"],
+        &format!(
+            "Table 1: processor-structure misses across {ops} KV ops — measured (paper, 512 ops)"
+        ),
+        &header,
         &rows,
     );
-    *out += "\npaper (512 ops):   i-cache   d-cache     L2    L3  i-TLB  d-TLB\n";
-    for (name, c) in paper {
-        *out += &format!(
-            "  {name:<14}{:>10}{:>10}{:>7}{:>6}{:>7}{:>7}\n",
-            c[0], c[1], c[2], c[3], c[4], c[5]
-        );
-    }
     *out += "\nShape to check: IPC ≫ Delay ≈ Baseline on i-cache and d-TLB;\n\
              the Delay row compensates the *direct* cost, so its pollution\n\
              matches Baseline.\n";
@@ -71,15 +71,21 @@ pub fn table1(paper: &[PaperRow], out: &mut String) {
 
 /// One latency sweep over `modes`: every key/value length, measured
 /// (paper) per cell.
-fn sweep(title: &str, modes: &[(&str, KvMode)], paper: &[PaperRow], out: &mut String) {
+fn sweep(
+    title: &str,
+    modes: &[(&str, KvMode)],
+    paper: &[PaperRow],
+    out: &mut String,
+    ledger: &mut Ledger,
+) {
     let ops = knob("SB_OPS", 384);
     let mut rows = Vec::new();
     for (&len, (label, cells)) in KV_LENGTHS.iter().zip(paper) {
         let mut row = vec![label.to_string()];
-        for ((_, mode), paper) in modes.iter().zip(*cells) {
+        for ((name, mode), &paper) in modes.iter().zip(*cells) {
             let mut p = KvPipeline::new(*mode, len, ops + 128);
             p.run_ops(64);
-            row.push(format!("{} ({paper})", p.run_ops(ops).avg_cycles));
+            row.push(ledger.cell(label, name, p.run_ops(ops).avg_cycles as f64, paper));
         }
         rows.push(row);
     }
@@ -89,23 +95,25 @@ fn sweep(title: &str, modes: &[(&str, KvMode)], paper: &[PaperRow], out: &mut St
     *out += &table(title, &header, &rows);
 }
 
-pub fn figure2(paper: &[PaperRow], out: &mut String) {
+pub fn figure2(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     sweep(
         "Figure 2: KV op latency in cycles — measured (paper)",
         &MODES[..4],
         paper,
         out,
+        ledger,
     );
     *out += "\nShape to check: Baseline < Delay < IPC < IPC-CrossCore at every\n\
              length; gaps shrink relative to totals as the length grows.\n";
 }
 
-pub fn figure8(paper: &[PaperRow], out: &mut String) {
+pub fn figure8(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     sweep(
         "Figure 8: KV op latency with SkyBridge — measured (paper)",
         &MODES,
         paper,
         out,
+        ledger,
     );
     *out += "\nShape to check: SkyBridge sits between Baseline and IPC at small\n\
              lengths (\"SkyBridge can reduce the latency from 7929 cycles to\n\

@@ -13,8 +13,19 @@ use sb_rewriter::{
     scan::{classify, find_occurrences, OverlapKind},
 };
 
-use super::PaperRow;
+use super::{Ledger, PaperRow};
 use crate::{knob, table};
+
+/// Table 6 as this machine can reproduce it: the paper found no
+/// inadvertent `VMFUNC` in any compiled corpus it names (SPEC, PARSEC,
+/// the servers, `vmlinux`, 2,934 modules), so none is expected in the
+/// compiler output installed here.
+pub const OCCURRENCES: &[PaperRow] = &[
+    ("/usr/bin", &[0.0]),
+    ("/usr/sbin", &[0.0]),
+    ("/bin", &[0.0]),
+    ("/usr/lib/x86_64-linux-gnu", &[0.0]),
+];
 
 const CODE_BASE: u64 = 0x40_0000;
 const PAGE_BASE: u64 = 0x1000;
@@ -88,7 +99,7 @@ fn interpret(code: &[u8], page: &[u8]) -> [u64; 16] {
     s.regs
 }
 
-pub fn table3(_: &[PaperRow], out: &mut String) {
+pub fn table3(_: &[PaperRow], out: &mut String, _: &mut Ledger) {
     let mut rows = Vec::new();
     for (name, strategy, code) in CASES {
         let kind = match classify(code).first().map(|o| o.kind) {
@@ -143,12 +154,13 @@ struct Scan {
 }
 
 impl Scan {
-    fn row(&self, corpus: &str) -> Vec<String> {
+    /// The corpus's row; `hits` is the count as the row prints it.
+    fn row(&self, corpus: &str, hits: String) -> Vec<String> {
         vec![
             corpus.to_string(),
             self.programs.to_string(),
             (self.bytes / 1024).to_string(),
-            self.hits.to_string(),
+            hits,
         ]
     }
 }
@@ -194,14 +206,15 @@ fn scan_dir(dir: &str, limit: usize) -> Scan {
 /// machine — real compiler output — and (b) deterministic synthetic
 /// instruction streams, including one with injected occurrences to prove
 /// the scanner's sensitivity.
-pub fn table6(_: &[PaperRow], out: &mut String) {
+pub fn table6(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let limit = knob("SB_ELF_LIMIT", 400);
     let mut rows = Vec::new();
     let mut all_hits = Vec::new();
-    for dir in ["/usr/bin", "/usr/sbin", "/bin", "/usr/lib/x86_64-linux-gnu"] {
+    for (dir, paper) in paper {
         let scan = scan_dir(dir, limit);
         if scan.programs > 0 {
-            rows.push(scan.row(dir));
+            let hits = ledger.cell(dir, "VMFUNC count", scan.hits as f64, paper[0]);
+            rows.push(scan.row(dir, hits));
             all_hits.extend(scan.hit_names);
         }
     }
@@ -213,10 +226,10 @@ pub fn table6(_: &[PaperRow], out: &mut String) {
             scan.bytes += code.len();
             scan.hits += find_occurrences(&code).len();
         }
-        rows.push(scan.row(name));
+        rows.push(scan.row(name, scan.hits.to_string()));
     }
     *out += &table(
-        "Table 6: inadvertent VMFUNC occurrences",
+        "Table 6: inadvertent VMFUNC occurrences — measured (paper)",
         &["corpus", "programs", "code KiB", "VMFUNC count"],
         &rows,
     );

@@ -6,7 +6,7 @@ use sb_microkernel::Personality;
 use sb_ycsb::OpKind;
 use skybridge_repro::scenarios::sqlite::{SqliteStack, StackMode};
 
-use super::PaperRow;
+use super::{Ledger, PaperRow};
 use crate::report::{write_json, Json};
 use crate::{gate, knob, speedup, table};
 
@@ -75,7 +75,7 @@ fn measure(personality: Personality, mode: StackMode, records: u64, ops: usize) 
     [insert, update, query, delete]
 }
 
-pub fn table4(paper: &[PaperRow], out: &mut String) {
+pub fn table4(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let records = knob("SB_RECORDS", 2000) as u64;
     let ops = knob("SB_OPS", 150);
     let mut rows = Vec::new();
@@ -86,9 +86,9 @@ pub fn table4(paper: &[PaperRow], out: &mut String) {
             rows.push(vec![
                 kernel.to_string(),
                 op.to_string(),
-                format!("{:.0} ({:.0})", st[oi], paper[0]),
-                format!("{:.0} ({:.0})", mt[oi], paper[1]),
-                format!("{:.0} ({:.0})", sb[oi], paper[2]),
+                ledger.cell(label, "ST-Server", st[oi], paper[0]),
+                ledger.cell(label, "MT-Server", mt[oi], paper[1]),
+                ledger.cell(label, "SkyBridge", sb[oi], paper[2]),
                 format!(
                     "{} ({})",
                     speedup(sb[oi], mt[oi]),
@@ -114,7 +114,7 @@ pub fn table4(paper: &[PaperRow], out: &mut String) {
              absorbs reads, so queries barely touch the IPC path).\n";
 }
 
-pub fn figure9_11(paper: &[PaperRow], out: &mut String) {
+pub fn figure9_11(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let records = knob("SB_RECORDS", 1000) as u64;
     let ops = knob("SB_OPS", 120);
     let threads = [1usize, 2, 4, 8];
@@ -129,7 +129,7 @@ pub fn figure9_11(paper: &[PaperRow], out: &mut String) {
                 let mut s = SqliteStack::new(personality.clone(), mode, n, false);
                 s.load(records, 100);
                 let stats = s.run_ycsb(ops);
-                row.push(format!("{:.0} ({paper:.0})", stats.ops_per_sec));
+                row.push(ledger.cell(label, &format!("{n}-thread"), stats.ops_per_sec, paper));
                 json_rows.push(
                     Json::obj()
                         .field("kernel", kernel)
@@ -170,7 +170,7 @@ pub fn figure9_11(paper: &[PaperRow], out: &mut String) {
              lock); st trails mt (cross-core IPIs).\n";
 }
 
-pub fn table5(paper: &[PaperRow], out: &mut String) {
+pub fn table5(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let records = knob("SB_RECORDS", 1000) as u64;
     let ops = knob("SB_OPS", 150);
     let mut rows = Vec::new();
@@ -187,9 +187,9 @@ pub fn table5(paper: &[PaperRow], out: &mut String) {
         });
         rows.push(vec![
             label.to_string(),
-            format!("{native:.0} ({:.0})", paper[0]),
-            format!("{virt:.0} ({:.0})", paper[1]),
-            format!("{exits} ({})", paper[2]),
+            ledger.cell(label, "Native", native, paper[0]),
+            ledger.cell(label, "Rootkernel", virt, paper[1]),
+            ledger.cell(label, "#VM exits", exits as f64, paper[2]),
         ]);
     }
     *out += &table(

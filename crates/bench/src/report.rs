@@ -10,7 +10,6 @@
 
 use std::{fmt, fs, io::Write, path::PathBuf};
 
-use sb_observe::Snapshot;
 use sb_runtime::RunStats;
 use sb_sentinel::BundleReceipt;
 use skybridge_repro::scenarios::chaos::{ChaosOutcome, FsChaosOutcome};
@@ -272,61 +271,6 @@ pub fn fs_chaos_json(out: &FsChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("leaked", out.report.leaked())
 }
 
-/// A metrics [`Snapshot`] as a JSON object: counters and gauges as flat
-/// maps, histograms as fixed-quantile summaries (with their retained
-/// exemplars, when any). When the snapshot carries `trace.*` loss
-/// counters (see `Registry::record_trace_loss` / `record_export`), they
-/// are additionally surfaced as a `trace_loss` object so a results file
-/// states on its face whether the trace behind it was complete.
-pub fn snapshot_json(s: &Snapshot) -> Json {
-    let mut counters = Vec::new();
-    for (k, &v) in &s.counters {
-        counters.push(Json::obj().field("name", k.as_str()).field("value", v));
-    }
-    let mut gauges = Vec::new();
-    for (k, &v) in &s.gauges {
-        gauges.push(Json::obj().field("name", k.as_str()).field("value", v));
-    }
-    let mut hists = Vec::new();
-    for (k, h) in &s.histograms {
-        let mut row = Json::obj()
-            .field("name", k.as_str())
-            .field("count", h.count)
-            .field("mean", h.mean)
-            .field("min", h.min)
-            .field("p50", h.p50)
-            .field("p95", h.p95)
-            .field("p99", h.p99)
-            .field("max", h.max);
-        if let Some(ex) = s.exemplars.get(k) {
-            let rows: Vec<Json> = ex
-                .iter()
-                .map(|e| Json::obj().field("corr", e.corr).field("value", e.value))
-                .collect();
-            row = row.field("exemplars", Json::Arr(rows));
-        }
-        hists.push(row);
-    }
-    let mut out = Json::obj()
-        .field("counters", Json::Arr(counters))
-        .field("gauges", Json::Arr(gauges))
-        .field("histograms", Json::Arr(hists));
-    if s.counters.keys().any(|k| k.starts_with("trace.")) {
-        let c = |name: &str| s.counters.get(name).copied().unwrap_or(0);
-        out = out.field(
-            "trace_loss",
-            Json::obj()
-                .field("events_recorded", c("trace.events_recorded"))
-                .field("events_dropped", c("trace.events_dropped"))
-                .field("export_truncated", c("trace.export_truncated"))
-                .field("samples_taken", c("trace.samples_taken"))
-                .field("samples_dropped", c("trace.samples_dropped"))
-                .field("samples_poisoned", c("trace.samples_poisoned")),
-        );
-    }
-    out
-}
-
 /// The output directory, overridable with `SB_RESULTS_DIR`.
 pub fn results_dir() -> PathBuf {
     std::env::var("SB_RESULTS_DIR")
@@ -435,28 +379,6 @@ mod tests {
         solo.tenant_mut(0).completed += 1;
         solo.seal();
         assert!(!run_stats_json(&solo).to_string().contains("\"tenants\""));
-    }
-
-    #[test]
-    fn snapshots_surface_exemplars_and_trace_loss() {
-        let mut r = sb_observe::Registry::new();
-        r.observe_tagged("latency", 100, 7);
-        r.count("trace.events_recorded", 10);
-        r.count("trace.events_dropped", 3);
-        let row = snapshot_json(&r.snapshot()).to_string();
-        assert!(
-            row.contains(r#""exemplars":[{"corr":7,"value":100}]"#),
-            "{row}"
-        );
-        assert!(row.contains(r#""trace_loss":{"#), "{row}");
-        assert!(row.contains(r#""events_dropped":3"#), "{row}");
-
-        // No trace counters -> no loss object, histograms stay compact.
-        let mut quiet = sb_observe::Registry::new();
-        quiet.observe("latency", 100);
-        let row = snapshot_json(&quiet.snapshot()).to_string();
-        assert!(!row.contains("trace_loss"), "{row}");
-        assert!(!row.contains("exemplars"), "{row}");
     }
 
     #[test]

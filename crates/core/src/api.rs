@@ -323,7 +323,9 @@ impl SkyBridge {
 
     /// `register_server` (Fig. 4): registers `handler` for the process of
     /// `server_tid`, supporting `connections` simultaneous clients.
-    /// Returns the server ID clients bind to.
+    /// Returns the server ID clients bind to. A count or a server that
+    /// would leave its window of the layout is refused before anything
+    /// is mapped or recorded.
     pub fn register_server(
         &mut self,
         k: &mut Kernel,
@@ -333,24 +335,29 @@ impl SkyBridge {
         handler: Handler,
     ) -> Result<ServerId, SbError> {
         let pid = k.threads[server_tid].process;
-        self.register_process(k, pid)?;
-        let id = self.servers.len();
         // Stacks and key tables live in the *server's own* address space,
         // so they are addressed per process (by the ordinal of this server
         // within the process), not by the global server id — a process may
         // host several registered services.
-        let ordinal = self.servers.iter().filter(|s| s.process == pid).count() as u64;
+        let ordinal = self.servers.iter().filter(|s| s.process == pid).count();
+        if connections > layout::SB_CONNECTIONS {
+            return Err(SbError::TooManyConnections);
+        }
+        if self.servers.len() >= layout::SB_SERVERS || ordinal >= layout::SB_SERVERS_PER_PROCESS {
+            return Err(SbError::TooManyServers);
+        }
+        self.register_process(k, pid)?;
+        let id = self.servers.len();
         let asp = k.processes[pid].asp;
         // Per-connection stacks (the count bounds concurrency, §4.4).
         let stack_pages = layout::SB_STACK_SIZE / PAGE_SIZE as usize;
         for c in 0..connections {
-            let at =
-                Gva(layout::SB_STACK_BASE.0
-                    + (ordinal * 64 + c as u64) * layout::SB_STACK_SIZE as u64);
+            let at = layout::SB_STACK_BASE
+                .add(((ordinal * layout::SB_CONNECTIONS + c) * layout::SB_STACK_SIZE) as u64);
             asp.alloc_and_map(&mut k.mem, at, stack_pages, PteFlags::USER_DATA);
         }
         // Calling-key table page.
-        let key_table = Gva(layout::KEY_TABLE_BASE.0 + ordinal * PAGE_SIZE);
+        let key_table = layout::KEY_TABLE_BASE.add(ordinal as u64 * PAGE_SIZE);
         asp.alloc_and_map(&mut k.mem, key_table, 1, PteFlags::USER_DATA);
         // The registered handler function lives in the server image; we
         // record its address (the function list maps it into clients).
@@ -434,8 +441,9 @@ impl SkyBridge {
         // marshals its arguments *before* the VMFUNC, i.e. from the
         // intermediate server's address space, so the chain's buffers must
         // be reachable there too.
-        let shared_buf = Gva(layout::SB_SHARED_BUF_BASE.0
-            + (server * 64 + next_conn) as u64 * layout::SB_SHARED_BUF_SIZE as u64);
+        let shared_buf = layout::SB_SHARED_BUF_BASE.add(
+            ((server * layout::SB_CONNECTIONS + next_conn) * layout::SB_SHARED_BUF_SIZE) as u64,
+        );
         let buf_pages = layout::SB_SHARED_BUF_SIZE / PAGE_SIZE as usize;
         let server_asp = k.processes[server_pid].asp;
         let first =
@@ -482,17 +490,16 @@ impl SkyBridge {
             .iter()
             .take(server)
             .filter(|s| s.process == server_pid)
-            .count() as u64;
-        let server_stack = Gva(layout::SB_STACK_BASE.0
-            + (ordinal * 64 + next_conn as u64) * layout::SB_STACK_SIZE as u64);
+            .count();
+        let server_stack = layout::SB_STACK_BASE
+            .add(((ordinal * layout::SB_CONNECTIONS + next_conn) * layout::SB_STACK_SIZE) as u64);
 
         // The server function list (§3.1): record the handler address at
         // the server's slot. The page is read-only for user mode; the
         // Subkernel writes through the physical frame.
         let frame = self.fn_list_gpa.expect("registered processes map it");
         let handler_gva = self.servers[server].handler_fn.0;
-        k.mem
-            .write_u64(Hpa(frame + (server as u64 % 512) * 8), handler_gva);
+        k.mem.write_u64(Hpa(frame + server as u64 * 8), handler_gva);
 
         // Install the binding EPT into the client's EPTP list; the
         // context-switch hook keeps the VMCS list in sync.
@@ -662,7 +669,7 @@ impl SkyBridge {
             &mut k.machine,
             core,
             &k.mem,
-            layout::SERVER_LIST_BASE.add((server as u64 % 512) * 8),
+            layout::SERVER_LIST_BASE.add(server as u64 * 8),
             &mut entry,
             true,
         )?;
@@ -1000,7 +1007,7 @@ impl SkyBridge {
             &mut k.machine,
             core,
             &k.mem,
-            layout::SERVER_LIST_BASE.add((server as u64 % 512) * 8),
+            layout::SERVER_LIST_BASE.add(server as u64 * 8),
             &mut entry,
             true,
         )?;

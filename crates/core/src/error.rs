@@ -19,6 +19,12 @@ pub enum SbError {
     NotBound,
     /// The server is out of connection slots.
     NoFreeConnection,
+    /// `register_server` asked for more connections than a server's
+    /// stack, buffer and key windows hold (`layout::SB_CONNECTIONS`).
+    TooManyConnections,
+    /// `register_server` would pass `layout::SB_SERVERS` on the machine
+    /// or `layout::SB_SERVERS_PER_PROCESS` in the server's process.
+    TooManyServers,
     /// The server's handler crashed (this call or an earlier one) and the
     /// server has not been revived. Recovery: revive + rebind, then retry.
     ServerDead {
@@ -60,6 +66,8 @@ impl std::fmt::Display for SbError {
             SbError::NoSuchServer => write!(f, "no such server"),
             SbError::NotBound => write!(f, "client not bound to server"),
             SbError::NoFreeConnection => write!(f, "no free connection"),
+            SbError::TooManyConnections => write!(f, "more connections than a server window"),
+            SbError::TooManyServers => write!(f, "no server slot left"),
             SbError::ServerDead { server } => write!(f, "server {server} is dead"),
             SbError::BadServerKey => write!(f, "server calling-key mismatch"),
             SbError::BadClientKey => write!(f, "client calling-key mismatch"),

@@ -24,6 +24,21 @@ pub const MSG_BUF_SIZE: usize = 4096;
 /// The SkyBridge trampoline code page (mapped X-only at registration).
 pub const TRAMPOLINE_BASE: Gva = Gva(0x7100_0000);
 
+/// Connections one SkyBridge server may register. Stacks and shared
+/// buffers are windows of this many slots, addressed `(server ordinal |
+/// server id) * SB_CONNECTIONS + connection`, and the server's one-page
+/// key table holds one 8-byte key per connection.
+pub const SB_CONNECTIONS: usize = 64;
+
+/// Servers one machine may register: the one-page function list holds
+/// one 8-byte handler address per server id (the EPTP list's 512 too).
+pub const SB_SERVERS: usize = 512;
+
+/// Servers one process may host: what fits of their stack windows
+/// between [`SB_STACK_BASE`] and [`IDENTITY_PAGE`].
+pub const SB_SERVERS_PER_PROCESS: usize =
+    (IDENTITY_PAGE.0 - SB_STACK_BASE.0) as usize / (SB_CONNECTIONS * SB_STACK_SIZE);
+
 /// Base of the SkyBridge per-connection server stacks.
 pub const SB_STACK_BASE: Gva = Gva(0x7180_0000);
 
@@ -50,8 +65,12 @@ pub const KEY_TABLE_BASE: Gva = Gva(0x7400_0000);
 /// The server function list SkyBridge maps into clients at registration
 /// (§3.1: "It maps a server function list into the client virtual address
 /// space as well"): one entry per server id, holding the registered
-/// handler's address.
-pub const SERVER_LIST_BASE: Gva = Gva(0x7500_0000);
+/// handler's address. One page above a 64 KiB boundary: key tables,
+/// shared buffers and the transports' data region all start on page
+/// colour 0 (`vpn % 16`, the d-TLB's set index), and a crossing that
+/// reads this page as well would need five entries of one four-way set
+/// (`tests/layout.rs` holds the rule, DESIGN.md §9 the history).
+pub const SERVER_LIST_BASE: Gva = Gva(0x7500_1000);
 
 /// The rewrite page (§5.1): "the second page in the virtual address space",
 /// deliberately left unmapped by most OSes, where rewritten instruction

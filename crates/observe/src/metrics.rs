@@ -96,8 +96,8 @@ impl Registry {
 
     /// Surfaces a recorder's trace-loss accounting as absolute
     /// counters under `trace.*` — the registry-side mirror of the
-    /// rings' exact drop counts, so every snapshot (and through
-    /// `snapshot_json`, every results document) says whether its trace
+    /// rings' exact drop counts, so every snapshot (and through it the
+    /// `metrics` block of a postmortem bundle) says whether its trace
     /// data is complete. Absolute values, like [`Registry::record_pmu`],
     /// so [`Snapshot::diff`] scopes them to a region.
     pub fn record_trace_loss(&mut self, rec: &Recorder) {

@@ -219,14 +219,21 @@ fn open_loop_over_the_graph_conserves_requests() {
 }
 
 /// `GraphTransport::node_pmus` shows which node's TLB is thrashing, and
-/// on the standard graph one is: every crossing into the fs node takes
-/// exactly three d-TLB misses, each a nested walk (67 walk accesses in
-/// all), forever, while the other nodes walk a few times per hundred
-/// requests. The cause is in DESIGN.md §9 ("Known modeling deviations"):
-/// five pages the crossing touches share d-TLB set 0 of four ways. A
-/// change that moves these figures has changed the model.
+/// on the standard graph none is: a VMFUNC crossing leaves the TLB
+/// alone, so in steady state every node — fs included — finds its
+/// crossing's pages resident and walks only when the workload's own
+/// record pages push one another out. Until PR 23 the fs node took
+/// exactly 3.00 d-TLB misses, 3.00 nested walks and 67 walk accesses on
+/// *every* crossing: five of its pages shared d-TLB set 0 of four ways
+/// (DESIGN.md §9). `tests/layout.rs` now keeps the layout from putting
+/// them back; this pins what the machine then measures — over these
+/// 4 000 requests gateway / cache / db / fs take 81 / 178 / 148 / 0
+/// d-TLB misses in 4 000 / 4 000 / 3 036 / 4 586 crossings (0.02 / 0.04 /
+/// 0.05 / 0.00 per crossing), each a nested walk of 24 accesses. A
+/// change that moves a node past one miss in four crossings has changed
+/// the model.
 #[test]
-fn node_pmus_show_the_fs_node_thrashing_one_dtlb_set() {
+fn node_pmus_show_no_node_thrashing_its_dtlb() {
     const OPS: u64 = 4_000;
     let spec = GraphSpec::standard(4096, 48, 256);
     let mut t = build_graph(&Backend::SkyBridge, &spec, 1);
@@ -257,18 +264,17 @@ fn node_pmus_show_the_fs_node_thrashing_one_dtlb_set() {
         .fold(sb_sim::Pmu::new(), |sum, (_, d)| sum.merge(d));
     assert_eq!(t.pmu().expect("kernel-backed nodes").delta(&warm_sum), sum);
 
-    for (name, d) in &nodes[..3] {
+    for (name, d) in &nodes {
+        // A crossing is a VMFUNC in and a VMFUNC out.
+        let crossings = d.vmfuncs / 2;
+        assert!(crossings > OPS / 2, "{name}: {crossings} crossings");
         assert_eq!(d.page_walks, d.dtlb_misses, "{name}");
-        assert!(d.page_walks * 5 < OPS, "{name}: {} walks", d.page_walks);
+        assert!(
+            d.dtlb_misses * 4 < crossings,
+            "{name}: {} d-TLB misses in {crossings} crossings",
+            d.dtlb_misses
+        );
     }
-    let (_, fs) = &nodes[3];
-    // A crossing is a VMFUNC in and a VMFUNC out.
-    let crossings = fs.vmfuncs / 2;
-    assert!(crossings > OPS / 2, "{crossings} crossings into fs");
-    assert_eq!(
-        (fs.dtlb_misses, fs.page_walks, fs.walk_memory_accesses),
-        (3 * crossings, 3 * crossings, 67 * crossings)
-    );
     assert_eq!(sum.l1i_misses, 0);
 }
 
@@ -313,8 +319,11 @@ impl Transport for MemoWatch {
 /// write per request to a frame some walk has read, or two hot pages
 /// sharing a memo slot, would cost the whole gain and move no simulated
 /// figure. Once the graph is warm, on reads and writes alike, nothing
-/// is recorded, nothing is voided, and every walk of every node —
-/// the fs node's three per crossing above all — is answered.
+/// is recorded, nothing is voided, and every walk of every node is
+/// answered. Since PR 23 took the fs node's three walks per crossing
+/// away the graph walks about once in nine requests (1 104 walks here,
+/// more than 30 000 before); `tests/runtime.rs` holds the same equalities on the
+/// KV pipeline, which walks sixteen times per operation.
 #[test]
 fn the_walk_memo_answers_every_steady_state_walk_of_every_node() {
     let spec = GraphSpec::standard(4096, 48, 256);
@@ -363,5 +372,5 @@ fn the_walk_memo_answers_every_steady_state_walk_of_every_node() {
         assert_eq!(now.answered - warm.answered, walked, "{name}");
         walks += walked;
     }
-    assert!(walks > 30_000, "{walks} walks in 10 000 requests");
+    assert!(walks > 1_000, "{walks} walks in 10 000 requests");
 }

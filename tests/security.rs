@@ -289,3 +289,137 @@ fn trampoline_is_the_single_entry_point() {
     let page = skybridge::trampoline::page_image();
     assert_eq!(find_occurrences(&page).len(), 2);
 }
+
+fn null_handler() -> skybridge::Handler {
+    Box::new(|_, _, _, _| Ok(skybridge::HandlerReply::Echo))
+}
+
+/// A fresh client process with one thread on core 0.
+fn new_client(k: &mut Kernel, seed: u64) -> ThreadId {
+    let p = k.create_process(&sb_rewriter::corpus::generate(seed, 2048, 0));
+    k.create_thread(p, 0)
+}
+
+/// Stacks, shared buffers and keys are addressed `(server) *
+/// SB_CONNECTIONS + connection`: a server that fills its window — 64
+/// connections, the most registration accepts — still ends below the
+/// next server's, and a client bound to both sees two buffers.
+#[test]
+fn a_full_connection_window_stays_clear_of_the_next_servers() {
+    let mut w = world();
+    let wide =
+        w.sb.register_server(
+            &mut w.k,
+            w.victim_tid,
+            layout::SB_CONNECTIONS,
+            64,
+            null_handler(),
+        )
+        .expect("a full window is accepted");
+    let next =
+        w.sb.register_server(&mut w.k, w.victim_tid, 1, 64, null_handler())
+            .unwrap();
+    assert_eq!(next, wide + 1);
+    let mut last = w.client;
+    for seed in 0..layout::SB_CONNECTIONS as u64 {
+        last = new_client(&mut w.k, 100 + seed);
+        w.sb.register_client(&mut w.k, last, wide).unwrap();
+    }
+    w.sb.register_client(&mut w.k, last, next).unwrap();
+    let pid = w.k.threads[last].process;
+    let (a, b) = (
+        w.sb.binding(pid, wide).unwrap(),
+        w.sb.binding(pid, next).unwrap(),
+    );
+    assert_eq!(
+        (a.connection, b.connection),
+        (layout::SB_CONNECTIONS - 1, 0)
+    );
+    assert_eq!(
+        a.shared_buf.0 + layout::SB_SHARED_BUF_SIZE as u64,
+        b.shared_buf.0,
+        "the window's last buffer ends where the next server's first begins"
+    );
+    assert!(a.server_stack.0 + layout::SB_STACK_SIZE as u64 <= b.server_stack.0);
+    // One more client than the window holds is turned away.
+    let extra = new_client(&mut w.k, 99);
+    assert!(matches!(
+        w.sb.register_client(&mut w.k, extra, wide),
+        Err(SbError::NoFreeConnection)
+    ));
+}
+
+/// A 65th connection would be connection 0 of the next server (one
+/// shared-buffer GVA, 0x20_0040_0000, for two servers' buffers — the
+/// later mapping silently replacing the earlier), a 513th server slot 0
+/// of the one-page function list, a 25th server in one process a stack
+/// over the identity page. Registration refuses each with a typed error
+/// and leaves no trace: nothing mapped, no id consumed.
+#[test]
+fn registration_past_a_layout_window_is_refused_and_changes_nothing() {
+    let mut w = world();
+    let servers = w.sb.server_count();
+    let fresh =
+        w.k.create_process(&sb_rewriter::corpus::generate(7, 2048, 0));
+    let fresh_tid = w.k.create_thread(fresh, 0);
+    assert!(matches!(
+        w.sb.register_server(
+            &mut w.k,
+            fresh_tid,
+            layout::SB_CONNECTIONS + 1,
+            64,
+            null_handler()
+        ),
+        Err(SbError::TooManyConnections)
+    ));
+    assert_eq!(w.sb.server_count(), servers);
+    let asp = w.k.processes[fresh].asp;
+    for untouched in [
+        layout::TRAMPOLINE_BASE,
+        layout::SB_STACK_BASE,
+        layout::KEY_TABLE_BASE,
+        layout::SERVER_LIST_BASE,
+    ] {
+        assert!(
+            asp.translate_setup(&w.k.mem, untouched).is_err(),
+            "{untouched:?} mapped by a refused registration"
+        );
+    }
+    assert!(w.k.processes[fresh].eptp_list.is_none());
+
+    // One process may host SB_SERVERS_PER_PROCESS servers (the victim's
+    // process already hosts one) …
+    for _ in 1..layout::SB_SERVERS_PER_PROCESS {
+        w.sb.register_server(&mut w.k, w.victim_tid, 0, 64, null_handler())
+            .unwrap();
+    }
+    assert!(matches!(
+        w.sb.register_server(&mut w.k, w.victim_tid, 0, 64, null_handler()),
+        Err(SbError::TooManyServers)
+    ));
+    // … and the machine SB_SERVERS.
+    let mut host = fresh_tid;
+    while w.sb.server_count() < layout::SB_SERVERS {
+        if w.sb
+            .server_count()
+            .is_multiple_of(layout::SB_SERVERS_PER_PROCESS)
+        {
+            host = new_client(&mut w.k, w.sb.server_count() as u64);
+        }
+        w.sb.register_server(&mut w.k, host, 0, 64, null_handler())
+            .unwrap();
+    }
+    let late = new_client(&mut w.k, 8);
+    assert!(matches!(
+        w.sb.register_server(&mut w.k, late, 1, 64, null_handler()),
+        Err(SbError::TooManyServers)
+    ));
+    assert_eq!(w.sb.server_count(), layout::SB_SERVERS);
+    // The victim still serves.
+    w.k.run_thread(w.client);
+    let victim = w.victim;
+    let (reply, _) =
+        w.sb.direct_server_call(&mut w.k, w.client, victim, b"alive")
+            .unwrap();
+    assert_eq!(reply, b"alive");
+}

@@ -11,6 +11,13 @@
 //! on the commit before the two dispatchers became one loop. A diff here
 //! means a serving schedule moved: either a modelled mechanism really
 //! changed (re-capture, and say why in the PR), or a refactor is wrong.
+//!
+//! Re-captured once: PR 23 moved SkyBridge's function-list page off
+//! d-TLB page colour 0 (`layout::SERVER_LIST_BASE`, DESIGN.md §9), so a
+//! SkyBridge call got cheaper and every start time after the first
+//! moved with it: the nine `skybridge` cells are PR 23's. The other 36
+//! (three trap kernels, MPK — none maps that page) are the original
+//! capture.
 
 use sb_faultplane::{FaultHandle, FaultMix, FaultPoint};
 use sb_runtime::{
@@ -356,22 +363,22 @@ const GOLDEN: [[[u64; 3]; 3]; 5] = [
             0x7018_685e_10e3_4250,
         ],
     ],
-    // skybridge
+    // skybridge (PR 23's layout)
     [
         [
-            0x3583_158b_647c_48f4,
-            0x7baa_7f00_4419_abab,
-            0xccc9_982f_118e_50e6,
+            0xfd18_3633_1068_69d9,
+            0x9737_0c0d_3f56_6d9d,
+            0x4615_3744_49b3_3980,
         ],
         [
-            0x57d5_a5ac_ede3_db05,
-            0x3c4a_0ea6_320a_0f42,
-            0xcbbf_e9df_c7d0_f89d,
+            0x39d9_5d54_1343_ec90,
+            0x5e8c_0a33_59e0_346c,
+            0x44b8_9dd0_1891_0d9a,
         ],
         [
-            0xa1c4_6727_d4fd_95bd,
-            0x300c_8300_f378_359c,
-            0x4043_065c_2b11_eb5b,
+            0x7689_942f_e3c5_5a3a,
+            0x6819_97c2_01a4_244f,
+            0x8465_aedb_1758_2ce4,
         ],
     ],
     // mpk

@@ -4,14 +4,16 @@
 #
 #   tools/regen_results.sh [dir]
 #
-# Runs `paper` (all eleven tables and figures) and the seven gated bins
-# of sb-bench, with the knob values the committed files were made with,
+# Runs `paper` (all eleven tables and figures, and the fidelity ledger
+# fidelity.json their cells add up to) and the seven gated bins of
+# sb-bench, with the knob values the committed files were made with,
 # into `dir/results` (default target/regen/results), then diffs that
 # tree against results/. Everything these bins print is simulated, so
 # any difference is a finding: a simulated figure moved (re-capture the
 # file in the change that moved it, and say why) or a gate broke (the
-# bin exits non-zero first). ~4 min; to refresh the committed files
-# after an intended change, copy `dir/results/` over `results/`.
+# bin exits non-zero first). ~1 min release-built; to refresh the
+# committed files after an intended change, copy `dir/results/` over
+# `results/`.
 #
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
 # by tools/bench_history.sh), sample_trace.json (a hand-picked SB_TRACE
