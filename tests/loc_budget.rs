@@ -39,7 +39,9 @@ const BUDGET: &[(&str, usize)] = &[
     // rounded up to the next 10.
     ("sim", 890),
     ("transport", 1_100),
-    ("ycsb", 250),
+    // 262 once the Zipfian's tail rank became a proven multiply chain
+    // with libm's `pow` as its fallback, rounded up to the next 10.
+    ("ycsb", 270),
 ];
 
 /// Non-test code lines of one source text.
