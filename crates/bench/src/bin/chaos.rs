@@ -10,7 +10,8 @@
 //! produce a postmortem bundle under `results/postmortem/`, and the
 //! drill cell proves the recorder fires end-to-end by leaking a fault on
 //! purpose. The gates: no fault leaks, every incident has a bundle, and
-//! the drill's bundle exists and is valid JSON.
+//! the drill's bundle reads back: one JSON document of the bundle schema
+//! whose truncation block matches its receipt.
 //!
 //! Knobs: `SB_CHAOS_SEEDS` (seeds per cell, default 3), `SB_REQUESTS`
 //! (arrivals per serving cell, default 400), `SB_FS_SEEDS` (seeds per FS
@@ -19,8 +20,9 @@
 use sb_bench::{
     gate::{finish, Bound, Gate},
     knob, print_table,
-    report::{chaos_outcome_json, fs_chaos_json, receipt_json, results_dir, Json},
+    report::{chaos_outcome_json, fs_chaos_json, receipt_json, results_dir},
 };
+use sb_observe::Json;
 use sb_sentinel::PostmortemSpec;
 use skybridge_repro::scenarios::chaos::{
     fs_mixes, run_chaos_cell_watched, run_fs_chaos, run_postmortem_drill, serving_mixes,
@@ -141,10 +143,9 @@ fn main() {
     let drill = run_postmortem_drill(&Backend::SkyBridge, 0xd811_0001, 120, &flight);
     let mut drill_valid = 0.0;
     let drill_json = drill.postmortem.as_ref().map_or(Json::Null, |r| {
-        match std::fs::read_to_string(&r.path).map(|body| sb_observe::validate_json(&body)) {
-            Ok(Ok(())) => drill_valid = 1.0,
-            Ok(Err(e)) => eprintln!("drill bundle {} is not valid JSON: {e}", r.path.display()),
-            Err(e) => eprintln!("drill bundle {} unreadable: {e}", r.path.display()),
+        match r.read_back() {
+            Ok(_) => drill_valid = 1.0,
+            Err(e) => eprintln!("drill bundle {}: {e}", r.path.display()),
         }
         receipt_json(r)
     });

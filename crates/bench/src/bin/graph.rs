@@ -15,18 +15,15 @@
 //!   state diverging from the full-replay reference, or a matrix in
 //!   which the power never failed breaches a gate.
 //!
-//! Knobs: `SB_GRAPH_OPS` (requests per workload cell, default 2000),
-//! `SB_GRAPH_LANES` (server threads, default 2), `SB_GRAPH_RECORDS`
-//! (table size, default 192), `SB_GRAPH_DRILL_OPS` (drill trace length,
-//! default 160).
+//! Knob: `SB_GRAPH_OPS` (requests per workload cell, default 2000).
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
     knob, print_table,
-    report::{run_stats_json, Json},
+    report::run_stats_json,
 };
 use sb_graph::GraphSpec;
-use sb_observe::Recorder;
+use sb_observe::{Json, Recorder};
 use sb_runtime::{AdmissionPolicy, RuntimeConfig, Transport};
 use sb_sentinel::assemble;
 use sb_ycsb::WorkloadSpec;
@@ -37,6 +34,12 @@ use skybridge_repro::scenarios::graph::{
 use skybridge_repro::scenarios::runtime::{ops_per_sec, Backend};
 
 const CACHE_CAPACITY: usize = 32;
+/// Server threads of the workload sweep.
+const LANES: usize = 2;
+/// Rows in the graph's table.
+const RECORDS: usize = 192;
+/// Length of the replay and power-loss drills' traces.
+const DRILL_OPS: u64 = 160;
 const CHAOS_SEEDS: [u64; 3] = [0xc0de_0001, 0xc0de_0002, 0xc0de_0003];
 
 fn spec(records: usize) -> GraphSpec {
@@ -278,11 +281,8 @@ fn chaos_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
 
 fn main() {
     let requests = knob("SB_GRAPH_OPS", 2000) as u64;
-    let lanes = knob("SB_GRAPH_LANES", 2);
-    let records = knob("SB_GRAPH_RECORDS", 192);
-    let drill_ops = knob("SB_GRAPH_DRILL_OPS", 160) as u64;
 
-    let (workload_rows, workload_table) = workload_sweep(records, requests, lanes);
+    let (workload_rows, workload_table) = workload_sweep(RECORDS, requests, LANES);
     print_table(
         "YCSB over the serving graph (client → gateway → cache → db → fs)",
         &["backend", "workload", "ops/s", "p50", "p99", "shed"],
@@ -290,24 +290,24 @@ fn main() {
     );
 
     let mut gates = Vec::new();
-    let (attr_rows, attr_table) = attribution(records, &mut gates);
+    let (attr_rows, attr_table) = attribution(RECORDS, &mut gates);
     print_table(
         "Per-hop attribution (sentinel-assembled span trees)",
         &["backend", "hop", "mean cycles", "crossings/req"],
         &attr_table,
     );
 
-    let replay_rows = replay_section(drill_ops, &mut gates);
-    let chaos_rows = chaos_section(drill_ops, &mut gates);
+    let replay_rows = replay_section(DRILL_OPS, &mut gates);
+    let chaos_rows = chaos_section(DRILL_OPS, &mut gates);
 
     let doc = Json::obj()
         .field(
             "config",
             Json::obj()
-                .field("requests", requests as u64)
-                .field("lanes", lanes)
-                .field("records", records)
-                .field("drill_ops", drill_ops),
+                .field("requests", requests)
+                .field("lanes", LANES)
+                .field("records", RECORDS)
+                .field("drill_ops", DRILL_OPS),
         )
         .field("workloads", workload_rows)
         .field("attribution", attr_rows)

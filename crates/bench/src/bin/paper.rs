@@ -6,12 +6,14 @@
 //! `figure9_11.json`) plus `fidelity.json`, one line per `measured
 //! (paper)` cell, ready to diff against the committed `results/`.
 //!
-//! Run-size knobs: `SB_OPS`, `SB_KVLEN`, `SB_ITERS`, `SB_RECORDS`,
-//! `SB_ELF_LIMIT`, `SB_LRU_SERVERS`; `SB_RESULTS_DIR` moves the output.
+//! Every run size is a constant of its experiment, so the written cells
+//! are the ones the ledger's bands describe; `SB_RESULTS_DIR` moves the
+//! output.
 
 use sb_bench::gate::{self, Gate};
 use sb_bench::paper::{find, EXPERIMENTS};
-use sb_bench::report::{write_raw, Json};
+use sb_bench::report::write_raw;
+use sb_observe::Json;
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();

@@ -27,21 +27,19 @@
 //! *is* attributed still prints its per-phase account but is not this
 //! bin's to judge; an unattributed one means the instrumentation lost
 //! track of where cycles went, which is a bug in its own right. A run
-//! without a baseline to diff against breaches the gate;
-//! `SB_PROFILE_WRITE=1` writes one first.
+//! without a baseline to diff against, or with one that does not parse,
+//! breaches the gate; `SB_PROFILE_WRITE=1` writes one first.
 //!
-//! Knobs: `SB_PROFILE_CALLS` (timed calls per personality, default
-//! 65,536), `SB_PERIOD` (sample grid period, default
-//! [`DEFAULT_SAMPLE_PERIOD`]), `SB_PROFILE_WRITE=1` rewrites
-//! `results/profile_baseline.json` from this run.
+//! Knob: `SB_PROFILE_WRITE=1` rewrites `results/profile_baseline.json`
+//! from this run.
 
 use sb_bench::gate::{finish, Gate};
-use sb_bench::report::{results_dir, write_json, write_raw, Json};
+use sb_bench::report::{results_dir, write_json, write_raw};
 use sb_bench::{knob, print_table};
 use sb_observe::{
-    attribute, collapsed_lines, compare_shares, fold_samples, fold_samples_by_tenant, PhaseProfile,
-    Recorder, Sample, SamplerConfig, ShareComparison, SpanKind, DEFAULT_RING_CAPACITY,
-    DEFAULT_SAMPLE_PERIOD,
+    attribute, collapsed_lines, compare_shares, fold_samples, fold_samples_by_tenant, Json,
+    PhaseProfile, Recorder, Sample, SamplerConfig, ShareComparison, SpanKind,
+    DEFAULT_RING_CAPACITY, DEFAULT_SAMPLE_PERIOD,
 };
 use sb_runtime::{RequestFactory, Transport};
 use sb_ycsb::WorkloadSpec;
@@ -59,29 +57,8 @@ const RESIDUAL_GATE: f64 = 0.05;
 const CYCLES_PER_NS: f64 = 4.0;
 /// Tenants in the profiled mix (Zipf-skewed, like the tenant bench).
 const TENANTS: u16 = 4;
-
-/// Pulls `"<field>":<x>` for the row `"transport":"<label>"` out of the
-/// committed baseline document without a JSON parser: rows are flat and
-/// emitted by [`profile_row`], so field order is stable.
-fn baseline_field(doc: &str, label: &str, field: &str) -> Option<f64> {
-    let key = format!("\"transport\":\"{label}\"");
-    let at = doc.find(&key)?;
-    let rest = &doc[at..];
-    // Bound the lookup to this row: rows need not share a field set
-    // (per-phase fields differ by personality), so a missing field must
-    // read as absent, not as the next row's value.
-    let rest = match rest[key.len()..].find("\"transport\":\"") {
-        Some(next) => &rest[..key.len() + next],
-        None => rest,
-    };
-    let needle = format!("\"{field}\":");
-    let ns_at = rest.find(&needle)?;
-    let tail = &rest[ns_at + needle.len()..];
-    let end = tail
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
+/// Timed calls per personality.
+const CALLS: u64 = 65_536;
 
 struct BackendProfile {
     label: String,
@@ -101,9 +78,9 @@ impl BackendProfile {
 fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, String> {
     let label = backend.label().to_string();
     let mut t = build_backend(ServingScenario::Kv, backend, 1);
-    let recorder = Recorder::new(knob("SB_RING", DEFAULT_RING_CAPACITY));
+    let recorder = Recorder::new(DEFAULT_RING_CAPACITY);
     recorder.enable_sampling(SamplerConfig {
-        period: knob("SB_PERIOD", DEFAULT_SAMPLE_PERIOD as usize) as u64,
+        period: DEFAULT_SAMPLE_PERIOD,
         backend: label.clone(),
         ..SamplerConfig::default()
     });
@@ -168,9 +145,9 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
     })
 }
 
-/// One flat JSON row per personality, `baseline_field`-readable:
-/// `"transport":"<label>"` then `e2e_cycles_per_call` and one
-/// `phase_<name>_cycles_per_call` per observed phase.
+/// One JSON row per personality: `"transport":"<label>"`, then
+/// `e2e_cycles_per_call` and one `phase_<name>_cycles_per_call` per
+/// observed phase — what [`diff_backend`] reads back from the baseline.
 fn profile_row(p: &BackendProfile) -> Json {
     let mut row = Json::obj()
         .field("transport", p.label.as_str())
@@ -224,16 +201,23 @@ struct BackendDiff {
     unattributed_regression: bool,
 }
 
-/// Diffs one personality's profile against the baseline document.
-fn diff_backend(doc: &str, p: &BackendProfile) -> Option<BackendDiff> {
-    let base_e2e = baseline_field(doc, &p.label, "e2e_cycles_per_call")?;
+/// Diffs one personality's profile against its row of the baseline
+/// document's `rows`; `None` without one.
+fn diff_backend(baseline: &Json, p: &BackendProfile) -> Option<BackendDiff> {
+    let row = baseline
+        .get("rows")?
+        .as_array()?
+        .iter()
+        .find(|r| r.get("transport").and_then(Json::as_str) == Some(p.label.as_str()))?;
+    let recorded = |field: &str| row.get(field).and_then(Json::as_f64);
+    let base_e2e = recorded("e2e_cycles_per_call")?;
     let cur_e2e = p.e2e_per_call();
     let d_e2e = cur_e2e - base_e2e;
     let mut deltas = Vec::new();
     let mut attributed = 0.0;
     for kind in SpanKind::ALL {
         let field = format!("phase_{}_cycles_per_call", kind.name());
-        let base = baseline_field(doc, &p.label, &field);
+        let base = recorded(&field);
         let cur = if p.prof.get(kind) > 0 {
             Some(p.prof.per_call(kind))
         } else {
@@ -283,7 +267,7 @@ fn diff_row(d: &BackendDiff) -> Json {
                 .field("phase", p.name)
                 .field("delta_cycles_per_call", p.cycles)
                 .field("delta_ns_per_call", p.cycles / CYCLES_PER_NS)
-                .field("delta_pct", p.pct.map(Json::Num).unwrap_or(Json::Null))
+                .field("delta_pct", p.pct.map(Json::F64).unwrap_or(Json::Null))
         })
         .collect();
     Json::obj()
@@ -294,7 +278,7 @@ fn diff_row(d: &BackendDiff) -> Json {
         .field(
             "e2e_delta_pct",
             if d.base_e2e > 0.0 {
-                Json::Num((d.cur_e2e / d.base_e2e - 1.0) * 100.0)
+                Json::F64((d.cur_e2e / d.base_e2e - 1.0) * 100.0)
             } else {
                 Json::Null
             },
@@ -305,7 +289,7 @@ fn diff_row(d: &BackendDiff) -> Json {
 }
 
 fn main() {
-    let calls = knob("SB_PROFILE_CALLS", 65_536) as u64;
+    let calls = CALLS;
     let mut gates = Vec::new();
 
     let mut profiles = Vec::new();
@@ -384,10 +368,17 @@ fn main() {
     }
 
     // The diff against the committed baseline (with `SB_PROFILE_WRITE`,
-    // the one just written); without one no row finds its baseline row
-    // and the gate is breached.
-    let baseline =
-        std::fs::read_to_string(results_dir().join("profile_baseline.json")).unwrap_or_default();
+    // the one just written). A baseline that is missing or does not
+    // parse leaves every row without its baseline row: the gate below is
+    // breached.
+    let path = results_dir().join("profile_baseline.json");
+    let baseline = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("{}: {e}", path.display());
+            Json::Null
+        });
 
     let mut diffs = Vec::new();
     let (mut undiffed, mut unattributed) = (0u64, 0u64);

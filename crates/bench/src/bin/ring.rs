@@ -19,8 +19,9 @@ use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
     knob, print_table,
-    report::{run_stats_json, Json},
+    report::run_stats_json,
 };
+use sb_observe::Json;
 use sb_runtime::{AdmissionPolicy, RingConfig, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{
     run_open_loop, run_ring_open_loop, Backend, ServingScenario,

@@ -28,13 +28,18 @@ use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
     knob, kv_factory, print_table,
-    report::{run_stats_json, write_raw, Json},
+    report::{run_stats_json, write_raw},
 };
-use sb_observe::{attribute, chrome_trace, Recorder, SpanKind};
+use sb_observe::{attribute, chrome_trace, Json, Recorder, SpanKind};
 use sb_runtime::{AdmissionPolicy, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{
     build_backend, ops_per_sec, run_open_loop, Backend, ServingScenario,
 };
+
+/// Event-ring capacity of the `SB_TRACE` cell.
+const TRACE_RING: usize = 1 << 15;
+/// Queue capacity of every sweep cell.
+const QUEUE_CAPACITY: usize = 64;
 
 /// `SB_TRACE` mode: one fully traced cell whose Chrome trace goes to
 /// `results/traces/runtime_scaling_trace.json` for Perfetto (the
@@ -48,7 +53,7 @@ fn dump_trace(which: &str, requests: u64, capacity: usize) -> Gate {
         .into_iter()
         .find(|b| b.label().to_ascii_lowercase().starts_with(&which))
         .unwrap_or(Backend::SkyBridge);
-    let recorder = Recorder::new(knob("SB_TRACE_RING", 1 << 15));
+    let recorder = Recorder::new(TRACE_RING);
     let cfg = RuntimeConfig {
         queue_capacity: capacity,
         policy: AdmissionPolicy::Shed,
@@ -76,7 +81,7 @@ fn dump_trace(which: &str, requests: u64, capacity: usize) -> Gate {
         stats.completed,
         trace.events,
         if trace.truncated {
-            format!(", ring overwrote {} — raise SB_TRACE_RING", trace.dropped)
+            format!(", ring overwrote {} — raise TRACE_RING", trace.dropped)
         } else {
             String::new()
         },
@@ -171,7 +176,7 @@ fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Json {
 
 fn main() {
     let requests = knob("SB_REQUESTS", 13_000) as u64;
-    let capacity = knob("SB_QUEUE_CAPACITY", 64);
+    let capacity = QUEUE_CAPACITY;
     let scenario = ServingScenario::Kv;
     let threads = [1usize, 2, 4, 8];
     let rhos = [0.5, 0.8, 1.0, 1.2, 1.5];

@@ -15,11 +15,9 @@
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
-    print_table,
-    report::Json,
-    service_cycles,
+    print_table, service_cycles,
 };
-use sb_observe::Recorder;
+use sb_observe::{Json, Recorder};
 use sb_sentinel::assemble;
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 use skybridge_repro::scenarios::sentinel::chain_for;

@@ -22,15 +22,15 @@
 //!    p99 with zero SLO breach episodes. Any violated cell exits
 //!    non-zero.
 //!
-//! Knobs: `SB_TENANT_REQUESTS` (arrivals per sweep cell, default
-//! 4,000), `SB_TENANT_SEED` (stream seed, default 0x7e47).
+//! Knob: `SB_TENANT_REQUESTS` (arrivals per sweep cell, default 4,000).
 
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
     knob, print_table,
-    report::{run_stats_json, Json},
+    report::run_stats_json,
 };
+use sb_observe::Json;
 use sb_runtime::{
     AdmissionPolicy, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
     TenantAction, TenantId, TenantRegistry, TenantSpec,
@@ -48,6 +48,8 @@ const RHO: f64 = 0.8;
 const TENANT_COUNTS: [u16; 3] = [4, 64, 512];
 /// How many of the busiest tenants each cell prints.
 const TOP_K: usize = 4;
+/// Seed of every cell's arrival and request streams.
+const SEED: u64 = 0x7e47;
 
 /// Jain's fairness index over per-tenant completion ratios
 /// (completed/offered). 1.0 means every tenant got the same fraction of
@@ -116,7 +118,6 @@ fn quarantine_count(out: &TenantOutcome) -> usize {
 
 fn main() {
     let requests = knob("SB_TENANT_REQUESTS", 4_000) as u64;
-    let seed = knob("SB_TENANT_SEED", 0x7e47) as u64;
     let (mut unbalanced, mut unquarantined, mut unisolated) = (0u64, 0u64, 0u64);
     let mut least_fair = f64::INFINITY;
 
@@ -130,7 +131,7 @@ fn main() {
         for &tenants in &TENANT_COUNTS {
             for zipf in [false, true] {
                 let skew = if zipf { "zipf" } else { "uniform" };
-                let stats = run_sweep_cell(&backend, tenants, zipf, gap, requests, seed);
+                let stats = run_sweep_cell(&backend, tenants, zipf, gap, requests, SEED);
                 let jain = jain_index(&stats);
                 if !stats.tenants_conserved() {
                     unbalanced += 1;
@@ -187,7 +188,7 @@ fn main() {
     let mut nn_json = Vec::new();
     for backend in Backend::all() {
         for ring_mode in [false, true] {
-            let out = run_noisy_neighbor(ServingScenario::Kv, &backend, ring_mode, seed);
+            let out = run_noisy_neighbor(ServingScenario::Kv, &backend, ring_mode, SEED);
             let isolated = out.isolated(ISOLATION_HEADROOM);
             let quarantined = out.aggressor_quarantined();
             if !out.solo.tenants_conserved() || !out.contended.tenants_conserved() {

@@ -11,7 +11,9 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
-use crate::report::{write_json, Json};
+use sb_observe::Json;
+
+use crate::report::write_json;
 use crate::table;
 
 /// What a [`Gate`]'s measured value is held to.

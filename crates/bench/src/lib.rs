@@ -139,8 +139,8 @@ mod tests {
     #[test]
     fn knob_defaults() {
         assert_eq!(knob("SB_DOES_NOT_EXIST_XYZ", 42), 42);
-        assert_eq!(parse_knob("SB_OPS", None, 42), Ok(42));
-        assert_eq!(parse_knob("SB_OPS", Some("7"), 42), Ok(7));
+        assert_eq!(parse_knob("SB_REQUESTS", None, 42), Ok(42));
+        assert_eq!(parse_knob("SB_REQUESTS", Some("7"), 42), Ok(7));
     }
 
     #[test]

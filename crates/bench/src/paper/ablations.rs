@@ -20,7 +20,7 @@ use skybridge::SkyBridge;
 
 use super::ipc::{ipc_pair, sky_pair};
 use super::{Ledger, PaperRow};
-use crate::{knob, table};
+use crate::table;
 
 /// Maps `pages` 4 KiB pages above the reserved region one by one, as a
 /// commodity hypervisor's EPT would hold them.
@@ -227,7 +227,7 @@ fn eptp_lru(out: &mut String) {
     let cp = k.create_process(&code);
     let client = k.create_thread(cp, 0);
     let mut servers = Vec::new();
-    for _ in 0..knob("SB_LRU_SERVERS", sb_microkernel::layout::SB_SERVERS) {
+    for _ in 0..sb_microkernel::layout::SB_SERVERS {
         let sp = k.create_process(&code);
         let tid = k.create_thread(sp, 0);
         let sid = sb

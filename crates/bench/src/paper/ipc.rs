@@ -10,7 +10,7 @@ use sb_rootkernel::EptpList;
 use skybridge::{ServerId, SkyBridge};
 
 use super::{Ledger, PaperRow};
-use crate::{knob, table};
+use crate::table;
 
 /// §2.1.1's mode-switch components, then Table 2 proper (`value ±
 /// deviation`), in cycles.
@@ -196,8 +196,11 @@ fn skybridge_bar(personality: Personality, iters: usize) -> Breakdown {
     total.scaled_down(iters as u64)
 }
 
+/// Round trips averaged into each bar of Figure 7.
+const FIGURE7_ITERS: usize = 2000;
+
 pub fn figure7(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let iters = knob("SB_ITERS", 2000);
+    let iters = FIGURE7_ITERS;
     let kernels = [
         Personality::sel4(),
         Personality::fiasco_oc(),

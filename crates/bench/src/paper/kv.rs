@@ -6,7 +6,14 @@ use sb_ycsb::kv::KV_LENGTHS;
 use skybridge_repro::scenarios::kv::{KvMode, KvPipeline};
 
 use super::{Ledger, PaperRow};
-use crate::{knob, table};
+use crate::table;
+
+/// Operations Table 1 counts misses across, as the paper did.
+const POLLUTION_OPS: usize = 512;
+/// Key/value length of Table 1's operations.
+const POLLUTION_KV_LEN: usize = 64;
+/// Measured operations per cell of the Figure 2 and 8 sweeps.
+const SWEEP_OPS: usize = 384;
 
 /// Table 1, misses across 512 operations: i-cache, d-cache, L2, L3,
 /// i-TLB, d-TLB.
@@ -35,8 +42,7 @@ const MODES: [(&str, KvMode); 5] = [
 ];
 
 pub fn table1(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let ops = knob("SB_OPS", 512);
-    let len = knob("SB_KVLEN", 64);
+    let (ops, len) = (POLLUTION_OPS, POLLUTION_KV_LEN);
     let header = ["layout", "i-cache", "d-cache", "L2", "L3", "i-TLB", "d-TLB"];
     let mut rows = Vec::new();
     for ((name, paper), (_, mode)) in paper.iter().zip(MODES) {
@@ -78,7 +84,7 @@ fn sweep(
     out: &mut String,
     ledger: &mut Ledger,
 ) {
-    let ops = knob("SB_OPS", 384);
+    let ops = SWEEP_OPS;
     let mut rows = Vec::new();
     for (&len, (label, cells)) in KV_LENGTHS.iter().zip(paper) {
         let mut row = vec![label.to_string()];

@@ -14,7 +14,7 @@ use sb_rewriter::{
 };
 
 use super::{Ledger, PaperRow};
-use crate::{knob, table};
+use crate::table;
 
 /// Table 6 as this machine can reproduce it: the paper found no
 /// inadvertent `VMFUNC` in any compiled corpus it names (SPEC, PARSEC,
@@ -26,6 +26,9 @@ pub const OCCURRENCES: &[PaperRow] = &[
     ("/bin", &[0.0]),
     ("/usr/lib/x86_64-linux-gnu", &[0.0]),
 ];
+
+/// ELF files Table 6 scans per directory.
+const ELF_LIMIT: usize = 400;
 
 const CODE_BASE: u64 = 0x40_0000;
 const PAGE_BASE: u64 = 0x1000;
@@ -207,11 +210,10 @@ fn scan_dir(dir: &str, limit: usize) -> Scan {
 /// instruction streams, including one with injected occurrences to prove
 /// the scanner's sensitivity.
 pub fn table6(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let limit = knob("SB_ELF_LIMIT", 400);
     let mut rows = Vec::new();
     let mut all_hits = Vec::new();
     for (dir, paper) in paper {
-        let scan = scan_dir(dir, limit);
+        let scan = scan_dir(dir, ELF_LIMIT);
         if scan.programs > 0 {
             let hits = ledger.cell(dir, "VMFUNC count", scan.hits as f64, paper[0]);
             rows.push(scan.row(dir, hits));

@@ -3,12 +3,13 @@
 //! Rootkernel's virtualization overhead).
 
 use sb_microkernel::Personality;
+use sb_observe::Json;
 use sb_ycsb::OpKind;
 use skybridge_repro::scenarios::sqlite::{SqliteStack, StackMode};
 
 use super::{Ledger, PaperRow};
-use crate::report::{write_json, Json};
-use crate::{gate, knob, speedup, table};
+use crate::report::write_json;
+use crate::{gate, speedup, table};
 
 /// Table 4, ops/s: ST-Server, MT-Server, SkyBridge.
 pub const OPERATIONS: &[PaperRow] = &[
@@ -45,6 +46,16 @@ pub const VIRTUALIZATION: &[PaperRow] = &[
     ("YCSB-A 8 thread", &[1465.95, 1411.64, 0.0]),
 ];
 
+/// Records loaded and operations measured per configuration: Table 4.
+const TABLE4_RECORDS: u64 = 2000;
+const TABLE4_OPS: usize = 150;
+/// The same for each cell of Figures 9–11.
+const SCALING_RECORDS: u64 = 1000;
+const SCALING_OPS: usize = 120;
+/// The same for each run of Table 5.
+const VIRTUALIZATION_RECORDS: u64 = 1000;
+const VIRTUALIZATION_OPS: usize = 150;
+
 /// The three server configurations, in the paper's column order.
 const MODES: [(&str, StackMode); 3] = [
     ("st", StackMode::IpcSt),
@@ -76,8 +87,7 @@ fn measure(personality: Personality, mode: StackMode, records: u64, ops: usize) 
 }
 
 pub fn table4(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let records = knob("SB_RECORDS", 2000) as u64;
-    let ops = knob("SB_OPS", 150);
+    let (records, ops) = (TABLE4_RECORDS, TABLE4_OPS);
     let mut rows = Vec::new();
     for ((_, personality), per_op) in kernels().into_iter().zip(paper.chunks(4)) {
         let [st, mt, sb] = MODES.map(|(_, mode)| measure(personality.clone(), mode, records, ops));
@@ -115,8 +125,7 @@ pub fn table4(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
 }
 
 pub fn figure9_11(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let records = knob("SB_RECORDS", 1000) as u64;
-    let ops = knob("SB_OPS", 120);
+    let (records, ops) = (SCALING_RECORDS, SCALING_OPS);
     let threads = [1usize, 2, 4, 8];
     let mut json_rows: Vec<Json> = Vec::new();
     for (ki, ((kernel, personality), per_mode)) in
@@ -171,8 +180,7 @@ pub fn figure9_11(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
 }
 
 pub fn table5(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let records = knob("SB_RECORDS", 1000) as u64;
-    let ops = knob("SB_OPS", 150);
+    let (records, ops) = (VIRTUALIZATION_RECORDS, VIRTUALIZATION_OPS);
     let mut rows = Vec::new();
     for (threads, (label, paper)) in [1usize, 8].into_iter().zip(paper) {
         // The same stack natively, then with the Rootkernel booted

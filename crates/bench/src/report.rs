@@ -1,154 +1,17 @@
-//! Machine-readable benchmark output: the JSON value type, the row
-//! emitters for runtime/chaos results, and the `results/` file writer.
+//! Machine-readable benchmark output: the row emitters for
+//! runtime/chaos results and the `results/` file writer.
 //!
-//! This is the single JSON home of the workspace. The build environment
-//! is offline (no serde), so result files are emitted through the
-//! hand-rolled [`Json`] builder below: objects with ordered keys, arrays,
-//! strings, and numbers — exactly what the benches need. Measurement
-//! crates (`sb-runtime`, the scenario modules) stay serialization-free;
-//! their result structs are rendered to rows here.
+//! Every file is rendered by [`sb_observe::Json`], the workspace's one
+//! JSON value. Measurement crates (`sb-runtime`, the scenario modules)
+//! stay serialization-free; their result structs are rendered to rows
+//! here.
 
-use std::{fmt, fs, io::Write, path::PathBuf};
+use std::{fs, path::PathBuf};
 
+use sb_observe::Json;
 use sb_runtime::RunStats;
 use sb_sentinel::BundleReceipt;
 use skybridge_repro::scenarios::chaos::{ChaosOutcome, FsChaosOutcome};
-
-/// A JSON value.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any finite number (integers print without a fraction).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// An empty object.
-    pub fn obj() -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    /// Adds `key: value` to an object (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not an object.
-    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
-        match &mut self {
-            Json::Obj(fields) => fields.push((key.to_string(), value.into())),
-            _ => panic!("field() on a non-object"),
-        }
-        self
-    }
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-impl<T: Into<Json>> From<Vec<T>> for Json {
-    fn from(v: Vec<T>) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-
-fn escape(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => escape(s, f),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    escape(k, f)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
 
 /// How many of a run's busiest tenants get their own row in the JSON
 /// report.
@@ -281,12 +144,7 @@ pub fn results_dir() -> PathBuf {
 /// Writes `value` to `results/<name>.json` (pretty enough for diffing:
 /// one trailing newline) and returns the path.
 pub fn write_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = fs::File::create(&path)?;
-    writeln!(f, "{value}")?;
-    Ok(path)
+    write_raw(&format!("{name}.json"), &format!("{value}\n"))
 }
 
 /// Writes pre-serialized `contents` to `results/<name>` verbatim —
@@ -321,13 +179,26 @@ mod tests {
 
     #[test]
     fn escapes_strings() {
-        assert_eq!(Json::Str("a\"b\\c\n".into()).to_string(), r#""a\"b\\c\n""#);
+        let mut s = RunStats::new("a\"b\\c\n", 1);
+        s.seal();
+        let row = run_stats_json(&s).to_string();
+        assert!(row.starts_with(r#"{"label":"a\"b\\c\n","#), "{row}");
     }
 
     #[test]
     fn integers_print_without_fraction() {
-        assert_eq!(Json::Num(3.0).to_string(), "3");
-        assert_eq!(Json::Num(3.25).to_string(), "3.25");
+        assert_eq!(Json::F64(3.0).to_string(), "3");
+        assert_eq!(Json::F64(3.25).to_string(), "3.25");
+        assert_eq!(Json::F64(1e15).to_string(), "1000000000000000");
+    }
+
+    #[test]
+    fn counts_above_two_to_the_53_are_written_exactly() {
+        assert_eq!(Json::from(u64::MAX).to_string(), "18446744073709551615");
+        assert_eq!(
+            Json::obj().field("n", (1u64 << 53) + 1).to_string(),
+            r#"{"n":9007199254740993}"#
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::fs;
 use std::path::Path;
 
 use sb_bench::paper::EXPERIMENTS;
+use sb_observe::Json;
 
 #[test]
 fn experiments_artefacts_and_write_ups_are_in_bijection() {
@@ -49,35 +50,30 @@ struct Cell {
     measured: f64,
 }
 
-/// The value of `key` in one ledger line (the writer emits one flat
-/// object per line, no escapes in any label).
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let at = line
-        .find(&format!("\"{key}\":"))
-        .unwrap_or_else(|| panic!("no `{key}` in {line}"));
-    let rest = &line[at + key.len() + 3..];
-    match rest.strip_prefix('"') {
-        Some(text) => &text[..text.find('"').expect("closing quote")],
-        None => &rest[..rest.find([',', '}']).expect("end of value")],
-    }
-}
-
 fn ledger(root: &Path) -> Vec<Cell> {
     let text = fs::read_to_string(root.join("results/fidelity.json")).expect("fidelity.json");
-    assert!(!text.contains('\\'), "an escaped label: teach `field`");
-    let number = |line: &str, key: &str| -> f64 {
-        field(line, key)
-            .parse()
-            .unwrap_or_else(|e| panic!("`{key}` of {line}: {e}"))
-    };
-    text.lines()
-        .filter(|l| l.starts_with("{\"experiment\""))
-        .map(|l| Cell {
-            experiment: field(l, "experiment").to_string(),
-            row: field(l, "row").to_string(),
-            column: field(l, "column").to_string(),
-            paper: number(l, "paper"),
-            measured: number(l, "measured"),
+    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("fidelity.json: {e}"));
+    let rows = doc
+        .get("rows")
+        .and_then(Json::as_array)
+        .expect("a `rows` array");
+    rows.iter()
+        .map(|row| {
+            let text = |key: &str| match row.get(key).and_then(Json::as_str) {
+                Some(s) => s.to_string(),
+                None => panic!("no string `{key}` in {row}"),
+            };
+            let number = |key: &str| match row.get(key).and_then(Json::as_f64) {
+                Some(x) => x,
+                None => panic!("no number `{key}` in {row}"),
+            };
+            Cell {
+                experiment: text("experiment"),
+                row: text("row"),
+                column: text("column"),
+                paper: number("paper"),
+                measured: number("measured"),
+            }
         })
         .collect()
 }

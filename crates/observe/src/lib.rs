@@ -20,6 +20,9 @@
 //! * [`export::chrome_trace`] — Chrome trace-event JSON loadable in
 //!   Perfetto, with explicit truncation accounting when a ring
 //!   overwrote events.
+//! * [`Json`] — the workspace's one JSON value: the compact writer every
+//!   results file and postmortem bundle goes through, and the strict
+//!   reader ([`Json::parse`]) gates and tests read them back with.
 //! * [`profiler`] — a deterministic cycle-sampling profiler riding the
 //!   emit path: per-lane span stacks sampled on a fixed grid of the
 //!   simulated clock, folded into collapsed-stack flamegraphs and
@@ -31,13 +34,15 @@
 
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod profiler;
 pub mod ring;
 
-pub use export::{chrome_trace, validate_json, validate_recorder_nesting, ChromeTrace};
+pub use export::{chrome_trace, validate_recorder_nesting, ChromeTrace};
 pub use hist::{Exemplar, Log2Histogram, DEFAULT_EXEMPLAR_CAPACITY, HIST_RELATIVE_ERROR};
+pub use json::Json;
 pub use metrics::{HistSummary, Registry, Snapshot};
 pub use phase::{attribute, validate_nesting, PhaseProfile};
 pub use profiler::{

@@ -31,6 +31,6 @@ pub mod postmortem;
 pub mod slo;
 pub mod trace;
 
-pub use postmortem::{BundleReceipt, Json, PostmortemInput, PostmortemSpec, SCHEMA};
+pub use postmortem::{BundleReceipt, PostmortemInput, PostmortemSpec, SCHEMA};
 pub use slo::{SloHandle, SloHealth, SloSpec, SloTracker};
 pub use trace::{assemble, assemble_lanes, PathStep, RequestTrace, SpanNode, TraceForest};

@@ -10,117 +10,22 @@
 //! — so a reader can never mistake a clipped capture for the whole
 //! story.
 //!
-//! The emitter is a deliberately tiny JSON renderer (the simulation's
-//! dependency floor excludes serde); `sb-observe`'s `validate_json` is
-//! the schema-side check the test suite holds bundles against.
+//! Bundles are [`Json`] values: rendered by its one writer, and read
+//! back by its parser ([`BundleReceipt::read_back`]) wherever a bundle's
+//! contents are checked.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use sb_faultplane::FaultReport;
-use sb_observe::{EventKind, Recorder, Snapshot};
+use sb_observe::{EventKind, Json, Recorder, Snapshot};
 use sb_sim::Pmu;
 
 use crate::slo::SloHealth;
 
 /// Bundle schema identifier, bumped on incompatible layout changes.
 pub const SCHEMA: &str = "sb-postmortem-v1";
-
-/// A minimal JSON value for bundle rendering.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer, printed fraction-free.
-    U64(u64),
-    /// A float; non-finite values render as `null`.
-    F64(f64),
-    /// A string, escaped on render.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// An empty object, for builder-style construction.
-    pub fn obj() -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    /// Appends `key: value` (objects only).
-    pub fn field(mut self, key: &str, value: Json) -> Json {
-        if let Json::Obj(fields) = &mut self {
-            fields.push((key.to_string(), value));
-        }
-        self
-    }
-
-    /// Renders to a compact JSON string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::F64(x) if x.is_finite() => {
-                let _ = write!(out, "{x}");
-            }
-            Json::F64(_) => out.push_str("null"),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
 
 /// Where and how large bundles are written.
 #[derive(Debug, Clone)]
@@ -185,6 +90,33 @@ pub struct BundleReceipt {
     pub ring_dropped: u64,
 }
 
+impl BundleReceipt {
+    /// Reads the bundle back from disk and parses it: an `Err` unless it
+    /// is one JSON document of this [`SCHEMA`] whose truncation block
+    /// counts exactly the events this receipt does.
+    pub fn read_back(&self) -> Result<Json, String> {
+        let body = fs::read_to_string(&self.path).map_err(|e| e.to_string())?;
+        let bundle = Json::parse(&body)?;
+        let schema = bundle.get("schema").and_then(Json::as_str);
+        if schema != Some(SCHEMA) {
+            return Err(format!("schema {schema:?}, not {SCHEMA}"));
+        }
+        for (key, n) in [
+            ("included_events", self.included_events),
+            ("clipped_events", self.truncated_events),
+            ("ring_dropped", self.ring_dropped),
+        ] {
+            let held = bundle.get("truncation").and_then(|t| t.get(key));
+            if !matches!(held, Some(Json::U64(v)) if *v == n) {
+                return Err(format!(
+                    "truncation.{key} is {held:?}, the receipt says {n}"
+                ));
+            }
+        }
+        Ok(bundle)
+    }
+}
+
 fn event_json(ev: &sb_observe::Event) -> Json {
     let (tag, kind, dur) = match ev.kind {
         EventKind::Begin(k) => ("begin", k.name(), None),
@@ -193,12 +125,12 @@ fn event_json(ev: &sb_observe::Event) -> Json {
         EventKind::Instant(k) => ("instant", k.name(), None),
     };
     let mut j = Json::obj()
-        .field("t", Json::U64(ev.t))
-        .field("corr", Json::U64(ev.corr))
-        .field("ev", Json::Str(tag.to_string()))
-        .field("kind", Json::Str(kind.to_string()));
+        .field("t", ev.t)
+        .field("corr", ev.corr)
+        .field("ev", tag)
+        .field("kind", kind);
     if let Some(d) = dur {
-        j = j.field("dur", Json::U64(d));
+        j = j.field("dur", d);
     }
     j
 }
@@ -215,11 +147,11 @@ fn rings_json(rec: &Recorder, budget: usize) -> (Json, u64, u64, u64) {
         let tail = &events[events.len() - keep..];
         lanes.push(
             Json::obj()
-                .field("lane", Json::U64(lane as u64))
-                .field("available", Json::U64(events.len() as u64))
-                .field("included", Json::U64(keep as u64))
-                .field("clipped", Json::U64(clipped))
-                .field("ring_dropped", Json::U64(rec.lane_dropped(lane)))
+                .field("lane", lane)
+                .field("available", events.len())
+                .field("included", keep)
+                .field("clipped", clipped)
+                .field("ring_dropped", rec.lane_dropped(lane))
                 .field("events", Json::Arr(tail.iter().map(event_json).collect())),
         );
     }
@@ -228,9 +160,9 @@ fn rings_json(rec: &Recorder, budget: usize) -> (Json, u64, u64, u64) {
         .iter()
         .map(|f| {
             Json::obj()
-                .field("seq", Json::U64(f.seq))
-                .field("stage", Json::Str(f.stage.name().to_string()))
-                .field("point", Json::Str(f.point.to_string()))
+                .field("seq", f.seq)
+                .field("stage", f.stage.name())
+                .field("point", f.point)
         })
         .collect();
     let ring_dropped = rec.dropped();
@@ -267,12 +199,12 @@ fn flamegraph_json(rec: &Recorder) -> Json {
             .collect(),
     );
     Json::obj()
-        .field("backend", Json::Str(backend))
-        .field("taken", Json::U64(stats.taken))
-        .field("dropped", Json::U64(stats.dropped))
-        .field("idle_points", Json::U64(stats.idle_points))
-        .field("poisoned", Json::U64(stats.poisoned))
-        .field("broken_events", Json::U64(stats.broken_events))
+        .field("backend", backend)
+        .field("taken", stats.taken)
+        .field("dropped", stats.dropped)
+        .field("idle_points", stats.idle_points)
+        .field("poisoned", stats.poisoned)
+        .field("broken_events", stats.broken_events)
         .field("folds", folds_json(&folds))
         .field("by_tenant", by_tenant)
 }
@@ -297,13 +229,13 @@ fn snapshot_json(s: &Snapshot) -> Json {
                 (
                     k.clone(),
                     Json::obj()
-                        .field("count", Json::U64(h.count))
-                        .field("mean", Json::F64(h.mean))
-                        .field("min", Json::U64(h.min))
-                        .field("p50", Json::U64(h.p50))
-                        .field("p95", Json::U64(h.p95))
-                        .field("p99", Json::U64(h.p99))
-                        .field("max", Json::U64(h.max)),
+                        .field("count", h.count)
+                        .field("mean", h.mean)
+                        .field("min", h.min)
+                        .field("p50", h.p50)
+                        .field("p95", h.p95)
+                        .field("p99", h.p99)
+                        .field("max", h.max),
                 )
             })
             .collect(),
@@ -316,11 +248,7 @@ fn snapshot_json(s: &Snapshot) -> Json {
                     k.clone(),
                     Json::Arr(
                         exs.iter()
-                            .map(|e| {
-                                Json::obj()
-                                    .field("corr", Json::U64(e.corr))
-                                    .field("value", Json::U64(e.value))
-                            })
+                            .map(|e| Json::obj().field("corr", e.corr).field("value", e.value))
                             .collect(),
                     ),
                 )
@@ -336,19 +264,19 @@ fn snapshot_json(s: &Snapshot) -> Json {
 
 fn pmu_json(p: &Pmu) -> Json {
     Json::obj()
-        .field("l1i_misses", Json::U64(p.l1i_misses))
-        .field("l1d_misses", Json::U64(p.l1d_misses))
-        .field("l2_misses", Json::U64(p.l2_misses))
-        .field("l3_misses", Json::U64(p.l3_misses))
-        .field("itlb_misses", Json::U64(p.itlb_misses))
-        .field("dtlb_misses", Json::U64(p.dtlb_misses))
-        .field("page_walks", Json::U64(p.page_walks))
-        .field("walk_memory_accesses", Json::U64(p.walk_memory_accesses))
-        .field("ipis", Json::U64(p.ipis))
-        .field("vm_exits", Json::U64(p.vm_exits))
-        .field("vmfuncs", Json::U64(p.vmfuncs))
-        .field("mode_switches", Json::U64(p.mode_switches))
-        .field("cr3_writes", Json::U64(p.cr3_writes))
+        .field("l1i_misses", p.l1i_misses)
+        .field("l1d_misses", p.l1d_misses)
+        .field("l2_misses", p.l2_misses)
+        .field("l3_misses", p.l3_misses)
+        .field("itlb_misses", p.itlb_misses)
+        .field("dtlb_misses", p.dtlb_misses)
+        .field("page_walks", p.page_walks)
+        .field("walk_memory_accesses", p.walk_memory_accesses)
+        .field("ipis", p.ipis)
+        .field("vm_exits", p.vm_exits)
+        .field("vmfuncs", p.vmfuncs)
+        .field("mode_switches", p.mode_switches)
+        .field("cr3_writes", p.cr3_writes)
 }
 
 fn faults_json(r: &FaultReport) -> Json {
@@ -357,51 +285,48 @@ fn faults_json(r: &FaultReport) -> Json {
         .iter()
         .map(|row| {
             Json::obj()
-                .field("point", Json::Str(row.point.name().to_string()))
-                .field("injected", Json::U64(row.injected))
-                .field("detected", Json::U64(row.detected))
-                .field("recovered", Json::U64(row.recovered))
-                .field("leaked", Json::U64(row.leaked))
+                .field("point", row.point.name())
+                .field("injected", row.injected)
+                .field("detected", row.detected)
+                .field("recovered", row.recovered)
+                .field("leaked", row.leaked)
         })
         .collect();
     Json::obj()
         .field("rows", Json::Arr(rows))
-        .field("injected", Json::U64(r.injected()))
-        .field("detected", Json::U64(r.detected()))
-        .field("recovered", Json::U64(r.recovered()))
-        .field("leaked", Json::U64(r.leaked()))
+        .field("injected", r.injected())
+        .field("detected", r.detected())
+        .field("recovered", r.recovered())
+        .field("leaked", r.leaked())
 }
 
 fn slo_json(h: &SloHealth) -> Json {
     Json::obj()
-        .field("good", Json::U64(h.good))
-        .field("bad", Json::U64(h.bad))
-        .field("fast_burn", Json::F64(h.fast_burn))
-        .field("slow_burn", Json::F64(h.slow_burn))
-        .field("breaches", Json::U64(h.breaches))
+        .field("good", h.good)
+        .field("bad", h.bad)
+        .field("fast_burn", h.fast_burn)
+        .field("slow_burn", h.slow_burn)
+        .field("breaches", h.breaches)
         .field("first_breach", h.first_breach.map_or(Json::Null, Json::U64))
-        .field("in_breach", Json::Bool(h.in_breach))
+        .field("in_breach", h.in_breach)
 }
 
 /// Renders the bundle JSON without touching the filesystem. Returns the
 /// JSON plus (included, clipped, ring-dropped) event totals.
 pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (String, u64, u64, u64) {
     let (rings, included, truncated, ring_dropped) = match input.recorder {
-        Some(rec) => {
-            let (j, i, t, d) = rings_json(rec, max_events_per_lane);
-            (j, i, t, d)
-        }
+        Some(rec) => rings_json(rec, max_events_per_lane),
         None => (Json::Null, 0, 0, 0),
     };
     let truncation = Json::obj()
-        .field("per_lane_budget", Json::U64(max_events_per_lane as u64))
-        .field("included_events", Json::U64(included))
-        .field("clipped_events", Json::U64(truncated))
-        .field("ring_dropped", Json::U64(ring_dropped));
+        .field("per_lane_budget", max_events_per_lane)
+        .field("included_events", included)
+        .field("clipped_events", truncated)
+        .field("ring_dropped", ring_dropped);
     let bundle = Json::obj()
-        .field("schema", Json::Str(SCHEMA.to_string()))
-        .field("reason", Json::Str(input.reason.to_string()))
-        .field("tag", Json::Str(input.tag.to_string()))
+        .field("schema", SCHEMA)
+        .field("reason", input.reason)
+        .field("tag", input.tag)
         .field("truncation", truncation)
         .field("rings", rings)
         .field(
@@ -412,7 +337,7 @@ pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (Strin
         .field("pmu", input.pmu.map_or(Json::Null, pmu_json))
         .field("faults", input.faults.map_or(Json::Null, faults_json))
         .field("slo", input.slo.as_ref().map_or(Json::Null, slo_json));
-    (bundle.render(), included, truncated, ring_dropped)
+    (bundle.to_string(), included, truncated, ring_dropped)
 }
 
 fn safe_name(tag: &str) -> String {
@@ -436,10 +361,6 @@ fn safe_name(tag: &str) -> String {
 /// Renders and writes the bundle as `<spec.dir>/<tag>.json`.
 pub fn write(spec: &PostmortemSpec, input: &PostmortemInput<'_>) -> io::Result<BundleReceipt> {
     let (json, included, truncated, ring_dropped) = render(input, spec.max_events_per_lane);
-    debug_assert!(
-        sb_observe::validate_json(&json).is_ok(),
-        "bundle must be valid JSON"
-    );
     fs::create_dir_all(&spec.dir)?;
     let path: PathBuf = Path::new(&spec.dir).join(format!("{}.json", safe_name(input.tag)));
     fs::write(&path, &json)?;
@@ -454,22 +375,41 @@ pub fn write(spec: &PostmortemSpec, input: &PostmortemInput<'_>) -> io::Result<B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_observe::{validate_json, Registry, SpanKind};
+    use sb_observe::{Registry, SpanKind};
+
+    /// The value at `path` (object keys; a number walks into an array).
+    fn at<'a>(j: &'a Json, path: &[&str]) -> &'a Json {
+        path.iter().fold(j, |j, step| {
+            let next = match step.parse::<usize>() {
+                Ok(i) => j.as_array().and_then(|items| items.get(i)),
+                Err(_) => j.get(step),
+            };
+            next.unwrap_or_else(|| panic!("no {path:?} in {j}"))
+        })
+    }
+
+    fn num(j: &Json, path: &[&str]) -> f64 {
+        at(j, path)
+            .as_f64()
+            .unwrap_or_else(|| panic!("{path:?} is not a number"))
+    }
 
     #[test]
     fn json_escapes_and_prints_integers_fraction_free() {
-        let j = Json::obj()
-            .field("s", Json::Str("a\"b\\c\nd".to_string()))
-            .field("n", Json::U64(42))
-            .field("f", Json::F64(1.5))
-            .field("nan", Json::F64(f64::NAN))
-            .field("arr", Json::Arr(vec![Json::Bool(true), Json::Null]));
-        let s = j.render();
-        assert_eq!(
-            s,
-            r#"{"s":"a\"b\\c\nd","n":42,"f":1.5,"nan":null,"arr":[true,null]}"#
+        let input = PostmortemInput {
+            reason: "slo \"breach\"\n",
+            tag: "a\\b",
+            ..PostmortemInput::default()
+        };
+        let (json, ..) = render(&input, 16);
+        assert!(
+            json.contains(r#""reason":"slo \"breach\"\n","tag":"a\\b""#),
+            "{json}"
         );
-        validate_json(&s).expect("well-formed");
+        assert!(json.contains(r#""per_lane_budget":16,"#), "{json}");
+        let bundle = Json::parse(&json).expect("valid");
+        assert_eq!(at(&bundle, &["reason"]).as_str(), Some(input.reason));
+        assert_eq!(at(&bundle, &["tag"]).as_str(), Some(input.tag));
     }
 
     #[test]
@@ -481,9 +421,9 @@ mod tests {
         };
         let (json, included, truncated, dropped) = render(&input, 16);
         assert_eq!((included, truncated, dropped), (0, 0, 0));
-        validate_json(&json).expect("valid");
-        assert!(json.contains(r#""schema":"sb-postmortem-v1""#));
-        assert!(json.contains(r#""rings":null"#));
+        let bundle = Json::parse(&json).expect("valid");
+        assert_eq!(at(&bundle, &["schema"]).as_str(), Some(SCHEMA));
+        assert!(matches!(at(&bundle, &["rings"]), Json::Null));
     }
 
     #[test]
@@ -502,12 +442,17 @@ mod tests {
             ..PostmortemInput::default()
         };
         let (json, included, truncated, dropped) = render(&input, 40);
-        validate_json(&json).expect("valid");
+        let bundle = Json::parse(&json).expect("valid");
         assert_eq!(included, 40 + 30, "lane 0 clipped to budget, lane 1 whole");
         assert_eq!(truncated, 60, "exactly the clipped remainder");
         assert_eq!(dropped, 0, "nothing was overwritten at capacity 256");
         // The newest events are the ones kept.
-        assert!(json.contains(r#""t":990"#), "lane 0's final span survives");
+        assert_eq!(num(&bundle, &["rings", "lanes", "0", "clipped"]), 60.0);
+        assert_eq!(
+            num(&bundle, &["rings", "lanes", "0", "events", "39", "t"]),
+            990.0,
+            "lane 0's final span survives"
+        );
     }
 
     #[test]
@@ -546,7 +491,7 @@ mod tests {
             first_breach: Some(123),
             in_breach: true,
             fast_burn: 20.0,
-            slow_burn: 3.0,
+            slow_burn: 3.5,
         };
         let input = PostmortemInput {
             reason: "slo_breach",
@@ -558,16 +503,45 @@ mod tests {
             slo: Some(slo),
         };
         let (json, _, _, _) = render(&input, 16);
-        validate_json(&json).expect("valid");
-        for needle in [
-            r#""reason":"slo_breach""#,
-            r#""vmfuncs":7"#,
-            r#""calls":3"#,
-            r#""first_breach":123"#,
-            r#""faults":null"#,
+        let b = Json::parse(&json).expect("valid");
+        for (path, text) in [
+            (&["schema"][..], SCHEMA),
+            (&["reason"], "slo_breach"),
+            (&["tag"], "full"),
+            (&["rings", "lanes", "0", "events", "0", "ev"], "complete"),
+            (&["rings", "lanes", "0", "events", "0", "kind"], "call"),
         ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
+            assert_eq!(at(&b, path).as_str(), Some(text), "{path:?}");
         }
+        for (path, n) in [
+            (&["truncation", "per_lane_budget"][..], 16.0),
+            (&["truncation", "included_events"], 1.0),
+            (&["truncation", "clipped_events"], 0.0),
+            (&["rings", "lanes", "0", "events", "0", "t"], 0.0),
+            (&["rings", "lanes", "0", "events", "0", "corr"], 1.0),
+            (&["rings", "lanes", "0", "events", "0", "dur"], 100.0),
+            (&["metrics", "counters", "calls"], 3.0),
+            (&["metrics", "histograms", "latency", "count"], 1.0),
+            (&["pmu", "vmfuncs"], 7.0),
+            (&["pmu", "ipis"], 0.0),
+            (&["slo", "good"], 10.0),
+            (&["slo", "bad"], 2.0),
+            (&["slo", "breaches"], 1.0),
+            (&["slo", "first_breach"], 123.0),
+            (&["slo", "fast_burn"], 20.0),
+            (&["slo", "slow_burn"], 3.5),
+        ] {
+            assert_eq!(num(&b, path), n, "{path:?}");
+        }
+        assert!(matches!(at(&b, &["slo", "in_breach"]), Json::Bool(true)));
+        for absent in ["flamegraph", "faults"] {
+            assert!(matches!(at(&b, &[absent]), Json::Null), "{absent}");
+        }
+        assert_eq!(
+            b.to_string(),
+            json,
+            "the bundle re-renders to its own bytes"
+        );
     }
 
     #[test]
@@ -580,10 +554,13 @@ mod tests {
             tag: "seed 0x1/evil",
             ..PostmortemInput::default()
         };
-        let receipt = write(&spec, &input).expect("writable");
+        let mut receipt = write(&spec, &input).expect("writable");
         assert!(receipt.path.ends_with("seed_0x1_evil.json"));
-        let body = fs::read_to_string(&receipt.path).expect("exists");
-        validate_json(&body).expect("valid on disk");
+        let bundle = receipt.read_back().expect("valid on disk");
+        assert_eq!(at(&bundle, &["tag"]).as_str(), Some("seed 0x1/evil"));
+        receipt.ring_dropped += 1;
+        let e = receipt.read_back().unwrap_err();
+        assert!(e.contains("truncation.ring_dropped"), "{e}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -634,15 +634,13 @@ mod tests {
         let receipt = out
             .postmortem
             .expect("an unrecovered fault must trip the flight recorder");
-        let body = std::fs::read_to_string(&receipt.path).expect("bundle on disk");
-        sb_observe::validate_json(&body).expect("bundle is schema-clean");
-        assert!(body.contains("\"reason\":\"fault_unrecovered\""));
-        assert!(body.contains("\"schema\":\"sb-postmortem-v1\""));
-        // The truncation block in the bundle must agree with the receipt
-        // to the event.
-        assert!(body.contains(&format!("\"included_events\":{}", receipt.included_events)));
-        assert!(body.contains(&format!("\"clipped_events\":{}", receipt.truncated_events)));
-        assert!(body.contains(&format!("\"ring_dropped\":{}", receipt.ring_dropped)));
+        // The bundle parses, carries the schema, and its truncation block
+        // agrees with the receipt to the event.
+        let bundle = receipt.read_back().expect("bundle is schema-clean");
+        assert_eq!(
+            bundle.get("reason").and_then(sb_observe::Json::as_str),
+            Some("fault_unrecovered")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use sb_observe::{
-    attribute, chrome_trace, validate_json, validate_recorder_nesting, EventKind, InstantKind,
+    attribute, chrome_trace, validate_recorder_nesting, EventKind, InstantKind, Json,
     Log2Histogram, Recorder, SpanKind,
 };
 use sb_runtime::{Request, RuntimeConfig};
@@ -182,7 +182,7 @@ fn dispatcher_runs_export_clean_traces() {
     assert!(!trace.truncated, "this run fits the ring");
     assert!(trace.events > 0);
     assert_eq!(trace.unmatched, 0);
-    validate_json(&trace.json).expect("chrome trace must be valid JSON");
+    Json::parse(&trace.json).expect("chrome trace must be valid JSON");
 }
 
 /// Ring overwrite is loud, not silent: a deliberately tiny ring drops
@@ -203,7 +203,7 @@ fn ring_overwrite_is_surfaced_by_the_export() {
     let trace = chrome_trace(&recorder);
     assert!(trace.truncated, "the export must admit it lost events");
     assert_eq!(trace.dropped, recorder.dropped());
-    validate_json(&trace.json).expect("a truncated trace is still valid JSON");
+    Json::parse(&trace.json).expect("a truncated trace is still valid JSON");
 }
 
 /// The checked-in sample trace (`results/sample_trace.json`, a small
@@ -215,13 +215,53 @@ fn ring_overwrite_is_surfaced_by_the_export() {
 fn checked_in_sample_trace_smokes_through_the_perfetto_format() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/sample_trace.json");
     let body = std::fs::read_to_string(path).expect("sample trace present");
-    validate_json(&body).expect("sample trace must be valid JSON");
-    assert!(body.contains("\"displayTimeUnit\":\"ns\""));
-    assert!(body.contains("\"traceEvents\":["));
-    assert!(body.contains("\"ph\":\"X\""), "complete events present");
+    let trace = Json::parse(&body).expect("sample trace must be valid JSON");
+    assert_eq!(
+        trace.get("displayTimeUnit").and_then(Json::as_str),
+        Some("ns")
+    );
+    let events = trace.get("traceEvents").and_then(Json::as_array);
     assert!(
-        body.contains("\"truncated\":false"),
+        events.is_some_and(|evs| evs
+            .iter()
+            .any(|e| e.get("ph").and_then(Json::as_str) == Some("X"))),
+        "complete events present"
+    );
+    assert!(
+        matches!(
+            trace.get("otherData").and_then(|o| o.get("truncated")),
+            Some(Json::Bool(false))
+        ),
         "the sample must be a lossless capture"
+    );
+}
+
+/// Every committed JSON artefact reads back through the one parser, and
+/// none nests anywhere near its depth limit of 128: the deepest,
+/// `runtime_scaling.json` and `tenant.json`, nest 6 deep (as does a
+/// postmortem bundle's `rings.lanes[].events[]` entry).
+#[test]
+fn committed_json_artefacts_parse_well_inside_the_depth_limit() {
+    fn depth(j: &Json) -> usize {
+        match j {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
+    let mut deepest = 0;
+    for entry in std::fs::read_dir(dir).expect("results/") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|x| x == "json") {
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            deepest = deepest.max(depth(&doc));
+        }
+    }
+    assert!(
+        (1..=16).contains(&deepest),
+        "deepest artefact nests {deepest} deep"
     );
 }
 
