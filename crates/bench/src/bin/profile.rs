@@ -1,22 +1,19 @@
-//! The sampling profiler's evaluation harness: five-way flamegraphs,
-//! the sampled-vs-exact gate, and profile-diff regression attribution.
+//! The exact profile's evaluation harness: five-way flamegraphs in
+//! cycles and profile-diff regression attribution.
 //!
-//! One serving lane per IPC personality runs the KV workload with the
-//! full observability stack on — span tracing plus the cycle sampler —
-//! harvested in chunks the event ring holds completely, so the exact
-//! [`PhaseProfile`] loses nothing no matter how long the run. Per
-//! personality the bin then:
+//! One serving lane per IPC personality runs the KV workload with span
+//! tracing on, harvested in chunks the event ring holds completely, so
+//! the exact [`PhaseProfile`] loses nothing no matter how long the run.
+//! Per personality the bin then:
 //!
-//! 1. checks the capture was exact (zero ring overwrites, zero sample
-//!    drops, zero poisoned or desynced stacks);
-//! 2. gates the sampler against the exact profile: every in-call phase
-//!    with at least 2% of self-time must be sampled within ±10%
-//!    (relative) of its exact share;
-//! 3. writes a collapsed-stack flamegraph
+//! 1. checks the capture was exact (zero ring overwrites, and a span
+//!    stream with nothing unmatched or unclosed, which also proves the
+//!    per-tenant folds sum to the whole);
+//! 2. writes a collapsed-stack flamegraph in cycles
 //!    (`results/flamegraphs/<backend>.collapsed`, the format
 //!    `flamegraph.pl` and speedscope ingest) plus a per-tenant variant
 //!    with the tenant as the root frame;
-//! 4. diffs the per-phase cycle budget against
+//! 3. diffs the per-phase cycle budget against
 //!    `results/profile_baseline.json` in dual units — Δ cycles/call and
 //!    relative percent (ns at the modeled 4 GHz are cycles/4) — and
 //!    attributes any end-to-end movement to named phases.
@@ -33,22 +30,18 @@
 //! Knob: `SB_PROFILE_WRITE=1` rewrites `results/profile_baseline.json`
 //! from this run.
 
+use std::collections::{BTreeMap, HashMap};
+
 use sb_bench::gate::{finish, Gate};
 use sb_bench::report::{results_dir, write_json, write_raw};
 use sb_bench::{knob, print_table};
 use sb_observe::{
-    attribute, collapsed_lines, compare_shares, fold_samples, fold_samples_by_tenant, Json,
-    PhaseProfile, Recorder, Sample, SamplerConfig, ShareComparison, SpanKind,
-    DEFAULT_RING_CAPACITY, DEFAULT_SAMPLE_PERIOD,
+    attribute_by_corr, Json, PhaseProfile, Recorder, SpanKind, DEFAULT_RING_CAPACITY,
 };
 use sb_runtime::{RequestFactory, Transport};
 use sb_ycsb::WorkloadSpec;
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 
-/// Phases below this exact self-time share are too small to gate.
-const MIN_SHARE: f64 = 0.02;
-/// Relative tolerance on sampled vs exact shares.
-const SHARE_TOLERANCE: f64 = 0.10;
 /// End-to-end movement below this fraction of the baseline is noise.
 const REGRESSION_GATE: f64 = 0.01;
 /// Largest unattributed share of a regression the gate tolerates.
@@ -63,8 +56,8 @@ const CALLS: u64 = 65_536;
 struct BackendProfile {
     label: String,
     prof: PhaseProfile,
-    samples: Vec<Sample>,
-    shares: Vec<ShareComparison>,
+    /// The same cycles, split by the tenant each request billed.
+    tenants: BTreeMap<u16, PhaseProfile>,
 }
 
 impl BackendProfile {
@@ -73,17 +66,14 @@ impl BackendProfile {
     }
 }
 
-/// Profiles one personality exactly: chunked harvests sized so neither
-/// the event ring nor the sample ring can wrap between drains.
+/// Profiles one personality exactly: chunked harvests sized so the
+/// event ring cannot wrap between drains. Each chunk is folded per
+/// tenant — every span of a call carries its request's id, and the bin
+/// knows which tenant each id billed — and the parts merge to the whole.
 fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, String> {
     let label = backend.label().to_string();
     let mut t = build_backend(ServingScenario::Kv, backend, 1);
     let recorder = Recorder::new(DEFAULT_RING_CAPACITY);
-    recorder.enable_sampling(SamplerConfig {
-        period: DEFAULT_SAMPLE_PERIOD,
-        backend: label.clone(),
-        ..SamplerConfig::default()
-    });
     t.attach_recorder(recorder.clone());
 
     let mut f = RequestFactory::with_zipf_tenants(WorkloadSpec::ycsb_a(10_000, 64), 64, TENANTS, 7);
@@ -98,33 +88,35 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
     // keeps the ring under capacity with margin to spare.
     let chunk = (recorder.capacity() / 16).max(1) as u64;
     let mut prof = PhaseProfile::default();
-    let mut samples: Vec<Sample> = Vec::new();
+    let mut tenants: BTreeMap<u16, PhaseProfile> = BTreeMap::new();
+    let mut billed: HashMap<u64, u16> = HashMap::new();
     let mut done = 0u64;
     while done < calls {
         let n = chunk.min(calls - done);
+        billed.clear();
         for _ in 0..n {
             let r = f.make(t.now(0), None);
+            billed.insert(r.id, r.tenant);
             t.call(0, &r).map_err(|e| format!("{label}: call: {e:?}"))?;
         }
         done += n;
         let by_lane = recorder.take_lane_events();
-        prof.merge(&attribute(&by_lane));
-        samples.extend(recorder.drain_samples());
+        for (tenant, part) in attribute_by_corr(&by_lane, |corr| billed.get(&corr).copied()) {
+            let tenant =
+                tenant.ok_or_else(|| format!("{label}: a span carries no request's id"))?;
+            prof.merge(&part);
+            tenants.entry(tenant).or_default().merge(&part);
+        }
     }
 
     // The capture must be exact: this bin sizes its chunks so any loss
-    // is an accounting bug, not pressure.
+    // is an accounting bug, not pressure. A span torn across two
+    // requests' events would also show here, as unmatched and unclosed:
+    // with none, the tenant parts are the whole, split.
     if recorder.dropped() > 0 {
         return Err(format!(
             "{label}: chunked capture overwrote {} events",
             recorder.dropped()
-        ));
-    }
-    let sstats = recorder.sample_stats();
-    if sstats.dropped > 0 || sstats.poisoned > 0 || sstats.broken_events > 0 {
-        return Err(format!(
-            "{label}: sampler lost attribution ({} dropped, {} poisoned, {} broken events)",
-            sstats.dropped, sstats.poisoned, sstats.broken_events
         ));
     }
     if prof.unmatched > 0 || prof.unclosed > 0 {
@@ -133,15 +125,10 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
             prof.unmatched, prof.unclosed
         ));
     }
-
-    let shares = compare_shares(&samples, &prof, MIN_SHARE, SHARE_TOLERANCE)
-        .map_err(|e| format!("{label}: sampled shares diverge from exact: {e}"))?;
-
     Ok(BackendProfile {
         label,
         prof,
-        samples,
-        shares,
+        tenants,
     })
 }
 
@@ -161,18 +148,7 @@ fn profile_row(p: &BackendProfile) -> Json {
             );
         }
     }
-    let shares: Vec<Json> = p
-        .shares
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .field("phase", s.phase)
-                .field("exact_share", s.exact)
-                .field("sampled_share", s.sampled)
-        })
-        .collect();
-    row.field("samples", p.samples.len() as u64)
-        .field("sampled_vs_exact", Json::Arr(shares))
+    row
 }
 
 /// One phase's movement against the baseline, in dual units.
@@ -304,58 +280,28 @@ fn main() {
         }
     }
     gates.push(Gate::none(
-        "lossy captures or sampled shares off exact",
+        "lossy captures or tenant folds off the whole",
         inexact,
         "personalities",
     ));
 
     // The flamegraphs: one collapsed-stack file per personality, plus a
     // per-tenant variant rooted at the tenant.
-    let mut gate_rows = Vec::new();
     for p in &profiles {
-        let folds = fold_samples(&p.samples, &p.label);
         gates.push(Gate::written(write_raw(
             &format!("flamegraphs/{}.collapsed", p.label),
-            &collapsed_lines(&folds),
+            &p.prof.collapsed(&p.label),
         )));
-        let mut tenants = String::new();
-        for (tenant, folds) in fold_samples_by_tenant(&p.samples, &p.label) {
-            for (stack, count) in &folds {
-                tenants.push_str(&format!("tenant{tenant};{stack} {count}\n"));
-            }
-        }
+        let tenants: String = p
+            .tenants
+            .iter()
+            .map(|(tenant, prof)| prof.collapsed(&format!("tenant{tenant};{}", p.label)))
+            .collect();
         gates.push(Gate::written(write_raw(
             &format!("flamegraphs/{}.tenants.collapsed", p.label),
             &tenants,
         )));
-        let worst = p
-            .shares
-            .iter()
-            .map(|s| (s.sampled / s.exact.max(1e-12) - 1.0).abs())
-            .fold(0.0f64, f64::max);
-        gate_rows.push(vec![
-            p.label.clone(),
-            format!("{:.0}", p.e2e_per_call()),
-            format!("{}", p.samples.len()),
-            format!("{}", p.shares.len()),
-            format!("{:.1}%", worst * 100.0),
-        ]);
     }
-    print_table(
-        &format!(
-            "sampled-vs-exact gate ({calls} calls, ±{:.0}% on phases ≥{:.0}%)",
-            SHARE_TOLERANCE * 100.0,
-            MIN_SHARE * 100.0
-        ),
-        &[
-            "transport",
-            "e2e cyc/call",
-            "samples",
-            "phases gated",
-            "worst err",
-        ],
-        &gate_rows,
-    );
 
     let rows: Vec<Json> = profiles.iter().map(profile_row).collect();
     let rows_doc = Json::obj()

@@ -16,17 +16,14 @@
 //!   [`sb_sim::Pmu`] counters per run.
 //! * [`phase::attribute`] — folds a recorded run's spans into a
 //!   trampoline / switch / marshal / queue-wait / handler cycle
-//!   breakdown ([`PhaseProfile`]), a software Figure 7.
+//!   breakdown ([`PhaseProfile`]), a software Figure 7, and into
+//!   collapsed-stack flamegraphs in cycles from the same exact fold.
 //! * [`export::chrome_trace`] — Chrome trace-event JSON loadable in
 //!   Perfetto, with explicit truncation accounting when a ring
 //!   overwrote events.
 //! * [`Json`] — the workspace's one JSON value: the compact writer every
 //!   results file and postmortem bundle goes through, and the strict
 //!   reader ([`Json::parse`]) gates and tests read them back with.
-//! * [`profiler`] — a deterministic cycle-sampling profiler riding the
-//!   emit path: per-lane span stacks sampled on a fixed grid of the
-//!   simulated clock, folded into collapsed-stack flamegraphs and
-//!   validated against the exact [`PhaseProfile`] shares.
 //!
 //! The crate depends only on `sb-sim`, so every layer of the stack —
 //! transports, the SkyBridge core, the dispatcher, the chaos harness —
@@ -37,19 +34,13 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod phase;
-pub mod profiler;
 pub mod ring;
 
 pub use export::{chrome_trace, validate_recorder_nesting, ChromeTrace};
 pub use hist::{Exemplar, Log2Histogram, DEFAULT_EXEMPLAR_CAPACITY, HIST_RELATIVE_ERROR};
 pub use json::Json;
 pub use metrics::{HistSummary, Registry, Snapshot};
-pub use phase::{attribute, validate_nesting, PhaseProfile};
-pub use profiler::{
-    collapsed_lines, compare_shares, fold_samples, fold_samples_by_tenant, sampled_shares, Sample,
-    SampleStats, SamplerConfig, ShareComparison, DEFAULT_SAMPLE_CAPACITY, DEFAULT_SAMPLE_PERIOD,
-    MAX_SAMPLE_DEPTH,
-};
+pub use phase::{attribute, attribute_by_corr, validate_nesting, PhaseProfile};
 pub use ring::{
     Event, EventKind, EventRing, FaultCounts, FaultEvent, FaultStage, InstantKind, Recorder,
     SpanKind, DEFAULT_RING_CAPACITY,

@@ -12,7 +12,6 @@ use sb_sim::{Cycles, Pmu};
 
 use crate::export::ChromeTrace;
 use crate::hist::{Exemplar, Log2Histogram, DEFAULT_EXEMPLAR_CAPACITY};
-use crate::ring::Recorder;
 
 /// A metrics registry.
 #[derive(Debug, Clone, Default)]
@@ -91,27 +90,6 @@ impl Registry {
         ];
         for (field, v) in fields {
             self.counters.insert(format!("{prefix}.{field}"), v);
-        }
-    }
-
-    /// Surfaces a recorder's trace-loss accounting as absolute
-    /// counters under `trace.*` — the registry-side mirror of the
-    /// rings' exact drop counts, so every snapshot (and through it the
-    /// `metrics` block of a postmortem bundle) says whether its trace
-    /// data is complete. Absolute values, like [`Registry::record_pmu`],
-    /// so [`Snapshot::diff`] scopes them to a region.
-    pub fn record_trace_loss(&mut self, rec: &Recorder) {
-        let stats = rec.sample_stats();
-        let fields: [(&str, u64); 6] = [
-            ("events_recorded", rec.recorded()),
-            ("events_dropped", rec.dropped()),
-            ("samples_taken", stats.taken),
-            ("samples_dropped", stats.dropped),
-            ("samples_poisoned", stats.poisoned),
-            ("sampler_broken_events", stats.broken_events),
-        ];
-        for (field, v) in fields {
-            self.counters.insert(format!("trace.{field}"), v);
         }
     }
 
@@ -303,33 +281,9 @@ mod tests {
 
     #[cfg(feature = "trace")]
     #[test]
-    fn trace_loss_counters_mirror_the_recorder() {
-        use crate::ring::SpanKind;
-
-        let mut r = Registry::new();
-        let rec = Recorder::new(2);
-        rec.enable_sampling(crate::profiler::SamplerConfig {
-            period: 10,
-            capacity: 1,
-            backend: "test".into(),
-        });
-        for i in 0..4u64 {
-            rec.span(0, SpanKind::Call, i * 100, i * 100 + 50, i);
-        }
-        r.record_trace_loss(&rec);
-        let s = r.snapshot();
-        assert_eq!(s.counter("trace.events_recorded"), 4);
-        assert_eq!(s.counter("trace.events_dropped"), 2);
-        assert_eq!(s.counter("trace.samples_taken"), 20);
-        assert_eq!(s.counter("trace.samples_dropped"), 19);
-        assert_eq!(s.counter("trace.samples_poisoned"), 0);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
     fn export_truncation_counters_land_under_trace() {
         use crate::export::chrome_trace;
-        use crate::ring::SpanKind;
+        use crate::ring::{Recorder, SpanKind};
 
         let mut r = Registry::new();
         let rec = Recorder::new(4);

@@ -8,8 +8,14 @@
 //! `call` span itself didn't delegate (uninstrumented glue), and the sum
 //! of all phases equals the sum of call durations by construction — the
 //! property `tests/observe.rs::phases_fit_inside_their_calls` holds.
+//!
+//! The same fold charges each self time to the span's open-stack path
+//! as well (`call;handler`), which is the run's flamegraph in exact
+//! cycles: a path's leaf frame is the phase its cycles went to, so the
+//! leaf sums of [`PhaseProfile::stacks`] are [`PhaseProfile::phases`].
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use sb_sim::Cycles;
 
@@ -20,6 +26,11 @@ use crate::ring::{Event, EventKind, SpanKind};
 pub struct PhaseProfile {
     /// Self-cycles charged to each span kind.
     pub phases: BTreeMap<&'static str, Cycles>,
+    /// Self-cycles charged to each open-stack path, outermost frame
+    /// first (`call;handler`). Wait spans (queue wait, backoff, ring
+    /// wait) are their own root frame: they are stamped retroactively
+    /// over time that overlaps other spans, so no open stack owns them.
+    pub stacks: BTreeMap<String, Cycles>,
     /// Completed `Call` spans seen.
     pub calls: u64,
     /// Sum of `Call` span durations — the end-to-end cycles the phases
@@ -62,6 +73,9 @@ impl PhaseProfile {
         for (phase, cycles) in &other.phases {
             *self.phases.entry(phase).or_insert(0) += cycles;
         }
+        for (path, cycles) in &other.stacks {
+            *self.stacks.entry(path.clone()).or_insert(0) += cycles;
+        }
         self.calls += other.calls;
         self.end_to_end += other.end_to_end;
         self.unmatched += other.unmatched;
@@ -79,23 +93,69 @@ impl PhaseProfile {
             - self.get(SpanKind::RingWait)
             - self.get(SpanKind::Doorbell)
     }
+
+    /// [`PhaseProfile::stacks`] as collapsed-stack lines under the root
+    /// frame `root` (`root;call;handler cycles`), the format
+    /// `flamegraph.pl` and speedscope ingest. Paths charged no cycles
+    /// are left out.
+    pub fn collapsed(&self, root: &str) -> String {
+        let mut out = String::new();
+        for (path, &cycles) in &self.stacks {
+            if cycles > 0 {
+                let _ = writeln!(out, "{root};{path} {cycles}");
+            }
+        }
+        out
+    }
+
+    /// Charges `cycles` of self time to `kind` and to the open-stack
+    /// `path` that ends in it.
+    fn charge(&mut self, kind: SpanKind, path: &str, cycles: Cycles) {
+        *self.phases.entry(kind.name()).or_insert(0) += cycles;
+        let path = match kind {
+            SpanKind::QueueWait | SpanKind::Backoff | SpanKind::RingWait => kind.name(),
+            _ => path,
+        };
+        match self.stacks.get_mut(path) {
+            Some(total) => *total += cycles,
+            None => {
+                self.stacks.insert(path.to_string(), cycles);
+            }
+        }
+    }
 }
 
 struct Open {
     kind: SpanKind,
     t0: Cycles,
     child: Cycles,
+    /// The length of the path before this span's frame was appended.
+    mark: usize,
+}
+
+/// Appends `kind`'s frame to `path`, returning the length to truncate
+/// back to when the span closes.
+fn push_frame(path: &mut String, kind: SpanKind) -> usize {
+    let mark = path.len();
+    if mark > 0 {
+        path.push(';');
+    }
+    path.push_str(kind.name());
+    mark
 }
 
 /// Folds one lane's event stream into `profile`.
 fn fold_lane(events: &[Event], profile: &mut PhaseProfile) {
     let mut stack: Vec<Open> = Vec::new();
+    // The open stack's frames, kept in step with `stack`.
+    let mut path = String::new();
     for ev in events {
         match ev.kind {
             EventKind::Begin(kind) => stack.push(Open {
                 kind,
                 t0: ev.t,
                 child: 0,
+                mark: push_frame(&mut path, kind),
             }),
             EventKind::End(kind) => {
                 match stack.last() {
@@ -108,7 +168,8 @@ fn fold_lane(events: &[Event], profile: &mut PhaseProfile) {
                 let open = stack.pop().expect("matched above");
                 let duration = ev.t.saturating_sub(open.t0);
                 let self_time = duration.saturating_sub(open.child);
-                *profile.phases.entry(kind.name()).or_insert(0) += self_time;
+                profile.charge(kind, &path, self_time);
+                path.truncate(open.mark);
                 if kind == SpanKind::Call {
                     profile.calls += 1;
                     profile.end_to_end += duration;
@@ -121,7 +182,9 @@ fn fold_lane(events: &[Event], profile: &mut PhaseProfile) {
                 // A post-hoc leaf: its whole duration is self time, and
                 // it is a child of whatever span is open around it.
                 let dur = dur as Cycles;
-                *profile.phases.entry(kind.name()).or_insert(0) += dur;
+                let mark = push_frame(&mut path, kind);
+                profile.charge(kind, &path, dur);
+                path.truncate(mark);
                 if kind == SpanKind::Call {
                     profile.calls += 1;
                     profile.end_to_end += dur;
@@ -144,6 +207,25 @@ pub fn attribute(events_by_lane: &[Vec<Event>]) -> PhaseProfile {
         fold_lane(lane, &mut profile);
     }
     profile
+}
+
+/// Folds every lane's events like [`attribute`], into one profile per
+/// `key(corr)` — e.g. the tenant each request billed. Every span of a
+/// request carries its correlation id, so each run of events sharing
+/// one is folded on its own: a span that opens in one run and closes in
+/// another counts as unmatched and unclosed, never charged. With both
+/// counts zero the parts merge back to [`attribute`]'s profile exactly.
+pub fn attribute_by_corr<K: Ord>(
+    events_by_lane: &[Vec<Event>],
+    mut key: impl FnMut(u64) -> K,
+) -> BTreeMap<K, PhaseProfile> {
+    let mut parts: BTreeMap<K, PhaseProfile> = BTreeMap::new();
+    for events in events_by_lane {
+        for run in events.chunk_by(|a, b| a.corr == b.corr) {
+            fold_lane(run, parts.entry(key(run[0].corr)).or_default());
+        }
+    }
+    parts
 }
 
 /// Checks that a lane's span stream is well-formed: every `End` closes
@@ -230,6 +312,11 @@ mod tests {
         assert_eq!(p.get(SpanKind::Call), 0, "fully delegated call");
         assert_eq!(p.in_call_total(), p.end_to_end);
         assert_eq!((p.unmatched, p.unclosed), (0, 0));
+        assert_eq!(
+            p.collapsed("sky"),
+            "sky;call;handler 50\nsky;call;switch 20\nsky;call;trampoline 30\n",
+            "the fully delegated call frame has no line of its own"
+        );
     }
 
     #[test]
@@ -253,6 +340,17 @@ mod tests {
         assert_eq!(p.get(SpanKind::Call), 20, "the uncovered tail is glue");
         assert_eq!(p.in_call_total(), p.end_to_end);
         assert_eq!(validate_nesting(&lane), Ok(4));
+        let stacks: Vec<(&str, Cycles)> = p.stacks.iter().map(|(s, &c)| (s.as_str(), c)).collect();
+        assert_eq!(
+            stacks,
+            [
+                ("call", 20),
+                ("call;handler", 50),
+                ("call;switch", 10),
+                ("call;trampoline", 20)
+            ],
+            "a leaf frame sits under the span open around it"
+        );
     }
 
     #[test]
@@ -282,6 +380,31 @@ mod tests {
         assert_eq!(p.get(SpanKind::QueueWait), 40);
         assert_eq!(p.in_call_total(), 50);
         assert_eq!(p.total(), 90);
+    }
+
+    #[test]
+    fn wait_spans_fold_as_their_own_root_frame() {
+        let lane = vec![
+            b(0, SpanKind::QueueWait),
+            e(40, SpanKind::QueueWait),
+            b(40, SpanKind::Call),
+            e(90, SpanKind::Call),
+            b(90, SpanKind::Doorbell),
+            Event {
+                t: 90,
+                corr: 0,
+                kind: EventKind::Complete(SpanKind::RingWait, 15),
+            },
+            e(120, SpanKind::Doorbell),
+        ];
+        let p = attribute(&[lane]);
+        assert_eq!(p.end_to_end, 50);
+        assert_eq!(p.total(), 120);
+        assert_eq!(
+            p.collapsed("x"),
+            "x;call 50\nx;doorbell 15\nx;queue_wait 40\nx;ring_wait 15\n",
+            "a wait is its own root frame, even inside an open span"
+        );
     }
 
     #[test]
@@ -331,7 +454,51 @@ mod tests {
         assert_eq!(merged.calls, one.calls);
         assert_eq!(merged.end_to_end, one.end_to_end);
         assert_eq!(merged.phases, one.phases);
+        assert_eq!(merged.stacks, one.stacks);
         assert_eq!(merged.in_call_total(), one.in_call_total());
+    }
+
+    #[test]
+    fn corr_parts_fold_back_to_the_whole() {
+        let ev = |t, corr, kind| Event { t, corr, kind };
+        let call = |t: Cycles, corr: u64| {
+            [
+                ev(t, corr, EventKind::Begin(SpanKind::Call)),
+                ev(
+                    t + 10,
+                    corr,
+                    EventKind::Complete(SpanKind::Handler, 30 + corr as u32),
+                ),
+                ev(t + 60, corr, EventKind::End(SpanKind::Call)),
+            ]
+        };
+        let lanes = vec![
+            [call(0, 1), call(100, 2), call(200, 3)].concat(),
+            call(0, 4).to_vec(),
+        ];
+        let parts = attribute_by_corr(&lanes, |corr| corr % 2);
+        assert_eq!(parts.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!((parts[&0].calls, parts[&1].calls), (2, 2));
+        let mut merged = PhaseProfile::default();
+        for part in parts.values() {
+            merged.merge(part);
+        }
+        let whole = attribute(&lanes);
+        assert_eq!(merged.stacks, whole.stacks);
+        assert_eq!(merged.phases, whole.phases);
+        assert_eq!(merged.end_to_end, whole.end_to_end);
+        assert_eq!(whole.stacks["call;handler"], 4 * 30 + 1 + 2 + 3 + 4);
+
+        // Another request's events inside a call split it: refused, not
+        // charged to either.
+        let torn = vec![
+            ev(0, 1, EventKind::Begin(SpanKind::Call)),
+            ev(10, 2, EventKind::Complete(SpanKind::Handler, 5)),
+            ev(60, 1, EventKind::End(SpanKind::Call)),
+        ];
+        let parts = attribute_by_corr(&[torn], |corr| corr);
+        assert_eq!((parts[&1].unclosed, parts[&1].unmatched), (1, 1));
+        assert_eq!(parts[&1].calls, 0);
     }
 
     #[test]

@@ -23,8 +23,6 @@ use std::rc::Rc;
 
 use sb_sim::Cycles;
 
-use crate::profiler::{LaneSampler, Sample, SampleStats, Sampler, SamplerConfig};
-
 /// Default per-lane ring capacity, in events.
 ///
 /// Sized so the ring's working set stays cache-resident (4,096 events ≈
@@ -86,20 +84,6 @@ impl SpanKind {
         SpanKind::Doorbell,
         SpanKind::Wrpkru,
     ];
-
-    /// Compact stable code (the index in [`SpanKind::ALL`]) — the form
-    /// a [`Sample`](crate::profiler::Sample) stores its stack frames in.
-    pub fn code(self) -> u8 {
-        SpanKind::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("every kind is in ALL") as u8
-    }
-
-    /// Decodes a [`SpanKind::code`] (None for an out-of-range code).
-    pub fn from_code(code: u8) -> Option<SpanKind> {
-        SpanKind::ALL.get(code as usize).copied()
-    }
 
     /// Stable display name (trace and report keys).
     pub fn name(self) -> &'static str {
@@ -323,42 +307,29 @@ impl FaultCounts {
     }
 }
 
-/// One lane's recording state: its event ring and its sampler half.
-/// Keeping them in the same slot means the emit hot path pays one
-/// borrow and one bounds check for both.
-#[derive(Debug)]
-struct LaneTrack {
-    ring: EventRing,
-    samp: LaneSampler,
-}
-
-impl LaneTrack {
-    fn new(capacity: usize) -> Self {
-        LaneTrack {
-            ring: EventRing::new(capacity),
-            samp: LaneSampler::default(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     enabled: Cell<bool>,
     capacity: usize,
-    lanes: RefCell<Vec<LaneTrack>>,
+    lanes: RefCell<Vec<EventRing>>,
     global: RefCell<EventRing<FaultEvent>>,
     fault_seq: Cell<u64>,
     faults: Cell<FaultCounts>,
-    /// Fast flag mirroring `sampler.is_some()` so the emit hot path
-    /// skips the `RefCell` borrow when sampling is off.
-    sampling: Cell<bool>,
-    sampler: RefCell<Option<Sampler>>,
     /// Events removed by [`Recorder::take_lane_events`] and the drops
     /// they had already suffered — folded back into
     /// [`Recorder::recorded`] / [`Recorder::dropped`] so a chunked
     /// harvest keeps exact loss accounting.
     drained_events: Cell<u64>,
     drained_dropped: Cell<u64>,
+    /// Unused: holds `Inner` at the 272 bytes it had while it carried the
+    /// cycle sampler's state. Every transport boot allocates off
+    /// recorders, and glibc places what follows by their size: at 160
+    /// bytes the benchmark's first thread-local lands low in the heap,
+    /// so glibc trims the heap after each SkyBridge transport drop and
+    /// every later boot in the process re-faults ~230 pages (`xcall_sky`
+    /// `setup_s` +29 %). EXPERIMENTS.md "Exact profile and profile diff"
+    /// has the allocation trace.
+    _heap_layout: [u64; 14],
 }
 
 /// The shared recorder handle every instrumented layer holds.
@@ -400,10 +371,9 @@ impl Recorder {
                 global: RefCell::new(EventRing::new(capacity.max(1))),
                 fault_seq: Cell::new(0),
                 faults: Cell::new(FaultCounts::default()),
-                sampling: Cell::new(false),
-                sampler: RefCell::new(None),
                 drained_events: Cell::new(0),
                 drained_dropped: Cell::new(0),
+                _heap_layout: [0; 14],
             }),
         }
     }
@@ -441,18 +411,9 @@ impl Recorder {
         let mut lanes = self.inner.lanes.borrow_mut();
         if lanes.len() <= lane {
             let cap = self.inner.capacity;
-            lanes.resize_with(lane + 1, || LaneTrack::new(cap));
+            lanes.resize_with(lane + 1, || EventRing::new(cap));
         }
-        let track = &mut lanes[lane];
-        track.ring.push(ev);
-        // The sampler rides the same funnel: it sees every event in
-        // emit order, independently of event-ring overwrite (a sample
-        // is taken even if the event it derives from is later lost).
-        // Its per-lane state sits in the track borrowed above, so the
-        // common no-grid-point case never touches the sampler cell.
-        if self.inner.sampling.get() {
-            crate::profiler::drive(&self.inner.sampler, lane, &mut track.samp, &ev);
-        }
+        lanes[lane].push(ev);
     }
 
     /// Opens a span of `kind` on `lane` at lane-clock `t`.
@@ -560,96 +521,6 @@ impl Recorder {
         self.inner.faults.get()
     }
 
-    /// Arms the cycle-sampling profiler: from now on every emitted
-    /// event also drives the per-lane sampler, which records the live
-    /// span stack at every `config.period` cycles of lane time. The
-    /// recorder must be enabled for samples to be taken (sampling rides
-    /// the emit funnel). A no-op without the `trace` feature.
-    pub fn enable_sampling(&self, config: SamplerConfig) {
-        #[cfg(feature = "trace")]
-        {
-            *self.inner.sampler.borrow_mut() = Some(Sampler::new(config));
-            self.inner.sampling.set(true);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = config;
-    }
-
-    /// Whether a sampler is armed.
-    pub fn sampling_enabled(&self) -> bool {
-        self.inner.sampling.get()
-    }
-
-    /// The sampler's backend label (empty when sampling is off).
-    pub fn sampler_backend(&self) -> String {
-        self.inner
-            .sampler
-            .borrow()
-            .as_ref()
-            .map(|s| s.backend().to_string())
-            .unwrap_or_default()
-    }
-
-    /// Notes the tenant lane `lane` is currently serving; subsequent
-    /// samples on that lane carry it. Costs one flag read when sampling
-    /// is off — cheap enough for every transport call path.
-    #[inline]
-    pub fn note_tenant(&self, lane: usize, tenant: u16) {
-        #[cfg(feature = "trace")]
-        {
-            if !self.inner.sampling.get() || !self.inner.enabled.get() {
-                return;
-            }
-            let mut lanes = self.inner.lanes.borrow_mut();
-            if lanes.len() <= lane {
-                let cap = self.inner.capacity;
-                lanes.resize_with(lane + 1, || LaneTrack::new(cap));
-            }
-            lanes[lane].samp.tenant = tenant;
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (lane, tenant);
-    }
-
-    /// The samples currently held, oldest first (empty when sampling is
-    /// off).
-    pub fn samples(&self) -> Vec<Sample> {
-        self.inner
-            .sampler
-            .borrow()
-            .as_ref()
-            .map(Sampler::samples)
-            .unwrap_or_default()
-    }
-
-    /// Drains the sample ring (for chunked harvests over long runs);
-    /// [`Recorder::sample_stats`] accounting survives the drain.
-    pub fn drain_samples(&self) -> Vec<Sample> {
-        self.inner
-            .sampler
-            .borrow_mut()
-            .as_mut()
-            .map(Sampler::drain)
-            .unwrap_or_default()
-    }
-
-    /// Exact sampler accounting (zeroes when sampling is off).
-    pub fn sample_stats(&self) -> SampleStats {
-        let broken = self
-            .inner
-            .lanes
-            .borrow()
-            .iter()
-            .map(|t| t.samp.broken_events)
-            .sum();
-        self.inner
-            .sampler
-            .borrow()
-            .as_ref()
-            .map(|s| s.stats(broken))
-            .unwrap_or_default()
-    }
-
     /// Drains every lane's event ring, returning the held events per
     /// lane (oldest first) — the chunked-capture primitive: harvest and
     /// fold into a [`PhaseProfile`](crate::phase::PhaseProfile) before
@@ -660,14 +531,14 @@ impl Recorder {
         let mut lanes = self.inner.lanes.borrow_mut();
         let cap = self.inner.capacity;
         let mut out = Vec::with_capacity(lanes.len());
-        for track in lanes.iter_mut() {
+        for ring in lanes.iter_mut() {
             self.inner
                 .drained_events
-                .set(self.inner.drained_events.get() + track.ring.pushed());
+                .set(self.inner.drained_events.get() + ring.pushed());
             self.inner
                 .drained_dropped
-                .set(self.inner.drained_dropped.get() + track.ring.dropped());
-            let drained = std::mem::replace(&mut track.ring, EventRing::new(cap));
+                .set(self.inner.drained_dropped.get() + ring.dropped());
+            let drained = std::mem::replace(ring, EventRing::new(cap));
             out.push(drained.iter().copied().collect());
         }
         out
@@ -683,7 +554,7 @@ impl Recorder {
     pub fn events(&self, lane: usize) -> Vec<Event> {
         let lanes = self.inner.lanes.borrow();
         match lanes.get(lane) {
-            Some(t) => t.ring.iter().copied().collect(),
+            Some(ring) => ring.iter().copied().collect(),
             None => Vec::new(),
         }
     }
@@ -701,7 +572,7 @@ impl Recorder {
             .lanes
             .borrow()
             .get(lane)
-            .map_or(0, |t| t.ring.dropped())
+            .map_or(0, EventRing::dropped)
     }
 
     /// Total events lost to ring overwrite, across every track
@@ -709,7 +580,7 @@ impl Recorder {
     /// [`Recorder::take_lane_events`]).
     pub fn dropped(&self) -> u64 {
         let lanes = self.inner.lanes.borrow();
-        lanes.iter().map(|t| t.ring.dropped()).sum::<u64>()
+        lanes.iter().map(EventRing::dropped).sum::<u64>()
             + self.inner.global.borrow().dropped()
             + self.inner.drained_dropped.get()
     }
@@ -718,14 +589,13 @@ impl Recorder {
     /// events already harvested by [`Recorder::take_lane_events`]).
     pub fn recorded(&self) -> u64 {
         let lanes = self.inner.lanes.borrow();
-        lanes.iter().map(|t| t.ring.pushed()).sum::<u64>()
+        lanes.iter().map(EventRing::pushed).sum::<u64>()
             + self.inner.global.borrow().pushed()
             + self.inner.drained_events.get()
     }
 
-    /// Empties every track and zeroes the drop/fault/sample
-    /// accounting; the enabled flag and the sampler configuration are
-    /// untouched.
+    /// Empties every track and zeroes the drop/fault accounting; the
+    /// enabled flag is untouched.
     pub fn clear(&self) {
         self.inner.lanes.borrow_mut().clear();
         *self.inner.global.borrow_mut() = EventRing::new(self.inner.capacity);
@@ -733,9 +603,6 @@ impl Recorder {
         self.inner.faults.set(FaultCounts::default());
         self.inner.drained_events.set(0);
         self.inner.drained_dropped.set(0);
-        if let Some(s) = self.inner.sampler.borrow_mut().as_mut() {
-            s.reset();
-        }
     }
 }
 

@@ -621,7 +621,6 @@ impl<T: Transport + ?Sized> Central<'_, T> {
     fn serve(&mut self, core: &mut Core, l: usize, req: &Request) {
         self.transport.wait_until(l, req.arrival);
         let start = self.transport.now(l);
-        core.cfg.recorder.note_tenant(l, req.tenant);
         if start > req.arrival {
             // Time between arrival and service start is queueing delay —
             // recorded against the serving lane, outside the call span.
@@ -839,7 +838,6 @@ impl<T: Transport> LaneQueue for Rings<'_, T> {
         let lane = (0..self.ring.lanes())
             .min_by_key(|&l| (self.ring.sq_len(l), self.ring.now(l)))
             .expect("at least one lane");
-        core.cfg.recorder.note_tenant(lane, req.tenant);
         let slot = core.fabric.slot(req.tenant);
         // A tenant past its batch share is refused exactly like a full
         // ring — the slots it cannot take stay open for others.
@@ -1505,7 +1503,6 @@ mod model {
             let lane = (0..self.ring.lanes())
                 .min_by_key(|&l| (self.ring.sq_len(l), self.ring.now(l)))
                 .expect("at least one lane");
-            core.cfg.recorder.note_tenant(lane, req.tenant);
             let mut placed =
                 !self.over_share(core, lane, req.tenant) && self.submit(core, lane, &req);
             if !placed && core.blocks(req.tenant) {

@@ -198,7 +198,6 @@ impl Transport for SkyBridgeTransport {
         // lane's staging buffer. The header's small args ride the
         // register image (the trampoline's registers); the payload is
         // written once into the shared buffer and served in place.
-        self.recorder.note_tenant(lane, req.tenant);
         self.recorder
             .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
         let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
@@ -271,7 +270,6 @@ impl Transport for SkyBridgeTransport {
         };
         let mut consumed = 0;
         for (i, req) in reqs.iter().enumerate() {
-            self.recorder.note_tenant(lane, req.tenant);
             let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
             self.lanes[lane].encode(req, deadline, &self.meter);
             let payload = self.lanes[lane].reply();

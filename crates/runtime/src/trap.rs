@@ -257,7 +257,6 @@ impl Transport for TrapIpcTransport {
     }
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
-        self.recorder.note_tenant(lane, req.tenant);
         self.recorder
             .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
         let out = self.call_inner(lane, req);

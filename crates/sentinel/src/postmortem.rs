@@ -1,14 +1,14 @@
 //! The flight recorder: self-contained JSON postmortem bundles.
 //!
 //! When an SLO breach or an unrecovered fault fires, the stack's recent
-//! state — per-lane event rings, a metrics [`Snapshot`] (typically a
-//! diff over the incident region), PMU counters, the fault-plane
-//! ledger, and the SLO tracker's health — is snapshotted into one JSON
-//! file under `results/postmortem/`. The bundle carries explicit
-//! truncation accounting: how many events each lane held, how many the
-//! per-lane budget kept, and how many the rings had already overwritten
-//! — so a reader can never mistake a clipped capture for the whole
-//! story.
+//! state — per-lane event rings and the exact flamegraph folded from
+//! the events kept, a metrics [`Snapshot`] (typically a diff over the
+//! incident region), PMU counters, the fault-plane ledger, and the SLO
+//! tracker's health — is snapshotted into one JSON file under
+//! `results/postmortem/`. The bundle carries explicit truncation
+//! accounting: how many events each lane held, how many the per-lane
+//! budget kept, and how many the rings had already overwritten — so a
+//! reader can never mistake a clipped capture for the whole story.
 //!
 //! Bundles are [`Json`] values: rendered by its one writer, and read
 //! back by its parser ([`BundleReceipt::read_back`]) wherever a bundle's
@@ -19,7 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use sb_faultplane::FaultReport;
-use sb_observe::{EventKind, Json, Recorder, Snapshot};
+use sb_observe::{attribute, Event, EventKind, Json, Recorder, Snapshot};
 use sb_sim::Pmu;
 
 use crate::slo::SloHealth;
@@ -117,7 +117,7 @@ impl BundleReceipt {
     }
 }
 
-fn event_json(ev: &sb_observe::Event) -> Json {
+fn event_json(ev: &Event) -> Json {
     let (tag, kind, dur) = match ev.kind {
         EventKind::Begin(k) => ("begin", k.name(), None),
         EventKind::End(k) => ("end", k.name(), None),
@@ -135,16 +135,19 @@ fn event_json(ev: &sb_observe::Event) -> Json {
     j
 }
 
-fn rings_json(rec: &Recorder, budget: usize) -> (Json, u64, u64, u64) {
+/// The rings block, plus the events it holds per lane (each lane's
+/// newest `budget`), the clipped count and the rings' own overwrite
+/// count.
+fn rings_json(rec: &Recorder, budget: usize) -> (Json, Vec<Vec<Event>>, u64, u64) {
     let mut lanes = Vec::new();
-    let (mut included, mut truncated) = (0u64, 0u64);
+    let mut held = Vec::new();
+    let mut truncated = 0u64;
     for lane in 0..rec.lane_count() {
         let events = rec.events(lane);
         let keep = events.len().min(budget);
         let clipped = (events.len() - keep) as u64;
         truncated += clipped;
-        included += keep as u64;
-        let tail = &events[events.len() - keep..];
+        let tail = events[events.len() - keep..].to_vec();
         lanes.push(
             Json::obj()
                 .field("lane", lane)
@@ -154,6 +157,7 @@ fn rings_json(rec: &Recorder, budget: usize) -> (Json, u64, u64, u64) {
                 .field("ring_dropped", rec.lane_dropped(lane))
                 .field("events", Json::Arr(tail.iter().map(event_json).collect())),
         );
+        held.push(tail);
     }
     let global: Vec<Json> = rec
         .global_events()
@@ -169,44 +173,25 @@ fn rings_json(rec: &Recorder, budget: usize) -> (Json, u64, u64, u64) {
     let j = Json::obj()
         .field("lanes", Json::Arr(lanes))
         .field("global", Json::Arr(global));
-    (j, included, truncated, ring_dropped)
+    (j, held, truncated, ring_dropped)
 }
 
-/// The sampling profiler's view of the incident: collapsed-stack folds
-/// (overall and per tenant) plus the sampler's exact loss accounting,
-/// so a bundle is enough to draw the flamegraph of the window that
-/// breached — and to know how much of it the sampler could not see.
-fn flamegraph_json(rec: &Recorder) -> Json {
-    if !rec.sampling_enabled() {
-        return Json::Null;
-    }
-    let backend = rec.sampler_backend();
-    let samples = rec.samples();
-    let stats = rec.sample_stats();
-    let folds_json = |folds: &std::collections::BTreeMap<String, u64>| {
-        Json::Obj(
-            folds
-                .iter()
-                .map(|(stack, &n)| (stack.clone(), Json::U64(n)))
-                .collect(),
-        )
-    };
-    let folds = sb_observe::fold_samples(&samples, &backend);
-    let by_tenant = Json::Obj(
-        sb_observe::fold_samples_by_tenant(&samples, &backend)
-            .iter()
-            .map(|(tenant, folds)| (tenant.to_string(), folds_json(folds)))
-            .collect(),
-    );
+/// The exact profile of the events the bundle holds: their self-cycles
+/// folded by open-stack path (`call;handler`), so a bundle is enough to
+/// draw the flamegraph of the window that breached. A clipped or
+/// overwritten lane can open mid-span; such spans are counted under
+/// `unmatched` / `unclosed`, never charged.
+fn flamegraph_json(held: &[Vec<Event>]) -> Json {
+    let prof = attribute(held);
+    let folds = prof
+        .stacks
+        .into_iter()
+        .map(|(path, cycles)| (path, Json::U64(cycles)))
+        .collect();
     Json::obj()
-        .field("backend", backend)
-        .field("taken", stats.taken)
-        .field("dropped", stats.dropped)
-        .field("idle_points", stats.idle_points)
-        .field("poisoned", stats.poisoned)
-        .field("broken_events", stats.broken_events)
-        .field("folds", folds_json(&folds))
-        .field("by_tenant", by_tenant)
+        .field("folds", Json::Obj(folds))
+        .field("unmatched", prof.unmatched)
+        .field("unclosed", prof.unclosed)
 }
 
 fn snapshot_json(s: &Snapshot) -> Json {
@@ -314,9 +299,14 @@ fn slo_json(h: &SloHealth) -> Json {
 /// Renders the bundle JSON without touching the filesystem. Returns the
 /// JSON plus (included, clipped, ring-dropped) event totals.
 pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (String, u64, u64, u64) {
-    let (rings, included, truncated, ring_dropped) = match input.recorder {
-        Some(rec) => rings_json(rec, max_events_per_lane),
-        None => (Json::Null, 0, 0, 0),
+    let (rings, flamegraph, included, truncated, ring_dropped) = match input.recorder {
+        Some(rec) => {
+            let (rings, held, truncated, ring_dropped) = rings_json(rec, max_events_per_lane);
+            let included = held.iter().map(|lane| lane.len() as u64).sum();
+            let flamegraph = flamegraph_json(&held);
+            (rings, flamegraph, included, truncated, ring_dropped)
+        }
+        None => (Json::Null, Json::Null, 0, 0, 0),
     };
     let truncation = Json::obj()
         .field("per_lane_budget", max_events_per_lane)
@@ -329,10 +319,7 @@ pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (Strin
         .field("tag", input.tag)
         .field("truncation", truncation)
         .field("rings", rings)
-        .field(
-            "flamegraph",
-            input.recorder.map_or(Json::Null, flamegraph_json),
-        )
+        .field("flamegraph", flamegraph)
         .field("metrics", input.metrics.map_or(Json::Null, snapshot_json))
         .field("pmu", input.pmu.map_or(Json::Null, pmu_json))
         .field("faults", input.faults.map_or(Json::Null, faults_json))
@@ -453,6 +440,12 @@ mod tests {
             990.0,
             "lane 0's final span survives"
         );
+        // The flamegraph folds what the bundle holds, not the whole ring.
+        assert_eq!(num(&bundle, &["flamegraph", "folds", "call"]), 40.0 * 5.0);
+        assert_eq!(
+            num(&bundle, &["flamegraph", "folds", "handler"]),
+            30.0 * 4.0
+        );
     }
 
     #[test]
@@ -534,9 +527,8 @@ mod tests {
             assert_eq!(num(&b, path), n, "{path:?}");
         }
         assert!(matches!(at(&b, &["slo", "in_breach"]), Json::Bool(true)));
-        for absent in ["flamegraph", "faults"] {
-            assert!(matches!(at(&b, &[absent]), Json::Null), "{absent}");
-        }
+        assert_eq!(num(&b, &["flamegraph", "folds", "call"]), 100.0);
+        assert!(matches!(at(&b, &["faults"]), Json::Null));
         assert_eq!(
             b.to_string(),
             json,

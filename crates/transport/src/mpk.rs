@@ -284,7 +284,6 @@ impl Transport for MpkTransport {
     }
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
-        self.recorder.note_tenant(lane, req.tenant);
         self.recorder
             .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
         let out = self.call_inner(lane, req);
@@ -318,7 +317,6 @@ impl Transport for MpkTransport {
         self.flip(lane, self.lane_pkru[lane], reqs[0].id);
         let mut consumed = 0;
         for (i, req) in reqs.iter().enumerate() {
-            self.recorder.note_tenant(lane, req.tenant);
             self.recorder
                 .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
             let t0 = self.k.machine.cpu(lane).tsc;

@@ -295,7 +295,6 @@ impl Transport for FixedServiceTransport {
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
         let t0 = self.clocks[lane];
-        self.recorder.note_tenant(lane, req.tenant);
         self.lanes[lane].encode(req, 0, &self.meter);
         self.clocks[lane] += self.service;
         if let Some((l, corr)) = self.poison {

@@ -318,6 +318,7 @@ pub mod opcode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn req(id: u64, key: u64, write: bool, payload: usize) -> Request {
         Request {
@@ -358,6 +359,32 @@ mod tests {
         h.write_to(&mut img);
         assert_eq!(WireHeader::parse(&img), Some(h));
         assert_eq!(WireHeader::parse(&img[..10]), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes never panic the parser: a short image or an
+        /// unknown version byte is refused, and an accepted image
+        /// re-serialises to exactly its first 24 bytes.
+        #[test]
+        fn parse_takes_arbitrary_bytes(
+            mut bytes in proptest::collection::vec(any::<u8>(), 0..2 * WIRE_HEADER_LEN),
+            stamp_version in any::<bool>(),
+        ) {
+            // Half the cases carry version 1, so accepted images are common.
+            if stamp_version && bytes.len() > 1 {
+                bytes[1] = 1;
+            }
+            let accepted = (bytes.len() >= WIRE_HEADER_LEN && bytes[1] == 1)
+                .then(|| bytes[..WIRE_HEADER_LEN].to_vec());
+            let reserialised = WireHeader::parse(&bytes).map(|h| {
+                let mut img = [0u8; WIRE_HEADER_LEN];
+                h.write_to(&mut img);
+                img.to_vec()
+            });
+            prop_assert_eq!(reserialised, accepted);
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! the dispatcher's accounting, ring overwrite is surfaced — never
 //! silent).
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use sb_observe::{
-    attribute, chrome_trace, validate_recorder_nesting, EventKind, InstantKind, Json,
-    Log2Histogram, Recorder, SpanKind,
+    attribute, attribute_by_corr, chrome_trace, validate_recorder_nesting, Event, EventKind,
+    InstantKind, Json, Log2Histogram, PhaseProfile, Recorder, SpanKind,
 };
 use sb_runtime::{Request, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
@@ -140,6 +142,83 @@ fn phases_fit_inside_their_calls() {
                 }
             }
         }
+    }
+}
+
+const TENANT_CALLS: u64 = 2048;
+const TENANTS: u64 = 3;
+
+/// Drives 2 048 calls billed round-robin to three tenants straight at
+/// `backend`'s transport and returns the whole capture, lane by lane.
+fn trace_tenant_calls(backend: &Backend) -> Vec<Vec<Event>> {
+    let recorder = Recorder::new(1 << 16);
+    let mut t = build_backend(ServingScenario::Kv, backend, 1);
+    t.attach_recorder(recorder.clone());
+    for i in 0..TENANT_CALLS {
+        let r = Request {
+            tenant: (i % TENANTS) as u16,
+            ..req(i, i.wrapping_mul(0x9e37_79b9) % 10_000, i % 3 == 0)
+        };
+        t.call(0, &r).unwrap();
+    }
+    assert_eq!(
+        recorder.dropped(),
+        0,
+        "{}: the ring holds the capture",
+        backend.label()
+    );
+    recorder.take_lane_events()
+}
+
+/// The flamegraph is the exact profile, not an estimate of it: on every
+/// personality, over 2 048 calls billed to three tenants, the stack
+/// folds' leaf sums are the per-phase self-cycles and their total is the
+/// end-to-end call cycles.
+#[test]
+fn stack_folds_are_the_exact_phase_profile_on_every_personality() {
+    for backend in Backend::all() {
+        let label = backend.label();
+        let prof = attribute(&trace_tenant_calls(&backend));
+        assert_eq!(prof.calls, TENANT_CALLS, "{label}");
+
+        let mut leaves = BTreeMap::new();
+        for (path, &cycles) in &prof.stacks {
+            let leaf = path.rsplit(';').next().expect("a path has a frame");
+            *leaves.entry(leaf).or_insert(0) += cycles;
+        }
+        assert_eq!(leaves, prof.phases, "{label}: leaf sums are the phases");
+        assert_eq!(
+            prof.stacks.values().sum::<u64>(),
+            prof.end_to_end,
+            "{label}: the folds decompose end-to-end exactly"
+        );
+    }
+}
+
+/// The per-tenant flamegraphs partition the overall one: splitting the
+/// same capture by the request id every span carries gives one exact
+/// fold per tenant, and those folds sum to the overall fold.
+#[test]
+fn tenant_stack_folds_partition_the_overall_fold() {
+    for backend in Backend::all() {
+        let label = backend.label();
+        let by_lane = trace_tenant_calls(&backend);
+        let prof = attribute(&by_lane);
+        let parts = attribute_by_corr(&by_lane, |corr| corr % TENANTS);
+        assert_eq!(parts.len() as u64, TENANTS, "{label}");
+        let mut recombined = PhaseProfile::default();
+        for part in parts.values() {
+            recombined.merge(part);
+        }
+        assert_eq!(
+            (recombined.unmatched, recombined.unclosed),
+            (0, 0),
+            "{label}"
+        );
+        assert_eq!(
+            recombined.stacks, prof.stacks,
+            "{label}: tenant folds sum to the whole"
+        );
     }
 }
 
