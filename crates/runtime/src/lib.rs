@@ -9,15 +9,17 @@
 //!
 //! * [`Transport`] (from `sb-transport`) — `bind` / `call` / `reply` /
 //!   `recover` over per-lane simulated cores, with the zero-copy
-//!   [`sb_transport::wire`] message layout. [`SkyBridgeTransport`] serves
-//!   via `direct_server_call` (one connection slot, and so one shared
-//!   buffer, per server thread — §4.4's concurrency rule);
-//!   [`TrapIpcTransport`] serves via `ipc_call` / `ipc_reply` under a
-//!   seL4/Fiasco.OC/Zircon personality; [`MpkTransport`] (from
-//!   `sb-transport`) crosses protection-key domains with two `WRPKRU`
-//!   flips in a single address space; `FixedServiceTransport` is the
-//!   synthetic backend for dispatcher tests, and [`Faulty`] wraps any of
-//!   them with the chaos fault plane.
+//!   [`sb_transport::wire`] message layout. The transports live in
+//!   `sb-transport` and share its per-lane `Envelope`, each owning only
+//!   its crossing: [`TrapIpcTransport`] (`ipc_call` / `ipc_reply` under a
+//!   seL4/Fiasco.OC/Zircon personality), [`MpkTransport`] (two `WRPKRU`
+//!   flips in a single address space) and `FixedServiceTransport` (the
+//!   synthetic backend for dispatcher tests), all re-exported here.
+//!   [`SkyBridgeTransport`] alone stays in this crate, because it needs
+//!   the `skybridge` facility: it serves via `direct_server_call` (one
+//!   connection slot, and so one shared buffer, per server thread —
+//!   §4.4's concurrency rule). [`Faulty`] wraps any of them with the
+//!   chaos fault plane.
 //! * The one discrete-event serving loop (`dispatch.rs`): the
 //!   [`TenantFabric`]'s gate, one outcome ledger, one retry path,
 //!   admission control ([`AdmissionPolicy::Shed`] vs
@@ -41,13 +43,12 @@ pub mod load;
 pub mod sky;
 pub mod stats;
 pub mod tenant;
-pub mod trap;
 
 pub use sb_observe::Recorder;
 pub use sb_sentinel::{SloHandle, SloSpec};
 pub use sb_transport::{
     CallError, Faulty, FixedServiceTransport, MpkTransport, Request, RingConfig, RingTransport,
-    ServiceSpec, TenantId, Transport,
+    ServiceSpec, TenantId, Transport, TrapIpcTransport,
 };
 
 pub use crate::{
@@ -58,5 +59,4 @@ pub use crate::{
     tenant::{
         AdmissionPolicy, Gate, RateLimit, TenantAction, TenantFabric, TenantRegistry, TenantSpec,
     },
-    trap::TrapIpcTransport,
 };

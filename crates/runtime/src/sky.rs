@@ -15,17 +15,18 @@
 //! registers, exactly the paper's design), the payload is written once
 //! into the connection's shared buffer and served in place, and the echo
 //! reply is the payload half of the lane — no `to_vec()`, no read-back.
+//! The lanes, meter, recorder, `Call` span, stale-reply seam and
+//! reply-corr check are `sb-transport`'s [`Envelope`], and the handler
+//! is [`ServiceSpec::serve_record`]: the trampoline is all this
+//! transport owns.
 
 use sb_faultplane::FaultHandle;
-use sb_mem::PAGE_SIZE;
 use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
-use sb_observe::{Recorder, SpanKind};
+use sb_observe::Recorder;
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 use sb_transport::{
-    verify_reply_corr,
-    wire::{Lane, OP_TAG_OFFSET},
-    BatchComplete, CallError, CopyMeter, Request, ServiceSpec, Transport, DATA_BASE, RECORD_LINE,
+    BatchComplete, CallError, Envelope, Request, ServiceSpec, Transport, DATA_BASE,
 };
 use skybridge::{HandlerReply, SbError, ServerId, SkyBridge};
 
@@ -33,6 +34,9 @@ use skybridge::{HandlerReply, SbError, ServerId, SkyBridge};
 pub struct SkyBridgeTransport {
     /// The kernel (exposed for PMU access in benches).
     pub k: Kernel,
+    /// Per-lane staging images of the connections' shared buffers, with
+    /// the meter, recorder and stale-reply seam.
+    pub envelope: Envelope,
     sb: SkyBridge,
     server: ServerId,
     /// Lane `l`'s client thread, pinned to core `l`.
@@ -40,12 +44,6 @@ pub struct SkyBridgeTransport {
     /// Whether lane `l` currently holds a connection slot (a rebind
     /// that hits injected slot exhaustion leaves the lane unbound).
     bound: Vec<bool>,
-    /// Per-lane staging image of the connection's shared buffer.
-    lanes: Vec<Lane>,
-    meter: CopyMeter,
-    label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
 }
 
 impl SkyBridgeTransport {
@@ -64,12 +62,11 @@ impl SkyBridgeTransport {
         );
         let server_pid = k.create_process(&corpus::generate(0x5b_01, 4096, 0));
         let server_tid = k.create_thread(server_pid, 0);
-        let data_pages = (spec.records as usize * RECORD_LINE).div_ceil(PAGE_SIZE as usize) + 1;
-        k.map_heap(server_pid, DATA_BASE, data_pages);
+        k.map_heap(server_pid, DATA_BASE, spec.data_pages());
 
         let mut sb = SkyBridge::new();
         sb.timeout = spec.timeout;
-        let (records, cpu) = (spec.records.max(1), spec.cpu);
+        let service = spec.clone();
         let server = sb
             .register_server(
                 &mut k,
@@ -77,15 +74,7 @@ impl SkyBridgeTransport {
                 lanes,
                 spec.footprint,
                 Box::new(move |_sb, k, ctx, req| {
-                    let key = u64::from_le_bytes(req[..8].try_into().expect("wire payload"));
-                    let at = DATA_BASE.add((key % records) * RECORD_LINE as u64);
-                    let mut line = [0u8; RECORD_LINE];
-                    if req[OP_TAG_OFFSET] == 1 {
-                        k.user_write(ctx.caller, at, &line)?;
-                    } else {
-                        k.user_read(ctx.caller, at, &mut line)?;
-                    }
-                    k.compute(ctx.caller, cpu);
+                    service.serve_record(k, ctx.caller, req)?;
                     // Echo the request — the service contract every
                     // transport implements, served in place from the
                     // shared buffer (no reply bytes materialised).
@@ -103,26 +92,14 @@ impl SkyBridgeTransport {
             k.run_thread(tid);
             clients.push(tid);
         }
-        let bound = vec![true; clients.len()];
         SkyBridgeTransport {
             k,
+            envelope: Envelope::new(lanes),
             sb,
             server,
-            lanes: (0..clients.len()).map(|_| Lane::new()).collect(),
             clients,
-            bound,
-            meter: CopyMeter::new(),
-            label: "skybridge".to_string(),
-            recorder: Recorder::off(),
-            poison: None,
+            bound: vec![true; lanes],
         }
-    }
-
-    /// Restamps the *next* call's reply header on `lane` with a stale
-    /// correlation id — the injection seam for proving `call` refuses a
-    /// reply that answers a different request.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
     }
 
     /// Attempts to bind one more client process beyond the per-lane
@@ -158,7 +135,7 @@ impl SkyBridgeTransport {
 
 impl Transport for SkyBridgeTransport {
     fn label(&self) -> &str {
-        &self.label
+        "skybridge"
     }
 
     fn lanes(&self) -> usize {
@@ -198,15 +175,14 @@ impl Transport for SkyBridgeTransport {
         // lane's staging buffer. The header's small args ride the
         // register image (the trampoline's registers); the payload is
         // written once into the shared buffer and served in place.
-        self.recorder
-            .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
+        self.envelope.open(lane, req, self.k.machine.cpu(lane).tsc);
         let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
-        self.lanes[lane].encode(req, deadline, &self.meter);
+        self.envelope.encode(lane, req, deadline);
         // Stamp the facility's trace id: every interior span of this
         // call — and of any nested call a handler makes — carries the
         // wire corr, so span trees assemble per request.
         self.sb.set_trace_corr(req.id);
-        let payload = self.lanes[lane].reply();
+        let payload = self.envelope.reply(lane);
         let out = match self.sb.direct_server_call_raw(
             &mut self.k,
             self.clients[lane],
@@ -215,33 +191,18 @@ impl Transport for SkyBridgeTransport {
         ) {
             // Echo served in place: the reply is the lane's payload half.
             Ok((None, _)) => Ok(payload.len()),
-            Ok((Some(v), _)) => {
-                // A non-echo reply (none on the serving hot path): copy
-                // it into the lane so `reply` stays a buffer view.
-                let n = v.len();
-                self.meter.add(n);
-                self.lanes[lane].set_reply(&v);
-                Ok(n)
-            }
+            // A non-echo reply (none on the serving hot path): copy it
+            // into the lane so `reply` stays a buffer view.
+            Ok((Some(v), _)) => Ok(self.envelope.set_reply(lane, &v)),
             Err(SbError::Timeout { elapsed, .. }) => Err(CallError::Timeout { elapsed }),
             Err(e) => Err(CallError::Failed(e.to_string())),
         };
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        // Refuse a reply that answers a different request: the lane's
-        // header corr must still be the outstanding call's id.
-        let out = out.and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-        self.recorder
-            .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        out
+        self.envelope
+            .close(lane, req, out, self.k.machine.cpu(lane).tsc)
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.envelope.reply(lane)
     }
 
     /// The native doorbell drain: one trampoline + VMFUNC crossing for
@@ -271,24 +232,15 @@ impl Transport for SkyBridgeTransport {
         let mut consumed = 0;
         for (i, req) in reqs.iter().enumerate() {
             let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
-            self.lanes[lane].encode(req, deadline, &self.meter);
-            let payload = self.lanes[lane].reply();
+            self.envelope.encode(lane, req, deadline);
+            let payload = self.envelope.reply(lane);
             let out = self
                 .sb
                 .batch_serve(&mut self.k, &mut session, payload, req.id);
             consumed = i + 1;
-            match out {
-                Ok(None) => {
-                    let r = verify_reply_corr(&self.lanes[lane], req.id).map(|()| payload.len());
-                    complete(i, r, self.lanes[lane].reply());
-                }
-                Ok(Some(v)) => {
-                    let n = v.len();
-                    self.meter.add(n);
-                    self.lanes[lane].set_reply(&v);
-                    let r = verify_reply_corr(&self.lanes[lane], req.id).map(|()| n);
-                    complete(i, r, self.lanes[lane].reply());
-                }
+            let served = match out {
+                Ok(None) => payload.len(),
+                Ok(Some(v)) => self.envelope.set_reply(lane, &v),
                 Err(SbError::Timeout { elapsed, .. }) => {
                     complete(i, Err(CallError::Timeout { elapsed }), &[]);
                     break; // The forced return (§7) closed the session.
@@ -297,7 +249,9 @@ impl Transport for SkyBridgeTransport {
                     complete(i, Err(CallError::Failed(e.to_string())), &[]);
                     break; // The error path closed the session.
                 }
-            }
+            };
+            let settled = self.envelope.settle(lane, req.id, Ok(served));
+            complete(i, settled, self.envelope.reply(lane));
             if !session.is_open() {
                 break;
             }
@@ -326,14 +280,14 @@ impl Transport for SkyBridgeTransport {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.envelope.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
         // The facility emits the interior phase spans (trampoline /
-        // switch / handler); the transport wraps them in the Call span.
+        // switch / handler); the envelope wraps them in the Call span.
         self.sb.set_recorder(recorder.clone());
-        self.recorder = recorder;
+        self.envelope.attach_recorder(recorder);
     }
 
     fn pmu(&self) -> Option<sb_sim::Pmu> {
@@ -392,15 +346,22 @@ mod tests {
 
     #[test]
     fn stale_reply_corr_is_refused() {
-        let mut t = SkyBridgeTransport::new(1, &ServiceSpec::default());
-        t.poison_next_reply_corr(0, 99);
+        // The same check as sb-transport's envelope test helper, which
+        // this crate's tests cannot see.
+        let mut t = SkyBridgeTransport::new(2, &ServiceSpec::default());
+        t.envelope.poison_next_reply_corr(0, 99);
+        assert_eq!(
+            t.call(1, &mk(1, 7, false)).unwrap(),
+            64,
+            "other lane untouched"
+        );
         match t.call(0, &mk(1, 7, false)) {
             Err(CallError::CorrMismatch { expected, got }) => {
                 assert_eq!((expected, got), (1, 99));
             }
             other => panic!("expected CorrMismatch, got {other:?}"),
         }
-        // The lane heals on the next encode.
+        // One-shot: the lane heals on the next encode.
         assert_eq!(t.call(0, &mk(2, 7, false)).unwrap(), 64);
     }
 

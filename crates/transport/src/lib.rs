@@ -10,17 +10,29 @@
 //! travel in the [`RegImage`] the paper's trampoline carries in
 //! registers.
 //!
+//! Every wire-staging transport keeps its lanes in one [`Envelope`]: the
+//! staging images, the copy meter, the recorder and the `Call` span, the
+//! stale-reply seam and the reply-corr check. Each kernel-backed one
+//! serves the same record work ([`ServiceSpec::serve_record`]). What a
+//! personality owns is its crossing alone: [`TrapIpcTransport`]'s
+//! `ipc_call`/`ipc_reply`, [`MpkTransport`]'s `WRPKRU` pair,
+//! [`FixedServiceTransport`]'s clock bump, and — in `sb-runtime`, which
+//! holds the `skybridge` dependency — `SkyBridgeTransport`'s trampoline.
+//!
 //! The dispatcher, retry/recovery machinery, load generator, and the
 //! chaos and differential harnesses (in `sb-runtime`) are generic over
 //! [`Transport`]; [`Faulty`] composes fault injection with any backend.
 
+mod envelope;
 mod faulty;
 pub mod mpk;
 pub mod ring;
 pub mod service;
 mod transport;
+pub mod trap;
 pub mod wire;
 
+pub use envelope::Envelope;
 pub use faulty::Faulty;
 pub use mpk::MpkTransport;
 pub use ring::{RingCompletion, RingConfig, RingError, RingTransport};
@@ -28,6 +40,7 @@ pub use service::{ServiceSpec, DATA_BASE, RECORD_LINE};
 pub use transport::{
     verify_reply_corr, BatchComplete, CallError, FixedServiceTransport, Transport,
 };
+pub use trap::TrapIpcTransport;
 pub use wire::{
     opcode, CopyMeter, Lane, RegImage, Request, TenantId, WireHeader, OP_TAG_OFFSET,
     WIRE_HEADER_LEN, WIRE_MIN,

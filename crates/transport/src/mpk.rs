@@ -27,15 +27,16 @@
 //! rewriter argument applies to `WRPKRU` occurrences just as to
 //! `VMFUNC`).
 
-use sb_mem::{walk::Access, Gva, PAGE_SIZE};
-use sb_microkernel::{layout, Kernel, KernelConfig, Personality, ThreadId};
+use sb_mem::{walk::Access, Gva};
+use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
 use sb_observe::{Recorder, SpanKind};
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 
+use crate::envelope::Envelope;
 use crate::service::{ServiceSpec, DATA_BASE, RECORD_LINE};
-use crate::transport::{verify_reply_corr, BatchComplete, CallError, Transport};
-use crate::wire::{CopyMeter, Lane, Request, OP_TAG_OFFSET, WIRE_HEADER_LEN};
+use crate::transport::{BatchComplete, CallError, Transport};
+use crate::wire::{Request, WIRE_HEADER_LEN};
 
 /// Protection key tagging the server's record region.
 pub const SERVER_KEY: u8 = 1;
@@ -67,20 +68,14 @@ const STALE_PKRU: u32 = CLIENT_PKRU | SERVER_PKRU;
 pub struct MpkTransport {
     /// The kernel facade (exposed for PMU access in benches).
     pub k: Kernel,
+    /// The lanes, meter, recorder and stale-reply seam.
+    pub envelope: Envelope,
     /// Lane `l`'s migrating thread.
     threads: Vec<ThreadId>,
-    /// Per-lane staging image of the message buffer.
-    lanes: Vec<Lane>,
     /// The PKRU value lane `l`'s entry flip loads — [`SERVER_PKRU`] when
     /// healthy, [`STALE_PKRU`] after an injected restore bug.
     lane_pkru: Vec<u32>,
-    meter: CopyMeter,
-    cpu: Cycles,
-    records: u64,
-    footprint: usize,
-    label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
+    spec: ServiceSpec,
 }
 
 impl MpkTransport {
@@ -99,8 +94,7 @@ impl MpkTransport {
             "lanes must fit the machine's cores"
         );
         let pid = k.create_process(&corpus::generate(0x3b_99, 4096, 0));
-        let data_pages = (spec.records as usize * RECORD_LINE).div_ceil(PAGE_SIZE as usize) + 1;
-        k.map_heap_keyed(pid, DATA_BASE, data_pages, SERVER_KEY);
+        k.map_heap_keyed(pid, DATA_BASE, spec.data_pages(), SERVER_KEY);
         k.map_heap_keyed(pid, CLIENT_BASE, 1, CLIENT_KEY);
 
         let mut threads = Vec::with_capacity(lanes);
@@ -113,24 +107,11 @@ impl MpkTransport {
         }
         MpkTransport {
             k,
-            lanes: (0..threads.len()).map(|_| Lane::new()).collect(),
-            lane_pkru: vec![SERVER_PKRU; threads.len()],
+            envelope: Envelope::new(lanes),
+            lane_pkru: vec![SERVER_PKRU; lanes],
             threads,
-            meter: CopyMeter::new(),
-            cpu: spec.cpu,
-            records: spec.records.max(1),
-            footprint: spec.footprint,
-            label: "mpk".to_string(),
-            recorder: Recorder::off(),
-            poison: None,
+            spec: spec.clone(),
         }
-    }
-
-    /// Restamps the *next* call's reply header on `lane` with a stale
-    /// correlation id — the injection seam for proving `call` refuses a
-    /// reply that answers a different request.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
     }
 
     /// Has the handler stray outside its pkey-permitted set: from inside
@@ -156,32 +137,13 @@ impl MpkTransport {
             .map_err(|e| e.to_string())
     }
 
-    /// The handler body, inside the server domain: fetch the handler's
-    /// code, parse the message in place (charge-only — the bytes already
-    /// sit in the lane's staging image), touch the record, compute, echo.
+    /// The handler body, inside the server domain, over the message the
+    /// lane staged: [`ServiceSpec::serve_in_place`], echoing in place.
     fn serve(&mut self, lane: usize, wire_len: usize) -> Result<usize, String> {
         let tid = self.threads[lane];
-        let k = &mut self.k;
-        let buf = k.threads[tid].msg_buf;
-        k.user_exec(tid, layout::CODE_BASE, self.footprint)
-            .map_err(|e| e.to_string())?;
-        k.user_touch(tid, buf, wire_len, Access::Read)
-            .map_err(|e| e.to_string())?;
-        let payload = self.lanes[lane].reply();
-        let key = u64::from_le_bytes(payload[..8].try_into().expect("wire payload"));
-        let at = DATA_BASE.add((key % self.records) * RECORD_LINE as u64);
-        let mut line = [0u8; RECORD_LINE];
-        if payload[OP_TAG_OFFSET] == 1 {
-            k.user_write(tid, at, &line).map_err(|e| e.to_string())?;
-        } else {
-            k.user_read(tid, at, &mut line).map_err(|e| e.to_string())?;
-        }
-        k.compute(tid, self.cpu);
-        // Echo reply: the reply bytes are the message's payload half,
-        // already in the buffer — the reply write is charge-only.
-        k.user_touch(tid, buf, wire_len, Access::Write)
-            .map_err(|e| e.to_string())?;
-        Ok(payload.len())
+        self.spec
+            .serve_in_place(&mut self.k, tid, wire_len, self.envelope.reply(lane))
+            .map_err(|e| e.to_string())
     }
 
     /// One marshalling write: the wire image into the lane's message
@@ -189,12 +151,9 @@ impl MpkTransport {
     /// shared buffer).
     fn marshal(&mut self, lane: usize, req: &Request) -> Result<usize, String> {
         let tid = self.threads[lane];
-        let wire = self.lanes[lane].encode(req, 0, &self.meter);
-        let buf = self.k.threads[tid].msg_buf;
-        self.k
-            .user_write(tid, buf, wire)
-            .map_err(|e| e.to_string())?;
-        Ok(wire.len())
+        self.envelope
+            .stage(&mut self.k, lane, tid, req)
+            .map_err(|e| e.to_string())
     }
 
     /// One `WRPKRU` flip on `lane`'s core, emitted as its own span so
@@ -203,72 +162,47 @@ impl MpkTransport {
     fn flip(&mut self, lane: usize, pkru: u32, corr: u64) {
         let t0 = self.k.machine.cpu(lane).tsc;
         self.k.wrpkru(lane, pkru);
-        self.recorder.span(
-            lane,
-            SpanKind::Wrpkru,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            corr,
-        );
+        let t1 = self.k.machine.cpu(lane).tsc;
+        self.envelope.span(lane, SpanKind::Wrpkru, t0, t1, corr);
     }
 
-    /// The instrumented call body. Phase spans are emitted post-hoc (a
-    /// complete span only once its section finished), so an error leaves
-    /// that section's span out — never half-open. The restore flip runs
-    /// even when the handler faults: the fault delivery re-enters the
-    /// client domain, while the *armed* lane rights stay broken until
+    /// The crossing. Phase spans are emitted post-hoc (a complete span
+    /// only once its section finished), so an error leaves that
+    /// section's span out — never half-open. The restore flip runs even
+    /// when the handler faults: the fault delivery re-enters the client
+    /// domain, while the *armed* lane rights stay broken until
     /// [`Transport::recover`].
-    fn call_inner(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
+    fn cross(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
         let t0 = self.k.machine.cpu(lane).tsc;
         let wire_len = self.marshal(lane, req).map_err(CallError::Failed)?;
-        self.recorder.span(
-            lane,
-            SpanKind::Marshal,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        let t1 = self.k.machine.cpu(lane).tsc;
+        self.envelope.span(lane, SpanKind::Marshal, t0, t1, req.id);
 
         self.flip(lane, self.lane_pkru[lane], req.id);
         let t0 = self.k.machine.cpu(lane).tsc;
         let served = self.serve(lane, wire_len);
         if served.is_ok() {
-            self.recorder.span(
-                lane,
-                SpanKind::Handler,
-                t0,
-                self.k.machine.cpu(lane).tsc,
-                req.id,
-            );
+            let t1 = self.k.machine.cpu(lane).tsc;
+            self.envelope.span(lane, SpanKind::Handler, t0, t1, req.id);
         }
         self.flip(lane, CLIENT_PKRU, req.id);
         let reply_len = served.map_err(CallError::Failed)?;
 
         let t0 = self.k.machine.cpu(lane).tsc;
         let tid = self.threads[lane];
-        let buf = self.k.threads[tid].msg_buf;
+        let reply = self.k.threads[tid].msg_buf.add(WIRE_HEADER_LEN as u64);
         self.k
-            .user_touch(
-                tid,
-                buf.add(WIRE_HEADER_LEN as u64),
-                reply_len,
-                Access::Read,
-            )
+            .user_touch(tid, reply, reply_len, Access::Read)
             .map_err(|e| CallError::Failed(e.to_string()))?;
-        self.recorder.span(
-            lane,
-            SpanKind::Marshal,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        let t1 = self.k.machine.cpu(lane).tsc;
+        self.envelope.span(lane, SpanKind::Marshal, t0, t1, req.id);
         Ok(reply_len)
     }
 }
 
 impl Transport for MpkTransport {
     fn label(&self) -> &str {
-        &self.label
+        "mpk"
     }
 
     fn lanes(&self) -> usize {
@@ -284,25 +218,14 @@ impl Transport for MpkTransport {
     }
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
-        self.recorder
-            .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        let out = self.call_inner(lane, req);
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        // Refuse a reply that answers a different request: the lane's
-        // header corr must still be the outstanding call's id.
-        let out = out.and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-        self.recorder
-            .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        out
+        self.envelope.open(lane, req, self.k.machine.cpu(lane).tsc);
+        let out = self.cross(lane, req);
+        self.envelope
+            .close(lane, req, out, self.k.machine.cpu(lane).tsc)
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.envelope.reply(lane)
     }
 
     /// The amortized crossing: the *batch* pays the two `WRPKRU` flips
@@ -317,26 +240,17 @@ impl Transport for MpkTransport {
         self.flip(lane, self.lane_pkru[lane], reqs[0].id);
         let mut consumed = 0;
         for (i, req) in reqs.iter().enumerate() {
-            self.recorder
-                .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
             let t0 = self.k.machine.cpu(lane).tsc;
+            self.envelope.open(lane, req, t0);
             let out = self
                 .marshal(lane, req)
                 .and_then(|wire_len| self.serve(lane, wire_len))
-                .map_err(CallError::Failed)
-                .and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-            self.recorder.span(
-                lane,
-                SpanKind::Handler,
-                t0,
-                self.k.machine.cpu(lane).tsc,
-                req.id,
-            );
-            self.recorder
-                .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
+                .map_err(CallError::Failed);
+            let t1 = self.k.machine.cpu(lane).tsc;
+            self.envelope.span(lane, SpanKind::Handler, t0, t1, req.id);
             consumed = i + 1;
-            match out {
-                Ok(n) => complete(i, Ok(n), self.lanes[lane].reply()),
+            match self.envelope.close(lane, req, out, t1) {
+                Ok(n) => complete(i, Ok(n), self.envelope.reply(lane)),
                 Err(e) => {
                     complete(i, Err(e), &[]);
                     break;
@@ -362,11 +276,11 @@ impl Transport for MpkTransport {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.envelope.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.envelope.attach_recorder(recorder);
     }
 
     fn pmu(&self) -> Option<sb_sim::Pmu> {
@@ -455,15 +369,10 @@ mod tests {
 
     #[test]
     fn stale_reply_corr_is_refused() {
-        let mut t = MpkTransport::new(1, &ServiceSpec::default());
-        t.poison_next_reply_corr(0, 99);
-        match t.call(0, &req(1, 7, false)) {
-            Err(CallError::CorrMismatch { expected, got }) => {
-                assert_eq!((expected, got), (1, 99));
-            }
-            other => panic!("expected CorrMismatch, got {other:?}"),
-        }
-        assert_eq!(t.call(0, &req(2, 7, false)).unwrap(), 64, "lane heals");
+        crate::envelope::tests::stale_reply_is_refused_once_on_its_lane(
+            MpkTransport::new(2, &ServiceSpec::default()),
+            |t| &mut t.envelope,
+        );
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! The service work every transport personality performs per request.
 //!
-//! Lives in `sb-transport` (re-exported through `sb-runtime::service`)
-//! so kernel-backed personalities implemented in either crate compare
-//! on identical service work.
+//! Lives in `sb-transport` (re-exported through `sb-runtime`) so
+//! kernel-backed personalities implemented in either crate compare on
+//! identical service work: each one calls [`ServiceSpec::serve_record`]
+//! from inside its server domain.
 
-use sb_mem::Gva;
+use sb_mem::{walk::Access, Gva, MemFault, PAGE_SIZE};
+use sb_microkernel::{layout, Kernel, ThreadId};
 use sb_sim::Cycles;
+
+use crate::wire::OP_TAG_OFFSET;
 
 /// Base of the server's record region (one 64-byte line per record),
 /// mapped into the server process by every kernel-backed transport.
@@ -48,10 +52,53 @@ impl ServiceSpec {
         self
     }
 
-    /// Replaces the DoS-timeout budget.
-    pub fn with_timeout(mut self, timeout: Option<Cycles>) -> Self {
-        self.timeout = timeout;
-        self
+    /// Pages the record region spans, plus one of slack.
+    pub fn data_pages(&self) -> usize {
+        (self.records as usize * RECORD_LINE).div_ceil(PAGE_SIZE as usize) + 1
+    }
+
+    /// The record service of one request, run by `tid` inside the server
+    /// domain: the wire `payload`'s key picks a record line, the op tag
+    /// reads or writes it, and the fixed compute follows.
+    #[inline]
+    pub fn serve_record(
+        &self,
+        k: &mut Kernel,
+        tid: ThreadId,
+        payload: &[u8],
+    ) -> Result<(), MemFault> {
+        let key = u64::from_le_bytes(payload[..8].try_into().expect("wire payload"));
+        let at = DATA_BASE.add((key % self.records.max(1)) * RECORD_LINE as u64);
+        let mut line = [0u8; RECORD_LINE];
+        if payload[OP_TAG_OFFSET] == 1 {
+            k.user_write(tid, at, &line)?;
+        } else {
+            k.user_read(tid, at, &mut line)?;
+        }
+        k.compute(tid, self.cpu);
+        Ok(())
+    }
+
+    /// The whole handler of a message-buffer personality (kernel IPC,
+    /// MPK), run by `tid` in the server domain: fetch the handler's code,
+    /// parse the `wire_len`-byte message in place (charge-only — the
+    /// bytes are already staged host-side), serve the record, and charge
+    /// the echo reply's write over the same buffer. Returns the reply
+    /// length.
+    #[inline]
+    pub(crate) fn serve_in_place(
+        &self,
+        k: &mut Kernel,
+        tid: ThreadId,
+        wire_len: usize,
+        payload: &[u8],
+    ) -> Result<usize, MemFault> {
+        let buf = k.threads[tid].msg_buf;
+        k.user_exec(tid, layout::CODE_BASE, self.footprint)?;
+        k.user_touch(tid, buf, wire_len, Access::Read)?;
+        self.serve_record(k, tid, payload)?;
+        k.user_touch(tid, buf, wire_len, Access::Write)?;
+        Ok(payload.len())
     }
 }
 

@@ -13,6 +13,7 @@
 use sb_observe::{Recorder, SpanKind};
 use sb_sim::Cycles;
 
+use crate::envelope::Envelope;
 use crate::wire::Request;
 
 /// Why a call failed.
@@ -239,16 +240,14 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 
 /// A synthetic transport with a constant service time and no kernel
 /// underneath — deterministic, cheap, fast enough for property tests
-/// over millions of arrivals.
+/// over millions of arrivals. Its crossing is a clock bump.
 #[derive(Debug, Default)]
 pub struct FixedServiceTransport {
+    /// The lanes, meter, recorder and stale-reply seam.
+    pub envelope: Envelope,
     clocks: Vec<Cycles>,
-    lanes: Vec<crate::wire::Lane>,
-    meter: crate::wire::CopyMeter,
     service: Cycles,
     label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
 }
 
 impl FixedServiceTransport {
@@ -257,21 +256,11 @@ impl FixedServiceTransport {
     pub fn new(lanes: usize, service: Cycles) -> Self {
         assert!(lanes > 0, "at least one lane");
         FixedServiceTransport {
+            envelope: Envelope::new(lanes),
             clocks: vec![0; lanes],
-            lanes: (0..lanes).map(|_| crate::wire::Lane::new()).collect(),
-            meter: crate::wire::CopyMeter::new(),
             service,
             label: format!("fixed:{service}"),
-            recorder: Recorder::off(),
-            poison: None,
         }
-    }
-
-    /// Arranges for the *next* call on `lane` to come back with its
-    /// reply header restamped to `corr` — a stale-reply injection seam
-    /// for proving the correlation check refuses mismatched replies.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
     }
 }
 
@@ -295,30 +284,25 @@ impl Transport for FixedServiceTransport {
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
         let t0 = self.clocks[lane];
-        self.lanes[lane].encode(req, 0, &self.meter);
+        self.envelope.encode(lane, req, 0);
         self.clocks[lane] += self.service;
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        self.recorder
+        let out = self.envelope.settle(lane, req.id, Ok(req.payload_len()));
+        // The whole call is one leaf: a complete `Call` span.
+        self.envelope
             .span(lane, SpanKind::Call, t0, self.clocks[lane], req.id);
-        verify_reply_corr(&self.lanes[lane], req.id)?;
-        Ok(self.lanes[lane].reply().len())
+        out
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.envelope.reply(lane)
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.envelope.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.envelope.attach_recorder(recorder);
     }
 }
 
@@ -362,21 +346,9 @@ mod tests {
 
     #[test]
     fn stale_reply_is_refused_not_served() {
-        let mut t = FixedServiceTransport::new(2, 10);
-        let r = Request {
-            id: 7,
-            ..req(1, false, 16)
-        };
-        t.poison_next_reply_corr(0, 6);
-        match t.call(0, &r) {
-            Err(CallError::CorrMismatch { expected, got }) => {
-                assert_eq!((expected, got), (7, 6));
-            }
-            other => panic!("stale reply must be refused, got {other:?}"),
-        }
-        // Poison is one-shot and lane-scoped: the same request succeeds
-        // on the next attempt and the other lane was never affected.
-        assert_eq!(t.call(0, &r).unwrap(), 16);
-        assert_eq!(t.call(1, &r).unwrap(), 16);
+        crate::envelope::tests::stale_reply_is_refused_once_on_its_lane(
+            FixedServiceTransport::new(2, 10),
+            |t| &mut t.envelope,
+        );
     }
 }

@@ -127,7 +127,6 @@ pub struct KvPipeline {
     enc_cap: usize,
     kv_cap: usize,
     sb_enc: ServerId,
-    sb_kv: ServerId,
     kv_state: Rc<RefCell<KvState>>,
     mix: KvMixSpec,
 }
@@ -236,7 +235,7 @@ impl KvPipeline {
         let kv_state = Rc::new(RefCell::new(KvState::default()));
         let mut sb = None;
         let (mut enc_cap, mut kv_cap) = (0, 0);
-        let (mut sb_enc, mut sb_kv) = (0, 0);
+        let mut sb_enc = 0;
         match mode {
             KvMode::Baseline | KvMode::Delay | KvMode::Mpk => {}
             KvMode::Ipc | KvMode::IpcCrossCore => {
@@ -250,7 +249,7 @@ impl KvPipeline {
             KvMode::SkyBridge => {
                 let mut bridge = SkyBridge::new();
                 let state = kv_state.clone();
-                sb_kv = bridge
+                let kv_id = bridge
                     .register_server(
                         &mut k,
                         kv_tid,
@@ -261,7 +260,6 @@ impl KvPipeline {
                         }),
                     )
                     .expect("kv registration");
-                let kv_id = sb_kv;
                 sb_enc = bridge
                     .register_server(
                         &mut k,
@@ -280,7 +278,7 @@ impl KvPipeline {
                     .expect("bind enc");
                 // The client's EPTP list carries the dependency (§4.2).
                 bridge
-                    .register_client(&mut k, client, sb_kv)
+                    .register_client(&mut k, client, kv_id)
                     .expect("bind kv");
                 sb = Some(bridge);
             }
@@ -303,25 +301,8 @@ impl KvPipeline {
             enc_cap,
             kv_cap,
             sb_enc,
-            sb_kv,
             kv_state,
             mix: KvMixSpec::new(len, 0x5eed),
-        }
-    }
-
-    /// Number of keys currently in the KV index (debug/test aid).
-    pub fn debug_index_len(&self) -> usize {
-        self.kv_state.borrow().index.len()
-    }
-
-    /// Prints the first `n` operations' requests (debug aid).
-    pub fn debug_trace(&mut self, n: usize) {
-        for _ in 0..n {
-            let op = self.mix.next_op();
-            let req = Self::encode_req(&op);
-            println!("req: {:?}", &req[..req.len().min(24)]);
-            self.one_op(&op);
-            println!("index: {}", self.kv_state.borrow().index.len());
         }
     }
 
@@ -459,7 +440,6 @@ impl KvPipeline {
                     .expect("direct call");
             }
         }
-        let _ = (self.kv_tid, self.sb_kv);
     }
 }
 

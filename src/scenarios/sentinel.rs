@@ -11,9 +11,10 @@
 //!   interior phase span of every hop lands in the recorder with the
 //!   stamped trace id, and the scenario wraps each request in an exact
 //!   end-to-end `Call` span.
-//! * [`trap_chain`] — sequential kernel-IPC hops on one lane under a
-//!   trap personality, all hops sharing the request's id, wrapped the
-//!   same way.
+//! * [`chain_for`] — on any other backend, sequential hops on one lane
+//!   of its serving transport (kernel IPC under a trap personality,
+//!   two-flip crossings under MPK), all hops sharing the request's id,
+//!   wrapped the same way.
 //!
 //! Each run reports the client-observed end-to-end cycles per request,
 //! so tests can assert the assembled span tree's critical path against
@@ -21,11 +22,11 @@
 
 use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
 use sb_observe::{Recorder, SpanKind};
-use sb_runtime::{MpkTransport, Request, Transport, TrapIpcTransport};
+use sb_runtime::{Request, Transport};
 use sb_sim::Cycles;
 use skybridge::{ServerId, SkyBridge};
 
-use crate::scenarios::runtime::{Backend, ServingScenario};
+use crate::scenarios::runtime::{build_backend, Backend, ServingScenario};
 
 /// Cycles of synthetic handler work each hop performs before forwarding
 /// (or replying, at the leaf).
@@ -120,33 +121,6 @@ pub fn skybridge_chain(depth: usize, calls: u64, recorder: &Recorder) -> ChainRu
     }
 }
 
-/// Drives `calls` requests of `hops` sequential kernel-IPC calls each
-/// through a one-lane trap transport. All hops of request `c` share
-/// trace id `c + 1`; the scenario wraps them in one end-to-end `Call`
-/// span so the assembled tree is connected.
-pub fn trap_chain(
-    personality: Personality,
-    hops: usize,
-    calls: u64,
-    recorder: &Recorder,
-) -> ChainRun {
-    let spec = ServingScenario::Kv.service_spec();
-    chain_over(
-        TrapIpcTransport::new(personality, 1, &spec),
-        hops,
-        calls,
-        recorder,
-    )
-}
-
-/// [`trap_chain`] over the MPK personality: each hop is an in-place
-/// handler between two `WRPKRU` flips, so the assembled span trees carry
-/// `Wrpkru` phase spans instead of kernel crossings.
-pub fn mpk_chain(hops: usize, calls: u64, recorder: &Recorder) -> ChainRun {
-    let spec = ServingScenario::Kv.service_spec();
-    chain_over(MpkTransport::new(1, &spec), hops, calls, recorder)
-}
-
 /// Drives `calls` requests of `hops` sequential transport calls each
 /// through lane 0 of `t`. All hops of request `c` share trace id
 /// `c + 1`; the scenario wraps them in one end-to-end `Call` span so
@@ -184,13 +158,18 @@ fn chain_over<T: Transport>(mut t: T, hops: usize, calls: u64, recorder: &Record
 }
 
 /// The chain for any serving backend: nested direct server calls on
-/// SkyBridge, sequential same-id kernel IPC hops under a trap kernel,
-/// sequential two-flip crossings under MPK.
+/// SkyBridge; elsewhere `depth` sequential same-id hops through the
+/// backend's one-lane KV transport — kernel IPC under a trap kernel, an
+/// in-place handler between two `WRPKRU` flips under MPK.
 pub fn chain_for(backend: &Backend, depth: usize, calls: u64, recorder: &Recorder) -> ChainRun {
     match backend {
         Backend::SkyBridge => skybridge_chain(depth, calls, recorder),
-        Backend::Trap(p) => trap_chain(p.clone(), depth, calls, recorder),
-        Backend::Mpk => mpk_chain(depth, calls, recorder),
+        _ => chain_over(
+            build_backend(ServingScenario::Kv, backend, 1),
+            depth,
+            calls,
+            recorder,
+        ),
     }
 }
 
@@ -232,7 +211,7 @@ mod tests {
     #[test]
     fn trap_chain_sums_hops_exactly() {
         let rec = Recorder::new(DEFAULT_RING_CAPACITY);
-        let run = trap_chain(Personality::sel4(), 3, 3, &rec);
+        let run = chain_for(&Backend::Trap(Personality::sel4()), 3, 3, &rec);
         let forest = assemble(&rec);
         for &(corr, end_to_end) in &run.requests {
             let tr = forest.request(corr).expect("request assembled");
@@ -245,7 +224,7 @@ mod tests {
     #[test]
     fn mpk_chain_carries_wrpkru_spans() {
         let rec = Recorder::new(DEFAULT_RING_CAPACITY);
-        let run = mpk_chain(3, 3, &rec);
+        let run = chain_for(&Backend::Mpk, 3, 3, &rec);
         assert_eq!(run.label, "mpk");
         let forest = assemble(&rec);
         for &(corr, end_to_end) in &run.requests {

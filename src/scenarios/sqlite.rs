@@ -148,9 +148,7 @@ impl Sim {
                 self.k.wrpkru(core, MPK_FS_PKRU);
             }
             _ => {
-                let core = self.k.core_of(client);
                 let cap = self.fs_caps[self.client_index(client)];
-                let _ = core;
                 self.k
                     .ipc_call(client, cap, req.min(MSG_MAX))
                     .expect("client→fs IPC");
@@ -574,7 +572,7 @@ impl SqliteStack {
     pub fn load(&mut self, records: u64, value_len: usize) {
         self.records = records;
         let payload = "x".repeat(value_len);
-        for (i, c) in self.clients.iter_mut().enumerate() {
+        for c in &mut self.clients {
             self.sim.borrow_mut().k.run_thread(c.tid);
             c.db.create_table("usertable").unwrap();
             for key in 0..records {
@@ -582,7 +580,6 @@ impl SqliteStack {
                     .unwrap();
             }
             c.workload = Workload::new(WorkloadSpec::ycsb_a(records, value_len));
-            let _ = i;
         }
     }
 

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use sb_microkernel::Personality;
 use sb_runtime::{
-    AdmissionPolicy, CallError, FixedServiceTransport, Request, RequestFactory, RingConfig,
-    RingRuntime, RingTransport, RunStats, RuntimeConfig, ServerRuntime, ServiceSpec,
+    AdmissionPolicy, CallError, FixedServiceTransport, MpkTransport, Request, RequestFactory,
+    RingConfig, RingRuntime, RingTransport, RunStats, RuntimeConfig, ServerRuntime, ServiceSpec,
     SkyBridgeTransport, Transport, TrapIpcTransport,
 };
 use sb_ycsb::WorkloadSpec;
@@ -332,5 +332,81 @@ fn the_walk_memo_answers_the_kv_pipelines_walks() {
     assert!(
         installed * 100 < walked,
         "{installed} of {walked} walks recorded anew"
+    );
+}
+
+fn req(id: u64, key: u64, write: bool) -> Request {
+    Request {
+        id,
+        arrival: 0,
+        key,
+        write,
+        payload: 64,
+        client: None,
+        tenant: 0,
+    }
+}
+
+#[test]
+fn trap_ipc_costs_more_than_skybridge_per_call() {
+    // The headline claim, at the transport level: one request
+    // through sel4's kernel IPC costs more cycles than the same
+    // request through a direct server call.
+    let spec = ServiceSpec::default();
+    let mut trap = TrapIpcTransport::new(Personality::sel4(), 1, &spec);
+    let mut sky = SkyBridgeTransport::new(1, &spec);
+    // Warm both, then measure.
+    for t in [&mut trap as &mut dyn Transport, &mut sky] {
+        for i in 0..32 {
+            t.call(0, &req(0, i, i % 2 == 0)).unwrap();
+        }
+    }
+    let measure = |t: &mut dyn Transport| {
+        let t0 = t.now(0);
+        for i in 0..64 {
+            t.call(0, &req(0, i, i % 2 == 0)).unwrap();
+        }
+        (t.now(0) - t0) / 64
+    };
+    let trap_avg = measure(&mut trap);
+    let sky_avg = measure(&mut sky);
+    assert!(
+        sky_avg < trap_avg,
+        "skybridge {sky_avg} must beat trap IPC {trap_avg}"
+    );
+}
+
+#[test]
+fn mpk_crossing_beats_skybridge_and_trap_per_call() {
+    // The fifth personality's headline, at the transport level: two
+    // WRPKRU flips (2 × 28 cycles in the model) undercut SkyBridge's
+    // VMFUNC round trip, which in turn undercuts kernel IPC — on
+    // identical service work.
+    let spec = ServiceSpec::default();
+    let mut mpk = MpkTransport::new(1, &spec);
+    let mut sky = SkyBridgeTransport::new(1, &spec);
+    let mut trap = TrapIpcTransport::new(Personality::sel4(), 1, &spec);
+    for t in [
+        &mut mpk as &mut dyn Transport,
+        &mut sky as &mut dyn Transport,
+        &mut trap,
+    ] {
+        for i in 0..32 {
+            t.call(0, &req(0, i, i % 2 == 0)).unwrap();
+        }
+    }
+    let measure = |t: &mut dyn Transport| {
+        let t0 = t.now(0);
+        for i in 0..64 {
+            t.call(0, &req(0, i, i % 2 == 0)).unwrap();
+        }
+        (t.now(0) - t0) / 64
+    };
+    let mpk_avg = measure(&mut mpk);
+    let sky_avg = measure(&mut sky);
+    let trap_avg = measure(&mut trap);
+    assert!(
+        mpk_avg < sky_avg && sky_avg < trap_avg,
+        "per-call order must be mpk {mpk_avg} < skybridge {sky_avg} < trap {trap_avg}"
     );
 }
