@@ -9,18 +9,20 @@
 //! with the sentinel armed: an unrecovered fault or SLO breach must
 //! produce a postmortem bundle under `results/postmortem/`, and the
 //! drill cell proves the recorder fires end-to-end by leaking a fault on
-//! purpose. The gates: no fault leaks, every incident has a bundle, and
-//! the drill's bundle reads back: one JSON document of the bundle schema
-//! whose truncation block matches its receipt.
+//! purpose. The gates: every cell conserves its requests and its trace
+//! counters agree with its fault ledger, no fault leaks, every incident
+//! has a bundle, and the drill's bundle reads back: one JSON document of
+//! the bundle schema whose truncation block matches its receipt.
 //!
-//! Knobs: `SB_CHAOS_SEEDS` (seeds per cell, default 3), `SB_REQUESTS`
-//! (arrivals per serving cell, default 400), `SB_FS_SEEDS` (seeds per FS
-//! mix, default 64).
+//! No knob: [`SEEDS`], [`REQUESTS`] and [`FS_SEEDS`] are the sizes
+//! `results/chaos.json` records.
+
+use std::path::Path;
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
-    knob, print_table,
-    report::{chaos_outcome_json, fs_chaos_json, receipt_json, results_dir},
+    print_table,
+    report::{chaos_outcome_json, fs_chaos_json, receipt_json, RESULTS_DIR},
 };
 use sb_observe::Json;
 use sb_sentinel::PostmortemSpec;
@@ -29,38 +31,41 @@ use skybridge_repro::scenarios::chaos::{
 };
 use skybridge_repro::scenarios::runtime::Backend;
 
+/// Seeds per serving cell.
+const SEEDS: u64 = 2;
+/// Arrivals per serving cell.
+const REQUESTS: u64 = 200;
+/// Seeds per FS mix.
+const FS_SEEDS: u64 = 32;
+
 fn main() {
-    let seeds = knob("SB_CHAOS_SEEDS", 3) as u64;
-    let requests = knob("SB_REQUESTS", 400) as u64;
-    let fs_seeds = knob("SB_FS_SEEDS", 64) as u64;
-    let flight = PostmortemSpec::in_dir(results_dir().join("postmortem"));
+    let flight = PostmortemSpec::in_dir(Path::new(RESULTS_DIR).join("postmortem"));
 
     let mut json_rows: Vec<Json> = Vec::new();
     let mut leaked_total = 0u64;
     let mut incidents = 0u64;
     let mut missing_bundles = 0u64;
+    let (mut unconserved, mut ledger_mismatches) = (0u64, 0u64);
 
     for transport in Backend::all() {
         let mut rows = Vec::new();
         for mix in serving_mixes() {
             let mut row = vec![mix.name.to_string()];
-            for s in 0..seeds {
+            for s in 0..SEEDS {
                 let seed = 0xc4a0_5000 + s;
-                let out = run_chaos_cell_watched(&transport, seed, &mix, requests, &flight);
-                assert!(
-                    out.conserved(),
-                    "{}/{}/{seed:#x}: conservation violated",
-                    transport.label(),
-                    mix.name
-                );
-                assert!(
-                    out.trace_matches_ledger(),
-                    "{}/{}/{seed:#x}: trace counters {:?} disagree with the ledger {}",
-                    transport.label(),
-                    mix.name,
-                    out.trace,
-                    out.report
-                );
+                let out = run_chaos_cell_watched(&transport, seed, &mix, REQUESTS, &flight);
+                let cell = format!("{}/{}/{seed:#x}", transport.label(), mix.name);
+                if !out.conserved() {
+                    eprintln!("{cell}: conservation violated");
+                    unconserved += 1;
+                }
+                if !out.trace_matches_ledger() {
+                    eprintln!(
+                        "{cell}: trace counters {:?} disagree with the ledger {}",
+                        out.trace, out.report
+                    );
+                    ledger_mismatches += 1;
+                }
                 leaked_total += out.report.leaked();
                 // The sentinel contract: every incident gets a bundle.
                 if out.report.unrecovered() > 0 || out.slo.breached() {
@@ -68,10 +73,7 @@ fn main() {
                     if out.postmortem.is_none() {
                         missing_bundles += 1;
                         eprintln!(
-                            "MISSING BUNDLE: {}/{}/{seed:#x} tripped the sentinel \
-                             but wrote no postmortem",
-                            transport.label(),
-                            mix.name
+                            "MISSING BUNDLE: {cell} tripped the sentinel but wrote no postmortem"
                         );
                     }
                 }
@@ -92,10 +94,10 @@ fn main() {
             rows.push(row);
         }
         let header: Vec<String> = std::iter::once("mix".to_string())
-            .chain((0..seeds).map(|s| format!("seed {s}")))
+            .chain((0..SEEDS).map(|s| format!("seed {s}")))
             .collect();
         print_table(
-            &format!("chaos on {} ({requests} requests/cell)", transport.label()),
+            &format!("chaos on {} ({REQUESTS} requests/cell)", transport.label()),
             &header,
             &rows,
         );
@@ -106,7 +108,7 @@ fn main() {
     for mix in fs_mixes() {
         let (mut torn, mut lost, mut replays) = (0u64, 0u64, 0u64);
         let mut leaked = 0u64;
-        for s in 0..fs_seeds {
+        for s in 0..FS_SEEDS {
             let out = run_fs_chaos(0xf5ee_0000 + s, &mix, 12);
             torn += out.torn_discarded as u64;
             lost += (out.committed < out.attempted) as u64;
@@ -117,7 +119,7 @@ fn main() {
         leaked_total += leaked;
         fs_rows.push(vec![
             mix.name.to_string(),
-            format!("{fs_seeds}"),
+            format!("{FS_SEEDS}"),
             format!("{torn}"),
             format!("{lost}"),
             format!("{replays}"),
@@ -152,8 +154,8 @@ fn main() {
 
     let doc = Json::obj()
         .field("bench", "chaos")
-        .field("requests_per_cell", requests)
-        .field("seeds_per_cell", seeds)
+        .field("requests_per_cell", REQUESTS)
+        .field("seeds_per_cell", SEEDS)
         .field("leaked_total", leaked_total)
         .field("incidents", incidents)
         .field("missing_bundles", missing_bundles)
@@ -164,6 +166,12 @@ fn main() {
         "chaos",
         &doc,
         vec![
+            Gate::none("cells that do not conserve requests", unconserved, "cells"),
+            Gate::none(
+                "cells whose trace counters disagree with the ledger",
+                ledger_mismatches,
+                "cells",
+            ),
             Gate::none("faults never detected or recovered", leaked_total, "faults"),
             Gate::none("incidents without a bundle", missing_bundles, "incidents"),
             Gate::new(

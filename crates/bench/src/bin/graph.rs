@@ -15,11 +15,12 @@
 //!   state diverging from the full-replay reference, or a matrix in
 //!   which the power never failed breaches a gate.
 //!
-//! Knob: `SB_GRAPH_OPS` (requests per workload cell, default 2000).
+//! No knob: [`REQUESTS`] per workload cell, the size `results/graph.json`
+//! records.
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
-    knob, print_table,
+    print_table,
     report::run_stats_json,
 };
 use sb_graph::GraphSpec;
@@ -33,6 +34,8 @@ use skybridge_repro::scenarios::graph::{
 };
 use skybridge_repro::scenarios::runtime::{ops_per_sec, Backend};
 
+/// Requests per workload cell.
+const REQUESTS: u64 = 300;
 const CACHE_CAPACITY: usize = 32;
 /// Server threads of the workload sweep.
 const LANES: usize = 2;
@@ -69,14 +72,14 @@ fn calibrate(backend: &Backend, spec: &GraphSpec) -> f64 {
 
 type WorkloadCtor = fn(u64, usize) -> WorkloadSpec;
 
-fn workload_sweep(records: usize, requests: u64, lanes: usize) -> (Vec<Json>, Vec<Vec<String>>) {
+fn workload_sweep() -> (Vec<Json>, Vec<Vec<String>>) {
     let cfg = RuntimeConfig {
         queue_capacity: 64,
         policy: AdmissionPolicy::Shed,
         queue_deadline: None,
         ..RuntimeConfig::default()
     };
-    let spec = spec(records);
+    let spec = spec(RECORDS);
     let workloads: [(&str, WorkloadCtor); 3] = [
         ("ycsb_a", WorkloadSpec::ycsb_a),
         ("ycsb_b", WorkloadSpec::ycsb_b),
@@ -88,16 +91,16 @@ fn workload_sweep(records: usize, requests: u64, lanes: usize) -> (Vec<Json>, Ve
         // Offer ~70% of the calibrated capacity so queueing is visible
         // but the cell stays stable.
         let svc = calibrate(&backend, &spec);
-        let mean_gap = svc / (lanes as f64 * 0.7);
+        let mean_gap = svc / (LANES as f64 * 0.7);
         for (name, make) in workloads {
             let s = run_graph_open_loop(
                 &backend,
                 &spec,
-                lanes,
+                LANES,
                 cfg.clone(),
                 make(spec.records, spec.value_len),
                 mean_gap,
-                requests,
+                REQUESTS,
                 0x6a_0001,
             );
             table.push(vec![
@@ -280,9 +283,7 @@ fn chaos_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
 }
 
 fn main() {
-    let requests = knob("SB_GRAPH_OPS", 2000) as u64;
-
-    let (workload_rows, workload_table) = workload_sweep(RECORDS, requests, LANES);
+    let (workload_rows, workload_table) = workload_sweep();
     print_table(
         "YCSB over the serving graph (client → gateway → cache → db → fs)",
         &["backend", "workload", "ops/s", "p50", "p99", "shed"],
@@ -304,7 +305,7 @@ fn main() {
         .field(
             "config",
             Json::obj()
-                .field("requests", requests)
+                .field("requests", REQUESTS)
                 .field("lanes", LANES)
                 .field("records", RECORDS)
                 .field("drill_ops", DRILL_OPS),

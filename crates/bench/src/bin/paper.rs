@@ -2,13 +2,12 @@
 //!
 //! `paper NAME…` prints the named artefacts (`table1`…`table6`,
 //! `figure2`, `figure7`, `figure8`, `figure9_11`, `ablations`); `paper`
-//! alone writes every one to `<results dir>/<name>.txt` (and
+//! alone writes every one to `results/<name>.txt` (and
 //! `figure9_11.json`) plus `fidelity.json`, one line per `measured
 //! (paper)` cell, ready to diff against the committed `results/`.
 //!
-//! Every run size is a constant of its experiment, so the written cells
-//! are the ones the ledger's bands describe; `SB_RESULTS_DIR` moves the
-//! output.
+//! No knob: every run size is a constant of its experiment, so the
+//! written cells are the ones the ledger's bands describe.
 
 use sb_bench::gate::{self, Gate};
 use sb_bench::paper::{find, EXPERIMENTS};

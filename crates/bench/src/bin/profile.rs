@@ -13,10 +13,11 @@
 //!    (`results/flamegraphs/<backend>.collapsed`, the format
 //!    `flamegraph.pl` and speedscope ingest) plus a per-tenant variant
 //!    with the tenant as the root frame;
-//! 3. diffs the per-phase cycle budget against
-//!    `results/profile_baseline.json` in dual units — Δ cycles/call and
-//!    relative percent (ns at the modeled 4 GHz are cycles/4) — and
-//!    attributes any end-to-end movement to named phases.
+//! 3. diffs the per-phase cycle budget against the committed
+//!    `results/profile.json` in dual units — Δ cycles/call and relative
+//!    percent (ns at the modeled 4 GHz are cycles/4) — attributes any
+//!    end-to-end movement to named phases, and then rewrites that file
+//!    from this run: the committed profile is its own baseline.
 //!
 //! The diff gate is the regression-attribution contract: an end-to-end
 //! regression beyond 1% whose residual (the part no named phase
@@ -25,16 +26,17 @@
 //! bin's to judge; an unattributed one means the instrumentation lost
 //! track of where cycles went, which is a bug in its own right. A run
 //! without a baseline to diff against, or with one that does not parse,
-//! breaches the gate; `SB_PROFILE_WRITE=1` writes one first.
+//! breaches the gate — and still writes the file, so the next run has
+//! one. A re-baseline is a run whose new `profile.json` gets committed.
 //!
-//! Knob: `SB_PROFILE_WRITE=1` rewrites `results/profile_baseline.json`
-//! from this run.
+//! No knob: [`CALLS`] per personality is the size the file records.
 
 use std::collections::{BTreeMap, HashMap};
+use std::path::Path;
 
 use sb_bench::gate::{finish, Gate};
-use sb_bench::report::{results_dir, write_json, write_raw};
-use sb_bench::{knob, print_table};
+use sb_bench::print_table;
+use sb_bench::report::{write_raw, RESULTS_DIR};
 use sb_observe::{
     attribute_by_corr, Json, PhaseProfile, Recorder, SpanKind, DEFAULT_RING_CAPACITY,
 };
@@ -134,7 +136,8 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
 
 /// One JSON row per personality: `"transport":"<label>"`, then
 /// `e2e_cycles_per_call` and one `phase_<name>_cycles_per_call` per
-/// observed phase — what [`diff_backend`] reads back from the baseline.
+/// observed phase — what [`diff_backend`] reads back from the committed
+/// file on the next run.
 fn profile_row(p: &BackendProfile) -> Json {
     let mut row = Json::obj()
         .field("transport", p.label.as_str())
@@ -233,45 +236,25 @@ fn diff_backend(baseline: &Json, p: &BackendProfile) -> Option<BackendDiff> {
     })
 }
 
-fn diff_row(d: &BackendDiff) -> Json {
-    let d_e2e = d.cur_e2e - d.base_e2e;
-    let phases: Vec<Json> = d
-        .deltas
-        .iter()
-        .map(|p| {
-            Json::obj()
-                .field("phase", p.name)
-                .field("delta_cycles_per_call", p.cycles)
-                .field("delta_ns_per_call", p.cycles / CYCLES_PER_NS)
-                .field("delta_pct", p.pct.map(Json::F64).unwrap_or(Json::Null))
-        })
-        .collect();
-    Json::obj()
-        .field("transport", d.label.as_str())
-        .field("baseline_e2e_cycles_per_call", d.base_e2e)
-        .field("e2e_delta_cycles_per_call", d_e2e)
-        .field("e2e_delta_ns_per_call", d_e2e / CYCLES_PER_NS)
-        .field(
-            "e2e_delta_pct",
-            if d.base_e2e > 0.0 {
-                Json::F64((d.cur_e2e / d.base_e2e - 1.0) * 100.0)
-            } else {
-                Json::Null
-            },
-        )
-        .field("residual_cycles_per_call", d.residual)
-        .field("unattributed_regression", d.unattributed_regression)
-        .field("phases", Json::Arr(phases))
-}
-
 fn main() {
-    let calls = CALLS;
+    // The committed profile is the baseline: read it before this run
+    // rewrites it. One that is missing or does not parse leaves every row
+    // without its baseline row, which breaches a gate below.
+    let path = Path::new(RESULTS_DIR).join("profile.json");
+    let baseline = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("{}: {e}", path.display());
+            Json::Null
+        });
+
     let mut gates = Vec::new();
 
     let mut profiles = Vec::new();
     let mut inexact = 0u64;
     for backend in Backend::all() {
-        match profile_backend(&backend, calls) {
+        match profile_backend(&backend, CALLS) {
             Ok(p) => profiles.push(p),
             Err(e) => {
                 eprintln!("{e}");
@@ -303,30 +286,6 @@ fn main() {
         )));
     }
 
-    let rows: Vec<Json> = profiles.iter().map(profile_row).collect();
-    let rows_doc = Json::obj()
-        .field("bench", "profile")
-        .field("calls", calls)
-        .field("rows", Json::Arr(rows.clone()));
-
-    if knob("SB_PROFILE_WRITE", 0) != 0 {
-        gates.push(Gate::written(write_json("profile_baseline", &rows_doc)));
-    }
-
-    // The diff against the committed baseline (with `SB_PROFILE_WRITE`,
-    // the one just written). A baseline that is missing or does not
-    // parse leaves every row without its baseline row: the gate below is
-    // breached.
-    let path = results_dir().join("profile_baseline.json");
-    let baseline = std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(&text))
-        .unwrap_or_else(|e| {
-            eprintln!("{}: {e}", path.display());
-            Json::Null
-        });
-
-    let mut diffs = Vec::new();
     let (mut undiffed, mut unattributed) = (0u64, 0u64);
     let mut diff_table = Vec::new();
     for p in &profiles {
@@ -371,7 +330,6 @@ fn main() {
             );
             unattributed += 1;
         }
-        diffs.push(d);
     }
     print_table(
         "profile diff vs baseline (Δ per call; ns at 4 GHz)",
@@ -390,6 +348,12 @@ fn main() {
         "personalities",
     ));
 
-    let doc = rows_doc.field("diff", Json::Arr(diffs.iter().map(diff_row).collect()));
+    let doc = Json::obj()
+        .field("bench", "profile")
+        .field("calls", CALLS)
+        .field(
+            "rows",
+            Json::Arr(profiles.iter().map(profile_row).collect()),
+        );
     finish("profile", &doc, gates);
 }

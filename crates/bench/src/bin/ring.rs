@@ -8,17 +8,19 @@
 //! p50 with the working budget (8) must sit within 5% of direct mode —
 //! the adaptive doorbell has to degrade to batch-of-one when the system
 //! is idle, or async submission would tax exactly the workloads that
-//! don't need it. Every cell asserts conservation inline. (What a batch
-//! saves per call on the host clock is `benchmark/`'s
-//! `transport.ring_b1` / `transport.ring_b8` rows; in simulated cycles
-//! it is `tests/ring.rs::a_full_batch_pays_the_crossing_once`.)
+//! don't need it. A cell that does not conserve its requests breaches a
+//! gate row of its own. (What a batch saves per call on the host clock
+//! is `benchmark/`'s `transport.ring_b1` / `transport.ring_b8` rows; in
+//! simulated cycles it is
+//! `tests/ring.rs::a_full_batch_pays_the_crossing_once`.)
 //!
-//! Knob: `SB_RING_REQUESTS` (arrivals per sweep cell, default 2,000).
+//! No knob: [`REQUESTS`] arrivals per sweep cell, the size
+//! `results/ring.json` records.
 
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
-    knob, print_table,
+    print_table,
     report::run_stats_json,
 };
 use sb_observe::Json;
@@ -34,6 +36,8 @@ const LOW_RHO: f64 = 0.2;
 /// The batch budget the latency gate certifies.
 const GATE_BUDGET: usize = 8;
 
+/// Arrivals per sweep cell.
+const REQUESTS: u64 = 500;
 const RHOS: [f64; 3] = [0.2, 0.6, 0.95];
 const BUDGETS: [usize; 4] = [1, 4, 8, 16];
 
@@ -47,8 +51,8 @@ fn sweep_cfg() -> RuntimeConfig {
 }
 
 fn main() {
-    let requests = knob("SB_RING_REQUESTS", 2_000) as u64;
     let seed = 0x51de_0007u64;
+    let mut unconserved = 0u64;
 
     let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
@@ -66,7 +70,7 @@ fn main() {
                 1,
                 sweep_cfg(),
                 gap,
-                requests,
+                REQUESTS,
                 seed,
             );
             direct_json.push(
@@ -86,7 +90,7 @@ fn main() {
                         slot_bytes: 4096,
                     },
                     gap,
-                    requests,
+                    REQUESTS,
                     seed,
                 );
                 let p50_vs_direct = if direct.p50() == 0 {
@@ -119,17 +123,18 @@ fn main() {
                         .field("mean_gap_cycles", gap)
                         .field("p50_vs_direct", p50_vs_direct),
                 );
-                assert_eq!(
-                    ring.offered,
-                    ring.completed + ring.shed() + ring.timed_out + ring.failed,
-                    "{}: ring sweep must conserve requests",
-                    backend.label()
-                );
+                if ring.offered != ring.completed + ring.shed() + ring.timed_out + ring.failed {
+                    eprintln!(
+                        "{} rho {rho} budget {budget}: the ring cell does not conserve requests",
+                        backend.label()
+                    );
+                    unconserved += 1;
+                }
             }
         }
     }
     print_table(
-        &format!("ring sweep ({requests} arrivals/cell, 1 lane, simulated cycles)"),
+        &format!("ring sweep ({REQUESTS} arrivals/cell, 1 lane, simulated cycles)"),
         &[
             "transport",
             "rho",
@@ -154,7 +159,7 @@ fn main() {
         .field("bench", "ring")
         .field("latency_tolerance", LATENCY_TOLERANCE)
         .field("gate_budget", GATE_BUDGET)
-        .field("requests", requests)
+        .field("requests", REQUESTS)
         .field(
             "latency_gate",
             Json::obj()
@@ -165,11 +170,14 @@ fn main() {
         )
         .field("sweep", Json::Arr(sweep_json))
         .field("direct", Json::Arr(direct_json));
-    let gate = Gate::new(
-        format!("skybridge ring p50 / direct p50 at rho {LOW_RHO}, budget {GATE_BUDGET}"),
-        latency_ratio,
-        Bound::AtMost(1.0 + LATENCY_TOLERANCE),
-        "ratio",
-    );
-    finish("ring", &doc, vec![gate]);
+    let gates = vec![
+        Gate::none("cells that do not conserve requests", unconserved, "cells"),
+        Gate::new(
+            format!("skybridge ring p50 / direct p50 at rho {LOW_RHO}, budget {GATE_BUDGET}"),
+            latency_ratio,
+            Bound::AtMost(1.0 + LATENCY_TOLERANCE),
+            "ratio",
+        ),
+    ];
+    finish("ring", &doc, gates);
 }

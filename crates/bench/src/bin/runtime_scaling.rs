@@ -15,20 +15,21 @@
 //! SkyBridge's, and MPK's must undercut it — two WRPKRU flips
 //! (2 × 28 cycles) against a VMFUNC round trip (2 × 134).
 //!
-//! Defaults simulate ~1.04M requests (80 cells × 13,000); `SB_REQUESTS`
-//! scales the per-cell count.
+//! No run-size knob: 100 cells × [`REQUESTS`] = 50 000 simulated
+//! requests, the size `results/runtime_scaling.json` records.
 //!
-//! Set `SB_TRACE=1` (or `SB_TRACE=<backend label>`, e.g.
-//! `SB_TRACE=fiasco`) to additionally run one traced cell with a live
-//! recorder and dump `results/runtime_scaling_trace.json` — a Chrome
-//! trace-event file: open <https://ui.perfetto.dev> and drag it in, or
-//! load it at `chrome://tracing`.
+//! Knob: `SB_TRACE=<label>` (`sel4`, `fiasco`, `zircon`, `skybridge`,
+//! `mpk`) additionally runs one traced cell on that personality with a
+//! live recorder and dumps `results/traces/runtime_scaling_trace.json` —
+//! a Chrome trace-event file: open <https://ui.perfetto.dev> and drag it
+//! in, or load it at `chrome://tracing`.
 
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
-    knob, kv_factory, print_table,
+    kv_factory, print_table,
     report::{run_stats_json, write_raw},
+    traced_backend,
 };
 use sb_observe::{attribute, chrome_trace, Json, Recorder, SpanKind};
 use sb_runtime::{AdmissionPolicy, RuntimeConfig};
@@ -36,6 +37,8 @@ use skybridge_repro::scenarios::runtime::{
     build_backend, ops_per_sec, run_open_loop, Backend, ServingScenario,
 };
 
+/// Arrivals per sweep cell (and in the `SB_TRACE` cell).
+const REQUESTS: u64 = 500;
 /// Event-ring capacity of the `SB_TRACE` cell.
 const TRACE_RING: usize = 1 << 15;
 /// Queue capacity of every sweep cell.
@@ -47,30 +50,24 @@ const QUEUE_CAPACITY: usize = 64;
 /// checked-in sample lives at `results/sample_trace.json`). Uses a ring much
 /// larger than the always-on default so a whole cell fits without
 /// overwrites (and reports how many events were dropped if not).
-fn dump_trace(which: &str, requests: u64, capacity: usize) -> Gate {
-    let which = which.to_ascii_lowercase();
-    let backend = Backend::all()
-        .into_iter()
-        .find(|b| b.label().to_ascii_lowercase().starts_with(&which))
-        .unwrap_or(Backend::SkyBridge);
+fn dump_trace(backend: &Backend) -> Gate {
     let recorder = Recorder::new(TRACE_RING);
     let cfg = RuntimeConfig {
-        queue_capacity: capacity,
+        queue_capacity: QUEUE_CAPACITY,
         policy: AdmissionPolicy::Shed,
         queue_deadline: None,
         recorder: recorder.clone(),
         ..RuntimeConfig::default()
     };
-    let svc = calibrate(&backend, 64, 256);
+    let svc = calibrate(backend, 64, 256);
     let workers = 4;
-    let traced = requests.min(2_000);
     let stats = run_open_loop(
         ServingScenario::Kv,
-        &backend,
+        backend,
         workers,
         cfg,
         svc / (workers as f64 * 0.8),
-        traced,
+        REQUESTS,
         0x7a_ced0_5eed,
     );
     let trace = chrome_trace(&recorder);
@@ -175,16 +172,15 @@ fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Json {
 }
 
 fn main() {
-    let requests = knob("SB_REQUESTS", 13_000) as u64;
-    let capacity = QUEUE_CAPACITY;
+    // Read first, so an unknown label stops the run before the sweep.
+    let traced = traced_backend();
     let scenario = ServingScenario::Kv;
     let threads = [1usize, 2, 4, 8];
     let rhos = [0.5, 0.8, 1.0, 1.2, 1.5];
     let cells = Backend::all().len() * threads.len() * rhos.len();
     println!(
-        "runtime_scaling: {} cells x {requests} requests = {} total simulated requests",
-        cells,
-        cells as u64 * requests
+        "runtime_scaling: {cells} cells x {REQUESTS} requests = {} total simulated requests",
+        cells as u64 * REQUESTS
     );
 
     let mut json_rows: Vec<Json> = Vec::new();
@@ -198,14 +194,14 @@ fn main() {
             for (ri, &rho) in rhos.iter().enumerate() {
                 let mean_ia = svc / (workers as f64 * rho);
                 let cfg = RuntimeConfig {
-                    queue_capacity: capacity,
+                    queue_capacity: QUEUE_CAPACITY,
                     policy: AdmissionPolicy::Shed,
                     queue_deadline: None,
                     ..RuntimeConfig::default()
                 };
                 let seed = 0x0005_ca1e_0000 + (ti * 1000 + wi * 100 + ri) as u64;
                 let stats =
-                    run_open_loop(scenario, transport, workers, cfg, mean_ia, requests, seed);
+                    run_open_loop(scenario, transport, workers, cfg, mean_ia, REQUESTS, seed);
                 row.push(format!(
                     "{:.1}/Mc p99={} shed={}",
                     stats.throughput_per_mcycle(),
@@ -254,8 +250,8 @@ fn main() {
         .field("bench", "runtime_scaling")
         .field("scenario", "kv")
         .field("workload", "ycsb-a")
-        .field("requests_per_cell", requests)
-        .field("queue_capacity", capacity)
+        .field("requests_per_cell", REQUESTS)
+        .field("queue_capacity", QUEUE_CAPACITY)
         .field("five_way", five_way)
         .field("rows", Json::Arr(json_rows));
     println!(
@@ -265,8 +261,8 @@ fn main() {
          bounds queue depth."
     );
 
-    if let Ok(which) = std::env::var("SB_TRACE") {
-        gates.push(dump_trace(&which, requests, capacity));
+    if let Some(backend) = traced {
+        gates.push(dump_trace(&backend));
     }
     finish("runtime_scaling", &doc, gates);
 }

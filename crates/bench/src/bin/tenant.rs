@@ -22,12 +22,13 @@
 //!    p99 with zero SLO breach episodes. Any violated cell exits
 //!    non-zero.
 //!
-//! Knob: `SB_TENANT_REQUESTS` (arrivals per sweep cell, default 4,000).
+//! No knob: [`REQUESTS`] arrivals per sweep cell, the size
+//! `results/tenant.json` records.
 
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
-    knob, print_table,
+    print_table,
     report::run_stats_json,
 };
 use sb_observe::Json;
@@ -42,6 +43,8 @@ use skybridge_repro::scenarios::tenant::{run_noisy_neighbor, TenantOutcome};
 const FAIRNESS_FLOOR: f64 = 0.95;
 /// The isolation gate: victim contended p99 within 10% of solo.
 const ISOLATION_HEADROOM: f64 = 1.10;
+/// Arrivals per skew-sweep cell.
+const REQUESTS: u64 = 4_000;
 /// Offered load relative to the calibrated service rate.
 const RHO: f64 = 0.8;
 /// Tenant populations the sweep covers.
@@ -83,21 +86,14 @@ fn sweep_registry() -> TenantRegistry {
     })
 }
 
-/// One skew-sweep cell: `requests` Poisson arrivals at ρ = [`RHO`]
+/// One skew-sweep cell: [`REQUESTS`] Poisson arrivals at ρ = [`RHO`]
 /// against two lanes, tenants drawn uniform round-robin or Zipfian.
-fn run_sweep_cell(
-    backend: &Backend,
-    tenants: u16,
-    zipf: bool,
-    gap: f64,
-    requests: u64,
-    seed: u64,
-) -> RunStats {
+fn run_sweep_cell(backend: &Backend, tenants: u16, zipf: bool, gap: f64) -> RunStats {
     let scenario = ServingScenario::Kv;
     let mut factory = if zipf {
-        RequestFactory::with_zipf_tenants(scenario.workload(), scenario.payload(), tenants, seed)
+        RequestFactory::with_zipf_tenants(scenario.workload(), scenario.payload(), tenants, SEED)
     } else {
-        let schedule: Vec<TenantId> = (0..requests).map(|i| (i % tenants as u64) as u16).collect();
+        let schedule: Vec<TenantId> = (0..REQUESTS).map(|i| (i % tenants as u64) as u16).collect();
         RequestFactory::with_tenant_schedule(scenario.workload(), scenario.payload(), schedule)
     };
     let cfg = RuntimeConfig {
@@ -105,7 +101,7 @@ fn run_sweep_cell(
         ..RuntimeConfig::default()
     };
     let mut transport = build_backend(scenario, backend, 2);
-    let arrivals = PoissonArrivals::new(gap, seed).take(requests as usize);
+    let arrivals = PoissonArrivals::new(gap, SEED).take(REQUESTS as usize);
     ServerRuntime::new(transport.as_mut(), cfg).run_open_loop(arrivals, &mut factory)
 }
 
@@ -117,7 +113,6 @@ fn quarantine_count(out: &TenantOutcome) -> usize {
 }
 
 fn main() {
-    let requests = knob("SB_TENANT_REQUESTS", 4_000) as u64;
     let (mut unbalanced, mut unquarantined, mut unisolated) = (0u64, 0u64, 0u64);
     let mut least_fair = f64::INFINITY;
 
@@ -131,7 +126,7 @@ fn main() {
         for &tenants in &TENANT_COUNTS {
             for zipf in [false, true] {
                 let skew = if zipf { "zipf" } else { "uniform" };
-                let stats = run_sweep_cell(&backend, tenants, zipf, gap, requests, SEED);
+                let stats = run_sweep_cell(&backend, tenants, zipf, gap);
                 let jain = jain_index(&stats);
                 if !stats.tenants_conserved() {
                     unbalanced += 1;
@@ -169,7 +164,7 @@ fn main() {
         }
     }
     print_table(
-        &format!("tenant skew sweep ({requests} arrivals/cell, 2 lanes, rho={RHO})"),
+        &format!("tenant skew sweep ({REQUESTS} arrivals/cell, 2 lanes, rho={RHO})"),
         &[
             "transport",
             "tenants",
@@ -265,7 +260,7 @@ fn main() {
 
     let doc = Json::obj()
         .field("bench", "tenant")
-        .field("requests", requests)
+        .field("requests", REQUESTS)
         .field("rho", RHO)
         .field("fairness_floor", FAIRNESS_FLOOR)
         .field("isolation_headroom", ISOLATION_HEADROOM)

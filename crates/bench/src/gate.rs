@@ -149,9 +149,8 @@ pub fn verdict(bench: &str, gates: &[Gate]) {
     println!("{bench}: all {} gates hold", gates.len());
 }
 
-/// The last call of a gated bin: writes `doc` to
-/// `<results dir>/<bench>.json`, then [`verdict`] over `gates` plus the
-/// write itself.
+/// The last call of a gated bin: writes `doc` to `results/<bench>.json`,
+/// then [`verdict`] over `gates` plus the write itself.
 pub fn finish(bench: &str, doc: &Json, mut gates: Vec<Gate>) {
     gates.push(Gate::written(write_json(bench, doc)));
     verdict(bench, &gates);

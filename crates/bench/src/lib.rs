@@ -9,7 +9,10 @@
 //! how fast the simulator runs is `benchmark/`'s ledger
 //! (`results/BENCH_history.jsonl`), so every number this crate prints
 //! is deterministic and every file it writes is diffed against
-//! `results/` by `tools/regen_results.sh`.
+//! `results/` by `tools/regen_results.sh`. Every run size is a constant
+//! of its bin, so `cargo run --release -p sb-bench --bin X` reproduces
+//! the committed `results/X.json`; the one environment read is
+//! [`traced_backend`].
 
 use std::fmt::Display;
 
@@ -107,21 +110,35 @@ pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> f64 {
     )
 }
 
-/// Reads a run-size knob from the environment: `default` when unset. A
-/// value that does not parse ends the run — `SB_REQUESTS=2oo` must not
-/// silently run a different experiment under the same label.
-pub fn knob(name: &str, default: usize) -> usize {
-    let value = std::env::var_os(name);
+/// The crate's one environment read: `SB_TRACE=<label>` asks
+/// `runtime_scaling` for one extra traced cell on that personality, for
+/// Perfetto. It picks what to look at, not how much to run — every run
+/// size is a constant of its bin. Unset means no trace; a label that
+/// names no personality ends the run, naming the ones that exist.
+pub fn traced_backend() -> Option<Backend> {
+    let value = std::env::var_os("SB_TRACE");
     let value = value.as_ref().map(|v| v.to_string_lossy());
-    parse_knob(name, value.as_deref(), default).unwrap_or_else(|e| gate::die(&[e]))
+    parse_trace(value.as_deref()).unwrap_or_else(|e| gate::die(&[e]))
 }
 
-fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
-    match value {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|e| format!("{name}={v:?} is not a run size: {e}")),
+/// A personality's `SB_TRACE` label: its [`Backend::label`] up to the
+/// first `.`, lower-cased (`sel4`, `fiasco`, `zircon`, `skybridge`,
+/// `mpk`).
+fn trace_label(backend: &Backend) -> String {
+    let label = backend.label();
+    label[..label.find('.').unwrap_or(label.len())].to_ascii_lowercase()
+}
+
+fn parse_trace(value: Option<&str>) -> Result<Option<Backend>, String> {
+    let Some(v) = value else { return Ok(None) };
+    let mut all = Backend::all();
+    let labels: Vec<String> = all.iter().map(trace_label).collect();
+    match labels.iter().position(|l| l.eq_ignore_ascii_case(v)) {
+        Some(i) => Ok(Some(all.swap_remove(i))),
+        None => Err(format!(
+            "SB_TRACE={v:?} names no personality; the labels are {}",
+            labels.join(", ")
+        )),
     }
 }
 
@@ -136,18 +153,36 @@ mod tests {
         assert_eq!(speedup(1.0, 0.0), "n/a");
     }
 
+    /// The one knob left: unset means no trace, and each personality is
+    /// picked by its label in any case.
     #[test]
     fn knob_defaults() {
-        assert_eq!(knob("SB_DOES_NOT_EXIST_XYZ", 42), 42);
-        assert_eq!(parse_knob("SB_REQUESTS", None, 42), Ok(42));
-        assert_eq!(parse_knob("SB_REQUESTS", Some("7"), 42), Ok(7));
+        assert!(matches!(parse_trace(None), Ok(None)));
+        for (value, label) in [
+            ("skybridge", "skybridge"),
+            ("sel4", "seL4"),
+            ("Fiasco", "Fiasco.OC"),
+            ("zircon", "Zircon"),
+            ("MPK", "mpk"),
+        ] {
+            let picked = parse_trace(Some(value)).expect("a known label");
+            assert_eq!(picked.as_ref().map(Backend::label), Some(label));
+        }
     }
 
+    /// A label that names no personality is an error naming the variable,
+    /// the value and every label — never a silent SkyBridge trace.
     #[test]
     fn a_knob_that_does_not_parse_is_an_error_naming_it() {
-        for bad in ["2oo", "", "-1", "0x10", "1e3"] {
-            let e = parse_knob("SB_REQUESTS", Some(bad), 42).unwrap_err();
-            assert!(e.contains("SB_REQUESTS") && e.contains(bad), "{e}");
+        for bad in ["fiasko", "1", "", "sky", "fiasco.oc"] {
+            let e = parse_trace(Some(bad)).unwrap_err();
+            assert!(
+                e.contains("SB_TRACE") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+            for label in ["sel4", "fiasco", "zircon", "skybridge", "mpk"] {
+                assert!(e.contains(label), "{e}");
+            }
         }
     }
 

@@ -6,7 +6,10 @@
 //! stay serialization-free; their result structs are rendered to rows
 //! here.
 
-use std::{fs, path::PathBuf};
+use std::{
+    fs, io,
+    path::{Path, PathBuf},
+};
 
 use sb_observe::Json;
 use sb_runtime::RunStats;
@@ -134,24 +137,26 @@ pub fn fs_chaos_json(out: &FsChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("leaked", out.report.leaked())
 }
 
-/// The output directory, overridable with `SB_RESULTS_DIR`.
-pub fn results_dir() -> PathBuf {
-    std::env::var("SB_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
+/// Where every file goes, relative to the working directory: a run from
+/// another directory (`tools/regen_results.sh` runs the bins from its
+/// own) writes its own `results/`.
+pub const RESULTS_DIR: &str = "results";
 
 /// Writes `value` to `results/<name>.json` (pretty enough for diffing:
 /// one trailing newline) and returns the path.
-pub fn write_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
+pub fn write_json(name: &str, value: &Json) -> io::Result<PathBuf> {
     write_raw(&format!("{name}.json"), &format!("{value}\n"))
 }
 
 /// Writes pre-serialized `contents` to `results/<name>` verbatim —
 /// for exports that are already strings, like a Chrome trace. `name`
 /// may carry subdirectories (`traces/foo.json`); they are created.
-pub fn write_raw(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let path = results_dir().join(name);
+pub fn write_raw(name: &str, contents: &str) -> io::Result<PathBuf> {
+    write_under(Path::new(RESULTS_DIR), name, contents)
+}
+
+fn write_under(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
+    let path = dir.join(name);
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
@@ -255,11 +260,10 @@ mod tests {
     #[test]
     fn writes_and_reads_back() {
         let dir = std::env::temp_dir().join("sb-bench-report-test");
-        std::env::set_var("SB_RESULTS_DIR", &dir);
         let j = Json::obj().field("x", 1u64);
-        let path = write_json("unit", &j).unwrap();
+        let path = write_under(&dir, "nested/unit.json", &format!("{j}\n")).unwrap();
+        assert_eq!(path, dir.join("nested/unit.json"));
         assert_eq!(fs::read_to_string(&path).unwrap(), "{\"x\":1}\n");
-        std::env::remove_var("SB_RESULTS_DIR");
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = fs::remove_dir_all(dir);
     }
 }

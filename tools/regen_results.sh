@@ -6,43 +6,42 @@
 #
 # Runs `paper` (all eleven tables and figures, and the fidelity ledger
 # fidelity.json their cells add up to) and the seven gated bins of
-# sb-bench, with the knob values the committed files were made with,
-# into `dir/results` (default target/regen/results), then diffs that
-# tree against results/. Everything these bins print is simulated, so
-# any difference is a finding: a simulated figure moved (re-capture the
-# file in the change that moved it, and say why) or a gate broke (the
-# bin exits non-zero first). ~1 min release-built; to refresh the
-# committed files after an intended change, copy `dir/results/` over
-# `results/`.
+# sb-bench into `dir/results` (default target/regen/results), then diffs
+# that tree against results/. No variable is set: every run size is a
+# constant of its bin, the one the committed file records, so each bin
+# runs here exactly as `cargo run --release -p sb-bench --bin X` does.
+# Everything these bins print is simulated, so any difference is a
+# finding: a simulated figure moved (re-capture the file in the change
+# that moved it, and say why) or a gate broke (the bin exits non-zero
+# first). ~1 min release-built; to re-baseline every committed file
+# after an intended change, copy `dir/results/` over `results/`.
 #
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
-# by tools/bench_history.sh), sample_trace.json (a hand-picked SB_TRACE
-# capture) and the untracked postmortem/ and traces/ subtrees.
+# by tools/bench_history.sh), sample_trace.json (a hand-picked Perfetto
+# capture of runtime_scaling's traced cell) and the untracked postmortem/
+# and traces/ subtrees.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 dir="${1:-$root/target/regen}"
 rm -rf "$dir/results"
 mkdir -p "$dir/results"
-# `profile` diffs its run against the committed baseline.
-cp "$root/results/profile_baseline.json" "$dir/results/"
+# Absolute: the bins run in `dir`, and the diff below names it again.
+dir="$(cd "$dir" && pwd)"
+# `profile` diffs its run against the checkout's profile.json, then
+# rewrites it. Before a commit that file is still the parent's, so this
+# run applies the attribution gate to the change; CI applies it against
+# the parent commit's file in a step of its own.
+cp "$root/results/profile.json" "$dir/results/"
 
 # chaos.json and figure9_11.txt name files written beside them by path
 # (`results/postmortem/…`, `wrote results/figure9_11.json`): run the bins
-# where the default `results/` is the fresh directory, not the checkout's.
+# where `results/` is the fresh directory, not the checkout's.
 cd "$dir"
-bench() {
-    echo "regen: $*" >&2
-    cargo run --release --quiet --manifest-path "$root/Cargo.toml" -p sb-bench --bin "$@" >/dev/null
-}
-bench paper
-bench tenant
-SB_REQUESTS=500 bench runtime_scaling
-SB_REQUESTS=200 SB_CHAOS_SEEDS=2 SB_FS_SEEDS=32 bench chaos
-SB_RING_REQUESTS=500 bench ring
-SB_GRAPH_OPS=300 bench graph
-bench sentinel
-bench profile
+for bin in paper tenant runtime_scaling chaos ring graph sentinel profile; do
+    echo "regen: $bin" >&2
+    cargo run --release --quiet --manifest-path "$root/Cargo.toml" -p sb-bench --bin "$bin" >/dev/null
+done
 
 diff -r -x BENCH_history.jsonl -x sample_trace.json -x postmortem -x traces \
     "$root/results" "$dir/results"
