@@ -4,18 +4,20 @@
 //! no orphan `.txt` nothing regenerates, and a section of EXPERIMENTS.md
 //! for each. And the fidelity ledger (`results/fidelity.json`) is the
 //! artefacts' `measured (paper)` cells, none of them further from the
-//! paper than its band allows.
+//! paper than its band allows, and the cheap artefacts re-derive to it
+//! cell for cell.
+
+mod ledger;
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::Path;
+use std::thread;
 
-use sb_bench::paper::EXPERIMENTS;
-use sb_observe::Json;
+use sb_bench::paper::{find, Cell, EXPERIMENTS};
 
 #[test]
 fn experiments_artefacts_and_write_ups_are_in_bijection() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = ledger::root();
     let table: BTreeSet<String> = EXPERIMENTS.iter().map(|e| e.name.to_string()).collect();
     assert_eq!(table.len(), EXPERIMENTS.len(), "a name is listed twice");
 
@@ -39,43 +41,6 @@ fn experiments_artefacts_and_write_ups_are_in_bijection() {
             "EXPERIMENTS.md has no heading naming `{name}`"
         );
     }
-}
-
-/// One row of the committed `results/fidelity.json`.
-struct Cell {
-    experiment: String,
-    row: String,
-    column: String,
-    paper: f64,
-    measured: f64,
-}
-
-fn ledger(root: &Path) -> Vec<Cell> {
-    let text = fs::read_to_string(root.join("results/fidelity.json")).expect("fidelity.json");
-    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("fidelity.json: {e}"));
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_array)
-        .expect("a `rows` array");
-    rows.iter()
-        .map(|row| {
-            let text = |key: &str| match row.get(key).and_then(Json::as_str) {
-                Some(s) => s.to_string(),
-                None => panic!("no string `{key}` in {row}"),
-            };
-            let number = |key: &str| match row.get(key).and_then(Json::as_f64) {
-                Some(x) => x,
-                None => panic!("no number `{key}` in {row}"),
-            };
-            Cell {
-                experiment: text("experiment"),
-                row: text("row"),
-                column: text("column"),
-                paper: number("paper"),
-                measured: number("measured"),
-            }
-        })
-        .collect()
 }
 
 /// Every `measured (paper)` cell an artefact's text prints, in order:
@@ -106,13 +71,13 @@ fn printed_cells(text: &str) -> Vec<(f64, f64)> {
 
 #[test]
 fn the_ledger_holds_exactly_the_cells_the_artefacts_print() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let ledger = ledger(&root);
+    let root = ledger::root();
+    let ledger = ledger::read();
     assert!(!ledger.is_empty());
     for e in EXPERIMENTS {
         let text = fs::read_to_string(root.join(format!("results/{}.txt", e.name))).unwrap();
         let printed = printed_cells(&text);
-        let rows: Vec<&Cell> = ledger.iter().filter(|c| c.experiment == e.name).collect();
+        let rows: Vec<&Cell> = ledger::cells(&ledger, e.name).collect();
         assert_eq!(
             rows.len(),
             printed.len(),
@@ -132,11 +97,10 @@ fn the_ledger_holds_exactly_the_cells_the_artefacts_print() {
             );
         }
     }
-    for c in &ledger {
+    for (experiment, _) in &ledger {
         assert!(
-            EXPERIMENTS.iter().any(|e| e.name == c.experiment),
-            "ledger row of unknown experiment `{}`",
-            c.experiment
+            find(experiment).is_some(),
+            "ledger row of unknown experiment `{experiment}`"
         );
     }
 }
@@ -216,19 +180,18 @@ const BANDS: &[(&str, &str, &[f64])] = &[
 
 #[test]
 fn no_cell_is_further_from_the_paper_than_its_band() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut bent = Vec::new();
     let mut row_start = 0;
-    let ledger = ledger(&root);
-    for (i, c) in ledger.iter().enumerate() {
-        if i > 0 && (ledger[i - 1].experiment != c.experiment || ledger[i - 1].row != c.row) {
+    let ledger = ledger::read();
+    for (i, (experiment, c)) in ledger.iter().enumerate() {
+        if i > 0 && (ledger[i - 1].0 != *experiment || ledger[i - 1].1.row != c.row) {
             row_start = i;
         }
         let band = BANDS
             .iter()
-            .find(|(experiment, row, _)| *experiment == c.experiment && *row == c.row)
+            .find(|(e, row, _)| e == experiment && *row == c.row)
             .and_then(|(_, _, bands)| bands.get(i - row_start))
-            .unwrap_or_else(|| panic!("no band for {} / {} / {}", c.experiment, c.row, c.column));
+            .unwrap_or_else(|| panic!("no band for {experiment} / {} / {}", c.row, c.column));
         let distance = if c.measured == c.paper {
             0.0
         } else {
@@ -237,8 +200,8 @@ fn no_cell_is_further_from_the_paper_than_its_band() {
         // A paper value of 0 missed is infinitely far: outside any band.
         if distance > *band {
             bent.push(format!(
-                "{} / {} / {}: measured {} vs paper {} is {distance:.4} away, band {band}",
-                c.experiment, c.row, c.column, c.measured, c.paper
+                "{experiment} / {} / {}: measured {} vs paper {} is {distance:.4} away, band {band}",
+                c.row, c.column, c.measured, c.paper
             ));
         }
     }
@@ -246,5 +209,59 @@ fn no_cell_is_further_from_the_paper_than_its_band() {
         bent.is_empty(),
         "rows left their band:\n{}",
         bent.join("\n")
+    );
+}
+
+/// The artefacts a debug build regenerates in about a second each (all
+/// six in ~3.5 s wall, ~6 s CPU, on two cores); `table4`, `figure9_11`,
+/// `table5`, `table6` and `ablations` take 1.5-33 s each even release-built
+/// (`table5` 42 s in debug) and are left to `tools/regen_results.sh`.
+const REDERIVED: [&str; 6] = [
+    "table1", "figure2", "table2", "table3", "figure7", "figure8",
+];
+
+/// A modelled cost that moved fails here by ledger row: each cheap
+/// artefact, run in-process, must print its committed text byte for
+/// byte and record exactly its committed ledger cells, each named
+/// `experiment / row / column` — a moved cell shows as its committed
+/// line next to its re-derived one.
+#[test]
+fn the_cheap_artefacts_rederive_cell_for_cell() {
+    let runs = thread::scope(|s| {
+        REDERIVED
+            .map(|name| s.spawn(move || (name, find(name).expect("listed").artefact())))
+            .map(|run| run.join().expect("the experiment ran"))
+    });
+    let ledger = ledger::read();
+    let mut moved = Vec::new();
+    for (name, (text, cells)) in runs {
+        let show = |c: &Cell| {
+            format!(
+                "{name} / {} / {}: measured {} (paper {})",
+                c.row, c.column, c.measured, c.paper
+            )
+        };
+        let fresh: BTreeSet<String> = cells.0.iter().map(show).collect();
+        let committed: BTreeSet<String> = ledger::cells(&ledger, name).map(show).collect();
+        moved.extend(
+            fresh
+                .difference(&committed)
+                .map(|l| format!("{l}, re-derived")),
+        );
+        moved.extend(
+            committed
+                .difference(&fresh)
+                .map(|l| format!("{l}, committed")),
+        );
+        if fs::read_to_string(ledger::root().join(format!("results/{name}.txt"))).ok() != Some(text)
+        {
+            moved.push(format!("{name}: the text differs from results/{name}.txt"));
+        }
+    }
+    moved.sort();
+    assert!(
+        moved.is_empty(),
+        "re-derived artefacts left the ledger:\n{}",
+        moved.join("\n")
     );
 }

@@ -133,5 +133,12 @@ mod tests {
         // immediates), but the injected one must have strictly more.
         assert!(find_occurrences(&dirty).len() > find_occurrences(&clean).len());
         assert!(!find_occurrences(&dirty).is_empty());
+        // Table 6's sensitivity: accidental occurrences in random
+        // immediates are rare in clean code (the paper found 1 in ~7,000
+        // programs), and the scanner finds injected ones on every seed.
+        for seed in 1..=16 {
+            assert!(find_occurrences(&generate(seed, 32 * 1024, 0)).len() <= 2);
+            assert!(!find_occurrences(&generate(seed, 32 * 1024, 30)).is_empty());
+        }
     }
 }

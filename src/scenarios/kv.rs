@@ -267,9 +267,9 @@ impl KvPipeline {
                         8,
                         1536,
                         Box::new(move |sb, k, ctx, req| {
-                            let enc = enc_transform(k, ctx.caller, req);
+                            let enc = enc_transform(k, ctx.caller, req, Leg::Request);
                             let (reply, _) = sb.direct_server_call(k, ctx.caller, kv_id, &enc)?;
-                            Ok(enc_transform(k, ctx.caller, &reply).into())
+                            Ok(enc_transform(k, ctx.caller, &reply, Leg::Reply).into())
                         }),
                     )
                     .expect("enc registration");
@@ -345,7 +345,9 @@ impl KvPipeline {
         }
     }
 
-    fn one_op(&mut self, op: &KvOp) {
+    /// Runs one operation and returns the reply the client sees: the
+    /// decrypted value of a found query.
+    fn one_op(&mut self, op: &KvOp) -> Vec<u8> {
         let req = Self::encode_req(op);
         // Client-side work: compose the request in its buffer.
         let client_buf = match self.mode {
@@ -364,7 +366,7 @@ impl KvPipeline {
                 };
                 // enc (function call).
                 self.k.compute(self.client, delay);
-                let enc = enc_transform(&mut self.k, self.client, &req);
+                let enc = enc_transform(&mut self.k, self.client, &req, Leg::Request);
                 self.k.user_write(self.client, client_buf, &enc).unwrap();
                 // kv (function call).
                 self.k.compute(self.client, delay);
@@ -373,9 +375,10 @@ impl KvPipeline {
                 drop(state);
                 self.k.compute(self.client, delay);
                 // decrypt on the way back.
-                let out = enc_transform(&mut self.k, self.client, &reply);
+                let out = enc_transform(&mut self.k, self.client, &reply, Leg::Reply);
                 self.k.compute(self.client, delay);
                 self.k.user_write(self.client, client_buf, &out).unwrap();
+                out
             }
             KvMode::Mpk => {
                 // The Figure 1 pipeline as MPK domains: the same four
@@ -386,7 +389,7 @@ impl KvPipeline {
                 let core = self.k.core_of(self.client);
                 // client → enc.
                 self.k.wrpkru(core, MPK_APP_PKRU);
-                let enc = enc_transform(&mut self.k, self.client, &req);
+                let enc = enc_transform(&mut self.k, self.client, &req, Leg::Request);
                 self.k.user_write(self.client, client_buf, &enc).unwrap();
                 // enc → kv: the only window where the slots are in reach.
                 self.k.wrpkru(core, MPK_KV_PKRU);
@@ -395,10 +398,11 @@ impl KvPipeline {
                 drop(state);
                 // kv → enc: decrypt on the way back.
                 self.k.wrpkru(core, MPK_APP_PKRU);
-                let out = enc_transform(&mut self.k, self.client, &reply);
+                let out = enc_transform(&mut self.k, self.client, &reply, Leg::Reply);
                 // enc → client.
                 self.k.wrpkru(core, MPK_APP_PKRU);
                 self.k.user_write(self.client, client_buf, &out).unwrap();
+                out
             }
             KvMode::Ipc | KvMode::IpcCrossCore => {
                 // client → enc.
@@ -409,7 +413,7 @@ impl KvPipeline {
                 let enc_buf = self.k.threads[self.enc_tid].msg_buf;
                 let mut buf = vec![0u8; req.len()];
                 self.k.user_read(self.enc_tid, enc_buf, &mut buf).unwrap();
-                let enc = enc_transform(&mut self.k, self.enc_tid, &buf);
+                let enc = enc_transform(&mut self.k, self.enc_tid, &buf, Leg::Request);
                 self.k.user_write(self.enc_tid, enc_buf, &enc).unwrap();
                 self.k
                     .ipc_call(self.enc_tid, self.kv_cap, enc.len())
@@ -428,16 +432,18 @@ impl KvPipeline {
                 // enc: decrypt the reply, return to the client.
                 let mut rbuf = vec![0u8; reply.len()];
                 self.k.user_read(self.enc_tid, enc_buf, &mut rbuf).unwrap();
-                let out = enc_transform(&mut self.k, self.enc_tid, &rbuf);
+                let out = enc_transform(&mut self.k, self.enc_tid, &rbuf, Leg::Reply);
                 self.k.user_write(self.enc_tid, enc_buf, &out).unwrap();
                 self.k
                     .ipc_reply(self.enc_tid, self.client, out.len())
                     .expect("enc reply");
+                out
             }
             KvMode::SkyBridge => {
                 let sb = self.sb.as_mut().expect("SkyBridge mode");
                 sb.direct_server_call(&mut self.k, self.client, self.sb_enc, &req)
-                    .expect("direct call");
+                    .expect("direct call")
+                    .0
             }
         }
     }
@@ -482,28 +488,30 @@ fn component_work(k: &mut Kernel, tid: ThreadId, code_slice: Gva, slice_len: usi
     k.compute(tid, COMPONENT_CPU);
 }
 
+/// Which way a message crosses the encryption server.
+enum Leg {
+    /// Client → KV store: a framed request (tag + key length, 3 bytes).
+    Request,
+    /// KV store → client: a raw payload.
+    Reply,
+}
+
 /// The encryption server's work: fetch its code, XOR-transform the
 /// payload (a self-inverse stream-cipher stand-in), charging per-byte
-/// compute. The 3-byte request framing (tag + key length) is left intact
-/// so the KV server can parse it; replies are raw payloads (`skip` 0).
-fn enc_transform_framed(k: &mut Kernel, tid: ThreadId, data: &[u8], skip: usize) -> Vec<u8> {
+/// compute. A request's 3-byte framing is left intact so the KV server
+/// can parse it.
+fn enc_transform(k: &mut Kernel, tid: ThreadId, data: &[u8], leg: Leg) -> Vec<u8> {
     component_work(k, tid, layout::CODE_BASE, 2048);
     // Stream-cipher cost: ~1.5 cycles per byte plus setup.
     k.compute(tid, data.len() as Cycles * 3 / 2 + 40);
+    let skip = match leg {
+        Leg::Request => 3,
+        Leg::Reply => 0,
+    };
     data.iter()
         .enumerate()
         .map(|(i, b)| if i < skip { *b } else { b ^ 0x5a })
         .collect()
-}
-
-/// [`enc_transform_framed`] for a framed request (3-byte header).
-fn enc_transform(k: &mut Kernel, tid: ThreadId, data: &[u8]) -> Vec<u8> {
-    let skip = if data.len() >= 3 && (data[0] == 1 || data[0] == 2) {
-        3
-    } else {
-        0
-    };
-    enc_transform_framed(k, tid, data, skip)
 }
 
 /// The KV server's work: probe the bucket array, then read or write the
@@ -616,14 +624,25 @@ mod tests {
 
     #[test]
     fn query_results_roundtrip_correctly() {
-        // Functional fidelity: the value read back must equal the value
-        // inserted (through encrypt→store→fetch→decrypt).
-        for mode in [KvMode::Baseline, KvMode::Ipc, KvMode::SkyBridge] {
+        // Functional fidelity: the value the client reads back equals the
+        // value it inserted (through encrypt→store→fetch→decrypt), on
+        // every mode — also when its first byte, encrypted, looks like a
+        // request tag (0x5b ^ 0x5a == 1, 0x58 ^ 0x5a == 2).
+        use KvMode::{Baseline, Delay, Ipc, IpcCrossCore, Mpk};
+        for mode in [Baseline, Delay, Ipc, IpcCrossCore, KvMode::SkyBridge, Mpk] {
             let mut p = KvPipeline::new(mode, 16, 128);
             p.run_ops(100);
-            // The mix asserts internally that queries find their keys; a
-            // data mismatch would break the slot directory invariants.
             assert!(p.kv_state.borrow().index.len() > 10);
+            for first in [0x5b, 0x58, 0x00] {
+                let (key, mut value) = (vec![first; 16], vec![0x33; 16]);
+                value[0] = first;
+                let insert = KvOp::Insert {
+                    key: key.clone(),
+                    value: value.clone(),
+                };
+                p.one_op(&insert);
+                assert_eq!(p.one_op(&KvOp::Query { key }), value, "{mode:?}");
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Per-crate code-size budget.
+//! Per-crate code-size budget, and one for the root package's `src/`.
 //!
 //! A small kernel is a security property (the paper's Rootkernel is
 //! ~1.5 KLoC for that reason), and lines that a simplification removed
@@ -51,6 +51,11 @@ const BUDGET: &[(&str, usize)] = &[
     // with libm's `pow` as its fallback, rounded up to the next 10.
     ("ycsb", 270),
 ];
+
+/// The ceiling of the root package's `src/` (the scenarios), under the
+/// same rule: 2034 once the KV pipeline's encryption server said which
+/// way each message crosses it, rounded up to the next 10.
+const ROOT_SRC: usize = 2_040;
 
 /// Non-test code lines of one source text.
 fn code_lines(text: &str) -> usize {
@@ -110,6 +115,10 @@ fn every_crate_stays_under_its_code_line_ceiling() {
                 "the Rootkernel's ceiling may not pass the paper's {PAPER_ROOTKERNEL_LOC} lines"
             );
         }
+    }
+    let root_src = tree_lines(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"));
+    if root_src > ROOT_SRC {
+        over.push(format!("src: {root_src} code lines > ceiling {ROOT_SRC}"));
     }
     assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
 }

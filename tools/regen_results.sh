@@ -16,6 +16,14 @@
 # first). ~1 min release-built; to re-baseline every committed file
 # after an intended change, copy `dir/results/` over `results/`.
 #
+# Tier-1 already re-derives six of paper's artefacts in-process (`table1`,
+# `figure2`, `table2`, `table3`, `figure7`, `figure8`: ~3.5 s wall, ~6 s
+# CPU on two cores in a debug build, held cell for cell to fidelity.json by
+# crates/bench/tests/paper.rs). `table4`, `figure9_11`, `table5`, `table6`
+# and `ablations` (5.3, 32.7, 3.2, 3.4 and 1.5 s release-built on a
+# 2-core host; table5 alone takes 42 s in debug) and the seven gated bins
+# are re-derived only here.
+#
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
 # by tools/bench_history.sh), sample_trace.json (a hand-picked Perfetto
 # capture of runtime_scaling's traced cell) and the untracked postmortem/
