@@ -1,5 +1,9 @@
 //! Load generation: YCSB-mix request factories, tenant assignment, and
 //! the open-loop Poisson arrival process.
+//!
+//! Both draw ahead: a refill computes the next [`BLOCK`] requests or
+//! arrivals in one loop, so one request's draw chains overlap the next
+//! ones' instead of each waiting on its own (DESIGN.md §22).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -8,6 +12,11 @@ use sb_sim::Cycles;
 use sb_ycsb::{OpKind, ScrambledZipfian, Workload, WorkloadSpec};
 
 use sb_transport::{Request, TenantId};
+
+/// Requests (or arrivals) drawn per refill. Every stream behind a draw
+/// has its own generator and none depends on service progress, so
+/// drawing ahead changes no value.
+const BLOCK: usize = 32;
 
 /// How a [`RequestFactory`] stamps tenants onto requests.
 #[derive(Debug)]
@@ -44,6 +53,9 @@ pub struct RequestFactory {
     /// comparison depends on this — a victim's solo and contended runs
     /// must differ only in what else the server is doing.
     per_tenant: Option<BTreeMap<TenantId, Workload>>,
+    /// The next requests' (key, write, tenant); `make` serves slot
+    /// `next_id % BLOCK`.
+    block: [(u64, bool, TenantId); BLOCK],
 }
 
 impl RequestFactory {
@@ -57,14 +69,8 @@ impl RequestFactory {
             next_id: 0,
             tenants: TenantSource::Fixed(0),
             per_tenant: None,
+            block: [(0, false, 0); BLOCK],
         }
-    }
-
-    /// A factory whose every request bills to `tenant`.
-    pub fn for_tenant(spec: WorkloadSpec, payload: usize, tenant: TenantId) -> Self {
-        let mut f = RequestFactory::new(spec, payload);
-        f.tenants = TenantSource::Fixed(tenant);
-        f
     }
 
     /// A factory drawing tenants from a scrambled-Zipfian skew over
@@ -110,36 +116,47 @@ impl RequestFactory {
         f
     }
 
-    fn next_tenant(&mut self) -> TenantId {
-        match &mut self.tenants {
-            TenantSource::Fixed(t) => *t,
-            TenantSource::Zipf { zipf, rng } => zipf.next(rng) as TenantId,
-            TenantSource::Schedule(q) => q.pop_front().unwrap_or(0),
+    /// Draws the next [`BLOCK`] requests, each the way `make` once drew
+    /// one on demand: its tenant, then its operation from the shared
+    /// stream or the tenant's own.
+    fn refill(&mut self) {
+        for at in 0..BLOCK {
+            let tenant = match &mut self.tenants {
+                TenantSource::Fixed(t) => *t,
+                TenantSource::Zipf { zipf, rng } => zipf.next(rng) as TenantId,
+                TenantSource::Schedule(q) => q.pop_front().unwrap_or(0),
+            };
+            let op = match &mut self.per_tenant {
+                Some(streams) => streams
+                    .entry(tenant)
+                    .or_insert_with(|| {
+                        let mut spec = self.spec.clone();
+                        spec.seed ^= (tenant as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        Workload::new(spec)
+                    })
+                    .next_op(),
+                None => self.workload.next_op(),
+            };
+            let write = !matches!(op.kind, OpKind::Read | OpKind::Scan);
+            self.block[at] = (op.key, write, tenant);
         }
     }
 
     /// The next request, stamped with `arrival` (and, for closed-loop
     /// runs, the issuing `client`).
     pub fn make(&mut self, arrival: Cycles, client: Option<usize>) -> Request {
-        let tenant = self.next_tenant();
-        let op = match &mut self.per_tenant {
-            Some(streams) => streams
-                .entry(tenant)
-                .or_insert_with(|| {
-                    let mut spec = self.spec.clone();
-                    spec.seed ^= (tenant as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    Workload::new(spec)
-                })
-                .next_op(),
-            None => self.workload.next_op(),
-        };
+        let at = (self.next_id % BLOCK as u64) as usize;
+        if at == 0 {
+            self.refill();
+        }
+        let (key, write, tenant) = self.block[at];
         let id = self.next_id;
         self.next_id += 1;
         Request {
             id,
             arrival,
-            key: op.key,
-            write: !matches!(op.kind, OpKind::Read | OpKind::Scan),
+            key,
+            write,
             payload: self.payload,
             client,
             tenant,
@@ -156,6 +173,9 @@ pub struct PoissonArrivals {
     mean: f64,
     /// Accumulated arrival clock (f64 to avoid rounding drift).
     t: f64,
+    /// The next arrivals; `next` serves slot `at`.
+    block: [Cycles; BLOCK],
+    at: usize,
 }
 
 impl PoissonArrivals {
@@ -170,12 +190,9 @@ impl PoissonArrivals {
             rng: SmallRng::seed_from_u64(seed),
             mean: mean_inter_arrival,
             t: 0.0,
+            block: [0; BLOCK],
+            at: BLOCK,
         }
-    }
-
-    /// The offered rate in requests per million cycles.
-    pub fn rate_per_mcycle(&self) -> f64 {
-        1e6 / self.mean
     }
 }
 
@@ -183,15 +200,24 @@ impl Iterator for PoissonArrivals {
     type Item = Cycles;
 
     fn next(&mut self) -> Option<Cycles> {
-        // Inverse-CDF exponential draw; 1 - u avoids ln(0).
-        let u: f64 = self.rng.gen();
-        self.t += -self.mean * (1.0 - u).ln();
-        Some(self.t as Cycles)
+        if self.at == BLOCK {
+            // Inverse-CDF exponential draws; 1 - u avoids ln(0).
+            for slot in &mut self.block {
+                let u: f64 = self.rng.gen();
+                self.t += -self.mean * (1.0 - u).ln();
+                *slot = self.t as Cycles;
+            }
+            self.at = 0;
+        }
+        self.at += 1;
+        Some(self.block[self.at - 1])
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -269,6 +295,108 @@ mod tests {
         assert_eq!(t3.len(), 20);
         for (a, b) in solo.iter().zip(&t3) {
             assert_eq!((a.key, a.write, a.payload), (b.key, b.write, b.payload));
+        }
+    }
+
+    /// Tenants the Zipf source and the schedules span.
+    const TENANTS: u16 = 5;
+
+    /// The four tenant sources, as [`one_at_a_time`] and [`factory`]
+    /// number them.
+    const SOURCES: [&str; 4] = ["fixed", "zipf", "schedule", "per-tenant streams"];
+
+    /// `make` as it was before blocks: one request's tenant, then its
+    /// operation from the shared stream or the tenant's private one,
+    /// drawn when asked; (id, key, write, tenant) per request.
+    fn one_at_a_time(
+        source: usize,
+        spec: &WorkloadSpec,
+        seed: u64,
+        schedule: &[TenantId],
+        n: u64,
+    ) -> Vec<(u64, u64, bool, TenantId)> {
+        let mut shared = Workload::new(spec.clone());
+        let mut private = BTreeMap::new();
+        let zipf = ScrambledZipfian::new(TENANTS as u64);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7e4a_97a5_1d2b_91c3);
+        let mut scheduled = schedule.iter().copied();
+        (0..n)
+            .map(|id| {
+                let tenant = match source {
+                    0 => 0,
+                    1 => zipf.next(&mut rng) as TenantId,
+                    _ => scheduled.next().unwrap_or(0),
+                };
+                let op = if source == 3 {
+                    let stream = private.entry(tenant).or_insert_with(|| {
+                        let mut spec = spec.clone();
+                        spec.seed ^= (tenant as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        Workload::new(spec)
+                    });
+                    stream.next_op()
+                } else {
+                    shared.next_op()
+                };
+                let write = !matches!(op.kind, OpKind::Read | OpKind::Scan);
+                (id, op.key, write, tenant)
+            })
+            .collect()
+    }
+
+    fn factory(
+        source: usize,
+        spec: WorkloadSpec,
+        seed: u64,
+        schedule: Vec<TenantId>,
+    ) -> RequestFactory {
+        match source {
+            0 => RequestFactory::new(spec, 64),
+            1 => RequestFactory::with_zipf_tenants(spec, 64, TENANTS, seed),
+            2 => RequestFactory::with_tenant_schedule(spec, 64, schedule),
+            _ => RequestFactory::with_per_tenant_streams(spec, 64, schedule),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn block_boundaries_are_invisible_to_make(
+            source in 0..SOURCES.len(),
+            seed in any::<u64>(),
+            n in 0..3 * BLOCK as u64 + 2,
+            schedule in proptest::collection::vec(0..TENANTS, 0..3 * BLOCK + 2),
+        ) {
+            let spec = WorkloadSpec { seed, ..WorkloadSpec::ycsb_a(1_000, 64) };
+            let expected = one_at_a_time(source, &spec, seed, &schedule, n);
+            let mut f = factory(source, spec, seed, schedule);
+            let got: Vec<_> = (0..n)
+                .map(|i| {
+                    let r = f.make(i, None);
+                    (r.id, r.key, r.write, r.tenant)
+                })
+                .collect();
+            prop_assert_eq!(got, expected, "{} source, seed {}", SOURCES[source], seed);
+        }
+
+        #[test]
+        fn block_boundaries_are_invisible_to_arrivals(
+            eighths in 1u32..100_000,
+            seed in any::<u64>(),
+            n in 0..3 * BLOCK + 2,
+        ) {
+            let mean = eighths as f64 / 8.0;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut t = 0.0;
+            let expected: Vec<Cycles> = (0..n)
+                .map(|_| {
+                    let u: f64 = rng.gen();
+                    t += -mean * (1.0 - u).ln();
+                    t as Cycles
+                })
+                .collect();
+            let got: Vec<Cycles> = PoissonArrivals::new(mean, seed).take(n).collect();
+            prop_assert_eq!(got, expected, "mean {}, seed {}", mean, seed);
         }
     }
 }

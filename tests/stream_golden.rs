@@ -9,8 +9,8 @@
 //! per draw; a diff here means a generated stream moved, and every
 //! digest and simulated figure downstream of it moved too.
 
-use sb_runtime::{PoissonArrivals, RequestFactory};
-use sb_ycsb::{OpKind, WorkloadSpec};
+use sb_runtime::{PoissonArrivals, RequestFactory, TenantId};
+use sb_ycsb::{zipf::fnv_hash, OpKind, WorkloadSpec};
 
 /// Requests folded per configuration.
 const DRAWS: usize = 1_000_000;
@@ -79,4 +79,28 @@ fn graph_read_write_stream_is_pinned() {
 fn graph_read_only_stream_is_pinned() {
     let f = RequestFactory::new(seeded(WorkloadSpec::ycsb_c(GRAPH_RECORDS, 48)), 48);
     assert_eq!(digest(f), 0xb0d5_068c_6f3c_00f3);
+}
+
+/// An irregular interleave of five tenants, a few thousand requests
+/// short of [`DRAWS`] so the digest also covers the exhausted schedule's
+/// fall-back to tenant 0. The two schedule pins below were captured on
+/// the commit before the factory drew its requests a block at a time.
+fn schedule() -> Vec<TenantId> {
+    (0..DRAWS as u64 - 4_321)
+        .map(|i| (fnv_hash(i) % 5) as TenantId)
+        .collect()
+}
+
+#[test]
+fn tenant_schedule_stream_is_pinned() {
+    let spec = seeded(WorkloadSpec::ycsb_a(RECORDS, 64));
+    let f = RequestFactory::with_tenant_schedule(spec, 64, schedule());
+    assert_eq!(digest(f), 0x149b_e1d5_7db5_0439);
+}
+
+#[test]
+fn per_tenant_streams_are_pinned() {
+    let spec = seeded(WorkloadSpec::ycsb_a(RECORDS, 64));
+    let f = RequestFactory::with_per_tenant_streams(spec, 64, schedule());
+    assert_eq!(digest(f), 0x532c_ac51_0188_4e80);
 }

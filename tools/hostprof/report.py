@@ -16,16 +16,24 @@ as its own source line, not its caller's), as shares of the run. Symbols come fr
 bias is the start of its offset-0 mapping); frames anywhere else — libc
 is stripped of all but its exports — read as `[object]`.
 """
-import bisect, collections, os, re, subprocess, sys
+import bisect, collections, os, re, signal, subprocess, sys
 
+# A reader that closes the pipe early (`| head`) ends the report quietly.
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 args = sys.argv[1:]
+if "-h" in args or "--help" in args:
+    print(__doc__)
+    sys.exit(0)
 options = {"--under": None, "--lines": None}
 for flag in options:
     if flag in args:
         at = args.index(flag)
-        options[flag] = args[at + 1]
+        options[flag] = args[at + 1] if at + 1 < len(args) else ""
         del args[at : at + 2]
 under, lines = options["--under"], options["--lines"]
+if not args or "" in options.values():
+    print(__doc__, file=sys.stderr)
+    sys.exit(2)
 samples, root = args[0], (args[1:] or ["Prepared>::run"])[0]
 maps, stacks = [], []  # (start, end, bias, path); [pc, ...]
 bias = {}
