@@ -2,7 +2,10 @@
 
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use sb_faultplane::{FaultHandle, FaultMix, FaultPoint};
-use sb_mem::{Gva, Hpa, PteFlags, PAGE_SIZE};
+use sb_mem::{
+    walk::{self, Access},
+    Gva, Hpa, PteFlags, PAGE_SIZE,
+};
 use sb_microkernel::{
     ipc::{Breakdown, Component},
     layout, Kernel, ProcessId, ThreadId,
@@ -73,18 +76,8 @@ pub struct HandlerCtx {
 /// without re-paying the trampoline + VMFUNC boundary per frame.
 #[derive(Debug)]
 pub struct BatchSession {
-    server: ServerId,
-    client_tid: ThreadId,
-    client_pid: ProcessId,
-    core: usize,
-    shared_buf: Gva,
-    connection: usize,
-    server_pid: ProcessId,
-    return_root: Hpa,
-    return_identity: ProcessId,
-    client_key: u64,
+    crossing: Crossing,
     open: bool,
-    served: u64,
 }
 
 impl BatchSession {
@@ -93,11 +86,44 @@ impl BatchSession {
     pub fn is_open(&self) -> bool {
         self.open
     }
+}
 
-    /// Frames served to completion inside this crossing.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
+/// One crossing of a binding, as the entry trampoline opened it: what
+/// the server-side steps and the return need to know.
+#[derive(Debug)]
+struct Crossing {
+    server: ServerId,
+    server_pid: ProcessId,
+    client_tid: ThreadId,
+    client_pid: ProcessId,
+    core: usize,
+    connection: usize,
+    server_key: u64,
+    shared_buf: Gva,
+    ept_root: Hpa,
+    /// The EPT and identity active at entry. A nested call (a server
+    /// calling a further server on the migrated thread) returns to
+    /// these, not unconditionally to the client's own EPT.
+    return_root: Hpa,
+    return_identity: ProcessId,
+    /// The per-call client key (§4.4): generated fresh, echoed by the
+    /// server, rechecked on return.
+    client_key: u64,
+    /// The clock when the entry trampoline started.
+    entered: Cycles,
+}
+
+/// What a handler run left for the return.
+struct Served {
+    /// `None` for an echo: the reply is the request, in place.
+    reply: Option<Vec<u8>>,
+    reply_len: usize,
+    /// Handler cycles, an injected hang included.
+    elapsed: Cycles,
+    /// The handler overran the §7 budget.
+    timed_out: bool,
+    /// The clock when the reply placement started.
+    reply_at: Cycles,
 }
 
 /// The SkyBridge facility (the state the Subkernel integration keeps).
@@ -373,6 +399,7 @@ impl SkyBridge {
             free_connections: Vec::new(),
             key_table,
             dead: false,
+            echo_flip: 0,
         });
         self.handlers.push(Some(handler));
         Ok(id)
@@ -584,6 +611,15 @@ impl SkyBridge {
         }
     }
 
+    /// Makes `server` echo the client's per-call key with `flip` XORed
+    /// in (attack simulation only: a malicious server hands control back
+    /// with a key it was never given). 0 restores the honest echo.
+    pub fn corrupt_echo_key(&mut self, server: ServerId, flip: u64) {
+        if let Some(s) = self.servers.get_mut(server) {
+            s.echo_flip = flip;
+        }
+    }
+
     /// `direct_server_call` (Fig. 4): invokes `server`'s registered
     /// handler from `client_tid` without entering the kernel, and returns
     /// the reply bytes along with the Figure 7-style breakdown of the
@@ -613,6 +649,11 @@ impl SkyBridge {
     /// an echo reply — the reply bytes are the request's, still in the
     /// caller's staging buffer — or `Some(bytes)` when the handler
     /// produced a real payload.
+    ///
+    /// The crossing is the one the batched path runs too: open → VMFUNC
+    /// → admit → serve → VMFUNC back → return. What is direct-only is
+    /// the client's marshal and read-back, the `Trampoline`/`Switch`
+    /// spans and the Figure 7 [`Breakdown`].
     pub fn direct_server_call_raw(
         &mut self,
         k: &mut Kernel,
@@ -620,339 +661,82 @@ impl SkyBridge {
         server: ServerId,
         request: &[u8],
     ) -> Result<(Option<Vec<u8>>, Breakdown), SbError> {
-        let client_pid = k.threads[client_tid].process;
-        let core = k.threads[client_tid].core;
-        debug_assert_eq!(k.current_thread(core), Some(client_tid));
-        let &Binding {
-            connection,
-            server_key,
-            shared_buf,
-            ept_root,
-            ..
-        } = self.bound(client_pid, server)?;
         if request.len() > layout::SB_SHARED_BUF_SIZE {
             return Err(SbError::MessageTooLarge);
         }
-        if self.servers[server].dead {
-            // Crashed earlier and not yet revived: refuse before touching
-            // the server's address space.
-            return Err(SbError::ServerDead { server });
-        }
-        let server_pid = self.servers[server].process;
-        let handler_len = self.servers[server].handler_len;
+        let c = self.open(k, client_tid, server)?;
+        let core = c.core;
+        let vmfunc = k.machine.cost.vmfunc;
         let mut b = Breakdown::new();
-        let (vmfunc, trampoline_logic) = (k.machine.cost.vmfunc, k.machine.cost.trampoline_logic);
         // The request-scoped trace id for every span of this call —
         // including the nested calls a handler makes, which run on the
         // same facility and see the same stamp.
         let corr = self.trace_corr;
-        // Nested calls (a server calling a further server on the migrated
-        // thread) must return to the EPT and identity that were active at
-        // entry — not unconditionally to the client's own EPT.
-        let return_root = Hpa(k.machine.cpu(core).ept_root);
-        let return_identity = k.identity_current(core).unwrap_or(client_pid);
-
-        // --- client-side trampoline ---
-        let t0 = k.machine.cpu(core).tsc;
-        k.user_exec(
-            client_tid,
-            layout::TRAMPOLINE_BASE,
-            trampoline::TRAMPOLINE_FETCH,
-        )?;
-        k.machine.cpu_mut(core).advance(trampoline_logic);
-        // Per-call client key (§4.4): generated fresh, returned by the
-        // server, rechecked below.
-        let client_key = self.rng.next_u64();
-        // Look up the target in the mapped server function list (§3.1).
-        let mut entry = [0u8; 8];
-        sb_mem::walk::read_bytes(
-            &mut k.machine,
-            core,
-            &k.mem,
-            layout::SERVER_LIST_BASE.add(server as u64 * 8),
-            &mut entry,
-            true,
-        )?;
-        debug_assert_eq!(
-            u64::from_le_bytes(entry),
-            self.servers[server].handler_fn.0,
-            "function list must name the registered handler"
-        );
         // Large arguments go through the shared buffer. The copy is its
         // own Marshal span; the entry Trampoline span ends where the
         // copy starts (the spans are flat siblings, never nested, so the
         // phase fold charges each its own cycles exactly once).
         let t_marshal = k.machine.cpu(core).tsc;
         self.recorder
-            .span(core, SpanKind::Trampoline, t0, t_marshal, corr);
+            .span(core, SpanKind::Trampoline, c.entered, t_marshal, corr);
         if request.len() > REGISTER_ARGS_MAX {
-            k.user_write(client_tid, shared_buf, request)?;
-            self.recorder.span(
-                core,
-                SpanKind::Marshal,
-                t_marshal,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
+            k.user_write(client_tid, c.shared_buf, request)?;
+            let now = k.machine.cpu(core).tsc;
+            self.recorder
+                .span(core, SpanKind::Marshal, t_marshal, now, corr);
         }
-        b.add(Component::Other, k.machine.cpu(core).tsc - t0);
+        b.add(Component::Other, k.machine.cpu(core).tsc - c.entered);
 
-        // --- VMFUNC to the server EPT ---
-        self.vmfunc_to(k, core, client_pid, ept_root)?;
+        self.vmfunc_to(k, core, c.client_pid, c.ept_root)?;
         b.add(Component::Vmfunc, vmfunc);
 
-        // --- server side: identity, stack, key check, handler ---
         // Everything between the two VMFUNCs is the Handler span: key
         // check, handler body, and the reply write into the shared
-        // buffer.
+        // buffer. The breakdown leaves out the request read and the
+        // handler body.
         let t_srv = k.machine.cpu(core).tsc;
-        k.identity_record(core, server_pid);
-        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
-        // Key check against the server's table (a real read of server
-        // memory under the server's address space).
-        let table = self.servers[server].key_table;
-        let mut stored = [0u8; 8];
-        sb_mem::walk::read_bytes(
-            &mut k.machine,
-            core,
-            &k.mem,
-            table.add(8 * connection as u64),
-            &mut stored,
-            true,
-        )?;
-        // Injected key corruption: the presented key is flipped on the
-        // wire (a guessing attack); the table check below must refuse it.
-        let presented_key = if self.faults.fire(FaultPoint::KeyCorrupt) {
-            server_key ^ (1 + self.faults.draw(u64::MAX - 1))
-        } else {
-            server_key
-        };
-        if u64::from_le_bytes(stored) != presented_key {
-            // Refuse and notify the Subkernel (§4.4).
-            self.faults.detected(FaultPoint::KeyCorrupt);
-            self.violations.push(Violation::BadServerKey {
-                client: client_pid,
-                server,
-            });
-            self.recorder.span(
-                core,
-                SpanKind::Handler,
-                t_srv,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
-            self.vmfunc_to(k, core, client_pid, return_root)?;
-            k.identity_record(core, return_identity);
-            return Err(SbError::BadServerKey);
-        }
-        // Handler entry: fetch its code like a real call would — through
-        // the client's (unchanged) CR3, resolved by the server EPT's
-        // remap into the *server's* page table.
-        let handler_fn = self.servers[server].handler_fn;
-        k.user_exec(client_tid, handler_fn, handler_len)?;
-        b.add(Component::Other, k.machine.cpu(core).tsc - t_srv);
-
-        // Read the request in the server space — served in place: the
-        // payload already sits in the shared buffer (written once above),
-        // so this is charge-only (same translation and cache traffic as a
-        // real read) and the handler sees the caller's slice directly.
-        if request.len() > REGISTER_ARGS_MAX {
-            sb_mem::walk::touch_bytes(
-                &mut k.machine,
-                core,
-                &k.mem,
-                shared_buf,
-                request.len(),
-                sb_mem::walk::Access::Read,
-                true,
-            )?;
-        }
-
-        // Injected handler panic: the server thread dies mid-request. The
-        // Subkernel notices, marks the server dead, and bounces the caller
-        // back to its own space; recovery is revive + rebind + retry.
-        if self.faults.fire(FaultPoint::HandlerPanic) {
-            self.servers[server].dead = true;
-            k.kill_thread(self.servers[server].thread);
-            self.violations.push(Violation::ServerCrash { server });
-            self.faults.detected(FaultPoint::HandlerPanic);
-            self.recorder.span(
-                core,
-                SpanKind::Handler,
-                t_srv,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
-            self.vmfunc_to(k, core, client_pid, return_root)?;
-            k.identity_record(core, return_identity);
-            return Err(SbError::ServerDead { server });
-        }
-
-        // Run the registered handler on the migrated thread.
-        let ctx = HandlerCtx {
-            server,
-            server_process: server_pid,
-            caller: client_tid,
-            shared_buf,
-            connection,
-        };
-        let handler_t0 = k.machine.cpu(core).tsc;
-        let mut handler = self.handlers[server].take().expect("handler re-entered");
-        let result = handler(self, k, ctx, request);
-        self.handlers[server] = Some(handler);
-        // Injected handler hang: the handler spins past the DoS budget.
-        // Only injectable when a timeout is configured — without one a
-        // hang has no recovery path and would wedge the simulation.
-        let hung = self.timeout.is_some() && self.faults.fire(FaultPoint::HandlerHang);
-        if let (true, Some(limit)) = (hung, self.timeout) {
-            k.machine.cpu_mut(core).advance(limit.saturating_add(1));
-        }
-        let handler_cycles = k.machine.cpu(core).tsc - handler_t0;
-        // DoS timeout (§7): if the handler overran the budget, force the
-        // control flow back to the client.
-        let timed_out = self.timeout.is_some_and(|limit| handler_cycles > limit);
-        if hung {
-            debug_assert!(timed_out, "an injected hang always overruns the budget");
-            // The forced return (§7) IS the recovery for a hang.
-            self.faults.recovered(FaultPoint::HandlerHang);
-        }
-        let reply = match result {
-            Ok(r) => r,
+        let served = self.admit(k, &c).and_then(|()| {
+            b.add(Component::Other, k.machine.cpu(core).tsc - t_srv);
+            self.serve(k, &c, request)
+        });
+        let now = k.machine.cpu(core).tsc;
+        self.recorder
+            .span(core, SpanKind::Handler, t_srv, now, corr);
+        let served = match served {
+            Ok(served) => served,
             Err(e) => {
-                self.recorder.span(
-                    core,
-                    SpanKind::Handler,
-                    t_srv,
-                    k.machine.cpu(core).tsc,
-                    corr,
-                );
-                self.vmfunc_to(k, core, client_pid, return_root)?;
-                k.identity_record(core, return_identity);
+                // The Subkernel bounces the caller back to where it
+                // entered from.
+                self.vmfunc_to(k, core, c.client_pid, c.return_root)?;
+                k.identity_record(core, c.return_identity);
                 return Err(e);
             }
         };
-        // The server echoes the client key (modeled as register return);
-        // a malicious server returning a wrong key is simulated in the
-        // attack module by corrupting it.
-        let echoed_key = client_key;
+        b.add(Component::Other, now - served.reply_at);
 
-        // --- return path ---
-        let t0 = k.machine.cpu(core).tsc;
-        let reply_bytes = match reply {
-            HandlerReply::Echo => None,
-            HandlerReply::Bytes(v) => Some(v),
-        };
-        let reply_len = reply_bytes.as_deref().map_or(request.len(), <[u8]>::len);
-        if reply_len > REGISTER_ARGS_MAX {
-            if reply_len > layout::SB_SHARED_BUF_SIZE {
-                self.recorder.span(
-                    core,
-                    SpanKind::Handler,
-                    t_srv,
-                    k.machine.cpu(core).tsc,
-                    corr,
-                );
-                self.vmfunc_to(k, core, client_pid, return_root)?;
-                k.identity_record(core, return_identity);
-                return Err(SbError::MessageTooLarge);
-            }
-            match &reply_bytes {
-                // Echo: the reply bytes already occupy the caller-visible
-                // half of the shared buffer; the server's reply write is
-                // charge-only.
-                None => sb_mem::walk::touch_bytes(
-                    &mut k.machine,
-                    core,
-                    &k.mem,
-                    shared_buf,
-                    reply_len,
-                    sb_mem::walk::Access::Write,
-                    true,
-                )?,
-                Some(v) => sb_mem::walk::write_bytes(
-                    &mut k.machine,
-                    core,
-                    &mut k.mem,
-                    shared_buf,
-                    v,
-                    true,
-                )?,
-            }
-        }
-        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
-        b.add(Component::Other, k.machine.cpu(core).tsc - t0);
-        self.recorder.span(
-            core,
-            SpanKind::Handler,
-            t_srv,
-            k.machine.cpu(core).tsc,
-            corr,
-        );
-
-        self.vmfunc_to(k, core, client_pid, return_root)?;
+        self.vmfunc_to(k, core, c.client_pid, c.return_root)?;
         b.add(Component::Vmfunc, vmfunc);
 
-        let t0 = k.machine.cpu(core).tsc;
-        k.identity_record(core, return_identity);
-        k.user_exec(
-            client_tid,
-            Gva(layout::TRAMPOLINE_BASE.0 + 64),
-            trampoline::TRAMPOLINE_FETCH / 2,
-        )?;
-        // Client-side return-key recheck (§4.4).
-        if echoed_key != client_key {
-            self.violations.push(Violation::BadClientKey {
-                client: client_pid,
-                server,
-            });
-            self.recorder.span(
-                core,
-                SpanKind::Trampoline,
-                t0,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
-            return Err(SbError::BadClientKey);
-        }
         // Large replies come back through the shared buffer; the read is
         // charge-only since the bytes are already host-side (the caller's
         // staged request for an echo, the handler's `Vec` otherwise). As
         // on entry, the read-back is a Marshal span flat after the return
         // Trampoline span.
+        let t0 = k.machine.cpu(core).tsc;
+        let returned = self.ret(k, &c);
         let t_read = k.machine.cpu(core).tsc;
         self.recorder
             .span(core, SpanKind::Trampoline, t0, t_read, corr);
-        if reply_len > REGISTER_ARGS_MAX {
-            k.user_touch(
-                client_tid,
-                shared_buf,
-                reply_len,
-                sb_mem::walk::Access::Read,
-            )?;
-            self.recorder.span(
-                core,
-                SpanKind::Marshal,
-                t_read,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
+        returned?;
+        if served.reply_len > REGISTER_ARGS_MAX {
+            k.user_touch(client_tid, c.shared_buf, served.reply_len, Access::Read)?;
+            let now = k.machine.cpu(core).tsc;
+            self.recorder
+                .span(core, SpanKind::Marshal, t_read, now, corr);
         }
-        let out = reply_bytes;
         b.add(Component::Other, k.machine.cpu(core).tsc - t0);
-
-        if timed_out {
-            self.violations.push(Violation::Timeout { server });
-            return Err(SbError::Timeout {
-                server,
-                elapsed: handler_cycles,
-            });
-        }
-        self.call_count += 1;
-        // A completed call is the retry that resolves an earlier injected
-        // key corruption (the refused attempt re-issued with the granted
-        // key). No-op when nothing is outstanding.
-        self.faults.recovered(FaultPoint::KeyCorrupt);
-        Ok((out, b))
+        self.complete(server, &served)?;
+        Ok((served.reply, b))
     }
 
     /// Opens a batched crossing: the client-side trampoline, the VMFUNC
@@ -975,106 +759,27 @@ impl SkyBridge {
         client_tid: ThreadId,
         server: ServerId,
     ) -> Result<BatchSession, SbError> {
-        let client_pid = k.threads[client_tid].process;
-        let core = k.threads[client_tid].core;
-        debug_assert_eq!(k.current_thread(core), Some(client_tid));
-        let &Binding {
-            connection,
-            server_key,
-            shared_buf,
-            ept_root,
-            ..
-        } = self.bound(client_pid, server)?;
-        if self.servers[server].dead {
-            return Err(SbError::ServerDead { server });
+        let crossing = self.open(k, client_tid, server)?;
+        let (core, pid) = (crossing.core, crossing.client_pid);
+        self.vmfunc_to_inner(k, core, pid, crossing.ept_root)?;
+        if let Err(e) = self.admit(k, &crossing) {
+            // Refused before any frame: the bounce back, without the
+            // return trampoline.
+            self.vmfunc_to_inner(k, core, pid, crossing.return_root)?;
+            k.identity_record(core, crossing.return_identity);
+            return Err(e);
         }
-        let server_pid = self.servers[server].process;
-        let handler_len = self.servers[server].handler_len;
-        let trampoline_logic = k.machine.cost.trampoline_logic;
-        let return_root = Hpa(k.machine.cpu(core).ept_root);
-        let return_identity = k.identity_current(core).unwrap_or(client_pid);
-
-        // Client-side trampoline, once per crossing.
-        k.user_exec(
-            client_tid,
-            layout::TRAMPOLINE_BASE,
-            trampoline::TRAMPOLINE_FETCH,
-        )?;
-        k.machine.cpu_mut(core).advance(trampoline_logic);
-        let client_key = self.rng.next_u64();
-        let mut entry = [0u8; 8];
-        sb_mem::walk::read_bytes(
-            &mut k.machine,
-            core,
-            &k.mem,
-            layout::SERVER_LIST_BASE.add(server as u64 * 8),
-            &mut entry,
-            true,
-        )?;
-        debug_assert_eq!(
-            u64::from_le_bytes(entry),
-            self.servers[server].handler_fn.0,
-            "function list must name the registered handler"
-        );
-
-        // One VMFUNC into the server EPT for the whole batch.
-        self.vmfunc_to_inner(k, core, client_pid, ept_root)?;
-        k.identity_record(core, server_pid);
-        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
-
-        // Key check, once — it authorises the connection, and every
-        // frame in the batch rides the same connection.
-        let table = self.servers[server].key_table;
-        let mut stored = [0u8; 8];
-        sb_mem::walk::read_bytes(
-            &mut k.machine,
-            core,
-            &k.mem,
-            table.add(8 * connection as u64),
-            &mut stored,
-            true,
-        )?;
-        let presented_key = if self.faults.fire(FaultPoint::KeyCorrupt) {
-            server_key ^ (1 + self.faults.draw(u64::MAX - 1))
-        } else {
-            server_key
-        };
-        if u64::from_le_bytes(stored) != presented_key {
-            self.faults.detected(FaultPoint::KeyCorrupt);
-            self.violations.push(Violation::BadServerKey {
-                client: client_pid,
-                server,
-            });
-            self.vmfunc_to_inner(k, core, client_pid, return_root)?;
-            k.identity_record(core, return_identity);
-            return Err(SbError::BadServerKey);
-        }
-
-        // Fetch the handler's code once; it stays I-cache-hot for the
-        // rest of the batch.
-        k.user_exec(client_tid, self.servers[server].handler_fn, handler_len)?;
-
         Ok(BatchSession {
-            server,
-            client_tid,
-            client_pid,
-            core,
-            shared_buf,
-            connection,
-            server_pid,
-            return_root,
-            return_identity,
-            client_key,
+            crossing,
             open: true,
-            served: 0,
         })
     }
 
-    /// Serves one frame inside an open batched crossing: the per-entry
-    /// marshal into the shared buffer, the handler run, the reply write
-    /// and the client's read-back — everything direct mode charges per
-    /// call *minus* the crossing. Emits the entry's `Call` span (with
-    /// its nested `Marshal`/`Handler` spans) under `corr`.
+    /// Serves one frame inside an open batched crossing: the server's
+    /// copy of the frame into the shared buffer, the handler run, the
+    /// reply write and the client's read-back — everything direct mode
+    /// charges per call *minus* the crossing. Emits the entry's `Call`
+    /// span (with its nested `Marshal`/`Handler` spans) under `corr`.
     ///
     /// Any error forces the return crossing immediately (§7's forced
     /// return for timeouts, the Subkernel bounce for a crash) and closes
@@ -1087,190 +792,67 @@ impl SkyBridge {
         corr: u64,
     ) -> Result<Option<Vec<u8>>, SbError> {
         debug_assert!(s.open, "batch_serve on a closed session");
-        let core = s.core;
-        let server = s.server;
-        let trampoline_logic = k.machine.cost.trampoline_logic;
+        let (core, server) = (s.crossing.core, s.crossing.server);
         self.trace_corr = corr;
         let t_entry = k.machine.cpu(core).tsc;
         self.recorder.begin(core, SpanKind::Call, t_entry, corr);
-        if request.len() > layout::SB_SHARED_BUF_SIZE {
-            self.recorder
-                .end(core, SpanKind::Call, k.machine.cpu(core).tsc, corr);
+        let served = self.batch_frame(k, &s.crossing, request, corr);
+        let now = k.machine.cpu(core).tsc;
+        self.recorder.end(core, SpanKind::Call, now, corr);
+        let out = served.and_then(|served| self.complete(server, &served).map(|()| served.reply));
+        if out.is_err() {
             self.batch_close(k, s)?;
+        }
+        out
+    }
+
+    /// The inside of one frame's `Call` span: the server copies the frame
+    /// from its ring slot into the connection's working buffer (the
+    /// batch-mode analogue of the client's single marshal write), the
+    /// handler runs in a `Handler` span, and the client reads the reply
+    /// back.
+    fn batch_frame(
+        &mut self,
+        k: &mut Kernel,
+        c: &Crossing,
+        request: &[u8],
+        corr: u64,
+    ) -> Result<Served, SbError> {
+        let core = c.core;
+        if request.len() > layout::SB_SHARED_BUF_SIZE {
             return Err(SbError::MessageTooLarge);
         }
-        // The server copies the frame from its ring slot into the
-        // connection's working buffer — the batch-mode analogue of the
-        // client's single marshal write.
         if request.len() > REGISTER_ARGS_MAX {
             let t_marshal = k.machine.cpu(core).tsc;
-            sb_mem::walk::write_bytes(
+            walk::write_bytes(
                 &mut k.machine,
                 core,
                 &mut k.mem,
-                s.shared_buf,
+                c.shared_buf,
                 request,
                 true,
             )?;
-            self.recorder.span(
-                core,
-                SpanKind::Marshal,
-                t_marshal,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
+            let now = k.machine.cpu(core).tsc;
+            self.recorder
+                .span(core, SpanKind::Marshal, t_marshal, now, corr);
         }
         let t_srv = k.machine.cpu(core).tsc;
-        // The handler's in-place read of the request.
-        if request.len() > REGISTER_ARGS_MAX {
-            sb_mem::walk::touch_bytes(
-                &mut k.machine,
-                core,
-                &k.mem,
-                s.shared_buf,
-                request.len(),
-                sb_mem::walk::Access::Read,
-                true,
-            )?;
-        }
-        if self.faults.fire(FaultPoint::HandlerPanic) {
-            self.servers[server].dead = true;
-            k.kill_thread(self.servers[server].thread);
-            self.violations.push(Violation::ServerCrash { server });
-            self.faults.detected(FaultPoint::HandlerPanic);
-            self.recorder.span(
-                core,
-                SpanKind::Handler,
-                t_srv,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
-            self.recorder
-                .end(core, SpanKind::Call, k.machine.cpu(core).tsc, corr);
-            self.batch_close(k, s)?;
-            return Err(SbError::ServerDead { server });
-        }
-        let ctx = HandlerCtx {
-            server,
-            server_process: s.server_pid,
-            caller: s.client_tid,
-            shared_buf: s.shared_buf,
-            connection: s.connection,
-        };
-        let handler_t0 = k.machine.cpu(core).tsc;
-        let mut handler = self.handlers[server].take().expect("handler re-entered");
-        let result = handler(self, k, ctx, request);
-        self.handlers[server] = Some(handler);
-        let hung = self.timeout.is_some() && self.faults.fire(FaultPoint::HandlerHang);
-        if let (true, Some(limit)) = (hung, self.timeout) {
-            k.machine.cpu_mut(core).advance(limit.saturating_add(1));
-        }
-        let handler_cycles = k.machine.cpu(core).tsc - handler_t0;
-        let timed_out = self.timeout.is_some_and(|limit| handler_cycles > limit);
-        if hung {
-            debug_assert!(timed_out, "an injected hang always overruns the budget");
-            self.faults.recovered(FaultPoint::HandlerHang);
-        }
-        let reply = match result {
-            Ok(r) => r,
-            Err(e) => {
-                self.recorder.span(
-                    core,
-                    SpanKind::Handler,
-                    t_srv,
-                    k.machine.cpu(core).tsc,
-                    corr,
-                );
-                self.recorder
-                    .end(core, SpanKind::Call, k.machine.cpu(core).tsc, corr);
-                self.batch_close(k, s)?;
-                return Err(e);
-            }
-        };
-        let reply_bytes = match reply {
-            HandlerReply::Echo => None,
-            HandlerReply::Bytes(v) => Some(v),
-        };
-        let reply_len = reply_bytes.as_deref().map_or(request.len(), <[u8]>::len);
-        if reply_len > layout::SB_SHARED_BUF_SIZE {
-            self.recorder.span(
-                core,
-                SpanKind::Handler,
-                t_srv,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
-            self.recorder
-                .end(core, SpanKind::Call, k.machine.cpu(core).tsc, corr);
-            self.batch_close(k, s)?;
-            return Err(SbError::MessageTooLarge);
-        }
-        if reply_len > REGISTER_ARGS_MAX {
-            match &reply_bytes {
-                None => sb_mem::walk::touch_bytes(
-                    &mut k.machine,
-                    core,
-                    &k.mem,
-                    s.shared_buf,
-                    reply_len,
-                    sb_mem::walk::Access::Write,
-                    true,
-                )?,
-                Some(v) => sb_mem::walk::write_bytes(
-                    &mut k.machine,
-                    core,
-                    &mut k.mem,
-                    s.shared_buf,
-                    v,
-                    true,
-                )?,
-            }
-        }
-        k.machine.cpu_mut(core).advance(trampoline_logic / 2);
-        self.recorder.span(
-            core,
-            SpanKind::Handler,
-            t_srv,
-            k.machine.cpu(core).tsc,
-            corr,
-        );
+        let served = self.serve(k, c, request);
+        let now = k.machine.cpu(core).tsc;
+        self.recorder
+            .span(core, SpanKind::Handler, t_srv, now, corr);
+        let served = served?;
         // The client's read-back of the completion — charged here, at
         // the point the reply bytes land in the completion ring.
-        if reply_len > REGISTER_ARGS_MAX {
+        if served.reply_len > REGISTER_ARGS_MAX {
             let t_read = k.machine.cpu(core).tsc;
-            sb_mem::walk::touch_bytes(
-                &mut k.machine,
-                core,
-                &k.mem,
-                s.shared_buf,
-                reply_len,
-                sb_mem::walk::Access::Read,
-                true,
-            )?;
-            self.recorder.span(
-                core,
-                SpanKind::Marshal,
-                t_read,
-                k.machine.cpu(core).tsc,
-                corr,
-            );
-        }
-        if timed_out {
-            self.violations.push(Violation::Timeout { server });
+            let (buf, len) = (c.shared_buf, served.reply_len);
+            walk::touch_bytes(&mut k.machine, core, &k.mem, buf, len, Access::Read, true)?;
+            let now = k.machine.cpu(core).tsc;
             self.recorder
-                .end(core, SpanKind::Call, k.machine.cpu(core).tsc, corr);
-            self.batch_close(k, s)?;
-            return Err(SbError::Timeout {
-                server,
-                elapsed: handler_cycles,
-            });
+                .span(core, SpanKind::Marshal, t_read, now, corr);
         }
-        self.recorder
-            .end(core, SpanKind::Call, k.machine.cpu(core).tsc, corr);
-        self.call_count += 1;
-        self.faults.recovered(FaultPoint::KeyCorrupt);
-        s.served += 1;
-        Ok(reply_bytes)
+        Ok(served)
     }
 
     /// Pays the return crossing of an open session (no-op when an error
@@ -1285,24 +867,227 @@ impl SkyBridge {
             return Ok(());
         }
         s.open = false;
-        self.vmfunc_to_inner(k, s.core, s.client_pid, s.return_root)?;
-        k.identity_record(s.core, s.return_identity);
+        let c = &s.crossing;
+        self.vmfunc_to_inner(k, c.core, c.client_pid, c.return_root)?;
+        self.ret(k, c)
+    }
+
+    /// The client half of the entry: the binding and liveness checks,
+    /// the entry trampoline, the fresh per-call client key (§4.4) and
+    /// the target's lookup in the mapped server function list (§3.1).
+    fn open(
+        &mut self,
+        k: &mut Kernel,
+        client_tid: ThreadId,
+        server: ServerId,
+    ) -> Result<Crossing, SbError> {
+        let client_pid = k.threads[client_tid].process;
+        let core = k.threads[client_tid].core;
+        debug_assert_eq!(k.current_thread(core), Some(client_tid));
+        let &Binding {
+            connection,
+            server_key,
+            shared_buf,
+            ept_root,
+            ..
+        } = self.bound(client_pid, server)?;
+        if self.servers[server].dead {
+            // Crashed earlier and not yet revived: refuse before touching
+            // the server's address space.
+            return Err(SbError::ServerDead { server });
+        }
+        let return_root = Hpa(k.machine.cpu(core).ept_root);
+        // A charged read of the identity page: the entry clock starts
+        // after it.
+        let return_identity = k.identity_current(core).unwrap_or(client_pid);
+        let entered = k.machine.cpu(core).tsc;
         k.user_exec(
-            s.client_tid,
+            client_tid,
+            layout::TRAMPOLINE_BASE,
+            trampoline::TRAMPOLINE_FETCH,
+        )?;
+        let logic = k.machine.cost.trampoline_logic;
+        k.machine.cpu_mut(core).advance(logic);
+        let client_key = self.rng.next_u64();
+        let mut entry = [0u8; 8];
+        let at = layout::SERVER_LIST_BASE.add(server as u64 * 8);
+        walk::read_bytes(&mut k.machine, core, &k.mem, at, &mut entry, true)?;
+        debug_assert_eq!(
+            u64::from_le_bytes(entry),
+            self.servers[server].handler_fn.0,
+            "function list must name the registered handler"
+        );
+        Ok(Crossing {
+            server,
+            server_pid: self.servers[server].process,
+            client_tid,
+            client_pid,
+            core,
+            connection,
+            server_key,
+            shared_buf,
+            ept_root,
+            return_root,
+            return_identity,
+            client_key,
+            entered,
+        })
+    }
+
+    /// The server half of the entry, on the server EPT: the identity
+    /// write, the calling-key check against the server's table (§4.4)
+    /// and the handler's code fetch.
+    fn admit(&mut self, k: &mut Kernel, c: &Crossing) -> Result<(), SbError> {
+        let core = c.core;
+        k.identity_record(core, c.server_pid);
+        let logic = k.machine.cost.trampoline_logic;
+        k.machine.cpu_mut(core).advance(logic / 2);
+        // Key check against the server's table (a real read of server
+        // memory under the server's address space).
+        let s = &self.servers[c.server];
+        let mut stored = [0u8; 8];
+        let at = s.key_table.add(8 * c.connection as u64);
+        walk::read_bytes(&mut k.machine, core, &k.mem, at, &mut stored, true)?;
+        // Injected key corruption: the presented key is flipped on the
+        // wire (a guessing attack); the table check below must refuse it.
+        let presented_key = if self.faults.fire(FaultPoint::KeyCorrupt) {
+            c.server_key ^ (1 + self.faults.draw(u64::MAX - 1))
+        } else {
+            c.server_key
+        };
+        if u64::from_le_bytes(stored) != presented_key {
+            // Refuse and notify the Subkernel (§4.4).
+            self.faults.detected(FaultPoint::KeyCorrupt);
+            self.violations.push(Violation::BadServerKey {
+                client: c.client_pid,
+                server: c.server,
+            });
+            return Err(SbError::BadServerKey);
+        }
+        // Handler entry: fetch its code like a real call would — through
+        // the client's (unchanged) CR3, resolved by the server EPT's
+        // remap into the *server's* page table. In a batch it stays
+        // I-cache-hot for every frame.
+        k.user_exec(c.client_tid, s.handler_fn, s.handler_len)?;
+        Ok(())
+    }
+
+    /// The handler on the migrated thread: the in-place request read, the
+    /// handler run under the §7 budget, then the reply-size check and the
+    /// reply placement in the shared buffer.
+    fn serve(&mut self, k: &mut Kernel, c: &Crossing, request: &[u8]) -> Result<Served, SbError> {
+        let (core, server) = (c.core, c.server);
+        // The request is served in place: the payload already sits in the
+        // shared buffer, so this read is charge-only (same translation
+        // and cache traffic as a real read) and the handler sees the
+        // caller's slice directly.
+        if request.len() > REGISTER_ARGS_MAX {
+            let (buf, len) = (c.shared_buf, request.len());
+            walk::touch_bytes(&mut k.machine, core, &k.mem, buf, len, Access::Read, true)?;
+        }
+        // Injected handler panic: the server thread dies mid-request. The
+        // Subkernel notices, marks the server dead, and bounces the caller
+        // back to its own space; recovery is revive + rebind + retry.
+        if self.faults.fire(FaultPoint::HandlerPanic) {
+            self.kill_server(k, server);
+            self.violations.push(Violation::ServerCrash { server });
+            self.faults.detected(FaultPoint::HandlerPanic);
+            return Err(SbError::ServerDead { server });
+        }
+        let ctx = HandlerCtx {
+            server,
+            server_process: c.server_pid,
+            caller: c.client_tid,
+            shared_buf: c.shared_buf,
+            connection: c.connection,
+        };
+        let handler_t0 = k.machine.cpu(core).tsc;
+        let mut handler = self.handlers[server].take().expect("handler re-entered");
+        let result = handler(self, k, ctx, request);
+        self.handlers[server] = Some(handler);
+        // Injected handler hang: the handler spins past the DoS budget.
+        // Only injectable when a timeout is configured — without one a
+        // hang has no recovery path and would wedge the simulation.
+        let hung = self.timeout.is_some() && self.faults.fire(FaultPoint::HandlerHang);
+        if let (true, Some(limit)) = (hung, self.timeout) {
+            k.machine.cpu_mut(core).advance(limit.saturating_add(1));
+        }
+        let elapsed = k.machine.cpu(core).tsc - handler_t0;
+        // DoS timeout (§7): a handler that overran the budget still
+        // returns, and the caller is told once it is back.
+        let timed_out = self.timeout.is_some_and(|limit| elapsed > limit);
+        if hung {
+            debug_assert!(timed_out, "an injected hang always overruns the budget");
+            // The forced return (§7) IS the recovery for a hang.
+            self.faults.recovered(FaultPoint::HandlerHang);
+        }
+        let reply = match result? {
+            HandlerReply::Echo => None,
+            HandlerReply::Bytes(v) => Some(v),
+        };
+        let reply_at = k.machine.cpu(core).tsc;
+        let reply_len = reply.as_deref().map_or(request.len(), <[u8]>::len);
+        if reply_len > layout::SB_SHARED_BUF_SIZE {
+            return Err(SbError::MessageTooLarge);
+        }
+        // A small reply returns in registers. A larger one lands in the
+        // caller-visible half of the shared buffer, where an echo's bytes
+        // already are: its write is charge-only.
+        let (buf, len) = (c.shared_buf, reply_len);
+        match &reply {
+            _ if len <= REGISTER_ARGS_MAX => {}
+            None => walk::touch_bytes(&mut k.machine, core, &k.mem, buf, len, Access::Write, true)?,
+            Some(v) => walk::write_bytes(&mut k.machine, core, &mut k.mem, buf, v, true)?,
+        }
+        let logic = k.machine.cost.trampoline_logic;
+        k.machine.cpu_mut(core).advance(logic / 2);
+        Ok(Served {
+            reply,
+            reply_len,
+            elapsed,
+            timed_out,
+            reply_at,
+        })
+    }
+
+    /// The client half of the return, back on the caller's EPT: the
+    /// identity restore, the return half of the trampoline and its
+    /// recheck of the client key the server echoes (§4.4).
+    fn ret(&mut self, k: &mut Kernel, c: &Crossing) -> Result<(), SbError> {
+        k.identity_record(c.core, c.return_identity);
+        k.user_exec(
+            c.client_tid,
             Gva(layout::TRAMPOLINE_BASE.0 + 64),
             trampoline::TRAMPOLINE_FETCH / 2,
         )?;
-        // Client key recheck (§4.4): the register compare the return
-        // trampoline performs. The server echoes the per-crossing key
-        // (the attack module corrupts the echo on the direct path).
-        let echoed_key = s.client_key;
-        if echoed_key != s.client_key {
+        // The server hands the key back in a register; a malicious
+        // server's echo differs from it (`corrupt_echo_key`).
+        let echoed_key = c.client_key ^ self.servers[c.server].echo_flip;
+        if echoed_key != c.client_key {
             self.violations.push(Violation::BadClientKey {
-                client: s.client_pid,
-                server: s.server,
+                client: c.client_pid,
+                server: c.server,
             });
             return Err(SbError::BadClientKey);
         }
+        Ok(())
+    }
+
+    /// The call's outcome once the caller is back: the §7 timeout
+    /// report, or one more completed call.
+    fn complete(&mut self, server: ServerId, served: &Served) -> Result<(), SbError> {
+        if served.timed_out {
+            self.violations.push(Violation::Timeout { server });
+            return Err(SbError::Timeout {
+                server,
+                elapsed: served.elapsed,
+            });
+        }
+        self.call_count += 1;
+        // A completed call is the retry that resolves an earlier injected
+        // key corruption (the refused attempt sent again with the granted
+        // key). No-op when nothing is outstanding.
+        self.faults.recovered(FaultPoint::KeyCorrupt);
         Ok(())
     }
 

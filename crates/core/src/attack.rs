@@ -127,3 +127,24 @@ pub fn forged_key_call(
         Err(e) => panic!("unexpected error during forged-key call: {e}"),
     }
 }
+
+/// The forged-return attack (§4.4): a malicious server hands control
+/// back with a client key it was never given. The client's return
+/// trampoline rechecks the per-call key and refuses the reply.
+pub fn forged_echo_call(
+    sb: &mut SkyBridge,
+    k: &mut Kernel,
+    client: ThreadId,
+    server: crate::registry::ServerId,
+) -> AttackOutcome {
+    sb.corrupt_echo_key(server, 0xdead_beef);
+    let result = sb.direct_server_call(k, client, server, b"attack");
+    sb.corrupt_echo_key(server, 0);
+    match result {
+        Err(crate::error::SbError::BadClientKey) => AttackOutcome::Neutralized {
+            occurrences_left: 0,
+        },
+        Ok(_) => AttackOutcome::Succeeded,
+        Err(e) => panic!("unexpected error during forged-echo call: {e}"),
+    }
+}

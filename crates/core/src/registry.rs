@@ -33,6 +33,10 @@ pub struct ServerInfo {
     /// The handler crashed and the server awaits a supervisor revive;
     /// calls are refused with `SbError::ServerDead` meanwhile.
     pub dead: bool,
+    /// Bits the server flips in the client key it echoes on return
+    /// (§4.4): 0 for an honest server, set only by the
+    /// `corrupt_echo_key` attack simulation.
+    pub echo_flip: u64,
 }
 
 /// One client→server binding.

@@ -2,8 +2,9 @@
 //! detection point and a recovery path, and the ledger closes (no leaks).
 
 use sb_faultplane::{FaultHandle, FaultMix, FaultPoint};
-use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
-use skybridge::{api::HandlerCtx, SbError, SkyBridge, Violation};
+use sb_microkernel::{layout, Kernel, KernelConfig, Personality, ProcessId, ThreadId};
+use sb_sim::Cycles;
+use skybridge::{api::HandlerCtx, HandlerReply, SbError, SkyBridge, Violation};
 
 fn clean_code() -> Vec<u8> {
     sb_rewriter::corpus::generate(21, 4096, 0)
@@ -16,8 +17,13 @@ struct Rig {
     server: skybridge::ServerId,
 }
 
+/// The request the rig's server answers with one byte more than the
+/// shared buffer holds.
+const OVERSIZED: &[u8] = b"big";
+
 /// One client bound to one echo server, with `faults` attached *after*
-/// setup so registration itself runs clean.
+/// setup so registration itself runs clean. The server echoes every
+/// request but [`OVERSIZED`].
 fn rig(faults: FaultHandle) -> Rig {
     let mut k = Kernel::boot(KernelConfig::with_rootkernel(Personality::sel4()));
     let mut sb = SkyBridge::new();
@@ -31,7 +37,13 @@ fn rig(faults: FaultHandle) -> Rig {
             server_tid,
             8,
             128,
-            Box::new(|_, _, _: HandlerCtx, _req| Ok(skybridge::HandlerReply::Echo)),
+            Box::new(|_, _, _: HandlerCtx, req| {
+                Ok(if req == OVERSIZED {
+                    vec![0; layout::SB_SHARED_BUF_SIZE + 1].into()
+                } else {
+                    HandlerReply::Echo
+                })
+            }),
         )
         .unwrap();
     sb.register_client(&mut k, client, server).unwrap();
@@ -183,4 +195,136 @@ fn unbind_returns_the_connection_slot() {
         let pid = r.k.threads[ct].process;
         assert!(r.sb.unbind_client(pid, r.server));
     }
+}
+
+impl Rig {
+    /// The caller's EPT root and its identity-page entry.
+    fn home(&mut self) -> (u64, Option<ProcessId>) {
+        let core = self.k.threads[self.client].core;
+        (
+            self.k.machine.cpu(core).ept_root,
+            self.k.identity_current(core),
+        )
+    }
+}
+
+/// What a refused crossing leaves behind. The direct call and the
+/// batched crossing must leave the same.
+#[derive(Debug, PartialEq)]
+struct Aftermath {
+    error: String,
+    violations: Vec<Violation>,
+    ledger: String,
+    call_count: u64,
+    home: (u64, Option<ProcessId>),
+}
+
+impl Aftermath {
+    fn of(r: &mut Rig, error: SbError, h: &FaultHandle) -> Self {
+        Aftermath {
+            error: format!("{error:?}"),
+            violations: r.sb.violations.clone(),
+            ledger: format!("{:?}", h.report().rows),
+            call_count: r.sb.call_count,
+            home: r.home(),
+        }
+    }
+}
+
+/// `clean` direct calls, then `h` attached and the failing call `last`.
+fn direct_exit(h: &FaultHandle, timeout: Option<Cycles>, clean: u64, last: &[u8]) -> Aftermath {
+    let mut r = rig(FaultHandle::new(0, FaultMix::none()));
+    r.sb.timeout = timeout;
+    let home = r.home();
+    for _ in 0..clean {
+        r.sb.direct_server_call(&mut r.k, r.client, r.server, b"fine")
+            .unwrap();
+    }
+    r.sb.attach_faults(h.clone());
+    let e =
+        r.sb.direct_server_call(&mut r.k, r.client, r.server, last)
+            .expect_err("the last call is refused");
+    let after = Aftermath::of(&mut r, e, h);
+    assert_eq!(after.home, home, "the caller is back on its own EPT");
+    assert_eq!(after.call_count, clean);
+    after
+}
+
+/// One batched crossing: `h` attached after `clean` frames (before
+/// `batch_begin` when `clean` is 0), then the failing frame `last`.
+fn batch_exit(h: &FaultHandle, timeout: Option<Cycles>, clean: u64, last: &[u8]) -> Aftermath {
+    let mut r = rig(FaultHandle::new(0, FaultMix::none()));
+    r.sb.timeout = timeout;
+    let home = r.home();
+    if clean == 0 {
+        r.sb.attach_faults(h.clone());
+    }
+    let e = match r.sb.batch_begin(&mut r.k, r.client, r.server) {
+        Err(e) => e,
+        Ok(mut s) => {
+            for corr in 0..clean {
+                r.sb.batch_serve(&mut r.k, &mut s, b"fine", corr).unwrap();
+            }
+            r.sb.attach_faults(h.clone());
+            let e =
+                r.sb.batch_serve(&mut r.k, &mut s, last, clean)
+                    .expect_err("the last frame is refused");
+            assert!(!s.is_open(), "a refused frame closes the crossing");
+            r.sb.batch_end(&mut r.k, s).unwrap();
+            e
+        }
+    };
+    let after = Aftermath::of(&mut r, e, h);
+    assert_eq!(after.home, home, "the caller is back on its own EPT");
+    assert_eq!(after.call_count, clean, "only completed frames count");
+    after
+}
+
+#[test]
+fn a_key_refused_at_batch_begin_ends_like_the_direct_call() {
+    let mix = FaultMix::none().with(FaultPoint::KeyCorrupt, 10_000);
+    let direct = direct_exit(&FaultHandle::new(3, mix.clone()), None, 0, b"x");
+    let batched = batch_exit(&FaultHandle::new(3, mix), None, 0, b"x");
+    assert_eq!(batched, direct);
+    assert_eq!(batched.error, "BadServerKey");
+    assert!(matches!(
+        batched.violations[..],
+        [Violation::BadServerKey { .. }]
+    ));
+}
+
+#[test]
+fn a_handler_panic_mid_batch_ends_like_the_direct_call() {
+    let mix = FaultMix::none().with(FaultPoint::HandlerPanic, 10_000);
+    let direct = direct_exit(&FaultHandle::new(7, mix.clone()), None, 2, b"x");
+    let batched = batch_exit(&FaultHandle::new(7, mix), None, 2, b"x");
+    assert_eq!(batched, direct);
+    assert!(batched.error.starts_with("ServerDead"), "{}", batched.error);
+    assert!(matches!(
+        batched.violations[..],
+        [Violation::ServerCrash { .. }]
+    ));
+}
+
+#[test]
+fn a_hang_mid_batch_ends_like_the_direct_call() {
+    let mix = FaultMix::none().with(FaultPoint::HandlerHang, 10_000);
+    let direct = direct_exit(&FaultHandle::new(5, mix.clone()), Some(10_000), 2, b"x");
+    let batched = batch_exit(&FaultHandle::new(5, mix), Some(10_000), 2, b"x");
+    assert_eq!(batched, direct);
+    assert!(batched.error.starts_with("Timeout"), "{}", batched.error);
+    assert!(matches!(
+        batched.violations[..],
+        [Violation::Timeout { .. }]
+    ));
+}
+
+#[test]
+fn an_oversized_reply_mid_batch_ends_like_the_direct_call() {
+    let none = FaultMix::none();
+    let direct = direct_exit(&FaultHandle::new(1, none.clone()), None, 2, OVERSIZED);
+    let batched = batch_exit(&FaultHandle::new(1, none), None, 2, OVERSIZED);
+    assert_eq!(batched, direct);
+    assert_eq!(batched.error, "MessageTooLarge");
+    assert!(batched.violations.is_empty());
 }

@@ -111,7 +111,7 @@ impl ChaosOutcome {
     /// outcome.
     pub fn conserved(&self) -> bool {
         let s = &self.stats;
-        s.offered == s.completed + s.shed_queue_full + s.shed_deadline + s.timed_out + s.failed
+        s.offered == s.completed + s.shed() + s.timed_out + s.failed
     }
 
     /// The two-source check: the trace stream's fault counters must
@@ -553,6 +553,22 @@ pub fn run_fs_chaos(seed: u64, mix: &FaultMix, txns: u8) -> FsChaosOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_rate_limit_shed_is_an_outcome() {
+        let mut stats = RunStats::new("rate-limited", 1);
+        stats.offered = 3;
+        stats.completed = 2;
+        stats.shed_rate_limit = 1;
+        let out = ChaosOutcome {
+            stats,
+            report: FaultReport::default(),
+            trace: FaultCounts::default(),
+            slo: sb_sentinel::SloHealth::default(),
+            postmortem: None,
+        };
+        assert!(out.conserved(), "{:?}", out.stats);
+    }
 
     #[test]
     fn skybridge_cell_under_crashes_terminates_clean() {

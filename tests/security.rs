@@ -106,6 +106,55 @@ fn forged_key_is_rejected_and_reported() {
         .any(|v| matches!(v, Violation::BadServerKey { .. })));
 }
 
+/// §4.4 return-key check: a server that echoes a wrong client key is
+/// refused by the caller's return trampoline, which is back on its own
+/// EPT and identity when it refuses. The batched crossing rechecks the
+/// key once, when it returns.
+#[test]
+fn a_forged_echo_is_refused_on_return() {
+    let mut w = world();
+    let (victim, client) = (w.victim, w.client);
+    let core = w.k.threads[client].core;
+    let home = (w.k.machine.cpu(core).ept_root, w.k.identity_current(core));
+    assert_eq!(
+        attack::forged_echo_call(&mut w.sb, &mut w.k, client, victim),
+        AttackOutcome::Neutralized {
+            occurrences_left: 0
+        }
+    );
+    let refused = Violation::BadClientKey {
+        client: w.k.threads[client].process,
+        server: victim,
+    };
+    assert_eq!(w.sb.violations, std::slice::from_ref(&refused));
+    assert_eq!(
+        (w.k.machine.cpu(core).ept_root, w.k.identity_current(core)),
+        home
+    );
+    assert_eq!(
+        w.sb.call_count, 0,
+        "a refused reply is not a completed call"
+    );
+
+    w.sb.corrupt_echo_key(victim, 1);
+    let mut s = w.sb.batch_begin(&mut w.k, client, victim).unwrap();
+    w.sb.batch_serve(&mut w.k, &mut s, b"frame", 1).unwrap();
+    assert!(matches!(
+        w.sb.batch_end(&mut w.k, s),
+        Err(SbError::BadClientKey)
+    ));
+    assert_eq!(w.sb.violations, [refused.clone(), refused]);
+    assert_eq!(
+        (w.k.machine.cpu(core).ept_root, w.k.identity_current(core)),
+        home
+    );
+
+    // The honest echo is back: the call completes.
+    w.sb.corrupt_echo_key(victim, 0);
+    w.sb.direct_server_call(&mut w.k, client, victim, b"ok")
+        .unwrap();
+}
+
 /// §7 "DoS attacks": the timeout forces control back to the client.
 #[test]
 fn dos_timeout_returns_control() {
