@@ -188,13 +188,6 @@ impl FaultyDisk {
         self.inner
     }
 
-    /// The surviving medium, without consuming the wrapper — what a
-    /// remount after the crash would see. Snapshot/replay drills clone
-    /// this while the cell that owns the disk keeps running.
-    pub fn medium(&self) -> &RamDisk {
-        &self.inner
-    }
-
     /// The fault handle this disk injects from.
     pub fn faults(&self) -> &FaultHandle {
         &self.faults

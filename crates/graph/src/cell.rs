@@ -52,12 +52,12 @@ pub enum CellDisk {
 }
 
 impl CellDisk {
-    /// A content clone of the persisted medium — for a [`FaultyDisk`],
-    /// exactly what a remount after the crash would see.
-    pub fn image(&self) -> RamDisk {
+    /// The persisted medium, moved out — for a [`FaultyDisk`], exactly
+    /// what a remount after the crash would see.
+    pub fn into_image(self) -> RamDisk {
         match self {
-            CellDisk::Ram(d) => d.clone(),
-            CellDisk::Faulty(d) => d.medium().clone(),
+            CellDisk::Ram(d) => d,
+            CellDisk::Faulty(d) => d.into_survivor(),
         }
     }
 }
@@ -224,7 +224,7 @@ pub struct GraphCell {
     db: Option<Database<ChargedFs>>,
     cache: BTreeMap<u64, Vec<u8>>,
     cache_capacity: usize,
-    value_len: usize,
+    value_len: u32,
     /// The mediation log: every admitted operation, in order.
     pub log: CommitLog,
     /// Cache/traffic counters.
@@ -272,7 +272,7 @@ impl GraphCell {
             db: Some(db),
             cache: BTreeMap::new(),
             cache_capacity,
-            value_len,
+            value_len: value_len.try_into().expect("value length fits a u32"),
             log: CommitLog::new(),
             stats: CellStats::default(),
         }
@@ -292,7 +292,7 @@ impl GraphCell {
     /// WAL replay happens in `mount`, the db journal rollback in
     /// `open`). The cache tier starts empty — it was volatile.
     pub fn from_disk(disk: RamDisk, cache_capacity: usize, link: Option<HopLink>) -> Self {
-        let value_len = 0; // discovered per-Put; Gets never synthesize values
+        let value_len = 0; // each logged Put carries its own length
         let fs = FileSystem::mount(CellDisk::Ram(disk)).expect("mount surviving disk");
         let charged = ChargedFs { fs, link };
         let db = Database::open(charged, CELL_DB_PATH, CELL_CACHE_PAGES).expect("reopen cell db");
@@ -311,30 +311,35 @@ impl GraphCell {
     /// original cell, the result is byte-identical to it.
     pub fn replay(snapshot: &Snapshot, entries: &[CommitEntry], cache_capacity: usize) -> Self {
         let mut cell = GraphCell::restore(snapshot, cache_capacity, None);
-        for e in entries {
-            cell.serve(&e.op);
-        }
+        cell.roll_forward(snapshot.seq, entries);
         cell
+    }
+
+    /// Serves `entries` as log positions `after + 1`, `after + 2`, …:
+    /// the replay from a snapshot, or the roll-forward after a crash.
+    pub fn roll_forward(&mut self, after: u64, entries: &[CommitEntry]) {
+        for (seq, e) in (after + 1..).zip(entries) {
+            self.serve(seq, e.op);
+        }
     }
 
     fn db_mut(&mut self) -> &mut Database<ChargedFs> {
         self.db.as_mut().expect("cell database is open")
     }
 
-    /// Admits one request into the mediation log, materialising the
-    /// operation it commits to (writes get their deterministic value,
-    /// stamped with the entry's sequence number).
-    pub fn admit(&mut self, corr: u64, key: u64, write: bool) -> CommitOp {
+    /// Admits one request into the mediation log, returning the entry's
+    /// sequence number and the operation it commits to. A write is
+    /// logged by length: [`GraphCell::serve`] derives its value.
+    pub fn admit(&mut self, corr: u64, key: u64, write: bool) -> (u64, CommitOp) {
         let op = if write {
             CommitOp::Put {
                 key,
-                value: value_bytes(key, self.log.next_seq(), self.value_len),
+                len: self.value_len,
             }
         } else {
             CommitOp::Get { key }
         };
-        self.log.append(corr, op.clone());
-        op
+        (self.log.append(corr, op), op)
     }
 
     /// Whether the cache tier holds `key` (routing: a read that hits
@@ -343,42 +348,44 @@ impl GraphCell {
         self.cache.contains_key(&key)
     }
 
-    /// Applies one operation — the single serve path shared by live
-    /// traffic and replay. Returns the reply value.
-    pub fn serve(&mut self, op: &CommitOp) -> Vec<u8> {
+    /// Applies the operation logged at `seq` — the single serve path
+    /// shared by live traffic and replay. A write stores
+    /// `value_bytes(key, seq, len)`. Returns the reply value.
+    pub fn serve(&mut self, seq: u64, op: CommitOp) -> Vec<u8> {
         match op {
             CommitOp::Get { key } => {
                 self.stats.reads += 1;
-                if let Some(v) = self.cache.get(key) {
+                if let Some(v) = self.cache.get(&key) {
                     self.stats.hits += 1;
                     return v.clone();
                 }
                 self.stats.misses += 1;
                 let row = self
                     .db_mut()
-                    .query(CELL_TABLE, *key as i64)
+                    .query(CELL_TABLE, key as i64)
                     .expect("cell query");
                 let value = match row {
                     Some(values) => blob_of(&values),
                     None => Vec::new(),
                 };
                 if !value.is_empty() {
-                    self.cache_insert(*key, value.clone());
+                    self.cache_insert(key, value.clone());
                 }
                 value
             }
-            CommitOp::Put { key, value } => {
+            CommitOp::Put { key, len } => {
                 self.stats.writes += 1;
-                self.cache.remove(key); // invalidate-on-write
+                self.cache.remove(&key); // invalidate-on-write
+                let value = value_bytes(key, seq, len as usize);
                 let row = [Value::Blob(value.clone())];
-                match self.db_mut().update(CELL_TABLE, *key as i64, &row) {
+                match self.db_mut().update(CELL_TABLE, key as i64, &row) {
                     Err(DbError::KeyNotFound) => self
                         .db_mut()
-                        .insert(CELL_TABLE, *key as i64, &row)
+                        .insert(CELL_TABLE, key as i64, &row)
                         .expect("cell upsert insert"),
                     r => r.expect("cell upsert update"),
                 }
-                value.clone()
+                value
             }
         }
     }
@@ -416,7 +423,7 @@ impl GraphCell {
         let db = self.db.take().expect("cell database is open");
         let mut charged = db.close().expect("close cell db");
         let link = charged.link.take();
-        (charged.fs.into_device().image(), link)
+        (charged.fs.into_device().into_image(), link)
     }
 
     /// Consumes the cell, checkpointing and returning the final disk
@@ -477,28 +484,25 @@ mod tests {
     #[test]
     fn serve_reads_through_cache_and_invalidates_on_write() {
         let mut cell = GraphCell::build(16, 32, 8, None);
-        let miss = cell.serve(&CommitOp::Get { key: 3 });
+        let miss = cell.serve(1, CommitOp::Get { key: 3 });
         assert_eq!(miss, value_bytes(3, 0, 32));
         assert_eq!((cell.stats.hits, cell.stats.misses), (0, 1));
 
-        let hit = cell.serve(&CommitOp::Get { key: 3 });
+        let hit = cell.serve(2, CommitOp::Get { key: 3 });
         assert_eq!(hit, miss);
         assert_eq!(cell.stats.hits, 1);
 
         let newv = value_bytes(3, 9, 32);
-        cell.serve(&CommitOp::Put {
-            key: 3,
-            value: newv.clone(),
-        });
+        assert_eq!(cell.serve(9, CommitOp::Put { key: 3, len: 32 }), newv);
         assert!(!cell.cache_contains(3), "write must invalidate");
-        assert_eq!(cell.serve(&CommitOp::Get { key: 3 }), newv);
+        assert_eq!(cell.serve(10, CommitOp::Get { key: 3 }), newv);
     }
 
     #[test]
     fn cache_eviction_is_bounded_and_deterministic() {
         let mut cell = GraphCell::build(32, 16, 4, None);
         for key in 0..12 {
-            cell.serve(&CommitOp::Get { key });
+            cell.serve(key + 1, CommitOp::Get { key });
         }
         assert_eq!(cell.cache().len(), 4);
         assert_eq!(cell.stats.evictions, 8);
@@ -511,46 +515,49 @@ mod tests {
     fn upsert_extends_past_the_preloaded_range() {
         let mut cell = GraphCell::build(4, 16, 4, None);
         let v = value_bytes(100, 1, 16);
-        cell.serve(&CommitOp::Put {
-            key: 100,
-            value: v.clone(),
-        });
-        assert_eq!(cell.serve(&CommitOp::Get { key: 100 }), v);
+        assert_eq!(cell.serve(1, CommitOp::Put { key: 100, len: 16 }), v);
+        assert_eq!(cell.serve(2, CommitOp::Get { key: 100 }), v);
     }
 
     #[test]
     fn snapshot_then_replay_is_byte_identical() {
         use crate::commit::disk_digest;
 
-        let mut live = GraphCell::build(24, 32, 6, None);
-        // Warm phase before the snapshot.
-        for i in 0..20u64 {
-            let op = live.admit(i + 1, i % 24, i % 3 == 0);
-            live.serve(&op);
+        // Below, within and above the values' 8-byte seq header.
+        for value_len in [0, 5, 48] {
+            let mut live = GraphCell::build(24, value_len, 6, None);
+            // Warm phase before the snapshot.
+            for i in 0..20u64 {
+                let (seq, op) = live.admit(i + 1, i % 24, i % 3 == 0);
+                live.serve(seq, op);
+            }
+            let snap = live.snapshot();
+            assert_eq!(snap.seq, 20);
+            // Diverging phase after it.
+            for i in 20..48u64 {
+                let (seq, op) = live.admit(i + 1, (i * 5) % 24, i % 2 == 0);
+                live.serve(seq, op);
+            }
+            let log = live.log.clone();
+            let mut replayed = GraphCell::replay(&snap, log.since(snap.seq), 6);
+            assert_eq!(replayed.cache(), live.cache(), "cache tiers must agree");
+            let rows = live.rows();
+            assert_eq!(replayed.rows(), rows, "value_len {value_len}");
+            assert!(rows.iter().all(|(_, v)| v.len() == value_len.max(8)));
+            assert_eq!(
+                disk_digest(live.into_disk()),
+                disk_digest(replayed.into_disk()),
+                "replay must reproduce the disk byte-for-byte (value_len {value_len})"
+            );
         }
-        let snap = live.snapshot();
-        assert_eq!(snap.seq, 20);
-        // Diverging phase after it.
-        for i in 20..48u64 {
-            let op = live.admit(i + 1, (i * 5) % 24, i % 2 == 0);
-            live.serve(&op);
-        }
-        let log = live.log.clone();
-        let replayed = GraphCell::replay(&snap, log.since(snap.seq), 6);
-        assert_eq!(replayed.cache(), live.cache(), "cache tiers must agree");
-        assert_eq!(
-            disk_digest(live.into_disk()),
-            disk_digest(replayed.into_disk()),
-            "replay must reproduce the disk byte-for-byte"
-        );
     }
 
     #[test]
     fn recovered_seq_reads_the_last_persisted_write() {
         let mut cell = GraphCell::build(8, 32, 4, None);
         for i in 0..6u64 {
-            let op = cell.admit(i + 1, i % 8, true);
-            cell.serve(&op);
+            let (seq, op) = cell.admit(i + 1, i % 8, true);
+            cell.serve(seq, op);
         }
         assert_eq!(cell.recovered_seq(), 6);
     }

@@ -207,9 +207,9 @@ impl GraphTransport {
         }
         // Mediation: the operation enters the commit log after
         // admission through the gateway, before any state changes.
-        let op = self.cell.admit(req.id, req.key, req.write);
+        let (seq, op) = self.cell.admit(req.id, req.key, req.write);
         self.ctx.now.set(t);
-        let reply = self.cell.serve(&op);
+        let reply = self.cell.serve(seq, op);
         t = t.max(self.ctx.now.get());
         Ok((reply, t))
     }

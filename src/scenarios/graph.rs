@@ -275,15 +275,11 @@ pub fn run_graph_chaos(backend: &Backend, seed: u64, ops: u64) -> GraphChaosOutc
     faults.recover_all(FaultPoint::PowerLoss);
     let recovered_seq = recovered.recovered_seq();
     let tail = log.since(recovered_seq);
-    for e in tail {
-        recovered.serve(&e.op);
-    }
+    recovered.roll_forward(recovered_seq, tail);
 
     // The reference: the whole log replayed on pristine hardware.
     let mut reference = GraphCell::build(spec.records, spec.value_len, DRILL_CACHE, None);
-    for e in log.entries() {
-        reference.serve(&e.op);
-    }
+    reference.roll_forward(0, log.entries());
 
     let report = faults.report();
     GraphChaosOutcome {
