@@ -3,9 +3,9 @@
 //!
 //! Every serving cell is one open-loop run with retry-with-backoff and
 //! transport recovery enabled, faults injected per a seeded
-//! `sb_faultplane::FaultMix`; the bin prints the per-cell fault ledger
-//! (injected / detected / recovered / leaked) next to the serving
-//! outcome, and writes everything to `results/chaos.json`. Cells run
+//! `sb_faultplane::FaultMix`; the bin prints each cell's row of
+//! `results/chaos.json` — the fault ledger (injected / recovered /
+//! leaked) next to the serving outcome. Cells run
 //! with the sentinel armed: an unrecovered fault or SLO breach must
 //! produce a postmortem bundle under `results/postmortem/`, and the
 //! drill cell proves the recorder fires end-to-end by leaking a fault on
@@ -21,7 +21,7 @@ use std::path::Path;
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
-    print_table,
+    print_rows,
     report::{chaos_outcome_json, fs_chaos_json, receipt_json, RESULTS_DIR},
 };
 use sb_observe::Json;
@@ -48,9 +48,7 @@ fn main() {
     let (mut unconserved, mut ledger_mismatches) = (0u64, 0u64);
 
     for transport in Backend::all() {
-        let mut rows = Vec::new();
         for mix in serving_mixes() {
-            let mut row = vec![mix.name.to_string()];
             for s in 0..SEEDS {
                 let seed = 0xc4a0_5000 + s;
                 let out = run_chaos_cell_watched(&transport, seed, &mix, REQUESTS, &flight);
@@ -77,66 +75,49 @@ fn main() {
                         );
                     }
                 }
-                row.push(format!(
-                    "inj={} rec={} leak={} done={} shed={} fail={} slo={}",
-                    out.report.injected(),
-                    out.report.recovered(),
-                    out.report.leaked(),
-                    out.stats.completed,
-                    out.stats.shed(),
-                    out.stats.failed,
-                    if out.slo.breached() { "BREACH" } else { "ok" },
-                ));
                 json_rows.push(
                     chaos_outcome_json(&out, mix.name, seed).field("transport", transport.label()),
                 );
             }
-            rows.push(row);
         }
-        let header: Vec<String> = std::iter::once("mix".to_string())
-            .chain((0..SEEDS).map(|s| format!("seed {s}")))
-            .collect();
-        print_table(
-            &format!("chaos on {} ({REQUESTS} requests/cell)", transport.label()),
-            &header,
-            &rows,
-        );
     }
+    print_rows(
+        &format!("chaos ({REQUESTS} requests/cell)"),
+        &json_rows,
+        &[
+            "transport",
+            "mix",
+            "seed",
+            "injected",
+            "recovered",
+            "leaked",
+            "run.completed",
+            "run.shed_queue_full",
+            "run.failed",
+            "slo.breached",
+        ],
+    );
 
-    let mut fs_rows = Vec::new();
     let mut fs_json: Vec<Json> = Vec::new();
     for mix in fs_mixes() {
-        let (mut torn, mut lost, mut replays) = (0u64, 0u64, 0u64);
-        let mut leaked = 0u64;
         for s in 0..FS_SEEDS {
             let out = run_fs_chaos(0xf5ee_0000 + s, &mix, 12);
-            torn += out.torn_discarded as u64;
-            lost += (out.committed < out.attempted) as u64;
-            replays += (out.replayed > 0) as u64;
-            leaked += out.report.leaked();
+            leaked_total += out.report.leaked();
             fs_json.push(fs_chaos_json(&out, mix.name, 0xf5ee_0000 + s));
         }
-        leaked_total += leaked;
-        fs_rows.push(vec![
-            mix.name.to_string(),
-            format!("{FS_SEEDS}"),
-            format!("{torn}"),
-            format!("{lost}"),
-            format!("{replays}"),
-            format!("{leaked}"),
-        ]);
     }
-    print_table(
+    print_rows(
         "fs chaos (committed-prefix across remount)",
+        &fs_json,
         &[
             "mix",
-            "cells",
-            "torn hdrs",
-            "txns lost",
-            "replays",
+            "seed",
+            "attempted",
+            "committed",
+            "torn_discarded",
+            "replayed",
             "leaked",
         ],
-        &fs_rows,
     );
 
     // The flight-recorder drill: leak a fault on purpose and demand a

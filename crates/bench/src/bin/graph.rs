@@ -20,7 +20,7 @@
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
-    print_table,
+    print_rows,
     report::run_stats_json,
 };
 use sb_graph::GraphSpec;
@@ -32,7 +32,7 @@ use skybridge_repro::scenarios::graph::{
     build_graph, client_payload, drive_one, replay_drill, run_graph_chaos, run_graph_open_loop,
     DRILL_VALUE_LEN,
 };
-use skybridge_repro::scenarios::runtime::{ops_per_sec, Backend};
+use skybridge_repro::scenarios::runtime::Backend;
 
 /// Requests per workload cell.
 const REQUESTS: u64 = 300;
@@ -72,7 +72,7 @@ fn calibrate(backend: &Backend, spec: &GraphSpec) -> f64 {
 
 type WorkloadCtor = fn(u64, usize) -> WorkloadSpec;
 
-fn workload_sweep() -> (Vec<Json>, Vec<Vec<String>>) {
+fn workload_sweep() -> Vec<Json> {
     let cfg = RuntimeConfig {
         queue_capacity: 64,
         policy: AdmissionPolicy::Shed,
@@ -86,7 +86,6 @@ fn workload_sweep() -> (Vec<Json>, Vec<Vec<String>>) {
         ("ycsb_c", WorkloadSpec::ycsb_c),
     ];
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     for backend in Backend::all() {
         // Offer ~70% of the calibrated capacity so queueing is visible
         // but the cell stays stable.
@@ -103,14 +102,6 @@ fn workload_sweep() -> (Vec<Json>, Vec<Vec<String>>) {
                 REQUESTS,
                 0x6a_0001,
             );
-            table.push(vec![
-                backend.label().to_string(),
-                name.to_string(),
-                format!("{:.0}", ops_per_sec(&s)),
-                format!("{}", s.p50()),
-                format!("{}", s.p99()),
-                format!("{}", s.shed()),
-            ]);
             rows.push(
                 run_stats_json(&s)
                     .field("backend", backend.label())
@@ -119,7 +110,7 @@ fn workload_sweep() -> (Vec<Json>, Vec<Vec<String>>) {
             );
         }
     }
-    (rows, table)
+    rows
 }
 
 /// Per-hop attribution from a traced run: drive a small fixed trace
@@ -127,9 +118,8 @@ fn workload_sweep() -> (Vec<Json>, Vec<Vec<String>>) {
 /// request's children in route order (gateway, cache, db) with
 /// everything past the route being fs crossings made by the db's
 /// pager I/O.
-fn attribution(records: usize, gates: &mut Vec<Gate>) -> (Vec<Json>, Vec<Vec<String>>) {
+fn attribution(records: usize, gates: &mut Vec<Gate>) -> Vec<Json> {
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     let mut split_trees = 0u64;
     let mut fewest_traced = u64::MAX;
     for backend in Backend::all() {
@@ -177,12 +167,6 @@ fn attribution(records: usize, gates: &mut Vec<Gate>) -> (Vec<Json>, Vec<Vec<Str
         fewest_traced = fewest_traced.min(requests);
         let requests = requests.max(1);
         for (hop, cycles, crossings) in &per_hop {
-            table.push(vec![
-                backend.label().to_string(),
-                hop.clone(),
-                format!("{:.0}", *cycles as f64 / requests as f64),
-                format!("{:.1}", *crossings as f64 / requests as f64),
-            ]);
             rows.push(
                 Json::obj()
                     .field("backend", backend.label())
@@ -209,7 +193,7 @@ fn attribution(records: usize, gates: &mut Vec<Gate>) -> (Vec<Json>, Vec<Vec<Str
         Bound::AtLeast(1.0),
         "requests",
     ));
-    (rows, table)
+    rows
 }
 
 fn replay_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
@@ -283,19 +267,32 @@ fn chaos_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
 }
 
 fn main() {
-    let (workload_rows, workload_table) = workload_sweep();
-    print_table(
+    let workload_rows = workload_sweep();
+    print_rows(
         "YCSB over the serving graph (client → gateway → cache → db → fs)",
-        &["backend", "workload", "ops/s", "p50", "p99", "shed"],
-        &workload_table,
+        &workload_rows,
+        &[
+            "backend",
+            "workload",
+            "throughput_per_mcycle",
+            "latency_p50",
+            "latency_p99",
+            "shed_queue_full",
+        ],
     );
 
     let mut gates = Vec::new();
-    let (attr_rows, attr_table) = attribution(RECORDS, &mut gates);
-    print_table(
+    let attr_rows = attribution(RECORDS, &mut gates);
+    print_rows(
         "Per-hop attribution (sentinel-assembled span trees)",
-        &["backend", "hop", "mean cycles", "crossings/req"],
-        &attr_table,
+        &attr_rows,
+        &[
+            "backend",
+            "hop",
+            "mean_cycles",
+            "crossings_per_request",
+            "critical_path_share",
+        ],
     );
 
     let replay_rows = replay_section(DRILL_OPS, &mut gates);

@@ -1,5 +1,5 @@
 //! The exact profile's evaluation harness: five-way flamegraphs in
-//! cycles and profile-diff regression attribution.
+//! cycles and a per-phase diff against the committed profile.
 //!
 //! One serving lane per IPC personality runs the KV workload with span
 //! tracing on, harvested in chunks the event ring holds completely, so
@@ -9,25 +9,23 @@
 //! 1. checks the capture was exact (zero ring overwrites, and a span
 //!    stream with nothing unmatched or unclosed, which also proves the
 //!    per-tenant folds sum to the whole);
-//! 2. writes a collapsed-stack flamegraph in cycles
+//! 2. holds the phase identity exactly: the in-call phases
+//!    ([`PhaseProfile::in_call_total`]) add up to the end-to-end cycles
+//!    to the cycle, so any movement of the end-to-end figure is a
+//!    movement of named phases;
+//! 3. writes a collapsed-stack flamegraph in cycles
 //!    (`results/flamegraphs/<backend>.collapsed`, the format
 //!    `flamegraph.pl` and speedscope ingest) plus a per-tenant variant
 //!    with the tenant as the root frame;
-//! 3. diffs the per-phase cycle budget against the committed
-//!    `results/profile.json` in dual units — Δ cycles/call and relative
-//!    percent (ns at the modeled 4 GHz are cycles/4) — attributes any
-//!    end-to-end movement to named phases, and then rewrites that file
-//!    from this run: the committed profile is its own baseline.
+//! 4. prints its end-to-end Δ and every phase that moved against its row
+//!    of the committed `results/profile.json`, in cycles per call, and
+//!    then rewrites that file from this run: the committed profile is
+//!    its own baseline.
 //!
-//! The diff gate is the regression-attribution contract: an end-to-end
-//! regression beyond 1% whose residual (the part no named phase
-//! explains) exceeds 5% of the baseline breaches it. A regression that
-//! *is* attributed still prints its per-phase account but is not this
-//! bin's to judge; an unattributed one means the instrumentation lost
-//! track of where cycles went, which is a bug in its own right. A run
-//! without a baseline to diff against, or with one that does not parse,
-//! breaches the gate — and still writes the file, so the next run has
-//! one. A re-baseline is a run whose new `profile.json` gets committed.
+//! A run without a baseline to diff against, or with one that does not
+//! parse, breaches a gate — and still writes the file, so the next run
+//! has one. A re-baseline is a run whose new `profile.json` gets
+//! committed.
 //!
 //! No knob: [`CALLS`] per personality is the size the file records.
 
@@ -35,7 +33,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 use sb_bench::gate::{finish, Gate};
-use sb_bench::print_table;
+use sb_bench::print_rows;
 use sb_bench::report::{write_raw, RESULTS_DIR};
 use sb_observe::{
     attribute_by_corr, Json, PhaseProfile, Recorder, SpanKind, DEFAULT_RING_CAPACITY,
@@ -44,12 +42,6 @@ use sb_runtime::{RequestFactory, Transport};
 use sb_ycsb::WorkloadSpec;
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 
-/// End-to-end movement below this fraction of the baseline is noise.
-const REGRESSION_GATE: f64 = 0.01;
-/// Largest unattributed share of a regression the gate tolerates.
-const RESIDUAL_GATE: f64 = 0.05;
-/// The modeled part runs at 4 GHz: ns = cycles / 4.
-const CYCLES_PER_NS: f64 = 4.0;
 /// Tenants in the profiled mix (Zipf-skewed, like the tenant bench).
 const TENANTS: u16 = 4;
 /// Timed calls per personality.
@@ -60,12 +52,6 @@ struct BackendProfile {
     prof: PhaseProfile,
     /// The same cycles, split by the tenant each request billed.
     tenants: BTreeMap<u16, PhaseProfile>,
-}
-
-impl BackendProfile {
-    fn e2e_per_call(&self) -> f64 {
-        self.prof.end_to_end as f64 / self.prof.calls.max(1) as f64
-    }
 }
 
 /// Profiles one personality exactly: chunked harvests sized so the
@@ -136,13 +122,16 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
 
 /// One JSON row per personality: `"transport":"<label>"`, then
 /// `e2e_cycles_per_call` and one `phase_<name>_cycles_per_call` per
-/// observed phase — what [`diff_backend`] reads back from the committed
+/// observed phase — what [`diff_row`] reads back from the committed
 /// file on the next run.
 fn profile_row(p: &BackendProfile) -> Json {
     let mut row = Json::obj()
         .field("transport", p.label.as_str())
         .field("calls", p.prof.calls)
-        .field("e2e_cycles_per_call", p.e2e_per_call());
+        .field(
+            "e2e_cycles_per_call",
+            p.prof.end_to_end as f64 / p.prof.calls.max(1) as f64,
+        );
     for kind in SpanKind::ALL {
         if p.prof.get(kind) > 0 {
             row = row.field(
@@ -154,86 +143,29 @@ fn profile_row(p: &BackendProfile) -> Json {
     row
 }
 
-/// One phase's movement against the baseline, in dual units.
-struct PhaseDelta {
-    name: &'static str,
-    cycles: f64,
-    pct: Option<f64>,
-}
-
-impl PhaseDelta {
-    fn render(&self) -> String {
-        match self.pct {
-            Some(p) => format!("`{}` {:+.1}%", self.name, p),
-            None => format!("`{}` new ({:+.1} cyc)", self.name, self.cycles),
-        }
-    }
-}
-
-struct BackendDiff {
-    label: String,
-    base_e2e: f64,
-    cur_e2e: f64,
-    deltas: Vec<PhaseDelta>,
-    /// End-to-end movement no named phase explains.
-    residual: f64,
-    unattributed_regression: bool,
-}
-
-/// Diffs one personality's profile against its row of the baseline
-/// document's `rows`; `None` without one.
-fn diff_backend(baseline: &Json, p: &BackendProfile) -> Option<BackendDiff> {
-    let row = baseline
+/// One personality's movement against its row of the baseline
+/// document's `rows`, in cycles per call: `e2e`, then one field per
+/// phase that moved, named by the phase; `None` without a baseline row.
+fn diff_row(baseline: &Json, p: &BackendProfile) -> Option<Json> {
+    let base = baseline
         .get("rows")?
         .as_array()?
         .iter()
         .find(|r| r.get("transport").and_then(Json::as_str) == Some(p.label.as_str()))?;
-    let recorded = |field: &str| row.get(field).and_then(Json::as_f64);
-    let base_e2e = recorded("e2e_cycles_per_call")?;
-    let cur_e2e = p.e2e_per_call();
-    let d_e2e = cur_e2e - base_e2e;
-    let mut deltas = Vec::new();
-    let mut attributed = 0.0;
+    const E2E: &str = "e2e_cycles_per_call";
+    let cur = profile_row(p);
+    let at = |row: &Json, field: &str| row.get(field).and_then(Json::as_f64);
+    let mut row = Json::obj()
+        .field("transport", p.label.as_str())
+        .field("e2e", at(&cur, E2E)? - at(base, E2E)?);
     for kind in SpanKind::ALL {
         let field = format!("phase_{}_cycles_per_call", kind.name());
-        let base = recorded(&field);
-        let cur = if p.prof.get(kind) > 0 {
-            Some(p.prof.per_call(kind))
-        } else {
-            None
-        };
-        let (b, c) = match (base, cur) {
-            (None, None) => continue,
-            (b, c) => (b.unwrap_or(0.0), c.unwrap_or(0.0)),
-        };
-        let d = c - b;
-        // Wait phases overlap service and the doorbell is outside the
-        // call: only in-call self-times add up to end-to-end.
-        if !matches!(
-            kind,
-            SpanKind::QueueWait | SpanKind::Backoff | SpanKind::RingWait | SpanKind::Doorbell
-        ) {
-            attributed += d;
-        }
+        let d = at(&cur, &field).unwrap_or(0.0) - at(base, &field).unwrap_or(0.0);
         if d.abs() > 1e-9 {
-            deltas.push(PhaseDelta {
-                name: kind.name(),
-                cycles: d,
-                pct: (b > 0.0).then(|| (c / b - 1.0) * 100.0),
-            });
+            row = row.field(kind.name(), d);
         }
     }
-    let residual = d_e2e - attributed;
-    let unattributed_regression =
-        d_e2e > base_e2e * REGRESSION_GATE && residual.abs() > base_e2e * RESIDUAL_GATE;
-    Some(BackendDiff {
-        label: p.label.clone(),
-        base_e2e,
-        cur_e2e,
-        deltas,
-        residual,
-        unattributed_regression,
-    })
+    Some(row)
 }
 
 fn main() {
@@ -286,65 +218,34 @@ fn main() {
         )));
     }
 
-    let (mut undiffed, mut unattributed) = (0u64, 0u64);
-    let mut diff_table = Vec::new();
+    let mut undiffed = 0u64;
+    let mut diffs = Vec::new();
     for p in &profiles {
-        let Some(d) = diff_backend(&baseline, p) else {
-            eprintln!("{}: no baseline row to diff against", p.label);
-            undiffed += 1;
-            continue;
-        };
-        let d_e2e = d.cur_e2e - d.base_e2e;
-        let account = if d.deltas.is_empty() {
-            "unchanged".to_string()
-        } else {
-            d.deltas
-                .iter()
-                .map(PhaseDelta::render)
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        diff_table.push(vec![
-            d.label.clone(),
-            format!("{:+.1} cyc ({:+.1} ns)", d_e2e, d_e2e / CYCLES_PER_NS),
-            format!(
-                "{:+.2}%",
-                if d.base_e2e > 0.0 {
-                    (d.cur_e2e / d.base_e2e - 1.0) * 100.0
-                } else {
-                    0.0
-                }
-            ),
-            format!("{:+.1} cyc", d.residual),
-            account,
-        ]);
-        if d.unattributed_regression {
-            eprintln!(
-                "{}: end-to-end regressed {:+.1} cycles/call but named phases explain \
-                 only {:+.1} (residual {:+.1}, gate {:.0}% of baseline)",
-                d.label,
-                d_e2e,
-                d_e2e - d.residual,
-                d.residual,
-                RESIDUAL_GATE * 100.0
-            );
-            unattributed += 1;
+        gates.push(Gate::none(
+            format!("{}: end-to-end cycles no in-call phase holds", p.label),
+            p.prof.end_to_end.abs_diff(p.prof.in_call_total()),
+            "cycles",
+        ));
+        match diff_row(&baseline, p) {
+            Some(row) => diffs.push(row),
+            None => {
+                eprintln!("{}: no baseline row to diff against", p.label);
+                undiffed += 1;
+            }
         }
     }
-    print_table(
-        "profile diff vs baseline (Δ per call; ns at 4 GHz)",
-        &["transport", "e2e Δ", "e2e Δ%", "residual", "attribution"],
-        &diff_table,
+    let columns: Vec<&str> = ["transport", "e2e"]
+        .into_iter()
+        .chain(SpanKind::ALL.iter().map(|kind| kind.name()))
+        .collect();
+    print_rows(
+        "profile diff vs baseline (Δ cycles per call; - = unmoved)",
+        &diffs,
+        &columns,
     );
-
     gates.push(Gate::none(
         "rows without a baseline row",
         undiffed,
-        "personalities",
-    ));
-    gates.push(Gate::none(
-        "regressions no phase explains",
-        unattributed,
         "personalities",
     ));
 

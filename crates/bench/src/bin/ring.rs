@@ -20,7 +20,7 @@
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
-    print_table,
+    print_rows,
     report::run_stats_json,
 };
 use sb_observe::Json;
@@ -54,7 +54,6 @@ fn main() {
     let seed = 0x51de_0007u64;
     let mut unconserved = 0u64;
 
-    let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
     let mut direct_json = Vec::new();
     let mut low_rho_gate: Option<(u64, u64)> = None; // (direct p50, ring p50)
@@ -102,20 +101,6 @@ fn main() {
                 {
                     low_rho_gate = Some((direct.p50(), ring.p50()));
                 }
-                rows.push(vec![
-                    backend.label().to_string(),
-                    format!("{rho:.2}"),
-                    format!("{budget}"),
-                    format!("{}", ring.p50()),
-                    format!("{}", direct.p50()),
-                    format!(
-                        "{p50_vs_direct:+.1}%",
-                        p50_vs_direct = (p50_vs_direct - 1.0) * 100.0
-                    ),
-                    format!("{:.2}", ring.throughput_per_mcycle()),
-                    format!("{:.2}", direct.throughput_per_mcycle()),
-                    format!("{}", ring.shed()),
-                ]);
                 sweep_json.push(
                     run_stats_json(&ring)
                         .field("rho", rho)
@@ -133,20 +118,18 @@ fn main() {
             }
         }
     }
-    print_table(
+    print_rows(
         &format!("ring sweep ({REQUESTS} arrivals/cell, 1 lane, simulated cycles)"),
+        &sweep_json,
         &[
-            "transport",
+            "label",
             "rho",
-            "budget",
-            "ring p50",
-            "direct p50",
-            "p50 delta",
-            "ring thr/Mcyc",
-            "direct thr/Mcyc",
-            "shed",
+            "batch_budget",
+            "latency_p50",
+            "p50_vs_direct",
+            "throughput_per_mcycle",
+            "shed_queue_full",
         ],
-        &rows,
     );
 
     let (direct_p50, ring_p50) = low_rho_gate.expect("the sweep covers the gate cell");

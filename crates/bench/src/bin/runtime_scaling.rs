@@ -9,11 +9,11 @@
 //! shed counts, and per-core utilization. Results go to
 //! `results/runtime_scaling.json`.
 //!
-//! A CI-enforced **five-way gate** closes the sweep: every personality's
-//! traced phase self-times must decompose its end-to-end cycles (within
-//! 5%), the trap kernels' calibrated service time must exceed
-//! SkyBridge's, and MPK's must undercut it — two WRPKRU flips
-//! (2 × 28 cycles) against a VMFUNC round trip (2 × 134).
+//! A CI-enforced **five-way gate** closes the sweep: the trap kernels'
+//! calibrated service time must exceed SkyBridge's, and MPK's must
+//! undercut it — two WRPKRU flips (2 × 28 cycles) against a VMFUNC round
+//! trip (2 × 134). That the phases decompose each personality's
+//! end-to-end cycles is the `profile` bin's exact identity gate.
 //!
 //! No run-size knob: 100 cells × [`REQUESTS`] = 50 000 simulated
 //! requests, the size `results/runtime_scaling.json` records.
@@ -27,15 +27,13 @@
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
-    kv_factory, print_table,
+    print_rows,
     report::{run_stats_json, write_raw},
     traced_backend,
 };
-use sb_observe::{attribute, chrome_trace, Json, Recorder, SpanKind};
+use sb_observe::{chrome_trace, Json, Recorder};
 use sb_runtime::{AdmissionPolicy, RuntimeConfig};
-use skybridge_repro::scenarios::runtime::{
-    build_backend, ops_per_sec, run_open_loop, Backend, ServingScenario,
-};
+use skybridge_repro::scenarios::runtime::{ops_per_sec, run_open_loop, Backend, ServingScenario};
 
 /// Arrivals per sweep cell (and in the `SB_TRACE` cell).
 const REQUESTS: u64 = 500;
@@ -86,69 +84,14 @@ fn dump_trace(backend: &Backend) -> Gate {
     Gate::written(write_raw("traces/runtime_scaling_trace.json", &trace.json))
 }
 
-/// Tolerance on the per-personality phase-decomposition identity.
-const PHASE_TOLERANCE: f64 = 0.05;
-
-/// The five-way gate: every personality's traced phases must decompose
-/// its end-to-end cycles, and the calibrated service times must order
-/// the way the crossing costs say they should — each trap kernel above
+/// The five-way gate: the calibrated service times must order the way
+/// the crossing costs say they should — each trap kernel above
 /// SkyBridge, and MPK below it (two WRPKRU flips against a VMFUNC round
 /// trip). `svcs` carries the (label, service cycles) pairs the sweep
-/// calibrated; the conditions land in `gates`.
-fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Json {
-    let mut rows = Vec::new();
-    for backend in Backend::all() {
-        let recorder = Recorder::new(1 << 14);
-        let mut t = build_backend(ServingScenario::Kv, &backend, 1);
-        let mut f = kv_factory();
-        for _ in 0..64 {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("warm call");
-        }
-        t.attach_recorder(recorder.clone());
-        for _ in 0..256 {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("traced call");
-        }
-        let by_lane: Vec<_> = (0..recorder.lane_count())
-            .map(|l| recorder.events(l))
-            .collect();
-        let prof = attribute(&by_lane);
-        let ratio = if prof.end_to_end == 0 {
-            0.0
-        } else {
-            prof.in_call_total() as f64 / prof.end_to_end as f64
-        };
-        gates.push(Gate::new(
-            format!("{}: |phase sum / end-to-end - 1|", backend.label()),
-            (ratio - 1.0).abs(),
-            Bound::AtMost(PHASE_TOLERANCE),
-            "ratio",
-        ));
-        let mut phases = Vec::new();
-        for kind in SpanKind::ALL {
-            if prof.get(kind) > 0 {
-                phases.push(
-                    Json::obj()
-                        .field("phase", kind.name())
-                        .field("cycles_per_call", prof.per_call(kind)),
-                );
-            }
-        }
-        let svc = svcs
-            .iter()
-            .find(|(l, _)| l == backend.label())
-            .map(|&(_, s)| s)
-            .unwrap_or(0.0);
-        rows.push(
-            Json::obj()
-                .field("transport", backend.label())
-                .field("service_cycles", svc)
-                .field("phase_sum_over_end_to_end", ratio)
-                .field("breakdown", Json::Arr(phases)),
-        );
-    }
-
+/// calibrated, in [`Backend::all`] order; the conditions land in
+/// `gates`, and one `{transport, service_cycles}` row per pair is
+/// returned.
+fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Vec<Json> {
     // Two WRPKRU flips undercut a VMFUNC round trip, which undercuts a
     // trap pair: every other personality is held to SkyBridge's service
     // time (NaN, a breach, should SkyBridge leave the sweep).
@@ -166,9 +109,13 @@ fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Json {
         gates.push(Gate::new(name, svc / sky, bound, "ratio"));
     }
 
-    Json::obj()
-        .field("phase_tolerance", PHASE_TOLERANCE)
-        .field("rows", Json::Arr(rows))
+    svcs.iter()
+        .map(|(label, svc)| {
+            Json::obj()
+                .field("transport", label.as_str())
+                .field("service_cycles", *svc)
+        })
+        .collect()
 }
 
 fn main() {
@@ -188,9 +135,7 @@ fn main() {
     for (ti, transport) in Backend::all().iter().enumerate() {
         let svc = calibrate(transport, 64, 256);
         svcs.push((transport.label().to_string(), svc));
-        let mut rows = Vec::new();
         for (wi, &workers) in threads.iter().enumerate() {
-            let mut row = vec![format!("{} threads", workers)];
             for (ri, &rho) in rhos.iter().enumerate() {
                 let mean_ia = svc / (workers as f64 * rho);
                 let cfg = RuntimeConfig {
@@ -202,12 +147,6 @@ fn main() {
                 let seed = 0x0005_ca1e_0000 + (ti * 1000 + wi * 100 + ri) as u64;
                 let stats =
                     run_open_loop(scenario, transport, workers, cfg, mean_ia, REQUESTS, seed);
-                row.push(format!(
-                    "{:.1}/Mc p99={} shed={}",
-                    stats.throughput_per_mcycle(),
-                    stats.p99(),
-                    stats.shed()
-                ));
                 json_rows.push(
                     Json::obj()
                         .field("transport", transport.label())
@@ -220,30 +159,28 @@ fn main() {
                         .field("stats", run_stats_json(&stats)),
                 );
             }
-            rows.push(row);
         }
-        print_table(
-            &format!(
-                "runtime scaling on {} (service ~{:.0} cycles) — throughput/Mcycle, p99 cycles, shed",
-                transport.label(),
-                svc
-            ),
-            &["workers", "rho=0.5", "rho=0.8", "rho=1.0", "rho=1.2", "rho=1.5"],
-            &rows,
-        );
     }
+    print_rows(
+        "runtime scaling (simulated cycles)",
+        &json_rows,
+        &[
+            "transport",
+            "workers",
+            "rho",
+            "service_cycles",
+            "stats.throughput_per_mcycle",
+            "stats.latency_p99",
+            "stats.shed_queue_full",
+        ],
+    );
 
     let mut gates = Vec::new();
     let five_way = five_way_gate(&svcs, &mut gates);
-    let mut order = svcs.clone();
-    order.sort_by(|a, b| a.1.total_cmp(&b.1));
-    print_table(
-        "five-way crossing comparison (calibrated service cycles/call, cheapest first)",
-        &["transport", "service cycles"],
-        &order
-            .iter()
-            .map(|(l, s)| vec![l.clone(), format!("{s:.0}")])
-            .collect::<Vec<_>>(),
+    print_rows(
+        "five-way crossing comparison (calibrated service cycles/call)",
+        &five_way,
+        &["transport", "service_cycles"],
     );
 
     let doc = Json::obj()
@@ -252,7 +189,7 @@ fn main() {
         .field("workload", "ycsb-a")
         .field("requests_per_cell", REQUESTS)
         .field("queue_capacity", QUEUE_CAPACITY)
-        .field("five_way", five_way)
+        .field("five_way", Json::obj().field("rows", five_way))
         .field("rows", Json::Arr(json_rows));
     println!(
         "\nShape to check: at every thread count SkyBridge's zero-shed\n\

@@ -4,8 +4,8 @@
 //! every personality with causal tracing armed; each request's span
 //! tree is assembled from the event rings and its critical path must
 //! cover the client-observed end-to-end cycles within 5% on every
-//! request. Simulated cycles per direct call ride along in the rows
-//! (`results/sentinel.json`).
+//! request (`results/sentinel.json`). A personality's cycles per direct
+//! call are `runtime_scaling`'s `service_cycles`.
 //!
 //! What the sentinel costs on the host clock is not measured here: the
 //! tracer's tax is `benchmark/`'s `trace.overhead_pct` and
@@ -15,11 +15,11 @@
 
 use sb_bench::{
     gate::{finish, Bound, Gate},
-    print_table, service_cycles,
+    print_rows,
 };
 use sb_observe::{Json, Recorder};
 use sb_sentinel::assemble;
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::Backend;
 use skybridge_repro::scenarios::sentinel::chain_for;
 
 /// Tolerance on critical-path coverage of end-to-end cycles.
@@ -27,27 +27,13 @@ const PATH_TOLERANCE: f64 = 0.05;
 
 fn main() {
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     let mut gates = Vec::new();
     let mut missing = 0u64;
     for backend in Backend::all() {
         let label = backend.label();
 
-        // Simulated cycles per call in steady state: the KV store behind
-        // the service grows until the 10k keyspace is fully populated,
-        // so warm past that point. The 512 measured calls then replay
-        // the head of a stream the lane has just served 3,000 calls of —
-        // the cache state the committed column was captured in (a timed
-        // repetition of 3,000 calls used to come first), and a lane's
-        // cache state is part of the figure.
-        let mut t = build_backend(ServingScenario::Kv, &backend, 1);
-        service_cycles(t.as_mut(), 0, 25_000);
-        service_cycles(t.as_mut(), 0, 3_000);
-        let cycles_per_call = service_cycles(t.as_mut(), 0, 512);
-
-        // Critical path on a fresh multi-hop chain: the assembled tree
-        // must cover the client-observed end-to-end cycles on every
-        // request.
+        // Critical path on a multi-hop chain: the assembled tree must
+        // cover the client-observed end-to-end cycles on every request.
         let recorder = Recorder::new(sb_observe::DEFAULT_RING_CAPACITY);
         let run = chain_for(&backend, 3, 8, &recorder);
         let forest = assemble(&recorder);
@@ -78,24 +64,17 @@ fn main() {
             "ratio",
         ));
 
-        rows.push(vec![
-            label.to_string(),
-            format!("{cycles_per_call:.0}"),
-            format!("{:.1}%", worst * 100.0),
-            dominant.clone(),
-        ]);
-        json_rows.push(
+        rows.push(
             Json::obj()
                 .field("transport", label)
-                .field("cycles_per_call", cycles_per_call)
                 .field("critical_path_cover", worst)
                 .field("dominant_step", dominant),
         );
     }
-    print_table(
+    print_rows(
         "critical paths of a depth-3 chain (simulated cycles)",
-        &["transport", "sim cyc/call", "path cover", "dominant step"],
         &rows,
+        &["transport", "critical_path_cover", "dominant_step"],
     );
 
     gates.push(Gate::none(
@@ -107,6 +86,6 @@ fn main() {
     let doc = Json::obj()
         .field("bench", "sentinel")
         .field("path_tolerance", PATH_TOLERANCE)
-        .field("rows", Json::Arr(json_rows));
+        .field("rows", Json::Arr(rows));
     finish("sentinel", &doc, gates);
 }

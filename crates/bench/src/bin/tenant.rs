@@ -7,7 +7,7 @@
 //!    ∈ {uniform round-robin, scrambled-Zipfian} × every IPC
 //!    personality, identical Poisson arrival streams at ρ ≈ 0.8, every
 //!    tenant on the default contract (weight 1, 64-deep lane, shed).
-//!    Each cell reports the busiest tenants' p99s and Jain's fairness
+//!    Each cell reports its busiest tenants' ledgers and Jain's fairness
 //!    index J = (Σx)²/(n·Σx²) over per-tenant completion ratios — J = 1
 //!    is perfect fairness; the **fairness gate** requires J ≥ 0.95 on
 //!    the uniform cells (equal offered load and equal weights must get
@@ -28,16 +28,16 @@
 use sb_bench::{
     calibrate,
     gate::{finish, Bound, Gate},
-    print_table,
+    print_rows,
     report::run_stats_json,
 };
 use sb_observe::Json;
 use sb_runtime::{
     AdmissionPolicy, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
-    TenantAction, TenantId, TenantRegistry, TenantSpec,
+    TenantId, TenantRegistry, TenantSpec,
 };
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
-use skybridge_repro::scenarios::tenant::{run_noisy_neighbor, TenantOutcome};
+use skybridge_repro::scenarios::tenant::run_noisy_neighbor;
 
 /// The fairness gate: Jain's index on uniform cells must clear this.
 const FAIRNESS_FLOOR: f64 = 0.95;
@@ -49,8 +49,6 @@ const REQUESTS: u64 = 4_000;
 const RHO: f64 = 0.8;
 /// Tenant populations the sweep covers.
 const TENANT_COUNTS: [u16; 3] = [4, 64, 512];
-/// How many of the busiest tenants each cell prints.
-const TOP_K: usize = 4;
 /// Seed of every cell's arrival and request streams.
 const SEED: u64 = 0x7e47;
 
@@ -105,19 +103,11 @@ fn run_sweep_cell(backend: &Backend, tenants: u16, zipf: bool, gap: f64) -> RunS
     ServerRuntime::new(transport.as_mut(), cfg).run_open_loop(arrivals, &mut factory)
 }
 
-fn quarantine_count(out: &TenantOutcome) -> usize {
-    out.actions
-        .iter()
-        .filter(|a| matches!(a, TenantAction::Quarantine { .. }))
-        .count()
-}
-
 fn main() {
     let (mut unbalanced, mut unquarantined, mut unisolated) = (0u64, 0u64, 0u64);
     let mut least_fair = f64::INFINITY;
 
     // Section 1: the skew sweep.
-    let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
     for backend in Backend::all() {
         // Steady-state direct-mode cycles per call scale the arrival
@@ -138,21 +128,6 @@ fn main() {
                 if !zipf {
                     least_fair = least_fair.min(jain);
                 }
-                let top: Vec<String> = stats
-                    .top_tenants(TOP_K)
-                    .iter()
-                    .map(|(id, t)| format!("t{id}:{}", t.p99()))
-                    .collect();
-                rows.push(vec![
-                    backend.label().to_string(),
-                    format!("{tenants}"),
-                    skew.to_string(),
-                    format!("{}", stats.completed),
-                    format!("{}", stats.shed()),
-                    format!("{}", stats.p99()),
-                    format!("{jain:.4}"),
-                    top.join(" "),
-                ]);
                 sweep_json.push(
                     run_stats_json(&stats)
                         .field("tenant_population", tenants as u64)
@@ -163,23 +138,21 @@ fn main() {
             }
         }
     }
-    print_table(
+    print_rows(
         &format!("tenant skew sweep ({REQUESTS} arrivals/cell, 2 lanes, rho={RHO})"),
+        &sweep_json,
         &[
-            "transport",
-            "tenants",
+            "label",
+            "tenant_population",
             "skew",
             "completed",
-            "shed",
-            "p99",
-            "jain",
-            "busiest p99s",
+            "shed_queue_full",
+            "latency_p99",
+            "jain_index",
         ],
-        &rows,
     );
 
     // Section 2: the noisy-neighbor isolation matrix.
-    let mut nn_rows = Vec::new();
     let mut nn_json = Vec::new();
     for backend in Backend::all() {
         for ring_mode in [false, true] {
@@ -204,21 +177,6 @@ fn main() {
                     out.victims
                 );
             }
-            let breaches: u64 = out.victims.iter().map(|v| v.breaches).sum();
-            nn_rows.push(vec![
-                out.backend.clone(),
-                out.mode.to_string(),
-                format!("{:.3}", out.worst_ratio()),
-                format!("{breaches}"),
-                format!("{}", out.contended.shed_rate_limit),
-                format!("{}", quarantine_count(&out)),
-                if isolated && quarantined {
-                    "ok"
-                } else {
-                    "FAIL"
-                }
-                .to_string(),
-            ]);
             let victims = out
                 .victims
                 .iter()
@@ -244,18 +202,17 @@ fn main() {
             );
         }
     }
-    print_table(
+    print_rows(
         &format!("noisy neighbor: 3 victims vs one 10x storm (headroom {ISOLATION_HEADROOM})"),
+        &nn_json,
         &[
-            "transport",
+            "backend",
             "mode",
-            "worst ratio",
-            "victim breaches",
-            "rate shed",
-            "quarantines",
-            "verdict",
+            "worst_p99_ratio",
+            "shed_rate_limit",
+            "aggressor_quarantined",
+            "isolated",
         ],
-        &nn_rows,
     );
 
     let doc = Json::obj()

@@ -91,7 +91,7 @@ impl Gate {
 }
 
 /// Integers without a fraction, everything else to four places.
-fn number(v: f64) -> String {
+pub(crate) fn number(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 9e15 {
         format!("{}", v as i64)
     } else {

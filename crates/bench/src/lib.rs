@@ -16,7 +16,8 @@
 
 use std::fmt::Display;
 
-use sb_runtime::{RequestFactory, Transport};
+use sb_observe::Json;
+use sb_runtime::RequestFactory;
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 
 pub mod gate;
@@ -58,9 +59,31 @@ pub fn table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>])
     out
 }
 
-/// Prints [`table`] to stdout.
-pub fn print_table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>]) {
-    print!("{}", table(title, header, rows));
+/// [`table`] of `rows`, one line per row and one column per key, headed
+/// by the keys. A `.` in a key reaches into a nested object
+/// (`stats.latency_p99`); numbers print as the gate rows print them, and
+/// a key the row lacks prints `-`.
+pub fn rows_table(title: &str, rows: &[Json], keys: &[&str]) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            keys.iter()
+                .map(|key| match key.split('.').try_fold(row, |v, k| v.get(k)) {
+                    Some(Json::Str(s)) => s.clone(),
+                    Some(Json::F64(v)) => gate::number(*v),
+                    Some(v) => v.to_string(),
+                    None => "-".to_string(),
+                })
+                .collect()
+        })
+        .collect();
+    table(title, keys, &cells)
+}
+
+/// Prints [`rows_table`] to stdout: how a gated bin shows the rows it
+/// writes.
+pub fn print_rows(title: &str, rows: &[Json], keys: &[&str]) {
+    print!("{}", rows_table(title, rows, keys));
 }
 
 /// Relative speedup `a` over `b`, formatted the way the paper quotes it
@@ -77,37 +100,23 @@ pub fn speedup(faster: f64, slower: f64) -> String {
     }
 }
 
-/// The request stream the serving sweeps drive: the KV scenario's
-/// YCSB-A mix over 10,000 records, 64-byte payloads.
-pub fn kv_factory() -> RequestFactory {
+/// Mean simulated cycles per direct call of a fresh one-lane KV server
+/// on `backend` — the service rate the sweeps scale their arrival rates
+/// against: `warm` calls of the KV scenario's YCSB-A stream (10,000
+/// records, 64-byte payloads), then `n` more, measured.
+pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> f64 {
     let scenario = ServingScenario::Kv;
-    RequestFactory::new(scenario.workload(), scenario.payload())
-}
-
-/// Mean simulated cycles per direct call on lane 0 of `t`: `warm` calls
-/// of a fresh [`kv_factory`] stream, then `n` more, measured.
-pub fn service_cycles(t: &mut dyn Transport, warm: u64, n: u64) -> f64 {
-    let mut f = kv_factory();
-    let mut drive = |t: &mut dyn Transport, calls: u64| {
+    let mut t = build_backend(scenario, backend, 1);
+    let mut f = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut drive = |calls: u64| {
         for _ in 0..calls {
             let r = f.make(t.now(0), None);
             t.call(0, &r).expect("calibration call");
         }
+        t.now(0)
     };
-    drive(t, warm);
-    let t0 = t.now(0);
-    drive(t, n);
-    (t.now(0) - t0) as f64 / n as f64
-}
-
-/// [`service_cycles`] of a fresh one-lane KV server on `backend` — the
-/// service rate the sweeps scale their arrival rates against.
-pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> f64 {
-    service_cycles(
-        build_backend(ServingScenario::Kv, backend, 1).as_mut(),
-        warm,
-        n,
-    )
+    let t0 = drive(warm);
+    (drive(n) - t0) as f64 / n as f64
 }
 
 /// The crate's one environment read: `SB_TRACE=<label>` asks
@@ -190,5 +199,23 @@ mod tests {
     fn tables_right_align_every_column() {
         let t = table("t", &["a", "long"], &[vec!["xyz", "1"]]);
         assert_eq!(t, "\n=== t ===\n    a  long\n  ---  ----\n  xyz     1\n");
+    }
+
+    /// A cell is the row's value under its key, a dotted key reaching
+    /// into nested objects; integral floats print whole, fractional ones
+    /// to four places, and a missing key prints `-`.
+    #[test]
+    fn row_tables_render_each_cell_from_its_key() {
+        let row = Json::obj()
+            .field("s", "sky")
+            .field("b", true)
+            .field("whole", 3.0)
+            .field("frac", 0.123456)
+            .field("a", Json::obj().field("b", 7u64));
+        let t = rows_table("t", &[row], &["a.b", "none", "whole", "frac", "s", "b"]);
+        assert_eq!(
+            t.lines().last(),
+            Some("    7     -      3  0.1235  sky  true")
+        );
     }
 }

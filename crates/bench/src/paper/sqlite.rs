@@ -3,13 +3,11 @@
 //! Rootkernel's virtualization overhead).
 
 use sb_microkernel::Personality;
-use sb_observe::Json;
 use sb_ycsb::OpKind;
 use skybridge_repro::scenarios::sqlite::{SqliteStack, StackMode};
 
 use super::{Ledger, PaperRow};
-use crate::report::write_json;
-use crate::{gate, speedup, table};
+use crate::{speedup, table};
 
 /// Table 4, ops/s: ST-Server, MT-Server, SkyBridge.
 pub const OPERATIONS: &[PaperRow] = &[
@@ -57,11 +55,7 @@ const VIRTUALIZATION_RECORDS: u64 = 1000;
 const VIRTUALIZATION_OPS: usize = 150;
 
 /// The three server configurations, in the paper's column order.
-const MODES: [(&str, StackMode); 3] = [
-    ("st", StackMode::IpcSt),
-    ("mt", StackMode::IpcMt),
-    ("SkyBridge", StackMode::SkyBridge),
-];
+const MODES: [StackMode; 3] = [StackMode::IpcSt, StackMode::IpcMt, StackMode::SkyBridge];
 
 /// The three microkernels, named as Figures 9–11 title them.
 fn kernels() -> [(&'static str, Personality); 3] {
@@ -90,7 +84,7 @@ pub fn table4(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let (records, ops) = (TABLE4_RECORDS, TABLE4_OPS);
     let mut rows = Vec::new();
     for ((_, personality), per_op) in kernels().into_iter().zip(paper.chunks(4)) {
-        let [st, mt, sb] = MODES.map(|(_, mode)| measure(personality.clone(), mode, records, ops));
+        let [st, mt, sb] = MODES.map(|mode| measure(personality.clone(), mode, records, ops));
         for (oi, (label, paper)) in per_op.iter().enumerate() {
             let (kernel, op) = label.split_once(' ').expect("`kernel op` row label");
             rows.push(vec![
@@ -127,26 +121,17 @@ pub fn table4(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
 pub fn figure9_11(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
     let (records, ops) = (SCALING_RECORDS, SCALING_OPS);
     let threads = [1usize, 2, 4, 8];
-    let mut json_rows: Vec<Json> = Vec::new();
     for (ki, ((kernel, personality), per_mode)) in
         kernels().into_iter().zip(paper.chunks(3)).enumerate()
     {
         let mut rows = Vec::new();
-        for ((label, paper), (configuration, mode)) in per_mode.iter().zip(MODES) {
+        for ((label, paper), mode) in per_mode.iter().zip(MODES) {
             let mut row = vec![label.to_string()];
             for (&n, &paper) in threads.iter().zip(*paper) {
                 let mut s = SqliteStack::new(personality.clone(), mode, n, false);
                 s.load(records, 100);
                 let stats = s.run_ycsb(ops);
                 row.push(ledger.cell(label, &format!("{n}-thread"), stats.ops_per_sec, paper));
-                json_rows.push(
-                    Json::obj()
-                        .field("kernel", kernel)
-                        .field("configuration", configuration)
-                        .field("threads", n)
-                        .field("ops_per_sec", stats.ops_per_sec)
-                        .field("paper_ops_per_sec", paper),
-                );
             }
             rows.push(row);
         }
@@ -165,15 +150,6 @@ pub fn figure9_11(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
             &rows,
         );
     }
-    let doc = Json::obj()
-        .field("bench", "figure9_11")
-        .field("workload", "ycsb-a")
-        .field("records", records)
-        .field("ops", ops)
-        .field("rows", Json::Arr(json_rows));
-    let path = write_json("figure9_11", &doc)
-        .unwrap_or_else(|e| gate::die(&[format!("figure9_11.json not written: {e}")]));
-    *out += &format!("\nwrote {}\n", path.display());
     *out += "\nShape to check: SkyBridge on top at every thread count;\n\
              throughput *decreases* with threads (the file system's one big\n\
              lock); st trails mt (cross-core IPIs).\n";

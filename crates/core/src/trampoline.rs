@@ -8,8 +8,6 @@
 //! (b) scanning the page with [`sb_rewriter`] finds exactly the one legal
 //! `VMFUNC` at [`VMFUNC_OFFSET`].
 
-use sb_sim::Cycles;
-
 /// Offset of the call-direction `VMFUNC` within the trampoline page.
 pub const VMFUNC_OFFSET: usize = 38;
 
@@ -67,13 +65,6 @@ pub fn page_image() -> Vec<u8> {
     p.extend_from_slice(&[0x5d, 0x5b, 0xc3]);
     p.resize(4096, 0x90);
     p
-}
-
-/// Cycles of trampoline work per one-way transit, *excluding* `VMFUNC`:
-/// register save/restore and stack installation. The paper measures this
-/// at 64 cycles (§6.3).
-pub fn logic_cycles(cost: &sb_sim::CostModel) -> Cycles {
-    cost.trampoline_logic
 }
 
 #[cfg(test)]

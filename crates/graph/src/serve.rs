@@ -132,11 +132,6 @@ impl GraphTransport {
         &self.cell
     }
 
-    /// Mutable cell access (drills that roll state forward by hand).
-    pub fn cell_mut(&mut self) -> &mut GraphCell {
-        &mut self.cell
-    }
-
     /// Checkpoints the cell mid-run; see [`GraphCell::snapshot`].
     pub fn snapshot(&mut self) -> Snapshot {
         self.cell.snapshot()

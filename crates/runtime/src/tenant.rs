@@ -577,12 +577,6 @@ impl TenantFabric {
             .map(|s| s.health())
     }
 
-    /// A clone of `id`'s SLO handle, if it has an objective (for
-    /// postmortem bundles scoped to the offending tenant).
-    pub fn slo_handle(&self, id: TenantId) -> Option<SloHandle> {
-        self.lane(id).and_then(|l| l.slo.clone())
-    }
-
     /// Every SLO-burn action taken so far, in order.
     pub fn actions(&self) -> &[TenantAction] {
         &self.actions

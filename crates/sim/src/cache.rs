@@ -364,12 +364,6 @@ impl Cache {
         self.lru.resident()
     }
 
-    /// Resets the hit/miss statistics without touching cache state.
-    pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
-
     /// The resident lines of `set`, least recently used first.
     #[cfg(test)]
     pub(crate) fn lru_order(&self, set: usize) -> Vec<u64> {

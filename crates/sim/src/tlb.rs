@@ -156,12 +156,6 @@ impl Tlb {
     pub fn resident(&self) -> usize {
         self.lru.resident()
     }
-
-    /// Resets hit/miss statistics without touching entries.
-    pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]

@@ -117,11 +117,6 @@ impl Workload {
         }
     }
 
-    /// The keys to load before running (0..record_count).
-    pub fn load_keys(&self) -> impl Iterator<Item = u64> {
-        0..self.spec.record_count
-    }
-
     /// Record payload length.
     pub fn value_len(&self) -> usize {
         self.spec.value_len

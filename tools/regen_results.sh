@@ -38,13 +38,13 @@ mkdir -p "$dir/results"
 dir="$(cd "$dir" && pwd)"
 # `profile` diffs its run against the checkout's profile.json, then
 # rewrites it. Before a commit that file is still the parent's, so this
-# run applies the attribution gate to the change; CI applies it against
-# the parent commit's file in a step of its own.
+# run prints the change's per-phase diff; CI prints it against the
+# parent commit's file in a step of its own.
 cp "$root/results/profile.json" "$dir/results/"
 
-# chaos.json and figure9_11.txt name files written beside them by path
-# (`results/postmortem/…`, `wrote results/figure9_11.json`): run the bins
-# where `results/` is the fresh directory, not the checkout's.
+# chaos.json names the files written beside it by path
+# (`results/postmortem/…`): run the bins where `results/` is the fresh
+# directory, not the checkout's.
 cd "$dir"
 for bin in paper tenant runtime_scaling chaos ring graph sentinel profile; do
     echo "regen: $bin" >&2
