@@ -2,9 +2,9 @@
 //!
 //! `paper NAME…` prints the named artefacts (`table1`…`table6`,
 //! `figure2`, `figure7`, `figure8`, `figure9_11`, `ablations`); `paper`
-//! alone writes every one to `results/<name>.txt` (and
-//! `figure9_11.json`) plus `fidelity.json`, one line per `measured
-//! (paper)` cell, ready to diff against the committed `results/`.
+//! alone writes every one to `results/<name>.txt` plus
+//! `fidelity.json`, one line per `measured (paper)` cell, ready to diff
+//! against the committed `results/`.
 //!
 //! No knob: every run size is a constant of its experiment, so the
 //! written cells are the ones the ledger's bands describe.
@@ -21,8 +21,8 @@ fn main() {
         let mut gates: Vec<Gate> = EXPERIMENTS
             .iter()
             .map(|e| {
-                let (text, cells) = e.artefact();
-                ledger.extend(cells.0.iter().map(|c| {
+                let artefact = e.artefact();
+                ledger.extend(artefact.cells.iter().map(|c| {
                     Json::obj()
                         .field("experiment", e.name)
                         .field("row", c.row.as_str())
@@ -32,7 +32,7 @@ fn main() {
                         .field("ratio", c.measured / c.paper)
                         .to_string()
                 }));
-                Gate::written(write_raw(&format!("{}.txt", e.name), &text))
+                Gate::written(write_raw(&format!("{}.txt", e.name), &artefact.text))
             })
             .collect();
         let ledger = format!(
@@ -44,7 +44,7 @@ fn main() {
     }
     for name in &names {
         match find(name) {
-            Some(e) => print!("{}", e.artefact().0),
+            Some(e) => print!("{}", e.artefact().text),
             None => {
                 let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
                 gate::die(&[format!(

@@ -19,8 +19,7 @@ use sb_sim::Machine;
 use skybridge::SkyBridge;
 
 use super::ipc::{ipc_pair, sky_pair};
-use super::{Ledger, PaperRow};
-use crate::table;
+use super::{Artefact, PaperRow};
 
 /// Maps `pages` 4 KiB pages above the reserved region one by one, as a
 /// commodity hypervisor's EPT would hold them.
@@ -31,8 +30,7 @@ fn map_4k(ept: &Ept, mem: &mut HostMem, pages: u64) {
     }
 }
 
-fn ept_walk(out: &mut String) {
-    let mut rows = Vec::new();
+fn ept_walk(a: &mut Artefact) {
     for (name, granule) in [
         ("no EPT (native)", None),
         ("1 GiB (Rootkernel)", Some(PageSize::Size1G)),
@@ -65,20 +63,16 @@ fn ept_walk(out: &mut String) {
         let t0 = m.cpu(0).tsc;
         walk::read_u64(&mut m, 0, &mem, Gva(0x50_0000), true).expect("mapped above");
         let d = m.cpu(0).pmu.delta(&before);
-        rows.push(vec![
-            name.to_string(),
-            d.walk_memory_accesses.to_string(),
-            (m.cpu(0).tsc - t0).to_string(),
-        ]);
+        a.put(name, "walk memory accesses", d.walk_memory_accesses);
+        a.put(name, "cold-walk cycles", m.cpu(0).tsc - t0);
     }
-    *out += &table(
+    a.table(
         "Ablation: TLB-miss nested-walk cost by EPT granularity",
-        &["configuration", "walk memory accesses", "cold-walk cycles"],
-        &rows,
+        "configuration",
     );
 }
 
-fn ept_copy(out: &mut String) {
+fn ept_copy(a: &mut Artefact) {
     let mut mem = HostMem::new();
     let base = Ept::new(&mut mem);
     base.map_identity_range(
@@ -97,28 +91,20 @@ fn ept_copy(out: &mut String) {
     let fine = Ept::new(&mut mem);
     map_4k(&fine, &mut mem, 32768);
     let (_, deep_fine) = Ept::deep_copy(&mut mem, &fine);
-    *out += &table(
+    for (strategy, pages) in [
+        ("shallow copy + CR3 remap (SkyBridge)", shallow),
+        ("deep copy of huge-page base EPT", deep),
+        ("deep copy of 4 KiB-managed EPT (128 MiB)", deep_fine),
+    ] {
+        a.put(strategy, "pages written", pages);
+    }
+    a.table(
         "Ablation: EPT pages written per client/server binding",
-        &["strategy", "pages written"],
-        &[
-            vec![
-                "shallow copy + CR3 remap (SkyBridge)".to_string(),
-                shallow.to_string(),
-            ],
-            vec![
-                "deep copy of huge-page base EPT".to_string(),
-                deep.to_string(),
-            ],
-            vec![
-                "deep copy of 4 KiB-managed EPT (128 MiB)".to_string(),
-                deep_fine.to_string(),
-            ],
-        ],
+        "strategy",
     );
 }
 
-fn kpti(out: &mut String) {
-    let mut rows = Vec::new();
+fn kpti(a: &mut Artefact) {
     for kpti in [false, true] {
         let config = KernelConfig {
             kpti,
@@ -130,22 +116,22 @@ fn kpti(out: &mut String) {
                 .expect("warm roundtrip");
         }
         let b = k.ipc_roundtrip(client, slot, server).expect("roundtrip");
-        rows.push(vec![
-            if kpti { "KPTI on" } else { "KPTI off" }.to_string(),
-            b.get(Component::ContextSwitch).to_string(),
-            b.total().to_string(),
-        ]);
+        let name = if kpti { "KPTI on" } else { "KPTI off" };
+        a.put(
+            name,
+            "context-switch cycles",
+            b.get(Component::ContextSwitch),
+        );
+        a.put(name, "total cycles", b.total());
     }
-    *out += &table(
+    a.table(
         "Ablation: Meltdown mitigation (KPTI) on the seL4 fastpath roundtrip",
-        &["configuration", "context-switch cycles", "total cycles"],
-        &rows,
+        "configuration",
     );
 }
 
-fn message_size(out: &mut String) {
+fn message_size(a: &mut Artefact) {
     let (mut k, mut sb, client, server) = sky_pair(Personality::sel4(), 42);
-    let mut rows = Vec::new();
     for size in [0usize, 16, 64, 128, 512, 2048, 8192] {
         let msg = vec![7u8; size];
         for _ in 0..32 {
@@ -160,26 +146,22 @@ fn message_size(out: &mut String) {
                 .expect("call");
         }
         let avg = (k.machine.cpu(core).tsc - t0) / iters;
-        rows.push(vec![
-            format!("{size} B"),
-            if size <= 64 {
-                "registers"
-            } else {
-                "shared buffer"
-            }
-            .to_string(),
-            avg.to_string(),
-        ]);
+        let message = format!("{size} B");
+        let path = if size <= 64 {
+            "registers"
+        } else {
+            "shared buffer"
+        };
+        a.put(&message, "path", path);
+        a.put(&message, "cycles/roundtrip", avg);
     }
-    *out += &table(
+    a.table(
         "Ablation: direct_server_call latency vs message size",
-        &["message", "path", "cycles/roundtrip"],
-        &rows,
+        "message",
     );
 }
 
-fn exit_controls(out: &mut String) {
-    let mut rows = Vec::new();
+fn exit_controls(a: &mut Artefact) {
     for (name, controls) in [
         ("SkyBridge pass-through", ExitControls::skybridge()),
         ("commercial hypervisor", ExitControls::commercial()),
@@ -203,16 +185,12 @@ fn exit_controls(out: &mut String) {
         for _ in 0..5000 {
             rk.cr3_write(&mut machine, 0);
         }
-        rows.push(vec![
-            name.to_string(),
-            rk.exits.total().to_string(),
-            (machine.cpu(0).tsc - t0).to_string(),
-        ]);
+        a.put(name, "VM exits", rk.exits.total());
+        a.put(name, "cycles of exit overhead", machine.cpu(0).tsc - t0);
     }
-    *out += &table(
+    a.table(
         "Ablation: exit controls under 1k interrupts + 5k CR3 writes",
-        &["configuration", "VM exits", "cycles of exit overhead"],
-        &rows,
+        "configuration",
     );
 }
 
@@ -220,7 +198,7 @@ fn exit_controls(out: &mut String) {
 /// every server the function list holds (512, one more than the EPTP
 /// list's free slots) and round-robin calls across them; stale slots
 /// fault to the Rootkernel and get reinstalled.
-fn eptp_lru(out: &mut String) {
+fn eptp_lru(a: &mut Artefact) {
     let mut k = Kernel::boot(KernelConfig::with_rootkernel(Personality::sel4()));
     let mut sb = SkyBridge::new();
     let code = sb_rewriter::corpus::generate(43, 1024, 0);
@@ -252,24 +230,21 @@ fn eptp_lru(out: &mut String) {
             .expect("call");
     }
     let avg = (k.machine.cpu(core).tsc - t0) / calls as u64;
-    *out += &table(
+    a.put("", "servers", servers.len());
+    a.put("", "calls", calls);
+    a.put("", "slot-fault exits", exits(&k) - exits0);
+    a.put("", "avg cycles/call", avg);
+    a.table(
         "Extension (§10): EPTP-list LRU with more servers than slots",
-        &["servers", "calls", "slot-fault exits", "avg cycles/call"],
-        &[vec![
-            servers.len().to_string(),
-            calls.to_string(),
-            (exits(&k) - exits0).to_string(),
-            avg.to_string(),
-        ]],
+        "",
     );
-    *out += "  (each fault = one VM exit + EPTP-list reinstall; with ≤ 511\n\
-             bound servers the fault count is zero)\n";
+    a.text += "  (each fault = one VM exit + EPTP-list reinstall; with ≤ 511\n\
+               bound servers the fault count is zero)\n";
 }
 
 /// §8.1: L4's temporary mapping halves the copy cost of long IPC
 /// messages; "orthogonal to SkyBridge".
-fn temporary_mapping(out: &mut String) {
-    let mut rows = Vec::new();
+fn temporary_mapping(a: &mut Artefact) {
     for (name, personality) in [
         ("seL4 (two copies)", Personality::sel4()),
         (
@@ -279,8 +254,7 @@ fn temporary_mapping(out: &mut String) {
     ] {
         let (mut k, client, slot, server) =
             ipc_pair(KernelConfig::native(personality), 44, 1024, false);
-        let mut row = vec![name.to_string()];
-        for len in [256usize, 1024, 4096] {
+        for (len, column) in [(256usize, "256 B"), (1024, "1 KiB"), (4096, "4 KiB")] {
             for _ in 0..32 {
                 k.ipc_call(client, slot, len).expect("warm call");
                 k.ipc_reply(server, client, 0).expect("warm reply");
@@ -291,23 +265,21 @@ fn temporary_mapping(out: &mut String) {
                 b.merge(&k.ipc_reply(server, client, 0).expect("reply"));
                 sum += b.get(Component::MessageCopy);
             }
-            row.push((sum / 64).to_string());
+            a.put(name, column, sum / 64);
         }
-        rows.push(row);
     }
-    *out += &table(
+    a.table(
         "§8.1: temporary mapping vs two-copy long messages (copy cycles)",
-        &["configuration", "256 B", "1 KiB", "4 KiB"],
-        &rows,
+        "configuration",
     );
 }
 
-pub fn ablations(_: &[PaperRow], out: &mut String, _: &mut Ledger) {
-    temporary_mapping(out);
-    ept_walk(out);
-    ept_copy(out);
-    kpti(out);
-    message_size(out);
-    exit_controls(out);
-    eptp_lru(out);
+pub fn ablations(_: &[PaperRow], a: &mut Artefact) {
+    temporary_mapping(a);
+    ept_walk(a);
+    ept_copy(a);
+    kpti(a);
+    message_size(a);
+    exit_controls(a);
+    eptp_lru(a);
 }

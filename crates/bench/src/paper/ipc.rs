@@ -9,8 +9,7 @@ use sb_microkernel::{
 use sb_rootkernel::EptpList;
 use skybridge::{ServerId, SkyBridge};
 
-use super::{Ledger, PaperRow};
-use crate::table;
+use super::{Artefact, PaperRow};
 
 /// §2.1.1's mode-switch components, then Table 2 proper (`value ±
 /// deviation`), in cycles.
@@ -92,7 +91,7 @@ pub(super) fn sky_pair(
     (k, sb, client, server)
 }
 
-pub fn table2(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn table2(paper: &[PaperRow], a: &mut Artefact) {
     // §2.1.1 mode-switch components, measured as the model charges them.
     let cost = sb_sim::CostModel::skylake();
     let mut measured = vec![
@@ -142,27 +141,20 @@ pub fn table2(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
         measured.push((k.machine.cpu(0).tsc - t0) / iters);
     }
 
-    let rows: Vec<Vec<String>> = paper
-        .iter()
-        .zip(measured)
-        .map(|((operation, p), cycles)| {
-            let paper = match p {
-                [value, deviation] => format!("{value}±{deviation}"),
-                _ => p[0].to_string(),
-            };
-            ledger.cell(operation, "measured", cycles as f64, p[0]);
-            vec![operation.to_string(), format!("{cycles} (paper {paper})")]
-        })
-        .collect();
-    *out += &table(
-        "§2.1.1 mode-switch components (cycles)",
-        &["operation", "measured"],
-        &rows[..components],
-    );
-    *out += &table(
+    for (i, ((operation, p), cycles)) in paper.iter().zip(measured).enumerate() {
+        if i == components {
+            a.table("§2.1.1 mode-switch components (cycles)", "operation");
+        }
+        let paper = match p {
+            [value, deviation] => format!("{value}±{deviation}"),
+            _ => p[0].to_string(),
+        };
+        a.record(operation, "measured", cycles as f64, p[0]);
+        a.put(operation, "measured", format!("{cycles} (paper {paper})"));
+    }
+    a.table(
         "Table 2: instruction/operation latencies (cycles)",
-        &["operation", "measured"],
-        &rows[components..],
+        "operation",
     );
 }
 
@@ -199,7 +191,7 @@ fn skybridge_bar(personality: Personality, iters: usize) -> Breakdown {
 /// Round trips averaged into each bar of Figure 7.
 const FIGURE7_ITERS: usize = 2000;
 
-pub fn figure7(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn figure7(paper: &[PaperRow], a: &mut Artefact) {
     let iters = FIGURE7_ITERS;
     let kernels = [
         Personality::sel4(),
@@ -217,23 +209,20 @@ pub fn figure7(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
             bars.push(ipc_bar(p.clone(), cross, iters));
         }
     }
-    let mut rows = Vec::new();
     for ((name, total), b) in paper.iter().zip(&bars) {
-        let mut row = vec![name.to_string()];
-        row.extend(Component::ALL.iter().map(|&c| b.get(c).to_string()));
-        row.push(ledger.cell(name, "total", b.total() as f64, total[0]));
-        rows.push(row);
+        for c in Component::ALL {
+            a.put(name, c.label(), b.get(c));
+        }
+        let (measured, paper) = (b.total(), total[0]);
+        a.record(name, "total", measured as f64, paper);
+        a.put(name, "total (paper)", format!("{measured} ({paper})"));
     }
-    let mut header = vec!["configuration"];
-    header.extend(Component::ALL.iter().map(|c| c.label()));
-    header.push("total (paper)");
-    *out += &table(
+    a.table(
         "Figure 7: IPC roundtrip breakdown, cycles — measured (paper total)",
-        &header,
-        &rows,
+        "configuration",
     );
-    *out += "\nShape to check: the three SkyBridge bars are identical (kernel\n\
-             personality is irrelevant once the kernel is off the path) and\n\
-             ~396 cycles; cross-core bars are dominated by the two IPIs; Zircon\n\
-             pays scheduling + double message copies on every path.\n";
+    a.text += "\nShape to check: the three SkyBridge bars are identical (kernel\n\
+               personality is irrelevant once the kernel is off the path) and\n\
+               ~396 cycles; cross-core bars are dominated by the two IPIs; Zircon\n\
+               pays scheduling + double message copies on every path.\n";
 }

@@ -5,8 +5,7 @@
 use sb_ycsb::kv::KV_LENGTHS;
 use skybridge_repro::scenarios::kv::{KvMode, KvPipeline};
 
-use super::{Ledger, PaperRow};
-use crate::table;
+use super::{Artefact, PaperRow};
 
 /// Operations Table 1 counts misses across, as the paper did.
 const POLLUTION_OPS: usize = 512;
@@ -41,88 +40,69 @@ const MODES: [(&str, KvMode); 5] = [
     ("SkyBridge", KvMode::SkyBridge),
 ];
 
-pub fn table1(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn table1(paper: &[PaperRow], a: &mut Artefact) {
     let (ops, len) = (POLLUTION_OPS, POLLUTION_KV_LEN);
-    let header = ["layout", "i-cache", "d-cache", "L2", "L3", "i-TLB", "d-TLB"];
-    let mut rows = Vec::new();
     for ((name, paper), (_, mode)) in paper.iter().zip(MODES) {
         let mut p = KvPipeline::new(mode, len, ops + 128);
         p.run_ops(64); // Warm up, as the paper's measured region is hot.
         let pmu = p.run_ops(ops).pmu;
         let misses = [
-            pmu.l1i_misses,
-            pmu.l1d_misses,
-            pmu.l2_misses,
-            pmu.l3_misses,
-            pmu.itlb_misses,
-            pmu.dtlb_misses,
+            ("i-cache", pmu.l1i_misses),
+            ("d-cache", pmu.l1d_misses),
+            ("L2", pmu.l2_misses),
+            ("L3", pmu.l3_misses),
+            ("i-TLB", pmu.itlb_misses),
+            ("d-TLB", pmu.dtlb_misses),
         ];
-        let mut row = vec![name.to_string()];
-        for ((&n, &paper), column) in misses.iter().zip(*paper).zip(&header[1..]) {
-            row.push(ledger.cell(name, column, n as f64, paper));
+        for ((column, n), &paper) in misses.into_iter().zip(*paper) {
+            a.cell(name, column, n as f64, paper);
         }
-        rows.push(row);
     }
-    *out += &table(
+    a.table(
         &format!(
             "Table 1: processor-structure misses across {ops} KV ops — measured (paper, 512 ops)"
         ),
-        &header,
-        &rows,
+        "layout",
     );
-    *out += "\nShape to check: IPC ≫ Delay ≈ Baseline on i-cache and d-TLB;\n\
-             the Delay row compensates the *direct* cost, so its pollution\n\
-             matches Baseline.\n";
+    a.text += "\nShape to check: IPC ≫ Delay ≈ Baseline on i-cache and d-TLB;\n\
+               the Delay row compensates the *direct* cost, so its pollution\n\
+               matches Baseline.\n";
 }
 
 /// One latency sweep over `modes`: every key/value length, measured
 /// (paper) per cell.
-fn sweep(
-    title: &str,
-    modes: &[(&str, KvMode)],
-    paper: &[PaperRow],
-    out: &mut String,
-    ledger: &mut Ledger,
-) {
+fn sweep(title: &str, modes: &[(&str, KvMode)], paper: &[PaperRow], a: &mut Artefact) {
     let ops = SWEEP_OPS;
-    let mut rows = Vec::new();
     for (&len, (label, cells)) in KV_LENGTHS.iter().zip(paper) {
-        let mut row = vec![label.to_string()];
         for ((name, mode), &paper) in modes.iter().zip(*cells) {
             let mut p = KvPipeline::new(*mode, len, ops + 128);
             p.run_ops(64);
-            row.push(ledger.cell(label, name, p.run_ops(ops).avg_cycles as f64, paper));
+            a.cell(label, name, p.run_ops(ops).avg_cycles as f64, paper);
         }
-        rows.push(row);
     }
-    let header: Vec<&str> = std::iter::once("key/value")
-        .chain(modes.iter().map(|m| m.0))
-        .collect();
-    *out += &table(title, &header, &rows);
+    a.table(title, "key/value");
 }
 
-pub fn figure2(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn figure2(paper: &[PaperRow], a: &mut Artefact) {
     sweep(
         "Figure 2: KV op latency in cycles — measured (paper)",
         &MODES[..4],
         paper,
-        out,
-        ledger,
+        a,
     );
-    *out += "\nShape to check: Baseline < Delay < IPC < IPC-CrossCore at every\n\
-             length; gaps shrink relative to totals as the length grows.\n";
+    a.text += "\nShape to check: Baseline < Delay < IPC < IPC-CrossCore at every\n\
+               length; gaps shrink relative to totals as the length grows.\n";
 }
 
-pub fn figure8(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn figure8(paper: &[PaperRow], a: &mut Artefact) {
     sweep(
         "Figure 8: KV op latency with SkyBridge — measured (paper)",
         &MODES,
         paper,
-        out,
-        ledger,
+        a,
     );
-    *out += "\nShape to check: SkyBridge sits between Baseline and IPC at small\n\
-             lengths (\"SkyBridge can reduce the latency from 7929 cycles to\n\
-             3512\"), and its advantage shrinks as payloads grow (\"When the\n\
-             length is large, the overhead of SkyBridge is negligible\").\n";
+    a.text += "\nShape to check: SkyBridge sits between Baseline and IPC at small\n\
+               lengths (\"SkyBridge can reduce the latency from 7929 cycles to\n\
+               3512\"), and its advantage shrinks as payloads grow (\"When the\n\
+               length is large, the overhead of SkyBridge is negligible\").\n";
 }

@@ -13,8 +13,7 @@ use sb_rewriter::{
     scan::{classify, find_occurrences, OverlapKind},
 };
 
-use super::{Ledger, PaperRow};
-use crate::table;
+use super::{Artefact, PaperRow};
 
 /// Table 6 as this machine can reproduce it: the paper found no
 /// inadvertent `VMFUNC` in any compiled corpus it names (SPEC, PARSEC,
@@ -102,8 +101,7 @@ fn interpret(code: &[u8], page: &[u8]) -> [u64; 16] {
     s.regs
 }
 
-pub fn table3(_: &[PaperRow], out: &mut String, _: &mut Ledger) {
-    let mut rows = Vec::new();
+pub fn table3(_: &[PaperRow], a: &mut Artefact) {
     for (name, strategy, code) in CASES {
         let kind = match classify(code).first().map(|o| o.kind) {
             Some(OverlapKind::Vmfunc) => "C1".to_string(),
@@ -123,26 +121,19 @@ pub fn table3(_: &[PaperRow], out: &mut String, _: &mut Ledger) {
         } else {
             "NO"
         };
-        rows.push(vec![
-            name.to_string(),
-            kind,
-            strategy.to_string(),
-            if clean { "yes" } else { "NO" }.to_string(),
-            equivalent.to_string(),
-            format!("{}B stub", rewritten.rewrite_page.len()),
-        ]);
-    }
-    *out += &table(
-        "Table 3: rewrite strategies for inadvertent VMFUNC encodings",
-        &[
-            "case",
-            "classified",
-            "strategy",
-            "clean",
-            "equivalent",
+        a.put(name, "classified", kind);
+        a.put(name, "strategy", strategy);
+        a.put(name, "clean", if clean { "yes" } else { "NO" });
+        a.put(name, "equivalent", equivalent);
+        a.put(
+            name,
             "stub",
-        ],
-        &rows,
+            format!("{}B stub", rewritten.rewrite_page.len()),
+        );
+    }
+    a.table(
+        "Table 3: rewrite strategies for inadvertent VMFUNC encodings",
+        "case",
     );
 }
 
@@ -157,14 +148,10 @@ struct Scan {
 }
 
 impl Scan {
-    /// The corpus's row; `hits` is the count as the row prints it.
-    fn row(&self, corpus: &str, hits: String) -> Vec<String> {
-        vec![
-            corpus.to_string(),
-            self.programs.to_string(),
-            (self.bytes / 1024).to_string(),
-            hits,
-        ]
+    /// Places the corpus's size columns; its count is the caller's.
+    fn put(&self, a: &mut Artefact, corpus: &str) {
+        a.put(corpus, "programs", self.programs);
+        a.put(corpus, "code KiB", self.bytes / 1024);
     }
 }
 
@@ -209,14 +196,13 @@ fn scan_dir(dir: &str, limit: usize) -> Scan {
 /// machine — real compiler output — and (b) deterministic synthetic
 /// instruction streams, including one with injected occurrences to prove
 /// the scanner's sensitivity.
-pub fn table6(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
-    let mut rows = Vec::new();
+pub fn table6(paper: &[PaperRow], a: &mut Artefact) {
     let mut all_hits = Vec::new();
     for (dir, paper) in paper {
         let scan = scan_dir(dir, ELF_LIMIT);
         if scan.programs > 0 {
-            let hits = ledger.cell(dir, "VMFUNC count", scan.hits as f64, paper[0]);
-            rows.push(scan.row(dir, hits));
+            scan.put(a, dir);
+            a.cell(dir, "VMFUNC count", scan.hits as f64, paper[0]);
             all_hits.extend(scan.hit_names);
         }
     }
@@ -228,23 +214,23 @@ pub fn table6(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
             scan.bytes += code.len();
             scan.hits += find_occurrences(&code).len();
         }
-        rows.push(scan.row(name, scan.hits.to_string()));
+        scan.put(a, name);
+        a.put(name, "VMFUNC count", scan.hits);
     }
-    *out += &table(
+    a.table(
         "Table 6: inadvertent VMFUNC occurrences — measured (paper)",
-        &["corpus", "programs", "code KiB", "VMFUNC count"],
-        &rows,
+        "corpus",
     );
     if all_hits.is_empty() {
-        *out += "\nno occurrences in the real-binary corpus\n";
+        a.text += "\nno occurrences in the real-binary corpus\n";
     } else {
-        *out += "\noccurrences found in:\n";
+        a.text += "\noccurrences found in:\n";
         for h in &all_hits {
-            *out += &format!("  {h}\n");
+            a.text += &format!("  {h}\n");
         }
     }
-    *out += "\npaper: 0 occurrences across SPEC/PARSEC/servers/vmlinux/modules;\n\
-             exactly 1 in 2,605 other programs (GIMP 2.8, call immediate).\n\
-             Shape to check: real binaries are (almost always) clean; the\n\
-             injected synthetic corpus shows the scanner finds what exists.\n";
+    a.text += "\npaper: 0 occurrences across SPEC/PARSEC/servers/vmlinux/modules;\n\
+               exactly 1 in 2,605 other programs (GIMP 2.8, call immediate).\n\
+               Shape to check: real binaries are (almost always) clean; the\n\
+               injected synthetic corpus shows the scanner finds what exists.\n";
 }

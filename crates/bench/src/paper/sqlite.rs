@@ -6,8 +6,8 @@ use sb_microkernel::Personality;
 use sb_ycsb::OpKind;
 use skybridge_repro::scenarios::sqlite::{SqliteStack, StackMode};
 
-use super::{Ledger, PaperRow};
-use crate::{speedup, table};
+use super::{Artefact, PaperRow};
+use crate::speedup;
 
 /// Table 4, ops/s: ST-Server, MT-Server, SkyBridge.
 pub const OPERATIONS: &[PaperRow] = &[
@@ -80,84 +80,59 @@ fn measure(personality: Personality, mode: StackMode, records: u64, ops: usize) 
     [insert, update, query, delete]
 }
 
-pub fn table4(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn table4(paper: &[PaperRow], a: &mut Artefact) {
     let (records, ops) = (TABLE4_RECORDS, TABLE4_OPS);
-    let mut rows = Vec::new();
     for ((_, personality), per_op) in kernels().into_iter().zip(paper.chunks(4)) {
         let [st, mt, sb] = MODES.map(|mode| measure(personality.clone(), mode, records, ops));
         for (oi, (label, paper)) in per_op.iter().enumerate() {
             let (kernel, op) = label.split_once(' ').expect("`kernel op` row label");
-            rows.push(vec![
-                kernel.to_string(),
-                op.to_string(),
-                ledger.cell(label, "ST-Server", st[oi], paper[0]),
-                ledger.cell(label, "MT-Server", mt[oi], paper[1]),
-                ledger.cell(label, "SkyBridge", sb[oi], paper[2]),
-                format!(
-                    "{} ({})",
-                    speedup(sb[oi], mt[oi]),
-                    speedup(paper[2], paper[1])
-                ),
-            ]);
+            a.put(label, "kernel", kernel);
+            a.put(label, "op", op);
+            a.cell(label, "ST-Server", st[oi], paper[0]);
+            a.cell(label, "MT-Server", mt[oi], paper[1]);
+            a.cell(label, "SkyBridge", sb[oi], paper[2]);
+            let (measured, paper) = (speedup(sb[oi], mt[oi]), speedup(paper[2], paper[1]));
+            a.put(label, "speedup vs MT", format!("{measured} ({paper})"));
         }
     }
-    *out += &table(
+    a.table(
         "Table 4: SQLite op throughput, ops/s — measured (paper)",
-        &[
-            "kernel",
-            "op",
-            "ST-Server",
-            "MT-Server",
-            "SkyBridge",
-            "speedup vs MT",
-        ],
-        &rows,
+        "",
     );
-    *out += "\nShape to check: ST < MT < SkyBridge for every kernel and op; the\n\
-             query column shows the smallest speedup (the SQLite page cache\n\
-             absorbs reads, so queries barely touch the IPC path).\n";
+    a.text += "\nShape to check: ST < MT < SkyBridge for every kernel and op; the\n\
+               query column shows the smallest speedup (the SQLite page cache\n\
+               absorbs reads, so queries barely touch the IPC path).\n";
 }
 
-pub fn figure9_11(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn figure9_11(paper: &[PaperRow], a: &mut Artefact) {
     let (records, ops) = (SCALING_RECORDS, SCALING_OPS);
     let threads = [1usize, 2, 4, 8];
     for (ki, ((kernel, personality), per_mode)) in
         kernels().into_iter().zip(paper.chunks(3)).enumerate()
     {
-        let mut rows = Vec::new();
         for ((label, paper), mode) in per_mode.iter().zip(MODES) {
-            let mut row = vec![label.to_string()];
             for (&n, &paper) in threads.iter().zip(*paper) {
                 let mut s = SqliteStack::new(personality.clone(), mode, n, false);
                 s.load(records, 100);
                 let stats = s.run_ycsb(ops);
-                row.push(ledger.cell(label, &format!("{n}-thread"), stats.ops_per_sec, paper));
+                a.cell(label, &format!("{n}-thread"), stats.ops_per_sec, paper);
             }
-            rows.push(row);
         }
-        *out += &table(
+        a.table(
             &format!(
                 "Figure {}: YCSB-A throughput on {kernel}, ops/s — measured (paper)",
                 9 + ki
             ),
-            &[
-                "configuration",
-                "1-thread",
-                "2-thread",
-                "4-thread",
-                "8-thread",
-            ],
-            &rows,
+            "configuration",
         );
     }
-    *out += "\nShape to check: SkyBridge on top at every thread count;\n\
-             throughput *decreases* with threads (the file system's one big\n\
-             lock); st trails mt (cross-core IPIs).\n";
+    a.text += "\nShape to check: SkyBridge on top at every thread count;\n\
+               throughput *decreases* with threads (the file system's one big\n\
+               lock); st trails mt (cross-core IPIs).\n";
 }
 
-pub fn table5(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
+pub fn table5(paper: &[PaperRow], a: &mut Artefact) {
     let (records, ops) = (VIRTUALIZATION_RECORDS, VIRTUALIZATION_OPS);
-    let mut rows = Vec::new();
     for (threads, (label, paper)) in [1usize, 8].into_iter().zip(paper) {
         // The same stack natively, then with the Rootkernel booted
         // underneath (without SkyBridge).
@@ -169,19 +144,15 @@ pub fn table5(paper: &[PaperRow], out: &mut String, ledger: &mut Ledger) {
             let stats = s.run_ycsb(ops);
             (stats.ops_per_sec, s.vm_exits() - exits_before)
         });
-        rows.push(vec![
-            label.to_string(),
-            ledger.cell(label, "Native", native, paper[0]),
-            ledger.cell(label, "Rootkernel", virt, paper[1]),
-            ledger.cell(label, "#VM exits", exits as f64, paper[2]),
-        ]);
+        a.cell(label, "Native", native, paper[0]);
+        a.cell(label, "Rootkernel", virt, paper[1]);
+        a.cell(label, "#VM exits", exits as f64, paper[2]);
     }
-    *out += &table(
+    a.table(
         "Table 5: native vs Rootkernel throughput (ops/s) and VM exits — measured (paper)",
-        &["workload", "Native", "Rootkernel", "#VM exits"],
-        &rows,
+        "workload",
     );
-    *out += "\nShape to check: the Rootkernel column matches Native (pass-through\n\
-             exit controls + huge-page base EPT) and the measured-region exit\n\
-             count is zero.\n";
+    a.text += "\nShape to check: the Rootkernel column matches Native (pass-through\n\
+               exit controls + huge-page base EPT) and the measured-region exit\n\
+               count is zero.\n";
 }

@@ -234,14 +234,14 @@ fn the_cheap_artefacts_rederive_cell_for_cell() {
     });
     let ledger = ledger::read();
     let mut moved = Vec::new();
-    for (name, (text, cells)) in runs {
+    for (name, artefact) in runs {
         let show = |c: &Cell| {
             format!(
                 "{name} / {} / {}: measured {} (paper {})",
                 c.row, c.column, c.measured, c.paper
             )
         };
-        let fresh: BTreeSet<String> = cells.0.iter().map(show).collect();
+        let fresh: BTreeSet<String> = artefact.cells.iter().map(show).collect();
         let committed: BTreeSet<String> = ledger::cells(&ledger, name).map(show).collect();
         moved.extend(
             fresh
@@ -253,7 +253,8 @@ fn the_cheap_artefacts_rederive_cell_for_cell() {
                 .difference(&fresh)
                 .map(|l| format!("{l}, committed")),
         );
-        if fs::read_to_string(ledger::root().join(format!("results/{name}.txt"))).ok() != Some(text)
+        if fs::read_to_string(ledger::root().join(format!("results/{name}.txt"))).ok()
+            != Some(artefact.text)
         {
             moved.push(format!("{name}: the text differs from results/{name}.txt"));
         }

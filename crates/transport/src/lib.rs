@@ -6,8 +6,10 @@
 //! [`mpk`] protection-key crossing — over one [`wire`] message layout: a
 //! fixed [`WireHeader`] (opcode, correlation id, deadline, payload
 //! length) ahead of a payload written **once** into the
-//! per-server-thread shared buffer and served in place. Small arguments
-//! travel in the [`RegImage`] the paper's trampoline carries in
+//! per-server-thread shared buffer and served in place. SkyBridge's
+//! transport (in `sb-runtime`) writes only that payload to simulated
+//! memory: the header stays in the lane's host-side staging image, its
+//! fields the small arguments the paper's trampoline carries in
 //! registers.
 //!
 //! Every wire-staging transport keeps its lanes in one [`Envelope`]: the
@@ -42,6 +44,6 @@ pub use transport::{
 };
 pub use trap::TrapIpcTransport;
 pub use wire::{
-    opcode, CopyMeter, Lane, RegImage, Request, TenantId, WireHeader, OP_TAG_OFFSET,
-    WIRE_HEADER_LEN, WIRE_MIN,
+    opcode, CopyMeter, Lane, Request, TenantId, WireHeader, OP_TAG_OFFSET, WIRE_HEADER_LEN,
+    WIRE_MIN,
 };

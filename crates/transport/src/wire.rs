@@ -74,43 +74,16 @@ impl Request {
         WIRE_HEADER_LEN + self.payload_len()
     }
 
-    /// The register image the trampoline carries for this request.
-    pub fn reg_image(&self, deadline: Cycles) -> RegImage {
-        RegImage {
-            corr: self.id,
-            key: self.key,
-            opcode: self.write as u8,
-            deadline,
-        }
-    }
-
     /// Encodes the *payload* half as standalone wire bytes (key, op tag,
     /// zero padding up to `payload`). This is the byte string the echo
-    /// service contract replies with; tests and the legacy-marshalling
-    /// bench mode use it, the hot path encodes via [`Lane::encode`]
-    /// instead.
+    /// service contract replies with, as tests state it; the hot path
+    /// encodes the whole image once via [`Lane::encode`] instead.
     pub fn encode(&self) -> Vec<u8> {
         let mut bytes = vec![0u8; self.payload_len()];
         bytes[..8].copy_from_slice(&self.key.to_le_bytes());
         bytes[OP_TAG_OFFSET] = self.write as u8;
         bytes
     }
-}
-
-/// The small arguments a call carries in registers, exactly as the
-/// paper's trampoline does: the trampoline saves the caller's register
-/// state, `VMFUNC`s, and the handler finds these in the register file —
-/// no memory traffic at all for calls that fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegImage {
-    /// Correlation id (matches replies to calls).
-    pub corr: u64,
-    /// The record key.
-    pub key: u64,
-    /// Operation code: 0 read, 1 write.
-    pub opcode: u8,
-    /// Absolute queue/service deadline in cycles (0 = none).
-    pub deadline: Cycles,
 }
 
 /// The fixed header written at the front of the shared buffer for every
