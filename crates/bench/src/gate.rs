@@ -1,19 +1,16 @@
-//! The one verdict path of the gated bins.
+//! The one verdict path of `sb-bench`.
 //!
-//! A bin measures, collects its pass/fail conditions as a table of
-//! [`Gate`] rows — a measured number against a bound — and ends in
-//! [`finish`]: the results file is written, every row is printed with
-//! its verdict, and a breached row (or a file that could not be
-//! written) exits non-zero. [`die`] is the only call of
-//! `std::process::exit` in the crate.
+//! A registry entry collects its pass/fail conditions as [`Gate`] rows —
+//! a measured number against a bound — in its `Artefact`; the bin adds
+//! one row per file it writes and ends in [`verdict`]: every row is
+//! printed with its entry and its verdict, and a breached row (or a
+//! file that could not be written) exits non-zero. [`die`] is the only
+//! call of `std::process::exit` in the crate.
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
-use sb_observe::Json;
-
-use crate::report::write_json;
 use crate::table;
 
 /// What a [`Gate`]'s measured value is held to.
@@ -41,7 +38,7 @@ impl fmt::Display for Bound {
     }
 }
 
-/// One pass/fail row of a gated bin.
+/// One pass/fail row of a registry entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// What is held, e.g. `skybridge ring p50 / direct p50 at rho 0.2`.
@@ -90,6 +87,16 @@ impl Gate {
     }
 }
 
+/// `<name>: measured <value> <unit>, bound <bound>`, as a breach is
+/// reported.
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (name, measured) = (&self.name, number(self.measured));
+        let (unit, bound) = (self.unit, self.bound);
+        write!(f, "{name}: measured {measured} {unit}, bound {bound}")
+    }
+}
+
 /// Integers without a fraction, everything else to four places.
 pub(crate) fn number(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 9e15 {
@@ -107,13 +114,14 @@ pub fn die(failures: &[String]) -> ! {
     std::process::exit(1)
 }
 
-/// Prints every gate of `bench` with its verdict; exits non-zero when
-/// one is breached.
-pub fn verdict(bench: &str, gates: &[Gate]) {
+/// Prints every gate with the entry it belongs to and its verdict;
+/// exits non-zero when one is breached.
+pub fn verdict(gates: &[(&str, Gate)]) {
     let rows: Vec<Vec<String>> = gates
         .iter()
-        .map(|g| {
+        .map(|(entry, g)| {
             vec![
+                entry.to_string(),
                 g.name.clone(),
                 number(g.measured),
                 g.bound.to_string(),
@@ -122,38 +130,17 @@ pub fn verdict(bench: &str, gates: &[Gate]) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        table(
-            &format!("{bench}: gates"),
-            &["gate", "measured", "bound", "unit", "verdict"],
-            &rows
-        )
-    );
+    let header = ["entry", "gate", "measured", "bound", "unit", "verdict"];
+    print!("{}", table("sb-bench: gates", &header, &rows));
     let failures: Vec<String> = gates
         .iter()
-        .filter(|g| !g.holds())
-        .map(|g| {
-            format!(
-                "{bench}: {}: measured {} {}, bound {}",
-                g.name,
-                number(g.measured),
-                g.unit,
-                g.bound
-            )
-        })
+        .filter(|(_, g)| !g.holds())
+        .map(|(entry, g)| format!("{entry}: {g}"))
         .collect();
     if !failures.is_empty() {
         die(&failures);
     }
-    println!("{bench}: all {} gates hold", gates.len());
-}
-
-/// The last call of a gated bin: writes `doc` to `results/<bench>.json`,
-/// then [`verdict`] over `gates` plus the write itself.
-pub fn finish(bench: &str, doc: &Json, mut gates: Vec<Gate>) {
-    gates.push(Gate::written(write_json(bench, doc)));
-    verdict(bench, &gates);
+    println!("sb-bench: all {} gates hold", gates.len());
 }
 
 #[cfg(test)]

@@ -1,18 +1,19 @@
 //! The simulated-clock harness: paper artefacts and gated sweeps.
 //!
-//! Two jobs, one way to do each. The [`paper`] table regenerates every
-//! table and figure of the paper's evaluation (`cargo run --release -p
-//! sb-bench --bin paper [NAME…]`); the gated bins (`chaos`, `graph`,
-//! `ring`, `tenant`, `runtime_scaling`, `sentinel`, `profile`) each run
-//! a sweep, write `results/<bin>.json` and end in [`gate::finish`], the
-//! one verdict printer and exit path. Nothing here reads the host clock:
-//! how fast the simulator runs is `benchmark/`'s ledger
-//! (`results/BENCH_history.jsonl`), so every number this crate prints
-//! is deterministic and every file it writes is diffed against
-//! `results/` by `tools/regen_results.sh`. Every run size is a constant
-//! of its bin, so `cargo run --release -p sb-bench --bin X` reproduces
-//! the committed `results/X.json`; the one environment read is
-//! [`traced_backend`].
+//! One registry ([`registry::ENTRIES`]) names every results file's
+//! writer: the eleven tables and figures of the paper's evaluation
+//! ([`paper`]) and the seven gated sweeps ([`sweep`]: `chaos`, `graph`,
+//! `profile`, `ring`, `runtime_scaling`, `sentinel`, `tenant`). Each
+//! entry fills one [`Artefact`] — its text, its ledger cells, its files
+//! and its [`gate::Gate`]s — and one bin runs them: `cargo run --release
+//! -p sb-bench [NAME…]` prints their text, writes their files under
+//! `results/` and ends in [`gate::verdict`], the one verdict printer and
+//! exit path. Nothing here reads the host clock: how fast the simulator
+//! runs is `benchmark/`'s ledger (`results/BENCH_history.jsonl`), so
+//! every number this crate prints is deterministic and every file it
+//! writes is held to `results/` — by Tier-1 for the cheap entries, by
+//! `tools/regen_results.sh` for all. Every run size is a constant of its
+//! entry; the one environment read is [`traced_backend`].
 
 use std::fmt::Display;
 
@@ -22,39 +23,35 @@ use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenari
 
 pub mod gate;
 pub mod paper;
+pub mod registry;
 pub mod report;
+pub mod sweep;
+
+pub use paper::Artefact;
 
 /// An aligned table as text: a blank line, the `=== title ===` banner,
 /// `header`, a rule, then `rows`, every column right-aligned.
 pub fn table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>]) -> String {
-    let hdr: Vec<String> = header.iter().map(|h| h.to_string()).collect();
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| r.iter().map(|c| c.to_string()).collect())
-        .collect();
-    let cols = hdr.len();
-    let mut widths: Vec<usize> = hdr.iter().map(|h| h.len()).collect();
-    for row in &body {
-        for (i, c) in row.iter().enumerate() {
-            if i < cols {
-                widths[i] = widths[i].max(c.len());
-            }
+    let mut grid: Vec<Vec<String>> = vec![header.iter().map(|h| h.to_string()).collect()];
+    grid.extend(
+        rows.iter()
+            .map(|r| r.iter().map(|c| c.to_string()).collect()),
+    );
+    let mut widths = vec![0; grid[0].len()];
+    for row in &grid {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let line = |row: &[String]| {
+    grid.insert(1, widths.iter().map(|w| "-".repeat(*w)).collect());
+    let mut out = format!("\n=== {title} ===\n");
+    for row in &grid {
         let cells: Vec<String> = row
             .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(8)))
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        format!("  {}\n", cells.join("  "))
-    };
-    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    let mut out = format!("\n=== {title} ===\n");
-    out += &line(&hdr);
-    out += &line(&rule);
-    for row in &body {
-        out += &line(row);
+        out += &format!("  {}\n", cells.join("  "));
     }
     out
 }
@@ -78,12 +75,6 @@ pub fn rows_table(title: &str, rows: &[Json], keys: &[&str]) -> String {
         })
         .collect();
     table(title, keys, &cells)
-}
-
-/// Prints [`rows_table`] to stdout: how a gated bin shows the rows it
-/// writes.
-pub fn print_rows(title: &str, rows: &[Json], keys: &[&str]) {
-    print!("{}", rows_table(title, rows, keys));
 }
 
 /// Relative speedup `a` over `b`, formatted the way the paper quotes it
@@ -122,7 +113,7 @@ pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> f64 {
 /// The crate's one environment read: `SB_TRACE=<label>` asks
 /// `runtime_scaling` for one extra traced cell on that personality, for
 /// Perfetto. It picks what to look at, not how much to run — every run
-/// size is a constant of its bin. Unset means no trace; a label that
+/// size is a constant of its entry. Unset means no trace; a label that
 /// names no personality ends the run, naming the ones that exist.
 pub fn traced_backend() -> Option<Backend> {
     let value = std::env::var_os("SB_TRACE");

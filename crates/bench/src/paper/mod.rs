@@ -1,20 +1,23 @@
-//! Every table and figure of the paper's evaluation, as one table.
+//! Every table and figure of the paper's evaluation, and the
+//! [`Artefact`] every registry entry fills.
 //!
-//! An [`Experiment`] is a name, the function that regenerates the
-//! artefact's text on the simulated machine, and the numbers the paper
-//! printed for it, as data. `paper NAME…` prints the named artefacts;
-//! `paper` alone writes every `<results dir>/<name>.txt` and the
-//! fidelity ledger `fidelity.json` — one row per `measured (paper)` cell
-//! — which `tools/regen_results.sh` diffs against the committed
-//! `results/`.
+//! Each experiment is a function that regenerates one artefact on the
+//! simulated machine next to the numbers the paper printed for it, as
+//! data ([`PaperRow`]s); [`crate::registry`] lists them beside the gated
+//! sweeps. An experiment only places cells, and [`Artefact::table`]
+//! decides the layout; a sweep shows the rows it writes with
+//! [`Artefact::rows`].
 
-mod ablations;
-mod ipc;
-mod kv;
-mod rewriter;
-mod sqlite;
+pub(crate) mod ablations;
+pub(crate) mod ipc;
+pub(crate) mod kv;
+pub(crate) mod rewriter;
+pub(crate) mod sqlite;
 
-use crate::table;
+use sb_observe::Json;
+
+use crate::gate::Gate;
+use crate::{rows_table, table};
 
 /// One row of paper reference values: the row's label as the paper (and
 /// the artefact) prints it, and its cells left to right. A two-cell row
@@ -33,15 +36,20 @@ pub struct Cell {
     pub measured: f64,
 }
 
-/// One artefact as it is drawn: the text so far, the [`Cell`]s it
-/// recorded in print order, and the table in progress. An experiment
-/// only places cells; [`Artefact::table`] decides the layout.
+/// What one registry entry produced: its text, the [`Cell`]s it
+/// recorded in print order, its files, its gates, and the table in
+/// progress.
 #[derive(Default)]
 pub struct Artefact {
-    /// The artefact's text: `results/<name>.txt`.
+    /// The text: a paper artefact's `<name>.txt`, what a sweep prints.
     pub text: String,
     /// Every `measured (paper)` number, in print order.
     pub cells: Vec<Cell>,
+    /// The files it produces, as (name under the results directory,
+    /// contents).
+    pub files: Vec<(String, String)>,
+    /// What the run is held to.
+    pub gates: Vec<Gate>,
     /// The table in progress, as `(row, column, text)` in put order.
     placed: Vec<(String, String, String)>,
 }
@@ -100,55 +108,38 @@ impl Artefact {
             .collect();
         self.text += &table(title, &header[first..], &grid);
     }
-}
 
-/// Regenerates an artefact into `artefact`, measured next to `paper`'s
-/// values.
-pub type Run = fn(paper: &[PaperRow], artefact: &mut Artefact);
-
-/// One artefact of the paper's evaluation.
-pub struct Experiment {
-    /// The artefact's name: `results/<name>.txt`, `paper <name>`.
-    pub name: &'static str,
-    /// Regenerates the artefact.
-    pub run: Run,
-    /// What the paper printed, row by row (empty where the paper gives
-    /// no number to sit beside ours).
-    pub paper: &'static [PaperRow],
-}
-
-impl Experiment {
-    /// Runs the experiment: the artefact's text and its cells.
-    pub fn artefact(&self) -> Artefact {
-        let mut artefact = Artefact::default();
-        (self.run)(self.paper, &mut artefact);
-        artefact
+    /// Appends [`rows_table`] of `rows` under the space-separated `keys`
+    /// to the text: how a sweep shows the rows it writes.
+    pub fn rows(&mut self, title: &str, rows: &[Json], keys: &str) {
+        let keys: Vec<&str> = keys.split_whitespace().collect();
+        self.text += &rows_table(title, rows, &keys);
     }
-}
 
-/// One row of [`EXPERIMENTS`].
-const fn experiment(name: &'static str, run: Run, paper: &'static [PaperRow]) -> Experiment {
-    Experiment { name, run, paper }
-}
+    /// Adds `doc` as the results file `name`, one trailing newline.
+    pub fn json(&mut self, name: impl Into<String>, doc: &Json) {
+        self.files.push((name.into(), format!("{doc}\n")));
+    }
 
-/// The evaluation, in the paper's order.
-pub const EXPERIMENTS: &[Experiment] = &[
-    experiment("table1", kv::table1, kv::POLLUTION),
-    experiment("figure2", kv::figure2, kv::LATENCY),
-    experiment("table2", ipc::table2, ipc::PRIMITIVES),
-    experiment("table3", rewriter::table3, &[]),
-    experiment("figure7", ipc::figure7, ipc::ROUNDTRIPS),
-    experiment("figure8", kv::figure8, kv::LATENCY),
-    experiment("table4", sqlite::table4, sqlite::OPERATIONS),
-    experiment("figure9_11", sqlite::figure9_11, sqlite::SCALING),
-    experiment("table5", sqlite::table5, sqlite::VIRTUALIZATION),
-    experiment("table6", rewriter::table6, rewriter::OCCURRENCES),
-    experiment("ablations", ablations::ablations, &[]),
-];
-
-/// The experiment called `name`.
-pub fn find(name: &str) -> Option<&'static Experiment> {
-    EXPERIMENTS.iter().find(|e| e.name == name)
+    /// The one way a run reports a failure: adds `failed` (a count, or
+    /// `true` for one) to the gate `name`, a count held to zero that the
+    /// first check makes, and prints what failed when it is not zero.
+    pub fn check(
+        &mut self,
+        name: &str,
+        unit: &'static str,
+        failed: impl Into<u64>,
+        what: impl FnOnce() -> String,
+    ) {
+        let failed = failed.into();
+        if failed > 0 {
+            eprintln!("FAIL: {name}: {}", what());
+        }
+        match self.gates.iter_mut().find(|g| g.name == name) {
+            Some(gate) => gate.measured += failed as f64,
+            None => self.gates.push(Gate::none(name, failed, unit)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -195,6 +186,18 @@ mod tests {
             .map(|c| (c.row.as_str(), c.column.as_str(), c.measured, c.paper))
             .collect();
         assert_eq!(cells, [("r", "c", 395.6, 396.4), ("r", "hidden", 7.0, 8.0)]);
+    }
+
+    /// A check makes its gate at zero on first use and adds every failure.
+    #[test]
+    fn a_check_counts_failures_under_one_gate() {
+        let mut a = Artefact::default();
+        a.check("leaks", "faults", false, String::new);
+        assert!(a.gates[0].holds());
+        a.check("leaks", "faults", 2u64, || "two leaked".into());
+        a.check("leaks", "faults", true, || "one more".into());
+        assert_eq!((a.gates.len(), a.gates[0].measured), (1, 3.0));
+        assert!(!a.gates[0].holds());
     }
 
     /// A table starts empty: what the last one drew is not drawn again.

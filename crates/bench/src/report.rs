@@ -1,5 +1,5 @@
 //! Machine-readable benchmark output: the row emitters for
-//! runtime/chaos results and the `results/` file writer.
+//! runtime/chaos results and the results-file writer.
 //!
 //! Every file is rendered by [`sb_observe::Json`], the workspace's one
 //! JSON value. Measurement crates (`sb-runtime`, the scenario modules)
@@ -75,10 +75,13 @@ pub fn run_stats_json(s: &RunStats) -> Json {
     row
 }
 
-/// Where a postmortem bundle went and what it holds.
+/// Where a postmortem bundle went and what it holds. The path is the
+/// bundle's place in a results tree, `results/postmortem/<file>`,
+/// wherever the run put that tree, so the row's bytes do not depend on it.
 pub fn receipt_json(r: &BundleReceipt) -> Json {
+    let file = r.path.file_name().unwrap_or_default().to_string_lossy();
     Json::obj()
-        .field("path", r.path.display().to_string())
+        .field("path", format!("{RESULTS_DIR}/postmortem/{file}"))
         .field("included_events", r.included_events)
         .field("truncated_events", r.truncated_events)
         .field("ring_dropped", r.ring_dropped)
@@ -86,17 +89,14 @@ pub fn receipt_json(r: &BundleReceipt) -> Json {
 
 /// One serving chaos cell as a JSON row (`results/chaos.json`).
 pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
-    let mut rows = Vec::new();
-    for r in &out.report.rows {
-        rows.push(
-            Json::obj()
-                .field("point", r.point.name())
-                .field("injected", r.injected)
-                .field("detected", r.detected)
-                .field("recovered", r.recovered)
-                .field("leaked", r.leaked),
-        );
-    }
+    let rows = out.report.rows.iter().map(|r| {
+        Json::obj()
+            .field("point", r.point.name())
+            .field("injected", r.injected)
+            .field("detected", r.detected)
+            .field("recovered", r.recovered)
+            .field("leaked", r.leaked)
+    });
     let slo = Json::obj()
         .field("good", out.slo.good)
         .field("bad", out.slo.bad)
@@ -120,7 +120,7 @@ pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("trace_matches_ledger", out.trace_matches_ledger())
         .field("slo", slo)
         .field("postmortem", postmortem)
-        .field("faults", Json::Arr(rows))
+        .field("faults", Json::Arr(rows.collect()))
         .field("run", run_stats_json(&out.stats))
 }
 
@@ -137,25 +137,14 @@ pub fn fs_chaos_json(out: &FsChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("leaked", out.report.leaked())
 }
 
-/// Where every file goes, relative to the working directory: a run from
-/// another directory (`tools/regen_results.sh` runs the bins from its
-/// own) writes its own `results/`.
+/// The results directory `sb-bench` writes, relative to the working
+/// directory: a run from another directory (`tools/regen_results.sh`
+/// runs from its own) writes its own `results/`.
 pub const RESULTS_DIR: &str = "results";
 
-/// Writes `value` to `results/<name>.json` (pretty enough for diffing:
-/// one trailing newline) and returns the path.
-pub fn write_json(name: &str, value: &Json) -> io::Result<PathBuf> {
-    write_raw(&format!("{name}.json"), &format!("{value}\n"))
-}
-
-/// Writes pre-serialized `contents` to `results/<name>` verbatim —
-/// for exports that are already strings, like a Chrome trace. `name`
-/// may carry subdirectories (`traces/foo.json`); they are created.
-pub fn write_raw(name: &str, contents: &str) -> io::Result<PathBuf> {
-    write_under(Path::new(RESULTS_DIR), name, contents)
-}
-
-fn write_under(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
+/// Writes `contents` to `dir/name`, creating the subdirectories `name`
+/// carries (`flamegraphs/…`), and returns the path.
+pub fn write(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
     let path = dir.join(name);
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
@@ -261,7 +250,7 @@ mod tests {
     fn writes_and_reads_back() {
         let dir = std::env::temp_dir().join("sb-bench-report-test");
         let j = Json::obj().field("x", 1u64);
-        let path = write_under(&dir, "nested/unit.json", &format!("{j}\n")).unwrap();
+        let path = write(&dir, "nested/unit.json", &format!("{j}\n")).unwrap();
         assert_eq!(path, dir.join("nested/unit.json"));
         assert_eq!(fs::read_to_string(&path).unwrap(), "{\"x\":1}\n");
         let _ = fs::remove_dir_all(dir);

@@ -10,22 +10,20 @@
 //!   sentinel-assembled span trees of a traced run (no instrumentation
 //!   added: the inner transports' recorders light up).
 //! * **replay** — snapshot mid-run, replay `log.since(snapshot)`,
-//!   compare disk digests. Divergence breaches a gate.
+//!   compare disk digests. Divergence breaches a gate, and so does a
+//!   drill whose snapshot saw no traffic or whose tail replayed nothing.
 //! * **chaos** — the power-loss matrix; a leaked fault, a recovered
-//!   state diverging from the full-replay reference, or a matrix in
-//!   which the power never failed breaches a gate.
-//!
-//! No knob: [`REQUESTS`] per workload cell, the size `results/graph.json`
-//! records.
+//!   state diverging from the full-replay reference, or a personality
+//!   whose matrix never lost power breaches a gate.
 
-use sb_bench::{
-    gate::{finish, Bound, Gate},
-    print_rows,
-    report::run_stats_json,
-};
+use std::path::Path;
+
+use crate::gate::{Bound, Gate};
+use crate::report::run_stats_json;
+use crate::Artefact;
 use sb_graph::GraphSpec;
 use sb_observe::{Json, Recorder};
-use sb_runtime::{AdmissionPolicy, RuntimeConfig, Transport};
+use sb_runtime::{RuntimeConfig, Transport};
 use sb_sentinel::assemble;
 use sb_ycsb::WorkloadSpec;
 use skybridge_repro::scenarios::graph::{
@@ -59,13 +57,8 @@ fn calibrate(backend: &Backend, spec: &GraphSpec) -> f64 {
     }
     let t0 = t.now(0);
     for i in 0..n {
-        drive_one(
-            &mut t,
-            warm + i + 1,
-            (i * 7) % spec.records,
-            i % 2 == 0,
-            payload,
-        );
+        let key = (i * 7) % spec.records;
+        drive_one(&mut t, warm + i + 1, key, i % 2 == 0, payload);
     }
     (t.now(0) - t0) as f64 / n as f64
 }
@@ -73,12 +66,6 @@ fn calibrate(backend: &Backend, spec: &GraphSpec) -> f64 {
 type WorkloadCtor = fn(u64, usize) -> WorkloadSpec;
 
 fn workload_sweep() -> Vec<Json> {
-    let cfg = RuntimeConfig {
-        queue_capacity: 64,
-        policy: AdmissionPolicy::Shed,
-        queue_deadline: None,
-        ..RuntimeConfig::default()
-    };
     let spec = spec(RECORDS);
     let workloads: [(&str, WorkloadCtor); 3] = [
         ("ycsb_a", WorkloadSpec::ycsb_a),
@@ -96,7 +83,7 @@ fn workload_sweep() -> Vec<Json> {
                 &backend,
                 &spec,
                 LANES,
-                cfg.clone(),
+                RuntimeConfig::default(), // 64-deep lanes that shed
                 make(spec.records, spec.value_len),
                 mean_gap,
                 REQUESTS,
@@ -118,9 +105,8 @@ fn workload_sweep() -> Vec<Json> {
 /// request's children in route order (gateway, cache, db) with
 /// everything past the route being fs crossings made by the db's
 /// pager I/O.
-fn attribution(records: usize, gates: &mut Vec<Gate>) -> Vec<Json> {
+fn attribution(records: usize, a: &mut Artefact) -> Vec<Json> {
     let mut rows = Vec::new();
-    let mut split_trees = 0u64;
     let mut fewest_traced = u64::MAX;
     for backend in Backend::all() {
         let spec = spec(records);
@@ -146,13 +132,11 @@ fn attribution(records: usize, gates: &mut Vec<Gate>) -> Vec<Json> {
             let Some(tr) = forest.request(corr) else {
                 continue;
             };
-            if tr.roots.len() != 1 {
-                eprintln!(
-                    "{} corr {corr} assembled {} roots (want 1 connected tree)",
-                    backend.label(),
-                    tr.roots.len()
-                );
-                split_trees += 1;
+            let roots = tr.roots.len();
+            a.check("span trees in pieces", "requests", roots != 1, || {
+                format!("{} corr {corr}: {roots} roots", backend.label())
+            });
+            if roots != 1 {
                 continue;
             }
             requests += 1;
@@ -186,8 +170,7 @@ fn attribution(records: usize, gates: &mut Vec<Gate>) -> Vec<Json> {
                 ),
         );
     }
-    gates.push(Gate::none("span trees in pieces", split_trees, "requests"));
-    gates.push(Gate::new(
+    a.gates.push(Gate::new(
         "fewest requests a traced run assembled",
         fewest_traced as f64,
         Bound::AtLeast(1.0),
@@ -196,18 +179,28 @@ fn attribution(records: usize, gates: &mut Vec<Gate>) -> Vec<Json> {
     rows
 }
 
-fn replay_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
+fn replay_section(ops: u64, a: &mut Artefact) -> Vec<Json> {
     let mut rows = Vec::new();
-    let mut diverged = 0u64;
     for backend in Backend::all() {
         let d = replay_drill(&backend, ops, 0x5eed);
-        if !d.ok() {
-            eprintln!(
-                "{} replay diverged: live {:#x} != replay {:#x} (caches match: {})",
-                d.label, d.live_digest, d.replay_digest, d.cache_match
-            );
-            diverged += 1;
-        }
+        a.check("replays off the live disk", "cells", !d.ok(), || {
+            let (live, replay) = (d.live_digest, d.replay_digest);
+            format!(
+                "{}: live {live:#x}, replay {replay:#x}, caches match: {}",
+                d.label, d.cache_match
+            )
+        });
+        a.check(
+            "replay drills whose snapshot or tail is empty",
+            "cells",
+            d.snapshot_seq == 0 || d.replayed == 0,
+            || {
+                format!(
+                    "{}: snapshot seq {}, replayed {}",
+                    d.label, d.snapshot_seq, d.replayed
+                )
+            },
+        );
         rows.push(
             Json::obj()
                 .field("backend", d.label.as_str())
@@ -219,24 +212,28 @@ fn replay_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
                 .field("byte_identical", d.ok()),
         );
     }
-    gates.push(Gate::none("replays off the live disk", diverged, "cells"));
     rows
 }
 
-fn chaos_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
+fn chaos_section(ops: u64, a: &mut Artefact) -> Vec<Json> {
     let mut rows = Vec::new();
-    let (mut died, mut unrecovered) = (0u64, 0u64);
     for backend in Backend::all() {
+        let mut died = false;
         for seed in CHAOS_SEEDS {
             let o = run_graph_chaos(&backend, seed, ops);
-            if !o.ok() {
-                eprintln!(
-                    "{} seed {seed:#x}: leaked {} faults, rows_match {}",
-                    o.label, o.leaked, o.rows_match
-                );
-                unrecovered += 1;
-            }
-            died += u64::from(o.died);
+            a.check(
+                "power-loss runs with a leak or wrong rows",
+                "runs",
+                !o.ok(),
+                || {
+                    let (leaked, rows_match) = (o.leaked, o.rows_match);
+                    format!(
+                        "{} seed {seed:#x}: leaked {leaked}, rows match: {rows_match}",
+                        o.label
+                    )
+                },
+            );
+            died |= o.died;
             rows.push(
                 Json::obj()
                     .field("backend", o.label.as_str())
@@ -250,53 +247,34 @@ fn chaos_section(ops: u64, gates: &mut Vec<Gate>) -> Vec<Json> {
                     .field("rows_match", o.rows_match),
             );
         }
+        // A matrix in which the power never fails is vacuous.
+        a.check(
+            "personalities whose matrix never lost power",
+            "personalities",
+            !died,
+            || backend.label().to_string(),
+        );
     }
-    gates.push(Gate::none(
-        "power-loss runs with a leak or wrong rows",
-        unrecovered,
-        "runs",
-    ));
-    // A matrix in which the power never fails is vacuous.
-    gates.push(Gate::new(
-        "runs that lost power",
-        died as f64,
-        Bound::AtLeast(1.0),
-        "runs",
-    ));
     rows
 }
 
-fn main() {
+pub fn run(_: &Path, a: &mut Artefact) {
     let workload_rows = workload_sweep();
-    print_rows(
+    a.rows(
         "YCSB over the serving graph (client → gateway → cache → db → fs)",
         &workload_rows,
-        &[
-            "backend",
-            "workload",
-            "throughput_per_mcycle",
-            "latency_p50",
-            "latency_p99",
-            "shed_queue_full",
-        ],
+        "backend workload throughput_per_mcycle latency_p50 latency_p99 shed_queue_full",
     );
 
-    let mut gates = Vec::new();
-    let attr_rows = attribution(RECORDS, &mut gates);
-    print_rows(
+    let attr_rows = attribution(RECORDS, a);
+    a.rows(
         "Per-hop attribution (sentinel-assembled span trees)",
         &attr_rows,
-        &[
-            "backend",
-            "hop",
-            "mean_cycles",
-            "crossings_per_request",
-            "critical_path_share",
-        ],
+        "backend hop mean_cycles crossings_per_request critical_path_share",
     );
 
-    let replay_rows = replay_section(DRILL_OPS, &mut gates);
-    let chaos_rows = chaos_section(DRILL_OPS, &mut gates);
+    let replay_rows = replay_section(DRILL_OPS, a);
+    let chaos_rows = chaos_section(DRILL_OPS, a);
 
     let doc = Json::obj()
         .field(
@@ -311,5 +289,5 @@ fn main() {
         .field("attribution", attr_rows)
         .field("replay", replay_rows)
         .field("chaos", chaos_rows);
-    finish("graph", &doc, gates);
+    a.json("graph.json", &doc);
 }

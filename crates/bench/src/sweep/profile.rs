@@ -1,10 +1,10 @@
-//! The exact profile's evaluation harness: five-way flamegraphs in
-//! cycles and a per-phase diff against the committed profile.
+//! The exact profile: five-way flamegraphs in cycles and a per-phase
+//! diff against the committed profile.
 //!
 //! One serving lane per IPC personality runs the KV workload with span
 //! tracing on, harvested in chunks the event ring holds completely, so
 //! the exact [`PhaseProfile`] loses nothing no matter how long the run.
-//! Per personality the bin then:
+//! Per personality the sweep then:
 //!
 //! 1. checks the capture was exact (zero ring overwrites, and a span
 //!    stream with nothing unmatched or unclosed, which also proves the
@@ -18,23 +18,19 @@
 //!    `flamegraph.pl` and speedscope ingest) plus a per-tenant variant
 //!    with the tenant as the root frame;
 //! 4. prints its end-to-end Δ and every phase that moved against its row
-//!    of the committed `results/profile.json`, in cycles per call, and
-//!    then rewrites that file from this run: the committed profile is
-//!    its own baseline.
+//!    of the `profile.json` already in the results directory, in cycles
+//!    per call, and then rewrites that file from this run: the committed
+//!    profile is its own baseline.
 //!
 //! A run without a baseline to diff against, or with one that does not
 //! parse, breaches a gate — and still writes the file, so the next run
 //! has one. A re-baseline is a run whose new `profile.json` gets
 //! committed.
-//!
-//! No knob: [`CALLS`] per personality is the size the file records.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
-use sb_bench::gate::{finish, Gate};
-use sb_bench::print_rows;
-use sb_bench::report::{write_raw, RESULTS_DIR};
+use crate::Artefact;
 use sb_observe::{
     attribute_by_corr, Json, PhaseProfile, Recorder, SpanKind, DEFAULT_RING_CAPACITY,
 };
@@ -47,6 +43,22 @@ const TENANTS: u16 = 4;
 /// Timed calls per personality.
 const CALLS: u64 = 65_536;
 
+/// What the sweep writes: the profile and, per personality, its
+/// flamegraph and its per-tenant flamegraph.
+pub const FILES: &[&str] = &[
+    "profile.json",
+    "flamegraphs/seL4.collapsed",
+    "flamegraphs/seL4.tenants.collapsed",
+    "flamegraphs/Fiasco.OC.collapsed",
+    "flamegraphs/Fiasco.OC.tenants.collapsed",
+    "flamegraphs/Zircon.collapsed",
+    "flamegraphs/Zircon.tenants.collapsed",
+    "flamegraphs/skybridge.collapsed",
+    "flamegraphs/skybridge.tenants.collapsed",
+    "flamegraphs/mpk.collapsed",
+    "flamegraphs/mpk.tenants.collapsed",
+];
+
 struct BackendProfile {
     label: String,
     prof: PhaseProfile,
@@ -56,7 +68,7 @@ struct BackendProfile {
 
 /// Profiles one personality exactly: chunked harvests sized so the
 /// event ring cannot wrap between drains. Each chunk is folded per
-/// tenant — every span of a call carries its request's id, and the bin
+/// tenant — every span of a call carries its request's id, and the sweep
 /// knows which tenant each id billed — and the parts merge to the whole.
 fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, String> {
     let label = backend.label().to_string();
@@ -97,7 +109,7 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
         }
     }
 
-    // The capture must be exact: this bin sizes its chunks so any loss
+    // The capture must be exact: this sweep sizes its chunks so any loss
     // is an accounting bug, not pressure. A span torn across two
     // requests' events would also show here, as unmatched and unclosed:
     // with none, the tenant parts are the whole, split.
@@ -168,86 +180,66 @@ fn diff_row(baseline: &Json, p: &BackendProfile) -> Option<Json> {
     Some(row)
 }
 
-fn main() {
+pub fn run(dir: &Path, a: &mut Artefact) {
     // The committed profile is the baseline: read it before this run
     // rewrites it. One that is missing or does not parse leaves every row
     // without its baseline row, which breaches a gate below.
-    let path = Path::new(RESULTS_DIR).join("profile.json");
+    let path = dir.join("profile.json");
     let baseline = std::fs::read_to_string(&path)
         .map_err(|e| e.to_string())
         .and_then(|text| Json::parse(&text))
-        .unwrap_or_else(|e| {
-            eprintln!("{}: {e}", path.display());
-            Json::Null
-        });
-
-    let mut gates = Vec::new();
+        .map_err(|e| format!("{}: {e}", path.display()));
 
     let mut profiles = Vec::new();
-    let mut inexact = 0u64;
     for backend in Backend::all() {
-        match profile_backend(&backend, CALLS) {
-            Ok(p) => profiles.push(p),
-            Err(e) => {
-                eprintln!("{e}");
-                inexact += 1;
-            }
-        }
+        let profiled = profile_backend(&backend, CALLS);
+        let lossy = "lossy captures or tenant folds off the whole";
+        a.check(lossy, "personalities", profiled.is_err(), || {
+            profiled.as_ref().err().cloned().unwrap_or_default()
+        });
+        profiles.extend(profiled.ok());
     }
-    gates.push(Gate::none(
-        "lossy captures or tenant folds off the whole",
-        inexact,
-        "personalities",
-    ));
 
     // The flamegraphs: one collapsed-stack file per personality, plus a
     // per-tenant variant rooted at the tenant.
     for p in &profiles {
-        gates.push(Gate::written(write_raw(
-            &format!("flamegraphs/{}.collapsed", p.label),
-            &p.prof.collapsed(&p.label),
-        )));
-        let tenants: String = p
-            .tenants
-            .iter()
-            .map(|(tenant, prof)| prof.collapsed(&format!("tenant{tenant};{}", p.label)))
-            .collect();
-        gates.push(Gate::written(write_raw(
-            &format!("flamegraphs/{}.tenants.collapsed", p.label),
-            &tenants,
-        )));
+        let tenant = |(tenant, prof): (_, &PhaseProfile)| {
+            prof.collapsed(&format!("tenant{tenant};{}", p.label))
+        };
+        let tenants = p.tenants.iter().map(tenant).collect();
+        for (kind, text) in [("", p.prof.collapsed(&p.label)), (".tenants", tenants)] {
+            a.files
+                .push((format!("flamegraphs/{}{kind}.collapsed", p.label), text));
+        }
     }
 
-    let mut undiffed = 0u64;
     let mut diffs = Vec::new();
     for p in &profiles {
-        gates.push(Gate::none(
-            format!("{}: end-to-end cycles no in-call phase holds", p.label),
-            p.prof.end_to_end.abs_diff(p.prof.in_call_total()),
-            "cycles",
-        ));
-        match diff_row(&baseline, p) {
-            Some(row) => diffs.push(row),
-            None => {
-                eprintln!("{}: no baseline row to diff against", p.label);
-                undiffed += 1;
-            }
-        }
+        let off = p.prof.end_to_end.abs_diff(p.prof.in_call_total());
+        let gate = format!("{}: end-to-end cycles no in-call phase holds", p.label);
+        a.check(&gate, "cycles", off, || format!("{off} cycles"));
+        let diff = baseline.as_ref().ok().and_then(|b| diff_row(b, p));
+        let undiffed = diff.is_none();
+        diffs.extend(diff);
+        a.check(
+            "rows without a baseline row",
+            "personalities",
+            undiffed,
+            || {
+                let why = baseline.as_ref().err().map_or("", String::as_str);
+                format!("{}: no baseline row to diff against; {why}", p.label)
+            },
+        );
     }
     let columns: Vec<&str> = ["transport", "e2e"]
         .into_iter()
         .chain(SpanKind::ALL.iter().map(|kind| kind.name()))
         .collect();
-    print_rows(
+    a.rows(
         "profile diff vs baseline (Δ cycles per call; - = unmoved)",
         &diffs,
-        &columns,
+        &columns.join(" "),
     );
-    gates.push(Gate::none(
-        "rows without a baseline row",
-        undiffed,
-        "personalities",
-    ));
 
     let doc = Json::obj()
         .field("bench", "profile")
@@ -256,5 +248,5 @@ fn main() {
             "rows",
             Json::Arr(profiles.iter().map(profile_row).collect()),
         );
-    finish("profile", &doc, gates);
+    a.json("profile.json", &doc);
 }

@@ -13,18 +13,14 @@
 //! is `benchmark/`'s `transport.ring_b1` / `transport.ring_b8` rows; in
 //! simulated cycles it is
 //! `tests/ring.rs::a_full_batch_pays_the_crossing_once`.)
-//!
-//! No knob: [`REQUESTS`] arrivals per sweep cell, the size
-//! `results/ring.json` records.
 
-use sb_bench::{
-    calibrate,
-    gate::{finish, Bound, Gate},
-    print_rows,
-    report::run_stats_json,
-};
+use std::path::Path;
+
+use crate::gate::{Bound, Gate};
+use crate::report::run_stats_json;
+use crate::{calibrate, Artefact};
 use sb_observe::Json;
-use sb_runtime::{AdmissionPolicy, RingConfig, RuntimeConfig};
+use sb_runtime::{RingConfig, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{
     run_open_loop, run_ring_open_loop, Backend, ServingScenario,
 };
@@ -41,22 +37,13 @@ const REQUESTS: u64 = 500;
 const RHOS: [f64; 3] = [0.2, 0.6, 0.95];
 const BUDGETS: [usize; 4] = [1, 4, 8, 16];
 
-fn sweep_cfg() -> RuntimeConfig {
-    RuntimeConfig {
-        queue_capacity: 64,
-        policy: AdmissionPolicy::Shed,
-        queue_deadline: None,
-        ..RuntimeConfig::default()
-    }
-}
-
-fn main() {
+pub fn run(_: &Path, a: &mut Artefact) {
     let seed = 0x51de_0007u64;
-    let mut unconserved = 0u64;
 
     let mut sweep_json = Vec::new();
     let mut direct_json = Vec::new();
-    let mut low_rho_gate: Option<(u64, u64)> = None; // (direct p50, ring p50)
+    // (direct p50, ring p50, their ratio) of the gate cell.
+    let mut low_rho_gate: Option<(u64, u64, f64)> = None;
     for backend in Backend::all() {
         // The service rate the ρ grid is scaled against: 512 calls past
         // the KV store's growth phase, so the sweep sees steady state.
@@ -67,7 +54,7 @@ fn main() {
                 ServingScenario::Kv,
                 &backend,
                 1,
-                sweep_cfg(),
+                RuntimeConfig::default(), // a 64-deep lane that sheds
                 gap,
                 REQUESTS,
                 seed,
@@ -82,7 +69,7 @@ fn main() {
                     ServingScenario::Kv,
                     &backend,
                     1,
-                    sweep_cfg(),
+                    RuntimeConfig::default(),
                     RingConfig {
                         capacity: 64.max(2 * budget),
                         batch_budget: budget,
@@ -99,7 +86,7 @@ fn main() {
                 };
                 if matches!(backend, Backend::SkyBridge) && rho == LOW_RHO && budget == GATE_BUDGET
                 {
-                    low_rho_gate = Some((direct.p50(), ring.p50()));
+                    low_rho_gate = Some((direct.p50(), ring.p50(), p50_vs_direct));
                 }
                 sweep_json.push(
                     run_stats_json(&ring)
@@ -108,36 +95,23 @@ fn main() {
                         .field("mean_gap_cycles", gap)
                         .field("p50_vs_direct", p50_vs_direct),
                 );
-                if ring.offered != ring.completed + ring.shed() + ring.timed_out + ring.failed {
-                    eprintln!(
-                        "{} rho {rho} budget {budget}: the ring cell does not conserve requests",
-                        backend.label()
-                    );
-                    unconserved += 1;
-                }
+                a.check(
+                    "cells that do not conserve requests",
+                    "cells",
+                    ring.offered != ring.completed + ring.shed() + ring.timed_out + ring.failed,
+                    || format!("{} rho {rho} budget {budget}", backend.label()),
+                );
             }
         }
     }
-    print_rows(
+    a.rows(
         &format!("ring sweep ({REQUESTS} arrivals/cell, 1 lane, simulated cycles)"),
         &sweep_json,
-        &[
-            "label",
-            "rho",
-            "batch_budget",
-            "latency_p50",
-            "p50_vs_direct",
-            "throughput_per_mcycle",
-            "shed_queue_full",
-        ],
+        "label rho batch_budget latency_p50 p50_vs_direct throughput_per_mcycle shed_queue_full",
     );
 
-    let (direct_p50, ring_p50) = low_rho_gate.expect("the sweep covers the gate cell");
-    let latency_ratio = if direct_p50 == 0 {
-        1.0
-    } else {
-        ring_p50 as f64 / direct_p50 as f64
-    };
+    // A sweep that misses the gate cell measures NaN, a breach.
+    let (direct_p50, ring_p50, latency_ratio) = low_rho_gate.unwrap_or((0, 0, f64::NAN));
     let doc = Json::obj()
         .field("bench", "ring")
         .field("latency_tolerance", LATENCY_TOLERANCE)
@@ -153,14 +127,11 @@ fn main() {
         )
         .field("sweep", Json::Arr(sweep_json))
         .field("direct", Json::Arr(direct_json));
-    let gates = vec![
-        Gate::none("cells that do not conserve requests", unconserved, "cells"),
-        Gate::new(
-            format!("skybridge ring p50 / direct p50 at rho {LOW_RHO}, budget {GATE_BUDGET}"),
-            latency_ratio,
-            Bound::AtMost(1.0 + LATENCY_TOLERANCE),
-            "ratio",
-        ),
-    ];
-    finish("ring", &doc, gates);
+    a.gates.push(Gate::new(
+        format!("skybridge ring p50 / direct p50 at rho {LOW_RHO}, budget {GATE_BUDGET}"),
+        latency_ratio,
+        Bound::AtMost(1.0 + LATENCY_TOLERANCE),
+        "ratio",
+    ));
+    a.json("ring.json", &doc);
 }

@@ -1,46 +1,37 @@
 //! Serving-runtime scaling sweep: threads × offered load × IPC transport.
 //!
-//! For each of the five transports (seL4, Fiasco.OC, Zircon kernel IPC,
-//! SkyBridge direct server calls, and MPK protection-key crossings) and
-//! each worker-thread count (1/2/4/8 simulated cores), the sweep
-//! calibrates the transport's base service time, then offers open-loop
-//! Poisson load at multiples of the theoretical capacity
-//! (ρ = offered / capacity) and records throughput, p50/p95/p99 latency,
-//! shed counts, and per-core utilization. Results go to
-//! `results/runtime_scaling.json`.
+//! For each of the five personalities and each worker-thread count
+//! (1/2/4/8 simulated cores), the sweep calibrates the base service
+//! time, then offers open-loop Poisson load at multiples of the
+//! theoretical capacity (ρ = offered / capacity) and records throughput,
+//! p50/p95/p99 latency, shed counts, and per-core utilization
+//! (`results/runtime_scaling.json`).
 //!
-//! A CI-enforced **five-way gate** closes the sweep: the trap kernels'
+//! A **five-way gate** closes the sweep: the trap kernels'
 //! calibrated service time must exceed SkyBridge's, and MPK's must
 //! undercut it — two WRPKRU flips (2 × 28 cycles) against a VMFUNC round
 //! trip (2 × 134). That the phases decompose each personality's
-//! end-to-end cycles is the `profile` bin's exact identity gate.
+//! end-to-end cycles is the `profile` sweep's exact identity gate.
 //!
-//! No run-size knob: 100 cells × [`REQUESTS`] = 50 000 simulated
-//! requests, the size `results/runtime_scaling.json` records.
-//!
-//! Knob: `SB_TRACE=<label>` (`sel4`, `fiasco`, `zircon`, `skybridge`,
+//! The one knob, `SB_TRACE=<label>` (`sel4`, `fiasco`, `zircon`, `skybridge`,
 //! `mpk`) additionally runs one traced cell on that personality with a
 //! live recorder and dumps `results/traces/runtime_scaling_trace.json` —
 //! a Chrome trace-event file: open <https://ui.perfetto.dev> and drag it
 //! in, or load it at `chrome://tracing`.
 
-use sb_bench::{
-    calibrate,
-    gate::{finish, Bound, Gate},
-    print_rows,
-    report::{run_stats_json, write_raw},
-    traced_backend,
-};
+use std::path::Path;
+
+use crate::gate::{Bound, Gate};
+use crate::report::run_stats_json;
+use crate::{calibrate, traced_backend, Artefact};
 use sb_observe::{chrome_trace, Json, Recorder};
-use sb_runtime::{AdmissionPolicy, RuntimeConfig};
+use sb_runtime::RuntimeConfig;
 use skybridge_repro::scenarios::runtime::{ops_per_sec, run_open_loop, Backend, ServingScenario};
 
 /// Arrivals per sweep cell (and in the `SB_TRACE` cell).
 const REQUESTS: u64 = 500;
 /// Event-ring capacity of the `SB_TRACE` cell.
 const TRACE_RING: usize = 1 << 15;
-/// Queue capacity of every sweep cell.
-const QUEUE_CAPACITY: usize = 64;
 
 /// `SB_TRACE` mode: one fully traced cell whose Chrome trace goes to
 /// `results/traces/runtime_scaling_trace.json` for Perfetto (the
@@ -48,12 +39,9 @@ const QUEUE_CAPACITY: usize = 64;
 /// checked-in sample lives at `results/sample_trace.json`). Uses a ring much
 /// larger than the always-on default so a whole cell fits without
 /// overwrites (and reports how many events were dropped if not).
-fn dump_trace(backend: &Backend) -> Gate {
+fn dump_trace(backend: &Backend, a: &mut Artefact) {
     let recorder = Recorder::new(TRACE_RING);
     let cfg = RuntimeConfig {
-        queue_capacity: QUEUE_CAPACITY,
-        policy: AdmissionPolicy::Shed,
-        queue_deadline: None,
         recorder: recorder.clone(),
         ..RuntimeConfig::default()
     };
@@ -69,9 +57,9 @@ fn dump_trace(backend: &Backend) -> Gate {
         0x7a_ced0_5eed,
     );
     let trace = chrome_trace(&recorder);
-    println!(
+    a.text += &format!(
         "\ntraced kv/ycsb-a on {} ({} requests, {} events{}): open https://ui.perfetto.dev \
-         and drag the trace file in",
+         and drag the trace file in\n",
         backend.label(),
         stats.completed,
         trace.events,
@@ -81,17 +69,14 @@ fn dump_trace(backend: &Backend) -> Gate {
             String::new()
         },
     );
-    Gate::written(write_raw("traces/runtime_scaling_trace.json", &trace.json))
+    a.files
+        .push(("traces/runtime_scaling_trace.json".into(), trace.json));
 }
 
-/// The five-way gate: the calibrated service times must order the way
-/// the crossing costs say they should — each trap kernel above
-/// SkyBridge, and MPK below it (two WRPKRU flips against a VMFUNC round
-/// trip). `svcs` carries the (label, service cycles) pairs the sweep
-/// calibrated, in [`Backend::all`] order; the conditions land in
-/// `gates`, and one `{transport, service_cycles}` row per pair is
-/// returned.
-fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Vec<Json> {
+/// The five-way gate over the (label, service cycles) pairs the sweep
+/// calibrated, as gates of `a`; one `{transport, service_cycles}` row
+/// per pair is returned.
+fn five_way_gate(svcs: &[(String, f64)], a: &mut Artefact) -> Vec<Json> {
     // Two WRPKRU flips undercut a VMFUNC round trip, which undercuts a
     // trap pair: every other personality is held to SkyBridge's service
     // time (NaN, a breach, should SkyBridge leave the sweep).
@@ -106,7 +91,7 @@ fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Vec<Json> {
             _ => Bound::Above(1.0),
         };
         let name = format!("{label} / skybridge service cycles");
-        gates.push(Gate::new(name, svc / sky, bound, "ratio"));
+        a.gates.push(Gate::new(name, svc / sky, bound, "ratio"));
     }
 
     svcs.iter()
@@ -118,15 +103,15 @@ fn five_way_gate(svcs: &[(String, f64)], gates: &mut Vec<Gate>) -> Vec<Json> {
         .collect()
 }
 
-fn main() {
+pub fn run(_: &Path, a: &mut Artefact) {
     // Read first, so an unknown label stops the run before the sweep.
     let traced = traced_backend();
     let scenario = ServingScenario::Kv;
     let threads = [1usize, 2, 4, 8];
     let rhos = [0.5, 0.8, 1.0, 1.2, 1.5];
     let cells = Backend::all().len() * threads.len() * rhos.len();
-    println!(
-        "runtime_scaling: {cells} cells x {REQUESTS} requests = {} total simulated requests",
+    a.text += &format!(
+        "runtime_scaling: {cells} cells x {REQUESTS} requests = {} total simulated requests\n",
         cells as u64 * REQUESTS
     );
 
@@ -138,12 +123,8 @@ fn main() {
         for (wi, &workers) in threads.iter().enumerate() {
             for (ri, &rho) in rhos.iter().enumerate() {
                 let mean_ia = svc / (workers as f64 * rho);
-                let cfg = RuntimeConfig {
-                    queue_capacity: QUEUE_CAPACITY,
-                    policy: AdmissionPolicy::Shed,
-                    queue_deadline: None,
-                    ..RuntimeConfig::default()
-                };
+                // Every cell: the default 64-deep lanes that shed.
+                let cfg = RuntimeConfig::default();
                 let seed = 0x0005_ca1e_0000 + (ti * 1000 + wi * 100 + ri) as u64;
                 let stats =
                     run_open_loop(scenario, transport, workers, cfg, mean_ia, REQUESTS, seed);
@@ -161,26 +142,18 @@ fn main() {
             }
         }
     }
-    print_rows(
+    a.rows(
         "runtime scaling (simulated cycles)",
         &json_rows,
-        &[
-            "transport",
-            "workers",
-            "rho",
-            "service_cycles",
-            "stats.throughput_per_mcycle",
-            "stats.latency_p99",
-            "stats.shed_queue_full",
-        ],
+        "transport workers rho service_cycles stats.throughput_per_mcycle stats.latency_p99 \
+         stats.shed_queue_full",
     );
 
-    let mut gates = Vec::new();
-    let five_way = five_way_gate(&svcs, &mut gates);
-    print_rows(
+    let five_way = five_way_gate(&svcs, a);
+    a.rows(
         "five-way crossing comparison (calibrated service cycles/call)",
         &five_way,
-        &["transport", "service_cycles"],
+        "transport service_cycles",
     );
 
     let doc = Json::obj()
@@ -188,18 +161,16 @@ fn main() {
         .field("scenario", "kv")
         .field("workload", "ycsb-a")
         .field("requests_per_cell", REQUESTS)
-        .field("queue_capacity", QUEUE_CAPACITY)
+        .field("queue_capacity", RuntimeConfig::default().queue_capacity)
         .field("five_way", Json::obj().field("rows", five_way))
         .field("rows", Json::Arr(json_rows));
-    println!(
-        "\nShape to check: at every thread count SkyBridge's zero-shed\n\
-         offered load sits above each trap-based kernel's with MPK's above\n\
-         both, and p99 blows up past rho = 1.0 while the Shed policy\n\
-         bounds queue depth."
-    );
+    a.text += "\nShape to check: at every thread count SkyBridge's zero-shed\n\
+               offered load sits above each trap-based kernel's with MPK's above\n\
+               both, and p99 blows up past rho = 1.0 while the Shed policy\n\
+               bounds queue depth.\n";
 
     if let Some(backend) = traced {
-        gates.push(dump_trace(&backend));
+        dump_trace(&backend, a);
     }
-    finish("runtime_scaling", &doc, gates);
+    a.json("runtime_scaling.json", &doc);
 }

@@ -7,16 +7,14 @@
 //! request (`results/sentinel.json`). A personality's cycles per direct
 //! call are `runtime_scaling`'s `service_cycles`.
 //!
-//! What the sentinel costs on the host clock is not measured here: the
-//! tracer's tax is `benchmark/`'s `trace.overhead_pct` and
-//! `observe.emit.host_ns`, and the SLO tracker's is held as a count —
-//! good completions inside one bucket evaluate the burn rule zero times
-//! and allocate nothing (`tests/ring_alloc.rs`).
+//! Its host-clock cost is measured elsewhere: the tracer's tax is
+//! `benchmark/`'s `trace.overhead_pct` and `observe.emit.host_ns`, and
+//! the SLO tracker allocates nothing per completion (`tests/ring_alloc.rs`).
 
-use sb_bench::{
-    gate::{finish, Bound, Gate},
-    print_rows,
-};
+use std::path::Path;
+
+use crate::gate::{Bound, Gate};
+use crate::Artefact;
 use sb_observe::{Json, Recorder};
 use sb_sentinel::assemble;
 use skybridge_repro::scenarios::runtime::Backend;
@@ -25,10 +23,8 @@ use skybridge_repro::scenarios::sentinel::chain_for;
 /// Tolerance on critical-path coverage of end-to-end cycles.
 const PATH_TOLERANCE: f64 = 0.05;
 
-fn main() {
+pub fn run(_: &Path, a: &mut Artefact) {
     let mut rows = Vec::new();
-    let mut gates = Vec::new();
-    let mut missing = 0u64;
     for backend in Backend::all() {
         let label = backend.label();
 
@@ -40,11 +36,14 @@ fn main() {
         let mut worst = 1.0f64;
         let mut dominant = String::from("-");
         for &(corr, end_to_end) in &run.requests {
-            let Some(tr) = forest.request(corr) else {
-                eprintln!("{label}: request {corr} missing from the forest");
-                missing += 1;
-                continue;
-            };
+            let tree = forest.request(corr);
+            a.check(
+                "requests without a span tree",
+                "requests",
+                tree.is_none(),
+                || format!("{label}: request {corr} missing from the forest"),
+            );
+            let Some(tr) = tree else { continue };
             let cover = if end_to_end == 0 {
                 1.0
             } else {
@@ -57,7 +56,7 @@ fn main() {
                 dominant = format!("{} ({} cyc)", step.kind.name(), step.cycles);
             }
         }
-        gates.push(Gate::new(
+        a.gates.push(Gate::new(
             format!("{label}: worst |critical path / end-to-end - 1|"),
             (worst - 1.0).abs(),
             Bound::AtMost(PATH_TOLERANCE),
@@ -71,21 +70,15 @@ fn main() {
                 .field("dominant_step", dominant),
         );
     }
-    print_rows(
+    a.rows(
         "critical paths of a depth-3 chain (simulated cycles)",
         &rows,
-        &["transport", "critical_path_cover", "dominant_step"],
+        "transport critical_path_cover dominant_step",
     );
-
-    gates.push(Gate::none(
-        "requests without a span tree",
-        missing,
-        "requests",
-    ));
 
     let doc = Json::obj()
         .field("bench", "sentinel")
         .field("path_tolerance", PATH_TOLERANCE)
         .field("rows", Json::Arr(rows));
-    finish("sentinel", &doc, gates);
+    a.json("sentinel.json", &doc);
 }

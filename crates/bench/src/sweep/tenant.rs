@@ -1,7 +1,7 @@
 //! The tenant fabric sweep: fairness under production skew, and the
 //! noisy-neighbor isolation gate.
 //!
-//! Two sections, both CI-enforced:
+//! Two sections, both gated:
 //!
 //! 1. **Skew sweep** — tenant population ∈ {4, 64, 512} × arrival skew
 //!    ∈ {uniform round-robin, scrambled-Zipfian} × every IPC
@@ -13,28 +13,25 @@
 //!    the uniform cells (equal offered load and equal weights must get
 //!    equal service), and every cell must balance its per-tenant
 //!    ledgers exactly ([`RunStats::tenants_conserved`]).
-//! 2. **Noisy-neighbor gate** — the [`scenarios::tenant`] storm matrix
-//!    across every personality × {direct, ring}: three victims run
+//! 2. **Noisy-neighbor gate** — the
+//!    [`skybridge_repro::scenarios::tenant`] storm matrix across every
+//!    personality × {direct, ring}: three victims run
 //!    byte-identical streams solo and then against an aggressor
 //!    offering 10× its contracted rate. The fabric must classify and
 //!    quarantine the aggressor, and every victim's contended p99 must
 //!    land within 10% (plus the service-quantization slack) of its solo
-//!    p99 with zero SLO breach episodes. Any violated cell exits
-//!    non-zero.
-//!
-//! No knob: [`REQUESTS`] arrivals per sweep cell, the size
-//! `results/tenant.json` records.
+//!    p99 with zero SLO breach episodes. Any violated cell breaches a
+//!    gate.
 
-use sb_bench::{
-    calibrate,
-    gate::{finish, Bound, Gate},
-    print_rows,
-    report::run_stats_json,
-};
+use std::path::Path;
+
+use crate::gate::{Bound, Gate};
+use crate::report::run_stats_json;
+use crate::{calibrate, Artefact};
 use sb_observe::Json;
 use sb_runtime::{
-    AdmissionPolicy, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
-    TenantId, TenantRegistry, TenantSpec,
+    PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime, TenantId,
+    TenantRegistry, TenantSpec,
 };
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 use skybridge_repro::scenarios::tenant::run_noisy_neighbor;
@@ -62,26 +59,12 @@ fn jain_index(stats: &RunStats) -> f64 {
         .filter(|t| t.offered > 0)
         .map(|t| t.completed as f64 / t.offered as f64)
         .collect();
-    if ratios.is_empty() {
-        return 1.0;
-    }
     let sum: f64 = ratios.iter().sum();
     let sum_sq: f64 = ratios.iter().map(|x| x * x).sum();
     if sum_sq == 0.0 {
         return 1.0;
     }
     sum * sum / (ratios.len() as f64 * sum_sq)
-}
-
-/// Every tenant on the default contract, each with its own bounded lane.
-fn sweep_registry() -> TenantRegistry {
-    TenantRegistry::new(TenantSpec {
-        weight: 1,
-        queue_capacity: 64,
-        policy: AdmissionPolicy::Shed,
-        rate: None,
-        slo: None,
-    })
 }
 
 /// One skew-sweep cell: [`REQUESTS`] Poisson arrivals at ρ = [`RHO`]
@@ -94,8 +77,10 @@ fn run_sweep_cell(backend: &Backend, tenants: u16, zipf: bool, gap: f64) -> RunS
         let schedule: Vec<TenantId> = (0..REQUESTS).map(|i| (i % tenants as u64) as u16).collect();
         RequestFactory::with_tenant_schedule(scenario.workload(), scenario.payload(), schedule)
     };
+    // Every tenant on the default contract (weight 1, a 64-deep lane
+    // that sheds).
     let cfg = RuntimeConfig {
-        tenants: Some(sweep_registry()),
+        tenants: Some(TenantRegistry::new(TenantSpec::default())),
         ..RuntimeConfig::default()
     };
     let mut transport = build_backend(scenario, backend, 2);
@@ -103,8 +88,10 @@ fn run_sweep_cell(backend: &Backend, tenants: u16, zipf: bool, gap: f64) -> RunS
     ServerRuntime::new(transport.as_mut(), cfg).run_open_loop(arrivals, &mut factory)
 }
 
-fn main() {
-    let (mut unbalanced, mut unquarantined, mut unisolated) = (0u64, 0u64, 0u64);
+/// The gate every cell's per-tenant ledgers are held to.
+const UNBALANCED: &str = "cells with unbalanced tenant ledgers";
+
+pub fn run(_: &Path, a: &mut Artefact) {
     let mut least_fair = f64::INFINITY;
 
     // Section 1: the skew sweep.
@@ -118,13 +105,9 @@ fn main() {
                 let skew = if zipf { "zipf" } else { "uniform" };
                 let stats = run_sweep_cell(&backend, tenants, zipf, gap);
                 let jain = jain_index(&stats);
-                if !stats.tenants_conserved() {
-                    unbalanced += 1;
-                    eprintln!(
-                        "{} {tenants} tenants {skew}: per-tenant ledgers do not balance",
-                        backend.label()
-                    );
-                }
+                a.check(UNBALANCED, "cells", !stats.tenants_conserved(), || {
+                    format!("{} {tenants} tenants {skew}", backend.label())
+                });
                 if !zipf {
                     least_fair = least_fair.min(jain);
                 }
@@ -138,19 +121,17 @@ fn main() {
             }
         }
     }
-    print_rows(
+    a.rows(
         &format!("tenant skew sweep ({REQUESTS} arrivals/cell, 2 lanes, rho={RHO})"),
         &sweep_json,
-        &[
-            "label",
-            "tenant_population",
-            "skew",
-            "completed",
-            "shed_queue_full",
-            "latency_p99",
-            "jain_index",
-        ],
+        "label tenant_population skew completed shed_queue_full latency_p99 jain_index",
     );
+    a.gates.push(Gate::new(
+        "lowest Jain index, uniform cells",
+        least_fair,
+        Bound::AtLeast(FAIRNESS_FLOOR),
+        "index",
+    ));
 
     // Section 2: the noisy-neighbor isolation matrix.
     let mut nn_json = Vec::new();
@@ -159,24 +140,18 @@ fn main() {
             let out = run_noisy_neighbor(ServingScenario::Kv, &backend, ring_mode, SEED);
             let isolated = out.isolated(ISOLATION_HEADROOM);
             let quarantined = out.aggressor_quarantined();
-            if !out.solo.tenants_conserved() || !out.contended.tenants_conserved() {
-                unbalanced += 1;
-                eprintln!(
-                    "{} {}: noisy-neighbor ledgers do not balance",
-                    out.backend, out.mode
-                );
-            }
-            unquarantined += u64::from(!quarantined);
-            if !isolated {
-                unisolated += 1;
-                eprintln!(
-                    "{} {}: victim isolation breached (worst p99 ratio {:.3}): {:?}",
-                    out.backend,
-                    out.mode,
-                    out.worst_ratio(),
-                    out.victims
-                );
-            }
+            let cell = format!("{} {}", out.backend, out.mode);
+            let balanced = out.solo.tenants_conserved() && out.contended.tenants_conserved();
+            a.check(UNBALANCED, "cells", !balanced, || {
+                format!("{cell}: noisy neighbor")
+            });
+            a.check("storms never quarantined", "cells", !quarantined, || {
+                cell.clone()
+            });
+            a.check("storms that reached a victim", "cells", !isolated, || {
+                let worst = out.worst_ratio();
+                format!("{cell}: worst p99 ratio {worst:.3}: {:?}", out.victims)
+            });
             let victims = out
                 .victims
                 .iter()
@@ -202,17 +177,10 @@ fn main() {
             );
         }
     }
-    print_rows(
+    a.rows(
         &format!("noisy neighbor: 3 victims vs one 10x storm (headroom {ISOLATION_HEADROOM})"),
         &nn_json,
-        &[
-            "backend",
-            "mode",
-            "worst_p99_ratio",
-            "shed_rate_limit",
-            "aggressor_quarantined",
-            "isolated",
-        ],
+        "backend mode worst_p99_ratio shed_rate_limit aggressor_quarantined isolated",
     );
 
     let doc = Json::obj()
@@ -223,19 +191,5 @@ fn main() {
         .field("isolation_headroom", ISOLATION_HEADROOM)
         .field("sweep", Json::Arr(sweep_json))
         .field("noisy_neighbor", Json::Arr(nn_json));
-    finish(
-        "tenant",
-        &doc,
-        vec![
-            Gate::none("cells with unbalanced tenant ledgers", unbalanced, "cells"),
-            Gate::new(
-                "lowest Jain index, uniform cells",
-                least_fair,
-                Bound::AtLeast(FAIRNESS_FLOOR),
-                "index",
-            ),
-            Gate::none("storms never quarantined", unquarantined, "cells"),
-            Gate::none("storms that reached a victim", unisolated, "cells"),
-        ],
-    );
+    a.json("tenant.json", &doc);
 }

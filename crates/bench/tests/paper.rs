@@ -1,35 +1,48 @@
-//! The `Experiment` table, the committed artefacts and EXPERIMENTS.md
-//! name the same things: no experiment without a committed
-//! `results/<name>.txt` for `tools/regen_results.sh` to diff it against,
-//! no orphan `.txt` nothing regenerates, and a section of EXPERIMENTS.md
-//! for each. And the fidelity ledger (`results/fidelity.json`) is the
-//! artefacts' `measured (paper)` cells, none of them further from the
-//! paper than its band allows, and the cheap artefacts re-derive to it
-//! cell for cell.
+//! The registry, the committed `results/` and EXPERIMENTS.md name the
+//! same things: every committed file has exactly one writer for
+//! `tools/regen_results.sh` to diff it against, no entry writes a file
+//! that is not committed, and each entry has a section of EXPERIMENTS.md.
+//! The fidelity ledger (`results/fidelity.json`) is the paper entries'
+//! `measured (paper)` cells, none of them further from the paper than
+//! its band allows; and the cheap entries re-derive their files byte for
+//! byte and hold every gate.
 
 mod ledger;
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::thread;
 
-use sb_bench::paper::{find, Cell, EXPERIMENTS};
+use sb_bench::paper::Cell;
+use sb_bench::registry::{self, find, Entry, ENTRIES};
 
 #[test]
 fn experiments_artefacts_and_write_ups_are_in_bijection() {
     let root = ledger::root();
-    let table: BTreeSet<String> = EXPERIMENTS.iter().map(|e| e.name.to_string()).collect();
-    assert_eq!(table.len(), EXPERIMENTS.len(), "a name is listed twice");
+    let table: BTreeSet<&str> = ENTRIES.iter().map(Entry::name).collect();
+    assert_eq!(table.len(), ENTRIES.len(), "a name is listed twice");
 
-    let committed: BTreeSet<String> = fs::read_dir(root.join("results"))
-        .expect("results/")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|x| x == "txt"))
-        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+    // One writer per file: its entry, or the bin for the ledger.
+    let mut written = vec!["fidelity.json".to_string()];
+    written.extend(ENTRIES.iter().flat_map(Entry::files));
+    let files: BTreeSet<&String> = written.iter().collect();
+    assert_eq!(files.len(), written.len(), "written twice: {written:?}");
+
+    // Every committed file but the host clock's trajectory, the
+    // hand-picked Perfetto sample and the untracked bundle and trace
+    // subtrees; a directory other than `flamegraphs/` counts as a file.
+    let results = root.join("results");
+    let ls = |dir: &'static str| {
+        let entries = fs::read_dir(results.join(dir)).expect("results/");
+        entries.map(move |e| format!("{dir}{}", e.expect("entry").file_name().to_string_lossy()))
+    };
+    let skipped = "BENCH_history.jsonl sample_trace.json postmortem traces flamegraphs";
+    let committed: BTreeSet<String> = (ls("").chain(ls("flamegraphs/")))
+        .filter(|f| !skipped.split(' ').any(|s| s == f))
         .collect();
     assert_eq!(
-        table, committed,
-        "the Experiment table (left) and results/*.txt (right) must name the same artefacts"
+        files,
+        committed.iter().collect(),
+        "the registry's files (left) and the committed results/ (right) must be the same"
     );
 
     let write_up = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
@@ -74,22 +87,22 @@ fn the_ledger_holds_exactly_the_cells_the_artefacts_print() {
     let root = ledger::root();
     let ledger = ledger::read();
     assert!(!ledger.is_empty());
-    for e in EXPERIMENTS {
-        let text = fs::read_to_string(root.join(format!("results/{}.txt", e.name))).unwrap();
+    for e in ENTRIES.iter().filter(|e| matches!(e, Entry::Paper(..))) {
+        let text = fs::read_to_string(root.join(format!("results/{}.txt", e.name()))).unwrap();
         let printed = printed_cells(&text);
-        let rows: Vec<&Cell> = ledger::cells(&ledger, e.name).collect();
+        let rows: Vec<&Cell> = ledger::cells(&ledger, e.name()).collect();
         assert_eq!(
             rows.len(),
             printed.len(),
             "{}: ledger rows vs printed cells",
-            e.name
+            e.name()
         );
         for (c, (measured, paper)) in rows.iter().zip(printed) {
             // The text rounds to whole numbers; the ledger does not.
             assert!(
                 (c.measured - measured).abs() <= 0.5 && (c.paper - paper).abs() <= 0.5,
                 "{} / {} / {}: ledger {} ({}) but the text prints {measured} ({paper})",
-                e.name,
+                e.name(),
                 c.row,
                 c.column,
                 c.measured,
@@ -99,7 +112,7 @@ fn the_ledger_holds_exactly_the_cells_the_artefacts_print() {
     }
     for (experiment, _) in &ledger {
         assert!(
-            find(experiment).is_some(),
+            find(experiment).is_some_and(|e| matches!(e, Entry::Paper(..))),
             "ledger row of unknown experiment `{experiment}`"
         );
     }
@@ -212,29 +225,37 @@ fn no_cell_is_further_from_the_paper_than_its_band() {
     );
 }
 
-/// The artefacts a debug build regenerates in about a second each (all
-/// six in ~3.5 s wall, ~6 s CPU, on two cores); `table4`, `figure9_11`,
-/// `table5`, `table6` and `ablations` take 1.5-33 s each even release-built
-/// (`table5` 42 s in debug) and are left to `tools/regen_results.sh`.
-const REDERIVED: [&str; 6] = [
-    "table1", "figure2", "table2", "table3", "figure7", "figure8",
-];
+/// The entries a debug build runs in seconds, longest first: every gated
+/// sweep (~22 s CPU; `profile` ~10 s) and six paper artefacts (~6 s),
+/// ~10 s wall on two cores. `table4`, `figure9_11`, `table5`, `table6`
+/// and `ablations` (1.5-33 s each release-built, `table5` 42 s in debug)
+/// are left to `tools/regen_results.sh`.
+const REDERIVED: &str = "profile tenant graph runtime_scaling ring chaos sentinel \
+                         table1 figure2 table2 table3 figure7 figure8";
 
-/// A modelled cost that moved fails here by ledger row: each cheap
-/// artefact, run in-process, must print its committed text byte for
-/// byte and record exactly its committed ledger cells, each named
+/// A moved figure or a broken property fails here by name: each cheap
+/// entry, run in-process with a scratch results directory (where
+/// `chaos` leaves its postmortem bundles and `profile` finds the
+/// committed `profile.json` as its baseline), must produce exactly its
+/// committed files byte for byte and hold every gate, and each paper
+/// entry must record exactly its committed ledger cells, each named
 /// `experiment / row / column` — a moved cell shows as its committed
 /// line next to its re-derived one.
 #[test]
 fn the_cheap_artefacts_rederive_cell_for_cell() {
-    let runs = thread::scope(|s| {
-        REDERIVED
-            .map(|name| s.spawn(move || (name, find(name).expect("listed").artefact())))
-            .map(|run| run.join().expect("the experiment ran"))
-    });
+    let dir = std::env::temp_dir().join(format!("sb-bench-rederive-{}", std::process::id()));
+    let results = ledger::root().join("results");
+    fs::create_dir_all(&dir).expect("a scratch results directory");
+    fs::copy(results.join("profile.json"), dir.join("profile.json")).expect("the baseline");
+    let entries: Vec<&Entry> = (REDERIVED.split_whitespace())
+        .map(|name| find(name).expect("listed"))
+        .collect();
+    let artefacts = registry::run(&entries, &dir);
+    let _ = fs::remove_dir_all(&dir);
     let ledger = ledger::read();
     let mut moved = Vec::new();
-    for (name, artefact) in runs {
+    for (entry, artefact) in entries.iter().zip(artefacts) {
+        let name = entry.name();
         let show = |c: &Cell| {
             format!(
                 "{name} / {} / {}: measured {} (paper {})",
@@ -253,16 +274,24 @@ fn the_cheap_artefacts_rederive_cell_for_cell() {
                 .difference(&fresh)
                 .map(|l| format!("{l}, committed")),
         );
-        if fs::read_to_string(ledger::root().join(format!("results/{name}.txt"))).ok()
-            != Some(artefact.text)
-        {
-            moved.push(format!("{name}: the text differs from results/{name}.txt"));
+        let files: BTreeSet<&String> = artefact.files.iter().map(|(f, _)| f).collect();
+        let declared = entry.files();
+        if files != declared.iter().collect() {
+            moved.push(format!("{name}: wrote {files:?}, not {declared:?}"));
+        }
+        for (file, contents) in &artefact.files {
+            if fs::read_to_string(results.join(file)).ok().as_ref() != Some(contents) {
+                moved.push(format!("{name}: {file} differs from results/{file}"));
+            }
+        }
+        for g in artefact.gates.iter().filter(|g| !g.holds()) {
+            moved.push(format!("{name}: gate breached: {g}"));
         }
     }
     moved.sort();
     assert!(
         moved.is_empty(),
-        "re-derived artefacts left the ledger:\n{}",
+        "re-derived entries left their files, gates or ledger:\n{}",
         moved.join("\n")
     );
 }

@@ -1,7 +1,8 @@
 //! Serving-graph acceptance: YCSB through client → gateway → cache →
 //! db → fs on all five IPC personalities, with byte-identical replies,
-//! connected cross-hop traces, snapshot/replay reproduction, power-loss
-//! recovery, and dispatcher conservation.
+//! connected cross-hop traces and dispatcher conservation. Snapshot/replay
+//! reproduction and power-loss recovery are the `graph` registry entry's
+//! gates, which `crates/bench/tests/paper.rs` holds in Tier-1.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -16,8 +17,8 @@ use sb_runtime::{
 use sb_sentinel::assemble;
 use sb_ycsb::{OpKind, Workload, WorkloadSpec};
 use skybridge_repro::scenarios::graph::{
-    build_graph, client_payload, drive_one, replay_drill, run_graph_chaos, run_graph_open_loop,
-    DRILL_CACHE, DRILL_RECORDS, DRILL_VALUE_LEN,
+    build_graph, client_payload, drive_one, run_graph_open_loop, DRILL_CACHE, DRILL_RECORDS,
+    DRILL_VALUE_LEN,
 };
 use skybridge_repro::scenarios::runtime::Backend;
 
@@ -130,55 +131,6 @@ fn graph_requests_assemble_connected_span_trees() {
         let warm = forest.request(2).expect("warm request trace");
         assert_eq!(warm.roots.len(), 1, "{}", backend.label());
     }
-}
-
-/// Snapshot the cell mid-run, replay `log.since(snapshot)` on a
-/// restored replica: the final disk images and cache tiers are
-/// byte-identical on every personality.
-#[test]
-fn replay_from_snapshot_is_byte_identical_on_every_personality() {
-    for backend in Backend::all() {
-        let d = replay_drill(&backend, 40, 0x5eed);
-        assert!(d.snapshot_seq > 0, "{}: snapshot saw traffic", d.label);
-        assert!(d.replayed > 0, "{}: tail entries replayed", d.label);
-        assert!(
-            d.ok(),
-            "{}: live {:#x} != replay {:#x} (caches match: {})",
-            d.label,
-            d.live_digest,
-            d.replay_digest,
-            d.cache_match
-        );
-    }
-}
-
-/// The power-loss matrix: every run recovers the committed prefix via
-/// WAL replay + journal rollback, rolls the commit log forward, and
-/// converges on the full-replay reference with a balanced fault ledger.
-#[test]
-fn power_loss_recovers_via_commit_log_with_no_leaked_faults() {
-    for backend in Backend::all() {
-        for seed in [0xc0de_0001u64, 0xc0de_0002, 0xc0de_0003] {
-            let o = run_graph_chaos(&backend, seed, 160);
-            assert_eq!(o.leaked, 0, "{} seed {seed:#x}: leaked faults", o.label);
-            assert!(
-                o.rows_match,
-                "{} seed {seed:#x}: recovered state diverged (died: {}, \
-                 recovered_seq {}, rolled forward {})",
-                o.label, o.died, o.recovered_seq, o.rolled_forward
-            );
-        }
-    }
-}
-
-/// At least one seed in the matrix must actually cut the power — the
-/// drill is vacuous otherwise.
-#[test]
-fn chaos_matrix_actually_cuts_power() {
-    let died = [0xc0de_0001u64, 0xc0de_0002, 0xc0de_0003]
-        .iter()
-        .any(|&seed| run_graph_chaos(&Backend::SkyBridge, seed, 160).died);
-    assert!(died, "no seed in the matrix ever cut the power");
 }
 
 /// The graph transport plugs into the dispatcher like any single-server

@@ -18,11 +18,11 @@ const PAPER_ROOTKERNEL_LOC: usize = 1_500;
 
 /// `(directory under crates/, ceiling in non-test code lines)`.
 const BUDGET: &[(&str, usize)] = &[
-    // 2474 once every paper experiment put its cells into an `Artefact`
-    // that draws its tables, instead of building each table by hand,
-    // rounded up to the next 10. ROADMAP item 4's ≤ 2 400 is still out
-    // of reach.
-    ("bench", 2_480),
+    // 2384 once the seven gated bins became sweep entries of one
+    // registry behind one bin, each reporting a failure through
+    // `Artefact::check` instead of a counter, an `eprintln!` and a gate
+    // of its own, and each showing its rows from one key string.
+    ("bench", 2_390),
     // 1218 once the direct call and the batched crossing shared one
     // set of crossing steps, rounded up to the next 10.
     ("core", 1_220),
@@ -139,13 +139,13 @@ fn non_test(source: &str) -> &str {
 }
 
 /// `sb-bench` is the harness of the simulated clock: the host clock has
-/// one ledger (`benchmark/` + `results/BENCH_history.jsonl`), and a bin
-/// ends through the library's one verdict path — no `assert!` or
-/// `panic!` that would exit 101 before the results file and the gate
-/// table. Eight bins: `paper` and the seven gated sweeps. Every run size
-/// is a constant of its bin, so the one environment read is the
+/// one ledger (`benchmark/` + `results/BENCH_history.jsonl`). One bin
+/// runs one registry and ends through the library's one verdict path; a
+/// sweep reports a failure only through `Artefact::check` or a gate, no
+/// `assert!`, `panic!` or `eprintln!` that no gate counts. Every run size
+/// is a constant of its entry, so the one environment read is the
 /// `SB_TRACE` accessor in `lib.rs`, and `tools/regen_results.sh` runs
-/// every bin with no variable set.
+/// the bin with no variable set.
 #[test]
 fn the_bench_crate_reads_one_clock_and_exits_one_way() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -155,7 +155,7 @@ fn the_bench_crate_reads_one_clock_and_exits_one_way() {
         files
             .iter()
             .filter(|(_, text)| text.contains(needle))
-            .map(|(path, _)| path.as_path())
+            .map(|(path, _)| path.strip_prefix(&src).expect("under src/"))
             .collect()
     };
     assert_eq!(
@@ -163,24 +163,31 @@ fn the_bench_crate_reads_one_clock_and_exits_one_way() {
         Vec::<&Path>::new(),
         "host-clock measurements belong in benchmark/, not in sb-bench"
     );
-    let exits = mentioning("process::exit(");
-    assert!(
-        matches!(exits[..], [path] if path.ends_with("gate.rs")),
-        "only gate::die may exit the process, found: {exits:?}"
+    assert_eq!(
+        mentioning("process::exit("),
+        [Path::new("gate.rs")],
+        "only gate::die may exit the process"
     );
     let bins = fs::read_dir(src.join("bin")).expect("src/bin").count();
-    assert_eq!(bins, 8, "`paper` plus the seven gated bins");
-    // A bin prints the rows it writes (`print_rows`), never a second,
-    // hand-built copy of them; a paper experiment places cells in its
-    // `Artefact`, and only `Artefact::table` (in `paper/mod.rs`) lays
-    // them out. Only the two table drawers hold a grid of strings.
+    assert_eq!(bins, 1, "one bin, `sb-bench`, runs every registry entry");
+    assert_eq!(
+        mentioning(": &[Entry] = &["),
+        [Path::new("registry.rs")],
+        "one registry lists every entry"
+    );
+    // The bin and a sweep show the rows they write with
+    // `Artefact::rows`, never a second, hand-built copy of them; a paper
+    // experiment places cells in its `Artefact`, and only
+    // `Artefact::table` (in `paper/mod.rs`) lays them out. Only the two
+    // table drawers hold a grid of strings.
     for (path, text) in &files {
         let file = path.strip_prefix(&src).expect("under src/");
         let code = non_test(text);
+        let runs_entries = file.starts_with("bin") || file.starts_with("sweep");
         for needle in ["print_table", "table("] {
             assert!(
-                !(file.starts_with("bin") && code.contains(needle)),
-                "{}: `{needle}` builds a table by hand; print the row `Json` with `print_rows`",
+                !(runs_entries && code.contains(needle)),
+                "{}: `{needle}` builds a table by hand; show the row `Json` with `Artefact::rows`",
                 file.display()
             );
         }
@@ -196,9 +203,16 @@ fn the_bench_crate_reads_one_clock_and_exits_one_way() {
             file == Path::new("lib.rs")
                 || file == Path::new("gate.rs")
                 || !code.contains("Vec<Vec<String>>"),
-            "{}: a `Vec<Vec<String>>` is a hand-built table; put cells or print the row `Json`",
+            "{}: a `Vec<Vec<String>>` is a hand-built table; put cells or show the row `Json`",
             file.display()
         );
+        for macro_call in ["assert!", "assert_eq!", "assert_ne!", "panic!", "eprintln!"] {
+            assert!(
+                !(runs_entries && code.contains(macro_call)),
+                "{}: `{macro_call}` reports a failure no gate counts; use `Artefact::check`",
+                file.display()
+            );
+        }
     }
 
     // Every environment read, as (file, variable): a read whose name is
@@ -236,17 +250,6 @@ fn the_bench_crate_reads_one_clock_and_exits_one_way() {
         "SB_TRACE is set by CI or a tools/ script: no committed file may depend on it"
     );
 
-    for (path, text) in &files {
-        let file = path.strip_prefix(&src).expect("under src/");
-        for macro_call in ["assert!", "assert_eq!", "assert_ne!", "panic!"] {
-            assert!(
-                !(file.starts_with("bin") && non_test(text).contains(macro_call)),
-                "{}: `{macro_call}` exits 101 before the verdict; count it in a `Gate::none` row",
-                file.display()
-            );
-        }
-    }
-
     let regen = fs::read_to_string(root.join("tools/regen_results.sh")).expect("regen script");
     let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let assignments: Vec<&str> = regen
@@ -257,7 +260,7 @@ fn the_bench_crate_reads_one_clock_and_exits_one_way() {
         .collect();
     assert!(
         assignments.is_empty(),
-        "tools/regen_results.sh sets {assignments:?}: each bin runs at the size its constants record"
+        "tools/regen_results.sh sets {assignments:?}: each entry runs at the size its constants record"
     );
 }
 

@@ -4,25 +4,27 @@
 #
 #   tools/regen_results.sh [dir]
 #
-# Runs `paper` (all eleven tables and figures, and the fidelity ledger
-# fidelity.json their cells add up to) and the seven gated bins of
-# sb-bench into `dir/results` (default target/regen/results), then diffs
-# that tree against results/. No variable is set: every run size is a
-# constant of its bin, the one the committed file records, so each bin
-# runs here exactly as `cargo run --release -p sb-bench --bin X` does.
-# Everything these bins print is simulated, so any difference is a
-# finding: a simulated figure moved (re-capture the file in the change
-# that moved it, and say why) or a gate broke (the bin exits non-zero
-# first). ~1 min release-built; to re-baseline every committed file
-# after an intended change, copy `dir/results/` over `results/`.
+# Runs `sb-bench` once with no name, so every registry entry runs: the
+# paper's eleven tables and figures (and the fidelity ledger
+# fidelity.json their cells add up to) and the seven gated sweeps, into
+# `dir/results` (default target/regen/results); then diffs that tree
+# against results/. No variable is set: every run size is a constant of
+# its entry, the one the committed file records, so each runs here
+# exactly as `cargo run --release -p sb-bench NAME` does. Everything
+# they print is simulated, so any difference is a finding: a simulated
+# figure moved (re-capture the file in the change that moved it, and
+# say why) or a gate broke (the bin exits non-zero first). ~18 s
+# release-built on a 2-core host, most of it `figure9_11`; to re-baseline
+# every committed file after an intended change, copy `dir/results/`
+# over `results/`.
 #
-# Tier-1 already re-derives six of paper's artefacts in-process (`table1`,
-# `figure2`, `table2`, `table3`, `figure7`, `figure8`: ~3.5 s wall, ~6 s
-# CPU on two cores in a debug build, held cell for cell to fidelity.json by
-# crates/bench/tests/paper.rs). `table4`, `figure9_11`, `table5`, `table6`
-# and `ablations` (5.3, 32.7, 3.2, 3.4 and 1.5 s release-built on a
-# 2-core host; table5 alone takes 42 s in debug) and the seven gated bins
-# are re-derived only here.
+# Tier-1 already runs twelve of the eighteen entries in-process, every
+# gated sweep and six paper artefacts (~10 s wall on two cores in a
+# debug build, held file for file and gate for gate by
+# crates/bench/tests/paper.rs). `table4`, `figure9_11`, `table5`,
+# `table6` and `ablations` (5.3, 32.7, 3.2, 3.4 and 1.5 s release-built
+# on a 2-core host; table5 alone takes 42 s in debug) are re-derived only
+# here.
 #
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
 # by tools/bench_history.sh), sample_trace.json (a hand-picked Perfetto
@@ -34,22 +36,18 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 dir="${1:-$root/target/regen}"
 rm -rf "$dir/results"
 mkdir -p "$dir/results"
-# Absolute: the bins run in `dir`, and the diff below names it again.
+# Absolute: the bin runs in `dir`, and the diff below names it again.
 dir="$(cd "$dir" && pwd)"
-# `profile` diffs its run against the checkout's profile.json, then
-# rewrites it. Before a commit that file is still the parent's, so this
-# run prints the change's per-phase diff; CI prints it against the
-# parent commit's file in a step of its own.
+# `profile` diffs its run against the profile.json it finds beside it (a
+# copy of the checkout's), then rewrites it; CI prints the diff against
+# the parent commit's file in a step of its own.
 cp "$root/results/profile.json" "$dir/results/"
 
-# chaos.json names the files written beside it by path
-# (`results/postmortem/…`): run the bins where `results/` is the fresh
-# directory, not the checkout's.
+# The bin writes `results/` under its working directory: run it where
+# `results/` is the fresh directory, not the checkout's.
 cd "$dir"
-for bin in paper tenant runtime_scaling chaos ring graph sentinel profile; do
-    echo "regen: $bin" >&2
-    cargo run --release --quiet --manifest-path "$root/Cargo.toml" -p sb-bench --bin "$bin" >/dev/null
-done
+echo "regen: every registry entry" >&2
+cargo run --release --quiet --manifest-path "$root/Cargo.toml" -p sb-bench >/dev/null
 
 diff -r -x BENCH_history.jsonl -x sample_trace.json -x postmortem -x traces \
     "$root/results" "$dir/results"
