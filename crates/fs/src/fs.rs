@@ -34,7 +34,8 @@ pub enum FsError {
     NameTooLong,
     /// Directory not empty on unlink.
     DirNotEmpty,
-    /// Not a valid file system (bad magic).
+    /// Not a valid file system (bad magic, or a geometry the device
+    /// cannot hold).
     BadSuperblock,
 }
 
@@ -95,9 +96,28 @@ impl Superblock {
         b
     }
 
-    fn decode(b: &[u8; BSIZE]) -> Result<Self, FsError> {
+    /// Decodes block 1 of a device of `nblocks` blocks. A geometry the
+    /// device cannot hold is as bad as a wrong magic: the regions must lie
+    /// in order — superblock, log, inodes, bitmap, data — inside `size`,
+    /// `size` inside the device, and the log must be larger than
+    /// [`LOG_CAPACITY`].
+    fn decode(b: &[u8; BSIZE], nblocks: u32) -> Result<Self, FsError> {
         let w = |i: usize| u32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().unwrap());
-        if w(0) != MAGIC {
+        let [size, nlog, log, ninodes, inodes, bmap, data] =
+            [1, 2, 3, 4, 5, 6, 7].map(|i| w(i) as u64);
+        let bounds = [
+            2,
+            log,
+            log + nlog,
+            inodes,
+            inodes + ninodes.div_ceil(IPB as u64),
+            bmap,
+            bmap + size.div_ceil(BSIZE as u64 * 8),
+            data,
+            size,
+            nblocks.into(),
+        ];
+        if w(0) != MAGIC || nlog <= LOG_CAPACITY as u64 || !bounds.is_sorted() {
             return Err(FsError::BadSuperblock);
         }
         Ok(Superblock {
@@ -184,10 +204,15 @@ impl<D: BlockDevice> FileSystem<D> {
     }
 
     /// Mounts an existing file system, replaying any committed log.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::BadSuperblock`] if block 1 is not a superblock whose
+    /// geometry fits the device.
     pub fn mount(mut dev: D) -> Result<Self, FsError> {
         let mut sb_block = [0u8; BSIZE];
         dev.read_block(1, &mut sb_block);
-        let sb = Superblock::decode(&sb_block)?;
+        let sb = Superblock::decode(&sb_block, dev.nblocks())?;
         Log::recover(sb.logstart, &mut dev);
         Ok(FileSystem {
             dev,

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use sb_fs::{
-    blockdev::{CrashDisk, RamDisk},
+    blockdev::{BlockDevice, CrashDisk, RamDisk},
     fs::ROOT_INUM,
     FileSystem, FsError, BSIZE,
 };
@@ -150,6 +150,82 @@ fn mount_garbage_fails() {
         FileSystem::mount(RamDisk::new(64)),
         Err(FsError::BadSuperblock)
     ));
+}
+
+/// A fresh 64-block image (35 metadata blocks, 16 inodes) whose
+/// superblock word `word` (1 = `size` … 7 = `datastart`, as encoded)
+/// reads `value`.
+fn corrupt(word: usize, value: u32) -> RamDisk {
+    let mut disk = FileSystem::mkfs(RamDisk::new(64), 16).into_device();
+    let mut sb = [0u8; BSIZE];
+    disk.read_block(1, &mut sb);
+    sb[word * 4..word * 4 + 4].copy_from_slice(&value.to_le_bytes());
+    disk.write_block(1, &sb);
+    disk
+}
+
+/// Mounts `disk` and then uses it past full: 200 files created, each
+/// written 4 blocks long, whatever fails. Each corrupted geometry below
+/// but `datastart` panicked somewhere in here before `mount` checked the
+/// superblock against the device.
+fn mount_and_fill(disk: RamDisk) -> Result<(), FsError> {
+    let mut fs = FileSystem::mount(disk)?;
+    for i in 0..200 {
+        if let Ok(f) = fs.create(&format!("/f{i}")) {
+            let _ = fs.write_at(f, 0, &[i as u8; 4 * BSIZE]);
+        }
+    }
+    Ok(())
+}
+
+/// `corrupt(word, value)` is refused at mount, with the typed error.
+fn assert_refused(word: usize, value: u32) {
+    assert_eq!(
+        mount_and_fill(corrupt(word, value)),
+        Err(FsError::BadSuperblock)
+    );
+}
+
+#[test]
+fn an_intact_superblock_mounts_and_fills_to_no_space() {
+    assert_eq!(mount_and_fill(corrupt(1, 64)), Ok(()));
+}
+
+#[test]
+fn a_size_beyond_the_device_is_a_bad_superblock() {
+    assert_refused(1, 128);
+}
+
+#[test]
+fn a_log_no_larger_than_its_capacity_is_a_bad_superblock() {
+    assert_refused(2, sb_fs::log::LOG_CAPACITY as u32);
+}
+
+#[test]
+fn a_log_start_beyond_the_device_is_a_bad_superblock() {
+    assert_refused(3, 64);
+}
+
+#[test]
+fn more_inodes_than_the_inode_blocks_hold_is_a_bad_superblock() {
+    assert_refused(4, 1024);
+}
+
+#[test]
+fn an_inode_start_beyond_the_device_is_a_bad_superblock() {
+    assert_refused(5, 64);
+}
+
+#[test]
+fn a_bitmap_start_beyond_the_device_is_a_bad_superblock() {
+    assert_refused(6, 64);
+}
+
+/// Nothing reads `datastart` after `mkfs`, so a corrupt one never
+/// panicked; it is refused with the rest of the geometry all the same.
+#[test]
+fn a_data_start_beyond_the_device_is_a_bad_superblock() {
+    assert_refused(7, 65);
 }
 
 #[test]

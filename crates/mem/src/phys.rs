@@ -1,11 +1,14 @@
 //! Sparse host physical memory and frame allocation.
 //!
 //! Models the 16 GiB of RAM in the paper's test machine as a sparse map of
-//! 4 KiB frames allocated on first touch. Two bump allocators partition the
-//! address space the way the Rootkernel does (§4.1): a small reserved region
-//! (100 MiB) that holds the Rootkernel's own structures — EPT pages above
-//! all — and the rest, which the base EPT identity-maps to the Subkernel
-//! with 1 GiB pages.
+//! 4 KiB frames. Two bump allocators partition the address space the way
+//! the Rootkernel does (§4.1): a small reserved region (100 MiB) that holds
+//! the Rootkernel's own structures — EPT pages above all — and the rest,
+//! which the base EPT identity-maps to the Subkernel with 1 GiB pages.
+//!
+//! Host memory follows the bytes the simulation writes, not the frames it
+//! allocates: an allocated frame reads as zeros from one shared zero frame
+//! until its first write materialises it (DESIGN.md §19).
 
 use std::cell::{Cell, Ref, RefCell};
 
@@ -26,6 +29,15 @@ pub const TOTAL_BYTES: u64 = 16 * 1024 * 1024 * 1024;
 const _: () = assert!(TOTAL_BYTES <= 1 << sb_sim::PADDR_BITS);
 
 type Frame = [u8; PAGE_SIZE as usize];
+
+/// What every allocated frame reads as until its first write.
+static ZERO: Frame = [0; PAGE_SIZE as usize];
+
+/// `[start, end)` of each region an allocator hands frames out of: the
+/// reserved (Rootkernel) one, whose frame 0 is never handed out so that a
+/// zero page-table root can be used as a "none" sentinel, and the general
+/// one.
+const REGIONS: [(u64, u64); 2] = [(PAGE_SIZE, RESERVED_BYTES), (RESERVED_BYTES, TOTAL_BYTES)];
 
 /// Frames per second-level chunk (2 MiB of address space).
 const CHUNK_FRAMES: usize = 512;
@@ -73,10 +85,9 @@ pub struct HostMem {
     chunks: Vec<Option<Box<Chunk>>>,
     /// Frames currently materialized.
     resident: usize,
-    /// Next free frame in the reserved (Rootkernel) region.
-    next_reserved: u64,
-    /// Next free frame in the general region.
-    next_general: u64,
+    /// Next free frame of each of [`REGIONS`]: everything below it, down
+    /// to the region's start, is allocated.
+    next: [u64; 2],
     /// The successful page walks [`crate::walk`] vouches for, direct-mapped
     /// by key; empty until the first one.
     walks: RefCell<Vec<MemoWalk>>,
@@ -91,13 +102,9 @@ pub struct HostMem {
 
 impl HostMem {
     /// Creates empty memory with both allocators at their region starts.
-    ///
-    /// Frame 0 of the general region is intentionally skipped so that a
-    /// zero page-table root can be used as a "none" sentinel.
     pub fn new() -> Self {
         HostMem {
-            next_reserved: PAGE_SIZE,
-            next_general: RESERVED_BYTES,
+            next: REGIONS.map(|(start, _)| start),
             ..Default::default()
         }
     }
@@ -108,14 +115,7 @@ impl HostMem {
     ///
     /// Panics if the reserved region (100 MiB) is exhausted.
     pub fn alloc_reserved_frame(&mut self) -> Hpa {
-        let hpa = Hpa(self.next_reserved);
-        assert!(
-            hpa.0 + PAGE_SIZE <= RESERVED_BYTES,
-            "Rootkernel reserved region exhausted"
-        );
-        self.next_reserved += PAGE_SIZE;
-        self.frame_mut(hpa).fill(0);
-        hpa
+        self.alloc(0, "Rootkernel reserved region exhausted")
     }
 
     /// Allocates a zeroed frame in the general (Subkernel-visible) region.
@@ -127,13 +127,19 @@ impl HostMem {
     ///
     /// Panics if the 16 GiB of modeled RAM are exhausted.
     pub fn alloc_frame(&mut self) -> Hpa {
-        let hpa = Hpa(self.next_general);
-        assert!(
-            hpa.0 + PAGE_SIZE <= TOTAL_BYTES,
-            "physical memory exhausted"
-        );
-        self.next_general += PAGE_SIZE;
-        self.frame_mut(hpa).fill(0);
+        self.alloc(1, "physical memory exhausted")
+    }
+
+    /// The next frame of region `r`. It costs the host nothing until its
+    /// first write; one a stray write already materialised is zeroed in
+    /// place, through the accessor that notices a write to a watched frame.
+    fn alloc(&mut self, r: usize, exhausted: &str) -> Hpa {
+        let hpa = Hpa(self.next[r]);
+        assert!(hpa.0 + PAGE_SIZE <= REGIONS[r].1, "{exhausted}");
+        self.next[r] += PAGE_SIZE;
+        if self.resident_frame(hpa).is_some() {
+            self.frame_mut(hpa).fill(0);
+        }
         hpa
     }
 
@@ -157,15 +163,23 @@ impl HostMem {
         (page / CHUNK_FRAMES, page % CHUNK_FRAMES)
     }
 
-    fn frame(&self, hpa: Hpa) -> &Frame {
+    fn resident_frame(&self, hpa: Hpa) -> Option<&Frame> {
         let (chunk, slot) = Self::index(hpa);
-        self.chunks
-            .get(chunk)
-            .and_then(|c| c.as_ref()?.frames[slot].as_deref())
-            .unwrap_or_else(|| panic!("access to unallocated frame {hpa:?}"))
+        self.chunks.get(chunk)?.as_ref()?.frames[slot].as_deref()
     }
 
-    /// The frame holding `hpa`, materialized zeroed on first touch: the
+    /// The bytes of the frame holding `hpa`: the shared zero frame for an
+    /// allocated frame nothing has written yet.
+    fn frame(&self, hpa: Hpa) -> &Frame {
+        let r = !Self::is_reserved(hpa) as usize;
+        match self.resident_frame(hpa) {
+            Some(frame) => frame,
+            None if (REGIONS[r].0..self.next[r]).contains(&hpa.0) => &ZERO,
+            None => panic!("access to unallocated frame {hpa:?}"),
+        }
+    }
+
+    /// The frame holding `hpa`, materialized zeroed on first write: the
     /// one way to a frame's bytes for everything that writes, so the one
     /// place that has to notice a write to a watched frame.
     fn frame_mut(&mut self, hpa: Hpa) -> &mut Frame {
@@ -253,12 +267,11 @@ impl HostMem {
             let off = addr.page_offset() as usize;
             let n = (PAGE_SIZE as usize - off).min(buf.len() - done);
             let (dst, src) = (&mut buf[done..done + n], &self.frame(addr)[off..off + n]);
-            // A word (a key, a list entry) and a line (a record) are what
-            // the call path reads: at a length the compiler can see they
-            // move by value, not through libc.
+            // A word (a key, a list entry) is what the call path reads: at
+            // a length the compiler can see it moves by value, not through
+            // libc.
             match n {
                 8 => dst[..8].copy_from_slice(&src[..8]),
-                64 => dst[..64].copy_from_slice(&src[..64]),
                 _ => dst.copy_from_slice(src),
             }
             addr = addr.add(n as u64);
@@ -279,7 +292,7 @@ impl HostMem {
         }
     }
 
-    /// Number of frames currently materialized.
+    /// Number of frames currently materialized: written at least once.
     pub fn resident_frames(&self) -> usize {
         self.resident
     }
@@ -295,7 +308,7 @@ fn walk_slot((cr3, root, vpn): WalkKey, slots: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     use proptest::prelude::*;
 
@@ -315,16 +328,20 @@ mod tests {
     }
 
     /// The `HashMap` of frames the page directory replaced, as the
-    /// reference: page number → contents.
+    /// reference: page number → contents of every frame written so far,
+    /// and the allocated frames, which read as zeros until written.
     #[derive(Default)]
     struct RefMem {
         frames: HashMap<u64, Vec<u8>>,
+        allocated: HashSet<u64>,
     }
 
     impl RefMem {
         fn alloc(&mut self, hpa: Hpa) {
-            self.frames
-                .insert(hpa.page_number(), vec![0; PAGE_SIZE as usize]);
+            self.allocated.insert(hpa.page_number());
+            if let Some(frame) = self.frames.get_mut(&hpa.page_number()) {
+                frame.fill(0);
+            }
         }
 
         fn byte(&mut self, at: u64) -> &mut u8 {
@@ -335,8 +352,15 @@ mod tests {
             &mut frame[(at % PAGE_SIZE) as usize]
         }
 
+        fn read(&self, at: u64) -> u8 {
+            self.frames
+                .get(&(at / PAGE_SIZE))
+                .map_or(0, |frame| frame[(at % PAGE_SIZE) as usize])
+        }
+
         fn all_present(&self, at: u64, len: u64) -> bool {
-            (at / PAGE_SIZE..=(at + len - 1) / PAGE_SIZE).all(|p| self.frames.contains_key(&p))
+            (at / PAGE_SIZE..=(at + len - 1) / PAGE_SIZE)
+                .all(|p| self.frames.contains_key(&p) || self.allocated.contains(&p))
         }
     }
 
@@ -355,7 +379,8 @@ mod tests {
 
         /// Interleaved allocations, writes and reads across frame and
         /// chunk borders read back exactly what a `HashMap` of frames
-        /// holds, and `resident_frames` counts exactly its entries.
+        /// holds, and `resident_frames` counts exactly its entries: the
+        /// frames written, not the frames allocated.
         #[test]
         fn page_directory_matches_a_hashmap_of_frames(
             ops in proptest::collection::vec(
@@ -380,12 +405,13 @@ mod tests {
                             *model.byte(at + i as u64) = b;
                         }
                     }
-                    // Reading an unallocated frame panics, as it always
-                    // has; only fully present spans are read back.
+                    // Reading an unallocated, unwritten frame panics, as
+                    // it always has; only fully present spans are read
+                    // back.
                     _ if model.all_present(at, len) => {
                         let mut got = vec![0u8; len as usize];
                         mem.read_slice(Hpa(at), &mut got);
-                        let want: Vec<u8> = (0..len).map(|i| *model.byte(at + i)).collect();
+                        let want: Vec<u8> = (0..len).map(|i| model.read(at + i)).collect();
                         prop_assert_eq!(got, want);
                     }
                     _ => {}
@@ -404,6 +430,40 @@ mod tests {
         assert_eq!(f.0, RESERVED_BYTES);
         assert_eq!(m.read_u64(f.add(8)), 0);
         assert_eq!(m.resident_frames(), 1);
+    }
+
+    #[test]
+    fn an_allocated_unwritten_frame_reads_zeros_and_is_not_resident() {
+        let mut m = HostMem::new();
+        let (r, g) = (m.alloc_reserved_frame(), m.alloc_frame());
+        let mut buf = [1u8; PAGE_SIZE as usize];
+        m.read_slice(g, &mut buf);
+        assert!(buf.iter().all(|&b| b == 0));
+        assert_eq!((m.read_u64(r), m.read_u64(g.add(PAGE_SIZE - 8))), (0, 0));
+        assert_eq!(m.resident_frames(), 0);
+    }
+
+    #[test]
+    fn a_first_write_materialises_exactly_one_frame() {
+        let mut m = HostMem::new();
+        let frames: Vec<Hpa> = (0..4).map(|_| m.alloc_frame()).collect();
+        m.write_slice(frames[1].add(100), &[7; 64]);
+        assert_eq!(m.resident_frames(), 1);
+        m.write_u64(frames[1].add(8), 9);
+        assert_eq!(m.resident_frames(), 1, "a second write reuses the frame");
+        let mut line = [0u8; 64];
+        m.read_slice(frames[1].add(100), &mut line);
+        assert_eq!(line, [7; 64]);
+        assert_eq!(m.read_u64(frames[2]), 0);
+        assert_eq!(m.resident_frames(), 1, "a read materialises nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated frame")]
+    fn reading_past_the_last_allocated_frame_still_panics() {
+        let mut m = HostMem::new();
+        let f = m.alloc_frame();
+        m.read_u64(f.add(PAGE_SIZE));
     }
 
     #[test]

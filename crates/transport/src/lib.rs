@@ -15,7 +15,9 @@
 //! Every wire-staging transport keeps its lanes in one [`Envelope`]: the
 //! staging images, the copy meter, the recorder and the `Call` span, the
 //! stale-reply seam and the reply-corr check. Each kernel-backed one
-//! serves the same record work ([`ServiceSpec::serve_record`]). What a
+//! serves the same record work ([`ServiceSpec::serve_record`]: one
+//! 64-byte record line charged as a read or a write, no host bytes
+//! moved). What a
 //! personality owns is its crossing alone: [`TrapIpcTransport`]'s
 //! `ipc_call`/`ipc_reply`, [`MpkTransport`]'s `WRPKRU` pair,
 //! [`FixedServiceTransport`]'s clock bump, and — in `sb-runtime`, which

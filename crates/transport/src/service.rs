@@ -59,7 +59,13 @@ impl ServiceSpec {
 
     /// The record service of one request, run by `tid` inside the server
     /// domain: the wire `payload`'s key picks a record line, the op tag
-    /// reads or writes it, and the fixed compute follows.
+    /// charges a read or a write of it, and the fixed compute follows.
+    ///
+    /// The line is touched, not copied: the translation, TLB and cache
+    /// charge is [`Kernel::user_read`]'s / [`Kernel::user_write`]'s, but
+    /// no host bytes move, so the record heap stays the shared zero frame
+    /// of `sb-mem` and costs the host nothing however many records it
+    /// spans.
     #[inline]
     pub fn serve_record(
         &self,
@@ -69,12 +75,12 @@ impl ServiceSpec {
     ) -> Result<(), MemFault> {
         let key = u64::from_le_bytes(payload[..8].try_into().expect("wire payload"));
         let at = DATA_BASE.add((key % self.records.max(1)) * RECORD_LINE as u64);
-        let mut line = [0u8; RECORD_LINE];
-        if payload[OP_TAG_OFFSET] == 1 {
-            k.user_write(tid, at, &line)?;
+        let access = if payload[OP_TAG_OFFSET] == 1 {
+            Access::Write
         } else {
-            k.user_read(tid, at, &mut line)?;
-        }
+            Access::Read
+        };
+        k.user_touch(tid, at, RECORD_LINE, access)?;
         k.compute(tid, self.cpu);
         Ok(())
     }

@@ -309,6 +309,45 @@ fn the_walk_memo_answers_every_steady_state_walk_of_a_connection() {
     });
 }
 
+/// Host memory follows the bytes the simulation writes (DESIGN.md §19):
+/// the record heap is allocated but only ever touched, so a table ten
+/// times larger costs the host only the leaf page tables that map it —
+/// one frame per 512 pages — and no record frame. The same 3 000 YCSB-A
+/// calls, updates included, on a SkyBridge and a trap connection over
+/// 10 000 and 100 000 records; were allocation or a record update to
+/// materialise a frame, the larger table would hold one more per 64
+/// records.
+#[test]
+fn residency_does_not_scale_with_the_record_heap() {
+    fn resident<T: Transport>(mut t: T, kernel: impl Fn(&T) -> &sb_microkernel::Kernel) -> usize {
+        let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+        let mut updates = 0;
+        for _ in 0..3_000 {
+            let req = factory.make(0, None);
+            updates += req.write as usize;
+            t.call(0, &req).expect("served");
+        }
+        assert!(updates > 1_000, "{updates} updates");
+        kernel(&t).mem.resident_frames()
+    }
+    let (small, large) = (
+        ServiceSpec::default(),
+        ServiceSpec::default().with_records(100_000),
+    );
+    let tables = large.data_pages().div_ceil(512) - small.data_pages().div_ceil(512);
+    assert_eq!(
+        resident(SkyBridgeTransport::new(1, &large), |t| &t.k),
+        resident(SkyBridgeTransport::new(1, &small), |t| &t.k) + tables,
+        "skybridge"
+    );
+    let trap = |spec| TrapIpcTransport::new(Personality::sel4(), 1, spec);
+    assert_eq!(
+        resident(trap(&large), |t| &t.k),
+        resident(trap(&small), |t| &t.k) + tables,
+        "sel4"
+    );
+}
+
 /// The same on traffic that walks in earnest: the SkyBridge KV pipeline
 /// at 64-byte keys and values, ≈ 16 nested walks per operation (three
 /// processes' scratch pages thrash the 64-entry d-TLB — Table 1's
