@@ -283,24 +283,26 @@ impl GraphCell {
     /// the cache image. The restored cell's log is empty — it continues
     /// from `snapshot.seq` by serving `log.since(snapshot.seq)`.
     pub fn restore(snapshot: &Snapshot, cache_capacity: usize, link: Option<HopLink>) -> Self {
-        let mut cell = GraphCell::from_disk(snapshot.disk.clone(), cache_capacity, link);
+        let value_len = snapshot.value_len as usize;
+        let mut cell = GraphCell::from_disk(snapshot.disk.clone(), value_len, cache_capacity, link);
         cell.cache = snapshot.cache.clone();
         cell
     }
 
     /// Mounts a cell over an existing disk image (crash recovery: the
     /// WAL replay happens in `mount`, the db journal rollback in
-    /// `open`). The cache tier starts empty — it was volatile.
-    pub fn from_disk(disk: RamDisk, cache_capacity: usize, link: Option<HopLink>) -> Self {
-        let value_len = 0; // each logged Put carries its own length
+    /// `open`). The cache tier starts empty — it was volatile. A write
+    /// the cell admits from here on logs `value_len`, as the live cell's
+    /// did.
+    pub fn from_disk(disk: RamDisk, value_len: usize, cache: usize, link: Option<HopLink>) -> Self {
         let fs = FileSystem::mount(CellDisk::Ram(disk)).expect("mount surviving disk");
         let charged = ChargedFs { fs, link };
         let db = Database::open(charged, CELL_DB_PATH, CELL_CACHE_PAGES).expect("reopen cell db");
         GraphCell {
             db: Some(db),
             cache: BTreeMap::new(),
-            cache_capacity,
-            value_len,
+            cache_capacity: cache,
+            value_len: value_len.try_into().expect("value length fits a u32"),
             log: CommitLog::new(),
             stats: CellStats::default(),
         }
@@ -410,6 +412,7 @@ impl GraphCell {
             seq: self.log.last_seq(),
             disk: disk.clone(),
             cache: self.cache.clone(),
+            value_len: self.value_len,
         };
         let fs = FileSystem::mount(CellDisk::Ram(disk)).expect("remount after snapshot");
         self.db = Some(
@@ -539,7 +542,7 @@ mod tests {
                 live.serve(seq, op);
             }
             let log = live.log.clone();
-            let mut replayed = GraphCell::replay(&snap, log.since(snap.seq), 6);
+            let mut replayed = GraphCell::replay(&snap, &log.since(snap.seq), 6);
             assert_eq!(replayed.cache(), live.cache(), "cache tiers must agree");
             let rows = live.rows();
             assert_eq!(replayed.rows(), rows, "value_len {value_len}");
@@ -550,6 +553,20 @@ mod tests {
                 "replay must reproduce the disk byte-for-byte (value_len {value_len})"
             );
         }
+    }
+
+    #[test]
+    fn a_restored_cell_admits_a_write_as_the_live_cell_does() {
+        let mut live = GraphCell::build(8, 48, 4, None);
+        for i in 0..4u64 {
+            let (seq, op) = live.admit(i + 1, i, true);
+            live.serve(seq, op);
+        }
+        let mut replica = GraphCell::restore(&live.snapshot(), 4, None);
+        let (seq, op) = live.admit(5, 3, true);
+        let (_, replica_op) = replica.admit(5, 3, true);
+        assert_eq!(replica_op, op, "the replica logs the live value length");
+        assert_eq!(replica.serve(seq, replica_op), live.serve(seq, op));
     }
 
     #[test]

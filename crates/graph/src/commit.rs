@@ -9,10 +9,25 @@
 //! sequence, not just the writes. Only [`CommitOp::Put`] entries carry
 //! state; replaying `Get`s merely reproduces the caching side effects.
 //!
-//! An entry is 24 bytes: the correlation id and the operation. Its
-//! sequence number is its 1-based position, and a `Put` records the
-//! value's length, not its bytes — the value is [`value_bytes`] of the
-//! key, the seq and the length, derived where the write is served.
+//! The log is one byte stream, a few bytes an entry instead of the 24
+//! of a decoded [`CommitEntry`]. An entry's sequence number is its
+//! 1-based position, and a `Put` records the value's length, not its
+//! bytes — the value is [`value_bytes`] of the key, the seq and the
+//! length, derived where the write is served. Each entry is:
+//!
+//! * a tag byte with three flags: is it a write; is its `corr` the
+//!   previous entry's plus one; is its length the previous write's;
+//! * the `corr` delta as a zigzag varint, only when the tag does not
+//!   predict it (a new request generator restarts its ids at 0, so a
+//!   delta can go backwards or wrap);
+//! * the key as a varint;
+//! * a write's length as a varint, only when it changed.
+//!
+//! A YCSB entry takes about 3 bytes. `Prev::encode` (called by
+//! [`CommitLog::append`]) is the stream's one writer and `Prev::decode`
+//! its one reader. [`CommitLog::since`] and [`CommitLog::digest`] decode
+//! from the start, so `since` returns a `Vec`: its callers are the
+//! replay drills and audits, once per snapshot, not the serving path.
 //!
 //! [`Snapshot`] pairs a log position with the cell's persistent state
 //! (the flushed disk image) and its volatile cache; restoring the
@@ -21,6 +36,7 @@
 //! graph job assert exactly that.
 
 use std::collections::BTreeMap;
+use std::slice::Iter;
 
 use sb_fs::{BlockDevice, RamDisk, BSIZE};
 use sb_transport::opcode;
@@ -76,10 +92,15 @@ pub struct CommitEntry {
     pub op: CommitOp,
 }
 
-/// The append-only commit log of one serving cell.
+/// The append-only commit log of one serving cell: one byte stream in
+/// the format the module doc gives, plus the counts `append` keeps.
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
-    entries: Vec<CommitEntry>,
+    bytes: Vec<u8>,
+    len: u64,
+    writes: u64,
+    /// What the next entry is predicted from.
+    tail: Prev,
 }
 
 impl CommitLog {
@@ -90,41 +111,37 @@ impl CommitLog {
 
     /// Appends `op`, returning its sequence number.
     pub fn append(&mut self, corr: u64, op: CommitOp) -> u64 {
-        self.entries.push(CommitEntry { corr, op });
-        self.last_seq()
+        self.tail.encode(CommitEntry { corr, op }, &mut self.bytes);
+        self.writes += u64::from(op.is_write());
+        self.len += 1;
+        self.len
     }
 
     /// The sequence number of the last entry (0 when empty).
     pub fn last_seq(&self) -> u64 {
-        self.entries.len() as u64
+        self.len
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len as usize
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// All entries, in order (entry `i` has seq `i + 1`).
-    pub fn entries(&self) -> &[CommitEntry] {
-        &self.entries
-    }
-
-    /// Entries *after* position `seq` — what a cell restored from a
-    /// snapshot at `seq` must replay to catch up (the first has seq
-    /// `seq + 1`).
-    pub fn since(&self, seq: u64) -> &[CommitEntry] {
-        let from = (seq as usize).min(self.entries.len());
-        &self.entries[from..]
+    /// Entries *after* position `seq`, decoded — what a cell restored
+    /// from a snapshot at `seq` must replay to catch up (the first has
+    /// seq `seq + 1`). `since(0)` is the whole log.
+    pub fn since(&self, seq: u64) -> Vec<CommitEntry> {
+        self.decode().skip(seq as usize).collect()
     }
 
     /// Number of mutating entries.
     pub fn writes(&self) -> u64 {
-        self.entries.iter().filter(|e| e.op.is_write()).count() as u64
+        self.writes
     }
 
     /// An order-sensitive FNV-1a fingerprint over every entry and every
@@ -132,7 +149,7 @@ impl CommitLog {
     /// must agree on.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        for (seq, e) in (1..).zip(&self.entries) {
+        for (seq, e) in (1..).zip(self.decode()) {
             h.write_u64(seq);
             h.write_u64(e.corr);
             h.write_u64(e.op.key());
@@ -146,10 +163,97 @@ impl CommitLog {
         }
         h.finish()
     }
+
+    /// Every entry, in order, decoded from the start of the stream.
+    fn decode(&self) -> impl Iterator<Item = CommitEntry> + '_ {
+        let (mut prev, mut bytes) = (Prev::default(), self.bytes.iter());
+        (0..self.len).map(move |_| prev.decode(&mut bytes))
+    }
+}
+
+/// Tag flag: the entry is a `Put`.
+const TAG_WRITE: u8 = 1;
+/// Tag flag: `corr` is the previous entry's plus one (no delta follows).
+const TAG_NEXT_CORR: u8 = 2;
+/// Tag flag: the length is the previous write's (none follows; a read
+/// sets it too).
+const TAG_SAME_LEN: u8 = 4;
+
+/// What the stream predicts an entry from: the previous entry's `corr`
+/// and the previous write's length (both 0 before the first). The
+/// writer and every reader carry one each.
+#[derive(Debug, Clone, Copy, Default)]
+struct Prev {
+    corr: u64,
+    len: u32,
+}
+
+impl Prev {
+    /// Appends `e` to `out` and moves past it.
+    fn encode(&mut self, e: CommitEntry, out: &mut Vec<u8>) {
+        let delta = e.corr.wrapping_sub(self.corr) as i64;
+        let zigzag = ((delta << 1) ^ (delta >> 63)) as u64; // +1 is 2
+        let len = match e.op {
+            CommitOp::Put { len, .. } => len,
+            CommitOp::Get { .. } => self.len,
+        };
+        let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+        let tag = flag(e.op.is_write(), TAG_WRITE) | flag(zigzag == 2, TAG_NEXT_CORR);
+        out.push(tag | flag(len == self.len, TAG_SAME_LEN));
+        if zigzag != 2 {
+            put_varint(out, zigzag);
+        }
+        put_varint(out, e.op.key());
+        if len != self.len {
+            put_varint(out, len.into());
+        }
+        (self.corr, self.len) = (e.corr, len);
+    }
+
+    /// Reads the entry `bytes` starts with and moves past it.
+    fn decode(&mut self, bytes: &mut Iter<u8>) -> CommitEntry {
+        let tag = *bytes.next().expect("an entry starts with its tag");
+        let mut varint = || get_varint(bytes);
+        let zigzag = (tag & TAG_NEXT_CORR == 0).then(&mut varint).unwrap_or(2);
+        let delta = (zigzag >> 1) ^ (zigzag & 1).wrapping_neg();
+        let corr = self.corr.wrapping_add(delta);
+        let key = varint();
+        if tag & (TAG_WRITE | TAG_SAME_LEN) == TAG_WRITE {
+            self.len = varint() as u32;
+        }
+        let op = match tag & TAG_WRITE {
+            0 => CommitOp::Get { key },
+            _ => CommitOp::Put { key, len: self.len },
+        };
+        self.corr = corr;
+        CommitEntry { corr, op }
+    }
+}
+
+/// LEB128: seven bits a byte, low first, the high bit set on all but
+/// the last (1 byte below 128, 10 for `u64::MAX`).
+fn put_varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+fn get_varint(bytes: &mut Iter<u8>) -> u64 {
+    let mut x = 0;
+    for (shift, &b) in (0..).step_by(7).zip(bytes) {
+        x |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            break;
+        }
+    }
+    x
 }
 
 /// A restorable point-in-time image of a serving cell: the commit-log
-/// position, the flushed persistent disk, and the volatile cache tier.
+/// position, the flushed persistent disk, the volatile cache tier, and
+/// the value length the cell admits writes at.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The log position the image reflects (every entry `<= seq`
@@ -159,6 +263,8 @@ pub struct Snapshot {
     pub disk: RamDisk,
     /// The cache tier's contents at the snapshot point.
     pub cache: BTreeMap<u64, Vec<u8>>,
+    /// The length a write admitted by the restored cell logs.
+    pub value_len: u32,
 }
 
 /// The deterministic value a write with sequence number `seq` stores
@@ -291,6 +397,45 @@ mod tests {
         assert_ne!(disk_digest(a.clone()), disk_digest(RamDisk::new(8)));
     }
 
+    /// `n` entries of a YCSB mix over 4 096 records with `write_pct` %
+    /// 48-byte writes: sequential `corr`, keys drawn from a Zipfian
+    /// (θ = 0.99) rank table and scrambled as YCSB does (FNV-1a of the
+    /// rank, modulo the record count).
+    fn ycsb_log(n: u64, write_pct: u32) -> CommitLog {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const RECORDS: u64 = 4096;
+        let cdf: Vec<f64> = (1..=RECORDS)
+            .scan(0.0, |sum, rank| {
+                *sum += (rank as f64).powf(-0.99);
+                Some(*sum)
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(42);
+        let mut log = CommitLog::new();
+        for corr in 0..n {
+            let u = rng.gen::<f64>() * cdf[cdf.len() - 1];
+            let key = fnv1a_u64(cdf.partition_point(|&c| c < u) as u64) % RECORDS;
+            let op = if rng.gen_range(0..100) < write_pct {
+                CommitOp::Put { key, len: 48 }
+            } else {
+                CommitOp::Get { key }
+            };
+            log.append(corr, op);
+        }
+        log
+    }
+
+    #[test]
+    fn a_ycsb_entry_costs_at_most_four_bytes() {
+        const N: u64 = 100_000;
+        for (mix, write_pct) in [("YCSB-C", 0), ("YCSB-A", 50)] {
+            let log = ycsb_log(N, write_pct);
+            assert_eq!(log.len() as u64, N);
+            let per_entry = log.bytes.len() as f64 / N as f64;
+            assert!(per_entry <= 4.0, "{mix}: {per_entry:.2} B per entry");
+        }
+    }
+
     /// The log as it was before entries went compact: each entry keeps
     /// its seq, and a write keeps the value admission materialised.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -371,13 +516,31 @@ mod tests {
         }
     }
 
-    /// `(corr, key, Some(len) for a write)`, lengths around the 8-byte
-    /// floor, a typical value and one longer than a db record.
+    /// `(corr, key, Some(len) for a write)`. A `corr` steps from the
+    /// previous one by 0, +1, back, or anywhere (wrapping), or jumps to
+    /// `u64::MAX`, so that a +1 after it wraps to 0. Keys are mostly a
+    /// few small ones (repeats reach the cache), else `u64::MAX` or
+    /// anywhere in `u64` (10-byte varints). Lengths sit around the
+    /// 8-byte floor, a typical value and one longer than a db record.
     fn ops() -> impl Strategy<Value = Vec<(u64, u64, Option<u32>)>> {
+        let corr = prop_oneof![
+            Just((false, 0u64)),
+            Just((false, 1u64)),
+            (1u64..1000).prop_map(|back| (false, back.wrapping_neg())),
+            any::<u64>().prop_map(|step| (false, step)),
+            Just((true, u64::MAX)),
+        ];
+        let key = prop_oneof![0u64..12, 0u64..12, Just(u64::MAX), any::<u64>()];
         let len = prop_oneof![Just(0u32), 1u32..8, Just(8u32), Just(48u32), Just(4096u32)];
-        let op = (any::<u64>(), 0u64..12, any::<bool>(), len);
-        let op = op.prop_map(|(corr, key, write, len)| (corr, key, write.then_some(len)));
-        proptest::collection::vec(op, 0..40)
+        let op = (corr, key, any::<bool>(), len);
+        proptest::collection::vec(op, 0..40).prop_map(|ops| {
+            let mut corr = 0u64;
+            let step = |((at, by), key, write, len): ((bool, u64), u64, bool, u32)| {
+                corr = if at { by } else { corr.wrapping_add(by) };
+                (corr, key, write.then_some(len))
+            };
+            ops.into_iter().map(step).collect()
+        })
     }
 
     proptest! {
@@ -385,13 +548,16 @@ mod tests {
 
         /// The compact log against the materialising one: same digest,
         /// writes, length and tail at every position, and a cell serving
-        /// the compact entries replies with the reference's values.
+        /// the compact entries replies with the reference's values. The
+        /// same history with every length `l` made `u32::MAX - l` (too
+        /// long to materialise) must still decode as appended.
         #[test]
         fn the_compact_log_matches_the_materialising_reference(ops in ops()) {
             const RECORDS: u64 = 8;
             const PRELOAD_LEN: usize = 48;
             let mut log = CommitLog::new();
             let mut reference = RefLog::default();
+            let (mut wide, mut plain) = (CommitLog::new(), Vec::new());
             for &(corr, key, write) in &ops {
                 let op = match write {
                     Some(len) => CommitOp::Put { key, len },
@@ -399,13 +565,24 @@ mod tests {
                 };
                 log.append(corr, op);
                 reference.admit(corr, key, write.map(|len| len as usize));
+                let op = match write {
+                    Some(len) => CommitOp::Put { key, len: u32::MAX - len },
+                    None => op,
+                };
+                wide.append(corr, op);
+                plain.push(CommitEntry { corr, op });
+            }
+            prop_assert_eq!(wide.len(), plain.len());
+            prop_assert_eq!(wide.writes(), log.writes());
+            for s in 0..=plain.len() + 1 {
+                prop_assert_eq!(wide.since(s as u64), &plain[s.min(plain.len())..], "since({})", s);
             }
             prop_assert_eq!(log.len(), reference.entries.len());
             prop_assert_eq!(log.writes(), reference.writes());
             prop_assert_eq!(log.digest(), reference.digest());
             for s in 0..=ops.len() as u64 + 1 {
                 let tail: Vec<RefEntry> =
-                    (s + 1..).zip(log.since(s)).map(|(seq, e)| materialise(seq, e)).collect();
+                    (s + 1..).zip(&log.since(s)).map(|(seq, e)| materialise(seq, e)).collect();
                 prop_assert_eq!(&tail[..], reference.since(s));
             }
 
@@ -413,7 +590,7 @@ mod tests {
             let mut cell = GraphCell::build(RECORDS, PRELOAD_LEN, 4, None);
             let mut rows: BTreeMap<u64, Vec<u8>> =
                 (0..RECORDS).map(|k| (k, value_bytes(k, 0, PRELOAD_LEN))).collect();
-            for (seq, (e, r)) in (1..).zip(log.entries().iter().zip(&reference.entries)) {
+            for (seq, (e, r)) in (1..).zip(log.since(0).iter().zip(&reference.entries)) {
                 let expected = match &r.op {
                     RefOp::Get { key } => rows.get(key).cloned().unwrap_or_default(),
                     RefOp::Put { value, .. } if value.len() >= sb_db::btree::MAX_VALUE => continue,

@@ -191,7 +191,7 @@ pub fn replay_drill(backend: &Backend, ops: u64, seed: u64) -> ReplayDrill {
     let live_digest = disk_digest(cell.into_disk());
 
     let tail = log.since(snapshot.seq);
-    let replica = GraphCell::replay(&snapshot, tail, DRILL_CACHE);
+    let replica = GraphCell::replay(&snapshot, &tail, DRILL_CACHE);
     let cache_match = replica.cache() == &live_cache;
     ReplayDrill {
         label,
@@ -270,16 +270,16 @@ pub fn run_graph_chaos(backend: &Backend, seed: u64, ops: u64) -> GraphChaosOutc
     let cell = t.into_cell();
     let log = cell.log.clone();
     let survivor = cell.into_disk(); // the FaultyDisk's persisted medium
-    let mut recovered = GraphCell::from_disk(survivor, DRILL_CACHE, None);
+    let mut recovered = GraphCell::from_disk(survivor, spec.value_len, DRILL_CACHE, None);
     faults.recover_all(FaultPoint::TornWrite);
     faults.recover_all(FaultPoint::PowerLoss);
     let recovered_seq = recovered.recovered_seq();
     let tail = log.since(recovered_seq);
-    recovered.roll_forward(recovered_seq, tail);
+    recovered.roll_forward(recovered_seq, &tail);
 
     // The reference: the whole log replayed on pristine hardware.
     let mut reference = GraphCell::build(spec.records, spec.value_len, DRILL_CACHE, None);
-    reference.roll_forward(0, log.entries());
+    reference.roll_forward(0, &log.since(0));
 
     let report = faults.report();
     GraphChaosOutcome {
