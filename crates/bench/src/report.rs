@@ -173,8 +173,7 @@ mod tests {
 
     #[test]
     fn escapes_strings() {
-        let mut s = RunStats::new("a\"b\\c\n", 1);
-        s.seal();
+        let s = RunStats::new("a\"b\\c\n", 1);
         let row = run_stats_json(&s).to_string();
         assert!(row.starts_with(r#"{"label":"a\"b\\c\n","#), "{row}");
     }
@@ -205,7 +204,6 @@ mod tests {
         s.start = 0;
         s.end = 1000;
         s.latencies = vec![10, 20, 30].into();
-        s.seal();
         let row = run_stats_json(&s).to_string();
         assert!(row.contains("\"label\":\"sel4\""));
         assert!(row.contains("\"shed_queue_full\":2"));
@@ -226,7 +224,6 @@ mod tests {
             t.completed += 1;
             t.latencies.push(lat);
         }
-        s.seal();
         let row = run_stats_json(&s).to_string();
         assert!(row.contains("\"tenant_count\":2"), "{row}");
         assert!(row.contains("\"tenants_conserved\":true"), "{row}");
@@ -242,7 +239,6 @@ mod tests {
         solo.completed = 1;
         solo.tenant_mut(0).offered += 1;
         solo.tenant_mut(0).completed += 1;
-        solo.seal();
         assert!(!run_stats_json(&solo).to_string().contains("\"tenants\""));
     }
 

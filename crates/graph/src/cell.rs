@@ -280,12 +280,15 @@ impl GraphCell {
 
     /// Restores a cell from a snapshot: mount (replaying any committed
     /// WAL), reopen the database (rolling back any hot journal), adopt
-    /// the cache image. The restored cell's log is empty — it continues
-    /// from `snapshot.seq` by serving `log.since(snapshot.seq)`.
+    /// the cache image. The restored cell's log holds no entry and
+    /// starts at `snapshot.seq`: the cell catches up by serving
+    /// `log.since(snapshot.seq)`, and its first own write is
+    /// `snapshot.seq + 1`, as the live cell's was.
     pub fn restore(snapshot: &Snapshot, cache_capacity: usize, link: Option<HopLink>) -> Self {
         let value_len = snapshot.value_len as usize;
         let mut cell = GraphCell::from_disk(snapshot.disk.clone(), value_len, cache_capacity, link);
         cell.cache = snapshot.cache.clone();
+        cell.log = CommitLog::after(snapshot.seq);
         cell
     }
 
@@ -319,10 +322,14 @@ impl GraphCell {
 
     /// Serves `entries` as log positions `after + 1`, `after + 2`, …:
     /// the replay from a snapshot, or the roll-forward after a crash.
+    /// The cell's log, which must hold no entry of its own, then starts
+    /// past the last of them.
     pub fn roll_forward(&mut self, after: u64, entries: &[CommitEntry]) {
+        assert!(self.log.is_empty(), "a cell rolls forward before it admits");
         for (seq, e) in (after + 1..).zip(entries) {
             self.serve(seq, e.op);
         }
+        self.log = CommitLog::after(after + entries.len() as u64);
     }
 
     fn db_mut(&mut self) -> &mut Database<ChargedFs> {
@@ -564,9 +571,18 @@ mod tests {
         }
         let mut replica = GraphCell::restore(&live.snapshot(), 4, None);
         let (seq, op) = live.admit(5, 3, true);
-        let (_, replica_op) = replica.admit(5, 3, true);
+        let (replica_seq, replica_op) = replica.admit(5, 3, true);
+        assert_eq!(replica_seq, seq, "the replica continues the live numbering");
         assert_eq!(replica_op, op, "the replica logs the live value length");
         assert_eq!(replica.serve(seq, replica_op), live.serve(seq, op));
+
+        // The crash path: remount the disk, roll the log forward from
+        // the persisted point, then admit.
+        let log = live.log.clone();
+        let mut recovered = GraphCell::from_disk(live.into_disk(), 48, 4, None);
+        let persisted = recovered.recovered_seq();
+        recovered.roll_forward(persisted, &log.since(persisted));
+        assert_eq!(recovered.admit(6, 2, true).0, log.last_seq() + 1);
     }
 
     #[test]

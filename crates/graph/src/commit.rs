@@ -11,13 +11,16 @@
 //!
 //! The log is one byte stream, a few bytes an entry instead of the 24
 //! of a decoded [`CommitEntry`]. An entry's sequence number is its
-//! 1-based position, and a `Put` records the value's length, not its
+//! 1-based position after the log's start (0 for a live cell; the
+//! snapshot or recovery point for a restored one, see
+//! [`CommitLog::after`]), and a `Put` records the value's length, not its
 //! bytes — the value is [`value_bytes`] of the key, the seq and the
 //! length, derived where the write is served. Each entry is:
 //!
 //! * a tag byte with three flags: is it a write; is its `corr` the
 //!   previous entry's plus one; is its length the previous write's;
-//! * the `corr` delta as a zigzag varint, only when the tag does not
+//! * the `corr` delta as a zigzag varint ([`sb_observe::put_varint`]'s
+//!   LEB128, as every varint here), only when the tag does not
 //!   predict it (a new request generator restarts its ids at 0, so a
 //!   delta can go backwards or wrap);
 //! * the key as a varint;
@@ -39,6 +42,7 @@ use std::collections::BTreeMap;
 use std::slice::Iter;
 
 use sb_fs::{BlockDevice, RamDisk, BSIZE};
+use sb_observe::{get_varint, put_varint};
 use sb_transport::opcode;
 
 /// One mediated cell operation.
@@ -97,6 +101,8 @@ pub struct CommitEntry {
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
     bytes: Vec<u8>,
+    /// The seq before the first entry held.
+    first: u64,
     len: u64,
     writes: u64,
     /// What the next entry is predicted from.
@@ -109,17 +115,26 @@ impl CommitLog {
         CommitLog::default()
     }
 
+    /// An empty log whose first entry will be `seq + 1`: a cell
+    /// restored at `seq` continues the history it was restored from.
+    pub fn after(seq: u64) -> Self {
+        CommitLog {
+            first: seq,
+            ..CommitLog::default()
+        }
+    }
+
     /// Appends `op`, returning its sequence number.
     pub fn append(&mut self, corr: u64, op: CommitOp) -> u64 {
         self.tail.encode(CommitEntry { corr, op }, &mut self.bytes);
         self.writes += u64::from(op.is_write());
         self.len += 1;
-        self.len
+        self.last_seq()
     }
 
-    /// The sequence number of the last entry (0 when empty).
+    /// The sequence number of the last entry (the start when empty).
     pub fn last_seq(&self) -> u64 {
-        self.len
+        self.first + self.len
     }
 
     /// Number of entries.
@@ -134,9 +149,11 @@ impl CommitLog {
 
     /// Entries *after* position `seq`, decoded — what a cell restored
     /// from a snapshot at `seq` must replay to catch up (the first has
-    /// seq `seq + 1`). `since(0)` is the whole log.
+    /// seq `seq + 1`). `since(0)` is every entry held.
     pub fn since(&self, seq: u64) -> Vec<CommitEntry> {
-        self.decode().skip(seq as usize).collect()
+        self.decode()
+            .skip(seq.saturating_sub(self.first) as usize)
+            .collect()
     }
 
     /// Number of mutating entries.
@@ -149,7 +166,7 @@ impl CommitLog {
     /// must agree on.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        for (seq, e) in (1..).zip(self.decode()) {
+        for (seq, e) in (self.first + 1..).zip(self.decode()) {
             h.write_u64(seq);
             h.write_u64(e.corr);
             h.write_u64(e.op.key());
@@ -228,27 +245,6 @@ impl Prev {
         self.corr = corr;
         CommitEntry { corr, op }
     }
-}
-
-/// LEB128: seven bits a byte, low first, the high bit set on all but
-/// the last (1 byte below 128, 10 for `u64::MAX`).
-fn put_varint(out: &mut Vec<u8>, mut x: u64) {
-    while x >= 0x80 {
-        out.push(x as u8 | 0x80);
-        x >>= 7;
-    }
-    out.push(x as u8);
-}
-
-fn get_varint(bytes: &mut Iter<u8>) -> u64 {
-    let mut x = 0;
-    for (shift, &b) in (0..).step_by(7).zip(bytes) {
-        x |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            break;
-        }
-    }
-    x
 }
 
 /// A restorable point-in-time image of a serving cell: the commit-log

@@ -24,6 +24,8 @@
 //! * [`Json`] — the workspace's one JSON value: the compact writer every
 //!   results file and postmortem bundle goes through, and the strict
 //!   reader ([`Json::parse`]) gates and tests read them back with.
+//! * [`put_varint`] / [`get_varint`] — the one LEB128 codec, shared by
+//!   the graph's commit log and the runtime's latency tracks.
 //!
 //! The crate depends only on `sb-sim`, so every layer of the stack —
 //! transports, the SkyBridge core, the dispatcher, the chaos harness —
@@ -35,6 +37,7 @@ pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod ring;
+pub mod varint;
 
 pub use export::{chrome_trace, validate_recorder_nesting, ChromeTrace};
 pub use hist::{Exemplar, Log2Histogram, DEFAULT_EXEMPLAR_CAPACITY, HIST_RELATIVE_ERROR};
@@ -45,3 +48,4 @@ pub use ring::{
     Event, EventKind, EventRing, FaultCounts, FaultEvent, FaultStage, InstantKind, Recorder,
     SpanKind, DEFAULT_RING_CAPACITY,
 };
+pub use varint::{get_varint, put_varint};

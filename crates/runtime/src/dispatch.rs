@@ -523,7 +523,6 @@ impl<Q: LaneQueue> Runtime<Q> {
             slo.tick(end);
         }
         self.core.fabric.tick(end);
-        stats.seal();
         stats
     }
 

@@ -1,9 +1,11 @@
 //! Run statistics: latency percentiles, throughput, shedding, utilization,
 //! and the per-tenant breakdown.
 
+use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use sb_observe::Log2Histogram;
+use sb_observe::{get_varint, put_varint, Log2Histogram};
 use sb_sim::Cycles;
 use sb_transport::TenantId;
 
@@ -21,18 +23,24 @@ pub const EXACT_LATENCY_CAP: usize = 1 << 16;
 /// [`sb_observe::HIST_RELATIVE_ERROR`] (1/16 ≈ 6.25%, one sub-bucket) —
 /// and memory stays fixed no matter how long the run is. The mean is
 /// exact in both modes.
+///
+/// The verbatim prefix is a byte stream of LEB128 varints in arrival
+/// order ([`sb_observe::put_varint`]: at most 3 B for a latency below
+/// 2²¹ cycles, 10 B at worst), freed by the push that takes the count
+/// past the cap, since nothing reads it after that. The first
+/// percentile read of an exact track decodes and sorts it into a cached
+/// view, which the next push clears.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyTrack {
-    exact: Vec<Cycles>,
+    prefix: Vec<u8>,
+    sorted: OnceCell<Vec<Cycles>>,
     hist: Log2Histogram,
 }
 
 impl LatencyTrack {
     /// Records one latency sample.
     pub fn push(&mut self, v: Cycles) {
-        if self.exact.len() < EXACT_LATENCY_CAP {
-            self.exact.push(v);
-        }
+        self.keep(v);
         self.hist.record(v);
     }
 
@@ -42,14 +50,23 @@ impl LatencyTrack {
     /// there to its trace spans — instead of being an anonymous count.
     /// The first tagged push turns exemplar retention on.
     pub fn push_tagged(&mut self, v: Cycles, corr: u64) {
-        if self.exact.len() < EXACT_LATENCY_CAP {
-            self.exact.push(v);
-        }
+        self.keep(v);
         if self.hist.exemplar_capacity() == 0 {
             self.hist
                 .set_exemplar_capacity(sb_observe::DEFAULT_EXEMPLAR_CAPACITY);
         }
         self.hist.record_tagged(v, corr);
+    }
+
+    /// Adds `v` to the verbatim prefix while the run fits the cap, and
+    /// frees the prefix on the push that outgrows it.
+    fn keep(&mut self, v: Cycles) {
+        match self.len().cmp(&EXACT_LATENCY_CAP) {
+            Ordering::Less => put_varint(&mut self.prefix, v),
+            Ordering::Equal => self.prefix = Vec::new(),
+            Ordering::Greater => return,
+        }
+        self.sorted.take();
     }
 
     /// The retained `(request id, latency)` exemplars, oldest first.
@@ -69,12 +86,7 @@ impl LatencyTrack {
 
     /// Whether percentiles are exact (the run fit the verbatim cap).
     pub fn is_exact(&self) -> bool {
-        self.hist.count() as usize <= self.exact.len()
-    }
-
-    /// Sorts the exact prefix; call once before reading percentiles.
-    pub fn seal(&mut self) {
-        self.exact.sort_unstable();
+        self.len() <= EXACT_LATENCY_CAP
     }
 
     /// Nearest-rank percentile. `p` is clamped into `[0, 100]` (NaN
@@ -84,15 +96,21 @@ impl LatencyTrack {
         if !self.is_exact() {
             return self.hist.percentile(p);
         }
-        let n = self.exact.len();
+        let sorted = self.sorted.get_or_init(|| {
+            let mut bytes = self.prefix.iter();
+            let mut v: Vec<Cycles> = (0..self.len()).map(|_| get_varint(&mut bytes)).collect();
+            v.sort_unstable();
+            v
+        });
+        let n = sorted.len();
         match n {
             0 => return 0,
-            1 => return self.exact[0],
+            1 => return sorted[0],
             _ => {}
         }
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
         let rank = ((p / 100.0) * (n - 1) as f64).round() as usize;
-        self.exact[rank.min(n - 1)]
+        sorted[rank.min(n - 1)]
     }
 
     /// Exact mean (0 when empty).
@@ -200,8 +218,7 @@ pub struct RunStats {
     /// Busy (serving) cycles per lane.
     pub busy: Vec<Cycles>,
     /// Completed-request latencies (exact up to [`EXACT_LATENCY_CAP`]
-    /// samples, bounded histogram beyond), sealed once by the
-    /// dispatcher at end of run.
+    /// samples, bounded histogram beyond).
     pub latencies: LatencyTrack,
     /// Per-tenant breakdown of the counters above (ordered, so reports
     /// and tests iterate deterministically). Single-tenant runs carry
@@ -231,15 +248,6 @@ impl RunStats {
             busy: vec![0; workers],
             latencies: LatencyTrack::default(),
             tenants: BTreeMap::new(),
-        }
-    }
-
-    /// Sorts latencies (global and per-tenant); the dispatcher calls
-    /// this once at the end of a run, before percentiles are read.
-    pub fn seal(&mut self) {
-        self.latencies.seal();
-        for t in self.tenants.values_mut() {
-            t.latencies.seal();
         }
     }
 
@@ -355,13 +363,157 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The track as it was before its prefix became bytes: every sample
+    /// of the first [`EXACT_LATENCY_CAP`] kept as a `u64` for the whole
+    /// run, sorted in place by `seal` before each read.
+    #[derive(Default)]
+    struct VecTrack {
+        exact: Vec<Cycles>,
+        hist: Log2Histogram,
+    }
+
+    impl VecTrack {
+        fn push(&mut self, v: Cycles, corr: Option<u64>) {
+            if self.exact.len() < EXACT_LATENCY_CAP {
+                self.exact.push(v);
+            }
+            let Some(corr) = corr else {
+                return self.hist.record(v);
+            };
+            if self.hist.exemplar_capacity() == 0 {
+                self.hist
+                    .set_exemplar_capacity(sb_observe::DEFAULT_EXEMPLAR_CAPACITY);
+            }
+            self.hist.record_tagged(v, corr);
+        }
+
+        fn seal(&mut self) {
+            self.exact.sort_unstable();
+        }
+
+        fn is_exact(&self) -> bool {
+            self.hist.count() as usize <= self.exact.len()
+        }
+
+        fn percentile(&self, p: f64) -> Cycles {
+            if !self.is_exact() {
+                return self.hist.percentile(p);
+            }
+            let n = self.exact.len();
+            match n {
+                0 => return 0,
+                1 => return self.exact[0],
+                _ => {}
+            }
+            let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
+            let rank = ((p / 100.0) * (n - 1) as f64).round() as usize;
+            self.exact[rank.min(n - 1)]
+        }
+    }
+
+    const PERCENTILES: [f64; 10] = [0., 1., 50., 95., 99., 99.9, 100., -5., 250., f64::NAN];
+
+    /// `(length, value pool, stride, tag every k-th sample (0: never),
+    /// read points modulo length + 1)`: sample `i` is
+    /// `pool[i * stride % pool.len()]`, and the pool mixes the varint
+    /// width edges with arbitrary values.
+    fn runs() -> impl Strategy<Value = (usize, Vec<u64>, usize, usize, Vec<usize>)> {
+        const CAP: usize = EXACT_LATENCY_CAP;
+        let len = prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(2usize),
+            3usize..200,
+            Just(CAP - 1),
+            Just(CAP),
+            Just(CAP + 1),
+            Just(CAP + 1000),
+        ];
+        let value = prop_oneof![
+            Just(0u64),
+            Just(127u64),
+            Just(128u64),
+            Just(1u64 << 21),
+            Just(u64::MAX),
+            0u64..20_000,
+            any::<u64>(),
+        ];
+        let pool = proptest::collection::vec(value, 1..24);
+        let reads = proptest::collection::vec(any::<usize>(), 0..4);
+        (len, pool, 1usize..50, 0usize..4, reads)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The byte prefix against the `Vec` reference: every percentile,
+        /// `is_exact`, `len`, `mean` and the exemplars agree at each read
+        /// point, and reads land between pushes, so a sorted view that a
+        /// push failed to clear reads stale.
+        #[test]
+        fn the_byte_prefix_matches_the_vec_reference((len, pool, stride, tag, reads) in runs()) {
+            let (mut track, mut reference) = (LatencyTrack::default(), VecTrack::default());
+            let mut reads: Vec<usize> = reads.iter().map(|r| r % (len + 1)).collect();
+            reads.extend([len, EXACT_LATENCY_CAP, EXACT_LATENCY_CAP + 1]);
+            reads.sort_unstable();
+            reads.dedup();
+            let mut at = 0;
+            for read in reads.into_iter().filter(|&r| r <= len) {
+                for i in at..read {
+                    let v = pool[i * stride % pool.len()];
+                    let corr = (tag > 0 && i % tag == 0).then_some(i as u64);
+                    match corr {
+                        Some(corr) => track.push_tagged(v, corr),
+                        None => track.push(v),
+                    }
+                    reference.push(v, corr);
+                }
+                at = read;
+                reference.seal();
+                prop_assert_eq!(track.len(), reference.hist.count() as usize);
+                prop_assert_eq!(track.is_exact(), reference.is_exact(), "after {} pushes", read);
+                prop_assert_eq!(track.mean().to_bits(), reference.hist.mean().to_bits());
+                prop_assert_eq!(track.exemplars(), reference.hist.exemplars());
+                for p in PERCENTILES {
+                    prop_assert_eq!(track.percentile(p), reference.percentile(p), "p{} after {} pushes", p, read);
+                }
+            }
+        }
+    }
+
+    /// Past the cap the prefix is gone, not just unread; below it, a
+    /// latency under 2²¹ cycles costs at most 3 bytes.
+    #[test]
+    fn the_prefix_costs_bytes_and_is_freed_at_the_cap() {
+        let mut t = LatencyTrack::default();
+        let mut v: u64 = 5;
+        for _ in 0..10_000 {
+            t.push(v % (1 << 21));
+            v = (v * 48_271) % 2_147_483_647;
+        }
+        assert!(t.prefix.len() <= 3 * 10_000, "{} B", t.prefix.len());
+        assert!(t.percentile(50.0) > 0 && t.sorted.get().is_some());
+        for _ in 10_000..EXACT_LATENCY_CAP {
+            t.push(v % (1 << 21));
+        }
+        assert!(t.is_exact() && !t.prefix.is_empty());
+        t.push(1);
+        assert!(!t.is_exact());
+        assert_eq!(
+            t.prefix.capacity(),
+            0,
+            "the prefix still holds its allocation"
+        );
+        assert!(t.sorted.get().is_none(), "the sorted view outlived the cap");
+    }
 
     #[test]
     fn percentiles_on_known_data() {
         let mut s = RunStats::new("t", 1);
         s.latencies = (0..100).rev().collect::<Vec<Cycles>>().into();
         s.completed = 100;
-        s.seal();
         assert_eq!(s.p50(), 50);
         assert_eq!(s.p99(), 98);
         assert_eq!(s.percentile(0.0), 0);
@@ -384,7 +536,6 @@ mod tests {
         let mut s = RunStats::new("t", 1);
         s.latencies = vec![42].into();
         s.completed = 1;
-        s.seal();
         for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
             assert_eq!(s.percentile(p), 42);
         }
@@ -395,7 +546,6 @@ mod tests {
     fn out_of_range_percentiles_clamp() {
         let mut s = RunStats::new("t", 1);
         s.latencies = vec![1, 2, 3, 4, 5].into();
-        s.seal();
         assert_eq!(s.percentile(-10.0), 1, "below 0 clamps to the minimum");
         assert_eq!(s.percentile(250.0), 5, "above 100 clamps to the maximum");
         assert_eq!(s.percentile(f64::NAN), 1, "NaN reads as the minimum");
@@ -414,7 +564,6 @@ mod tests {
             exact.push(v);
             v = (v * 48_271) % 2_147_483_647; // Lehmer stream, wide range.
         }
-        t.seal();
         exact.sort_unstable();
         assert!(!t.is_exact(), "past the cap the track is histogram-only");
         assert_eq!(t.len(), n, "the count still sees every sample");
@@ -437,7 +586,6 @@ mod tests {
         for v in [30u64, 10, 20] {
             t.push(v);
         }
-        t.seal();
         assert!(t.is_exact());
         assert_eq!(t.percentile(0.0), 10);
         assert_eq!(t.percentile(50.0), 20);
@@ -459,7 +607,6 @@ mod tests {
             s.completed += completed;
             s.shed_rate_limit += shed_rl;
         }
-        s.seal();
         assert!(s.tenants_conserved());
         assert_eq!(s.shed(), 3, "rate-limit sheds count as sheds");
         let top = s.top_tenants(2);

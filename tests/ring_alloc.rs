@@ -137,9 +137,9 @@ fn allocations_of_a_run(requests: usize) -> u64 {
 
 /// Doubling the run must not double the allocations: what is left is
 /// set-up (fabric, rows, histograms — identical in both runs) plus the
-/// `LatencyTrack` exact-prefix doublings, one more per track that
-/// crosses a power of two between 20 000 and 40 000 samples (the
-/// global track and at most each of the eight tenant tracks).
+/// `LatencyTrack` exact-prefix doublings, one more per track whose
+/// varint bytes cross a power of two between 20 000 and 40 000 samples
+/// (the global track and at most each of the eight tenant tracks).
 #[test]
 fn steady_state_serving_allocates_nothing_per_request() {
     let short = allocations_of_a_run(20_000);
