@@ -1,10 +1,10 @@
-//! Machine-readable benchmark output: the row emitters for
-//! runtime/chaos results and the results-file writer.
+//! Machine-readable benchmark output: the row emitters for chaos
+//! results and the results-file writer.
 //!
 //! Every file is rendered by [`sb_observe::Json`], the workspace's one
-//! JSON value. Measurement crates (`sb-runtime`, the scenario modules)
-//! stay serialization-free; their result structs are rendered to rows
-//! here.
+//! JSON value. A run's row is `sb_runtime::run_stats_json`, its one
+//! renderer, which a postmortem bundle below this crate embeds too; the
+//! scenario modules' other result structs are rendered to rows here.
 
 use std::{
     fs, io,
@@ -12,68 +12,9 @@ use std::{
 };
 
 use sb_observe::Json;
-use sb_runtime::RunStats;
+use sb_runtime::run_stats_json;
 use sb_sentinel::BundleReceipt;
 use skybridge_repro::scenarios::chaos::{ChaosOutcome, FsChaosOutcome};
-
-/// How many of a run's busiest tenants get their own row in the JSON
-/// report.
-const TOP_TENANTS: usize = 8;
-
-/// One runtime run as a JSON object (`results/*.json` rows).
-///
-/// Multi-tenant runs additionally carry a `tenants` array — the
-/// [`TOP_TENANTS`] busiest tenants by offered load, each with its own
-/// conservation ledger and p99 — plus the per-tenant conservation
-/// verdict for the whole run. Single-tenant runs stay compact (no
-/// per-tenant section), keeping historical report shapes unchanged.
-pub fn run_stats_json(s: &RunStats) -> Json {
-    let mut row = Json::obj()
-        .field("label", s.label.as_str())
-        .field("workers", s.workers)
-        .field("offered", s.offered)
-        .field("completed", s.completed)
-        .field("shed_queue_full", s.shed_queue_full)
-        .field("shed_deadline", s.shed_deadline)
-        .field("shed_rate_limit", s.shed_rate_limit)
-        .field("timed_out", s.timed_out)
-        .field("failed", s.failed)
-        .field("retries", s.retries)
-        .field("recoveries", s.recoveries)
-        .field("bytes_copied", s.bytes_copied)
-        .field("window_cycles", s.window())
-        .field("throughput_per_mcycle", s.throughput_per_mcycle())
-        .field("latency_mean", s.mean())
-        .field("latency_p50", s.p50())
-        .field("latency_p95", s.p95())
-        .field("latency_p99", s.p99())
-        .field("max_queue_depth", s.max_queue_depth)
-        .field("utilization", s.utilization());
-    if s.tenants.len() > 1 {
-        let rows: Vec<Json> = s
-            .top_tenants(TOP_TENANTS)
-            .into_iter()
-            .map(|(id, t)| {
-                Json::obj()
-                    .field("tenant", u64::from(id))
-                    .field("offered", t.offered)
-                    .field("completed", t.completed)
-                    .field("shed_queue_full", t.shed_queue_full)
-                    .field("shed_deadline", t.shed_deadline)
-                    .field("shed_rate_limit", t.shed_rate_limit)
-                    .field("timed_out", t.timed_out)
-                    .field("failed", t.failed)
-                    .field("latency_p50", t.percentile(50.0))
-                    .field("latency_p99", t.p99())
-            })
-            .collect();
-        row = row
-            .field("tenant_count", s.tenants.len())
-            .field("tenants_conserved", s.tenants_conserved())
-            .field("tenants", Json::Arr(rows));
-    }
-    row
-}
 
 /// Where a postmortem bundle went and what it holds. The path is the
 /// bundle's place in a results tree, `results/postmortem/<file>`,
@@ -156,6 +97,7 @@ pub fn write(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_runtime::RunStats;
 
     #[test]
     fn renders_nested_values() {
@@ -240,6 +182,47 @@ mod tests {
         solo.tenant_mut(0).offered += 1;
         solo.tenant_mut(0).completed += 1;
         assert!(!run_stats_json(&solo).to_string().contains("\"tenants\""));
+    }
+
+    /// An incident bundle keeps each fact once: on a trap kernel and on
+    /// MPK it reads back as schema v2 with no `metrics` block, a `run`
+    /// block whose bytes are the chaos row's `run`, and every PMU
+    /// counter, MPK's `wrpkru_writes` among them.
+    #[test]
+    fn a_bundle_holds_the_chaos_rows_run_and_every_pmu_counter() {
+        use sb_microkernel::Personality;
+        use sb_sentinel::{PostmortemSpec, SCHEMA};
+        use skybridge_repro::scenarios::{chaos::run_postmortem_drill, runtime::Backend};
+
+        let dir = std::env::temp_dir().join(format!("sb-bench-bundle-{}", std::process::id()));
+        let spec = PostmortemSpec::in_dir(&dir);
+        assert_eq!(SCHEMA, "sb-postmortem-v2");
+        for backend in [Backend::Trap(Personality::sel4()), Backend::Mpk] {
+            let out = run_postmortem_drill(&backend, 0xd811, 60, &spec);
+            let receipt = out.postmortem.as_ref().expect("the drill writes a bundle");
+            let bundle = receipt.read_back().expect("schema-clean");
+            assert!(bundle.get("metrics").is_none(), "{}", backend.label());
+            let row = chaos_outcome_json(&out, "drill", 0xd811);
+            assert_eq!(
+                bundle.get("run").map(Json::to_string),
+                row.get("run").map(Json::to_string),
+                "{}",
+                backend.label()
+            );
+            let Some(Json::Obj(pmu)) = bundle.get("pmu") else {
+                panic!("{}: no pmu block", backend.label())
+            };
+            assert_eq!(pmu.len(), 14, "{}", backend.label());
+            let wrpkru = bundle.get("pmu").and_then(|p| p.get("wrpkru_writes"));
+            let mpk = matches!(backend, Backend::Mpk);
+            assert_eq!(
+                matches!(wrpkru, Some(Json::U64(n)) if *n > 0),
+                mpk,
+                "{}: wrpkru_writes {wrpkru:?}",
+                backend.label()
+            );
+        }
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -19,11 +19,10 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::report::run_stats_json;
 use crate::Artefact;
 use sb_graph::GraphSpec;
 use sb_observe::{Json, Recorder};
-use sb_runtime::{RuntimeConfig, Transport};
+use sb_runtime::{run_stats_json, RuntimeConfig, Transport};
 use sb_sentinel::assemble;
 use sb_ycsb::WorkloadSpec;
 use skybridge_repro::scenarios::graph::{

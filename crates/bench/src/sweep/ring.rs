@@ -17,10 +17,9 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::report::run_stats_json;
 use crate::{calibrate, Artefact};
 use sb_observe::Json;
-use sb_runtime::{RingConfig, RuntimeConfig};
+use sb_runtime::{run_stats_json, RingConfig, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{
     run_open_loop, run_ring_open_loop, Backend, ServingScenario,
 };

@@ -22,10 +22,9 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::report::run_stats_json;
 use crate::{calibrate, traced_backend, Artefact};
 use sb_observe::{chrome_trace, Json, Recorder};
-use sb_runtime::RuntimeConfig;
+use sb_runtime::{run_stats_json, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{ops_per_sec, run_open_loop, Backend, ServingScenario};
 
 /// Arrivals per sweep cell (and in the `SB_TRACE` cell).

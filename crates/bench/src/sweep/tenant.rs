@@ -26,12 +26,11 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::report::run_stats_json;
 use crate::{calibrate, Artefact};
 use sb_observe::Json;
 use sb_runtime::{
-    PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime, TenantId,
-    TenantRegistry, TenantSpec,
+    run_stats_json, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
+    TenantId, TenantRegistry, TenantSpec,
 };
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 use skybridge_repro::scenarios::tenant::run_noisy_neighbor;

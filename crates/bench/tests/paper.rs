@@ -225,13 +225,13 @@ fn no_cell_is_further_from_the_paper_than_its_band() {
     );
 }
 
-/// The entries a debug build runs in seconds, longest first: every gated
-/// sweep (~22 s CPU; `profile` ~10 s) and six paper artefacts (~6 s),
-/// ~10 s wall on two cores. `table4`, `figure9_11`, `table5`, `table6`
-/// and `ablations` (1.5-33 s each release-built, `table5` 42 s in debug)
-/// are left to `tools/regen_results.sh`.
-const REDERIVED: &str = "profile tenant graph runtime_scaling ring chaos sentinel \
-                         table1 figure2 table2 table3 figure7 figure8";
+/// The entries Tier-1's optimised test build runs in seconds, longest
+/// first: every gated sweep and nine paper artefacts. `table6` waits
+/// for a digest of the host files it scans, and `figure9_11` (~27 s)
+/// for its cells to run in parallel; both are left to
+/// `tools/regen_results.sh`.
+const REDERIVED: &str = "table4 profile tenant graph runtime_scaling ring chaos sentinel \
+                         table5 ablations table1 figure2 table2 table3 figure7 figure8";
 
 /// A moved figure or a broken property fails here by name: each cheap
 /// entry, run in-process with a scratch results directory (where

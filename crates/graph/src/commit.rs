@@ -43,7 +43,6 @@ use std::slice::Iter;
 
 use sb_fs::{BlockDevice, RamDisk, BSIZE};
 use sb_observe::{get_varint, put_varint};
-use sb_transport::opcode;
 
 /// One mediated cell operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,15 +73,6 @@ impl CommitOp {
     /// Whether the operation mutates the cell.
     pub fn is_write(&self) -> bool {
         matches!(self, CommitOp::Put { .. })
-    }
-
-    /// The client-facing wire opcode of this operation.
-    pub fn opcode(&self) -> u8 {
-        if self.is_write() {
-            opcode::WRITE
-        } else {
-            opcode::READ
-        }
     }
 }
 
@@ -230,7 +220,7 @@ impl Prev {
     /// Reads the entry `bytes` starts with and moves past it.
     fn decode(&mut self, bytes: &mut Iter<u8>) -> CommitEntry {
         let tag = *bytes.next().expect("an entry starts with its tag");
-        let mut varint = || get_varint(bytes);
+        let mut varint = || get_varint(bytes).expect("the log decodes only what `encode` wrote");
         let zigzag = (tag & TAG_NEXT_CORR == 0).then(&mut varint).unwrap_or(2);
         let delta = (zigzag >> 1) ^ (zigzag & 1).wrapping_neg();
         let corr = self.corr.wrapping_add(delta);

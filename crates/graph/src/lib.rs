@@ -12,8 +12,8 @@
 //!              (admission)      (cache-aside) (B-tree) (WAL)
 //! ```
 //!
-//! * [`spec`] — [`GraphSpec`]: the declarative node/edge topology, with
-//!   role-ordering validation and routing.
+//! * [`spec`] — [`GraphSpec`]: the chain's nodes and their service
+//!   work, held to the one role order the cell serves.
 //! * [`commit`] — the per-cell **commit log**: every operation the cell
 //!   admits becomes an append-only, auditable [`CommitEntry`] *before*
 //!   it is applied. The log is the mediation point: replaying it from a
@@ -44,5 +44,5 @@ pub use crate::{
     cell::{CellDisk, CellStats, ChargedFs, GraphCell, HopCtx, HopLink, CELL_DISK_BLOCKS},
     commit::{disk_digest, value_bytes, CommitEntry, CommitLog, CommitOp, Snapshot},
     serve::GraphTransport,
-    spec::{GraphError, GraphSpec, NodeSpec, Role, Route},
+    spec::{GraphError, GraphSpec, NodeSpec, Role},
 };

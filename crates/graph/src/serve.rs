@@ -37,7 +37,6 @@ use crate::spec::{GraphError, GraphSpec, Role};
 struct NodeHop {
     transport: SharedTransport,
     name: String,
-    role: Role,
     payload: usize,
 }
 
@@ -47,7 +46,6 @@ struct NodeHop {
 pub struct GraphTransport {
     label: String,
     nodes: Vec<NodeHop>,
-    route: Vec<usize>,
     cell: GraphCell,
     ctx: Rc<HopCtx>,
     lanes: Vec<Lane>,
@@ -57,23 +55,6 @@ pub struct GraphTransport {
 }
 
 impl GraphTransport {
-    /// Assembles the graph on a fresh cell disk. `transports[i]` serves
-    /// `spec.nodes[i]`; all must expose at least `lanes` lanes.
-    pub fn assemble(
-        label: impl Into<String>,
-        spec: &GraphSpec,
-        transports: Vec<Box<dyn Transport>>,
-        lanes: usize,
-    ) -> Result<Self, GraphError> {
-        Self::assemble_on(
-            label,
-            spec,
-            transports,
-            lanes,
-            CellDisk::Ram(sb_fs::RamDisk::new(crate::cell::CELL_DISK_BLOCKS)),
-        )
-    }
-
     /// Assembles the graph over an explicit cell disk (chaos drills
     /// pass a [`CellDisk::Faulty`]; keep its fault plane disarmed until
     /// this returns — the preload must land).
@@ -84,7 +65,7 @@ impl GraphTransport {
         lanes: usize,
         disk: CellDisk,
     ) -> Result<Self, GraphError> {
-        let route = spec.route()?.order;
+        spec.check()?;
         assert_eq!(
             transports.len(),
             spec.nodes.len(),
@@ -97,15 +78,15 @@ impl GraphTransport {
             .map(|(n, t)| NodeHop {
                 transport: Rc::new(RefCell::new(t)),
                 name: n.name.clone(),
-                role: n.role,
                 payload: n.payload,
             })
             .collect();
         let ctx = HopCtx::new();
-        let link = nodes.iter().find(|n| n.role == Role::Fs).map(|n| HopLink {
-            transport: n.transport.clone(),
+        let fs = &nodes[Role::Fs as usize];
+        let link = Some(HopLink {
+            transport: fs.transport.clone(),
             ctx: ctx.clone(),
-            payload: n.payload,
+            payload: fs.payload,
         });
         let cell = GraphCell::build_on(
             disk,
@@ -117,7 +98,6 @@ impl GraphTransport {
         Ok(GraphTransport {
             label: label.into(),
             nodes,
-            route,
             cell,
             ctx,
             lanes: (0..lanes).map(|_| Lane::new()).collect(),
@@ -143,14 +123,12 @@ impl GraphTransport {
         self.cell
     }
 
-    /// Names of the explicit hops a db-miss request performs, in route
-    /// order (per-hop attribution labels).
+    /// Names of the explicit hops a db-miss request performs, in
+    /// request order (per-hop attribution labels): every node but the
+    /// fs, whose crossings happen inside the db's file I/O.
     pub fn hop_names(&self) -> Vec<String> {
-        self.route
-            .iter()
-            .filter(|&&i| self.nodes[i].role != Role::Fs)
-            .map(|&i| self.nodes[i].name.clone())
-            .collect()
+        let hops = &self.nodes[..Role::Fs as usize];
+        hops.iter().map(|n| n.name.clone()).collect()
     }
 
     /// Each node's PMU counters, in spec order — which node's TLB is
@@ -161,10 +139,10 @@ impl GraphTransport {
         self.nodes.iter().filter_map(pmu).collect()
     }
 
-    /// One inner-transport hop: idle the node's lane forward to the
-    /// request clock, cross, return the advanced clock.
-    fn hop(&self, node: usize, lane: usize, req: &Request, t: Cycles) -> Result<Cycles, CallError> {
-        let n = &self.nodes[node];
+    /// One inner-transport hop into the node of `role`: idle its lane
+    /// forward to the request clock, cross, return the advanced clock.
+    fn hop(&self, role: Role, lane: usize, req: &Request, t: Cycles) -> Result<Cycles, CallError> {
+        let n = &self.nodes[role as usize];
         let mut inner = n.transport.borrow_mut();
         inner.wait_until(lane, t);
         let hop_req = Request {
@@ -186,19 +164,13 @@ impl GraphTransport {
         req: &Request,
         t0: Cycles,
     ) -> Result<(Vec<u8>, Cycles), CallError> {
-        let mut t = t0;
-        for idx in 0..self.route.len() {
-            let node = self.route[idx];
-            match self.nodes[node].role {
-                // The fs node is crossed from inside the db's file I/O,
-                // not as a routed hop of its own.
-                Role::Fs => continue,
-                // Cache-aside: a read that hits the cache tier never
-                // crosses into the db node.
-                Role::Db if !req.write && self.cell.cache_contains(req.key) => continue,
-                _ => {}
-            }
-            t = self.hop(node, lane, req, t)?;
+        let mut t = self.hop(Role::Gateway, lane, req, t0)?;
+        t = self.hop(Role::Cache, lane, req, t)?;
+        // Cache-aside: a read that hits the cache tier never crosses
+        // into the db node. The fs node is crossed from inside the db's
+        // file I/O, not as a hop of its own.
+        if req.write || !self.cell.cache_contains(req.key) {
+            t = self.hop(Role::Db, lane, req, t)?;
         }
         // Mediation: the operation enters the commit log after
         // admission through the gateway, before any state changes.

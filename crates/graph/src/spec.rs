@@ -1,13 +1,11 @@
-//! Declarative graph topology: nodes, edges, roles, and routing.
+//! The serving graph's nodes: one fixed chain.
 //!
-//! A [`GraphSpec`] names the servers a request visits and the wiring
-//! between them. The validator insists on the shape the serving cell
-//! can actually execute — a single chain from the gateway with the
-//! storage roles in dependency order — and produces the [`Route`] the
-//! transport walks per request.
+//! A [`GraphSpec`] names the servers a request visits — gateway →
+//! cache → db → fs, the one shape the serving cell executes — and the
+//! per-request service work at each. [`GraphSpec::check`] holds a spec
+//! to that order.
 
 use sb_sim::Cycles;
-use sb_transport::opcode;
 
 /// What a node does with a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,31 +21,9 @@ pub enum Role {
     Fs,
 }
 
-impl Role {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Role::Gateway => "gateway",
-            Role::Cache => "cache",
-            Role::Db => "db",
-            Role::Fs => "fs",
-        }
-    }
-
-    /// The wire opcode a hop through this node carries for a read /
-    /// write request (the graph's handler-adapter contract).
-    pub fn opcode(self, write: bool) -> u8 {
-        match (self, write) {
-            (Role::Gateway, _) => opcode::AUTH,
-            (Role::Cache, false) => opcode::CACHE_GET,
-            (Role::Cache, true) => opcode::CACHE_INVAL,
-            (Role::Db, false) => opcode::DB_QUERY,
-            (Role::Db, true) => opcode::DB_UPSERT,
-            (Role::Fs, false) => opcode::FS_READ,
-            (Role::Fs, true) => opcode::FS_WRITE,
-        }
-    }
-}
+/// The roles of a served graph's nodes, in request order: node `i` has
+/// role `CHAIN[i]`, so a role cast to `usize` is its node's index.
+pub const CHAIN: [Role; 4] = [Role::Gateway, Role::Cache, Role::Db, Role::Fs];
 
 /// One server in the graph and its per-request service work.
 #[derive(Debug, Clone)]
@@ -67,10 +43,8 @@ pub struct NodeSpec {
 /// A declarative multi-hop serving graph.
 #[derive(Debug, Clone)]
 pub struct GraphSpec {
-    /// The servers.
+    /// The servers, in request order.
     pub nodes: Vec<NodeSpec>,
-    /// Directed `(from, to)` request-flow edges between node indices.
-    pub edges: Vec<(usize, usize)>,
     /// Records pre-loaded into the cell's database.
     pub records: u64,
     /// Value bytes per record.
@@ -79,44 +53,18 @@ pub struct GraphSpec {
     pub cache_capacity: usize,
 }
 
-/// Why a spec cannot be served.
+/// Why a spec cannot be served: its nodes' roles, which are not
+/// [`CHAIN`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphError {
-    /// No nodes at all.
-    Empty,
-    /// An edge references a node index out of range.
-    EdgeOutOfRange(usize, usize),
-    /// A node has more than one incoming or outgoing edge.
-    Branching(usize),
-    /// No entry node (every node has an incoming edge — a cycle).
-    NoEntry,
-    /// More than one entry node (disconnected components).
-    Disconnected,
-    /// The roles are in an unserveable order.
-    RoleOrder(&'static str),
-}
+pub struct GraphError(pub Vec<Role>);
 
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphError::Empty => write!(f, "graph has no nodes"),
-            GraphError::EdgeOutOfRange(a, b) => write!(f, "edge ({a},{b}) out of range"),
-            GraphError::Branching(n) => write!(f, "node {n} branches (fan-out unsupported)"),
-            GraphError::NoEntry => write!(f, "no entry node (cycle)"),
-            GraphError::Disconnected => write!(f, "graph is not one chain"),
-            GraphError::RoleOrder(why) => write!(f, "role order: {why}"),
-        }
+        write!(f, "node roles {:?}, not {CHAIN:?}", self.0)
     }
 }
 
 impl std::error::Error for GraphError {}
-
-/// The validated request path: node indices in visit order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    /// Node indices, entry first.
-    pub order: Vec<usize>,
-}
 
 impl GraphSpec {
     /// The standard 4-node serving graph the benchmarks run:
@@ -155,97 +103,20 @@ impl GraphSpec {
                     payload: 256,
                 },
             ],
-            edges: vec![(0, 1), (1, 2), (2, 3)],
             records,
             value_len,
             cache_capacity,
         }
     }
 
-    /// Validates the topology and returns the request path.
-    pub fn route(&self) -> Result<Route, GraphError> {
-        if self.nodes.is_empty() {
-            return Err(GraphError::Empty);
+    /// Whether the nodes are the chain the cell serves.
+    pub fn check(&self) -> Result<(), GraphError> {
+        let roles: Vec<Role> = self.nodes.iter().map(|n| n.role).collect();
+        if roles == CHAIN {
+            Ok(())
+        } else {
+            Err(GraphError(roles))
         }
-        let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut next = vec![None::<usize>; n];
-        for &(a, b) in &self.edges {
-            if a >= n || b >= n {
-                return Err(GraphError::EdgeOutOfRange(a, b));
-            }
-            if next[a].is_some() {
-                return Err(GraphError::Branching(a));
-            }
-            next[a] = Some(b);
-            indeg[b] += 1;
-            if indeg[b] > 1 {
-                return Err(GraphError::Branching(b));
-            }
-        }
-        let entries: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let entry = match entries.as_slice() {
-            [] => return Err(GraphError::NoEntry),
-            [e] => *e,
-            _ => return Err(GraphError::Disconnected),
-        };
-        let mut order = Vec::with_capacity(n);
-        let mut at = Some(entry);
-        while let Some(i) = at {
-            order.push(i);
-            if order.len() > n {
-                return Err(GraphError::NoEntry); // a cycle re-entered the chain
-            }
-            at = next[i];
-        }
-        if order.len() != n {
-            return Err(GraphError::Disconnected);
-        }
-        self.check_roles(&order)?;
-        Ok(Route { order })
-    }
-
-    fn check_roles(&self, order: &[usize]) -> Result<(), GraphError> {
-        let roles: Vec<Role> = order.iter().map(|&i| self.nodes[i].role).collect();
-        if roles[0] != Role::Gateway {
-            return Err(GraphError::RoleOrder("the entry node must be the gateway"));
-        }
-        if roles.iter().filter(|r| **r == Role::Gateway).count() > 1 {
-            return Err(GraphError::RoleOrder("only one gateway"));
-        }
-        if roles.iter().filter(|r| **r == Role::Db).count() > 1 {
-            return Err(GraphError::RoleOrder("only one db node"));
-        }
-        let pos = |role: Role| roles.iter().position(|r| *r == role);
-        if let (Some(c), Some(d)) = (pos(Role::Cache), pos(Role::Db)) {
-            if c > d {
-                return Err(GraphError::RoleOrder("the cache must precede the db"));
-            }
-        }
-        if let Some(f) = pos(Role::Fs) {
-            match pos(Role::Db) {
-                Some(d) if d < f => {}
-                _ => {
-                    return Err(GraphError::RoleOrder(
-                        "an fs node needs a db node ahead of it",
-                    ))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The names of the explicit transport hops a *db-miss read* (or any
-    /// write) performs, in order — every routed node except the fs node,
-    /// whose crossings happen inside the db's file I/O.
-    pub fn hop_names(&self) -> Result<Vec<String>, GraphError> {
-        Ok(self
-            .route()?
-            .order
-            .iter()
-            .filter(|&&i| self.nodes[i].role != Role::Fs)
-            .map(|&i| self.nodes[i].name.clone())
-            .collect())
     }
 }
 
@@ -256,56 +127,18 @@ mod tests {
     #[test]
     fn standard_spec_routes_in_order() {
         let spec = GraphSpec::standard(100, 64, 16);
-        let route = spec.route().unwrap();
-        assert_eq!(route.order, vec![0, 1, 2, 3]);
-        assert_eq!(spec.hop_names().unwrap(), vec!["gateway", "cache", "db"]);
-    }
-
-    #[test]
-    fn shuffled_indices_still_route_by_edges() {
-        let mut spec = GraphSpec::standard(10, 64, 4);
-        spec.nodes.swap(0, 3); // fs first in the vec, gateway last
-        spec.edges = vec![(3, 1), (1, 2), (2, 0)];
-        assert_eq!(spec.route().unwrap().order, vec![3, 1, 2, 0]);
-    }
-
-    #[test]
-    fn branching_and_cycles_are_rejected() {
-        let mut spec = GraphSpec::standard(10, 64, 4);
-        spec.edges.push((0, 2));
-        assert_eq!(spec.route().unwrap_err(), GraphError::Branching(0));
-
-        let mut cyc = GraphSpec::standard(10, 64, 4);
-        cyc.edges = vec![(0, 1), (1, 2), (2, 3), (3, 0)];
-        assert_eq!(cyc.route().unwrap_err(), GraphError::NoEntry);
+        assert_eq!(spec.check(), Ok(()));
+        let names: Vec<&str> = spec.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["gateway", "cache", "db", "fs"]);
     }
 
     #[test]
     fn role_order_is_enforced() {
         let mut spec = GraphSpec::standard(10, 64, 4);
-        // db before cache
-        spec.edges = vec![(0, 2), (2, 1), (1, 3)];
-        assert!(matches!(spec.route(), Err(GraphError::RoleOrder(_))));
-
-        // fs without db ahead of it
-        let mut fsfirst = GraphSpec::standard(10, 64, 4);
-        fsfirst.edges = vec![(0, 3), (3, 1), (1, 2)];
-        assert!(matches!(fsfirst.route(), Err(GraphError::RoleOrder(_))));
-    }
-
-    #[test]
-    fn role_opcodes_follow_the_low_bit_write_convention() {
-        use sb_transport::opcode;
-        for role in [Role::Gateway, Role::Cache, Role::Db, Role::Fs] {
-            // Gateway auth is read-only in both directions.
-            let w = role.opcode(true);
-            let r = role.opcode(false);
-            if role == Role::Gateway {
-                assert!(!opcode::is_write(w) && !opcode::is_write(r));
-            } else {
-                assert!(opcode::is_write(w), "{} write opcode", role.name());
-                assert!(!opcode::is_write(r), "{} read opcode", role.name());
-            }
-        }
+        spec.nodes.swap(1, 2);
+        let roles = vec![Role::Gateway, Role::Db, Role::Cache, Role::Fs];
+        assert_eq!(spec.check(), Err(GraphError(roles)));
+        spec.nodes.truncate(1);
+        assert_eq!(spec.check(), Err(GraphError(vec![Role::Gateway])));
     }
 }

@@ -22,22 +22,6 @@ const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 /// Worst-case relative error of a bucketed quantile, as a fraction.
 pub const HIST_RELATIVE_ERROR: f64 = 1.0 / SUB as f64;
 
-/// Default exemplar retention when a caller opts in without choosing a
-/// capacity.
-pub const DEFAULT_EXEMPLAR_CAPACITY: usize = 8;
-
-/// One retained `(correlation, value)` pair: the request id behind a
-/// recorded sample, so a fat p99 bucket or an SLO breach links back to
-/// the concrete request — and through the recorder's span corr, to its
-/// span tree in a flight-recorder bundle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Exemplar {
-    /// The correlation id (request id) tagged at record time.
-    pub corr: u64,
-    /// The recorded value.
-    pub value: Cycles,
-}
-
 /// The histogram.
 #[derive(Clone)]
 pub struct Log2Histogram {
@@ -46,10 +30,6 @@ pub struct Log2Histogram {
     sum: u128,
     min: Cycles,
     max: Cycles,
-    /// Last-K exemplar ring (empty Vec when retention is off).
-    exemplars: Vec<Exemplar>,
-    exemplar_cap: usize,
-    exemplar_head: usize,
 }
 
 impl std::fmt::Debug for Log2Histogram {
@@ -106,50 +86,7 @@ impl Log2Histogram {
             sum: 0,
             min: Cycles::MAX,
             max: 0,
-            exemplars: Vec::new(),
-            exemplar_cap: 0,
-            exemplar_head: 0,
         }
-    }
-
-    /// An empty histogram retaining the last `k` tagged exemplars.
-    pub fn with_exemplars(k: usize) -> Self {
-        let mut h = Log2Histogram::new();
-        h.set_exemplar_capacity(k);
-        h
-    }
-
-    /// Sets exemplar retention to the last `k` tagged records (0 turns
-    /// it off and drops what was held). Shrinking keeps the newest `k`.
-    pub fn set_exemplar_capacity(&mut self, k: usize) {
-        if k == 0 {
-            self.exemplars.clear();
-            self.exemplar_head = 0;
-        } else if self.exemplars.len() > k {
-            let keep: Vec<Exemplar> = self.exemplars().split_off(self.exemplars.len() - k);
-            self.exemplars = keep;
-            self.exemplar_head = 0;
-        } else if self.exemplar_head != 0 {
-            // Re-linearise so future pushes append oldest-first.
-            self.exemplars = self.exemplars();
-            self.exemplar_head = 0;
-        }
-        self.exemplar_cap = k;
-    }
-
-    /// Exemplar retention capacity (0 when off).
-    pub fn exemplar_capacity(&self) -> usize {
-        self.exemplar_cap
-    }
-
-    /// The retained exemplars, oldest first.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        let head = self.exemplar_head;
-        self.exemplars[head..]
-            .iter()
-            .chain(self.exemplars[..head].iter())
-            .copied()
-            .collect()
     }
 
     /// Records one sample.
@@ -160,27 +97,6 @@ impl Log2Histogram {
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Records one sample tagged with a correlation id; the tag is
-    /// retained in the last-K exemplar ring (when retention is on) so
-    /// the bucket links back to a concrete request.
-    #[inline]
-    pub fn record_tagged(&mut self, v: Cycles, corr: u64) {
-        self.record(v);
-        if self.exemplar_cap == 0 {
-            return;
-        }
-        let ex = Exemplar { corr, value: v };
-        if self.exemplars.len() < self.exemplar_cap {
-            self.exemplars.push(ex);
-        } else {
-            self.exemplars[self.exemplar_head] = ex;
-            self.exemplar_head += 1;
-            if self.exemplar_head == self.exemplar_cap {
-                self.exemplar_head = 0;
-            }
-        }
     }
 
     /// Samples recorded.
@@ -242,12 +158,7 @@ impl Log2Histogram {
         self.max
     }
 
-    /// Adds another histogram's samples into this one. `other`'s
-    /// exemplars are replayed as the newer records (the merge direction
-    /// every call site uses: pulling a later window into an
-    /// accumulator), so the retained set stays "the last K" with their
-    /// correlation ids intact. A retention-off accumulator adopts
-    /// `other`'s capacity.
+    /// Adds another histogram's samples into this one.
     pub fn merge(&mut self, other: &Log2Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
@@ -256,22 +167,6 @@ impl Log2Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        if self.exemplar_cap == 0 {
-            self.exemplar_cap = other.exemplar_cap;
-        }
-        if self.exemplar_cap != 0 {
-            for ex in other.exemplars() {
-                if self.exemplars.len() < self.exemplar_cap {
-                    self.exemplars.push(ex);
-                } else {
-                    self.exemplars[self.exemplar_head] = ex;
-                    self.exemplar_head += 1;
-                    if self.exemplar_head == self.exemplar_cap {
-                        self.exemplar_head = 0;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -381,58 +276,6 @@ mod tests {
         assert_eq!(h.percentile(100.0), u64::MAX);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), u64::MAX);
-    }
-
-    #[test]
-    fn exemplars_keep_the_last_k_in_order() {
-        let mut h = Log2Histogram::with_exemplars(3);
-        for i in 0..10u64 {
-            h.record_tagged(i * 100, i);
-        }
-        let ex = h.exemplars();
-        assert_eq!(ex.len(), 3);
-        assert_eq!(
-            ex,
-            vec![
-                Exemplar {
-                    corr: 7,
-                    value: 700
-                },
-                Exemplar {
-                    corr: 8,
-                    value: 800
-                },
-                Exemplar {
-                    corr: 9,
-                    value: 900
-                },
-            ],
-            "last K, oldest first, corr intact"
-        );
-        assert_eq!(h.count(), 10, "tagged records still count");
-        h.set_exemplar_capacity(0);
-        assert!(h.exemplars().is_empty());
-        h.record_tagged(1, 99);
-        assert!(h.exemplars().is_empty(), "retention off drops tags");
-    }
-
-    #[test]
-    fn merge_treats_other_exemplars_as_newer() {
-        let mut a = Log2Histogram::with_exemplars(4);
-        a.record_tagged(10, 1);
-        a.record_tagged(20, 2);
-        let mut b = Log2Histogram::with_exemplars(4);
-        b.record_tagged(30, 3);
-        b.record_tagged(40, 4);
-        b.record_tagged(50, 5);
-        a.merge(&b);
-        let corrs: Vec<u64> = a.exemplars().iter().map(|e| e.corr).collect();
-        assert_eq!(corrs, vec![2, 3, 4, 5], "other's ride in as the newest");
-        // A retention-off accumulator adopts the capacity on merge.
-        let mut acc = Log2Histogram::new();
-        acc.merge(&b);
-        assert_eq!(acc.exemplar_capacity(), 4);
-        assert_eq!(acc.exemplars().len(), 3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `sb-observe`: always-on tracing, metrics, and phase-level profiling
-//! for the SkyBridge IPC stack.
+//! `sb-observe`: always-on tracing and phase-level profiling for the
+//! SkyBridge IPC stack.
 //!
 //! The paper's evaluation attributes SkyBridge's win by decomposing a
 //! call into phases (trampoline, EPTP switch, handler — Table 3 and
@@ -11,9 +11,8 @@
 //!   retry/backoff, fault lifecycle), timestamped by the transport's
 //!   per-lane simulated-cycle clocks. The emit path is a flag check plus
 //!   a slot write; with the `trace` feature off it compiles to nothing.
-//! * [`Registry`] — named counters, gauges, and [`Log2Histogram`]s with
-//!   a [`Snapshot`] diff API, plus a bridge surfacing `sim`'s
-//!   [`sb_sim::Pmu`] counters per run.
+//! * [`Log2Histogram`] — fixed-memory latency quantiles with a bounded
+//!   relative error, behind the runtime's latency tracks.
 //! * [`phase::attribute`] — folds a recorded run's spans into a
 //!   trampoline / switch / marshal / queue-wait / handler cycle
 //!   breakdown ([`PhaseProfile`]), a software Figure 7, and into
@@ -34,15 +33,13 @@
 pub mod export;
 pub mod hist;
 pub mod json;
-pub mod metrics;
 pub mod phase;
 pub mod ring;
 pub mod varint;
 
 pub use export::{chrome_trace, validate_recorder_nesting, ChromeTrace};
-pub use hist::{Exemplar, Log2Histogram, DEFAULT_EXEMPLAR_CAPACITY, HIST_RELATIVE_ERROR};
+pub use hist::{Log2Histogram, HIST_RELATIVE_ERROR};
 pub use json::Json;
-pub use metrics::{HistSummary, Registry, Snapshot};
 pub use phase::{attribute, attribute_by_corr, validate_nesting, PhaseProfile};
 pub use ring::{
     Event, EventKind, EventRing, FaultCounts, FaultEvent, FaultStage, InstantKind, Recorder,

@@ -378,19 +378,6 @@ impl Recorder {
         }
     }
 
-    /// Whether emit calls record anything right now.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.enabled.get()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
-    }
-
     /// Turns recording on or off at runtime (a no-op without the
     /// `trace` feature).
     pub fn set_enabled(&self, on: bool) {
@@ -724,6 +711,7 @@ mod tests {
         assert_eq!(r.lane_count(), 4);
         r.clear();
         assert_eq!(r.recorded(), 0);
-        assert!(r.is_enabled(), "clear keeps the enabled flag");
+        r.span(3, SpanKind::Backoff, 4, 8, 2);
+        assert_eq!(r.recorded(), 1, "clear keeps the enabled flag");
     }
 }

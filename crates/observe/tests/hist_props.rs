@@ -1,11 +1,10 @@
 //! Property tests for [`Log2Histogram`] at the extremes: quantiles on
 //! inputs spanning the full `u64` range (including 0 and `u64::MAX`)
 //! must stay bounded by the data and within the structure's advertised
-//! relative error, and the last-K exemplar ring must retain exactly
-//! the newest K tagged records — through shrinks, growth, and merges.
+//! relative error.
 
 use proptest::prelude::*;
-use sb_observe::{Exemplar, Log2Histogram, HIST_RELATIVE_ERROR};
+use sb_observe::{Log2Histogram, HIST_RELATIVE_ERROR};
 
 /// Values biased toward the histogram's edge cases: the exact
 /// sub-16 buckets, octave boundaries, and both ends of the range.
@@ -80,87 +79,5 @@ proptest! {
         }
         prop_assert!(last <= h.max().max(h.percentile(0.0)));
         prop_assert_eq!(h.percentile(100.0), h.max());
-    }
-
-    /// The exemplar ring holds exactly the newest K tagged records,
-    /// oldest first, with their correlation ids intact.
-    #[test]
-    fn exemplar_ring_retains_the_last_k(
-        records in proptest::collection::vec((edge_value(), any::<u64>()), 0..48),
-        k in 1usize..12,
-    ) {
-        let mut h = Log2Histogram::with_exemplars(k);
-        for &(v, corr) in &records {
-            h.record_tagged(v, corr);
-        }
-        let expect: Vec<Exemplar> = records
-            .iter()
-            .skip(records.len().saturating_sub(k))
-            .map(|&(value, corr)| Exemplar { corr, value })
-            .collect();
-        prop_assert_eq!(h.exemplars(), expect);
-        prop_assert_eq!(h.count(), records.len() as u64);
-    }
-
-    /// Merging replays the other side's exemplars as the newer records:
-    /// the result is the last K of (this side's retained ++ the other
-    /// side's retained), and the bucket moments add exactly.
-    #[test]
-    fn merge_replays_exemplars_as_newer(
-        a in proptest::collection::vec((edge_value(), any::<u64>()), 0..32),
-        b in proptest::collection::vec((edge_value(), any::<u64>()), 0..32),
-        k in 1usize..10,
-    ) {
-        let mut ha = Log2Histogram::with_exemplars(k);
-        let mut hb = Log2Histogram::with_exemplars(k);
-        for &(v, corr) in &a {
-            ha.record_tagged(v, corr);
-        }
-        for &(v, corr) in &b {
-            hb.record_tagged(v, corr);
-        }
-        let tail = |recs: &[(u64, u64)]| -> Vec<Exemplar> {
-            recs.iter()
-                .skip(recs.len().saturating_sub(k))
-                .map(|&(value, corr)| Exemplar { corr, value })
-                .collect()
-        };
-        let mut expect: Vec<Exemplar> = tail(&a);
-        expect.extend(tail(&b));
-        let expect: Vec<Exemplar> = expect
-            .iter()
-            .skip(expect.len().saturating_sub(k))
-            .copied()
-            .collect();
-        ha.merge(&hb);
-        prop_assert_eq!(ha.exemplars(), expect);
-        prop_assert_eq!(ha.count(), (a.len() + b.len()) as u64);
-    }
-
-    /// Capacity changes never fabricate: shrinking keeps the newest,
-    /// zero clears, and re-growing starts from what was kept.
-    #[test]
-    fn capacity_changes_keep_the_newest(
-        records in proptest::collection::vec((edge_value(), any::<u64>()), 1..40),
-        k in 2usize..10,
-    ) {
-        let mut h = Log2Histogram::with_exemplars(k);
-        for &(v, corr) in &records {
-            h.record_tagged(v, corr);
-        }
-        let before = h.exemplars();
-        let smaller = k / 2;
-        h.set_exemplar_capacity(smaller);
-        let kept = h.exemplars();
-        prop_assert_eq!(
-            kept.clone(),
-            before[before.len().saturating_sub(smaller)..].to_vec()
-        );
-        h.set_exemplar_capacity(0);
-        prop_assert!(h.exemplars().is_empty());
-        h.set_exemplar_capacity(k);
-        h.record_tagged(7, 42);
-        prop_assert_eq!(h.exemplars(), vec![Exemplar { corr: 42, value: 7 }]);
-        let _ = kept;
     }
 }

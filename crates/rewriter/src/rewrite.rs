@@ -558,7 +558,7 @@ fn transform_insn(
         Transform::BranchRefixup => refix_branch(bytes, insn, orig_addr, emit_addr).map_err(err),
         Transform::RipRefixup => Ok(refix_rip(bytes, insn, orig_addr, emit_addr)),
         Transform::ScratchRm => {
-            // ModRM == 0x0F: mod=00, reg=rcx, rm=[rdi]. Route the memory
+            // ModRM == 0x0F: mod=00, reg=rcx, rm=[rdi]. Send the memory
             // operand through a scratch register: push s; mov s, rdi;
             // <insn with rm=s>; pop s.
             // Guard: CMPXCHG8B/16B (0F C7 /1) uses rax/rbx/rcx/rdx

@@ -205,8 +205,8 @@ impl Core {
                 let latency = t - req.arrival;
                 stats.completed += 1;
                 ts.completed += 1;
-                stats.latencies.push_tagged(latency, req.id);
-                ts.latencies.push_tagged(latency, req.id);
+                stats.latencies.push(latency);
+                ts.latencies.push(latency);
                 if let Some(slo) = &self.cfg.slo {
                     slo.complete(t, latency);
                 }

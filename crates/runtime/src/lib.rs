@@ -35,8 +35,8 @@
 //!   closed-loop load generation over `sb-ycsb` key mixes.
 //! * [`RunStats`] — throughput, p50/p95/p99 latency in simulated cycles,
 //!   queue depth, shed counts, marshalling bytes copied, per-core
-//!   utilization (JSON serialization lives in `sb-bench`'s report
-//!   module).
+//!   utilization, and [`run_stats_json`], its one renderer: the row of
+//!   every results file and the `run` block of a postmortem bundle.
 
 mod dispatch;
 pub mod load;
@@ -55,7 +55,7 @@ pub use crate::{
     dispatch::{RetryPolicy, RingRuntime, RuntimeConfig, ServerRuntime},
     load::{PoissonArrivals, RequestFactory},
     sky::SkyBridgeTransport,
-    stats::{LatencyTrack, RunStats, TenantStats, EXACT_LATENCY_CAP},
+    stats::{run_stats_json, LatencyTrack, RunStats, TenantStats, EXACT_LATENCY_CAP},
     tenant::{
         AdmissionPolicy, Gate, RateLimit, TenantAction, TenantFabric, TenantRegistry, TenantSpec,
     },

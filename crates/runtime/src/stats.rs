@@ -5,7 +5,7 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use sb_observe::{get_varint, put_varint, Log2Histogram};
+use sb_observe::{get_varint, put_varint, Json, Log2Histogram};
 use sb_sim::Cycles;
 use sb_transport::TenantId;
 
@@ -44,20 +44,6 @@ impl LatencyTrack {
         self.hist.record(v);
     }
 
-    /// Records one latency sample tagged with a correlation id (the
-    /// request id), retaining it as a histogram exemplar so an outlier
-    /// percentile can be walked back to the concrete request — and from
-    /// there to its trace spans — instead of being an anonymous count.
-    /// The first tagged push turns exemplar retention on.
-    pub fn push_tagged(&mut self, v: Cycles, corr: u64) {
-        self.keep(v);
-        if self.hist.exemplar_capacity() == 0 {
-            self.hist
-                .set_exemplar_capacity(sb_observe::DEFAULT_EXEMPLAR_CAPACITY);
-        }
-        self.hist.record_tagged(v, corr);
-    }
-
     /// Adds `v` to the verbatim prefix while the run fits the cap, and
     /// frees the prefix on the push that outgrows it.
     fn keep(&mut self, v: Cycles) {
@@ -67,11 +53,6 @@ impl LatencyTrack {
             Ordering::Greater => return,
         }
         self.sorted.take();
-    }
-
-    /// The retained `(request id, latency)` exemplars, oldest first.
-    pub fn exemplars(&self) -> Vec<sb_observe::Exemplar> {
-        self.hist.exemplars()
     }
 
     /// Samples recorded (all of them, not just the exact prefix).
@@ -98,7 +79,9 @@ impl LatencyTrack {
         }
         let sorted = self.sorted.get_or_init(|| {
             let mut bytes = self.prefix.iter();
-            let mut v: Vec<Cycles> = (0..self.len()).map(|_| get_varint(&mut bytes)).collect();
+            let mut v: Vec<Cycles> = (0..self.len())
+                .map(|_| get_varint(&mut bytes).expect("the prefix holds only what `keep` wrote"))
+                .collect();
             v.sort_unstable();
             v
         });
@@ -360,6 +343,66 @@ impl RunStats {
     }
 }
 
+/// How many of a run's busiest tenants get their own row in
+/// [`run_stats_json`].
+const TOP_TENANTS: usize = 8;
+
+/// One run as a JSON object: the row of every results file that reports
+/// a run, and the `run` block of a postmortem bundle.
+///
+/// Multi-tenant runs additionally carry a `tenants` array — the
+/// `TOP_TENANTS` busiest tenants by offered load, each with its own
+/// conservation ledger and p99 — plus the per-tenant conservation
+/// verdict for the whole run. Single-tenant runs stay compact (no
+/// per-tenant section), keeping historical report shapes unchanged.
+pub fn run_stats_json(s: &RunStats) -> Json {
+    let mut row = Json::obj()
+        .field("label", s.label.as_str())
+        .field("workers", s.workers)
+        .field("offered", s.offered)
+        .field("completed", s.completed)
+        .field("shed_queue_full", s.shed_queue_full)
+        .field("shed_deadline", s.shed_deadline)
+        .field("shed_rate_limit", s.shed_rate_limit)
+        .field("timed_out", s.timed_out)
+        .field("failed", s.failed)
+        .field("retries", s.retries)
+        .field("recoveries", s.recoveries)
+        .field("bytes_copied", s.bytes_copied)
+        .field("window_cycles", s.window())
+        .field("throughput_per_mcycle", s.throughput_per_mcycle())
+        .field("latency_mean", s.mean())
+        .field("latency_p50", s.p50())
+        .field("latency_p95", s.p95())
+        .field("latency_p99", s.p99())
+        .field("max_queue_depth", s.max_queue_depth)
+        .field("utilization", s.utilization());
+    if s.tenants.len() > 1 {
+        let rows: Vec<Json> = s
+            .top_tenants(TOP_TENANTS)
+            .into_iter()
+            .map(|(id, t)| {
+                Json::obj()
+                    .field("tenant", u64::from(id))
+                    .field("offered", t.offered)
+                    .field("completed", t.completed)
+                    .field("shed_queue_full", t.shed_queue_full)
+                    .field("shed_deadline", t.shed_deadline)
+                    .field("shed_rate_limit", t.shed_rate_limit)
+                    .field("timed_out", t.timed_out)
+                    .field("failed", t.failed)
+                    .field("latency_p50", t.percentile(50.0))
+                    .field("latency_p99", t.p99())
+            })
+            .collect();
+        row = row
+            .field("tenant_count", s.tenants.len())
+            .field("tenants_conserved", s.tenants_conserved())
+            .field("tenants", Json::Arr(rows));
+    }
+    row
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,18 +418,11 @@ mod tests {
     }
 
     impl VecTrack {
-        fn push(&mut self, v: Cycles, corr: Option<u64>) {
+        fn push(&mut self, v: Cycles) {
             if self.exact.len() < EXACT_LATENCY_CAP {
                 self.exact.push(v);
             }
-            let Some(corr) = corr else {
-                return self.hist.record(v);
-            };
-            if self.hist.exemplar_capacity() == 0 {
-                self.hist
-                    .set_exemplar_capacity(sb_observe::DEFAULT_EXEMPLAR_CAPACITY);
-            }
-            self.hist.record_tagged(v, corr);
+            self.hist.record(v);
         }
 
         fn seal(&mut self) {
@@ -415,11 +451,11 @@ mod tests {
 
     const PERCENTILES: [f64; 10] = [0., 1., 50., 95., 99., 99.9, 100., -5., 250., f64::NAN];
 
-    /// `(length, value pool, stride, tag every k-th sample (0: never),
-    /// read points modulo length + 1)`: sample `i` is
+    /// `(length, value pool, stride, read points modulo length + 1)`:
+    /// sample `i` is
     /// `pool[i * stride % pool.len()]`, and the pool mixes the varint
     /// width edges with arbitrary values.
-    fn runs() -> impl Strategy<Value = (usize, Vec<u64>, usize, usize, Vec<usize>)> {
+    fn runs() -> impl Strategy<Value = (usize, Vec<u64>, usize, Vec<usize>)> {
         const CAP: usize = EXACT_LATENCY_CAP;
         let len = prop_oneof![
             Just(0usize),
@@ -442,18 +478,17 @@ mod tests {
         ];
         let pool = proptest::collection::vec(value, 1..24);
         let reads = proptest::collection::vec(any::<usize>(), 0..4);
-        (len, pool, 1usize..50, 0usize..4, reads)
+        (len, pool, 1usize..50, reads)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The byte prefix against the `Vec` reference: every percentile,
-        /// `is_exact`, `len`, `mean` and the exemplars agree at each read
-        /// point, and reads land between pushes, so a sorted view that a
+        /// `is_exact`, `len` and `mean` agree at each read point, and reads land between pushes, so a sorted view that a
         /// push failed to clear reads stale.
         #[test]
-        fn the_byte_prefix_matches_the_vec_reference((len, pool, stride, tag, reads) in runs()) {
+        fn the_byte_prefix_matches_the_vec_reference((len, pool, stride, reads) in runs()) {
             let (mut track, mut reference) = (LatencyTrack::default(), VecTrack::default());
             let mut reads: Vec<usize> = reads.iter().map(|r| r % (len + 1)).collect();
             reads.extend([len, EXACT_LATENCY_CAP, EXACT_LATENCY_CAP + 1]);
@@ -463,19 +498,14 @@ mod tests {
             for read in reads.into_iter().filter(|&r| r <= len) {
                 for i in at..read {
                     let v = pool[i * stride % pool.len()];
-                    let corr = (tag > 0 && i % tag == 0).then_some(i as u64);
-                    match corr {
-                        Some(corr) => track.push_tagged(v, corr),
-                        None => track.push(v),
-                    }
-                    reference.push(v, corr);
+                    track.push(v);
+                    reference.push(v);
                 }
                 at = read;
                 reference.seal();
                 prop_assert_eq!(track.len(), reference.hist.count() as usize);
                 prop_assert_eq!(track.is_exact(), reference.is_exact(), "after {} pushes", read);
                 prop_assert_eq!(track.mean().to_bits(), reference.hist.mean().to_bits());
-                prop_assert_eq!(track.exemplars(), reference.hist.exemplars());
                 for p in PERCENTILES {
                     prop_assert_eq!(track.percentile(p), reference.percentile(p), "p{} after {} pushes", p, read);
                 }

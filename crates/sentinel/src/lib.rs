@@ -1,8 +1,8 @@
 //! `sb-sentinel`: causal request tracing, SLO health tracking, and
 //! flight-recorder postmortems for the SkyBridge stack.
 //!
-//! `sb-observe` gives every run per-lane event rings, metrics, and
-//! phase attribution; this crate turns those raw signals into
+//! `sb-observe` gives every run per-lane event rings and phase
+//! attribution; this crate turns those raw signals into
 //! *accountable* observability:
 //!
 //! * [`trace`] — assembles per-request span trees from the rings, keyed
@@ -14,9 +14,9 @@
 //!   plausible partial trees.
 //! * [`slo`] — per-server latency/error objectives evaluated online
 //!   over sliding windows with multi-window (fast/slow) burn-rate
-//!   breach detection, publishable into the metrics [`Registry`].
+//!   breach detection.
 //! * [`postmortem`] — on breach or unrecovered fault, snapshots recent
-//!   rings, a metrics diff, PMU counters, the fault ledger, and SLO
+//!   rings, the run's row, PMU counters, the fault ledger, and SLO
 //!   health into one self-contained JSON bundle with explicit
 //!   truncation accounting.
 //!
@@ -24,8 +24,6 @@
 //! `sb-observe`, `sb-transport`, and `sb-faultplane`), so the runtime
 //! dispatcher, the scenario harnesses, and the benches can all hold its
 //! handles without dependency cycles.
-//!
-//! [`Registry`]: sb_observe::Registry
 
 pub mod postmortem;
 pub mod slo;

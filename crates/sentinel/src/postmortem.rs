@@ -2,13 +2,13 @@
 //!
 //! When an SLO breach or an unrecovered fault fires, the stack's recent
 //! state — per-lane event rings and the exact flamegraph folded from
-//! the events kept, a metrics [`Snapshot`] (typically a diff over the
-//! incident region), PMU counters, the fault-plane ledger, and the SLO
-//! tracker's health — is snapshotted into one JSON file under
-//! `results/postmortem/`. The bundle carries explicit truncation
-//! accounting: how many events each lane held, how many the per-lane
-//! budget kept, and how many the rings had already overwritten — so a
-//! reader can never mistake a clipped capture for the whole story.
+//! the events kept, the run's counters and latencies, PMU counters, the
+//! fault-plane ledger, and the SLO tracker's health — is snapshotted
+//! into one JSON file under `results/postmortem/`, each fact once. The
+//! bundle carries explicit truncation accounting: how many events each
+//! lane held, how many the per-lane budget kept, and how many the rings
+//! had already overwritten — so a reader can never mistake a clipped
+//! capture for the whole story.
 //!
 //! Bundles are [`Json`] values: rendered by its one writer, and read
 //! back by its parser ([`BundleReceipt::read_back`]) wherever a bundle's
@@ -19,13 +19,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use sb_faultplane::FaultReport;
-use sb_observe::{attribute, Event, EventKind, Json, Recorder, Snapshot};
+use sb_observe::{attribute, Event, EventKind, Json, Recorder};
 use sb_sim::Pmu;
 
 use crate::slo::SloHealth;
 
 /// Bundle schema identifier, bumped on incompatible layout changes.
-pub const SCHEMA: &str = "sb-postmortem-v1";
+pub const SCHEMA: &str = "sb-postmortem-v2";
 
 /// Where and how large bundles are written.
 #[derive(Debug, Clone)]
@@ -66,9 +66,9 @@ pub struct PostmortemInput<'a> {
     pub tag: &'a str,
     /// The event rings to snapshot.
     pub recorder: Option<&'a Recorder>,
-    /// A metrics snapshot — typically `after.diff(&before)` over the
-    /// incident region.
-    pub metrics: Option<&'a Snapshot>,
+    /// The run as its results row renders it (`sb_runtime`'s
+    /// `run_stats_json`, which this crate sits below).
+    pub run: Option<&'a Json>,
     /// Machine PMU counters.
     pub pmu: Option<&'a Pmu>,
     /// The fault-plane ledger roll-up.
@@ -194,59 +194,6 @@ fn flamegraph_json(held: &[Vec<Event>]) -> Json {
         .field("unclosed", prof.unclosed)
 }
 
-fn snapshot_json(s: &Snapshot) -> Json {
-    let counters = Json::Obj(
-        s.counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::U64(v)))
-            .collect(),
-    );
-    let gauges = Json::Obj(
-        s.gauges
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::F64(v)))
-            .collect(),
-    );
-    let histograms = Json::Obj(
-        s.histograms
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::obj()
-                        .field("count", h.count)
-                        .field("mean", h.mean)
-                        .field("min", h.min)
-                        .field("p50", h.p50)
-                        .field("p95", h.p95)
-                        .field("p99", h.p99)
-                        .field("max", h.max),
-                )
-            })
-            .collect(),
-    );
-    let exemplars = Json::Obj(
-        s.exemplars
-            .iter()
-            .map(|(k, exs)| {
-                (
-                    k.clone(),
-                    Json::Arr(
-                        exs.iter()
-                            .map(|e| Json::obj().field("corr", e.corr).field("value", e.value))
-                            .collect(),
-                    ),
-                )
-            })
-            .collect(),
-    );
-    Json::obj()
-        .field("counters", counters)
-        .field("gauges", gauges)
-        .field("histograms", histograms)
-        .field("exemplars", exemplars)
-}
-
 fn pmu_json(p: &Pmu) -> Json {
     Json::obj()
         .field("l1i_misses", p.l1i_misses)
@@ -262,6 +209,7 @@ fn pmu_json(p: &Pmu) -> Json {
         .field("vmfuncs", p.vmfuncs)
         .field("mode_switches", p.mode_switches)
         .field("cr3_writes", p.cr3_writes)
+        .field("wrpkru_writes", p.wrpkru_writes)
 }
 
 fn faults_json(r: &FaultReport) -> Json {
@@ -320,7 +268,7 @@ pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (Strin
         .field("truncation", truncation)
         .field("rings", rings)
         .field("flamegraph", flamegraph)
-        .field("metrics", input.metrics.map_or(Json::Null, snapshot_json))
+        .field("run", input.run.cloned().unwrap_or(Json::Null))
         .field("pmu", input.pmu.map_or(Json::Null, pmu_json))
         .field("faults", input.faults.map_or(Json::Null, faults_json))
         .field("slo", input.slo.as_ref().map_or(Json::Null, slo_json));
@@ -362,7 +310,7 @@ pub fn write(spec: &PostmortemSpec, input: &PostmortemInput<'_>) -> io::Result<B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_observe::{Registry, SpanKind};
+    use sb_observe::SpanKind;
 
     /// The value at `path` (object keys; a number walks into an array).
     fn at<'a>(j: &'a Json, path: &[&str]) -> &'a Json {
@@ -469,10 +417,9 @@ mod tests {
     fn full_bundle_round_trips_every_section() {
         let rec = Recorder::new(64);
         rec.span(0, SpanKind::Call, 0, 100, 1);
-        let mut reg = Registry::new();
-        reg.count("calls", 3);
-        reg.observe("latency", 250);
-        let snap = reg.snapshot();
+        let run = Json::obj()
+            .field("offered", 3u64)
+            .field("latency_p99", 250u64);
         let pmu = Pmu {
             vmfuncs: 7,
             ..Pmu::default()
@@ -490,7 +437,7 @@ mod tests {
             reason: "slo_breach",
             tag: "full",
             recorder: Some(&rec),
-            metrics: Some(&snap),
+            run: Some(&run),
             pmu: Some(&pmu),
             faults: None,
             slo: Some(slo),
@@ -513,8 +460,8 @@ mod tests {
             (&["rings", "lanes", "0", "events", "0", "t"], 0.0),
             (&["rings", "lanes", "0", "events", "0", "corr"], 1.0),
             (&["rings", "lanes", "0", "events", "0", "dur"], 100.0),
-            (&["metrics", "counters", "calls"], 3.0),
-            (&["metrics", "histograms", "latency", "count"], 1.0),
+            (&["run", "offered"], 3.0),
+            (&["run", "latency_p99"], 250.0),
             (&["pmu", "vmfuncs"], 7.0),
             (&["pmu", "ipis"], 0.0),
             (&["slo", "good"], 10.0),
@@ -534,6 +481,51 @@ mod tests {
             json,
             "the bundle re-renders to its own bytes"
         );
+    }
+
+    /// Every PMU counter reaches the bundle under its own name: each
+    /// field of a `Pmu` whose fields all differ reads back by the name
+    /// its `Debug` form gives it.
+    #[test]
+    fn the_pmu_block_carries_every_counter() {
+        let pmu = Pmu {
+            l1i_misses: 1,
+            l1d_misses: 2,
+            l2_misses: 3,
+            l3_misses: 4,
+            itlb_misses: 5,
+            dtlb_misses: 6,
+            page_walks: 7,
+            walk_memory_accesses: 8,
+            ipis: 9,
+            vm_exits: 10,
+            vmfuncs: 11,
+            mode_switches: 12,
+            cr3_writes: 13,
+            wrpkru_writes: 14,
+        };
+        let input = PostmortemInput {
+            pmu: Some(&pmu),
+            ..PostmortemInput::default()
+        };
+        let (json, ..) = render(&input, 16);
+        let b = Json::parse(&json).expect("valid");
+        let debug = format!("{pmu:?}");
+        let fields: Vec<(&str, f64)> = debug["Pmu { ".len()..debug.len() - " }".len()]
+            .split(", ")
+            .map(|f| {
+                let (name, v) = f.split_once(": ").expect("name: value");
+                (name, v.parse().expect("a count"))
+            })
+            .collect();
+        assert_eq!(fields.len(), 14);
+        for (name, v) in fields {
+            assert_eq!(num(&b, &["pmu", name]), v, "pmu.{name}");
+        }
+        let Json::Obj(block) = at(&b, &["pmu"]) else {
+            panic!("the pmu block is an object")
+        };
+        assert_eq!(block.len(), 14, "one key per counter");
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //!
 //! The tracker is shared [`FaultHandle`]-style: the dispatcher holds a
 //! cloned [`SloHandle`] and records outcomes inline; scenario and bench
-//! code polls health, publishes into a metrics [`Registry`], or hands
-//! the state to a postmortem bundle.
+//! code polls health or hands it to a postmortem bundle. The tracker
+//! keeps counts, not latencies: the run's own `RunStats` holds those
+//! exactly.
 //!
 //! [`FaultHandle`]: sb_faultplane::FaultHandle
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sb_observe::{Log2Histogram, Registry};
 use sb_sim::Cycles;
 
 /// A per-server service-level objective.
@@ -100,7 +100,6 @@ pub struct SloTracker {
     spec: SloSpec,
     width: Cycles,
     buckets: Vec<Bucket>,
-    latency: Log2Histogram,
     good: u64,
     bad: u64,
     breaches: u64,
@@ -124,7 +123,6 @@ impl SloTracker {
             spec,
             width,
             buckets: vec![Bucket::default(); BUCKETS],
-            latency: Log2Histogram::new(),
             good: 0,
             bad: 0,
             breaches: 0,
@@ -144,7 +142,6 @@ impl SloTracker {
     /// Records a completed request: `latency` cycles from arrival to
     /// done, at lane-clock time `t`.
     pub fn complete(&mut self, t: Cycles, latency: Cycles) {
-        self.latency.record(latency);
         let good = latency <= self.spec.latency_objective;
         self.record(t, good);
     }
@@ -253,32 +250,6 @@ impl SloTracker {
             in_breach: self.in_breach,
         }
     }
-
-    /// The latency distribution of every completion recorded.
-    pub fn latency(&self) -> &Log2Histogram {
-        &self.latency
-    }
-
-    /// Surfaces the tracker's state into `reg` under `prefix.*`:
-    /// good/bad/breach counters, burn-rate gauges, and the completion
-    /// latency distribution's summary quantiles.
-    pub fn publish(&self, reg: &mut Registry, prefix: &str) {
-        let h = self.health();
-        reg.count(&format!("{prefix}.good"), h.good);
-        reg.count(&format!("{prefix}.bad"), h.bad);
-        reg.count(&format!("{prefix}.breaches"), h.breaches);
-        reg.gauge(&format!("{prefix}.fast_burn"), h.fast_burn);
-        reg.gauge(&format!("{prefix}.slow_burn"), h.slow_burn);
-        if !self.latency.is_empty() {
-            reg.gauge(&format!("{prefix}.latency_mean"), self.latency.mean());
-            for (q, name) in [(50.0, "p50"), (95.0, "p95"), (99.0, "p99")] {
-                reg.gauge(
-                    &format!("{prefix}.latency_{name}"),
-                    self.latency.percentile(q) as f64,
-                );
-            }
-        }
-    }
 }
 
 /// A cloneable shared handle onto one [`SloTracker`], mirroring
@@ -321,11 +292,6 @@ impl SloHandle {
     /// See [`SloTracker::spec`].
     pub fn spec(&self) -> SloSpec {
         self.0.borrow().spec()
-    }
-
-    /// See [`SloTracker::publish`].
-    pub fn publish(&self, reg: &mut Registry, prefix: &str) {
-        self.0.borrow().publish(reg, prefix);
     }
 }
 
@@ -456,17 +422,13 @@ mod tests {
     }
 
     #[test]
-    fn handle_clones_share_state_and_publish_lands_in_registry() {
+    fn handle_clones_share_state() {
         let h = SloHandle::new(spec());
         let h2 = h.clone();
         h2.complete(10, 100);
         h2.error(20);
-        let mut reg = Registry::new();
-        h.publish(&mut reg, "slo.db");
-        assert_eq!(reg.counter("slo.db.good"), 1);
-        assert_eq!(reg.counter("slo.db.bad"), 1);
-        let s = reg.snapshot();
-        assert!(s.gauges.contains_key("slo.db.fast_burn"));
-        assert!(s.gauges.contains_key("slo.db.latency_p99"));
+        let health = h.health();
+        assert_eq!((health.good, health.bad), (1, 1));
+        assert!(health.fast_burn > 0.0, "{health:?}");
     }
 }

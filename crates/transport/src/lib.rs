@@ -46,6 +46,5 @@ pub use transport::{
 };
 pub use trap::TrapIpcTransport;
 pub use wire::{
-    opcode, CopyMeter, Lane, Request, TenantId, WireHeader, OP_TAG_OFFSET, WIRE_HEADER_LEN,
-    WIRE_MIN,
+    CopyMeter, Lane, Request, TenantId, WireHeader, OP_TAG_OFFSET, WIRE_HEADER_LEN, WIRE_MIN,
 };

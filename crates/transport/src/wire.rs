@@ -237,57 +237,6 @@ impl Lane {
     }
 }
 
-/// Application-level wire opcodes for multi-hop serving graphs.
-///
-/// The base wire header only distinguishes read (0) from write (1) —
-/// all a single echo server needs. A serving *graph* routes one client
-/// request through several servers (gateway → cache → db → fs), and
-/// each hop performs a different operation against the seed crates.
-/// These constants give every hop an explicit opcode so traces, benches
-/// and the commit log can name what crossed the wire; the low bit keeps
-/// the base read/write convention (odd opcodes mutate).
-pub mod opcode {
-    /// Client-facing point read.
-    pub const READ: u8 = 0;
-    /// Client-facing write (update/insert).
-    pub const WRITE: u8 = 1;
-    /// Gateway admission/auth check (read-only).
-    pub const AUTH: u8 = 2;
-    /// Cache-aside lookup.
-    pub const CACHE_GET: u8 = 4;
-    /// Cache invalidation on the write path.
-    pub const CACHE_INVAL: u8 = 5;
-    /// B-tree point query in the database server.
-    pub const DB_QUERY: u8 = 6;
-    /// Journaled upsert in the database server.
-    pub const DB_UPSERT: u8 = 7;
-    /// Block/file read in the file-system server.
-    pub const FS_READ: u8 = 8;
-    /// Journaled file write in the file-system server.
-    pub const FS_WRITE: u8 = 9;
-
-    /// Whether `op` mutates server state (the low-bit convention).
-    pub fn is_write(op: u8) -> bool {
-        op & 1 == 1
-    }
-
-    /// Human-readable opcode name for traces and reports.
-    pub fn name(op: u8) -> &'static str {
-        match op {
-            READ => "read",
-            WRITE => "write",
-            AUTH => "auth",
-            CACHE_GET => "cache_get",
-            CACHE_INVAL => "cache_inval",
-            DB_QUERY => "db_query",
-            DB_UPSERT => "db_upsert",
-            FS_READ => "fs_read",
-            FS_WRITE => "fs_write",
-            _ => "unknown",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

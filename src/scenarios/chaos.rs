@@ -24,10 +24,10 @@
 
 use sb_faultplane::{FaultHandle, FaultMix, FaultObserver, FaultPoint, FaultReport, FaultStage};
 use sb_fs::{log::Log, BlockDevice, FaultyDisk, RamDisk, BSIZE};
-use sb_observe::{FaultCounts, Recorder, Registry, DEFAULT_RING_CAPACITY};
+use sb_observe::{FaultCounts, Recorder, DEFAULT_RING_CAPACITY};
 use sb_runtime::{
-    Faulty, MpkTransport, PoissonArrivals, RequestFactory, RetryPolicy, RingConfig, RingTransport,
-    RunStats, RuntimeConfig, SkyBridgeTransport, Transport, TrapIpcTransport,
+    run_stats_json, Faulty, MpkTransport, PoissonArrivals, RequestFactory, RetryPolicy, RingConfig,
+    RingTransport, RunStats, RuntimeConfig, SkyBridgeTransport, Transport, TrapIpcTransport,
 };
 use sb_sentinel::{postmortem, BundleReceipt, PostmortemInput, PostmortemSpec, SloHandle, SloSpec};
 
@@ -243,10 +243,6 @@ fn chaos_cell(
         )),
     };
 
-    // The metrics baseline for the bundle's diff: everything the run
-    // moves is published after quiescence and diffed against this.
-    let mut registry = Registry::new();
-    let before = registry.snapshot();
     let slo = SloHandle::new(chaos_slo());
 
     let cfg = RuntimeConfig {
@@ -295,23 +291,10 @@ fn chaos_cell(
     let mut bundle = None;
     if let Some(spec) = flight {
         if report.unrecovered() > 0 || health.breached() {
-            // Fold the run into the registry so the bundle carries a
-            // metrics diff over exactly the incident window.
-            registry.count("run.offered", stats.offered);
-            registry.count("run.completed", stats.completed);
-            registry.count("run.shed_queue_full", stats.shed_queue_full);
-            registry.count("run.shed_deadline", stats.shed_deadline);
-            registry.count("run.timed_out", stats.timed_out);
-            registry.count("run.failed", stats.failed);
-            registry.count("run.retries", stats.retries);
-            registry.count("run.recoveries", stats.recoveries);
-            registry.count("run.bytes_copied", stats.bytes_copied);
-            slo.publish(&mut registry, "slo");
+            // The bundle's `run` block is the chaos row's `run`, byte
+            // for byte: one renderer for both.
+            let run = run_stats_json(&stats);
             let pmu = engine.pmu();
-            if let Some(p) = &pmu {
-                registry.record_pmu("pmu", p);
-            }
-            let metrics = registry.snapshot().diff(&before);
             let tag = format!("{}_{}_{seed:#x}", backend.label(), mix.name);
             let input = PostmortemInput {
                 reason: if report.unrecovered() > 0 {
@@ -321,7 +304,7 @@ fn chaos_cell(
                 },
                 tag: &tag,
                 recorder: Some(&recorder),
-                metrics: Some(&metrics),
+                run: Some(&run),
                 pmu: pmu.as_ref(),
                 faults: Some(&report),
                 slo: Some(health),

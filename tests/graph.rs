@@ -8,7 +8,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use sb_graph::{GraphSpec, GraphTransport};
+use sb_fs::RamDisk;
+use sb_graph::{CellDisk, GraphSpec, GraphTransport, CELL_DISK_BLOCKS};
 use sb_mem::WalkMemoStats;
 use sb_observe::Recorder;
 use sb_runtime::{
@@ -295,7 +296,9 @@ fn the_walk_memo_answers_every_steady_state_walk_of_every_node() {
             }) as Box<dyn Transport>
         })
         .collect();
-    let mut t = GraphTransport::assemble("graph:skybridge", &spec, transports, 1).expect("valid");
+    let disk = CellDisk::Ram(RamDisk::new(CELL_DISK_BLOCKS));
+    let mut t =
+        GraphTransport::assemble_on("graph:skybridge", &spec, transports, 1, disk).expect("valid");
     let payload = client_payload(&spec);
     let mut keys = Workload::new(WorkloadSpec {
         seed: 42,

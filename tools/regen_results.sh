@@ -18,13 +18,13 @@
 # every committed file after an intended change, copy `dir/results/`
 # over `results/`.
 #
-# Tier-1 already runs twelve of the eighteen entries in-process, every
-# gated sweep and six paper artefacts (~10 s wall on two cores in a
-# debug build, held file for file and gate for gate by
-# crates/bench/tests/paper.rs). `table4`, `figure9_11`, `table5`,
-# `table6` and `ablations` (5.3, 32.7, 3.2, 3.4 and 1.5 s release-built
-# on a 2-core host; table5 alone takes 42 s in debug) are re-derived only
-# here.
+# Tier-1 already runs sixteen of the eighteen entries in-process, every
+# gated sweep and nine paper artefacts (held file for file and gate for
+# gate by crates/bench/tests/paper.rs, in the optimised test profile the
+# root Cargo.toml sets). `table6`, whose real-binary rows count the
+# host's installed files, and `figure9_11` (32.7 s release-built on a
+# 2-core host) are re-derived only here; for the other sixteen this diff
+# checks that a release build agrees with the test build.
 #
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
 # by tools/bench_history.sh), sample_trace.json (a hand-picked Perfetto
