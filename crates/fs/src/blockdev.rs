@@ -27,12 +27,13 @@ pub trait BlockDevice {
     /// Number of blocks.
     fn nblocks(&self) -> u32;
 
-    /// Reads block `bno` into `buf`.
+    /// Reads block `bno`, lending the device's copy of it: the caller
+    /// reads the bytes it needs, and copies the block only to keep it.
     ///
     /// # Panics
     ///
     /// Panics if `bno` is out of range.
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]);
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE];
 
     /// Writes `buf` to block `bno`.
     ///
@@ -41,24 +42,23 @@ pub trait BlockDevice {
     /// Panics if `bno` is out of range.
     fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]);
 
-    /// Fallible read: devices that can fail transiently (see
+    /// Fallible write: devices that can fail transiently (see
     /// [`FaultyDisk`]) surface the error here; plain devices never do.
-    fn try_read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) -> Result<(), DevError> {
-        self.read_block(bno, buf);
-        Ok(())
-    }
-
-    /// Fallible write; see [`BlockDevice::try_read_block`].
     fn try_write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) -> Result<(), DevError> {
         self.write_block(bno, buf);
         Ok(())
     }
 }
 
+/// An all-zero block: what a block never written reads as, and what a
+/// cleared log header and a freshly allocated block are written as.
+pub(crate) static ZERO_BLOCK: [u8; BSIZE] = [0; BSIZE];
+
 /// An in-memory disk, with I/O counters.
 ///
 /// Sparse: a block costs the host memory from its first write on, and
-/// reads as zeros until then, so a clone copies only the written blocks.
+/// reads as zeros until then (it lends [`ZERO_BLOCK`]), so a clone copies
+/// only the written blocks.
 #[derive(Debug, Clone)]
 pub struct RamDisk {
     blocks: Vec<Option<Box<[u8; BSIZE]>>>,
@@ -84,12 +84,9 @@ impl BlockDevice for RamDisk {
         self.blocks.len() as u32
     }
 
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
         self.reads += 1;
-        match &self.blocks[bno as usize] {
-            Some(block) => *buf = **block,
-            None => buf.fill(0),
-        }
+        self.blocks[bno as usize].as_deref().unwrap_or(&ZERO_BLOCK)
     }
 
     fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {
@@ -134,8 +131,8 @@ impl BlockDevice for CrashDisk {
         self.inner.nblocks()
     }
 
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
-        self.inner.read_block(bno, buf);
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
+        self.inner.read_block(bno)
     }
 
     fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {
@@ -153,10 +150,12 @@ impl BlockDevice for CrashDisk {
 ///
 /// Injected behaviours, all deterministic in `(seed, mix)`:
 ///
-/// * [`FaultPoint::BlockReadError`] / [`FaultPoint::BlockWriteError`] —
-///   the attempt returns [`DevError`] once; the immediately following
-///   retry of the same block is guaranteed to succeed and is counted as
-///   the recovery.
+/// * [`FaultPoint::BlockReadError`] — the read fails once and is retried
+///   inside [`BlockDevice::read_block`]; the retry is guaranteed to
+///   succeed and is counted as the recovery.
+/// * [`FaultPoint::BlockWriteError`] — the attempt returns [`DevError`]
+///   once; the immediately following retry of the same block is
+///   guaranteed to succeed and is counted as the recovery.
 /// * [`FaultPoint::TornWrite`] — only a prefix of the block reaches the
 ///   medium and the device loses power: the torn block is the visible
 ///   edge of the crash, exactly the state the write-ahead log's
@@ -168,9 +167,8 @@ impl BlockDevice for CrashDisk {
 pub struct FaultyDisk {
     inner: RamDisk,
     faults: FaultHandle,
-    /// Block with an outstanding transient error: the next access to it
-    /// succeeds (and counts as the recovery).
-    retry_read: Option<u32>,
+    /// Block with an outstanding transient write error: the next write
+    /// to it succeeds (and counts as the recovery).
     retry_write: Option<u32>,
     /// Power lost: all further writes are dropped.
     pub dead: bool,
@@ -184,7 +182,6 @@ impl FaultyDisk {
         FaultyDisk {
             inner,
             faults,
-            retry_read: None,
             retry_write: None,
             dead: false,
             dropped: 0,
@@ -208,30 +205,18 @@ impl BlockDevice for FaultyDisk {
         self.inner.nblocks()
     }
 
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
-        // The infallible path retries internally; the injected error
-        // still lands in the ledger and is recovered by the retry.
-        while self.try_read_block(bno, buf).is_err() {}
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
+        // A read fails transiently at most once: the injected error lands
+        // in the ledger, and the retry, guaranteed to succeed, recovers it.
+        if self.faults.fire(FaultPoint::BlockReadError) {
+            self.faults.detected(FaultPoint::BlockReadError);
+            self.faults.recovered(FaultPoint::BlockReadError);
+        }
+        self.inner.read_block(bno)
     }
 
     fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {
         while self.try_write_block(bno, buf).is_err() {}
-    }
-
-    fn try_read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) -> Result<(), DevError> {
-        if self.retry_read.take() == Some(bno) {
-            // The retry after a transient error: guaranteed to succeed.
-            self.inner.read_block(bno, buf);
-            self.faults.recovered(FaultPoint::BlockReadError);
-            return Ok(());
-        }
-        if self.faults.fire(FaultPoint::BlockReadError) {
-            self.retry_read = Some(bno);
-            self.faults.detected(FaultPoint::BlockReadError);
-            return Err(DevError);
-        }
-        self.inner.read_block(bno, buf);
-        Ok(())
     }
 
     fn try_write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) -> Result<(), DevError> {
@@ -253,8 +238,7 @@ impl BlockDevice for FaultyDisk {
             // A prefix (at least 4 bytes so a torn log header shows a
             // plausible count) lands; then the power goes.
             let cut = 4 + self.faults.draw((BSIZE - 4) as u64) as usize;
-            let mut torn = [0u8; BSIZE];
-            self.inner.read_block(bno, &mut torn);
+            let mut torn = *self.inner.read_block(bno);
             self.inner.reads -= 1; // Internal read, not device traffic.
             torn[..cut].copy_from_slice(&buf[..cut]);
             self.inner.write_block(bno, &torn);
@@ -294,9 +278,9 @@ mod tests {
             self.blocks.len() as u32
         }
 
-        fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
+        fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
             self.reads += 1;
-            *buf = self.blocks[bno as usize];
+            &self.blocks[bno as usize]
         }
 
         fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {
@@ -309,12 +293,8 @@ mod tests {
     /// `disk_digest` reads a disk (on a copy, so no counter moves): equal
     /// images hash to equal digests.
     fn image(mut disk: impl BlockDevice) -> Vec<u8> {
-        let mut buf = [0u8; BSIZE];
         (0..disk.nblocks())
-            .flat_map(|bno| {
-                disk.read_block(bno, &mut buf);
-                buf
-            })
+            .flat_map(|bno| *disk.read_block(bno))
             .collect()
     }
 
@@ -339,12 +319,7 @@ mod tests {
                         dense.write_block(bno, &block);
                         written.insert(bno as usize);
                     }
-                    2 => {
-                        let (mut a, mut b) = ([1; BSIZE], [2; BSIZE]);
-                        sparse.read_block(bno, &mut a);
-                        dense.read_block(bno, &mut b);
-                        prop_assert_eq!(a, b);
-                    }
+                    2 => prop_assert_eq!(sparse.read_block(bno), dense.read_block(bno)),
                     _ => {
                         (sparse, dense) = (sparse.clone(), dense.clone());
                         let held = (0..24).filter(|&b| sparse.blocks[b].is_some());
@@ -363,10 +338,9 @@ mod tests {
         let mut buf = [0u8; BSIZE];
         buf[0] = 0xaa;
         d.write_block(3, &buf);
-        let mut out = [0u8; BSIZE];
-        d.read_block(3, &mut out);
-        assert_eq!(out[0], 0xaa);
-        assert_eq!((d.reads, d.writes), (1, 1));
+        assert_eq!(d.read_block(3)[0], 0xaa);
+        assert_eq!(d.read_block(4), &[0; BSIZE], "never written: zeros");
+        assert_eq!((d.reads, d.writes), (2, 1));
     }
 
     #[test]
@@ -387,11 +361,8 @@ mod tests {
         d.write_block(0, &one); // Persisted.
         d.write_block(1, &two); // Dropped.
         assert_eq!(d.dropped, 1);
-        let mut buf = [0u8; BSIZE];
-        d.read_block(0, &mut buf);
-        assert_eq!(buf[0], 1);
-        d.read_block(1, &mut buf);
-        assert_eq!(buf[0], 0);
+        assert_eq!(d.read_block(0)[0], 1);
+        assert_eq!(d.read_block(1)[0], 0);
     }
 
     #[test]
@@ -405,12 +376,27 @@ mod tests {
         one[0] = 1;
         assert!(d.try_write_block(3, &one).is_err(), "first attempt fails");
         assert!(d.try_write_block(3, &one).is_ok(), "retry succeeds");
-        let mut buf = [0u8; BSIZE];
         h.disarm();
-        d.read_block(3, &mut buf);
-        assert_eq!(buf[0], 1);
+        assert_eq!(d.read_block(3)[0], 1);
         let r = h.report();
         assert_eq!((r.detected(), r.recovered(), r.leaked()), (1, 1, 0));
+    }
+
+    #[test]
+    fn faulty_disk_transient_read_error_is_retried_inside_the_read() {
+        let h = FaultHandle::new(3, FaultMix::none().with(FaultPoint::BlockReadError, 10_000));
+        let mut d = FaultyDisk::new(RamDisk::new(8), h.clone());
+        d.write_block(5, &[7; BSIZE]);
+        for _ in 0..3 {
+            assert_eq!(d.read_block(5), &[7; BSIZE]);
+        }
+        let r = h.report();
+        assert_eq!((r.detected(), r.recovered(), r.leaked()), (3, 3, 0));
+        assert_eq!(
+            d.into_survivor().reads,
+            3,
+            "a retried read reaches the medium once"
+        );
     }
 
     #[test]
@@ -420,15 +406,13 @@ mod tests {
         let full = [0xff; BSIZE];
         d.write_block(2, &full);
         assert!(d.dead, "a torn write takes the power with it");
-        let mut buf = [0u8; BSIZE];
-        d.read_block(2, &mut buf);
+        let buf = *d.read_block(2);
         assert!(buf[..4] == [0xff; 4], "at least the prefix landed");
         assert!(buf.contains(&0), "the tail of the block must be torn off");
         // Writes after death are silently dropped.
         d.write_block(3, &full);
         assert!(d.dropped >= 1);
-        d.read_block(3, &mut buf);
-        assert_eq!(buf[0], 0);
+        assert_eq!(d.read_block(3)[0], 0);
     }
 
     #[test]
@@ -438,9 +422,7 @@ mod tests {
         let mut b = [0u8; BSIZE];
         b[9] = 9;
         d.write_block(1, &b);
-        let mut out = [0u8; BSIZE];
-        d.read_block(1, &mut out);
-        assert_eq!(out[9], 9);
+        assert_eq!(d.read_block(1)[9], 9);
         assert_eq!(h.report().injected(), 0);
     }
 }

@@ -1,9 +1,9 @@
 //! The file-system facade: superblock, allocation, files, directories.
 
 use crate::{
-    blockdev::{BlockDevice, BSIZE},
+    blockdev::{BlockDevice, BSIZE, ZERO_BLOCK},
     dir::{Dirent, DIRENT_SIZE, DIRSIZ},
-    inode::{Dinode, InodeType, INODE_SIZE, IPB, MAXFILE, NDIRECT, NINDIRECT},
+    inode::{addr_at, Dinode, InodeType, INODE_SIZE, IPB, MAXFILE, NDIRECT, NINDIRECT, SIZE_AT},
     log::{Log, LOG_CAPACITY},
 };
 
@@ -151,8 +151,6 @@ pub struct FileSystem<D: BlockDevice> {
     dev: D,
     sb: Superblock,
     log: Log,
-    /// Where [`FileSystem::bread`] puts a block the log has not staged.
-    scratch: [u8; BSIZE],
 }
 
 impl<D: BlockDevice> FileSystem<D> {
@@ -176,16 +174,14 @@ impl<D: BlockDevice> FileSystem<D> {
             bmapstart,
             datastart,
         };
-        let zero = [0u8; BSIZE];
         for b in 0..datastart {
-            dev.write_block(b, &zero);
+            dev.write_block(b, &ZERO_BLOCK);
         }
         dev.write_block(1, &sb.encode());
         let mut fs = FileSystem {
             dev,
             sb,
             log: Log::new(logstart, nlog),
-            scratch: [0; BSIZE],
         };
         // Mark the metadata blocks used in the bitmap and create "/".
         fs.log.begin_op();
@@ -210,15 +206,13 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::BadSuperblock`] if block 1 is not a superblock whose
     /// geometry fits the device.
     pub fn mount(mut dev: D) -> Result<Self, FsError> {
-        let mut sb_block = [0u8; BSIZE];
-        dev.read_block(1, &mut sb_block);
-        let sb = Superblock::decode(&sb_block, dev.nblocks())?;
+        let nblocks = dev.nblocks();
+        let sb = Superblock::decode(dev.read_block(1), nblocks)?;
         Log::recover(sb.logstart, &mut dev);
         Ok(FileSystem {
             dev,
             sb,
             log: Log::new(sb.logstart, sb.nlog),
-            scratch: [0; BSIZE],
         })
     }
 
@@ -250,29 +244,21 @@ impl<D: BlockDevice> FileSystem<D> {
     // ----- block I/O through the log -----
 
     /// Borrows block `bno` as the current transaction sees it: the staged
-    /// copy if there is one, a fresh device read otherwise. Every call on
-    /// an unstaged block reaches the device — the block server is billed
-    /// per request, so there is no buffer cache to skip it.
+    /// copy if there is one, the block the device lends otherwise. Every
+    /// call on an unstaged block reaches the device — the block server is
+    /// billed per request, so there is no buffer cache to skip it.
     fn bread(&mut self, bno: u32) -> &[u8; BSIZE] {
         match self.log.staged(bno) {
             Some(data) => data,
-            None => {
-                self.dev.read_block(bno, &mut self.scratch);
-                &self.scratch
-            }
+            None => self.dev.read_block(bno),
         }
-    }
-
-    /// Stages block `bno` for a partial update (read-modify-write).
-    fn bmodify(&mut self, bno: u32) -> &mut [u8; BSIZE] {
-        self.log.modify(&mut self.dev, bno)
     }
 
     // ----- bitmap allocation -----
 
     fn bitmap_set(&mut self, bno: u32, used: bool) {
         let bblock = self.sb.bmapstart + bno / (BSIZE as u32 * 8);
-        let buf = self.bmodify(bblock);
+        let buf = self.log.modify(&mut self.dev, bblock);
         let bit = (bno % (BSIZE as u32 * 8)) as usize;
         if used {
             buf[bit / 8] |= 1 << (bit % 8);
@@ -292,7 +278,7 @@ impl<D: BlockDevice> FileSystem<D> {
                     return Err(FsError::NoSpace);
                 }
                 self.bitmap_set(bno, true);
-                self.log.write(bno, &[0u8; BSIZE]);
+                self.log.write(bno, &ZERO_BLOCK);
                 return Ok(bno);
             }
         }
@@ -319,7 +305,20 @@ impl<D: BlockDevice> FileSystem<D> {
 
     fn write_inode(&mut self, inum: Inum, d: &Dinode) {
         let (b, off) = self.inode_block(inum);
-        self.bmodify(b)[off..off + INODE_SIZE].copy_from_slice(&d.encode());
+        self.log.patch(&mut self.dev, b, off, &d.encode());
+    }
+
+    /// Reads the one 4-byte field at `at` of an inode's slot (the same
+    /// block read as [`FileSystem::read_inode`]).
+    fn inode_word(&mut self, inum: Inum, at: usize) -> u32 {
+        let (b, off) = self.inode_block(inum);
+        u32::from_le_bytes(self.bread(b)[off + at..off + at + 4].try_into().unwrap())
+    }
+
+    /// Writes the one 4-byte field at `at` of an inode's slot.
+    fn set_inode_word(&mut self, inum: Inum, at: usize, v: u32) {
+        let (b, off) = self.inode_block(inum);
+        self.log.patch(&mut self.dev, b, off + at, &v.to_le_bytes());
     }
 
     fn ialloc(&mut self, typ: InodeType) -> Result<Inum, FsError> {
@@ -339,47 +338,33 @@ impl<D: BlockDevice> FileSystem<D> {
     }
 
     /// Maps file block `fbn` of `inum` to a disk block, allocating if
-    /// requested.
+    /// requested (0: a hole, when not). Reads the one inode address the
+    /// block hangs off, then each indirect slot on the way down.
     fn bmap(&mut self, inum: Inum, fbn: usize, alloc: bool) -> Result<u32, FsError> {
         if fbn >= MAXFILE {
             return Err(FsError::FileTooLarge);
         }
-        let mut d = self.read_inode(inum);
-        if fbn < NDIRECT {
-            if d.addrs[fbn] == 0 {
-                if !alloc {
-                    return Ok(0);
-                }
-                d.addrs[fbn] = self.balloc()?;
-                self.write_inode(inum, &d);
-            }
-            return Ok(d.addrs[fbn]);
+        let (addr, slots) = if fbn < NDIRECT {
+            (fbn, [None, None])
+        } else if fbn < NDIRECT + NINDIRECT {
+            (NDIRECT, [Some(fbn - NDIRECT), None])
+        } else {
+            let rest = fbn - NDIRECT - NINDIRECT;
+            let (mid, leaf) = (rest / NINDIRECT, rest % NINDIRECT);
+            (NDIRECT + 1, [Some(mid), Some(leaf)])
+        };
+        let mut bno = self.inode_word(inum, addr_at(addr));
+        if bno == 0 && alloc {
+            bno = self.balloc()?;
+            self.set_inode_word(inum, addr_at(addr), bno);
         }
-        if fbn < NDIRECT + NINDIRECT {
-            // Single indirect.
-            if d.addrs[NDIRECT] == 0 {
-                if !alloc {
-                    return Ok(0);
-                }
-                d.addrs[NDIRECT] = self.balloc()?;
-                self.write_inode(inum, &d);
-            }
-            return self.indirect_slot(d.addrs[NDIRECT], fbn - NDIRECT, alloc);
-        }
-        // Double indirect.
-        if d.addrs[NDIRECT + 1] == 0 {
-            if !alloc {
+        for slot in slots.into_iter().flatten() {
+            if bno == 0 {
                 return Ok(0);
             }
-            d.addrs[NDIRECT + 1] = self.balloc()?;
-            self.write_inode(inum, &d);
+            bno = self.indirect_slot(bno, slot, alloc)?;
         }
-        let rest = fbn - NDIRECT - NINDIRECT;
-        let mid = self.indirect_slot(d.addrs[NDIRECT + 1], rest / NINDIRECT, alloc)?;
-        if mid == 0 {
-            return Ok(0);
-        }
-        self.indirect_slot(mid, rest % NINDIRECT, alloc)
+        Ok(bno)
     }
 
     /// Reads (allocating if asked) slot `slot` of the indirect block `ib`.
@@ -399,8 +384,7 @@ impl<D: BlockDevice> FileSystem<D> {
 
     /// Reads up to `buf.len()` bytes at `off`; returns bytes read.
     fn readi(&mut self, inum: Inum, off: usize, buf: &mut [u8]) -> usize {
-        let d = self.read_inode(inum);
-        let size = d.size as usize;
+        let size = self.inode_word(inum, SIZE_AT) as usize;
         if off >= size {
             return 0;
         }
@@ -432,13 +416,13 @@ impl<D: BlockDevice> FileSystem<D> {
             let boff = (off + done) % BSIZE;
             let chunk = (BSIZE - boff).min(data.len() - done);
             let bno = self.bmap(inum, fbn, true)?;
-            self.bmodify(bno)[boff..boff + chunk].copy_from_slice(&data[done..done + chunk]);
+            self.log
+                .patch(&mut self.dev, bno, boff, &data[done..done + chunk]);
             done += chunk;
         }
-        let mut d = self.read_inode(inum);
-        if (off + data.len()) as u32 > d.size {
-            d.size = (off + data.len()) as u32;
-            self.write_inode(inum, &d);
+        let end = (off + data.len()) as u32;
+        if end > self.inode_word(inum, SIZE_AT) {
+            self.set_inode_word(inum, SIZE_AT, end);
         }
         Ok(())
     }
@@ -551,7 +535,7 @@ impl<D: BlockDevice> FileSystem<D> {
 
     /// The size of a file in bytes.
     pub fn size_of(&mut self, inum: Inum) -> usize {
-        self.read_inode(inum).size as usize
+        self.inode_word(inum, SIZE_AT) as usize
     }
 
     /// Reads at `off`; returns bytes read.
@@ -715,5 +699,167 @@ impl<D: BlockDevice> FileSystem<D> {
             off += DIRENT_SIZE;
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blockdev::RamDisk;
+
+    /// A disk that records every call: `'r'` or `'w'`, the block, and the
+    /// bytes written.
+    struct Tape {
+        disk: RamDisk,
+        calls: Vec<(char, u32, Vec<u8>)>,
+    }
+
+    impl BlockDevice for Tape {
+        fn nblocks(&self) -> u32 {
+            self.disk.nblocks()
+        }
+
+        fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
+            self.calls.push(('r', bno, vec![]));
+            self.disk.read_block(bno)
+        }
+
+        fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {
+            self.calls.push(('w', bno, buf.to_vec()));
+            self.disk.write_block(bno, buf);
+        }
+    }
+
+    fn fresh() -> FileSystem<Tape> {
+        let tape = Tape {
+            disk: RamDisk::new(1024),
+            calls: vec![],
+        };
+        FileSystem::mkfs(tape, 16)
+    }
+
+    fn reads_of(fs: &FileSystem<Tape>, bno: u32) -> usize {
+        fs.dev
+            .calls
+            .iter()
+            .filter(|c| (c.0, c.1) == ('r', bno))
+            .count()
+    }
+
+    /// The device read of a block the chunk overwrites whole is a billed
+    /// crossing: it stays, while the old bytes it lends go unused.
+    #[test]
+    fn a_whole_block_overwrite_reads_the_device_once_and_stages_only_the_new_bytes() {
+        let mut fs = fresh();
+        let f = fs.create("/f").unwrap();
+        fs.write_at(f, 0, &[0xa5; BSIZE]).unwrap();
+        let bno = fs.bmap(f, 0, false).unwrap();
+        fs.dev.calls.clear();
+        let new: [u8; BSIZE] = std::array::from_fn(|i| i as u8);
+        fs.log.begin_op();
+        fs.writei(f, 0, &new).unwrap();
+        assert_eq!(reads_of(&fs, bno), 1, "the overwrite reads its block once");
+        assert_eq!(fs.log.staged(bno), Some(&new), "staged: the new bytes only");
+        assert_eq!(fs.dev.disk.read_block(bno), &[0xa5; BSIZE], "not yet home");
+        fs.writei(f, 0, &[7; BSIZE]).unwrap();
+        assert_eq!(
+            reads_of(&fs, bno),
+            1,
+            "a staged block is absorbed, not read"
+        );
+        fs.log.end_op(&mut fs.dev);
+        let mut back = [0u8; BSIZE];
+        assert_eq!(fs.read_at(f, 0, &mut back), BSIZE);
+        assert_eq!(back, [7; BSIZE]);
+    }
+
+    /// `bmap` as it was before it read one address: the whole inode
+    /// decoded, edited and encoded back.
+    fn bmap_by_dinode<D: BlockDevice>(
+        fs: &mut FileSystem<D>,
+        inum: Inum,
+        fbn: usize,
+        alloc: bool,
+    ) -> Result<u32, FsError> {
+        if fbn >= MAXFILE {
+            return Err(FsError::FileTooLarge);
+        }
+        let mut d = fs.read_inode(inum);
+        let (i, rest) = match fbn {
+            _ if fbn < NDIRECT => (fbn, None),
+            _ if fbn < NDIRECT + NINDIRECT => (NDIRECT, Some(fbn - NDIRECT)),
+            _ => (NDIRECT + 1, Some(fbn - NDIRECT - NINDIRECT)),
+        };
+        if d.addrs[i] == 0 {
+            if !alloc {
+                return Ok(0);
+            }
+            d.addrs[i] = fs.balloc()?;
+            fs.write_inode(inum, &d);
+        }
+        match rest {
+            None => Ok(d.addrs[i]),
+            Some(slot) if i == NDIRECT => fs.indirect_slot(d.addrs[i], slot, alloc),
+            Some(rest) => match fs.indirect_slot(d.addrs[i], rest / NINDIRECT, alloc)? {
+                0 => Ok(0),
+                mid => fs.indirect_slot(mid, rest % NINDIRECT, alloc),
+            },
+        }
+    }
+
+    /// Direct, single- and double-indirect blocks, the edges of each
+    /// range and one past the largest file, looked up, allocated and
+    /// looked up again: the same answers and the same device calls with
+    /// the same bytes as the whole-inode `bmap`, and answers that are the
+    /// addresses `read_inode` and the indirect blocks hold.
+    #[test]
+    fn one_address_bmap_matches_the_whole_inode_bmap() {
+        let dbl = NDIRECT + NINDIRECT;
+        let fbns = [
+            0,
+            5,
+            NDIRECT - 1,
+            NDIRECT,
+            NDIRECT + 7,
+            dbl - 1,
+            dbl,
+            dbl + 300,
+            MAXFILE - 1,
+            MAXFILE,
+        ];
+        let (mut new, mut old) = (fresh(), fresh());
+        let f = new.create("/f").unwrap();
+        assert_eq!(old.create("/f"), Ok(f));
+        for (pass, alloc) in [false, true, false].into_iter().enumerate() {
+            for fbn in fbns {
+                new.dev.calls.clear();
+                old.dev.calls.clear();
+                new.log.begin_op();
+                old.log.begin_op();
+                let got = new.bmap(f, fbn, alloc);
+                let want = bmap_by_dinode(&mut old, f, fbn, alloc);
+                new.log.end_op(&mut new.dev);
+                old.log.end_op(&mut old.dev);
+                assert_eq!(got, want, "fbn {fbn}, alloc {alloc}");
+                assert!(new.dev.calls == old.dev.calls, "fbn {fbn}, alloc {alloc}");
+                let mapped = pass > 0 && fbn < MAXFILE;
+                assert_eq!(
+                    got.is_ok_and(|bno| bno != 0),
+                    mapped,
+                    "fbn {fbn}, pass {pass}"
+                );
+            }
+        }
+        let d = new.read_inode(f);
+        assert_eq!(new.bmap(f, 5, false), Ok(d.addrs[5]));
+        let slot = |fs: &mut FileSystem<Tape>, ib: u32, i: usize| {
+            u32::from_le_bytes(fs.bread(ib)[i * 4..i * 4 + 4].try_into().unwrap())
+        };
+        let single = slot(&mut new, d.addrs[NDIRECT], 7);
+        assert_eq!(new.bmap(f, NDIRECT + 7, false), Ok(single));
+        let mid = slot(&mut new, d.addrs[NDIRECT + 1], 300 / NINDIRECT);
+        let double = slot(&mut new, mid, 300 % NINDIRECT);
+        assert_eq!(new.bmap(f, dbl + 300, false), Ok(double));
+        assert!([single, mid, double].iter().all(|&b| b != 0));
     }
 }

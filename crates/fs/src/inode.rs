@@ -19,6 +19,14 @@ pub const INODE_SIZE: usize = 64;
 /// Inodes per block.
 pub const IPB: usize = BSIZE / INODE_SIZE;
 
+/// Byte offset of the 4-byte `size` in an inode's slot.
+pub const SIZE_AT: usize = 4;
+
+/// Byte offset of the 4-byte `addrs[i]` in an inode's slot.
+pub const fn addr_at(i: usize) -> usize {
+    8 + 4 * i
+}
+
 /// Inode type tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InodeType {
@@ -77,9 +85,9 @@ impl Dinode {
         let mut b = [0u8; INODE_SIZE];
         b[0..2].copy_from_slice(&self.typ.to_u16().to_le_bytes());
         b[2..4].copy_from_slice(&self.nlink.to_le_bytes());
-        b[4..8].copy_from_slice(&self.size.to_le_bytes());
+        b[SIZE_AT..SIZE_AT + 4].copy_from_slice(&self.size.to_le_bytes());
         for (i, a) in self.addrs.iter().enumerate() {
-            b[8 + i * 4..12 + i * 4].copy_from_slice(&a.to_le_bytes());
+            b[addr_at(i)..addr_at(i) + 4].copy_from_slice(&a.to_le_bytes());
         }
         b
     }
@@ -88,12 +96,12 @@ impl Dinode {
     pub fn decode(b: &[u8]) -> Self {
         let mut addrs = [0u32; NDIRECT + 2];
         for (i, a) in addrs.iter_mut().enumerate() {
-            *a = u32::from_le_bytes(b[8 + i * 4..12 + i * 4].try_into().unwrap());
+            *a = u32::from_le_bytes(b[addr_at(i)..addr_at(i) + 4].try_into().unwrap());
         }
         Dinode {
             typ: InodeType::from_u16(u16::from_le_bytes(b[0..2].try_into().unwrap())),
             nlink: u16::from_le_bytes(b[2..4].try_into().unwrap()),
-            size: u32::from_le_bytes(b[4..8].try_into().unwrap()),
+            size: u32::from_le_bytes(b[SIZE_AT..SIZE_AT + 4].try_into().unwrap()),
             addrs,
         }
     }

@@ -157,8 +157,7 @@ fn mount_garbage_fails() {
 /// reads `value`.
 fn corrupt(word: usize, value: u32) -> RamDisk {
     let mut disk = FileSystem::mkfs(RamDisk::new(64), 16).into_device();
-    let mut sb = [0u8; BSIZE];
-    disk.read_block(1, &mut sb);
+    let mut sb = *disk.read_block(1);
     sb[word * 4..word * 4 + 4].copy_from_slice(&value.to_le_bytes());
     disk.write_block(1, &sb);
     disk

@@ -70,10 +70,10 @@ impl BlockDevice for CellDisk {
         }
     }
 
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
         match self {
-            CellDisk::Ram(d) => d.read_block(bno, buf),
-            CellDisk::Faulty(d) => d.read_block(bno, buf),
+            CellDisk::Ram(d) => d.read_block(bno),
+            CellDisk::Faulty(d) => d.read_block(bno),
         }
     }
 

@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 use std::slice::Iter;
 
-use sb_fs::{BlockDevice, RamDisk, BSIZE};
+use sb_fs::{BlockDevice, RamDisk};
 use sb_observe::{get_varint, put_varint};
 
 /// One mediated cell operation.
@@ -276,10 +276,8 @@ pub fn value_bytes(key: u64, seq: u64, len: usize) -> Vec<u8> {
 /// or folded into — the digest.
 pub fn disk_digest(mut disk: RamDisk) -> u64 {
     let mut h = Fnv::new();
-    let mut buf = [0u8; BSIZE];
     for bno in 0..disk.nblocks() {
-        disk.read_block(bno, &mut buf);
-        h.write(&buf);
+        h.write(disk.read_block(bno));
     }
     h.finish()
 }
@@ -373,11 +371,10 @@ mod tests {
     fn disk_digest_sees_content_not_counters() {
         let mut a = RamDisk::new(8);
         let mut b = RamDisk::new(8);
-        let block = [7u8; BSIZE];
+        let block = [7u8; sb_fs::BSIZE];
         a.write_block(3, &block);
         b.write_block(3, &block);
-        let mut probe = [0u8; BSIZE];
-        b.read_block(0, &mut probe); // skew the counters only
+        b.read_block(0); // skew the counters only
         assert_eq!(disk_digest(a.clone()), disk_digest(b));
         a.write_block(4, &block);
         assert_ne!(disk_digest(a.clone()), disk_digest(RamDisk::new(8)));

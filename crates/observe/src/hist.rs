@@ -157,17 +157,6 @@ impl Log2Histogram {
         }
         self.max
     }
-
-    /// Adds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -234,30 +223,6 @@ mod tests {
         h.record(42);
         for p in [0.0, 50.0, 100.0, f64::NAN, -5.0, 300.0] {
             assert_eq!(h.percentile(p), 42, "one sample is every percentile");
-        }
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let (mut a, mut b, mut all) = (
-            Log2Histogram::new(),
-            Log2Histogram::new(),
-            Log2Histogram::new(),
-        );
-        for i in 0..500u64 {
-            let v = i * i + 1;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.sum(), all.sum());
-        for p in [10.0, 50.0, 95.0] {
-            assert_eq!(a.percentile(p), all.percentile(p));
         }
     }
 

@@ -506,8 +506,7 @@ pub fn run_fs_chaos(seed: u64, mix: &FaultMix, txns: u8) -> FsChaosOutcome {
 
     let mut generations = [0u8; FS_HOME.len()];
     for (i, &bno) in FS_HOME.iter().enumerate() {
-        let mut buf = [0u8; BSIZE];
-        survivor.read_block(bno, &mut buf);
+        let buf = survivor.read_block(bno);
         assert!(
             buf.iter().all(|&b| b == buf[0]),
             "home block {bno} splices generations after recovery"

@@ -259,9 +259,9 @@ impl BlockDevice for ChargedDisk {
         self.disk.nblocks()
     }
 
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
         self.sim.borrow_mut().bd_transport(false);
-        self.disk.read_block(bno, buf);
+        self.disk.read_block(bno)
     }
 
     fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {

@@ -82,9 +82,9 @@ impl<D: BlockDevice> BlockDevice for Recording<D> {
         self.inner.nblocks()
     }
 
-    fn read_block(&mut self, bno: u32, buf: &mut [u8; BSIZE]) {
+    fn read_block(&mut self, bno: u32) -> &[u8; BSIZE] {
         self.call(b'R', bno as u64, 0);
-        self.inner.read_block(bno, buf);
+        self.inner.read_block(bno)
     }
 
     fn write_block(&mut self, bno: u32, buf: &[u8; BSIZE]) {
@@ -256,10 +256,8 @@ fn run_mix(cache_pages: usize) -> Trace {
     let mut image = Digest::new();
     let mut ram = disk.inner;
     let (disk_reads, disk_writes) = (ram.reads, ram.writes);
-    let mut buf = [0u8; BSIZE];
     for bno in 0..DISK_BLOCKS {
-        ram.read_block(bno, &mut buf);
-        image.bytes(&buf);
+        image.bytes(ram.read_block(bno));
     }
     Trace {
         file_calls: file.calls,
