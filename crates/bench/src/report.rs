@@ -2,9 +2,10 @@
 //! results and the results-file writer.
 //!
 //! Every file is rendered by [`sb_observe::Json`], the workspace's one
-//! JSON value. A run's row is `sb_runtime::run_stats_json`, its one
-//! renderer, which a postmortem bundle below this crate embeds too; the
-//! scenario modules' other result structs are rendered to rows here.
+//! JSON value. A run's row is `sb_runtime::run_stats_json` and a fault
+//! ledger row `sb_sentinel::fault_row_json`, each its one renderer, which
+//! a postmortem bundle below this crate embeds too; the scenario
+//! modules' other result structs are rendered to rows here.
 
 use std::{
     fs, io,
@@ -13,7 +14,7 @@ use std::{
 
 use sb_observe::Json;
 use sb_runtime::run_stats_json;
-use sb_sentinel::BundleReceipt;
+use sb_sentinel::{fault_row_json, BundleReceipt};
 use skybridge_repro::scenarios::chaos::{ChaosOutcome, FsChaosOutcome};
 
 /// Where a postmortem bundle went and what it holds. The path is the
@@ -24,20 +25,12 @@ pub fn receipt_json(r: &BundleReceipt) -> Json {
     Json::obj()
         .field("path", format!("{RESULTS_DIR}/postmortem/{file}"))
         .field("included_events", r.included_events)
-        .field("truncated_events", r.truncated_events)
-        .field("ring_dropped", r.ring_dropped)
+        .field("truncated_events", r.loss.clipped)
+        .field("ring_dropped", r.loss.ring_dropped)
 }
 
 /// One serving chaos cell as a JSON row (`results/chaos.json`).
 pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
-    let rows = out.report.rows.iter().map(|r| {
-        Json::obj()
-            .field("point", r.point.name())
-            .field("injected", r.injected)
-            .field("detected", r.detected)
-            .field("recovered", r.recovered)
-            .field("leaked", r.leaked)
-    });
     let slo = Json::obj()
         .field("good", out.slo.good)
         .field("bad", out.slo.bad)
@@ -61,7 +54,10 @@ pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("trace_matches_ledger", out.trace_matches_ledger())
         .field("slo", slo)
         .field("postmortem", postmortem)
-        .field("faults", Json::Arr(rows.collect()))
+        .field(
+            "faults",
+            Json::Arr(out.report.rows.iter().map(fault_row_json).collect()),
+        )
         .field("run", run_stats_json(&out.stats))
 }
 

@@ -7,8 +7,7 @@
 //! Per personality the sweep then:
 //!
 //! 1. checks the capture was exact (zero ring overwrites, and a span
-//!    stream with nothing unmatched or unclosed, which also proves the
-//!    per-tenant folds sum to the whole);
+//!    stream with nothing unmatched or unclosed);
 //! 2. holds the phase identity exactly: the in-call phases
 //!    ([`PhaseProfile::in_call_total`]) add up to the end-to-end cycles
 //!    to the cycle, so any movement of the end-to-end figure is a
@@ -110,19 +109,18 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
     }
 
     // The capture must be exact: this sweep sizes its chunks so any loss
-    // is an accounting bug, not pressure. A span torn across two
-    // requests' events would also show here, as unmatched and unclosed:
-    // with none, the tenant parts are the whole, split.
+    // is an accounting bug, not pressure. A span cut by a harvest would
+    // also show here, as unmatched and unclosed.
     if recorder.dropped() > 0 {
         return Err(format!(
             "{label}: chunked capture overwrote {} events",
             recorder.dropped()
         ));
     }
-    if prof.unmatched > 0 || prof.unclosed > 0 {
+    if prof.loss.unmatched > 0 || prof.loss.unclosed > 0 {
         return Err(format!(
             "{label}: malformed span stream ({} unmatched, {} unclosed)",
-            prof.unmatched, prof.unclosed
+            prof.loss.unmatched, prof.loss.unclosed
         ));
     }
     Ok(BackendProfile {

@@ -62,8 +62,11 @@ fn dump_trace(backend: &Backend, a: &mut Artefact) {
         backend.label(),
         stats.completed,
         trace.events,
-        if trace.truncated {
-            format!(", ring overwrote {} — raise TRACE_RING", trace.dropped)
+        if trace.loss.ring_dropped > 0 {
+            format!(
+                ", ring overwrote {} — raise TRACE_RING",
+                trace.loss.ring_dropped
+            )
         } else {
             String::new()
         },

@@ -13,6 +13,9 @@
 //!   a slot write; with the `trace` feature off it compiles to nothing.
 //! * [`Log2Histogram`] — fixed-memory latency quantiles with a bounded
 //!   relative error, behind the runtime's latency tracks.
+//! * [`span::span_pass`] — the one place a lane's events become spans:
+//!   Begin/End pairing, nesting, and the one [`Loss`] account every
+//!   reader below reports.
 //! * [`phase::attribute`] — folds a recorded run's spans into a
 //!   trampoline / switch / marshal / queue-wait / handler cycle
 //!   breakdown ([`PhaseProfile`]), a software Figure 7, and into
@@ -35,14 +38,16 @@ pub mod hist;
 pub mod json;
 pub mod phase;
 pub mod ring;
+pub mod span;
 pub mod varint;
 
-pub use export::{chrome_trace, validate_recorder_nesting, ChromeTrace};
+pub use export::{chrome_trace, ChromeTrace};
 pub use hist::{Log2Histogram, HIST_RELATIVE_ERROR};
 pub use json::Json;
-pub use phase::{attribute, attribute_by_corr, validate_nesting, PhaseProfile};
+pub use phase::{attribute, attribute_by_corr, PhaseProfile};
 pub use ring::{
     Event, EventKind, EventRing, FaultCounts, FaultEvent, FaultStage, InstantKind, Recorder,
     SpanKind, DEFAULT_RING_CAPACITY,
 };
+pub use span::{span_pass, Loss, Span, SpanPass};
 pub use varint::{get_varint, put_varint};

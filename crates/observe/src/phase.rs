@@ -1,49 +1,50 @@
-//! Phase attribution: folding a lane's span stream into a per-phase
-//! cycle breakdown — a software Figure 7 for any recorded run.
+//! Phase attribution: folding a capture's spans into a per-phase cycle
+//! breakdown — a software Figure 7 for any recorded run.
 //!
-//! The fold walks each lane's events in order with a span stack and
-//! charges every span its **self time** (duration minus the time covered
-//! by nested child spans). A SkyBridge call therefore decomposes into
-//! trampoline / switch / marshal / handler self-cycles plus whatever the
-//! `call` span itself didn't delegate (uninstrumented glue), and the sum
-//! of all phases equals the sum of call durations by construction — the
-//! property `tests/observe.rs::phases_fit_inside_their_calls` holds.
-//!
-//! The same fold charges each self time to the span's open-stack path
-//! as well (`call;handler`), which is the run's flamegraph in exact
-//! cycles: a path's leaf frame is the phase its cycles went to, so the
-//! leaf sums of [`PhaseProfile::stacks`] are [`PhaseProfile::phases`].
+//! The fold reads the one span pass ([`crate::span`]) and charges every
+//! span its **self time** (duration minus the time of the spans nested
+//! in it) to its kind and to its stack path (`call;handler`, outermost
+//! frame first), which is the run's flamegraph in exact cycles: a
+//! path's leaf frame is the phase its cycles went to, so the leaf sums
+//! of [`PhaseProfile::stacks`] are [`PhaseProfile::phases`]. DESIGN.md
+//! §18 has the rules.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::iter::successors;
 
 use sb_sim::Cycles;
 
-use crate::ring::{Event, EventKind, SpanKind};
+use crate::ring::{Event, SpanKind};
+use crate::span::{span_pass, Loss, SpanPass};
 
 /// The folded per-phase totals of a recorded run.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfile {
     /// Self-cycles charged to each span kind.
     pub phases: BTreeMap<&'static str, Cycles>,
-    /// Self-cycles charged to each open-stack path, outermost frame
-    /// first (`call;handler`). Wait spans (queue wait, backoff, ring
-    /// wait) are their own root frame: they are stamped retroactively
-    /// over time that overlaps other spans, so no open stack owns them.
+    /// Self-cycles charged to each stack path, outermost frame first
+    /// (`call;handler`). Wait spans (queue wait, backoff, ring wait) are
+    /// their own root frame: they are stamped retroactively over time
+    /// that other spans own, so no stack owns them.
     pub stacks: BTreeMap<String, Cycles>,
-    /// Completed `Call` spans seen.
+    /// End-to-end calls seen: `Call` spans nested in no other `Call`.
     pub calls: u64,
-    /// Sum of `Call` span durations — the end-to-end cycles the phases
+    /// Sum of those calls' durations — the end-to-end cycles the phases
     /// decompose.
     pub end_to_end: Cycles,
-    /// `End` events that matched no open span of their kind (dropped
-    /// begins after ring overwrite, or instrumentation bugs).
-    pub unmatched: u64,
-    /// Spans still open when a lane's stream ended.
-    pub unclosed: u64,
+    /// What the capture lost; lost spans are charged nowhere.
+    pub loss: Loss,
 }
 
 impl PhaseProfile {
+    /// Folds every span of `pass` into one profile.
+    pub fn of(pass: &SpanPass) -> PhaseProfile {
+        let mut profile = fold(pass, |_| ()).remove(&()).unwrap_or_default();
+        profile.loss = pass.loss;
+        profile
+    }
+
     /// Self-cycles charged to `kind` (0 when the phase never appeared).
     pub fn get(&self, kind: SpanKind) -> Cycles {
         self.phases.get(kind.name()).copied().unwrap_or(0)
@@ -78,8 +79,7 @@ impl PhaseProfile {
         }
         self.calls += other.calls;
         self.end_to_end += other.end_to_end;
-        self.unmatched += other.unmatched;
-        self.unclosed += other.unclosed;
+        self.loss.merge(&other.loss);
     }
 
     /// Self-cycles of the phases nested inside calls (everything except
@@ -107,167 +107,73 @@ impl PhaseProfile {
         }
         out
     }
-
-    /// Charges `cycles` of self time to `kind` and to the open-stack
-    /// `path` that ends in it.
-    fn charge(&mut self, kind: SpanKind, path: &str, cycles: Cycles) {
-        *self.phases.entry(kind.name()).or_insert(0) += cycles;
-        let path = match kind {
-            SpanKind::QueueWait | SpanKind::Backoff | SpanKind::RingWait => kind.name(),
-            _ => path,
-        };
-        match self.stacks.get_mut(path) {
-            Some(total) => *total += cycles,
-            None => {
-                self.stacks.insert(path.to_string(), cycles);
-            }
-        }
-    }
 }
 
-struct Open {
-    kind: SpanKind,
-    t0: Cycles,
-    child: Cycles,
-    /// The length of the path before this span's frame was appended.
-    mark: usize,
-}
-
-/// Appends `kind`'s frame to `path`, returning the length to truncate
-/// back to when the span closes.
-fn push_frame(path: &mut String, kind: SpanKind) -> usize {
-    let mark = path.len();
-    if mark > 0 {
-        path.push(';');
-    }
-    path.push_str(kind.name());
-    mark
-}
-
-/// Folds one lane's event stream into `profile`.
-fn fold_lane(events: &[Event], profile: &mut PhaseProfile) {
-    let mut stack: Vec<Open> = Vec::new();
-    // The open stack's frames, kept in step with `stack`.
+/// Folds every span of `pass` into the profile of `key(its corr)`, and
+/// charges each torn request's loss to its profile too.
+fn fold<K: Ord>(pass: &SpanPass, mut key: impl FnMut(u64) -> K) -> BTreeMap<K, PhaseProfile> {
+    let mut parts: BTreeMap<K, PhaseProfile> = BTreeMap::new();
     let mut path = String::new();
-    for ev in events {
-        match ev.kind {
-            EventKind::Begin(kind) => stack.push(Open {
-                kind,
-                t0: ev.t,
-                child: 0,
-                mark: push_frame(&mut path, kind),
-            }),
-            EventKind::End(kind) => {
-                match stack.last() {
-                    Some(open) if open.kind == kind => {}
-                    _ => {
-                        profile.unmatched += 1;
-                        continue;
-                    }
-                }
-                let open = stack.pop().expect("matched above");
-                let duration = ev.t.saturating_sub(open.t0);
-                let self_time = duration.saturating_sub(open.child);
-                profile.charge(kind, &path, self_time);
-                path.truncate(open.mark);
-                if kind == SpanKind::Call {
-                    profile.calls += 1;
-                    profile.end_to_end += duration;
-                }
-                if let Some(parent) = stack.last_mut() {
-                    parent.child += duration;
-                }
+    let mut frames: Vec<SpanKind> = Vec::new();
+    for spans in &pass.lanes {
+        // Children close before their parent, so each span's nested
+        // time is complete when the walk reaches it.
+        let mut nested: Vec<Cycles> = vec![0; spans.len()];
+        for (i, s) in spans.iter().enumerate() {
+            let dur = s.end - s.start;
+            frames.clear();
+            frames.extend(successors(s.parent, |&p| spans[p].parent).map(|p| spans[p].kind));
+            path.clear();
+            for kind in frames.iter().rev().filter(|_| !s.kind.is_wait()) {
+                path.push_str(kind.name());
+                path.push(';');
             }
-            EventKind::Complete(kind, dur) => {
-                // A post-hoc leaf: its whole duration is self time, and
-                // it is a child of whatever span is open around it.
-                let dur = dur as Cycles;
-                let mark = push_frame(&mut path, kind);
-                profile.charge(kind, &path, dur);
-                path.truncate(mark);
-                if kind == SpanKind::Call {
-                    profile.calls += 1;
-                    profile.end_to_end += dur;
-                }
-                if let Some(parent) = stack.last_mut() {
-                    parent.child += dur;
-                }
+            path.push_str(s.kind.name());
+            let part = parts.entry(key(s.corr)).or_default();
+            let cycles = dur.saturating_sub(nested[i]);
+            *part.phases.entry(s.kind.name()).or_insert(0) += cycles;
+            // A path already seen is charged without allocating it again.
+            match part.stacks.get_mut(&path) {
+                Some(total) => *total += cycles,
+                None => drop(part.stacks.insert(path.clone(), cycles)),
             }
-            EventKind::Instant(_) => {}
+            if s.kind == SpanKind::Call && !frames.contains(&SpanKind::Call) {
+                part.calls += 1;
+                part.end_to_end += dur;
+            }
+            if let Some(p) = s.parent {
+                nested[p] += dur;
+            }
         }
     }
-    profile.unclosed += stack.len() as u64;
+    for (corr, loss) in &pass.torn {
+        parts.entry(key(*corr)).or_default().loss.merge(loss);
+    }
+    parts
 }
 
 /// Folds every lane's events (as returned by
 /// `Recorder::events(lane)` for `0..lane_count`) into one profile.
 pub fn attribute(events_by_lane: &[Vec<Event>]) -> PhaseProfile {
-    let mut profile = PhaseProfile::default();
-    for lane in events_by_lane {
-        fold_lane(lane, &mut profile);
-    }
-    profile
+    PhaseProfile::of(&span_pass(events_by_lane, &[]))
 }
 
 /// Folds every lane's events like [`attribute`], into one profile per
-/// `key(corr)` — e.g. the tenant each request billed. Every span of a
-/// request carries its correlation id, so each run of events sharing
-/// one is folded on its own: a span that opens in one run and closes in
-/// another counts as unmatched and unclosed, never charged. With both
-/// counts zero the parts merge back to [`attribute`]'s profile exactly.
+/// `key(corr)` — e.g. the tenant each request billed. Each span is
+/// charged to its own request's part, and each part carries the loss of
+/// its requests, so the parts merge back to [`attribute`]'s profile
+/// exactly.
 pub fn attribute_by_corr<K: Ord>(
     events_by_lane: &[Vec<Event>],
-    mut key: impl FnMut(u64) -> K,
+    key: impl FnMut(u64) -> K,
 ) -> BTreeMap<K, PhaseProfile> {
-    let mut parts: BTreeMap<K, PhaseProfile> = BTreeMap::new();
-    for events in events_by_lane {
-        for run in events.chunk_by(|a, b| a.corr == b.corr) {
-            fold_lane(run, parts.entry(key(run[0].corr)).or_default());
-        }
-    }
-    parts
-}
-
-/// Checks that a lane's span stream is well-formed: every `End` closes
-/// an open span of the same kind and nothing is left open at the end.
-/// Returns the number of complete spans on success.
-pub fn validate_nesting(events: &[Event]) -> Result<u64, String> {
-    let mut stack: Vec<SpanKind> = Vec::new();
-    let mut spans = 0u64;
-    for (i, ev) in events.iter().enumerate() {
-        match ev.kind {
-            EventKind::Begin(kind) => stack.push(kind),
-            EventKind::End(kind) => match stack.pop() {
-                Some(open) if open == kind => spans += 1,
-                Some(open) => {
-                    return Err(format!(
-                        "event {i}: End({}) closes an open {}",
-                        kind.name(),
-                        open.name()
-                    ));
-                }
-                None => {
-                    return Err(format!("event {i}: End({}) with nothing open", kind.name()));
-                }
-            },
-            EventKind::Complete(..) => spans += 1,
-            EventKind::Instant(_) => {}
-        }
-    }
-    if stack.is_empty() {
-        Ok(spans)
-    } else {
-        Err(format!(
-            "{} span(s) left open: {:?}",
-            stack.len(),
-            stack.iter().map(|k| k.name()).collect::<Vec<_>>()
-        ))
-    }
+    fold(&span_pass(events_by_lane, &[]), key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::EventKind;
 
     fn b(t: Cycles, k: SpanKind) -> Event {
         Event {
@@ -311,7 +217,7 @@ mod tests {
         assert_eq!(p.get(SpanKind::Handler), 50);
         assert_eq!(p.get(SpanKind::Call), 0, "fully delegated call");
         assert_eq!(p.in_call_total(), p.end_to_end);
-        assert_eq!((p.unmatched, p.unclosed), (0, 0));
+        assert_eq!(p.loss, Loss::default());
         assert_eq!(
             p.collapsed("sky"),
             "sky;call;handler 50\nsky;call;switch 20\nsky;call;trampoline 30\n",
@@ -339,7 +245,8 @@ mod tests {
         assert_eq!(p.get(SpanKind::Handler), 50);
         assert_eq!(p.get(SpanKind::Call), 20, "the uncovered tail is glue");
         assert_eq!(p.in_call_total(), p.end_to_end);
-        assert_eq!(validate_nesting(&lane), Ok(4));
+        let pass = span_pass(std::slice::from_ref(&lane), &[]);
+        assert_eq!((pass.lanes[0].len(), pass.loss), (4, Loss::default()));
         let stacks: Vec<(&str, Cycles)> = p.stacks.iter().map(|(s, &c)| (s.as_str(), c)).collect();
         assert_eq!(
             stacks,
@@ -415,9 +322,9 @@ mod tests {
             e(20, SpanKind::Call),
         ];
         let p = attribute(std::slice::from_ref(&lane));
-        assert_eq!(p.unmatched, 1);
+        assert_eq!(p.loss.unmatched, 1);
         assert_eq!(p.calls, 1, "the call still folds");
-        assert!(validate_nesting(&lane).is_err());
+        assert_ne!(p.loss, Loss::default());
     }
 
     #[test]
@@ -428,9 +335,10 @@ mod tests {
             e(2, SpanKind::Switch),
             e(3, SpanKind::Call),
         ];
-        assert_eq!(validate_nesting(&ok), Ok(2));
+        let pass = span_pass(&[ok], &[]);
+        assert_eq!((pass.lanes[0].len(), pass.loss), (2, Loss::default()));
         let open = vec![b(0, SpanKind::Call)];
-        assert!(validate_nesting(&open).unwrap_err().contains("left open"));
+        assert_eq!(span_pass(&[open], &[]).loss.unclosed, 1);
     }
 
     #[test]
@@ -489,16 +397,21 @@ mod tests {
         assert_eq!(merged.end_to_end, whole.end_to_end);
         assert_eq!(whole.stacks["call;handler"], 4 * 30 + 1 + 2 + 3 + 4);
 
-        // Another request's events inside a call split it: refused, not
-        // charged to either.
+        // Another request's events inside a call split nothing: Begin
+        // and End pair lane-wide, each span is charged to its own
+        // request, and the parts still merge to the whole.
         let torn = vec![
             ev(0, 1, EventKind::Begin(SpanKind::Call)),
             ev(10, 2, EventKind::Complete(SpanKind::Handler, 5)),
             ev(60, 1, EventKind::End(SpanKind::Call)),
         ];
-        let parts = attribute_by_corr(&[torn], |corr| corr);
-        assert_eq!((parts[&1].unclosed, parts[&1].unmatched), (1, 1));
-        assert_eq!(parts[&1].calls, 0);
+        let parts = attribute_by_corr(std::slice::from_ref(&torn), |corr| corr);
+        assert_eq!((parts[&1].loss, parts[&1].calls), (Loss::default(), 1));
+        assert_eq!(parts[&1].stacks["call"], 55);
+        assert_eq!(parts[&2].stacks["call;handler"], 5);
+        let mut merged = parts[&1].clone();
+        merged.merge(&parts[&2]);
+        assert_eq!(merged.stacks, attribute(&[torn]).stacks);
     }
 
     #[test]

@@ -23,6 +23,8 @@ use std::rc::Rc;
 
 use sb_sim::Cycles;
 
+use crate::span::{span_pass, Loss, SpanPass};
+
 /// Default per-lane ring capacity, in events.
 ///
 /// Sized so the ring's working set stays cache-resident (4,096 events ≈
@@ -100,6 +102,15 @@ impl SpanKind {
             SpanKind::Doorbell => "doorbell",
             SpanKind::Wrpkru => "wrpkru",
         }
+    }
+
+    /// Whether this is a wait state (queue wait, backoff, ring wait):
+    /// stamped retroactively over time that other spans own.
+    pub fn is_wait(self) -> bool {
+        matches!(
+            self,
+            SpanKind::QueueWait | SpanKind::Backoff | SpanKind::RingWait
+        )
     }
 }
 
@@ -551,15 +562,26 @@ impl Recorder {
         self.inner.global.borrow().iter().copied().collect()
     }
 
-    /// Events lane `lane` alone lost to ring overwrite (0 for an unused
-    /// lane). Assemblers use this to tell *which* track was truncated,
-    /// not just that some track was.
-    pub fn lane_dropped(&self, lane: usize) -> u64 {
-        self.inner
-            .lanes
-            .borrow()
-            .get(lane)
-            .map_or(0, EventRing::dropped)
+    /// Reads every lane, each clipped to its newest `budget` events,
+    /// through the span pass ([`span_pass`]): returns the events read and
+    /// the pass. Each lane's loss ahead of what was read is its own ring's
+    /// overwrites plus the clip; the pass's `loss.ring_dropped` is
+    /// [`Recorder::dropped`].
+    pub fn capture(&self, budget: usize) -> (Vec<Vec<Event>>, SpanPass) {
+        let mut lanes = Vec::new();
+        let mut lost = Vec::new();
+        for ring in self.inner.lanes.borrow().iter() {
+            let clipped = ring.len().saturating_sub(budget);
+            lanes.push(ring.iter().skip(clipped).copied().collect());
+            lost.push(Loss {
+                ring_dropped: ring.dropped(),
+                clipped: clipped as u64,
+                ..Loss::default()
+            });
+        }
+        let mut pass = span_pass(&lanes, &lost);
+        pass.loss.ring_dropped = self.dropped();
+        (lanes, pass)
     }
 
     /// Total events lost to ring overwrite, across every track

@@ -5,10 +5,11 @@
 //! the events kept, the run's counters and latencies, PMU counters, the
 //! fault-plane ledger, and the SLO tracker's health — is snapshotted
 //! into one JSON file under `results/postmortem/`, each fact once. The
-//! bundle carries explicit truncation accounting: how many events each
-//! lane held, how many the per-lane budget kept, and how many the rings
-//! had already overwritten — so a reader can never mistake a clipped
-//! capture for the whole story.
+//! bundle reads its lanes through the one span pass (`sb_observe::span`)
+//! and carries that pass's loss account: how many events each lane held,
+//! how many the per-lane budget kept, how many the rings had already
+//! overwritten, and the spans the clipped window cut in half — so a
+//! reader can never mistake a clipped capture for the whole story.
 //!
 //! Bundles are [`Json`] values: rendered by its one writer, and read
 //! back by its parser ([`BundleReceipt::read_back`]) wherever a bundle's
@@ -18,8 +19,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use sb_faultplane::FaultReport;
-use sb_observe::{attribute, Event, EventKind, Json, Recorder};
+use sb_faultplane::{FaultReport, FaultRow};
+use sb_observe::{Event, EventKind, Json, Loss, PhaseProfile, Recorder, SpanPass};
 use sb_sim::Pmu;
 
 use crate::slo::SloHealth;
@@ -84,10 +85,9 @@ pub struct BundleReceipt {
     pub path: PathBuf,
     /// Events included across all lanes.
     pub included_events: u64,
-    /// Held events clipped by the per-lane budget.
-    pub truncated_events: u64,
-    /// Events the rings had already overwritten before capture.
-    pub ring_dropped: u64,
+    /// What the bundle's capture lost: `clipped` by the per-lane budget,
+    /// `ring_dropped` before capture, spans cut in half.
+    pub loss: Loss,
 }
 
 impl BundleReceipt {
@@ -103,8 +103,8 @@ impl BundleReceipt {
         }
         for (key, n) in [
             ("included_events", self.included_events),
-            ("clipped_events", self.truncated_events),
-            ("ring_dropped", self.ring_dropped),
+            ("clipped_events", self.loss.clipped),
+            ("ring_dropped", self.loss.ring_dropped),
         ] {
             let held = bundle.get("truncation").and_then(|t| t.get(key));
             if !matches!(held, Some(Json::U64(v)) if *v == n) {
@@ -135,30 +135,23 @@ fn event_json(ev: &Event) -> Json {
     j
 }
 
-/// The rings block, plus the events it holds per lane (each lane's
-/// newest `budget`), the clipped count and the rings' own overwrite
-/// count.
-fn rings_json(rec: &Recorder, budget: usize) -> (Json, Vec<Vec<Event>>, u64, u64) {
-    let mut lanes = Vec::new();
-    let mut held = Vec::new();
-    let mut truncated = 0u64;
-    for lane in 0..rec.lane_count() {
-        let events = rec.events(lane);
-        let keep = events.len().min(budget);
-        let clipped = (events.len() - keep) as u64;
-        truncated += clipped;
-        let tail = events[events.len() - keep..].to_vec();
-        lanes.push(
+/// The rings block: each lane's held events (its newest `budget`, as
+/// the span pass read them) with its clip and overwrite counts, plus the
+/// global fault ring.
+fn rings_json(rec: &Recorder, held: &[Vec<Event>], pass: &SpanPass) -> Json {
+    let lanes = held
+        .iter()
+        .zip(&pass.lost)
+        .enumerate()
+        .map(|(lane, (events, lost))| {
             Json::obj()
                 .field("lane", lane)
-                .field("available", events.len())
-                .field("included", keep)
-                .field("clipped", clipped)
-                .field("ring_dropped", rec.lane_dropped(lane))
-                .field("events", Json::Arr(tail.iter().map(event_json).collect())),
-        );
-        held.push(tail);
-    }
+                .field("available", events.len() as u64 + lost.clipped)
+                .field("included", events.len())
+                .field("clipped", lost.clipped)
+                .field("ring_dropped", lost.ring_dropped)
+                .field("events", Json::Arr(events.iter().map(event_json).collect()))
+        });
     let global: Vec<Json> = rec
         .global_events()
         .iter()
@@ -169,20 +162,18 @@ fn rings_json(rec: &Recorder, budget: usize) -> (Json, Vec<Vec<Event>>, u64, u64
                 .field("point", f.point)
         })
         .collect();
-    let ring_dropped = rec.dropped();
-    let j = Json::obj()
-        .field("lanes", Json::Arr(lanes))
-        .field("global", Json::Arr(global));
-    (j, held, truncated, ring_dropped)
+    Json::obj()
+        .field("lanes", Json::Arr(lanes.collect()))
+        .field("global", Json::Arr(global))
 }
 
 /// The exact profile of the events the bundle holds: their self-cycles
-/// folded by open-stack path (`call;handler`), so a bundle is enough to
-/// draw the flamegraph of the window that breached. A clipped or
-/// overwritten lane can open mid-span; such spans are counted under
-/// `unmatched` / `unclosed`, never charged.
-fn flamegraph_json(held: &[Vec<Event>]) -> Json {
-    let prof = attribute(held);
+/// folded by stack path (`call;handler`), so a bundle is enough to draw
+/// the flamegraph of the window that breached. A clipped or overwritten
+/// lane can open mid-span; the pass counts such spans as `unmatched` /
+/// `unclosed`, and they are charged nowhere.
+fn flamegraph_json(pass: &SpanPass) -> Json {
+    let prof = PhaseProfile::of(pass);
     let folds = prof
         .stacks
         .into_iter()
@@ -190,8 +181,8 @@ fn flamegraph_json(held: &[Vec<Event>]) -> Json {
         .collect();
     Json::obj()
         .field("folds", Json::Obj(folds))
-        .field("unmatched", prof.unmatched)
-        .field("unclosed", prof.unclosed)
+        .field("unmatched", prof.loss.unmatched)
+        .field("unclosed", prof.loss.unclosed)
 }
 
 fn pmu_json(p: &Pmu) -> Json {
@@ -212,21 +203,23 @@ fn pmu_json(p: &Pmu) -> Json {
         .field("wrpkru_writes", p.wrpkru_writes)
 }
 
-fn faults_json(r: &FaultReport) -> Json {
-    let rows: Vec<Json> = r
-        .rows
-        .iter()
-        .map(|row| {
-            Json::obj()
-                .field("point", row.point.name())
-                .field("injected", row.injected)
-                .field("detected", row.detected)
-                .field("recovered", row.recovered)
-                .field("leaked", row.leaked)
-        })
-        .collect();
+/// One fault-ledger row: the renderer of a bundle's `faults.rows` and of
+/// the chaos results' rows alike.
+pub fn fault_row_json(row: &FaultRow) -> Json {
     Json::obj()
-        .field("rows", Json::Arr(rows))
+        .field("point", row.point.name())
+        .field("injected", row.injected)
+        .field("detected", row.detected)
+        .field("recovered", row.recovered)
+        .field("leaked", row.leaked)
+}
+
+fn faults_json(r: &FaultReport) -> Json {
+    Json::obj()
+        .field(
+            "rows",
+            Json::Arr(r.rows.iter().map(fault_row_json).collect()),
+        )
         .field("injected", r.injected())
         .field("detected", r.detected())
         .field("recovered", r.recovered())
@@ -245,22 +238,22 @@ fn slo_json(h: &SloHealth) -> Json {
 }
 
 /// Renders the bundle JSON without touching the filesystem. Returns the
-/// JSON plus (included, clipped, ring-dropped) event totals.
-pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (String, u64, u64, u64) {
-    let (rings, flamegraph, included, truncated, ring_dropped) = match input.recorder {
+/// JSON, the events included and the capture's loss.
+pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (String, u64, Loss) {
+    let (rings, flamegraph, included, loss) = match input.recorder {
         Some(rec) => {
-            let (rings, held, truncated, ring_dropped) = rings_json(rec, max_events_per_lane);
+            let (held, pass) = rec.capture(max_events_per_lane);
             let included = held.iter().map(|lane| lane.len() as u64).sum();
-            let flamegraph = flamegraph_json(&held);
-            (rings, flamegraph, included, truncated, ring_dropped)
+            let rings = rings_json(rec, &held, &pass);
+            (rings, flamegraph_json(&pass), included, pass.loss)
         }
-        None => (Json::Null, Json::Null, 0, 0, 0),
+        None => (Json::Null, Json::Null, 0, Loss::default()),
     };
     let truncation = Json::obj()
         .field("per_lane_budget", max_events_per_lane)
         .field("included_events", included)
-        .field("clipped_events", truncated)
-        .field("ring_dropped", ring_dropped);
+        .field("clipped_events", loss.clipped)
+        .field("ring_dropped", loss.ring_dropped);
     let bundle = Json::obj()
         .field("schema", SCHEMA)
         .field("reason", input.reason)
@@ -272,7 +265,7 @@ pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (Strin
         .field("pmu", input.pmu.map_or(Json::Null, pmu_json))
         .field("faults", input.faults.map_or(Json::Null, faults_json))
         .field("slo", input.slo.as_ref().map_or(Json::Null, slo_json));
-    (bundle.to_string(), included, truncated, ring_dropped)
+    (bundle.to_string(), included, loss)
 }
 
 fn safe_name(tag: &str) -> String {
@@ -295,15 +288,14 @@ fn safe_name(tag: &str) -> String {
 
 /// Renders and writes the bundle as `<spec.dir>/<tag>.json`.
 pub fn write(spec: &PostmortemSpec, input: &PostmortemInput<'_>) -> io::Result<BundleReceipt> {
-    let (json, included, truncated, ring_dropped) = render(input, spec.max_events_per_lane);
+    let (json, included_events, loss) = render(input, spec.max_events_per_lane);
     fs::create_dir_all(&spec.dir)?;
     let path: PathBuf = Path::new(&spec.dir).join(format!("{}.json", safe_name(input.tag)));
     fs::write(&path, &json)?;
     Ok(BundleReceipt {
         path,
-        included_events: included,
-        truncated_events: truncated,
-        ring_dropped,
+        included_events,
+        loss,
     })
 }
 
@@ -354,8 +346,8 @@ mod tests {
             tag: "t",
             ..PostmortemInput::default()
         };
-        let (json, included, truncated, dropped) = render(&input, 16);
-        assert_eq!((included, truncated, dropped), (0, 0, 0));
+        let (json, included, loss) = render(&input, 16);
+        assert_eq!((included, loss), (0, Loss::default()));
         let bundle = Json::parse(&json).expect("valid");
         assert_eq!(at(&bundle, &["schema"]).as_str(), Some(SCHEMA));
         assert!(matches!(at(&bundle, &["rings"]), Json::Null));
@@ -376,11 +368,14 @@ mod tests {
             recorder: Some(&rec),
             ..PostmortemInput::default()
         };
-        let (json, included, truncated, dropped) = render(&input, 40);
+        let (json, included, loss) = render(&input, 40);
         let bundle = Json::parse(&json).expect("valid");
         assert_eq!(included, 40 + 30, "lane 0 clipped to budget, lane 1 whole");
-        assert_eq!(truncated, 60, "exactly the clipped remainder");
-        assert_eq!(dropped, 0, "nothing was overwritten at capacity 256");
+        assert_eq!(loss.clipped, 60, "exactly the clipped remainder");
+        assert_eq!(
+            loss.ring_dropped, 0,
+            "nothing was overwritten at capacity 256"
+        );
         // The newest events are the ones kept.
         assert_eq!(num(&bundle, &["rings", "lanes", "0", "clipped"]), 60.0);
         assert_eq!(
@@ -408,9 +403,12 @@ mod tests {
             recorder: Some(&rec),
             ..PostmortemInput::default()
         };
-        let (_, included, _, dropped) = render(&input, 1024);
+        let (_, included, loss) = render(&input, 1024);
         assert_eq!(included, 8);
-        assert_eq!(dropped, 42, "the rings own the exact overwrite count");
+        assert_eq!(
+            loss.ring_dropped, 42,
+            "the rings own the exact overwrite count"
+        );
     }
 
     #[test]
@@ -442,7 +440,7 @@ mod tests {
             faults: None,
             slo: Some(slo),
         };
-        let (json, _, _, _) = render(&input, 16);
+        let (json, ..) = render(&input, 16);
         let b = Json::parse(&json).expect("valid");
         for (path, text) in [
             (&["schema"][..], SCHEMA),
@@ -542,7 +540,7 @@ mod tests {
         assert!(receipt.path.ends_with("seed_0x1_evil.json"));
         let bundle = receipt.read_back().expect("valid on disk");
         assert_eq!(at(&bundle, &["tag"]).as_str(), Some("seed 0x1/evil"));
-        receipt.ring_dropped += 1;
+        receipt.loss.ring_dropped += 1;
         let e = receipt.read_back().unwrap_err();
         assert!(e.contains("truncation.ring_dropped"), "{e}");
         let _ = fs::remove_dir_all(&dir);

@@ -7,18 +7,16 @@
 //! back into one tree per request, so a tail-latency outlier is
 //! attributable to a specific hop and phase instead of a whole run.
 //!
-//! Assembly is deliberately honest about ring overwrite: a lane that
-//! dropped events can only have lost a contiguous *prefix* (the rings
-//! overwrite oldest-first) and requests occupy a lane serially, so the
-//! one request that may have been truncated is exactly the first one
-//! visible in the surviving stream. Its correlation id is *poisoned* —
-//! the whole request is excluded and counted, never presented as a
-//! smaller-but-plausible tree. Unmatched `End` events and frames still
-//! open at the end of a stream poison their requests the same way.
+//! Assembly reads the one span pass (`sb_observe::span`, DESIGN.md
+//! §12) and is honest about what it lost: every request the pass names
+//! as torn — cut by ring overwrite, or holding an unmatched `End` or an
+//! unclosed `Begin` — is *poisoned*: excluded and listed, never
+//! presented as a smaller-but-plausible tree.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
-use sb_observe::{Event, EventKind, Recorder, SpanKind};
+use sb_observe::{span_pass, Event, Loss, Recorder, SpanKind, SpanPass};
 use sb_sim::Cycles;
 
 /// One assembled span: a contiguous section of one lane's time,
@@ -38,11 +36,6 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    /// Lane-clock end of the span.
-    pub fn end(&self) -> Cycles {
-        self.start + self.dur
-    }
-
     /// Cycles spent in this span itself, outside any child — the span's
     /// contribution to the critical path.
     pub fn self_time(&self) -> Cycles {
@@ -142,9 +135,8 @@ fn walk(node: &SpanNode, depth: usize, out: &mut Vec<PathStep>) {
 pub struct TraceForest {
     /// One trace per request, sorted by correlation id.
     pub requests: Vec<RequestTrace>,
-    /// Events lost to ring overwrite across every lane — exact, from
-    /// the rings' own push counters.
-    pub ring_dropped: u64,
+    /// What the capture lost (the span pass's account).
+    pub loss: Loss,
     /// Correlation ids excluded because their spans could not be
     /// assembled losslessly (truncated by overwrite, unmatched `End`,
     /// or unclosed at end of stream), sorted.
@@ -161,185 +153,81 @@ impl TraceForest {
     }
 }
 
-/// A closed span interval, pre-assembly.
-struct Interval {
-    lane: usize,
-    kind: SpanKind,
-    corr: u64,
-    start: Cycles,
-    end: Cycles,
-    seq: usize,
-}
-
 /// Assembles the per-request span forest from `recorder`'s lane rings.
 pub fn assemble(recorder: &Recorder) -> TraceForest {
-    let lanes: Vec<Vec<Event>> = (0..recorder.lane_count())
-        .map(|l| recorder.events(l))
-        .collect();
-    let dropped: Vec<u64> = (0..recorder.lane_count())
-        .map(|l| recorder.lane_dropped(l))
-        .collect();
-    assemble_lanes(&lanes, &dropped)
+    forest(&recorder.capture(usize::MAX).1)
 }
 
 /// [`assemble`] over raw per-lane event streams; `lane_dropped[l]` is
 /// the number of events lane `l` lost to overwrite (pass zeros for a
 /// complete capture).
 pub fn assemble_lanes(lanes: &[Vec<Event>], lane_dropped: &[u64]) -> TraceForest {
-    let mut intervals: Vec<Interval> = Vec::new();
-    let mut poisoned: BTreeSet<u64> = BTreeSet::new();
+    let lost: Vec<Loss> = lane_dropped
+        .iter()
+        .map(|&ring_dropped| Loss {
+            ring_dropped,
+            ..Loss::default()
+        })
+        .collect();
+    forest(&span_pass(lanes, &lost))
+}
+
+/// One tree per request from the pass's spans: a span's parent in its
+/// request's tree is its nearest enclosing span of the same request, so
+/// the corr-0 doorbell around a ring batch's calls joins no tree.
+fn forest(pass: &SpanPass) -> TraceForest {
+    let mut poisoned: Vec<u64> = pass.torn.iter().map(|&(corr, _)| corr).collect();
+    poisoned.sort_unstable();
+    poisoned.dedup();
     let mut unattributed = 0u64;
-    let mut seq = 0usize;
-
-    for (lane, events) in lanes.iter().enumerate() {
-        let dropped = lane_dropped.get(lane).copied().unwrap_or(0);
-        if dropped > 0 {
-            // Overwrite removes a contiguous prefix and a lane serves
-            // requests serially, so the only request that can be
-            // missing events is the earliest surviving one.
-            if let Some(first) = events.first() {
-                poisoned.insert(first.corr);
+    let mut by_corr: BTreeMap<u64, Vec<SpanNode>> = BTreeMap::new();
+    for (lane, spans) in pass.lanes.iter().enumerate() {
+        // Each span's children, complete by the time the walk reaches
+        // it: a span closes after every span nested in it.
+        let mut children: Vec<Vec<SpanNode>> = vec![Vec::new(); spans.len()];
+        for (i, s) in spans.iter().enumerate() {
+            unattributed += u64::from(s.corr == 0);
+            if s.corr == 0 || poisoned.binary_search(&s.corr).is_ok() {
+                continue;
+            }
+            let mut kids = std::mem::take(&mut children[i]);
+            kids.sort_by_key(|c| (c.start, Reverse(c.dur)));
+            let node = SpanNode {
+                lane,
+                kind: s.kind,
+                start: s.start,
+                dur: s.end - s.start,
+                children: kids,
+            };
+            let mut up = s.parent;
+            while let Some(p) = up.filter(|&p| spans[p].corr != s.corr) {
+                up = spans[p].parent;
+            }
+            match up {
+                Some(p) => children[p].push(node),
+                None => by_corr.entry(s.corr).or_default().push(node),
             }
         }
-        // Stack of open Begin frames: (kind, start, corr).
-        let mut open: Vec<(SpanKind, Cycles, u64)> = Vec::new();
-        for ev in events {
-            seq += 1;
-            match ev.kind {
-                EventKind::Begin(kind) => open.push((kind, ev.t, ev.corr)),
-                EventKind::End(kind) => match open.last() {
-                    Some(&(k, start, corr)) if k == kind => {
-                        open.pop();
-                        if corr != ev.corr {
-                            poisoned.insert(corr);
-                            poisoned.insert(ev.corr);
-                        } else {
-                            intervals.push(Interval {
-                                lane,
-                                kind,
-                                corr,
-                                start,
-                                end: ev.t.max(start),
-                                seq,
-                            });
-                        }
-                    }
-                    _ => {
-                        // An End with no matching Begin: the opening
-                        // half was overwritten, so the request cannot
-                        // be assembled losslessly.
-                        poisoned.insert(ev.corr);
-                    }
-                },
-                EventKind::Complete(kind, dur) => intervals.push(Interval {
-                    lane,
-                    kind,
-                    corr: ev.corr,
-                    start: ev.t,
-                    end: ev.t + dur as Cycles,
-                    seq,
-                }),
-                EventKind::Instant(_) => {}
-            }
-        }
-        // Frames still open at the end of the stream never closed: a
-        // capture taken mid-call. Refuse to guess their extent.
-        for (_, _, corr) in open {
-            poisoned.insert(corr);
-        }
     }
-
-    // Group intervals per (corr, lane); corr 0 is "no request in
-    // scope" by the ring's own convention.
-    let mut by_corr: BTreeMap<u64, BTreeMap<usize, Vec<Interval>>> = BTreeMap::new();
-    for iv in intervals {
-        if iv.corr == 0 {
-            unattributed += 1;
-            continue;
-        }
-        if poisoned.contains(&iv.corr) {
-            continue;
-        }
-        by_corr
-            .entry(iv.corr)
-            .or_default()
-            .entry(iv.lane)
-            .or_default()
-            .push(iv);
-    }
-    for corr in &poisoned {
-        by_corr.remove(corr);
-    }
-
-    let mut requests = Vec::new();
-    for (corr, lanes) in by_corr {
-        let mut roots: Vec<SpanNode> = Vec::new();
-        for (_, ivs) in lanes {
-            roots.extend(nest(ivs));
-        }
-        roots.sort_by_key(|r| (r.start, r.lane));
-        requests.push(RequestTrace { corr, roots });
-    }
-
+    let requests = by_corr
+        .into_iter()
+        .map(|(corr, mut roots)| {
+            roots.sort_by_key(|r| (r.start, r.lane, Reverse(r.dur)));
+            RequestTrace { corr, roots }
+        })
+        .collect();
     TraceForest {
         requests,
-        ring_dropped: lane_dropped.iter().sum(),
-        poisoned: poisoned.into_iter().collect(),
+        loss: pass.loss,
+        poisoned,
         unattributed,
-    }
-}
-
-/// Builds the containment forest of one lane's intervals for one
-/// request. `Complete` events are emitted when a section *ends*, so the
-/// stream is ordered by end time and an enclosing span arrives after
-/// its children; sorting by (start asc, end desc) restores parent-first
-/// order, and a sweep with a stack of open ancestors nests the rest.
-fn nest(mut ivs: Vec<Interval>) -> Vec<SpanNode> {
-    ivs.sort_by(|a, b| {
-        a.start
-            .cmp(&b.start)
-            .then(b.end.cmp(&a.end))
-            .then(a.seq.cmp(&b.seq))
-    });
-    let mut roots: Vec<SpanNode> = Vec::new();
-    // Stack of open ancestors; each new node is attached once proven
-    // either contained in the top or disjoint from everything open.
-    let mut stack: Vec<SpanNode> = Vec::new();
-    for iv in ivs {
-        let node = SpanNode {
-            lane: iv.lane,
-            kind: iv.kind,
-            start: iv.start,
-            dur: iv.end - iv.start,
-            children: Vec::new(),
-        };
-        while let Some(top) = stack.last() {
-            if node.start < top.end() || (node.dur == 0 && node.start == top.end() && top.dur > 0) {
-                break;
-            }
-            let done = stack.pop().expect("checked non-empty");
-            attach(&mut stack, &mut roots, done);
-        }
-        stack.push(node);
-    }
-    while let Some(done) = stack.pop() {
-        attach(&mut stack, &mut roots, done);
-    }
-    roots.sort_by_key(|r| r.start);
-    roots
-}
-
-fn attach(stack: &mut [SpanNode], roots: &mut Vec<SpanNode>, node: SpanNode) {
-    match stack.last_mut() {
-        Some(parent) => parent.children.push(node),
-        None => roots.push(node),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_observe::{InstantKind, Recorder};
+    use sb_observe::{EventKind, InstantKind};
 
     fn complete(_lane: usize, kind: SpanKind, t0: Cycles, t1: Cycles, corr: u64) -> Event {
         Event {
@@ -467,8 +355,8 @@ mod tests {
             rec.end(0, SpanKind::Call, t + 80, corr);
         }
         let f = assemble(&rec);
-        assert_eq!(f.ring_dropped, rec.dropped(), "exact, from the rings");
-        assert!(f.ring_dropped > 0);
+        assert_eq!(f.loss.ring_dropped, rec.dropped(), "exact, from the rings");
+        assert!(f.loss.ring_dropped > 0);
         // Whatever was poisoned, every surviving request is whole.
         for r in &f.requests {
             assert_eq!(r.span_count(), 2, "corr {}: full tree or nothing", r.corr);

@@ -184,7 +184,10 @@ mod tests {
         let rec = Recorder::new(DEFAULT_RING_CAPACITY);
         let run = skybridge_chain(3, 4, &rec);
         let forest = assemble(&rec);
-        assert_eq!(forest.ring_dropped, 0, "the ring must hold a short run");
+        assert_eq!(
+            forest.loss.ring_dropped, 0,
+            "the ring must hold a short run"
+        );
         assert!(forest.poisoned.is_empty());
         for &(corr, end_to_end) in &run.requests {
             let tr = forest.request(corr).expect("request assembled");

@@ -52,9 +52,12 @@ const BUDGET: &[(&str, usize)] = &[
     // (20 lines with its module and re-export), so the commit log and
     // the latency tracks share one codec; 1164 once the metrics store
     // and the histogram's ring of tagged samples, which no run read,
-    // went; 1155 once the callerless `Log2Histogram::merge` went;
-    // rounded up to the next 10.
-    ("observe", 1_160),
+    // went; 1155 once the callerless `Log2Histogram::merge` went; 1148
+    // once one span pass (`span.rs`) paired and nested every lane for
+    // the phase fold, the Chrome export and the sentinel, and
+    // `validate_nesting` / `validate_recorder_nesting` went; rounded up
+    // to the next 10.
+    ("observe", 1_150),
     ("rewriter", 1_950),
     ("rootkernel", 450),
     // 1549 once the load generator drew its requests and arrivals a
@@ -64,8 +67,10 @@ const BUDGET: &[(&str, usize)] = &[
     ("runtime", 1_590),
     // 738 once a bundle's flamegraph became the exact fold of the events
     // it holds; 660 once a bundle kept each fact once (no metrics
-    // snapshot, no SLO latency histogram or `publish`).
-    ("sentinel", 660),
+    // snapshot, no SLO latency histogram or `publish`); 562 once the
+    // trace forest and the bundle read the span pass of `sb-observe`
+    // instead of pairing Begin/End and nesting intervals themselves.
+    ("sentinel", 570),
     // 874 with the L1i run memo (PR 19) and `mem_access_each` (PR 20),
     // once the callerless `reset_stats` of `Cache` and `Tlb` went,
     // rounded up to the next 10.
@@ -429,6 +434,42 @@ fn one_lane_envelope_for_every_wire_staging_transport() {
         restamping,
         [Path::new("crates/transport/src/envelope.rs")],
         "only the envelope restamps a reply's corr"
+    );
+}
+
+/// One span pass: only `sb_observe::span` turns a lane's events into
+/// spans, so the phase fold, the Chrome export, the trace forest and the
+/// postmortem cannot pair Begin/End or count a loss four ways again. Any
+/// non-test code under `crates/` or `src/` that matches on
+/// `EventKind::End(` fails here, except the pass itself, the recorder's
+/// emitter and the bundle's raw event rendering.
+#[test]
+fn one_span_pass_pairs_begin_and_end() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut matching: Vec<PathBuf> = ["crates", "src"]
+        .iter()
+        .flat_map(|dir| sources(&root.join(dir)))
+        .map(|(path, text)| {
+            (
+                path.strip_prefix(root)
+                    .expect("under the root")
+                    .to_path_buf(),
+                text,
+            )
+        })
+        .filter(|(path, _)| !path.iter().any(|dir| dir == "tests"))
+        .filter(|(_, text)| non_test(text).contains("EventKind::End("))
+        .map(|(path, _)| path)
+        .collect();
+    matching.sort();
+    assert_eq!(
+        matching,
+        [
+            Path::new("crates/observe/src/ring.rs"),
+            Path::new("crates/observe/src/span.rs"),
+            Path::new("crates/sentinel/src/postmortem.rs"),
+        ],
+        "Begin/End are paired in sb_observe::span_pass alone"
     );
 }
 

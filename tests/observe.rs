@@ -8,8 +8,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sb_observe::{
-    attribute, attribute_by_corr, chrome_trace, validate_recorder_nesting, Event, EventKind,
-    InstantKind, Json, Log2Histogram, PhaseProfile, Recorder, SpanKind,
+    attribute, attribute_by_corr, chrome_trace, Event, EventKind, InstantKind, Json, Log2Histogram,
+    Loss, PhaseProfile, Recorder, SpanKind,
 };
 use sb_runtime::{Request, RuntimeConfig};
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
@@ -66,8 +66,9 @@ proptest! {
     ) {
         for backend in Backend::all() {
             let rec = trace_calls(&backend, 2, &keys);
-            let spans = validate_recorder_nesting(&rec)
-                .unwrap_or_else(|e| panic!("{}: {e}", backend.label()));
+            let (_, pass) = rec.capture(usize::MAX);
+            prop_assert_eq!(pass.loss, Loss::default(), "{}", backend.label());
+            let spans = pass.lanes.iter().map(Vec::len).sum::<usize>() as u64;
             prop_assert!(
                 spans >= keys.len() as u64,
                 "{}: at least one span per call, got {spans} for {} calls",
@@ -95,7 +96,7 @@ fn phases_fit_inside_their_calls() {
             keys.len() as u64,
             "{label}: one Call span per call"
         );
-        assert_eq!(prof.unmatched, 0, "{label}: no dangling begin/end");
+        assert_eq!(prof.loss.unmatched, 0, "{label}: no dangling begin/end");
         assert_eq!(
             prof.in_call_total(),
             prof.end_to_end,
@@ -187,7 +188,7 @@ fn tenant_stack_folds_partition_the_overall_fold() {
             recombined.merge(part);
         }
         assert_eq!(
-            (recombined.unmatched, recombined.unclosed),
+            (recombined.loss.unmatched, recombined.loss.unclosed),
             (0, 0),
             "{label}"
         );
@@ -220,7 +221,8 @@ fn dispatcher_runs_export_clean_traces() {
     );
     assert!(stats.completed > 0);
 
-    validate_recorder_nesting(&recorder).expect("dispatcher trace must nest");
+    let (_, pass) = recorder.capture(usize::MAX);
+    assert_eq!(pass.loss, Loss::default(), "dispatcher trace must nest");
     let pseudo = 2; // Queue events land on lane index `transport.lanes()`.
     let admits = recorder
         .events(pseudo)
@@ -234,9 +236,9 @@ fn dispatcher_runs_export_clean_traces() {
     );
 
     let trace = chrome_trace(&recorder);
-    assert!(!trace.truncated, "this run fits the ring");
+    assert_eq!(trace.loss.ring_dropped, 0, "this run fits the ring");
     assert!(trace.events > 0);
-    assert_eq!(trace.unmatched, 0);
+    assert_eq!(trace.loss.unmatched + trace.loss.unclosed, 0);
     Json::parse(&trace.json).expect("chrome trace must be valid JSON");
 }
 
@@ -256,8 +258,11 @@ fn ring_overwrite_is_surfaced_by_the_export() {
         "200 calls must overflow a 64-slot ring"
     );
     let trace = chrome_trace(&recorder);
-    assert!(trace.truncated, "the export must admit it lost events");
-    assert_eq!(trace.dropped, recorder.dropped());
+    assert!(
+        trace.loss.ring_dropped > 0,
+        "the export must admit it lost events"
+    );
+    assert_eq!(trace.loss.ring_dropped, recorder.dropped());
     Json::parse(&trace.json).expect("a truncated trace is still valid JSON");
 }
 

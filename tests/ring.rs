@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sb_observe::{attribute, validate_recorder_nesting, Recorder, SpanKind};
+use sb_observe::{attribute, Loss, Recorder, SpanKind};
 use sb_runtime::{
     CallError, FixedServiceTransport, Request, RequestFactory, RingConfig, RingRuntime,
     RingTransport, RuntimeConfig, Transport,
@@ -252,13 +252,14 @@ fn ring_runs_keep_spans_connected_and_phases_closed() {
     let s = RingRuntime::new(&mut rt, cfg).run_open_loop(arrivals, &mut factory);
     assert_eq!(s.completed, 40, "{s:?}");
 
-    validate_recorder_nesting(&recorder).expect("ring traces stay well-nested");
+    let (_, pass) = recorder.capture(usize::MAX);
+    assert_eq!(pass.loss, Loss::default(), "ring traces stay well-nested");
     let by_lane: Vec<_> = (0..recorder.lane_count())
         .map(|l| recorder.events(l))
         .collect();
     let prof = attribute(&by_lane);
     assert_eq!(prof.calls, 40, "one Call span per request, batched or not");
-    assert_eq!((prof.unmatched, prof.unclosed), (0, 0));
+    assert_eq!((prof.loss.unmatched, prof.loss.unclosed), (0, 0));
     assert_eq!(
         prof.in_call_total(),
         prof.end_to_end,

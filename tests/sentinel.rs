@@ -6,7 +6,7 @@
 //! turn an incident into a schema-clean postmortem bundle.
 
 use proptest::prelude::*;
-use sb_observe::{Json, Recorder};
+use sb_observe::{attribute, attribute_by_corr, Json, Recorder};
 use sb_sentinel::{assemble, PostmortemSpec};
 use skybridge_repro::scenarios::chaos::run_postmortem_drill;
 use skybridge_repro::scenarios::runtime::Backend;
@@ -36,7 +36,10 @@ fn chains_assemble_connected_trees_on_every_personality() {
         let run = chain_for(&backend, 3, 6, &rec);
         let forest = assemble(&rec);
         let label = backend.label();
-        assert_eq!(forest.ring_dropped, 0, "{label}: a short run fits the ring");
+        assert_eq!(
+            forest.loss.ring_dropped, 0,
+            "{label}: a short run fits the ring"
+        );
         assert!(forest.poisoned.is_empty(), "{label}: nothing poisoned");
         assert_eq!(forest.requests.len(), run.requests.len());
         for &(corr, end_to_end) in &run.requests {
@@ -83,6 +86,45 @@ proptest! {
     }
 }
 
+/// The phase fold and the trace forest read one span pass, so they agree
+/// on nested chains: on every personality the fold counts one end-to-end
+/// call per request (a nested `Call` is a hop of it, not another call),
+/// its in-call phases add up to exactly the cycles the client waited, and
+/// each request's fold holds the cycles its tree's critical path does.
+#[test]
+fn the_fold_and_the_forest_agree_on_nested_chains() {
+    for backend in Backend::all() {
+        let label = backend.label();
+        let rec = Recorder::new(sb_observe::DEFAULT_RING_CAPACITY);
+        let run = chain_for(&backend, 3, 4, &rec);
+        let lanes: Vec<_> = (0..rec.lane_count()).map(|l| rec.events(l)).collect();
+        let prof = attribute(&lanes);
+        let waited: u64 = run.requests.iter().map(|&(_, cycles)| cycles).sum();
+        assert_eq!(prof.calls, 4, "{label}: one end-to-end call per request");
+        assert_eq!(
+            prof.end_to_end, waited,
+            "{label}: end-to-end is the client's clock"
+        );
+        assert_eq!(
+            prof.in_call_total(),
+            prof.end_to_end,
+            "{label}: the in-call phases decompose end-to-end exactly"
+        );
+        let parts = attribute_by_corr(&lanes, |corr| corr);
+        let forest = assemble(&rec);
+        for &(corr, _) in &run.requests {
+            let tree = forest
+                .request(corr)
+                .unwrap_or_else(|| panic!("{label}: request {corr} missing"));
+            assert_eq!(
+                tree.critical_path_cycles(),
+                parts[&corr].in_call_total(),
+                "{label}: request {corr}: the forest and the fold disagree"
+            );
+        }
+    }
+}
+
 /// Assembly over a wrapped ring is honest: the forest reports exactly
 /// the events the recorder overwrote, the requests whose spans were
 /// damaged are named in `poisoned`, and no poisoned request yields a
@@ -96,7 +138,7 @@ fn wrapped_rings_report_loss_exactly_and_never_fabricate() {
 
     let forest = assemble(&rec);
     assert_eq!(
-        forest.ring_dropped,
+        forest.loss.ring_dropped,
         rec.dropped(),
         "the forest must report the recorder's drop count exactly"
     );
@@ -163,7 +205,7 @@ fn bundles_carry_flamegraphs() {
         recorder: Some(&recorder),
         ..Default::default()
     };
-    let (body, _, _, _) = render(&input, 512);
+    let (body, ..) = render(&input, 512);
     Json::parse(&body).expect("bundle must be valid JSON");
     assert!(
         body.contains(
@@ -178,6 +220,6 @@ fn bundles_carry_flamegraphs() {
         tag: "quiet",
         ..Default::default()
     };
-    let (body, _, _, _) = render(&input, 512);
+    let (body, ..) = render(&input, 512);
     assert!(body.contains("\"flamegraph\":null"));
 }
