@@ -18,8 +18,7 @@
 use std::fmt::Display;
 
 use sb_observe::Json;
-use sb_runtime::RequestFactory;
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::Backend;
 
 pub mod gate;
 pub mod paper;
@@ -89,25 +88,6 @@ pub fn speedup(faster: f64, slower: f64) -> String {
     } else {
         format!("{:.2}x", s - 1.0)
     }
-}
-
-/// Mean simulated cycles per direct call of a fresh one-lane KV server
-/// on `backend` — the service rate the sweeps scale their arrival rates
-/// against: `warm` calls of the KV scenario's YCSB-A stream (10,000
-/// records, 64-byte payloads), then `n` more, measured.
-pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> f64 {
-    let scenario = ServingScenario::Kv;
-    let mut t = build_backend(scenario, backend, 1);
-    let mut f = RequestFactory::new(scenario.workload(), scenario.payload());
-    let mut drive = |calls: u64| {
-        for _ in 0..calls {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("calibration call");
-        }
-        t.now(0)
-    };
-    let t0 = drive(warm);
-    (drive(n) - t0) as f64 / n as f64
 }
 
 /// The crate's one environment read: `SB_TRACE=<label>` asks

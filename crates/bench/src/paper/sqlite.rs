@@ -57,15 +57,6 @@ const VIRTUALIZATION_OPS: usize = 150;
 /// The three server configurations, in the paper's column order.
 const MODES: [StackMode; 3] = [StackMode::IpcSt, StackMode::IpcMt, StackMode::SkyBridge];
 
-/// The three microkernels, named as Figures 9–11 title them.
-fn kernels() -> [(&'static str, Personality); 3] {
-    [
-        ("seL4", Personality::sel4()),
-        ("Fiasco.OC", Personality::fiasco_oc()),
-        ("Zircon", Personality::zircon()),
-    ]
-}
-
 /// Insert, update, query and delete throughput of one configuration.
 fn measure(personality: Personality, mode: StackMode, records: u64, ops: usize) -> [f64; 4] {
     let mut s = SqliteStack::new(personality, mode, 1, false);
@@ -82,7 +73,7 @@ fn measure(personality: Personality, mode: StackMode, records: u64, ops: usize) 
 
 pub fn table4(paper: &[PaperRow], a: &mut Artefact) {
     let (records, ops) = (TABLE4_RECORDS, TABLE4_OPS);
-    for ((_, personality), per_op) in kernels().into_iter().zip(paper.chunks(4)) {
+    for (personality, per_op) in Personality::all().into_iter().zip(paper.chunks(4)) {
         let [st, mt, sb] = MODES.map(|mode| measure(personality.clone(), mode, records, ops));
         for (oi, (label, paper)) in per_op.iter().enumerate() {
             let (kernel, op) = label.split_once(' ').expect("`kernel op` row label");
@@ -107,8 +98,10 @@ pub fn table4(paper: &[PaperRow], a: &mut Artefact) {
 pub fn figure9_11(paper: &[PaperRow], a: &mut Artefact) {
     let (records, ops) = (SCALING_RECORDS, SCALING_OPS);
     let threads = [1usize, 2, 4, 8];
-    for (ki, ((kernel, personality), per_mode)) in
-        kernels().into_iter().zip(paper.chunks(3)).enumerate()
+    for (ki, (personality, per_mode)) in Personality::all()
+        .into_iter()
+        .zip(paper.chunks(3))
+        .enumerate()
     {
         for ((label, paper), mode) in per_mode.iter().zip(MODES) {
             for (&n, &paper) in threads.iter().zip(*paper) {
@@ -120,8 +113,9 @@ pub fn figure9_11(paper: &[PaperRow], a: &mut Artefact) {
         }
         a.table(
             &format!(
-                "Figure {}: YCSB-A throughput on {kernel}, ops/s — measured (paper)",
-                9 + ki
+                "Figure {}: YCSB-A throughput on {}, ops/s — measured (paper)",
+                9 + ki,
+                personality.name
             ),
             "configuration",
         );

@@ -21,7 +21,7 @@ use crate::Artefact;
 use sb_observe::Json;
 use sb_sentinel::PostmortemSpec;
 use skybridge_repro::scenarios::chaos::{
-    fs_mixes, run_chaos_cell_watched, run_fs_chaos, run_postmortem_drill, serving_mixes,
+    fs_mixes, run_chaos_cell, run_fs_chaos, run_postmortem_drill, serving_mixes,
 };
 use skybridge_repro::scenarios::runtime::Backend;
 
@@ -45,7 +45,7 @@ pub fn run(dir: &Path, a: &mut Artefact) {
         for mix in serving_mixes() {
             for s in 0..SEEDS {
                 let seed = 0xc4a0_5000 + s;
-                let out = run_chaos_cell_watched(&transport, seed, &mix, REQUESTS, &flight);
+                let out = run_chaos_cell(&transport, seed, &mix, REQUESTS, None, Some(&flight));
                 let cell = format!("{}/{}/{seed:#x}", transport.label(), mix.name);
                 a.check(
                     "cells that do not conserve requests",

@@ -34,8 +34,7 @@ use sb_observe::{
     attribute_by_corr, Json, PhaseProfile, Recorder, SpanKind, DEFAULT_RING_CAPACITY,
 };
 use sb_runtime::{RequestFactory, Transport};
-use sb_ycsb::WorkloadSpec;
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{build_backend, workload, Backend, PAYLOAD};
 
 /// Tenants in the profiled mix (Zipf-skewed, like the tenant bench).
 const TENANTS: u16 = 4;
@@ -71,11 +70,11 @@ struct BackendProfile {
 /// knows which tenant each id billed — and the parts merge to the whole.
 fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, String> {
     let label = backend.label().to_string();
-    let mut t = build_backend(ServingScenario::Kv, backend, 1);
+    let mut t = build_backend(backend, 1);
     let recorder = Recorder::new(DEFAULT_RING_CAPACITY);
     t.attach_recorder(recorder.clone());
 
-    let mut f = RequestFactory::with_zipf_tenants(WorkloadSpec::ycsb_a(10_000, 64), 64, TENANTS, 7);
+    let mut f = RequestFactory::with_zipf_tenants(workload(), PAYLOAD, TENANTS, 7);
     for _ in 0..256 {
         let r = f.make(t.now(0), None);
         t.call(0, &r)

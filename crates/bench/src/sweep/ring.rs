@@ -17,12 +17,10 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::{calibrate, Artefact};
+use crate::Artefact;
 use sb_observe::Json;
 use sb_runtime::{run_stats_json, RingConfig, RuntimeConfig};
-use skybridge_repro::scenarios::runtime::{
-    run_open_loop, run_ring_open_loop, Backend, ServingScenario,
-};
+use skybridge_repro::scenarios::runtime::{calibrate, run_open_loop, Backend};
 
 /// The low-ρ latency gate: ring-mode p50 within 5% of direct.
 const LATENCY_TOLERANCE: f64 = 0.05;
@@ -46,14 +44,15 @@ pub fn run(_: &Path, a: &mut Artefact) {
     for backend in Backend::all() {
         // The service rate the ρ grid is scaled against: 512 calls past
         // the KV store's growth phase, so the sweep sees steady state.
-        let svc = calibrate(&backend, 512, 512);
+        let svc = calibrate(&backend, 512, 512).mean();
         for &rho in &RHOS {
             let gap = svc / rho;
+            // A 64-deep lane that sheds.
             let direct = run_open_loop(
-                ServingScenario::Kv,
                 &backend,
                 1,
-                RuntimeConfig::default(), // a 64-deep lane that sheds
+                RuntimeConfig::default(),
+                None,
                 gap,
                 REQUESTS,
                 seed,
@@ -64,16 +63,16 @@ pub fn run(_: &Path, a: &mut Artefact) {
                     .field("mean_gap_cycles", gap),
             );
             for &budget in &BUDGETS {
-                let ring = run_ring_open_loop(
-                    ServingScenario::Kv,
+                let geometry = RingConfig {
+                    capacity: 64.max(2 * budget),
+                    batch_budget: budget,
+                    slot_bytes: 4096,
+                };
+                let ring = run_open_loop(
                     &backend,
                     1,
                     RuntimeConfig::default(),
-                    RingConfig {
-                        capacity: 64.max(2 * budget),
-                        batch_budget: budget,
-                        slot_bytes: 4096,
-                    },
+                    Some(geometry),
                     gap,
                     REQUESTS,
                     seed,
@@ -97,7 +96,7 @@ pub fn run(_: &Path, a: &mut Artefact) {
                 a.check(
                     "cells that do not conserve requests",
                     "cells",
-                    ring.offered != ring.completed + ring.shed() + ring.timed_out + ring.failed,
+                    !ring.conserved(),
                     || format!("{} rho {rho} budget {budget}", backend.label()),
                 );
             }

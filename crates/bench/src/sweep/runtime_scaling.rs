@@ -22,10 +22,11 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::{calibrate, traced_backend, Artefact};
+use crate::{traced_backend, Artefact};
 use sb_observe::{chrome_trace, Json, Recorder};
 use sb_runtime::{run_stats_json, RuntimeConfig};
-use skybridge_repro::scenarios::runtime::{ops_per_sec, run_open_loop, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{calibrate, run_open_loop, Backend};
+use skybridge_repro::scenarios::throughput;
 
 /// Arrivals per sweep cell (and in the `SB_TRACE` cell).
 const REQUESTS: u64 = 500;
@@ -44,13 +45,13 @@ fn dump_trace(backend: &Backend, a: &mut Artefact) {
         recorder: recorder.clone(),
         ..RuntimeConfig::default()
     };
-    let svc = calibrate(backend, 64, 256);
+    let svc = calibrate(backend, 64, 256).mean();
     let workers = 4;
     let stats = run_open_loop(
-        ServingScenario::Kv,
         backend,
         workers,
         cfg,
+        None,
         svc / (workers as f64 * 0.8),
         REQUESTS,
         0x7a_ced0_5eed,
@@ -108,7 +109,6 @@ fn five_way_gate(svcs: &[(String, f64)], a: &mut Artefact) -> Vec<Json> {
 pub fn run(_: &Path, a: &mut Artefact) {
     // Read first, so an unknown label stops the run before the sweep.
     let traced = traced_backend();
-    let scenario = ServingScenario::Kv;
     let threads = [1usize, 2, 4, 8];
     let rhos = [0.5, 0.8, 1.0, 1.2, 1.5];
     let cells = Backend::all().len() * threads.len() * rhos.len();
@@ -120,7 +120,7 @@ pub fn run(_: &Path, a: &mut Artefact) {
     let mut json_rows: Vec<Json> = Vec::new();
     let mut svcs: Vec<(String, f64)> = Vec::new();
     for (ti, transport) in Backend::all().iter().enumerate() {
-        let svc = calibrate(transport, 64, 256);
+        let svc = calibrate(transport, 64, 256).mean();
         svcs.push((transport.label().to_string(), svc));
         for (wi, &workers) in threads.iter().enumerate() {
             for (ri, &rho) in rhos.iter().enumerate() {
@@ -128,8 +128,7 @@ pub fn run(_: &Path, a: &mut Artefact) {
                 // Every cell: the default 64-deep lanes that shed.
                 let cfg = RuntimeConfig::default();
                 let seed = 0x0005_ca1e_0000 + (ti * 1000 + wi * 100 + ri) as u64;
-                let stats =
-                    run_open_loop(scenario, transport, workers, cfg, mean_ia, REQUESTS, seed);
+                let stats = run_open_loop(transport, workers, cfg, None, mean_ia, REQUESTS, seed);
                 json_rows.push(
                     Json::obj()
                         .field("transport", transport.label())
@@ -138,7 +137,7 @@ pub fn run(_: &Path, a: &mut Artefact) {
                         .field("service_cycles", svc)
                         .field("mean_inter_arrival", mean_ia)
                         .field("offered_per_mcycle", 1e6 / mean_ia)
-                        .field("ops_per_sec", ops_per_sec(&stats))
+                        .field("ops_per_sec", throughput(stats.completed, stats.window()))
                         .field("stats", run_stats_json(&stats)),
                 );
             }

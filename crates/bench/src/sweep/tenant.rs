@@ -26,13 +26,13 @@
 use std::path::Path;
 
 use crate::gate::{Bound, Gate};
-use crate::{calibrate, Artefact};
+use crate::Artefact;
 use sb_observe::Json;
 use sb_runtime::{
     run_stats_json, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
     TenantId, TenantRegistry, TenantSpec,
 };
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{build_backend, calibrate, workload, Backend, PAYLOAD};
 use skybridge_repro::scenarios::tenant::run_noisy_neighbor;
 
 /// The fairness gate: Jain's index on uniform cells must clear this.
@@ -69,12 +69,11 @@ fn jain_index(stats: &RunStats) -> f64 {
 /// One skew-sweep cell: [`REQUESTS`] Poisson arrivals at ρ = [`RHO`]
 /// against two lanes, tenants drawn uniform round-robin or Zipfian.
 fn run_sweep_cell(backend: &Backend, tenants: u16, zipf: bool, gap: f64) -> RunStats {
-    let scenario = ServingScenario::Kv;
     let mut factory = if zipf {
-        RequestFactory::with_zipf_tenants(scenario.workload(), scenario.payload(), tenants, SEED)
+        RequestFactory::with_zipf_tenants(workload(), PAYLOAD, tenants, SEED)
     } else {
         let schedule: Vec<TenantId> = (0..REQUESTS).map(|i| (i % tenants as u64) as u16).collect();
-        RequestFactory::with_tenant_schedule(scenario.workload(), scenario.payload(), schedule)
+        RequestFactory::with_tenant_schedule(workload(), PAYLOAD, schedule)
     };
     // Every tenant on the default contract (weight 1, a 64-deep lane
     // that sheds).
@@ -82,7 +81,7 @@ fn run_sweep_cell(backend: &Backend, tenants: u16, zipf: bool, gap: f64) -> RunS
         tenants: Some(TenantRegistry::new(TenantSpec::default())),
         ..RuntimeConfig::default()
     };
-    let mut transport = build_backend(scenario, backend, 2);
+    let mut transport = build_backend(backend, 2);
     let arrivals = PoissonArrivals::new(gap, SEED).take(REQUESTS as usize);
     ServerRuntime::new(transport.as_mut(), cfg).run_open_loop(arrivals, &mut factory)
 }
@@ -98,7 +97,7 @@ pub fn run(_: &Path, a: &mut Artefact) {
     for backend in Backend::all() {
         // Steady-state direct-mode cycles per call scale the arrival
         // rate to ρ.
-        let gap = calibrate(&backend, 512, 512) / RHO;
+        let gap = calibrate(&backend, 512, 512).mean() / RHO;
         for &tenants in &TENANT_COUNTS {
             for zipf in [false, true] {
                 let skew = if zipf { "zipf" } else { "uniform" };
@@ -136,7 +135,7 @@ pub fn run(_: &Path, a: &mut Artefact) {
     let mut nn_json = Vec::new();
     for backend in Backend::all() {
         for ring_mode in [false, true] {
-            let out = run_noisy_neighbor(ServingScenario::Kv, &backend, ring_mode, SEED);
+            let out = run_noisy_neighbor(&backend, ring_mode, SEED);
             let isolated = out.isolated(ISOLATION_HEADROOM);
             let quarantined = out.aggressor_quarantined();
             let cell = format!("{} {}", out.backend, out.mode);

@@ -57,7 +57,7 @@ pub(crate) static ZERO_BLOCK: [u8; BSIZE] = [0; BSIZE];
 /// An in-memory disk, with I/O counters.
 ///
 /// Sparse: a block costs the host memory from its first write on, and
-/// reads as zeros until then (it lends [`ZERO_BLOCK`]), so a clone copies
+/// reads as zeros until then (it lends `ZERO_BLOCK`), so a clone copies
 /// only the written blocks.
 #[derive(Debug, Clone)]
 pub struct RamDisk {

@@ -11,7 +11,7 @@
 //!
 //! Two fault-plane hardenings over plain xv6:
 //!
-//! * the header carries a checksum (see [`header_checksum`]) over the block
+//! * the header carries a checksum (see `header_checksum`) over the block
 //!   list *and the logged contents*, so a **torn** header or log-slot write
 //!   (power lost mid-block, not mid-sequence) is detected at recovery and
 //!   discarded instead of replaying garbage block numbers — without the

@@ -1,7 +1,7 @@
 //! Load generation: YCSB-mix request factories, tenant assignment, and
 //! the open-loop Poisson arrival process.
 //!
-//! Both draw ahead: a refill computes the next [`BLOCK`] requests or
+//! Both draw ahead: a refill computes the next `BLOCK` requests or
 //! arrivals in one loop, so one request's draw chains overlap the next
 //! ones' instead of each waiting on its own (DESIGN.md §22).
 

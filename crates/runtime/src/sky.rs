@@ -10,11 +10,12 @@
 //! the server space on the migrated thread, VMFUNC back.
 //!
 //! The call path is zero-copy end-to-end: the request is encoded once
-//! into the lane's staging image ([`Lane::encode`]), the wire header
-//! rides the register image the trampoline carries (small args in
-//! registers, exactly the paper's design), the payload is written once
-//! into the connection's shared buffer and served in place, and the echo
-//! reply is the payload half of the lane — no `to_vec()`, no read-back.
+//! into the lane's staging image ([`sb_transport::Lane::encode`]), the
+//! wire header rides the register image the trampoline carries (small
+//! args in registers, exactly the paper's design), the payload is
+//! written once into the connection's shared buffer and served in
+//! place, and the echo reply is the payload half of the lane — no
+//! `to_vec()`, no read-back.
 //! The lanes, meter, recorder, `Call` span, stale-reply seam and
 //! reply-corr check are `sb-transport`'s [`Envelope`], and the handler
 //! is [`ServiceSpec::serve_record`]: the trampoline is all this

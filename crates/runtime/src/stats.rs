@@ -85,11 +85,10 @@ impl LatencyTrack {
             v.sort_unstable();
             v
         });
+        // One sample is its own every percentile: its rank rounds to 0.
         let n = sorted.len();
-        match n {
-            0 => return 0,
-            1 => return sorted[0],
-            _ => {}
+        if n == 0 {
+            return 0;
         }
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
         let rank = ((p / 100.0) * (n - 1) as f64).round() as usize;
@@ -237,6 +236,13 @@ impl RunStats {
     /// Requests shed for any reason (queue-full, deadline, rate limit).
     pub fn shed(&self) -> u64 {
         self.shed_queue_full + self.shed_deadline + self.shed_rate_limit
+    }
+
+    /// Whether the run's ledger balances: every offered request has
+    /// exactly one outcome — the run-wide twin of
+    /// [`TenantStats::conserved`].
+    pub fn conserved(&self) -> bool {
+        self.offered == self.completed + self.shed() + self.timed_out + self.failed
     }
 
     /// The mutable per-tenant slice for `id`, created on first touch.
@@ -549,6 +555,27 @@ mod tests {
         assert_eq!(s.percentile(0.0), 0);
         assert_eq!(s.percentile(100.0), 99);
         assert!((s.mean() - 49.5).abs() < 1e-9);
+    }
+
+    /// One request of each outcome class balances the ledger; one
+    /// outcome too many or too few breaks it.
+    #[test]
+    fn every_outcome_class_counts_once_toward_conservation() {
+        let mut s = RunStats::new("t", 1);
+        assert!(s.conserved(), "an empty run balances");
+        s.offered = 6;
+        s.completed = 1;
+        s.shed_queue_full = 1;
+        s.shed_deadline = 1;
+        s.shed_rate_limit = 1;
+        s.timed_out = 1;
+        s.failed = 1;
+        assert!(s.conserved(), "{s:?}");
+        s.failed = 2;
+        assert!(!s.conserved(), "an outcome with no offer");
+        s.failed = 1;
+        s.offered = 7;
+        assert!(!s.conserved(), "an offer with no outcome");
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl SloTracker {
     /// Advances the tracker's clock to `t` without recording a sample
     /// and re-evaluates the burn rule there.
     ///
-    /// [`SloTracker::record`] only evaluates on bad records and bucket
+    /// `SloTracker::record` only evaluates on bad records and bucket
     /// boundaries — the good path stays two counter bumps — so a tenant
     /// that goes idle right after a burst would otherwise keep a stale
     /// burn rate (and a stuck breach episode) forever. The dispatcher

@@ -12,9 +12,10 @@
 //! * [`scenarios::sqlite`] — the SQLite3-over-xv6fs-over-RAM-disk stack of
 //!   §6.5 in the ST-Server / MT-Server / SkyBridge configurations
 //!   (Table 4, Figures 9–11, Table 5);
-//! * [`scenarios::runtime`] — the same application shapes as *services*
-//!   on the `sb-runtime` dispatcher: multi-core worker pools, bounded
-//!   queues with admission control, and open/closed-loop load generation.
+//! * [`scenarios::runtime`] — the Figure 1 KV store as a *service* on the
+//!   `sb-runtime` dispatcher: the one serving workload every sweep runs,
+//!   multi-core worker pools, bounded queues with admission control, and
+//!   open-loop load through the direct queue or the rings.
 
 pub mod scenarios;
 

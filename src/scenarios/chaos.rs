@@ -26,12 +26,14 @@ use sb_faultplane::{FaultHandle, FaultMix, FaultObserver, FaultPoint, FaultRepor
 use sb_fs::{log::Log, BlockDevice, FaultyDisk, RamDisk, BSIZE};
 use sb_observe::{FaultCounts, Recorder, DEFAULT_RING_CAPACITY};
 use sb_runtime::{
-    run_stats_json, Faulty, MpkTransport, PoissonArrivals, RequestFactory, RetryPolicy, RingConfig,
-    RingTransport, RunStats, RuntimeConfig, SkyBridgeTransport, Transport, TrapIpcTransport,
+    run_stats_json, Faulty, PoissonArrivals, RetryPolicy, RingConfig, RingTransport, RunStats,
+    RuntimeConfig, ServiceSpec, SkyBridgeTransport, Transport,
 };
 use sb_sentinel::{postmortem, BundleReceipt, PostmortemInput, PostmortemSpec, SloHandle, SloSpec};
 
-use crate::scenarios::runtime::{serve_open_loop, Backend, ServingScenario};
+use crate::scenarios::runtime::{
+    build_backend, build_backend_with_spec, request_factory, serve_open_loop, Backend,
+};
 
 /// Lanes (and cores) per chaos cell.
 pub const CHAOS_WORKERS: usize = 2;
@@ -110,8 +112,7 @@ impl ChaosOutcome {
     /// The conservation invariant: every offered request has exactly one
     /// outcome.
     pub fn conserved(&self) -> bool {
-        let s = &self.stats;
-        s.offered == s.completed + s.shed() + s.timed_out + s.failed
+        self.stats.conserved()
     }
 
     /// The two-source check: the trace stream's fault counters must
@@ -126,38 +127,25 @@ impl ChaosOutcome {
 }
 
 /// Runs one serving chaos cell: `requests` Poisson arrivals against
-/// `transport` under `mix`, everything seeded by `seed`.
-pub fn run_chaos_cell(backend: &Backend, seed: u64, mix: &FaultMix, requests: u64) -> ChaosOutcome {
-    chaos_cell(backend, seed, mix, requests, None, false, None)
-}
-
-/// [`run_chaos_cell`] in ring mode: the same cell, but every request
-/// travels through submission/completion rings and the adaptive
-/// doorbell, so mid-batch faults (a handler panic killing the rest of a
-/// cut batch, key corruption at the crossing, deadline storms expiring
-/// queued frames) exercise the partial-consumption path. The invariants
-/// are unchanged: conservation, zero leaked faults, trace == ledger.
-pub fn run_ring_chaos_cell(
-    backend: &Backend,
-    seed: u64,
-    mix: &FaultMix,
-    requests: u64,
-    ring: RingConfig,
-) -> ChaosOutcome {
-    chaos_cell(backend, seed, mix, requests, None, false, Some(ring))
-}
-
-/// [`run_chaos_cell`] with the flight recorder armed: if the cell ends
+/// `backend` under `mix`, everything seeded by `seed`.
+///
+/// With a `ring` geometry every request travels through
+/// submission/completion rings and the adaptive doorbell, so mid-batch
+/// faults (a handler panic killing the rest of a cut batch, key
+/// corruption at the crossing, deadline storms expiring queued frames)
+/// exercise the partial-consumption path; the invariants are unchanged.
+/// With a `flight` spec the flight recorder is armed: if the cell ends
 /// with a leaked fault or an SLO breach, a postmortem bundle is written
-/// under `flight.dir` and its receipt returned in the outcome.
-pub fn run_chaos_cell_watched(
+/// under its `dir` and the receipt returned in the outcome.
+pub fn run_chaos_cell(
     backend: &Backend,
     seed: u64,
     mix: &FaultMix,
     requests: u64,
-    flight: &PostmortemSpec,
+    ring: Option<RingConfig>,
+    flight: Option<&PostmortemSpec>,
 ) -> ChaosOutcome {
-    chaos_cell(backend, seed, mix, requests, Some(flight), false, None)
+    chaos_cell(backend, seed, mix, requests, ring, flight, false)
 }
 
 /// The flight-recorder drill: a cell under [`drill_mix`] with retries
@@ -177,28 +165,28 @@ pub fn run_postmortem_drill(
         seed,
         &drill_mix(),
         requests,
+        None,
         Some(flight),
         true,
-        None,
     )
 }
 
-/// One serving cell. `drill` withholds every recovery path (no retry
-/// policy, no quiesce) so injected faults stay leaked on purpose.
-/// `ring` switches the dispatcher from the direct per-call queue to the
-/// submission/completion rings.
+/// One serving cell of [`run_chaos_cell`]. `drill` withholds every
+/// recovery path (no retry policy, no quiesce) so injected faults stay
+/// leaked on purpose.
 fn chaos_cell(
     backend: &Backend,
     seed: u64,
     mix: &FaultMix,
     requests: u64,
+    ring: Option<RingConfig>,
     flight: Option<&PostmortemSpec>,
     drill: bool,
-    ring: Option<RingConfig>,
 ) -> ChaosOutcome {
-    let scenario = ServingScenario::Kv;
-    let mut spec = scenario.service_spec();
-    spec.timeout = Some(HANG_BUDGET);
+    let spec = ServiceSpec {
+        timeout: Some(HANG_BUDGET),
+        ..ServiceSpec::default()
+    };
     let faults = FaultHandle::new(seed, mix.clone());
 
     // The cell runs with tracing on: phase spans from the transport,
@@ -231,13 +219,8 @@ fn chaos_cell(
             t.attach_faults(faults.clone());
             Box::new(t)
         }
-        Backend::Trap(p) => Box::new(Faulty::new(
-            TrapIpcTransport::new(p.clone(), CHAOS_WORKERS, &spec),
-            faults.clone(),
-            HANG_BUDGET,
-        )),
-        Backend::Mpk => Box::new(Faulty::new(
-            MpkTransport::new(CHAOS_WORKERS, &spec),
+        _ => Box::new(Faulty::new(
+            build_backend_with_spec(&spec, backend, CHAOS_WORKERS),
             faults.clone(),
             HANG_BUDGET,
         )),
@@ -259,7 +242,7 @@ fn chaos_cell(
         slo: Some(slo.clone()),
         ..RuntimeConfig::default()
     };
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut factory = request_factory();
     let arrivals = PoissonArrivals::new(12_000.0, seed ^ 0xa55a).take(requests as usize);
     let (stats, mut engine) = serve_open_loop(engine, ring, cfg, arrivals, &mut factory, |s, _| s);
 
@@ -361,9 +344,8 @@ pub fn run_ring_power_drill(
     use std::collections::BTreeSet;
 
     assert!(requests >= 2);
-    let scenario = ServingScenario::Kv;
-    let mut rt = RingTransport::new(super::runtime::build_backend(scenario, backend, 1), ring);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut rt = RingTransport::new(build_backend(backend, 1), ring);
+    let mut factory = request_factory();
     let budget = rt.config().batch_budget.max(1);
     let cut = 1 + seed % (requests - 1);
 
@@ -554,7 +536,14 @@ mod tests {
 
     #[test]
     fn skybridge_cell_under_crashes_terminates_clean() {
-        let out = run_chaos_cell(&Backend::SkyBridge, 0xc0de_0001, &FaultMix::crashes(), 120);
+        let out = run_chaos_cell(
+            &Backend::SkyBridge,
+            0xc0de_0001,
+            &FaultMix::crashes(),
+            120,
+            None,
+            None,
+        );
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
         assert!(
@@ -568,12 +557,13 @@ mod tests {
 
     #[test]
     fn ring_cell_under_everything_terminates_clean() {
-        let out = run_ring_chaos_cell(
+        let out = run_chaos_cell(
             &Backend::SkyBridge,
             0xc0de_0002,
             &FaultMix::everything(),
             120,
-            RingConfig::default(),
+            Some(RingConfig::default()),
+            None,
         );
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
@@ -593,7 +583,14 @@ mod tests {
         // rescind the injection), so this cell is the one that proves
         // stale rights are detected by the walk and recovered by the
         // quiesce re-arm.
-        let out = run_chaos_cell(&Backend::Mpk, 0xc0de_0005, &FaultMix::security(), 120);
+        let out = run_chaos_cell(
+            &Backend::Mpk,
+            0xc0de_0005,
+            &FaultMix::security(),
+            120,
+            None,
+            None,
+        );
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
         assert!(
@@ -649,7 +646,14 @@ mod tests {
         let spec = PostmortemSpec::in_dir(&dir);
         // No faults armed: the cell runs in calm weather and must not
         // trip the recorder.
-        let out = run_chaos_cell_watched(&Backend::SkyBridge, 0xca11, &FaultMix::none(), 80, &spec);
+        let out = run_chaos_cell(
+            &Backend::SkyBridge,
+            0xca11,
+            &FaultMix::none(),
+            80,
+            None,
+            Some(&spec),
+        );
         assert_eq!(out.report.injected(), 0);
         assert!(!out.slo.breached(), "calm weather must hold the SLO");
         assert!(out.postmortem.is_none());

@@ -41,7 +41,7 @@ pub enum KvMode {
     SkyBridge,
     /// One address space, MPK protection-key domains: each component
     /// boundary is a `WRPKRU` flip, and the KV slot region is tagged
-    /// with [`MPK_SLOT_KEY`] so only the kv domain can touch it.
+    /// with `MPK_SLOT_KEY` so only the kv domain can touch it.
     Mpk,
 }
 

@@ -3,11 +3,16 @@
 //! [`scenarios::kv`](crate::scenarios::kv) and
 //! [`scenarios::sqlite`](crate::scenarios::sqlite) drive one client in a
 //! closed lock-step loop — right for latency figures, blind to queueing.
-//! This module runs the same two application shapes *as services* on the
+//! This module runs the Figure 1 KV store *as a service* on the
 //! `sb-runtime` dispatcher: N server threads pinned to simulated cores,
-//! a bounded lane queue with admission control, and an open-loop
-//! Poisson (or closed-loop) client population, so saturation, shedding,
-//! and tail latency become measurable per IPC backend.
+//! a bounded lane queue with admission control, and open-loop Poisson
+//! arrivals through the direct queue or the rings, so saturation,
+//! shedding, and tail latency become measurable per IPC backend.
+//!
+//! Every serving run serves one workload, defined here once: the service
+//! is [`ServiceSpec::default()`] and the requests are [`workload`] —
+//! YCSB-A over its records with [`PAYLOAD`]-byte payloads. The sweeps
+//! hold it fixed and swap only the isolation mechanism ([`Backend`]).
 
 use sb_microkernel::Personality;
 use sb_runtime::{
@@ -15,9 +20,8 @@ use sb_runtime::{
     RunStats, RuntimeConfig, ServerRuntime, ServiceSpec, SkyBridgeTransport, TenantFabric,
     Transport, TrapIpcTransport,
 };
+use sb_sim::Cycles;
 use sb_ycsb::WorkloadSpec;
-
-use crate::scenarios::cycles_to_seconds;
 
 /// Which IPC backend serves the requests. Each variant builds to one
 /// [`Transport`] implementation.
@@ -52,64 +56,30 @@ impl Backend {
     }
 }
 
-/// Which application the service work models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServingScenario {
-    /// The KV-store server of Figure 1: light per-op work, small records.
-    Kv,
-    /// The minidb/xv6fs stack of §6.5: SQL parsing, B-tree probing and
-    /// file-system block handling — an order of magnitude more compute
-    /// and a much larger handler footprint per operation.
-    Minidb,
+/// Wire bytes per request of the serving workload.
+pub const PAYLOAD: usize = 64;
+
+/// The serving workload's operation mix: YCSB-A (the mix Figures 9–11
+/// report) over the records of [`ServiceSpec::default()`].
+pub fn workload() -> WorkloadSpec {
+    WorkloadSpec::ycsb_a(ServiceSpec::default().records, PAYLOAD)
 }
 
-impl ServingScenario {
-    /// The per-request service work of this scenario.
-    pub fn service_spec(self) -> ServiceSpec {
-        match self {
-            ServingScenario::Kv => ServiceSpec {
-                records: 10_000,
-                cpu: 180,
-                footprint: 2048,
-                timeout: None,
-            },
-            ServingScenario::Minidb => ServiceSpec {
-                records: 10_000,
-                cpu: 2_400,
-                footprint: 8 * 1024,
-                timeout: None,
-            },
-        }
-    }
-
-    /// The operation mix (YCSB-A, the workload Figures 9–11 report).
-    pub fn workload(self) -> WorkloadSpec {
-        let spec = self.service_spec();
-        WorkloadSpec::ycsb_a(spec.records, self.payload())
-    }
-
-    /// Wire bytes per request.
-    pub fn payload(self) -> usize {
-        match self {
-            ServingScenario::Kv => 64,
-            ServingScenario::Minidb => 256,
-        }
-    }
+/// A fresh request stream of the serving workload.
+pub fn request_factory() -> RequestFactory {
+    RequestFactory::new(workload(), PAYLOAD)
 }
 
 /// Builds the serving transport for `backend` with `lanes` server
-/// threads, each pinned to its own simulated core.
-pub fn build_backend(
-    scenario: ServingScenario,
-    backend: &Backend,
-    lanes: usize,
-) -> Box<dyn Transport> {
-    build_backend_with_spec(&scenario.service_spec(), backend, lanes)
+/// threads, each pinned to its own simulated core, serving
+/// [`ServiceSpec::default()`].
+pub fn build_backend(backend: &Backend, lanes: usize) -> Box<dyn Transport> {
+    build_backend_with_spec(&ServiceSpec::default(), backend, lanes)
 }
 
 /// Builds the serving transport for `backend` from an explicit service
 /// spec — the path the serving-graph nodes use, where each node carries
-/// its own per-request work rather than a [`ServingScenario`] preset.
+/// its own per-request work.
 pub fn build_backend_with_spec(
     spec: &ServiceSpec,
     backend: &Backend,
@@ -120,21 +90,6 @@ pub fn build_backend_with_spec(
         Backend::Trap(p) => Box::new(TrapIpcTransport::new(p.clone(), lanes, spec)),
         Backend::Mpk => Box::new(MpkTransport::new(lanes, spec)),
     }
-}
-
-/// Builds the serving transport for `backend` behind submission and
-/// completion rings — the asynchronous doorbell mode. SkyBridge drains
-/// each batch through one VMFUNC round trip
-/// ([`Transport::call_batch`]); the trap personalities keep their
-/// per-call crossings, so the sweep isolates exactly what batching the
-/// boundary buys.
-pub fn build_ring_backend(
-    scenario: ServingScenario,
-    backend: &Backend,
-    lanes: usize,
-    ring: RingConfig,
-) -> RingTransport<Box<dyn Transport>> {
-    RingTransport::new(build_backend(scenario, backend, lanes), ring)
 }
 
 /// One open-loop run over `engine`: through rings and [`RingRuntime`]
@@ -159,73 +114,73 @@ pub fn serve_open_loop<R>(
     (out, rings.into_inner())
 }
 
-/// One open-loop serving run in ring mode: the same arrival stream as
-/// [`run_open_loop`], dispatched through [`RingRuntime`]'s adaptive
-/// doorbell instead of the direct per-call queue.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ring_open_loop(
-    scenario: ServingScenario,
-    backend: &Backend,
-    lanes: usize,
-    runtime: RuntimeConfig,
-    ring: RingConfig,
-    mean_inter_arrival: f64,
-    requests: u64,
-    seed: u64,
-) -> RunStats {
-    let engine = build_backend(scenario, backend, lanes);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
-    let arrivals = PoissonArrivals::new(mean_inter_arrival, seed).take(requests as usize);
-    let ring = Some(ring);
-    serve_open_loop(engine, ring, runtime, arrivals, &mut factory, |s, _| s).0
-}
-
-/// One open-loop serving run: `requests` Poisson arrivals at a mean gap
-/// of `mean_inter_arrival` cycles against `lanes` server threads.
+/// One open-loop serving run of the serving workload: `requests`
+/// Poisson arrivals at a mean gap of `mean_inter_arrival` cycles against
+/// `lanes` server threads, through the rings when `ring` gives a
+/// geometry.
 pub fn run_open_loop(
-    scenario: ServingScenario,
     backend: &Backend,
     lanes: usize,
     runtime: RuntimeConfig,
+    ring: Option<RingConfig>,
     mean_inter_arrival: f64,
     requests: u64,
     seed: u64,
 ) -> RunStats {
-    let engine = build_backend(scenario, backend, lanes);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let engine = build_backend(backend, lanes);
     let arrivals = PoissonArrivals::new(mean_inter_arrival, seed).take(requests as usize);
-    serve_open_loop(engine, None, runtime, arrivals, &mut factory, |s, _| s).0
-}
-
-/// One closed-loop serving run: `clients` issuers, one in-flight request
-/// each, `ops_per_client` operations, `think` cycles between completion
-/// and reissue.
-pub fn run_closed_loop(
-    scenario: ServingScenario,
-    backend: &Backend,
-    lanes: usize,
-    runtime: RuntimeConfig,
-    clients: usize,
-    ops_per_client: u64,
-    think: u64,
-) -> RunStats {
-    let mut transport = build_backend(scenario, backend, lanes);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
-    ServerRuntime::new(transport.as_mut(), runtime).run_closed_loop(
-        clients,
-        ops_per_client,
-        think,
-        &mut factory,
+    serve_open_loop(
+        engine,
+        ring,
+        runtime,
+        arrivals,
+        &mut request_factory(),
+        |s, _| s,
     )
+    .0
 }
 
-/// Completions per wall-clock second on the modeled 4 GHz part.
-pub fn ops_per_sec(stats: &RunStats) -> f64 {
-    let secs = cycles_to_seconds(stats.window());
-    if secs == 0.0 {
-        return 0.0;
+/// What [`calibrate`] measured: `cycles` over `calls` direct calls.
+#[derive(Debug, Clone, Copy)]
+pub struct Calibration {
+    /// Calls measured.
+    pub calls: u64,
+    /// Simulated cycles they took, end to end.
+    pub cycles: Cycles,
+}
+
+impl Calibration {
+    /// Mean cycles per call — the service rate the sweeps scale their
+    /// arrival rates against.
+    pub fn mean(&self) -> f64 {
+        self.cycles as f64 / self.calls as f64
     }
-    stats.completed as f64 / secs
+
+    /// Cycles per call, rounded up — the non-preemptive service quantum
+    /// a tenant-isolation bound allows for.
+    pub fn quantum(&self) -> Cycles {
+        self.cycles.div_ceil(self.calls)
+    }
+}
+
+/// Times a fresh one-lane server of `backend` on the serving workload:
+/// `warm` direct calls (past the KV store's growth phase), then `n`
+/// more, measured.
+pub fn calibrate(backend: &Backend, warm: u64, n: u64) -> Calibration {
+    let mut t = build_backend(backend, 1);
+    let mut f = request_factory();
+    let mut drive = |calls: u64| {
+        for _ in 0..calls {
+            let r = f.make(t.now(0), None);
+            t.call(0, &r).expect("calibration call");
+        }
+        t.now(0)
+    };
+    let t0 = drive(warm);
+    Calibration {
+        calls: n,
+        cycles: drive(n) - t0,
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +188,7 @@ mod tests {
     use sb_runtime::AdmissionPolicy;
 
     use super::*;
+    use crate::scenarios::throughput;
 
     fn cfg() -> RuntimeConfig {
         RuntimeConfig {
@@ -250,19 +206,12 @@ mod tests {
             Backend::Trap(Personality::sel4()),
             Backend::Mpk,
         ] {
-            let s = run_open_loop(
-                ServingScenario::Kv,
-                &backend,
-                2,
-                cfg(),
-                60_000.0, // ~17 req/Mcycle: far below capacity.
-                120,
-                7,
-            );
+            // ~17 req/Mcycle: far below capacity.
+            let s = run_open_loop(&backend, 2, cfg(), None, 60_000.0, 120, 7);
             assert_eq!(s.completed, 120, "{}: all served", backend.label());
             assert_eq!(s.shed(), 0);
             assert!(s.p99() > 0);
-            assert!(ops_per_sec(&s) > 0.0);
+            assert!(throughput(s.completed, s.window()) > 0.0);
             assert!(s.bytes_copied > 0, "the copy meter must see the encodes");
         }
     }
@@ -270,16 +219,8 @@ mod tests {
     #[test]
     fn ring_open_loop_completes_under_light_load() {
         for backend in Backend::all() {
-            let s = run_ring_open_loop(
-                ServingScenario::Kv,
-                &backend,
-                2,
-                cfg(),
-                RingConfig::default(),
-                60_000.0,
-                120,
-                7,
-            );
+            let ring = Some(RingConfig::default());
+            let s = run_open_loop(&backend, 2, cfg(), ring, 60_000.0, 120, 7);
             assert_eq!(s.completed, 120, "{}: all served", backend.label());
             assert_eq!(s.shed(), 0);
             assert!(s.p99() > 0);
@@ -287,26 +228,12 @@ mod tests {
         }
     }
 
+    /// The sweeps' mean and the tenant quantum read one measurement.
     #[test]
-    fn minidb_costs_more_per_op_than_kv() {
-        let t = Backend::SkyBridge;
-        let kv = run_open_loop(ServingScenario::Kv, &t, 1, cfg(), 60_000.0, 64, 7);
-        let db = run_open_loop(ServingScenario::Minidb, &t, 1, cfg(), 60_000.0, 64, 7);
-        assert!(db.p50() > kv.p50(), "minidb ops are heavier");
-    }
-
-    #[test]
-    fn closed_loop_serving_conserves_requests() {
-        let s = run_closed_loop(
-            ServingScenario::Kv,
-            &Backend::Trap(Personality::zircon()),
-            2,
-            cfg(),
-            4,
-            16,
-            0,
-        );
-        assert_eq!(s.offered, 64);
-        assert_eq!(s.offered, s.completed + s.shed() + s.timed_out + s.failed);
+    fn a_calibration_rounds_its_quantum_up_from_its_mean() {
+        let c = calibrate(&Backend::SkyBridge, 64, 100);
+        assert_eq!(c.calls, 100);
+        assert!(c.mean() > 0.0);
+        assert_eq!(c.quantum(), c.mean().ceil() as Cycles);
     }
 }

@@ -26,7 +26,7 @@ use sb_runtime::{Request, Transport};
 use sb_sim::Cycles;
 use skybridge::{ServerId, SkyBridge};
 
-use crate::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use crate::scenarios::runtime::{build_backend, Backend};
 
 /// Cycles of synthetic handler work each hop performs before forwarding
 /// (or replying, at the leaf).
@@ -164,12 +164,7 @@ fn chain_over<T: Transport>(mut t: T, hops: usize, calls: u64, recorder: &Record
 pub fn chain_for(backend: &Backend, depth: usize, calls: u64, recorder: &Recorder) -> ChainRun {
     match backend {
         Backend::SkyBridge => skybridge_chain(depth, calls, recorder),
-        _ => chain_over(
-            build_backend(ServingScenario::Kv, backend, 1),
-            depth,
-            calls,
-            recorder,
-        ),
+        _ => chain_over(build_backend(backend, 1), depth, calls, recorder),
     }
 }
 

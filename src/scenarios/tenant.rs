@@ -23,7 +23,9 @@ use sb_runtime::{
 use sb_sentinel::{SloHealth, SloSpec};
 use sb_sim::Cycles;
 
-use crate::scenarios::runtime::{build_backend, serve_open_loop, Backend, ServingScenario};
+use crate::scenarios::runtime::{
+    build_backend, calibrate, serve_open_loop, workload, Backend, PAYLOAD,
+};
 
 /// The aggressor's tenant id (victims are `1..=VICTIMS`).
 pub const AGGRESSOR: TenantId = 1000;
@@ -86,9 +88,9 @@ pub struct TenantOutcome {
     pub actions: Vec<TenantAction>,
     /// The aggressor's health at end of contended run, if tracked.
     pub aggressor_health: Option<SloHealth>,
-    /// The backend's calibrated cycles per call — the non-preemptive
-    /// service quantum the isolation bound allows for.
-    pub service_quantum: Cycles,
+    /// The backend's calibrated cycles per call, rounded up — the
+    /// non-preemptive service quantum the isolation bound allows for.
+    pub quantum: Cycles,
 }
 
 impl TenantOutcome {
@@ -96,7 +98,7 @@ impl TenantOutcome {
     /// `headroom` (e.g. `1.10`) of solo p99 — plus the unavoidable
     /// scheduling allowance — and zero breach episodes.
     ///
-    /// The allowance is one [`Self::service_quantum`] in direct mode
+    /// The allowance is one [`Self::quantum`] in direct mode
     /// and two in ring mode, plus the [`P99_QUANT_SLACK`] quantization
     /// slack. Service is non-preemptive, so even an ideal weighted-fair
     /// scheduler lets one in-contract aggressor call head-of-line-block
@@ -107,7 +109,7 @@ impl TenantOutcome {
     /// prevented.
     pub fn isolated(&self, headroom: f64) -> bool {
         let quanta = if self.mode == "ring" { 2 } else { 1 };
-        let slack = (quanta * self.service_quantum + P99_QUANT_SLACK) as f64;
+        let slack = (quanta * self.quantum + P99_QUANT_SLACK) as f64;
         self.victims.iter().all(|v| {
             v.breaches == 0 && (v.contended_p99 as f64) <= (v.solo_p99 as f64) * headroom + slack
         })
@@ -184,25 +186,6 @@ pub fn registry() -> TenantRegistry {
     )
 }
 
-/// The backend's steady-state cycles per call on this scenario's
-/// service — the non-preemptive quantum [`TenantOutcome::isolated`]
-/// allows for. Warmup runs past the KV store's growth phase first.
-fn service_quantum(scenario: ServingScenario, backend: &Backend) -> Cycles {
-    let mut t = build_backend(scenario, backend, 1);
-    let mut f = RequestFactory::new(scenario.workload(), scenario.payload());
-    for _ in 0..512 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    let t0 = t.now(0);
-    let n = 512;
-    for _ in 0..n {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    (t.now(0) - t0).div_ceil(n)
-}
-
 /// Merged arrival streams: per-tenant Poisson processes with per-tenant
 /// seeds (victim streams are byte-identical between solo and contended
 /// runs), sorted into one `(times, tenant schedule)` pair.
@@ -232,19 +215,17 @@ fn streams(seed: u64, with_aggressor: bool) -> (Vec<Cycles>, Vec<TenantId>) {
 /// One run of the cell; returns the stats plus the fabric's action log
 /// and per-tenant SLO health readings.
 fn run_cell(
-    scenario: ServingScenario,
     backend: &Backend,
     ring_mode: bool,
     arrivals: Vec<Cycles>,
     schedule: Vec<TenantId>,
 ) -> (RunStats, Vec<TenantAction>, BTreeMap<TenantId, SloHealth>) {
-    let mut factory =
-        RequestFactory::with_per_tenant_streams(scenario.workload(), scenario.payload(), schedule);
+    let mut factory = RequestFactory::with_per_tenant_streams(workload(), PAYLOAD, schedule);
     let cfg = RuntimeConfig {
         tenants: Some(registry()),
         ..RuntimeConfig::default()
     };
-    let engine = build_backend(scenario, backend, LANES);
+    let engine = build_backend(backend, LANES);
     let ring = ring_mode.then(RingConfig::default);
     let read = |stats, fabric: &TenantFabric| {
         let healths = (1..=VICTIMS)
@@ -258,18 +239,13 @@ fn run_cell(
 
 /// Runs one noisy-neighbor cell: solo baseline, then the contended run
 /// over the identical victim streams plus the aggressor storm at
-/// [`STORM_FACTOR`] times its contracted rate.
-pub fn run_noisy_neighbor(
-    scenario: ServingScenario,
-    backend: &Backend,
-    ring_mode: bool,
-    seed: u64,
-) -> TenantOutcome {
+/// `STORM_FACTOR` times its contracted rate.
+pub fn run_noisy_neighbor(backend: &Backend, ring_mode: bool, seed: u64) -> TenantOutcome {
     let (solo_times, solo_sched) = streams(seed, false);
-    let (solo, _, _) = run_cell(scenario, backend, ring_mode, solo_times, solo_sched);
+    let (solo, _, _) = run_cell(backend, ring_mode, solo_times, solo_sched);
 
     let (times, sched) = streams(seed, true);
-    let (contended, actions, healths) = run_cell(scenario, backend, ring_mode, times, sched);
+    let (contended, actions, healths) = run_cell(backend, ring_mode, times, sched);
 
     let victims = (1..=VICTIMS)
         .map(|v| VictimVerdict {
@@ -287,7 +263,8 @@ pub fn run_noisy_neighbor(
         victims,
         actions,
         aggressor_health: healths.get(&AGGRESSOR).copied(),
-        service_quantum: service_quantum(scenario, backend),
+        // Warmup runs past the KV store's growth phase first.
+        quantum: calibrate(backend, 512, 512).quantum(),
     }
 }
 
@@ -328,29 +305,19 @@ mod tests {
 
     #[test]
     fn direct_mode_isolates_victims_from_a_storm() {
-        let out = run_noisy_neighbor(
-            ServingScenario::Kv,
-            &Backend::Trap(Personality::sel4()),
-            false,
-            11,
-        );
+        let out = run_noisy_neighbor(&Backend::Trap(Personality::sel4()), false, 11);
         check(&out);
     }
 
     #[test]
     fn ring_mode_isolates_victims_from_a_storm() {
-        let out = run_noisy_neighbor(ServingScenario::Kv, &Backend::SkyBridge, true, 11);
+        let out = run_noisy_neighbor(&Backend::SkyBridge, true, 11);
         check(&out);
     }
 
     #[test]
     fn victims_complete_their_full_streams() {
-        let out = run_noisy_neighbor(
-            ServingScenario::Kv,
-            &Backend::Trap(Personality::zircon()),
-            false,
-            17,
-        );
+        let out = run_noisy_neighbor(&Backend::Trap(Personality::zircon()), false, 17);
         for v in 1..=VICTIMS {
             let t = out.contended.tenant(v).expect("victim ran");
             assert_eq!(

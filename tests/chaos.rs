@@ -10,8 +10,7 @@
 use sb_faultplane::FaultPoint;
 use sb_runtime::RingConfig;
 use skybridge_repro::scenarios::chaos::{
-    fs_mixes, run_chaos_cell, run_fs_chaos, run_ring_chaos_cell, run_ring_power_drill,
-    serving_mixes,
+    fs_mixes, run_chaos_cell, run_fs_chaos, run_ring_power_drill, serving_mixes,
 };
 use skybridge_repro::scenarios::runtime::Backend;
 
@@ -25,7 +24,7 @@ fn chaos_matrix_conserves_and_leaks_nothing() {
     for transport in Backend::all() {
         for mix in serving_mixes() {
             for seed in SEEDS {
-                let out = run_chaos_cell(&transport, seed, &mix, REQUESTS);
+                let out = run_chaos_cell(&transport, seed, &mix, REQUESTS, None, None);
                 let label = format!("{}/{}/{seed:#x}", transport.label(), mix.name);
                 assert!(
                     out.conserved(),
@@ -67,8 +66,8 @@ fn chaos_cells_are_deterministic() {
         .into_iter()
         .next()
         .unwrap();
-    let a = run_chaos_cell(&Backend::SkyBridge, 0xd07, &mix, 80);
-    let b = run_chaos_cell(&Backend::SkyBridge, 0xd07, &mix, 80);
+    let a = run_chaos_cell(&Backend::SkyBridge, 0xd07, &mix, 80, None, None);
+    let b = run_chaos_cell(&Backend::SkyBridge, 0xd07, &mix, 80, None, None);
     assert_eq!(a.stats.completed, b.stats.completed);
     assert_eq!(a.stats.failed, b.stats.failed);
     assert_eq!(a.stats.retries, b.stats.retries);
@@ -87,7 +86,14 @@ fn storm_cells_exercise_deadline_collapse() {
         .unwrap();
     let mut injected = 0;
     for seed in 0..6u64 {
-        let out = run_chaos_cell(&Backend::SkyBridge, 0x5709_0000 + seed, &storms, 200);
+        let out = run_chaos_cell(
+            &Backend::SkyBridge,
+            0x5709_0000 + seed,
+            &storms,
+            200,
+            None,
+            None,
+        );
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
         injected += out
             .report
@@ -116,7 +122,7 @@ fn ring_chaos_matrix_conserves_and_leaks_nothing() {
     for transport in Backend::all() {
         for mix in serving_mixes() {
             for seed in SEEDS {
-                let out = run_ring_chaos_cell(&transport, seed, &mix, REQUESTS, ring);
+                let out = run_chaos_cell(&transport, seed, &mix, REQUESTS, Some(ring), None);
                 let label = format!("ring/{}/{}/{seed:#x}", transport.label(), mix.name);
                 assert!(
                     out.conserved(),

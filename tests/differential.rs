@@ -9,18 +9,13 @@
 //! reordered a message.
 
 use proptest::prelude::*;
-use sb_runtime::{
-    Request, RequestFactory, RingConfig, RingTransport, RuntimeConfig, ServerRuntime, Transport,
-};
-use sb_ycsb::WorkloadSpec;
-use skybridge_repro::scenarios::runtime::{
-    build_backend, build_ring_backend, Backend, ServingScenario,
-};
+use sb_runtime::{Request, RingConfig, RingTransport, RuntimeConfig, ServerRuntime, Transport};
+use skybridge_repro::scenarios::runtime::{build_backend, request_factory, Backend};
 
 fn transports(workers: usize) -> Vec<Box<dyn Transport>> {
     Backend::all()
         .iter()
-        .map(|t| build_backend(ServingScenario::Kv, t, workers))
+        .map(|t| build_backend(t, workers))
         .collect()
 }
 
@@ -81,16 +76,11 @@ fn same_trace_same_completion_counts() {
     let arrivals: Vec<u64> = (0..120u64).map(|i| i * 9_000).collect();
     let mut counts = Vec::new();
     for t in Backend::all() {
-        let mut e = build_backend(ServingScenario::Kv, &t, 2);
-        let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+        let mut e = build_backend(&t, 2);
+        let mut factory = request_factory();
         let s = ServerRuntime::new(e.as_mut(), RuntimeConfig::default())
             .run_open_loop(arrivals.clone(), &mut factory);
-        assert_eq!(
-            s.offered,
-            s.completed + s.shed_queue_full + s.shed_deadline + s.timed_out + s.failed,
-            "{}: conservation",
-            t.label()
-        );
+        assert!(s.conserved(), "{}: conservation", t.label());
         counts.push((t.label().to_string(), s.offered, s.completed));
     }
     assert!(
@@ -182,10 +172,8 @@ fn ring_for(
     capacity: usize,
     budget: usize,
 ) -> RingTransport<Box<dyn Transport>> {
-    build_ring_backend(
-        ServingScenario::Kv,
-        backend,
-        1,
+    RingTransport::new(
+        build_backend(backend, 1),
         RingConfig {
             capacity,
             batch_budget: budget,
@@ -199,7 +187,7 @@ fn ring_for(
 #[test]
 fn ring_batches_match_direct_replies_on_fixed_trace() {
     for backend in Backend::all() {
-        let mut direct = build_backend(ServingScenario::Kv, &backend, 1);
+        let mut direct = build_backend(&backend, 1);
         let mut ring = ring_for(&backend, 64, 6);
         let trace: Vec<Request> = (0..48)
             .map(|i| req(100 + i, i * 7 + 3, i % 3 == 0, 16 + (i as usize % 4) * 48))
@@ -255,7 +243,7 @@ proptest! {
             .map(|(i, (key, write, payload))| req(i as u64, *key, *write, *payload))
             .collect();
         for backend in Backend::all() {
-            let mut direct = build_backend(ServingScenario::Kv, &backend, 1);
+            let mut direct = build_backend(&backend, 1);
             let mut ring = ring_for(&backend, 32, budget);
             assert_ring_matches_direct(&backend, direct.as_mut(), &mut ring, &trace);
         }

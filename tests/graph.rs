@@ -156,12 +156,7 @@ fn open_loop_over_the_graph_conserves_requests() {
             96,
             7,
         );
-        assert_eq!(
-            s.offered,
-            s.completed + s.shed() + s.timed_out + s.failed,
-            "{}: conservation",
-            backend.label()
-        );
+        assert!(s.conserved(), "{}: conservation", backend.label());
         assert!(s.completed > 0, "{}: requests completed", backend.label());
         assert!(
             s.bytes_copied > 0,

@@ -12,7 +12,7 @@ use sb_observe::{
     Loss, PhaseProfile, Recorder, SpanKind,
 };
 use sb_runtime::{Request, RuntimeConfig};
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{build_backend, Backend};
 
 fn req(id: u64, key: u64, write: bool) -> Request {
     Request {
@@ -30,7 +30,7 @@ fn req(id: u64, key: u64, write: bool) -> Request {
 /// dispatcher) with tracing on and returns the recorder.
 fn trace_calls(backend: &Backend, lanes: usize, keys: &[u64]) -> Recorder {
     let recorder = Recorder::new(1 << 14);
-    let mut t = build_backend(ServingScenario::Kv, backend, lanes);
+    let mut t = build_backend(backend, lanes);
     t.attach_recorder(recorder.clone());
     for (i, &k) in keys.iter().enumerate() {
         let lane = i % lanes;
@@ -129,7 +129,7 @@ const TENANTS: u64 = 3;
 /// `backend`'s transport and returns the whole capture, lane by lane.
 fn trace_tenant_calls(backend: &Backend) -> Vec<Vec<Event>> {
     let recorder = Recorder::new(1 << 16);
-    let mut t = build_backend(ServingScenario::Kv, backend, 1);
+    let mut t = build_backend(backend, 1);
     t.attach_recorder(recorder.clone());
     for i in 0..TENANT_CALLS {
         let r = Request {
@@ -211,10 +211,10 @@ fn dispatcher_runs_export_clean_traces() {
         ..RuntimeConfig::default()
     };
     let stats = skybridge_repro::scenarios::runtime::run_open_loop(
-        ServingScenario::Kv,
         &Backend::SkyBridge,
         2,
         cfg,
+        None,
         9_000.0,
         160,
         0x000b_5e41,
@@ -248,7 +248,7 @@ fn dispatcher_runs_export_clean_traces() {
 #[test]
 fn ring_overwrite_is_surfaced_by_the_export() {
     let recorder = Recorder::new(64);
-    let mut t = build_backend(ServingScenario::Kv, &Backend::SkyBridge, 1);
+    let mut t = build_backend(&Backend::SkyBridge, 1);
     t.attach_recorder(recorder.clone());
     for i in 0..200u64 {
         t.call(0, &req(i, i, i % 2 == 0)).unwrap();
@@ -330,7 +330,7 @@ fn committed_json_artefacts_parse_well_inside_the_depth_limit() {
 #[test]
 fn disabled_recorder_records_nothing() {
     let recorder = Recorder::off();
-    let mut t = build_backend(ServingScenario::Kv, &Backend::SkyBridge, 1);
+    let mut t = build_backend(&Backend::SkyBridge, 1);
     t.attach_recorder(recorder.clone());
     for i in 0..8u64 {
         t.call(0, &req(i, i, false)).unwrap();

@@ -18,7 +18,7 @@ use sb_runtime::{
 };
 use sb_sentinel::assemble;
 use sb_ycsb::WorkloadSpec;
-use skybridge_repro::scenarios::runtime::{build_ring_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{build_backend, request_factory, Backend};
 
 fn req(id: u64, payload: usize) -> Request {
     Request {
@@ -77,10 +77,8 @@ fn capacity_one_ring_wraps_without_loss() {
 /// the synthetic backend.
 #[test]
 fn capacity_one_ring_wraps_on_mpk() {
-    let mut rt = build_ring_backend(
-        ServingScenario::Kv,
-        &Backend::Mpk,
-        1,
+    let mut rt = RingTransport::new(
+        build_backend(&Backend::Mpk, 1),
         RingConfig {
             capacity: 1,
             batch_budget: 1,
@@ -208,9 +206,8 @@ proptest! {
         let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(1_000, 64), 64);
         let arrivals: Vec<u64> = (0..48u64).map(|i| (i / burst) * gap).collect();
         let s = RingRuntime::new(&mut rt, cfg).run_open_loop(arrivals, &mut factory);
-        prop_assert_eq!(
-            s.offered,
-            s.completed + s.shed_queue_full + s.shed_deadline + s.timed_out + s.failed,
+        prop_assert!(
+            s.conserved(),
             "conservation: {:?}",
             s
         );
@@ -232,17 +229,15 @@ fn ring_runs_keep_spans_connected_and_phases_closed() {
         recorder: recorder.clone(),
         ..RuntimeConfig::default()
     };
-    let mut rt = build_ring_backend(
-        ServingScenario::Kv,
-        &Backend::SkyBridge,
-        1,
+    let mut rt = RingTransport::new(
+        build_backend(&Backend::SkyBridge, 1),
         RingConfig {
             capacity: 16,
             batch_budget: 4,
             slot_bytes: 4096,
         },
     );
-    let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+    let mut factory = request_factory();
     // Bursts of four arrivals 100 cycles apart: the first drains alone
     // (idle lane), the rest land while the lane is busy and get cut as
     // a real batch with nonzero ring wait.
@@ -306,17 +301,15 @@ fn ring_runs_keep_spans_connected_and_phases_closed() {
 fn a_full_batch_pays_the_crossing_once() {
     const BUDGET: usize = 8;
     const CALLS: u64 = 1024;
-    let mut rt = build_ring_backend(
-        ServingScenario::Kv,
-        &Backend::SkyBridge,
-        1,
+    let mut rt = RingTransport::new(
+        build_backend(&Backend::SkyBridge, 1),
         RingConfig {
             capacity: 2 * BUDGET,
             batch_budget: BUDGET,
             slot_bytes: 4096,
         },
     );
-    let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+    let mut factory = request_factory();
     // Direct calls first: one pass to warm up, one for the baseline.
     let mut direct_pass = |t: &mut Box<dyn Transport>| {
         let t0 = t.now(0);

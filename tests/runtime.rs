@@ -10,7 +10,7 @@ use sb_runtime::{
 };
 use sb_ycsb::WorkloadSpec;
 use skybridge::SbError;
-use skybridge_repro::scenarios::runtime::{run_open_loop, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{request_factory, run_open_loop, Backend};
 
 fn shed_cfg(queue_capacity: usize) -> RuntimeConfig {
     RuntimeConfig {
@@ -29,21 +29,17 @@ fn first_shed_rate(transport: &Backend) -> f64 {
     let requests = 600;
     let mut mean_ia = 16_384.0;
     for rung in 0..24u64 {
+        let seed = 0x5eed_0000 + rung;
         let s = run_open_loop(
-            ServingScenario::Kv,
             transport,
             workers,
             shed_cfg(8),
+            None,
             mean_ia,
             requests,
-            0x5eed_0000 + rung,
+            seed,
         );
-        assert_eq!(
-            s.offered,
-            s.completed + s.shed() + s.timed_out + s.failed,
-            "{}: request conservation",
-            transport.label()
-        );
+        assert!(s.conserved(), "{}: request conservation", transport.label());
         if s.shed() > 0 {
             return 1e6 / mean_ia;
         }
@@ -105,15 +101,8 @@ fn shared_buffer_exhaustion_fails_cleanly() {
 #[test]
 fn burst_deeper_than_worker_pool_queues_without_errors() {
     let transport = Backend::SkyBridge;
-    let s = run_open_loop(
-        ServingScenario::Kv,
-        &transport,
-        2,
-        shed_cfg(64),
-        1.0, // Everything arrives nearly at once: a 50-deep burst on 2 workers.
-        50,
-        7,
-    );
+    // Everything arrives nearly at once: a 50-deep burst on 2 workers.
+    let s = run_open_loop(&transport, 2, shed_cfg(64), None, 1.0, 50, 7);
     assert_eq!(s.completed, 50);
     assert_eq!(s.failed, 0);
     assert!(s.max_queue_depth > 2, "the burst must actually queue");
@@ -165,11 +154,7 @@ fn deadline_expiry_burns_no_service_in_any_mode() {
     };
     let factory = || RequestFactory::new(WorkloadSpec::ycsb_a(1_000, 64), 64);
     let check = |mode: &str, s: RunStats| {
-        assert_eq!(
-            s.offered,
-            s.completed + s.shed_queue_full + s.shed_deadline + s.timed_out + s.failed,
-            "{mode}: conservation: {s:?}"
-        );
+        assert!(s.conserved(), "{mode}: conservation: {s:?}");
         assert!(s.shed_deadline > 0, "{mode}: queued requests must expire");
         assert!(s.completed >= 1, "{mode}: the first request starts in time");
         assert_eq!(
@@ -320,7 +305,7 @@ fn the_walk_memo_answers_every_steady_state_walk_of_a_connection() {
 #[test]
 fn residency_does_not_scale_with_the_record_heap() {
     fn resident<T: Transport>(mut t: T, kernel: impl Fn(&T) -> &sb_microkernel::Kernel) -> usize {
-        let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+        let mut factory = request_factory();
         let mut updates = 0;
         for _ in 0..3_000 {
             let req = factory.make(0, None);

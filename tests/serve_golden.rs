@@ -26,11 +26,12 @@ use sb_runtime::{
     SloSpec, TenantFabric, TenantRegistry, TenantSpec, Transport,
 };
 use sb_sim::Cycles;
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{
+    build_backend, request_factory, workload, Backend, PAYLOAD,
+};
 
 const LANES: usize = 2;
 const REQUESTS: usize = 400;
-const SCENARIO: ServingScenario = ServingScenario::Kv;
 
 #[derive(Debug, Clone, Copy)]
 enum Mode {
@@ -195,8 +196,8 @@ fn serve<T: Transport>(
 
 /// The digest of one cell, plus a one-line summary for failure output.
 fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
-    let mut inner = build_backend(SCENARIO, backend, LANES);
-    let mut calib = RequestFactory::new(SCENARIO.workload(), SCENARIO.payload());
+    let mut inner = build_backend(backend, LANES);
+    let mut calib = request_factory();
     let service = calibrate(inner.as_mut(), &mut calib);
     let gap = |rho: f64| service as f64 / (LANES as f64 * rho);
     let recorder = Recorder::new(1 << 16);
@@ -212,7 +213,7 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
                 policy: AdmissionPolicy::Shed,
                 ..base
             };
-            let mut f = RequestFactory::new(SCENARIO.workload(), SCENARIO.payload());
+            let mut f = request_factory();
             let (s, a, _) = serve(mode, inner, cfg, gap(0.9), &mut f);
             (s, a)
         }
@@ -226,11 +227,7 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
             let schedule = (0..REQUESTS)
                 .map(|i| [2, 2, 1, 2, 0, 1, 2][i % 7])
                 .collect();
-            let mut f = RequestFactory::with_tenant_schedule(
-                SCENARIO.workload(),
-                SCENARIO.payload(),
-                schedule,
-            );
+            let mut f = RequestFactory::with_tenant_schedule(workload(), PAYLOAD, schedule);
             let (s, a, _) = serve(mode, inner, cfg, gap(4.0), &mut f);
             (s, a)
         }
@@ -257,7 +254,7 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
                 ..base
             };
             let faulty = Faulty::new(inner, faults.clone(), 20 * service);
-            let mut f = RequestFactory::new(SCENARIO.workload(), SCENARIO.payload());
+            let mut f = request_factory();
             let (s, a, mut faulty) = serve(mode, faulty, cfg, gap(0.7), &mut f);
             // Close any lane still dead at end of run, then read the ledger.
             faults.disarm();

@@ -21,14 +21,14 @@
 
 use sb_runtime::{Request, Transport};
 use sb_sim::Pmu;
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{build_backend, Backend};
 
 const CALLS: u64 = 4096;
 const LANES: usize = 2;
 
 /// Final `[lane 0, lane 1]` clocks and PMU of the mix on one personality.
 fn run_mix(backend: &Backend) -> ([u64; LANES], Pmu) {
-    let mut t = build_backend(ServingScenario::Kv, backend, LANES);
+    let mut t = build_backend(backend, LANES);
     // SplitMix64: the stream is part of the golden and must not depend on
     // any crate's generator.
     let mut state = 0x5eed_0000_0000_002au64;

@@ -12,12 +12,12 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sb_runtime::{
-    AdmissionPolicy, PoissonArrivals, RequestFactory, RingConfig, RingRuntime, RuntimeConfig,
-    ServerRuntime, TenantFabric, TenantId, TenantRegistry, TenantSpec,
+    AdmissionPolicy, PoissonArrivals, RequestFactory, RingConfig, RingRuntime, RingTransport,
+    RuntimeConfig, ServerRuntime, TenantFabric, TenantId, TenantRegistry, TenantSpec,
 };
 use sb_transport::Request;
 use skybridge_repro::scenarios::runtime::{
-    build_backend, build_ring_backend, Backend, ServingScenario,
+    build_backend, request_factory, workload, Backend, PAYLOAD,
 };
 
 fn req(id: u64, tenant: TenantId) -> Request {
@@ -121,7 +121,6 @@ proptest! {
 /// back to the global counters — for both serving paths.
 #[test]
 fn per_tenant_ledgers_balance_on_real_runs() {
-    let scenario = ServingScenario::Kv;
     let registry = TenantRegistry::new(spec(1, 4));
     let cfg = || RuntimeConfig {
         tenants: Some(registry.clone()),
@@ -131,9 +130,8 @@ fn per_tenant_ledgers_balance_on_real_runs() {
     // exercised, not just completed.
     let arrivals: Vec<_> = PoissonArrivals::new(400.0, 7).take(3_000).collect();
 
-    let mut factory =
-        RequestFactory::with_zipf_tenants(scenario.workload(), scenario.payload(), 32, 7);
-    let mut transport = build_backend(scenario, &Backend::SkyBridge, 2);
+    let mut factory = RequestFactory::with_zipf_tenants(workload(), PAYLOAD, 32, 7);
+    let mut transport = build_backend(&Backend::SkyBridge, 2);
     let direct =
         ServerRuntime::new(transport.as_mut(), cfg()).run_open_loop(arrivals.clone(), &mut factory);
     assert!(
@@ -143,9 +141,9 @@ fn per_tenant_ledgers_balance_on_real_runs() {
     assert!(direct.shed() > 0, "the run must actually shed");
     assert!(direct.tenants.len() > 1, "the run must be multi-tenant");
 
-    let mut factory =
-        RequestFactory::with_zipf_tenants(scenario.workload(), scenario.payload(), 32, 7);
-    let mut transport = build_ring_backend(scenario, &Backend::SkyBridge, 2, RingConfig::default());
+    let mut factory = RequestFactory::with_zipf_tenants(workload(), PAYLOAD, 32, 7);
+    let mut transport =
+        RingTransport::new(build_backend(&Backend::SkyBridge, 2), RingConfig::default());
     let ring = RingRuntime::new(&mut transport, cfg()).run_open_loop(arrivals, &mut factory);
     assert!(ring.tenants_conserved(), "ring-mode ledgers: {ring:?}");
     assert!(ring.tenants.len() > 1, "the ring run must be multi-tenant");
@@ -155,12 +153,11 @@ fn per_tenant_ledgers_balance_on_real_runs() {
 /// single-queue dispatcher: one lane, weight irrelevant, exact FIFO.
 #[test]
 fn single_tenant_config_matches_default_run() {
-    let scenario = ServingScenario::Kv;
     let arrivals: Vec<_> = PoissonArrivals::new(2_000.0, 3).take(1_500).collect();
 
     let run = |tenants: Option<TenantRegistry>| {
-        let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
-        let mut transport = build_backend(scenario, &Backend::SkyBridge, 2);
+        let mut factory = request_factory();
+        let mut transport = build_backend(&Backend::SkyBridge, 2);
         ServerRuntime::new(
             transport.as_mut(),
             RuntimeConfig {
