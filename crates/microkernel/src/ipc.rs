@@ -1,10 +1,27 @@
 //! Synchronous IPC: call and reply, with Figure 7-style breakdowns.
 //!
-//! Every path really executes on the simulated machine: kernel text is
+//! A call and its reply are the same leg run in opposite directions
+//! (`transfer`, sender → receiver). Its steps, in order, each charged to
+//! the Figure 7 component named after it:
+//!
+//! 1. entry on the sender's core: the mode switch (SYSCALL/SYSRET; under
+//!    KPTI its CR3 write is context switch) and the kernel path's text
+//!    and data footprint (others);
+//! 2. the fastpath or slowpath logic, Fiasco's drq drain included
+//!    (others);
+//! 3. reading the message out of the sender's space (message copy);
+//! 4. only across cores: the IPI (IPI), then an entry on the receiver's
+//!    core as in step 1 with the slowpath's text;
+//! 5. only off the fastpath: the scheduler, plus the cross-core extra
+//!    across cores (schedule);
+//! 6. on the receiver's core: its CR3 load (context switch), then the
+//!    write of the message into its buffer (message copy).
+//!
+//! Every step really executes on the simulated machine: kernel text is
 //! fetched, message bytes move between address spaces, CR3 loads are
 //! charged, IPIs join core clocks. The returned [`Breakdown`] attributes
-//! the *measured* cycles of each step to the component buckets Figure 7
-//! uses, so the bench binary can print the same stacked bars.
+//! the *measured* cycles of each step to its bucket, so the bench binary
+//! can print the same stacked bars.
 
 use sb_mem::MemFault;
 use sb_sim::{AccessKind, CpuId, Cycles};
@@ -120,6 +137,9 @@ pub enum IpcError {
     ServerNotReady,
     /// Message exceeds the per-thread buffer.
     MessageTooLarge,
+    /// The replier is not the thread the client's call landed on (or the
+    /// client awaits no reply).
+    NotCallee,
     /// A translation fault while moving the message.
     Fault(MemFault),
 }
@@ -132,6 +152,7 @@ impl std::fmt::Display for IpcError {
             IpcError::NoServer => write!(f, "endpoint has no server"),
             IpcError::ServerNotReady => write!(f, "server not in recv"),
             IpcError::MessageTooLarge => write!(f, "message too large"),
+            IpcError::NotCallee => write!(f, "replier is not the client's callee"),
             IpcError::Fault(e) => write!(f, "fault during transfer: {e}"),
         }
     }
@@ -174,36 +195,25 @@ impl Kernel {
         let mut data = std::mem::take(&mut self.msg_staging);
         data.clear();
         data.resize(len, 0);
-        if len <= p.register_msg_max {
-            // In-register transfer: no memory copy is charged; move the
-            // bytes for functional fidelity only.
+        let in_registers = len <= p.register_msg_max;
+        if in_registers || p.temporary_mapping {
+            // In registers no memory copy is charged. Under §8.1's L4
+            // temporary mapping the kernel maps the sender's buffer into
+            // the receiver and the receiver-side write *is* the single
+            // copy (charged at deliver time); here it pays only the
+            // map/unmap. Either way the bytes move for functional
+            // fidelity, in one read: the buffer is one page.
+            if !in_registers {
+                const MAP_UNMAP: Cycles = 350;
+                self.machine.cpu_mut(read_core).advance(MAP_UNMAP);
+                b.add(Component::MessageCopy, MAP_UNMAP);
+            }
             let from_asp = self.processes[self.threads[from].process].asp;
             let (gpa, _) = from_asp.translate_setup(&self.mem, src).unwrap();
             self.mem.read_slice(sb_mem::Hpa(gpa.0), &mut data);
             return Ok(Some(data));
         }
         let t0 = self.tsc(read_core);
-        if p.temporary_mapping {
-            // §8.1 (L4's temporary mapping): the kernel maps the sender's
-            // buffer into the receiver and the receiver-side write *is*
-            // the single copy; here we only pay the map/unmap and read the
-            // bytes out for delivery (the charged copy happens at
-            // deliver time).
-            const MAP_UNMAP: Cycles = 350;
-            self.machine.cpu_mut(read_core).advance(MAP_UNMAP);
-            let from_asp = self.processes[self.threads[from].process].asp;
-            let mut off = 0usize;
-            while off < len {
-                let at = src.add(off as u64);
-                let n = ((sb_mem::PAGE_SIZE - at.page_offset()) as usize).min(len - off);
-                let (gpa, _) = from_asp.translate_setup(&self.mem, at).unwrap();
-                self.mem
-                    .read_slice(sb_mem::Hpa(gpa.0), &mut data[off..off + n]);
-                off += n;
-            }
-            b.add(Component::MessageCopy, self.tsc(read_core) - t0);
-            return Ok(Some(data));
-        }
         sb_mem::walk::read_bytes(
             &mut self.machine,
             read_core,
@@ -268,192 +278,49 @@ impl Kernel {
     /// Synchronous call: the client sends `msg_len` bytes from its message
     /// buffer through the capability in `cap_slot` and control transfers
     /// to the serving thread. On return the server is current on its core,
-    /// ready to run the handler; the client is reply-blocked.
+    /// ready to run the handler; the client is reply-blocked on it.
     pub fn ipc_call(
         &mut self,
         client: ThreadId,
         cap_slot: usize,
         msg_len: usize,
     ) -> Result<Breakdown, IpcError> {
-        let cthread = self.threads[client].clone();
-        let ccore = cthread.core;
-        debug_assert_eq!(self.current_thread(ccore), Some(client));
+        debug_assert_eq!(self.current_thread(self.threads[client].core), Some(client));
         // Capability + endpoint resolution (validated before any charge;
         // the in-kernel check cost is part of the personality's logic).
-        let Capability::Endpoint { endpoint, rights } = self.processes[cthread.process]
+        let Capability::Endpoint { endpoint, rights } = self.processes
+            [self.threads[client].process]
             .cap(cap_slot)
             .ok_or(IpcError::NoCapability)?;
         if !rights.send {
             return Err(IpcError::NoSendRight);
         }
         let server = self.endpoints[endpoint].server.ok_or(IpcError::NoServer)?;
-        let sthread = self.threads[server].clone();
-        if sthread.state != ThreadState::RecvBlocked {
+        if self.threads[server].state != ThreadState::RecvBlocked {
             return Err(IpcError::ServerNotReady);
         }
-        if msg_len > layout::MSG_BUF_SIZE {
-            return Err(IpcError::MessageTooLarge);
-        }
-
-        let p = self.personality.clone();
-        let score = sthread.core;
-        let same_core = score == ccore;
-        let fast = same_core && p.has_fastpath && msg_len <= p.register_msg_max;
-        let mut b = Breakdown::new();
-
-        // Kernel entry on the client core.
-        let (mode, kpti) = self.mode_switch(ccore);
-        b.add(Component::SyscallSysret, mode);
-        b.add(Component::ContextSwitch, kpti);
-        let t0 = self.tsc(ccore);
-        self.kernel_work_seeded(
-            ccore,
-            if fast { p.text_fast } else { p.text_slow },
-            p.data_touch,
-            endpoint,
-        );
-        b.add(Component::Other, self.tsc(ccore) - t0);
-
-        if fast {
-            let logic = p.fastpath_logic + p.drq_cost;
-            self.machine.cpu_mut(ccore).advance(logic);
-            b.add(Component::Other, logic);
-            let msg = self.read_message(&mut b, &p, client, msg_len, ccore)?;
-            let t0 = self.tsc(ccore);
-            self.switch_address_space(ccore, sthread.process);
-            b.add(Component::ContextSwitch, self.tsc(ccore) - t0);
-            self.deliver_message(&mut b, server, msg, ccore)?;
-            self.finish_transfer_to(ccore, client, server);
-        } else if same_core {
-            let logic = p.slowpath_logic;
-            self.machine.cpu_mut(ccore).advance(logic);
-            b.add(Component::Other, logic);
-            let msg = self.read_message(&mut b, &p, client, msg_len, ccore)?;
-            self.machine.cpu_mut(ccore).advance(p.schedule_cost);
-            b.add(Component::Schedule, p.schedule_cost);
-            let t0 = self.tsc(ccore);
-            self.switch_address_space(ccore, sthread.process);
-            b.add(Component::ContextSwitch, self.tsc(ccore) - t0);
-            self.deliver_message(&mut b, server, msg, ccore)?;
-            self.finish_transfer_to(ccore, client, server);
-        } else {
-            // Cross-core: enqueue, IPI, remote wakeup + schedule.
-            let logic = p.slowpath_logic;
-            self.machine.cpu_mut(ccore).advance(logic);
-            b.add(Component::Other, logic);
-            let msg = self.read_message(&mut b, &p, client, msg_len, ccore)?;
-            self.machine.ipi(ccore, score);
-            b.add(Component::Ipi, self.machine.cost.ipi);
-            self.current_set(ccore, None);
-            // Remote core: interrupt entry, slowpath, schedule the server.
-            let (m2, k2) = self.mode_switch(score);
-            b.add(Component::SyscallSysret, m2);
-            b.add(Component::ContextSwitch, k2);
-            let t0 = self.tsc(score);
-            self.kernel_work_seeded(score, p.text_slow, p.data_touch, endpoint);
-            b.add(Component::Other, self.tsc(score) - t0);
-            let sched = p.schedule_cost + p.cross_core_extra;
-            self.machine.cpu_mut(score).advance(sched);
-            b.add(Component::Schedule, sched);
-            let t0 = self.tsc(score);
-            self.switch_address_space(score, sthread.process);
-            b.add(Component::ContextSwitch, self.tsc(score) - t0);
-            self.deliver_message(&mut b, server, msg, score)?;
-            self.finish_transfer_to(score, client, server);
-        }
-        self.ipc_count += 1;
+        let b = self.transfer(client, server, msg_len, endpoint)?;
+        self.threads[client].state = ThreadState::ReplyBlocked(server);
+        self.threads[server].state = ThreadState::Ready;
         Ok(b)
     }
 
-    /// Reply: control returns from `server` to the reply-blocked `client`;
-    /// the server re-enters `recv` on its endpoint (`ReplyWait`).
+    /// Reply: control returns from `server` to the `client` whose call
+    /// landed on it; the server re-enters `recv` on its endpoint
+    /// (`ReplyWait`). Any other replier is refused before any charge.
     pub fn ipc_reply(
         &mut self,
         server: ThreadId,
         client: ThreadId,
         reply_len: usize,
     ) -> Result<Breakdown, IpcError> {
-        let sthread = self.threads[server].clone();
-        let cthread = self.threads[client].clone();
-        let score = sthread.core;
-        let ccore = cthread.core;
-        debug_assert_eq!(self.current_thread(score), Some(server));
-        if cthread.state != ThreadState::ReplyBlocked {
-            return Err(IpcError::ServerNotReady);
+        debug_assert_eq!(self.current_thread(self.threads[server].core), Some(server));
+        if self.threads[client].state != ThreadState::ReplyBlocked(server) {
+            return Err(IpcError::NotCallee);
         }
-        if reply_len > layout::MSG_BUF_SIZE {
-            return Err(IpcError::MessageTooLarge);
-        }
-        let p = self.personality.clone();
-        let same_core = score == ccore;
-        let fast = same_core && p.has_fastpath && reply_len <= p.register_msg_max;
-        let mut b = Breakdown::new();
-
-        let (mode, kpti) = self.mode_switch(score);
-        b.add(Component::SyscallSysret, mode);
-        b.add(Component::ContextSwitch, kpti);
-        let t0 = self.tsc(score);
-        self.kernel_work_seeded(
-            score,
-            if fast { p.text_fast } else { p.text_slow },
-            p.data_touch,
-            server,
-        );
-        b.add(Component::Other, self.tsc(score) - t0);
-
-        let mut reply_msg;
-        if fast {
-            let logic = p.fastpath_logic + p.drq_cost;
-            self.machine.cpu_mut(score).advance(logic);
-            b.add(Component::Other, logic);
-            reply_msg = self.read_message(&mut b, &p, server, reply_len, score)?;
-            let t0 = self.tsc(score);
-            self.switch_address_space(score, cthread.process);
-            b.add(Component::ContextSwitch, self.tsc(score) - t0);
-            self.deliver_message(&mut b, client, reply_msg.take(), score)?;
-        } else if same_core {
-            let logic = p.slowpath_logic;
-            self.machine.cpu_mut(score).advance(logic);
-            b.add(Component::Other, logic);
-            reply_msg = self.read_message(&mut b, &p, server, reply_len, score)?;
-            self.machine.cpu_mut(score).advance(p.schedule_cost);
-            b.add(Component::Schedule, p.schedule_cost);
-            let t0 = self.tsc(score);
-            self.switch_address_space(score, cthread.process);
-            b.add(Component::ContextSwitch, self.tsc(score) - t0);
-            self.deliver_message(&mut b, client, reply_msg.take(), score)?;
-        } else {
-            let logic = p.slowpath_logic;
-            self.machine.cpu_mut(score).advance(logic);
-            b.add(Component::Other, logic);
-            reply_msg = self.read_message(&mut b, &p, server, reply_len, score)?;
-            self.machine.ipi(score, ccore);
-            b.add(Component::Ipi, self.machine.cost.ipi);
-            self.current_set(score, None);
-            let (m2, k2) = self.mode_switch(ccore);
-            b.add(Component::SyscallSysret, m2);
-            b.add(Component::ContextSwitch, k2);
-            let t0 = self.tsc(ccore);
-            self.kernel_work_seeded(ccore, p.text_slow, p.data_touch, server);
-            b.add(Component::Other, self.tsc(ccore) - t0);
-            let sched = p.schedule_cost + p.cross_core_extra;
-            self.machine.cpu_mut(ccore).advance(sched);
-            b.add(Component::Schedule, sched);
-            let t0 = self.tsc(ccore);
-            self.switch_address_space(ccore, cthread.process);
-            b.add(Component::ContextSwitch, self.tsc(ccore) - t0);
-            self.deliver_message(&mut b, client, reply_msg.take(), ccore)?;
-        }
-        let _ = reply_msg;
-        // Client resumes; server returns to recv.
+        let b = self.transfer(server, client, reply_len, server)?;
         self.threads[client].state = ThreadState::Ready;
-        self.current_set(ccore, Some(client));
         self.threads[server].state = ThreadState::RecvBlocked;
-        if same_core {
-            // The server is no longer current; the client is.
-        } else {
-            self.current_set(score, None);
-        }
         Ok(b)
     }
 
@@ -471,10 +338,67 @@ impl Kernel {
         Ok(b)
     }
 
-    fn finish_transfer_to(&mut self, core: CpuId, client: ThreadId, server: ThreadId) {
-        self.threads[client].state = ThreadState::ReplyBlocked;
-        self.threads[server].state = ThreadState::Ready;
-        self.current_set(core, Some(server));
+    /// One IPC leg, `from` → `to`, for call and reply alike (the module
+    /// doc lists its steps). On success `to` is current on its core;
+    /// `seed` scatters the leg's kernel data touches.
+    fn transfer(
+        &mut self,
+        from: ThreadId,
+        to: ThreadId,
+        len: usize,
+        seed: usize,
+    ) -> Result<Breakdown, IpcError> {
+        if len > layout::MSG_BUF_SIZE {
+            return Err(IpcError::MessageTooLarge);
+        }
+        let p = self.personality.clone();
+        let (src, dst) = (self.threads[from].core, self.threads[to].core);
+        let crossing = src != dst;
+        let fast = !crossing && p.has_fastpath && len <= p.register_msg_max;
+        let mut b = Breakdown::new();
+
+        let text = if fast { p.text_fast } else { p.text_slow };
+        self.enter(&mut b, src, text, seed);
+        let logic = if fast {
+            p.fastpath_logic + p.drq_cost
+        } else {
+            p.slowpath_logic
+        };
+        self.machine.cpu_mut(src).advance(logic);
+        b.add(Component::Other, logic);
+        let msg = self.read_message(&mut b, &p, from, len, src)?;
+        if crossing {
+            // Wake the receiver's core: IPI, then interrupt entry and the
+            // slowpath there; the sender's core idles.
+            self.machine.ipi(src, dst);
+            b.add(Component::Ipi, self.machine.cost.ipi);
+            self.current_set(src, None);
+            self.enter(&mut b, dst, p.text_slow, seed);
+        }
+        if !fast {
+            let extra = if crossing { p.cross_core_extra } else { 0 };
+            let sched = p.schedule_cost + extra;
+            self.machine.cpu_mut(dst).advance(sched);
+            b.add(Component::Schedule, sched);
+        }
+        let t0 = self.tsc(dst);
+        self.switch_address_space(dst, self.threads[to].process);
+        b.add(Component::ContextSwitch, self.tsc(dst) - t0);
+        self.deliver_message(&mut b, to, msg, dst)?;
+        self.current_set(dst, Some(to));
+        Ok(b)
+    }
+
+    /// Kernel entry on `core`: the mode switch (plus KPTI's CR3 write)
+    /// and `text` bytes of kernel path with the personality's data
+    /// footprint.
+    fn enter(&mut self, b: &mut Breakdown, core: CpuId, text: usize, seed: usize) {
+        let (mode, kpti) = self.mode_switch(core);
+        b.add(Component::SyscallSysret, mode);
+        b.add(Component::ContextSwitch, kpti);
+        let t0 = self.tsc(core);
+        self.kernel_work_seeded(core, text, self.personality.data_touch, seed);
+        b.add(Component::Other, self.tsc(core) - t0);
     }
 }
 
@@ -645,6 +569,112 @@ mod tests {
             r.k.ipc_call(r.client, r.send_slot, 0),
             Err(IpcError::ServerNotReady)
         );
+    }
+
+    /// Only the thread a call landed on may answer it. An impostor's
+    /// reply is refused, and the real server still answers afterwards,
+    /// so its endpoint keeps serving calls.
+    #[test]
+    fn only_the_callee_may_reply() {
+        let mut r = rig(Personality::sel4(), 1);
+        let ip = r.k.create_process(&[0x90; 64]);
+        let impostor = r.k.create_thread(ip, 2);
+        r.k.run_thread(impostor);
+        r.k.ipc_call(r.client, r.send_slot, 0).unwrap();
+        assert_eq!(
+            r.k.threads[r.client].state,
+            ThreadState::ReplyBlocked(r.server)
+        );
+        assert_eq!(
+            r.k.ipc_reply(impostor, r.client, 0),
+            Err(IpcError::NotCallee)
+        );
+        assert_eq!(r.k.current_thread(0), None, "the client stays blocked");
+        r.k.ipc_reply(r.server, r.client, 0).unwrap();
+        assert_eq!(r.k.threads[r.server].state, ThreadState::RecvBlocked);
+        r.k.ipc_roundtrip(r.client, r.send_slot, r.server).unwrap();
+    }
+
+    /// What a refusal may not touch: every core's clock and current
+    /// thread, the machine's PMU totals, every thread's state.
+    fn observable(k: &Kernel) -> impl PartialEq + std::fmt::Debug {
+        let cores: Vec<_> = (0..k.machine.num_cores())
+            .map(|c| (k.machine.cpu(c).tsc, k.current_thread(c)))
+            .collect();
+        let states: Vec<_> = k.threads.iter().map(|t| t.state).collect();
+        (cores, k.machine.pmu_total(), states)
+    }
+
+    /// The refused step of a case: `Call(client, slot, len)` or
+    /// `Reply(server, client, len)`.
+    enum Op {
+        Call(ThreadId, usize, usize),
+        Reply(ThreadId, ThreadId, usize),
+    }
+
+    /// Every refusal of `ipc_call` and `ipc_reply` returns its variant
+    /// before any charge and leaves every observable as it found it.
+    #[test]
+    fn refusals_charge_nothing() {
+        const TOO_LARGE: usize = layout::MSG_BUF_SIZE + 1;
+        // Each case sets its rig up, then names the step to refuse.
+        type Case = (&'static str, IpcError, fn(&mut Rig) -> Op);
+        let cases: [Case; 7] = [
+            ("empty slot", IpcError::NoCapability, |r| {
+                Op::Call(r.client, 99, 0)
+            }),
+            ("recv-only capability", IpcError::NoSendRight, |r| {
+                let cp = r.k.threads[r.client].process;
+                let slot = r.k.processes[cp].grant(Capability::Endpoint {
+                    endpoint: 0,
+                    rights: crate::process::CapRights::RECV,
+                });
+                Op::Call(r.client, slot, 0)
+            }),
+            ("unbound endpoint", IpcError::NoServer, |r| {
+                let sp = r.k.threads[r.server].process;
+                let (ep, _) = r.k.create_endpoint(sp);
+                let cp = r.k.threads[r.client].process;
+                Op::Call(r.client, r.k.grant_send(cp, ep), 0)
+            }),
+            ("busy server", IpcError::ServerNotReady, |r| {
+                let cp = r.k.threads[r.client].process;
+                let other = r.k.create_thread(cp, 2);
+                r.k.run_thread(other);
+                r.k.ipc_call(r.client, r.send_slot, 0).unwrap();
+                Op::Call(other, r.send_slot, 0)
+            }),
+            ("call too large", IpcError::MessageTooLarge, |r| {
+                Op::Call(r.client, r.send_slot, TOO_LARGE)
+            }),
+            ("reply too large", IpcError::MessageTooLarge, |r| {
+                r.k.ipc_call(r.client, r.send_slot, 0).unwrap();
+                Op::Reply(r.server, r.client, TOO_LARGE)
+            }),
+            ("impostor reply", IpcError::NotCallee, |r| {
+                let ip = r.k.create_process(&[0x90; 64]);
+                let impostor = r.k.create_thread(ip, 2);
+                r.k.run_thread(impostor);
+                r.k.ipc_call(r.client, r.send_slot, 0).unwrap();
+                Op::Reply(impostor, r.client, 0)
+            }),
+        ];
+        for personality in Personality::all() {
+            for server_core in [0, 1] {
+                for (name, want, set_up) in cases {
+                    let mut r = rig(personality.clone(), server_core);
+                    let op = set_up(&mut r);
+                    let before = observable(&r.k);
+                    let got = match op {
+                        Op::Call(client, slot, len) => r.k.ipc_call(client, slot, len),
+                        Op::Reply(server, client, len) => r.k.ipc_reply(server, client, len),
+                    };
+                    let at = format!("{name} ({}, server core {server_core})", personality.name);
+                    assert_eq!(got, Err(want), "{at}");
+                    assert_eq!(observable(&r.k), before, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The kernel facade: boot, processes, threads, scheduling, kernel entry.
-
-use std::collections::VecDeque;
+//! The kernel facade: boot, processes, threads, context switch, kernel
+//! entry.
 
 use sb_mem::{AddressSpace, Gpa, Gva, HostMem, MemFault, PteFlags, PAGE_SIZE};
 use sb_rootkernel::{Rootkernel, RootkernelConfig};
@@ -93,12 +92,8 @@ pub struct Kernel {
     kernel_asp: AddressSpace,
     /// Currently running thread per core.
     current: Vec<Option<ThreadId>>,
-    /// Per-core round-robin run queues.
-    run_queues: Vec<VecDeque<ThreadId>>,
     /// GPA of the shared identity page (§4.2).
     pub identity_page: Gpa,
-    /// Total synchronous IPCs performed.
-    pub ipc_count: u64,
     /// The in-kernel staging buffer a message crosses address spaces in,
     /// reused from one IPC to the next.
     pub(crate) msg_staging: Vec<u8>,
@@ -133,9 +128,7 @@ impl Kernel {
             kernel_data_hpa: data,
             kernel_asp,
             current: vec![None; cores],
-            run_queues: (0..cores).map(|_| VecDeque::new()).collect(),
             identity_page: Gpa(identity_frame.0),
-            ipc_count: 0,
             msg_staging: Vec::new(),
         }
     }
@@ -304,46 +297,26 @@ impl Kernel {
         self.kernel_data_hpa
     }
 
-    /// Context-switches `core` to `tid`: loads its CR3 (charged), installs
-    /// its EPTP list if it registered with SkyBridge, and records its
-    /// identity.
+    /// Context-switches `core` to `tid`: switches to its address space
+    /// (CR3 load, charged; identity recorded) and installs its EPTP list
+    /// if it registered with SkyBridge.
     pub fn run_thread(&mut self, tid: ThreadId) {
-        let thread = self.threads[tid].clone();
-        let core = thread.core;
-        let pid = thread.process;
-        let switching = self.current[core] != Some(tid);
-        if switching {
-            let (cr3, pcid) = {
-                let p = &self.processes[pid];
-                (p.cr3().0, p.asp.pcid)
-            };
-            let cr3_cost = self.machine.cost.cr3_write;
-            let cpu = self.machine.cpu_mut(core);
-            cpu.load_cr3(cr3, pcid);
-            cpu.advance(cr3_cost);
+        let (core, pid) = (self.threads[tid].core, self.threads[tid].process);
+        if self.current[core] != Some(tid) {
+            self.switch_address_space(core, pid);
             if let (Some(rk), Some(list)) = (
                 self.rootkernel.as_mut(),
                 self.processes[pid].eptp_list.clone(),
             ) {
-                rk.cr3_write(&mut self.machine, core);
                 rk.install_eptp_list(&mut self.machine, core, list);
                 // Slot 0 of every list is the process's own EPT.
                 rk.vmfunc(&mut self.machine, core, 0, 0)
                     .expect("slot 0 is always pinned");
-            } else if let Some(rk) = self.rootkernel.as_mut() {
-                rk.cr3_write(&mut self.machine, core);
             }
-            self.identity_record(core, pid);
         }
         self.machine.cpu_mut(core).priv_level = PrivilegeLevel::User;
         self.current[core] = Some(tid);
         self.threads[tid].state = ThreadState::Ready;
-    }
-
-    /// Enqueues `tid` on its core's round-robin queue.
-    pub fn enqueue(&mut self, tid: ThreadId) {
-        let core = self.threads[tid].core;
-        self.run_queues[core].push_back(tid);
     }
 
     /// Kills `tid` (handler panic, security violation): the thread leaves
@@ -363,22 +336,6 @@ impl Kernel {
         if self.threads[tid].state == ThreadState::Dead {
             self.threads[tid].state = ThreadState::Ready;
         }
-    }
-
-    /// Picks and runs the next ready thread on `core`, charging the
-    /// scheduler cost. Returns the scheduled thread.
-    pub fn schedule(&mut self, core: CpuId) -> Option<ThreadId> {
-        let schedule_cost = self.personality.schedule_cost;
-        let data = self.personality.data_touch;
-        self.kernel_work(core, 0, data);
-        self.machine.cpu_mut(core).advance(schedule_cost);
-        while let Some(tid) = self.run_queues[core].pop_front() {
-            if self.threads[tid].state == ThreadState::Ready {
-                self.run_thread(tid);
-                return Some(tid);
-            }
-        }
-        None
     }
 
     /// Writes "core is running `pid`" into the identity page.
@@ -435,22 +392,9 @@ impl Kernel {
     /// Returns to user mode in the same process (non-IPC syscall exit):
     /// under KPTI this reloads the caller's page table.
     pub(crate) fn kernel_exit(&mut self, core: CpuId) -> Cycles {
-        if !self.kpti {
-            return 0;
-        }
-        if let Some(tid) = self.current[core] {
-            let pid = self.threads[tid].process;
-            let (cr3, pcid) = {
-                let p = &self.processes[pid];
-                (p.cr3().0, p.asp.pcid)
-            };
-            let cost = self.machine.cost.cr3_write;
-            let cpu = self.machine.cpu_mut(core);
-            cpu.load_cr3(cr3, pcid);
-            cpu.advance(cost);
-            cost
-        } else {
-            0
+        match self.current[core] {
+            Some(tid) if self.kpti => self.load_cr3(core, self.threads[tid].process),
+            _ => 0,
         }
     }
 
@@ -529,11 +473,6 @@ impl Kernel {
         }
     }
 
-    /// [`Kernel::kernel_work_seeded`] with a zero seed.
-    pub(crate) fn kernel_work(&mut self, core: CpuId, text_bytes: usize, data_bytes: usize) {
-        self.kernel_work_seeded(core, text_bytes, data_bytes, 0);
-    }
-
     fn kernel_tag(&self, core: CpuId) -> TlbTag {
         // Kernel mappings are *global* pages (the G bit exempts them from
         // PCID tagging), so one TLB entry serves every process; under
@@ -549,18 +488,23 @@ impl Kernel {
     /// Direct in-kernel address-space switch to `pid` (the fastpath's
     /// "direct process switch"), charging one CR3 write.
     pub(crate) fn switch_address_space(&mut self, core: CpuId, pid: ProcessId) {
-        let (cr3, pcid) = {
-            let p = &self.processes[pid];
-            (p.cr3().0, p.asp.pcid)
-        };
-        let cost = self.machine.cost.cr3_write;
-        let cpu = self.machine.cpu_mut(core);
-        cpu.load_cr3(cr3, pcid);
-        cpu.advance(cost);
+        self.load_cr3(core, pid);
         if let Some(rk) = self.rootkernel.as_mut() {
             rk.cr3_write(&mut self.machine, core);
         }
         self.identity_record(core, pid);
+    }
+
+    /// Loads `pid`'s page table into `core`'s CR3 under its PCID,
+    /// charging (and returning) one CR3 write — the one place a process's
+    /// CR3 is loaded.
+    fn load_cr3(&mut self, core: CpuId, pid: ProcessId) -> Cycles {
+        let asp = self.processes[pid].asp;
+        let cost = self.machine.cost.cr3_write;
+        let cpu = self.machine.cpu_mut(core);
+        cpu.load_cr3(asp.root_gpa.0, asp.pcid);
+        cpu.advance(cost);
+        cost
     }
 
     // ----- user-level execution API (used by the scenario drivers) -----
@@ -786,13 +730,13 @@ mod tests {
     fn kernel_work_pollutes_icache() {
         let mut k = Kernel::boot(KernelConfig::default());
         let before = k.machine.cpu(0).pmu;
-        k.kernel_work(0, 16384, 2048);
+        k.kernel_work_seeded(0, 16384, 2048, 0);
         let d = k.machine.cpu(0).pmu.delta(&before);
         assert!(d.l1i_misses >= 16384 / 64);
         assert!(d.l1d_misses >= 2048 / 64);
         // Second pass is warm.
         let before = k.machine.cpu(0).pmu;
-        k.kernel_work(0, 16384, 2048);
+        k.kernel_work_seeded(0, 16384, 2048, 0);
         let d = k.machine.cpu(0).pmu.delta(&before);
         assert_eq!(d.l1i_misses, 0);
     }
@@ -828,7 +772,9 @@ mod tests {
             for _ in 0..3 {
                 k.ipc_roundtrip(client, send_slot, server).unwrap();
             }
-            k.schedule(0);
+            // A zero seed runs the data footprint from the region's
+            // start to its last line.
+            k.kernel_work_seeded(0, 0, usize::MAX, 0);
             let past_text = k.kernel_text_hpa + KERNEL_TEXT_BYTES as u64;
             let past_data = k.kernel_data_hpa + KERNEL_DATA_BYTES as u64;
             for cpu in &k.machine.cores {
@@ -845,18 +791,5 @@ mod tests {
                 "the run ends on the last data line"
             );
         }
-    }
-
-    #[test]
-    fn schedule_round_robins_ready_threads() {
-        let mut k = Kernel::boot(KernelConfig::default());
-        let pid = k.create_process(&small_code());
-        let t0 = k.create_thread(pid, 0);
-        let t1 = k.create_thread(pid, 0);
-        k.enqueue(t0);
-        k.enqueue(t1);
-        assert_eq!(k.schedule(0), Some(t0));
-        assert_eq!(k.schedule(0), Some(t1));
-        assert_eq!(k.schedule(0), None);
     }
 }

@@ -3,9 +3,10 @@
 //! SkyBridge is evaluated on seL4, Fiasco.OC, and Google Zircon. Rather than
 //! porting three kernels, this crate implements one microkernel substrate —
 //! processes in separate address spaces, threads, capability-checked
-//! synchronous endpoints, a per-core round-robin scheduler, optional KPTI —
-//! and three [`personality::Personality`] profiles that reproduce each
-//! kernel's IPC control flow as the paper's Figure 7 decomposes it:
+//! synchronous endpoints, one IPC leg that both call and reply take,
+//! optional KPTI — and three [`personality::Personality`] profiles that
+//! reproduce each kernel's IPC control flow as the paper's Figure 7
+//! decomposes it:
 //!
 //! * **seL4**: a fastpath for same-core `Call`/`ReplyWait` with in-register
 //!   messages and direct process switch; the cross-core slowpath adds an

@@ -21,22 +21,9 @@
 
 use sb_sim::Cycles;
 
-/// Which microkernel's IPC behaviour to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Flavor {
-    /// seL4 v10.0.0.
-    Sel4,
-    /// Fiasco.OC.
-    FiascoOC,
-    /// Google Zircon.
-    Zircon,
-}
-
 /// Cost/behaviour profile of one microkernel's synchronous IPC.
 #[derive(Debug, Clone)]
 pub struct Personality {
-    /// Which kernel this profiles.
-    pub flavor: Flavor,
     /// Human-readable name.
     pub name: &'static str,
     /// True if a same-core fastpath exists (seL4, Fiasco.OC).
@@ -89,7 +76,6 @@ impl Personality {
     /// and direct process switch.
     pub fn sel4() -> Self {
         Personality {
-            flavor: Flavor::Sel4,
             name: "seL4",
             has_fastpath: true,
             fastpath_logic: 98,
@@ -111,7 +97,6 @@ impl Personality {
     /// Fiasco.OC: fastpath that also drains deferred requests.
     pub fn fiasco_oc() -> Self {
         Personality {
-            flavor: Flavor::FiascoOC,
             name: "Fiasco.OC",
             has_fastpath: true,
             fastpath_logic: 220,
@@ -134,7 +119,6 @@ impl Personality {
     /// two memory copies per transfer.
     pub fn zircon() -> Self {
         Personality {
-            flavor: Flavor::Zircon,
             name: "Zircon",
             has_fastpath: false,
             fastpath_logic: 0,

@@ -54,8 +54,9 @@ pub enum ThreadState {
     Ready,
     /// Blocked waiting to receive on an endpoint.
     RecvBlocked,
-    /// Blocked waiting for a reply.
-    ReplyBlocked,
+    /// Blocked waiting for a reply from the thread its call landed on
+    /// (the only thread that may reply).
+    ReplyBlocked(ThreadId),
     /// Exited or killed (e.g. after a SkyBridge security violation).
     Dead,
 }

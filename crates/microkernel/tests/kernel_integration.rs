@@ -1,5 +1,5 @@
-//! Cross-module microkernel tests: syscall paths, scheduling, and the
-//! cross-core IPC state machine.
+//! Cross-module microkernel tests: syscall paths, context switches, and
+//! the cross-core IPC state machine.
 
 use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId, ThreadState};
 
@@ -33,24 +33,6 @@ fn noop_syscall_costs_match_table2() {
 }
 
 #[test]
-fn scheduler_skips_blocked_threads() {
-    let mut k = boot(Personality::sel4());
-    let a = spawn(&mut k, 0);
-    let b = spawn(&mut k, 0);
-    let c = spawn(&mut k, 0);
-    k.enqueue(a);
-    k.enqueue(b);
-    k.enqueue(c);
-    // Block `b` in recv.
-    let pid_b = k.threads[b].process;
-    let (ep, _) = k.create_endpoint(pid_b);
-    k.server_recv(b, ep);
-    assert_eq!(k.schedule(0), Some(a));
-    assert_eq!(k.schedule(0), Some(c), "blocked thread must be skipped");
-    assert_eq!(k.schedule(0), None);
-}
-
-#[test]
 fn cross_core_roundtrip_restores_thread_states() {
     let mut k = boot(Personality::fiasco_oc());
     let client = spawn(&mut k, 0);
@@ -65,7 +47,7 @@ fn cross_core_roundtrip_restores_thread_states() {
         k.ipc_call(client, slot, 0).unwrap();
         assert_eq!(k.current_thread(3), Some(server));
         assert_eq!(k.current_thread(0), None, "client core idles");
-        assert_eq!(k.threads[client].state, ThreadState::ReplyBlocked);
+        assert_eq!(k.threads[client].state, ThreadState::ReplyBlocked(server));
         k.ipc_reply(server, client, 0).unwrap();
         assert_eq!(k.current_thread(0), Some(client));
         assert_eq!(k.threads[server].state, ThreadState::RecvBlocked);
