@@ -168,14 +168,7 @@ fn exit_controls(a: &mut Artefact) {
     ] {
         let mut machine = Machine::skylake();
         let mut mem = HostMem::new();
-        let mut rk = Rootkernel::boot(
-            &mut machine,
-            &mut mem,
-            RootkernelConfig {
-                controls,
-                ..RootkernelConfig::small()
-            },
-        );
+        let mut rk = Rootkernel::boot(&mut machine, &mut mem, RootkernelConfig { controls });
         let t0 = machine.cpu(0).tsc;
         // A representative second of activity: 1000 timer interrupts,
         // 5000 context switches (CR3 writes).

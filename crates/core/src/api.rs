@@ -572,11 +572,6 @@ impl SkyBridge {
         }
     }
 
-    /// The number of registered servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The binding of `(client process, server)`, if registered.
     pub fn binding(&self, client: ProcessId, server: ServerId) -> Option<&Binding> {
         self.bindings.get(client)?.get(server)?.as_ref()

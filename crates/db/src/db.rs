@@ -384,11 +384,6 @@ impl<F: FileApi> Database<F> {
         }
     }
 
-    /// The names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Borrow of the underlying file system (I/O statistics).
     pub fn fs(&self) -> &F {
         &self.fs

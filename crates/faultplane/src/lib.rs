@@ -250,9 +250,10 @@ impl std::fmt::Debug for FaultObserver {
     }
 }
 
-/// The injector: a seeded RNG, a mix of rates, and the instance ledger.
+/// The injector's state: a seeded RNG, a mix of rates, and the
+/// instance ledger.
 #[derive(Debug)]
-pub struct FaultPlane {
+struct Plane {
     mix: FaultMix,
     /// xorshift64* state; self-contained so the crate has no deps.
     rng: u64,
@@ -263,25 +264,7 @@ pub struct FaultPlane {
     observer: Option<FaultObserver>,
 }
 
-impl FaultPlane {
-    /// A plane seeded with `seed`, injecting per `mix`. Armed by default.
-    pub fn new(seed: u64, mix: FaultMix) -> Self {
-        FaultPlane {
-            mix,
-            rng: seed | 1,
-            instances: Vec::new(),
-            armed: true,
-            observer: None,
-        }
-    }
-
-    /// Installs `observer` (replacing any previous one). Observation
-    /// never affects the injection schedule — the RNG stream and the
-    /// ledger are byte-identical with or without one.
-    pub fn set_observer(&mut self, observer: FaultObserver) {
-        self.observer = Some(observer);
-    }
-
+impl Plane {
     fn notify(&mut self, point: FaultPoint, stage: FaultStage) {
         if let Some(obs) = self.observer.as_mut() {
             (obs.0)(point, stage);
@@ -296,159 +279,6 @@ impl FaultPlane {
         x ^= x >> 27;
         self.rng = x;
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Asks whether `point` fires at this opportunity. When it does, a
-    /// tracked instance is opened and `true` returned; the caller must
-    /// then actually misbehave.
-    pub fn fire(&mut self, point: FaultPoint) -> bool {
-        let rate = self.mix.rate(point);
-        if !self.armed || rate == 0 {
-            return false;
-        }
-        // Draw even when the rate is zero-adjacent so seed streams stay
-        // aligned across mixes of the same shape.
-        let draw = self.next_u64() % 10_000;
-        if draw < rate as u64 {
-            self.instances.push(FaultInstance {
-                point,
-                detected: false,
-                recovered: false,
-            });
-            self.notify(point, FaultStage::Fired);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A deterministic draw for fault *parameters* (corrupt key value,
-    /// torn-write cut point, storm length).
-    pub fn draw(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        self.next_u64() % bound
-    }
-
-    /// Disarms injection (no new faults fire); the ledger stays.
-    pub fn disarm(&mut self) {
-        self.armed = false;
-    }
-
-    /// Re-arms injection.
-    pub fn arm(&mut self) {
-        self.armed = true;
-    }
-
-    /// Marks the oldest undetected instance of `point` detected: the
-    /// system *observed* the fault (an error surfaced, a violation was
-    /// recorded, a timeout tripped).
-    pub fn detected(&mut self, point: FaultPoint) {
-        if let Some(idx) = self
-            .instances
-            .iter()
-            .position(|i| i.point == point && !i.detected)
-        {
-            self.instances[idx].detected = true;
-            self.notify(point, FaultStage::Detected);
-        }
-    }
-
-    /// Marks the oldest unrecovered instance of `point` recovered: a
-    /// recovery path completed (retry succeeded, connection rebound,
-    /// log replayed). Implies detection.
-    pub fn recovered(&mut self, point: FaultPoint) {
-        if let Some(idx) = self
-            .instances
-            .iter()
-            .position(|i| i.point == point && !i.recovered)
-        {
-            let newly_detected = !self.instances[idx].detected;
-            self.instances[idx].recovered = true;
-            self.instances[idx].detected = true;
-            if newly_detected {
-                self.notify(point, FaultStage::Detected);
-            }
-            self.notify(point, FaultStage::Recovered);
-        }
-    }
-
-    /// Rescinds the *newest* unresolved instance of `point`: the injection
-    /// site fired but could not actually misbehave (e.g. the targeted EPTP
-    /// slot was pinned). The instance is erased — it never happened.
-    pub fn rescind(&mut self, point: FaultPoint) {
-        if let Some(idx) = self
-            .instances
-            .iter()
-            .rposition(|i| i.point == point && !i.detected && !i.recovered)
-        {
-            self.instances.remove(idx);
-            self.notify(point, FaultStage::Rescinded);
-        }
-    }
-
-    /// Marks *every* unrecovered instance of `point` recovered — for
-    /// recovery mechanisms that are inherently batched (a full EPTP-list
-    /// reinstall at context switch, a log replay at remount) and heal all
-    /// outstanding damage of that kind at once.
-    pub fn recover_all(&mut self, point: FaultPoint) {
-        let mut newly_detected = 0u64;
-        let mut newly_recovered = 0u64;
-        for i in self
-            .instances
-            .iter_mut()
-            .filter(|i| i.point == point && !i.recovered)
-        {
-            if !i.detected {
-                newly_detected += 1;
-            }
-            i.recovered = true;
-            i.detected = true;
-            newly_recovered += 1;
-        }
-        for _ in 0..newly_detected {
-            self.notify(point, FaultStage::Detected);
-        }
-        for _ in 0..newly_recovered {
-            self.notify(point, FaultStage::Recovered);
-        }
-    }
-
-    /// Instances of `point` injected but not yet recovered.
-    pub fn outstanding(&self, point: FaultPoint) -> u64 {
-        self.instances
-            .iter()
-            .filter(|i| i.point == point && !i.recovered)
-            .count() as u64
-    }
-
-    /// Faults injected at `point` so far.
-    pub fn injected_at(&self, point: FaultPoint) -> u64 {
-        self.instances.iter().filter(|i| i.point == point).count() as u64
-    }
-
-    /// Rolls the ledger up into a report.
-    pub fn report(&self) -> FaultReport {
-        let mut rows = Vec::new();
-        for point in FaultPoint::ALL {
-            let of_point: Vec<&FaultInstance> =
-                self.instances.iter().filter(|i| i.point == point).collect();
-            if of_point.is_empty() {
-                continue;
-            }
-            rows.push(FaultRow {
-                point,
-                injected: of_point.len() as u64,
-                detected: of_point.iter().filter(|i| i.detected).count() as u64,
-                recovered: of_point.iter().filter(|i| i.recovered).count() as u64,
-                leaked: of_point
-                    .iter()
-                    .filter(|i| !i.detected && !i.recovered)
-                    .count() as u64,
-            });
-        }
-        FaultReport { rows }
     }
 }
 
@@ -521,11 +351,12 @@ impl std::fmt::Display for FaultReport {
     }
 }
 
-/// A cloneable handle onto a shared [`FaultPlane`]. Every layer of the
-/// stack holds one; the whole simulation is single-threaded, so `Rc` is
-/// the right tool.
+/// The injector: a cloneable handle onto one shared plane (seeded RNG,
+/// mix of rates, instance ledger). Every layer of the stack holds a
+/// clone; the whole simulation is single-threaded, so `Rc` is the right
+/// tool.
 #[derive(Clone)]
-pub struct FaultHandle(Rc<RefCell<FaultPlane>>);
+pub struct FaultHandle(Rc<RefCell<Plane>>);
 
 impl std::fmt::Debug for FaultHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -536,69 +367,188 @@ impl std::fmt::Debug for FaultHandle {
 }
 
 impl FaultHandle {
-    /// A fresh plane behind a handle.
+    /// A plane seeded with `seed`, injecting per `mix`. Armed by default.
     pub fn new(seed: u64, mix: FaultMix) -> Self {
-        FaultHandle(Rc::new(RefCell::new(FaultPlane::new(seed, mix))))
+        FaultHandle(Rc::new(RefCell::new(Plane {
+            mix,
+            rng: seed | 1,
+            instances: Vec::new(),
+            armed: true,
+            observer: None,
+        })))
     }
 
-    /// See [`FaultPlane::fire`].
-    pub fn fire(&self, point: FaultPoint) -> bool {
-        self.0.borrow_mut().fire(point)
-    }
-
-    /// See [`FaultPlane::draw`].
-    pub fn draw(&self, bound: u64) -> u64 {
-        self.0.borrow_mut().draw(bound)
-    }
-
-    /// See [`FaultPlane::detected`].
-    pub fn detected(&self, point: FaultPoint) {
-        self.0.borrow_mut().detected(point);
-    }
-
-    /// See [`FaultPlane::recovered`].
-    pub fn recovered(&self, point: FaultPoint) {
-        self.0.borrow_mut().recovered(point);
-    }
-
-    /// See [`FaultPlane::rescind`].
-    pub fn rescind(&self, point: FaultPoint) {
-        self.0.borrow_mut().rescind(point);
-    }
-
-    /// See [`FaultPlane::recover_all`].
-    pub fn recover_all(&self, point: FaultPoint) {
-        self.0.borrow_mut().recover_all(point);
-    }
-
-    /// See [`FaultPlane::outstanding`].
-    pub fn outstanding(&self, point: FaultPoint) -> u64 {
-        self.0.borrow().outstanding(point)
-    }
-
-    /// See [`FaultPlane::injected_at`].
-    pub fn injected_at(&self, point: FaultPoint) -> u64 {
-        self.0.borrow().injected_at(point)
-    }
-
-    /// See [`FaultPlane::disarm`].
-    pub fn disarm(&self) {
-        self.0.borrow_mut().disarm();
-    }
-
-    /// See [`FaultPlane::arm`].
-    pub fn arm(&self) {
-        self.0.borrow_mut().arm();
-    }
-
-    /// See [`FaultPlane::report`].
-    pub fn report(&self) -> FaultReport {
-        self.0.borrow().report()
-    }
-
-    /// See [`FaultPlane::set_observer`].
+    /// Installs `observer` (replacing any previous one). Observation
+    /// never affects the injection schedule — the RNG stream and the
+    /// ledger are byte-identical with or without one.
     pub fn set_observer(&self, observer: FaultObserver) {
-        self.0.borrow_mut().set_observer(observer);
+        self.0.borrow_mut().observer = Some(observer);
+    }
+
+    /// Asks whether `point` fires at this opportunity. When it does, a
+    /// tracked instance is opened and `true` returned; the caller must
+    /// then actually misbehave.
+    pub fn fire(&self, point: FaultPoint) -> bool {
+        let mut p = self.0.borrow_mut();
+        let rate = p.mix.rate(point);
+        if !p.armed || rate == 0 {
+            return false;
+        }
+        // Draw even when the rate is zero-adjacent so seed streams stay
+        // aligned across mixes of the same shape.
+        let draw = p.next_u64() % 10_000;
+        if draw < rate as u64 {
+            p.instances.push(FaultInstance {
+                point,
+                detected: false,
+                recovered: false,
+            });
+            p.notify(point, FaultStage::Fired);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// A deterministic draw for fault *parameters* (corrupt key value,
+    /// torn-write cut point, storm length).
+    pub fn draw(&self, bound: u64) -> u64 {
+        if bound == 0 {
+            return 0;
+        }
+        self.0.borrow_mut().next_u64() % bound
+    }
+
+    /// Disarms injection (no new faults fire); the ledger stays.
+    pub fn disarm(&self) {
+        self.0.borrow_mut().armed = false;
+    }
+
+    /// Re-arms injection.
+    pub fn arm(&self) {
+        self.0.borrow_mut().armed = true;
+    }
+
+    /// Marks the oldest undetected instance of `point` detected: the
+    /// system *observed* the fault (an error surfaced, a violation was
+    /// recorded, a timeout tripped).
+    pub fn detected(&self, point: FaultPoint) {
+        let mut p = self.0.borrow_mut();
+        if let Some(idx) = p
+            .instances
+            .iter()
+            .position(|i| i.point == point && !i.detected)
+        {
+            p.instances[idx].detected = true;
+            p.notify(point, FaultStage::Detected);
+        }
+    }
+
+    /// Marks the oldest unrecovered instance of `point` recovered: a
+    /// recovery path completed (retry succeeded, connection rebound,
+    /// log replayed). Implies detection.
+    pub fn recovered(&self, point: FaultPoint) {
+        let mut p = self.0.borrow_mut();
+        if let Some(idx) = p
+            .instances
+            .iter()
+            .position(|i| i.point == point && !i.recovered)
+        {
+            let newly_detected = !p.instances[idx].detected;
+            p.instances[idx].recovered = true;
+            p.instances[idx].detected = true;
+            if newly_detected {
+                p.notify(point, FaultStage::Detected);
+            }
+            p.notify(point, FaultStage::Recovered);
+        }
+    }
+
+    /// Rescinds the *newest* unresolved instance of `point`: the injection
+    /// site fired but could not actually misbehave (e.g. the targeted EPTP
+    /// slot was pinned). The instance is erased — it never happened.
+    pub fn rescind(&self, point: FaultPoint) {
+        let mut p = self.0.borrow_mut();
+        if let Some(idx) = p
+            .instances
+            .iter()
+            .rposition(|i| i.point == point && !i.detected && !i.recovered)
+        {
+            p.instances.remove(idx);
+            p.notify(point, FaultStage::Rescinded);
+        }
+    }
+
+    /// Marks *every* unrecovered instance of `point` recovered — for
+    /// recovery mechanisms that are inherently batched (a full EPTP-list
+    /// reinstall at context switch, a log replay at remount) and heal all
+    /// outstanding damage of that kind at once.
+    pub fn recover_all(&self, point: FaultPoint) {
+        let mut p = self.0.borrow_mut();
+        let mut newly_detected = 0u64;
+        let mut newly_recovered = 0u64;
+        for i in p
+            .instances
+            .iter_mut()
+            .filter(|i| i.point == point && !i.recovered)
+        {
+            if !i.detected {
+                newly_detected += 1;
+            }
+            i.recovered = true;
+            i.detected = true;
+            newly_recovered += 1;
+        }
+        for _ in 0..newly_detected {
+            p.notify(point, FaultStage::Detected);
+        }
+        for _ in 0..newly_recovered {
+            p.notify(point, FaultStage::Recovered);
+        }
+    }
+
+    /// Instances of `point` injected but not yet recovered.
+    pub fn outstanding(&self, point: FaultPoint) -> u64 {
+        self.0
+            .borrow()
+            .instances
+            .iter()
+            .filter(|i| i.point == point && !i.recovered)
+            .count() as u64
+    }
+
+    /// Faults injected at `point` so far.
+    pub fn injected_at(&self, point: FaultPoint) -> u64 {
+        self.0
+            .borrow()
+            .instances
+            .iter()
+            .filter(|i| i.point == point)
+            .count() as u64
+    }
+
+    /// Rolls the ledger up into a report.
+    pub fn report(&self) -> FaultReport {
+        let p = self.0.borrow();
+        let mut rows = Vec::new();
+        for point in FaultPoint::ALL {
+            let of_point: Vec<&FaultInstance> =
+                p.instances.iter().filter(|i| i.point == point).collect();
+            if of_point.is_empty() {
+                continue;
+            }
+            rows.push(FaultRow {
+                point,
+                injected: of_point.len() as u64,
+                detected: of_point.iter().filter(|i| i.detected).count() as u64,
+                recovered: of_point.iter().filter(|i| i.recovered).count() as u64,
+                leaked: of_point
+                    .iter()
+                    .filter(|i| !i.detected && !i.recovered)
+                    .count() as u64,
+            });
+        }
+        FaultReport { rows }
     }
 }
 
@@ -609,8 +559,8 @@ mod tests {
     #[test]
     fn same_seed_same_schedule() {
         let mix = FaultMix::everything();
-        let mut a = FaultPlane::new(42, mix.clone());
-        let mut b = FaultPlane::new(42, mix);
+        let a = FaultHandle::new(42, mix.clone());
+        let b = FaultHandle::new(42, mix);
         let fire_a: Vec<bool> = (0..500).map(|_| a.fire(FaultPoint::HandlerPanic)).collect();
         let fire_b: Vec<bool> = (0..500).map(|_| b.fire(FaultPoint::HandlerPanic)).collect();
         assert_eq!(fire_a, fire_b, "fault schedules must be seed-determined");
@@ -620,8 +570,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let mix = FaultMix::everything();
-        let mut a = FaultPlane::new(1, mix.clone());
-        let mut b = FaultPlane::new(2, mix);
+        let a = FaultHandle::new(1, mix.clone());
+        let b = FaultHandle::new(2, mix);
         let fire_a: Vec<bool> = (0..500).map(|_| a.fire(FaultPoint::EptpEvict)).collect();
         let fire_b: Vec<bool> = (0..500).map(|_| b.fire(FaultPoint::EptpEvict)).collect();
         assert_ne!(fire_a, fire_b);
@@ -629,7 +579,7 @@ mod tests {
 
     #[test]
     fn zero_rate_never_fires() {
-        let mut p = FaultPlane::new(7, FaultMix::none());
+        let p = FaultHandle::new(7, FaultMix::none());
         assert!((0..1000).all(|_| !p.fire(FaultPoint::TornWrite)));
         assert_eq!(p.report().injected(), 0);
     }
@@ -637,7 +587,7 @@ mod tests {
     #[test]
     fn ledger_tracks_detection_and_recovery() {
         let mix = FaultMix::none().with(FaultPoint::HandlerPanic, 10_000);
-        let mut p = FaultPlane::new(9, mix);
+        let p = FaultHandle::new(9, mix);
         assert!(p.fire(FaultPoint::HandlerPanic));
         assert!(p.fire(FaultPoint::HandlerPanic));
         assert!(p.fire(FaultPoint::HandlerPanic));
@@ -654,7 +604,7 @@ mod tests {
     #[test]
     fn disarm_stops_injection() {
         let mix = FaultMix::none().with(FaultPoint::PowerLoss, 10_000);
-        let mut p = FaultPlane::new(3, mix);
+        let p = FaultHandle::new(3, mix);
         p.disarm();
         assert!(!p.fire(FaultPoint::PowerLoss));
         p.arm();
@@ -683,7 +633,7 @@ mod tests {
         let mix = FaultMix::none()
             .with(FaultPoint::EptpEvict, 10_000)
             .with(FaultPoint::HandlerPanic, 10_000);
-        let mut p = FaultPlane::new(11, mix);
+        let p = FaultHandle::new(11, mix);
         p.set_observer(FaultObserver::new(move |point, stage| {
             let key = (
                 point.name(),
@@ -728,8 +678,8 @@ mod tests {
     #[test]
     fn observer_does_not_perturb_the_schedule() {
         let mix = FaultMix::everything();
-        let mut plain = FaultPlane::new(21, mix.clone());
-        let mut observed = FaultPlane::new(21, mix);
+        let plain = FaultHandle::new(21, mix.clone());
+        let observed = FaultHandle::new(21, mix);
         observed.set_observer(FaultObserver::new(|_, _| {}));
         let a: Vec<bool> = (0..300)
             .map(|_| plain.fire(FaultPoint::TornWrite))

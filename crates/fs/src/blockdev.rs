@@ -146,7 +146,7 @@ impl BlockDevice for CrashDisk {
 }
 
 /// A fault-injecting block device driven by a shared
-/// [`sb_faultplane::FaultPlane`].
+/// [`sb_faultplane::FaultHandle`].
 ///
 /// Injected behaviours, all deterministic in `(seed, mix)`:
 ///

@@ -679,27 +679,6 @@ impl<D: BlockDevice> FileSystem<D> {
         }
         n
     }
-
-    /// Lists the names in a directory.
-    pub fn list_dir(&mut self, path: &str) -> Result<Vec<String>, FsError> {
-        let dir = self.namei(path)?;
-        let d = self.read_inode(dir);
-        if d.typ != InodeType::Dir {
-            return Err(FsError::NotADir);
-        }
-        let mut out = Vec::new();
-        let mut off = 0;
-        while off < d.size as usize {
-            let mut slot = [0u8; DIRENT_SIZE];
-            self.readi(dir, off, &mut slot);
-            let e = Dirent::decode(&slot);
-            if e.inum != 0 {
-                out.push(e.name);
-            }
-            off += DIRENT_SIZE;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]

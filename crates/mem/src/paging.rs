@@ -70,13 +70,6 @@ impl PteFlags {
         exec: false,
         pkey: 0,
     };
-    /// Kernel executable code.
-    pub const KERNEL_CODE: PteFlags = PteFlags {
-        write: false,
-        user: false,
-        exec: true,
-        pkey: 0,
-    };
 
     /// The same permissions tagged with protection key `pkey` (low 4
     /// bits; higher bits would not fit the PTE field).

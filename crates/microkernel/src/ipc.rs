@@ -299,7 +299,7 @@ impl Kernel {
         if self.threads[server].state != ThreadState::RecvBlocked {
             return Err(IpcError::ServerNotReady);
         }
-        let b = self.transfer(client, server, msg_len, endpoint)?;
+        let b = self.transfer(client, server, msg_len, self.endpoints[endpoint].object)?;
         self.threads[client].state = ThreadState::ReplyBlocked(server);
         self.threads[server].state = ThreadState::Ready;
         Ok(b)

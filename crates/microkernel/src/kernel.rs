@@ -44,7 +44,7 @@ impl KernelConfig {
     pub fn with_rootkernel(personality: Personality) -> Self {
         KernelConfig {
             personality,
-            rootkernel: Some(RootkernelConfig::small()),
+            rootkernel: Some(RootkernelConfig::default()),
             ..Default::default()
         }
     }
@@ -84,6 +84,8 @@ pub struct Kernel {
     pub threads: Vec<Thread>,
     /// Endpoint table.
     pub endpoints: Vec<Endpoint>,
+    /// Endpoint objects made so far, by `create_endpoint` and `rebind`.
+    endpoint_objects: usize,
     /// Host-physical base of kernel text.
     kernel_text_hpa: u64,
     /// Host-physical base of kernel data.
@@ -124,6 +126,7 @@ impl Kernel {
             processes: Vec::new(),
             threads: Vec::new(),
             endpoints: Vec::new(),
+            endpoint_objects: 0,
             kernel_text_hpa: text,
             kernel_data_hpa: data,
             kernel_asp,
@@ -250,10 +253,12 @@ impl Kernel {
     /// capability, and returns `(endpoint, recv cap slot)`.
     pub fn create_endpoint(&mut self, pid: ProcessId) -> (EndpointId, usize) {
         let id = self.endpoints.len();
+        let object = self.new_endpoint_object();
         self.endpoints.push(Endpoint {
             id,
             owner: pid,
             server: None,
+            object,
         });
         let slot = self.processes[pid].grant(Capability::Endpoint {
             endpoint: id,
@@ -268,6 +273,20 @@ impl Kernel {
             endpoint,
             rights: crate::process::CapRights::SEND,
         })
+    }
+
+    fn new_endpoint_object(&mut self) -> usize {
+        self.endpoint_objects += 1;
+        self.endpoint_objects - 1
+    }
+
+    /// Binds `tid`, a respawned server, to `endpoint` on a fresh kernel
+    /// object, retiring the dead server's with it. The table slot and
+    /// every capability naming it stay, so a supervisor restart grows no
+    /// table.
+    pub fn rebind(&mut self, tid: ThreadId, endpoint: EndpointId) {
+        self.endpoints[endpoint].object = self.new_endpoint_object();
+        self.server_recv(tid, endpoint);
     }
 
     /// Marks `tid` as blocked receiving on `endpoint` (the server loop's

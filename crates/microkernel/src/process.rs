@@ -108,6 +108,10 @@ pub struct Endpoint {
     pub owner: ProcessId,
     /// The server thread currently bound to receive on it.
     pub server: Option<ThreadId>,
+    /// Its kernel object, numbered in creation order: the seed of the
+    /// data its IPC legs touch. Equal to `id` until
+    /// [`Kernel::rebind`](crate::Kernel::rebind) renews it.
+    pub object: usize,
 }
 
 impl Process {

@@ -21,33 +21,19 @@ use crate::{
 pub struct RootkernelConfig {
     /// Exit controls (default: SkyBridge's exitless pass-through).
     pub controls: ExitControls,
-    /// Granule of the base EPT above 1 GiB (default 1 GiB; 2 MiB exists for
-    /// the huge-page ablation bench).
-    pub base_granule: PageSize,
-    /// Top of guest-visible physical memory. Defaults to 16 GiB; tests use
-    /// less to keep EPT construction fast.
-    pub mem_top: u64,
 }
 
 impl Default for RootkernelConfig {
     fn default() -> Self {
         RootkernelConfig {
             controls: ExitControls::skybridge(),
-            base_granule: PageSize::Size1G,
-            mem_top: 16 * PAGE_SIZE_1G,
         }
     }
 }
 
-impl RootkernelConfig {
-    /// A small-memory configuration for tests (4 GiB).
-    pub fn small() -> Self {
-        RootkernelConfig {
-            mem_top: 4 * PAGE_SIZE_1G,
-            ..Default::default()
-        }
-    }
-}
+/// Top of guest-visible physical memory: the base EPT identity-maps
+/// everything below it.
+const MEM_TOP: u64 = 4 * PAGE_SIZE_1G;
 
 /// Errors of the `VMFUNC` instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +91,8 @@ const BOOT_CYCLES: Cycles = 150_000;
 impl Rootkernel {
     /// Self-virtualization (§4.1): called *by the Subkernel* during its own
     /// boot. Builds the base EPT — 2 MiB identity pages between the
-    /// reserved region and 1 GiB, `config.base_granule` identity pages
-    /// above — and demotes every core to non-root mode under it.
+    /// reserved region and 1 GiB, 1 GiB identity pages from there to
+    /// 4 GiB — and demotes every core to non-root mode under it.
     pub fn boot(machine: &mut Machine, mem: &mut HostMem, config: RootkernelConfig) -> Self {
         let base_ept = Ept::new(mem);
         base_ept.map_identity_range(
@@ -116,18 +102,7 @@ impl Rootkernel {
             PageSize::Size2M,
             EptPerms::RWX,
         );
-        if config.mem_top > PAGE_SIZE_1G {
-            base_ept.map_identity_range(
-                mem,
-                PAGE_SIZE_1G,
-                config.mem_top,
-                match config.base_granule {
-                    PageSize::Size1G => PageSize::Size1G,
-                    other => other,
-                },
-                EptPerms::RWX,
-            );
-        }
+        base_ept.map_identity_range(mem, PAGE_SIZE_1G, MEM_TOP, PageSize::Size1G, EptPerms::RWX);
         let vmcs = (0..machine.num_cores())
             .map(|_| Vmcs::new(base_ept.root, config.controls))
             .collect();
@@ -330,7 +305,7 @@ mod tests {
     fn boot() -> Env {
         let mut machine = Machine::skylake();
         let mut mem = HostMem::new();
-        let rk = Rootkernel::boot(&mut machine, &mut mem, RootkernelConfig::small());
+        let rk = Rootkernel::boot(&mut machine, &mut mem, RootkernelConfig::default());
         Env { machine, mem, rk }
     }
 
@@ -486,7 +461,6 @@ mod tests {
         let mut mem = HostMem::new();
         let config = RootkernelConfig {
             controls: ExitControls::commercial(),
-            ..RootkernelConfig::small()
         };
         let mut rk = Rootkernel::boot(&mut machine, &mut mem, config);
         let t0 = machine.cpu(0).tsc;

@@ -1,8 +1,8 @@
 //! The serving loop: one discrete-event dispatcher over per-lane clocks,
 //! with two lane-queue disciplines.
 //!
-//! The runtime simulates an M/G/k server. Arrivals (open-loop Poisson or
-//! closed-loop clients) pass the [`TenantFabric`]'s rate/quarantine gate
+//! The runtime simulates an M/G/k server. Open-loop arrivals pass the
+//! [`TenantFabric`]'s rate/quarantine gate
 //! and are offered to the *lane queue*; whatever happens to a request —
 //! completed, timed out, failed, or shed for one of three reasons — is
 //! booked by one function, [`Core::settle`], so `RunStats`, the tenant
@@ -40,9 +40,6 @@
 //!   Frames already in a ring cannot be reordered, which is the price
 //!   of amortizing the crossing — the better discipline for throughput
 //!   on personalities whose crossing can be batched.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use sb_faultplane::{FaultHandle, FaultPoint};
 use sb_observe::{InstantKind, Recorder, SpanKind};
@@ -170,9 +167,6 @@ pub struct Core {
     /// tenant arrives in *this* run — moved into `stats.tenants` by
     /// [`Runtime::finish`].
     rows: Vec<Option<TenantStats>>,
-    /// Closed-loop clients freed since the loop last looked, with the
-    /// time each became free.
-    completions: Vec<(usize, Cycles)>,
 }
 
 impl Core {
@@ -193,13 +187,6 @@ impl Core {
     fn settle(&mut self, outcome: Outcome, req: &Request, t: Cycles) {
         let stats = &mut self.stats;
         let ts = Core::row(&mut self.rows, self.fabric.slot(req.tenant));
-        // A request that reached a lane frees its closed-loop client at
-        // `t`; one refused at the door is rescheduled by the caller.
-        if !matches!(outcome, Outcome::ShedQueueFull | Outcome::ShedRateLimit) {
-            if let Some(c) = req.client {
-                self.completions.push((c, t));
-            }
-        }
         let instant = match outcome {
             Outcome::Completed => {
                 let latency = t - req.arrival;
@@ -443,7 +430,6 @@ impl<Q: LaneQueue> Runtime<Q> {
             queue_lane: transport.lanes(),
             stats: RunStats::new(transport.label(), transport.lanes()),
             rows: Vec::new(),
-            completions: Vec::new(),
         };
         Runtime { core, lanes }
     }
@@ -475,31 +461,26 @@ impl<Q: LaneQueue> Runtime<Q> {
         self.latest_clock()
     }
 
-    /// One arrival at `t`. Returns `false` when it was shed at the door
-    /// (by the fabric's gate or a full lane queue) — nothing will come
-    /// back for its client.
-    fn arrive(&mut self, t: Cycles, client: Option<usize>, factory: &mut RequestFactory) -> bool {
+    /// One arrival at `t`: admitted to the lane queue, or shed at the
+    /// door by the fabric's gate or a full lane queue.
+    fn arrive(&mut self, t: Cycles, factory: &mut RequestFactory) {
         let Runtime { core, lanes } = self;
         core.stats.offered += 1;
         core.maybe_storm(t);
         lanes.pump(core, t);
-        let req = factory.make(t, client);
+        let req = factory.make(t, None);
         Core::row(&mut core.rows, core.fabric.slot(req.tenant)).offered += 1;
         if core.fabric.gate(req.tenant, t) != Gate::Admit {
             core.settle(Outcome::ShedRateLimit, &req, t);
-            return false;
+            return;
         }
         match lanes.offer(core, req) {
             Offer::Queued(depth) => {
                 core.stats.max_queue_depth = core.stats.max_queue_depth.max(depth);
             }
             Offer::Served => {}
-            Offer::Refused(req) => {
-                core.settle(Outcome::ShedQueueFull, &req, t);
-                return false;
-            }
+            Offer::Refused(req) => core.settle(Outcome::ShedQueueFull, &req, t),
         }
-        true
     }
 
     /// Drains the lane queue, closes the run opened by [`Self::begin`]
@@ -542,55 +523,9 @@ impl<Q: LaneQueue> Runtime<Q> {
             let t = t.saturating_add(epoch).max(clock); // Never backwards.
             clock = t;
             first.get_or_insert(t);
-            self.arrive(t, None, factory);
+            self.arrive(t, factory);
         }
         self.finish(first.unwrap_or(0))
-    }
-
-    /// Closed-loop run: `clients` issuers each keep exactly one request in
-    /// flight, issuing the next one `think` cycles after the previous
-    /// completion, `ops_per_client` times. Offered load self-adjusts to
-    /// service capacity, so queue-full shedding only appears when
-    /// `clients` exceeds what the lane queue and the lanes hold.
-    pub fn run_closed_loop(
-        &mut self,
-        clients: usize,
-        ops_per_client: u64,
-        think: Cycles,
-        factory: &mut RequestFactory,
-    ) -> RunStats {
-        assert!(clients > 0);
-        let epoch = self.begin();
-        // One-cycle stagger breaks the all-at-once tie deterministically.
-        let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> = (0..clients)
-            .map(|c| Reverse((epoch + c as Cycles, c)))
-            .collect();
-        let mut remaining = vec![ops_per_client; clients];
-        loop {
-            for (c, done) in self.core.completions.drain(..) {
-                if remaining[c] > 0 {
-                    ready.push(Reverse((done.saturating_add(think), c)));
-                }
-            }
-            // Completions inside the pump may schedule arrivals earlier
-            // than `t`; flush them into the heap before admitting. With
-            // no client ready, whatever is still queued runs to the end.
-            let next = ready.peek().map(|&Reverse(tc)| tc);
-            let horizon = next.map_or(Cycles::MAX, |(t, _)| t);
-            self.lanes.pump(&mut self.core, horizon);
-            if !self.core.completions.is_empty() {
-                continue;
-            }
-            let Some((t, c)) = next else { break };
-            ready.pop();
-            remaining[c] -= 1;
-            // Like a completion, a shed lets the client issue its next
-            // op after a think pause rather than stopping forever.
-            if !self.arrive(t, Some(c), factory) && remaining[c] > 0 {
-                ready.push(Reverse((t.saturating_add(think.max(1)), c)));
-            }
-        }
-        self.finish(epoch)
     }
 }
 
@@ -969,36 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_self_paces_to_capacity() {
-        let mut e = FixedServiceTransport::new(2, 100);
-        let mut rt = ServerRuntime::new(&mut e, cfg(16, AdmissionPolicy::Shed));
-        let s = rt.run_closed_loop(4, 50, 0, &mut factory());
-        assert_eq!(s.offered, 200);
-        assert_eq!(s.completed, 200);
-        assert_eq!(
-            s.shed(),
-            0,
-            "closed loop cannot overrun 16 slots with 4 clients"
-        );
-        // 200 requests x 100 cycles over 2 lanes ~ 10_000 cycles.
-        let tput = s.throughput_per_mcycle();
-        assert!(
-            (15_000.0..25_000.0).contains(&tput),
-            "closed-loop throughput {tput} should sit near 2 lanes / 100 cycles"
-        );
-        assert_conserved(&s);
-    }
-
-    #[test]
-    fn closed_loop_with_more_clients_than_slots_sheds() {
-        let mut e = FixedServiceTransport::new(1, 1000);
-        let mut rt = ServerRuntime::new(&mut e, cfg(2, AdmissionPolicy::Shed));
-        let s = rt.run_closed_loop(8, 20, 0, &mut factory());
-        assert!(s.shed_queue_full > 0);
-        assert_conserved(&s);
-    }
-
-    #[test]
     fn zero_capacity_shed_rejects_everything() {
         let mut e = FixedServiceTransport::new(2, 100);
         let mut rt = ServerRuntime::new(&mut e, cfg(0, AdmissionPolicy::Shed));
@@ -1021,12 +926,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_block_closed_loop_conserves() {
+    fn zero_capacity_block_serves_a_burst_on_one_lane() {
         let mut e = FixedServiceTransport::new(1, 100);
         let mut rt = ServerRuntime::new(&mut e, cfg(0, AdmissionPolicy::Block));
-        let s = rt.run_closed_loop(3, 10, 0, &mut factory());
+        let s = rt.run_open_loop(vec![0; 30], &mut factory());
         assert_eq!(s.offered, 30);
-        assert_eq!(s.completed, 30);
+        assert_eq!(s.completed, 30, "each arrival waits for the one lane");
+        assert_eq!(s.max_queue_depth, 0, "nothing is ever buffered");
         assert_conserved(&s);
     }
 
@@ -1339,42 +1245,36 @@ mod tests {
     }
 
     #[test]
-    fn ring_closed_loop_self_paces_with_direct_latency() {
-        // 4 clients over 2 lanes x 16 slots: nothing can be refused, and
-        // every offered request is accounted for exactly once.
+    fn light_ring_load_reads_the_direct_latency() {
+        // One arrival every 80 cycles (62% of 2 lanes x 100 cycles) into
+        // 16-slot rings: nothing is refused, and every offered request
+        // is accounted for exactly once.
         let mut r = ring(2, 100, 16, 8);
         let mut rt = RingRuntime::new(&mut r, RuntimeConfig::default());
-        let s = rt.run_closed_loop(4, 50, 0, &mut factory());
+        let s = rt.run_open_loop((0..200).map(|i| i * 80), &mut factory());
         assert_eq!(s.offered, 200);
         assert_eq!(s.completed, 200);
-        assert_eq!(s.shed(), 0, "4 clients cannot overrun the rings");
+        assert_eq!(s.shed(), 0, "light load cannot overrun the rings");
         assert_conserved(&s);
         assert!(s.tenants_conserved());
 
-        // At light load (think time ten services long) an idle ring
-        // drains at once: the closed loop reads the direct loop's p50.
+        // Arrivals ten services apart: an idle ring drains at once, so
+        // the rings read the direct loop's p50.
+        let light = || (0..100).map(|i| i * 1_000);
         let mut e = FixedServiceTransport::new(2, 100);
-        let direct = ServerRuntime::new(&mut e, cfg(16, AdmissionPolicy::Shed)).run_closed_loop(
-            2,
-            50,
-            1_000,
-            &mut factory(),
-        );
+        let direct = ServerRuntime::new(&mut e, cfg(16, AdmissionPolicy::Shed))
+            .run_open_loop(light(), &mut factory());
         let mut r = ring(2, 100, 16, 8);
-        let light = RingRuntime::new(&mut r, RuntimeConfig::default()).run_closed_loop(
-            2,
-            50,
-            1_000,
-            &mut factory(),
-        );
-        assert_eq!(light.completed, 100);
+        let rings = RingRuntime::new(&mut r, RuntimeConfig::default())
+            .run_open_loop(light(), &mut factory());
+        assert_eq!(rings.completed, 100);
         assert_eq!(
-            light.p50(),
+            rings.p50(),
             100,
             "shallow rings must not add batching delay"
         );
-        assert_eq!(light.p50(), direct.p50());
-        assert_conserved(&light);
+        assert_eq!(rings.p50(), direct.p50());
+        assert_conserved(&rings);
     }
 }
 
@@ -1541,7 +1441,6 @@ mod model {
         /// Per-10k rates of handler panics, hangs and deadline storms.
         faults: (u32, u32, u32),
         fault_seed: u64,
-        closed_loop: bool,
     }
 
     fn case() -> impl Strategy<Value = Case> {
@@ -1570,13 +1469,12 @@ mod model {
                 prop_oneof![Just(0u32), Just(500u32)],
             ),
             any::<u64>(),
-            any::<bool>(),
         );
         (geometry, load, policy).prop_map(
             |(
                 (lanes, capacity, batch_budget),
                 (gaps, schedule, contracts),
-                (queue_deadline, retry, faults, fault_seed, closed_loop),
+                (queue_deadline, retry, faults, fault_seed),
             )| Case {
                 lanes,
                 ring: RingConfig {
@@ -1591,7 +1489,6 @@ mod model {
                 retry,
                 faults,
                 fault_seed,
-                closed_loop,
             },
         )
     }
@@ -1664,21 +1561,10 @@ mod model {
         });
         fn drive<Q: LaneQueue>(
             mut rt: Runtime<Q>,
-            case: &Case,
             arrivals: impl Iterator<Item = Cycles>,
             factory: &mut RequestFactory,
         ) -> String {
-            let stats = if case.closed_loop {
-                let clients = 1 + case.gaps.len() % 5;
-                rt.run_closed_loop(
-                    clients,
-                    1 + case.gaps.len() as u64 / 8,
-                    case.gaps[0],
-                    factory,
-                )
-            } else {
-                rt.run_open_loop(arrivals, factory)
-            };
+            let stats = rt.run_open_loop(arrivals, factory);
             assert!(stats.tenants_conserved() && stats.conserved(), "{stats:?}");
             format!("{stats:?}\n{:?}", rt.fabric().actions())
         }
@@ -1691,17 +1577,11 @@ mod model {
             };
             drive(
                 Runtime::build(lanes, cfg, usize::MAX),
-                case,
                 arrivals,
                 &mut factory,
             )
         } else {
-            drive(
-                RingRuntime::new(&mut ring, cfg),
-                case,
-                arrivals,
-                &mut factory,
-            )
+            drive(RingRuntime::new(&mut ring, cfg), arrivals, &mut factory)
         };
         let ledger: Vec<(u64, u64)> = (0..case.lanes)
             .map(|l| (ring.submitted(l), ring.acked(l)))

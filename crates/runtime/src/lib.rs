@@ -31,8 +31,8 @@
 //!   the earliest-free lane when service starts; [`RingRuntime`] (a
 //!   [`RingTransport`]) binds each arrival to a lane's submission ring
 //!   at once and batches the crossing behind an adaptive doorbell.
-//! * [`PoissonArrivals`] / [`RequestFactory`] — open-loop Poisson and
-//!   closed-loop load generation over `sb-ycsb` key mixes.
+//! * [`PoissonArrivals`] / [`RequestFactory`] — open-loop Poisson load
+//!   generation over `sb-ycsb` key mixes.
 //! * [`RunStats`] — throughput, p50/p95/p99 latency in simulated cycles,
 //!   queue depth, shed counts, marshalling bytes copied, per-core
 //!   utilization, and [`run_stats_json`], its one renderer: the row of

@@ -142,8 +142,8 @@ impl RequestFactory {
         }
     }
 
-    /// The next request, stamped with `arrival` (and, for closed-loop
-    /// runs, the issuing `client`).
+    /// The next request, stamped with `arrival` and the issuing `client`
+    /// (the serving loop passes none).
     pub fn make(&mut self, arrival: Cycles, client: Option<usize>) -> Request {
         let at = (self.next_id % BLOCK as u64) as usize;
         if at == 0 {

@@ -334,14 +334,6 @@ impl RunStats {
         self.completed as f64 * 1e6 / w as f64
     }
 
-    /// Mean marshalling bytes moved per completed request.
-    pub fn bytes_copied_per_completion(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.bytes_copied as f64 / self.completed as f64
-    }
-
     /// Per-lane (core) utilization: busy cycles over the run window.
     pub fn utilization(&self) -> Vec<f64> {
         let w = self.window().max(1) as f64;
@@ -584,7 +576,6 @@ mod tests {
         assert_eq!(s.p99(), 0);
         assert_eq!(s.percentile(50.0), 0);
         assert_eq!(s.throughput_per_mcycle(), 0.0);
-        assert_eq!(s.bytes_copied_per_completion(), 0.0);
         assert_eq!(s.utilization(), vec![0.0, 0.0]);
     }
 
@@ -674,13 +665,5 @@ mod tests {
         // Break one tenant's ledger: the check must catch it.
         s.tenant_mut(9).failed += 1;
         assert!(!s.tenants_conserved());
-    }
-
-    #[test]
-    fn bytes_copied_averages_over_completions() {
-        let mut s = RunStats::new("t", 1);
-        s.completed = 4;
-        s.bytes_copied = 4 * 88;
-        assert!((s.bytes_copied_per_completion() - 88.0).abs() < 1e-9);
     }
 }

@@ -404,11 +404,6 @@ impl TenantFabric {
         lane.queue.len() >= lane.spec.queue_capacity
     }
 
-    /// Requests queued for one tenant.
-    pub fn tenant_depth(&self, id: TenantId) -> usize {
-        self.lane(id).map_or(0, |l| l.queue.len())
-    }
-
     /// The rate/quarantine admission gate for an arrival of `id` at
     /// `now`. Must be consulted exactly once per arrival (it charges the
     /// token bucket and the aggressor-evidence counters); queue-bound
@@ -560,7 +555,7 @@ impl TenantFabric {
     }
 
     /// Advances every tenant tracker's clock (see
-    /// [`sb_sentinel::SloTracker::tick`]) — called at end of run so idle
+    /// [`sb_sentinel::SloHandle::tick`]) — called at end of run so idle
     /// tenants' burn rates decay instead of staying stale.
     pub fn tick(&mut self, t: Cycles) {
         for lane in &self.lanes {
@@ -828,7 +823,5 @@ mod tests {
         }
         assert!(f.is_full(9));
         assert_eq!(f.len(), 10);
-        assert_eq!(f.tenant_depth(1), 2);
-        assert_eq!(f.tenant_depth(9), 8);
     }
 }

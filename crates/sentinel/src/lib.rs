@@ -30,5 +30,5 @@ pub mod slo;
 pub mod trace;
 
 pub use postmortem::{fault_row_json, BundleReceipt, PostmortemInput, PostmortemSpec, SCHEMA};
-pub use slo::{SloHandle, SloHealth, SloSpec, SloTracker};
+pub use slo::{SloHandle, SloHealth, SloSpec};
 pub use trace::{assemble, assemble_lanes, PathStep, RequestTrace, SpanNode, TraceForest};

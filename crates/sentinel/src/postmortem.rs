@@ -28,32 +28,21 @@ use crate::slo::SloHealth;
 /// Bundle schema identifier, bumped on incompatible layout changes.
 pub const SCHEMA: &str = "sb-postmortem-v2";
 
-/// Where and how large bundles are written.
+/// Newest events a written bundle keeps per lane; older held events are
+/// clipped and counted in the bundle's truncation block.
+const MAX_EVENTS_PER_LANE: usize = 512;
+
+/// Where bundles are written.
 #[derive(Debug, Clone)]
 pub struct PostmortemSpec {
     /// Output directory (created on demand).
     pub dir: PathBuf,
-    /// Newest events kept per lane; older held events are clipped and
-    /// counted in the bundle's truncation block.
-    pub max_events_per_lane: usize,
-}
-
-impl Default for PostmortemSpec {
-    fn default() -> Self {
-        PostmortemSpec {
-            dir: PathBuf::from("results/postmortem"),
-            max_events_per_lane: 512,
-        }
-    }
 }
 
 impl PostmortemSpec {
-    /// A spec writing under `dir` with the default event budget.
+    /// A spec writing under `dir`.
     pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
-        PostmortemSpec {
-            dir: dir.into(),
-            ..PostmortemSpec::default()
-        }
+        PostmortemSpec { dir: dir.into() }
     }
 }
 
@@ -286,9 +275,10 @@ fn safe_name(tag: &str) -> String {
     }
 }
 
-/// Renders and writes the bundle as `<spec.dir>/<tag>.json`.
+/// Renders and writes the bundle as `<spec.dir>/<tag>.json`, keeping the
+/// newest 512 events of each lane.
 pub fn write(spec: &PostmortemSpec, input: &PostmortemInput<'_>) -> io::Result<BundleReceipt> {
-    let (json, included_events, loss) = render(input, spec.max_events_per_lane);
+    let (json, included_events, loss) = render(input, MAX_EVENTS_PER_LANE);
     fs::create_dir_all(&spec.dir)?;
     let path: PathBuf = Path::new(&spec.dir).join(format!("{}.json", safe_name(input.tag)));
     fs::write(&path, &json)?;

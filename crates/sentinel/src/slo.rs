@@ -94,9 +94,9 @@ impl SloHealth {
     }
 }
 
-/// The tracker itself; usually held behind an [`SloHandle`].
+/// The tracker's state.
 #[derive(Debug)]
-pub struct SloTracker {
+struct Tracker {
     spec: SloSpec,
     width: Cycles,
     buckets: Vec<Bucket>,
@@ -110,48 +110,7 @@ pub struct SloTracker {
     evaluations: u64,
 }
 
-impl SloTracker {
-    /// A tracker evaluating `spec`.
-    pub fn new(spec: SloSpec) -> Self {
-        assert!(spec.error_budget > 0.0, "a zero budget can never be met");
-        assert!(
-            spec.fast_window <= spec.slow_window,
-            "the fast window must fit inside the slow one"
-        );
-        let width = (spec.slow_window / BUCKETS as Cycles).max(1);
-        SloTracker {
-            spec,
-            width,
-            buckets: vec![Bucket::default(); BUCKETS],
-            good: 0,
-            bad: 0,
-            breaches: 0,
-            in_breach: false,
-            first_breach: None,
-            last_t: 0,
-            last_eval_slot: Cycles::MAX,
-            evaluations: 0,
-        }
-    }
-
-    /// The objective under evaluation.
-    pub fn spec(&self) -> SloSpec {
-        self.spec
-    }
-
-    /// Records a completed request: `latency` cycles from arrival to
-    /// done, at lane-clock time `t`.
-    pub fn complete(&mut self, t: Cycles, latency: Cycles) {
-        let good = latency <= self.spec.latency_objective;
-        self.record(t, good);
-    }
-
-    /// Records a request that produced no useful reply (failure,
-    /// timeout, shed) at time `t`.
-    pub fn error(&mut self, t: Cycles) {
-        self.record(t, false);
-    }
-
+impl Tracker {
     fn record(&mut self, t: Cycles, good: bool) {
         self.last_t = self.last_t.max(t);
         let b = &mut self.buckets[(t / self.width) as usize % BUCKETS];
@@ -184,26 +143,10 @@ impl SloTracker {
         }
     }
 
-    /// Advances the tracker's clock to `t` without recording a sample
-    /// and re-evaluates the burn rule there.
-    ///
-    /// `SloTracker::record` only evaluates on bad records and bucket
-    /// boundaries — the good path stays two counter bumps — so a tenant
-    /// that goes idle right after a burst would otherwise keep a stale
-    /// burn rate (and a stuck breach episode) forever. The dispatcher
-    /// calls this at end of run, and periodic pollers may call it any
-    /// time; `t` earlier than the last recorded sample is clamped
-    /// (time never rewinds).
-    pub fn tick(&mut self, t: Cycles) {
-        self.last_t = self.last_t.max(t);
-        self.last_eval_slot = self.last_t / self.width;
-        self.evaluate(self.last_t);
-    }
-
     /// The burn rate over the trailing `window` at time `t`: the bad
     /// fraction divided by the error budget (1.0 = burning exactly the
     /// sustainable rate; 0.0 when the window holds no samples).
-    pub fn burn_rate(&self, t: Cycles, window: Cycles) -> f64 {
+    fn burn_rate(&self, t: Cycles, window: Cycles) -> f64 {
         let floor = t.saturating_sub(window);
         let (mut good, mut bad) = (0u64, 0u64);
         for b in &self.buckets {
@@ -231,67 +174,98 @@ impl SloTracker {
         }
         self.in_breach = breaching;
     }
+}
+
+/// The SLO tracker: a cloneable handle onto one shared tracker. The
+/// dispatcher records through one clone while scenario code polls
+/// another.
+#[derive(Debug, Clone)]
+pub struct SloHandle(Rc<RefCell<Tracker>>);
+
+impl SloHandle {
+    /// A fresh tracker evaluating `spec`.
+    pub fn new(spec: SloSpec) -> Self {
+        assert!(spec.error_budget > 0.0, "a zero budget can never be met");
+        assert!(
+            spec.fast_window <= spec.slow_window,
+            "the fast window must fit inside the slow one"
+        );
+        let width = (spec.slow_window / BUCKETS as Cycles).max(1);
+        SloHandle(Rc::new(RefCell::new(Tracker {
+            spec,
+            width,
+            buckets: vec![Bucket::default(); BUCKETS],
+            good: 0,
+            bad: 0,
+            breaches: 0,
+            in_breach: false,
+            first_breach: None,
+            last_t: 0,
+            last_eval_slot: Cycles::MAX,
+            evaluations: 0,
+        })))
+    }
+
+    /// The objective under evaluation.
+    pub fn spec(&self) -> SloSpec {
+        self.0.borrow().spec
+    }
+
+    /// Records a completed request: `latency` cycles from arrival to
+    /// done, at lane-clock time `t`.
+    pub fn complete(&self, t: Cycles, latency: Cycles) {
+        let mut tracker = self.0.borrow_mut();
+        let good = latency <= tracker.spec.latency_objective;
+        tracker.record(t, good);
+    }
+
+    /// Records a request that produced no useful reply (failure,
+    /// timeout, shed) at time `t`.
+    pub fn error(&self, t: Cycles) {
+        self.0.borrow_mut().record(t, false);
+    }
+
+    /// Advances the tracker's clock to `t` without recording a sample
+    /// and re-evaluates the burn rule there.
+    ///
+    /// Recording evaluates only on bad records and bucket boundaries —
+    /// the good path stays two counter bumps — so a tenant that goes
+    /// idle right after a burst would otherwise keep a stale burn rate
+    /// (and a stuck breach episode) forever. The dispatcher calls this
+    /// at end of run, and periodic pollers may call it any time; `t`
+    /// earlier than the last recorded sample is clamped (time never
+    /// rewinds).
+    pub fn tick(&self, t: Cycles) {
+        let mut tracker = self.0.borrow_mut();
+        tracker.last_t = tracker.last_t.max(t);
+        tracker.last_eval_slot = tracker.last_t / tracker.width;
+        let last_t = tracker.last_t;
+        tracker.evaluate(last_t);
+    }
 
     /// How many times the burn rule has been evaluated — the tracker's
     /// only O(buckets) work, so its cost per record as a count.
     pub fn evaluations(&self) -> u64 {
-        self.evaluations
+        self.0.borrow().evaluations
     }
 
     /// The current health reading.
     pub fn health(&self) -> SloHealth {
+        let tracker = self.0.borrow();
         SloHealth {
-            good: self.good,
-            bad: self.bad,
-            fast_burn: self.burn_rate(self.last_t, self.spec.fast_window),
-            slow_burn: self.burn_rate(self.last_t, self.spec.slow_window),
-            breaches: self.breaches,
-            first_breach: self.first_breach,
-            in_breach: self.in_breach,
+            good: tracker.good,
+            bad: tracker.bad,
+            fast_burn: tracker.burn_rate(tracker.last_t, tracker.spec.fast_window),
+            slow_burn: tracker.burn_rate(tracker.last_t, tracker.spec.slow_window),
+            breaches: tracker.breaches,
+            first_breach: tracker.first_breach,
+            in_breach: tracker.in_breach,
         }
-    }
-}
-
-/// A cloneable shared handle onto one [`SloTracker`], mirroring
-/// [`sb_faultplane::FaultHandle`]: the dispatcher records through one
-/// clone while scenario code polls another.
-#[derive(Debug, Clone)]
-pub struct SloHandle(Rc<RefCell<SloTracker>>);
-
-impl SloHandle {
-    /// A fresh tracker for `spec`.
-    pub fn new(spec: SloSpec) -> Self {
-        SloHandle(Rc::new(RefCell::new(SloTracker::new(spec))))
-    }
-
-    /// See [`SloTracker::complete`].
-    pub fn complete(&self, t: Cycles, latency: Cycles) {
-        self.0.borrow_mut().complete(t, latency);
-    }
-
-    /// See [`SloTracker::error`].
-    pub fn error(&self, t: Cycles) {
-        self.0.borrow_mut().error(t);
-    }
-
-    /// See [`SloTracker::tick`].
-    pub fn tick(&self, t: Cycles) {
-        self.0.borrow_mut().tick(t);
-    }
-
-    /// See [`SloTracker::health`].
-    pub fn health(&self) -> SloHealth {
-        self.0.borrow().health()
     }
 
     /// Whether the objective was ever breached.
     pub fn breached(&self) -> bool {
         self.0.borrow().breaches > 0
-    }
-
-    /// See [`SloTracker::spec`].
-    pub fn spec(&self) -> SloSpec {
-        self.0.borrow().spec()
     }
 }
 
@@ -312,7 +286,7 @@ mod tests {
 
     #[test]
     fn healthy_traffic_never_breaches() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         for i in 0..10_000u64 {
             t.complete(i * 20, 500);
         }
@@ -324,7 +298,7 @@ mod tests {
 
     #[test]
     fn slow_completions_count_against_the_budget() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         t.complete(10, 5_000); // 5x over the objective.
         let h = t.health();
         assert_eq!((h.good, h.bad), (0, 1));
@@ -332,7 +306,7 @@ mod tests {
 
     #[test]
     fn sustained_errors_breach_and_burn_rates_read_sanely() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         // Warm both windows with clean traffic...
         for i in 0..1_000u64 {
             t.complete(i * 100, 100);
@@ -351,7 +325,7 @@ mod tests {
 
     #[test]
     fn a_single_stray_error_does_not_page() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         for i in 0..2_000u64 {
             t.complete(i * 100, 100);
             if i == 1_000 {
@@ -363,7 +337,7 @@ mod tests {
 
     #[test]
     fn breaches_are_edge_triggered_episodes() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         for round in 0..3u64 {
             let base = round * 2_000_000;
             // Calm stretch fills the slow window with good samples, and
@@ -381,7 +355,7 @@ mod tests {
 
     #[test]
     fn tick_decays_a_stale_burn_after_idle_time() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         // Warm, then a hard burst: the tracker enters a breach episode.
         for i in 0..1_000u64 {
             t.complete(i * 100, 100);
@@ -408,7 +382,7 @@ mod tests {
 
     #[test]
     fn tick_never_rewinds_the_clock() {
-        let mut t = SloTracker::new(spec());
+        let t = SloHandle::new(spec());
         for i in 0..400u64 {
             t.error(100_000 + i * 10);
         }

@@ -129,8 +129,9 @@ impl<T: Transport> Transport for Faulty<T> {
         let dead = std::mem::replace(&mut self.dead[lane], false);
         let stale = std::mem::replace(&mut self.stale[lane], false);
         if dead || stale {
-            // Respawn/re-arm the transport underneath (fresh
-            // endpoint/threads, restored PKRU) where it supports that;
+            // Respawn/re-arm the transport underneath (a fresh server
+            // thread on the lane's endpoint, restored PKRU) where it
+            // supports that;
             // the decorator-level revive is the recovery either way.
             self.inner.recover(lane);
             if dead {

@@ -176,11 +176,6 @@ impl<T: Transport> RingTransport<T> {
         }
     }
 
-    /// Wraps `inner` with the default geometry.
-    pub fn with_defaults(inner: T) -> Self {
-        RingTransport::new(inner, RingConfig::default())
-    }
-
     /// The ring geometry in force.
     pub fn config(&self) -> RingConfig {
         self.cfg
@@ -534,7 +529,7 @@ mod tests {
 
     #[test]
     fn expired_entries_complete_as_timeout_without_service() {
-        let mut r = RingTransport::with_defaults(FixedServiceTransport::new(1, 100));
+        let mut r = RingTransport::new(FixedServiceTransport::new(1, 100), RingConfig::default());
         r.submit_with_deadline(0, &req(1, 16), 50).unwrap();
         r.inner_mut().wait_until(0, 200);
         let posted = r.doorbell(0);
@@ -573,7 +568,7 @@ mod tests {
 
     #[test]
     fn transport_call_path_works_through_the_rings() {
-        let mut r = RingTransport::with_defaults(FixedServiceTransport::new(2, 100));
+        let mut r = RingTransport::new(FixedServiceTransport::new(2, 100), RingConfig::default());
         let rq = req(9, 48);
         let n = r.call(0, &rq).unwrap();
         assert_eq!(n, 48);

@@ -17,7 +17,7 @@
 //! is all this transport owns.
 
 use sb_mem::walk::Access;
-use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
+use sb_microkernel::{EndpointId, Kernel, KernelConfig, Personality, ThreadId};
 use sb_observe::{Recorder, SpanKind};
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
@@ -27,10 +27,14 @@ use crate::service::{ServiceSpec, DATA_BASE};
 use crate::transport::{CallError, Transport};
 use crate::wire::{Request, WIRE_HEADER_LEN};
 
+/// One lane: its client and server threads, the endpoint the server
+/// receives on and the client's send slot to it. A recovery replaces
+/// only the server thread.
 #[derive(Clone, Copy)]
 struct TrapWorker {
     client: ThreadId,
     server: ThreadId,
+    ep: EndpointId,
     cap: usize,
 }
 
@@ -43,7 +47,6 @@ pub struct TrapIpcTransport {
     server_pid: usize,
     workers: Vec<TrapWorker>,
     spec: ServiceSpec,
-    label: String,
 }
 
 impl TrapIpcTransport {
@@ -54,30 +57,7 @@ impl TrapIpcTransport {
     ///
     /// Panics if `lanes` is zero or exceeds the simulated core count.
     pub fn new(personality: Personality, lanes: usize, spec: &ServiceSpec) -> Self {
-        Self::with_kpti(personality, lanes, spec, false)
-    }
-
-    /// [`TrapIpcTransport::new`] with kernel page-table isolation
-    /// switched on or off. The paper's baseline numbers disable KPTI;
-    /// the five-way comparison re-runs the trap personalities with it
-    /// enabled because the tax (two CR3 writes per kernel entry/exit
-    /// pair) falls *only* on them — SkyBridge and MPK never enter the
-    /// kernel on the data path.
-    pub fn with_kpti(
-        personality: Personality,
-        lanes: usize,
-        spec: &ServiceSpec,
-        kpti: bool,
-    ) -> Self {
-        let label = if kpti {
-            format!("{}+kpti", personality.name)
-        } else {
-            personality.name.to_string()
-        };
-        let mut k = Kernel::boot(KernelConfig {
-            kpti,
-            ..KernelConfig::native(personality)
-        });
+        let mut k = Kernel::boot(KernelConfig::native(personality));
         assert!(
             lanes >= 1 && lanes <= k.machine.num_cores(),
             "lanes must fit the machine's cores"
@@ -97,6 +77,7 @@ impl TrapIpcTransport {
             ws.push(TrapWorker {
                 client: client_tid,
                 server: server_tid,
+                ep,
                 cap,
             });
         }
@@ -106,7 +87,6 @@ impl TrapIpcTransport {
             server_pid,
             workers: ws,
             spec: spec.clone(),
-            label,
         }
     }
 
@@ -160,7 +140,7 @@ impl TrapIpcTransport {
 
 impl Transport for TrapIpcTransport {
     fn label(&self) -> &str {
-        &self.label
+        self.k.personality.name
     }
 
     fn lanes(&self) -> usize {
@@ -187,23 +167,14 @@ impl Transport for TrapIpcTransport {
     }
 
     fn recover(&mut self, lane: usize) -> bool {
-        // Supervisor restart: kill lane `l`'s server thread (if it is
-        // somehow still scheduled) and respawn it receive-blocked on a
-        // fresh endpoint, re-granting the client's send capability.
-        let w = &self.workers[lane];
-        let (old_server, client) = (w.server, w.client);
-        self.k.kill_thread(old_server);
-        let server_tid = self.k.create_thread(self.server_pid, lane);
-        let (ep, _recv_slot) = self.k.create_endpoint(self.server_pid);
-        self.k.server_recv(server_tid, ep);
-        let client_pid = self.k.threads[client].process;
-        let cap = self.k.grant_send(client_pid, ep);
-        self.k.run_thread(client);
-        self.workers[lane] = TrapWorker {
-            client,
-            server: server_tid,
-            cap,
-        };
+        // Supervisor restart: kill the lane's server thread (if it is
+        // somehow still scheduled) and respawn it receive-blocked on the
+        // lane's endpoint, which the client's send slot still names.
+        let w = &mut self.workers[lane];
+        self.k.kill_thread(w.server);
+        w.server = self.k.create_thread(self.server_pid, lane);
+        self.k.rebind(w.server, w.ep);
+        self.k.run_thread(w.client);
         true
     }
 
@@ -269,41 +240,21 @@ mod tests {
     }
 
     #[test]
-    fn kpti_taxes_trap_ipc_per_call() {
-        // The KPTI knob for the five-way comparison: kernel page-table
-        // isolation adds CR3 traffic to every kernel entry/exit, so the
-        // trap personalities slow down while SkyBridge and MPK — which
-        // never enter the kernel on the data path — are untouched by
-        // construction (their data paths record zero mode switches).
-        let spec = ServiceSpec::default();
-        let mut plain = TrapIpcTransport::new(Personality::sel4(), 1, &spec);
-        let mut taxed = TrapIpcTransport::with_kpti(Personality::sel4(), 1, &spec, true);
-        assert_eq!(taxed.label(), "seL4+kpti");
-        for t in [&mut plain, &mut taxed] {
-            for i in 0..32 {
-                t.call(0, &req(i, false)).unwrap();
-            }
-        }
-        let measure = |t: &mut TrapIpcTransport| {
-            let t0 = t.now(0);
-            let c0 = t.k.machine.pmu_total().cr3_writes;
-            for i in 0..64 {
-                t.call(0, &req(i, false)).unwrap();
-            }
+    fn recovery_reuses_the_lane_endpoint_and_send_slot() {
+        let mut t = TrapIpcTransport::new(Personality::sel4(), 1, &ServiceSpec::default());
+        let client = t.k.threads[t.workers[0].client].process;
+        let tables = |t: &TrapIpcTransport| {
             (
-                (t.now(0) - t0) / 64,
-                t.k.machine.pmu_total().cr3_writes - c0,
+                t.k.processes[client].caps.len(),
+                t.k.processes[t.server_pid].caps.len(),
+                t.k.endpoints.len(),
             )
         };
-        let (plain_avg, plain_cr3) = measure(&mut plain);
-        let (taxed_avg, taxed_cr3) = measure(&mut taxed);
-        assert!(
-            taxed_avg > plain_avg,
-            "KPTI must cost cycles: {taxed_avg} vs {plain_avg}"
-        );
-        assert!(
-            taxed_cr3 > plain_cr3,
-            "the tax is CR3 traffic: {taxed_cr3} vs {plain_cr3}"
-        );
+        let before = tables(&t);
+        for i in 0..10 {
+            assert!(t.recover(0));
+            t.call(0, &req(i, false)).unwrap();
+        }
+        assert_eq!(tables(&t), before, "a recovery grew the kernel's tables");
     }
 }

@@ -57,7 +57,8 @@ pub struct Request {
     pub write: bool,
     /// Request/reply payload bytes on the wire.
     pub payload: usize,
-    /// The closed-loop client that issued this request, if any.
+    /// The client that issued this request, if any (the serving loop
+    /// sets none).
     pub client: Option<usize>,
     /// The tenant this request bills to (carried in the wire header).
     pub tenant: TenantId,

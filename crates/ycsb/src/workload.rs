@@ -73,16 +73,6 @@ impl WorkloadSpec {
             seed: 0xc,
         }
     }
-
-    /// YCSB-F: 50% read / 50% read-modify-write.
-    pub fn ycsb_f(record_count: u64, value_len: usize) -> Self {
-        WorkloadSpec {
-            record_count,
-            value_len,
-            mix: vec![(OpKind::Read, 50), (OpKind::ReadModifyWrite, 50)],
-            seed: 0xf,
-        }
-    }
 }
 
 /// A deterministic operation stream.
@@ -180,15 +170,6 @@ mod tests {
             .filter(|_| w.next_op().kind == OpKind::Read)
             .count();
         assert!((9300..9700).contains(&reads), "B is 95% reads: {reads}");
-    }
-
-    #[test]
-    fn ycsb_f_mixes_read_modify_write() {
-        let mut w = Workload::new(WorkloadSpec::ycsb_f(1000, 100));
-        let rmw = (0..10_000)
-            .filter(|_| w.next_op().kind == OpKind::ReadModifyWrite)
-            .count();
-        assert!((4500..5500).contains(&rmw), "F is 50% RMW: {rmw}");
     }
 
     #[test]

@@ -415,7 +415,7 @@ impl SqliteStack {
         let config = if needs_rk {
             KernelConfig {
                 personality,
-                rootkernel: Some(RootkernelConfig::small()),
+                rootkernel: Some(RootkernelConfig::default()),
                 ..Default::default()
             }
         } else {
@@ -728,16 +728,6 @@ impl SqliteStack {
             .as_ref()
             .map_or(0, |rk| rk.exits.total())
     }
-
-    /// The big lock's contention ratio so far.
-    pub fn lock_contention(&self) -> f64 {
-        self.sim.borrow().lock.contention_ratio()
-    }
-
-    /// Total cycles threads spent waiting on the big lock.
-    pub fn lock_wait_cycles(&self) -> u64 {
-        self.sim.borrow().lock.wait_cycles
-    }
 }
 
 /// The SkyBridge pass-through server handler: echoes a reply of the
@@ -868,8 +858,9 @@ mod tests {
         let sky4 = stack(StackMode::SkyBridge, 4).run_ycsb(40).ops_per_sec;
         assert!(sky4 > t4, "SkyBridge {sky4:.0} must beat MT {t4:.0} at 4t");
         // Threads spend real simulated time blocked on the lock.
-        assert!(four.lock_wait_cycles() > 1_000_000);
-        assert!(four.lock_contention() > 0.01);
+        let lock = &four.sim.borrow().lock;
+        assert!(lock.wait_cycles > 1_000_000);
+        assert!(lock.contention_ratio() > 0.01);
     }
 
     #[test]

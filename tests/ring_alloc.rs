@@ -17,7 +17,7 @@ use sb_runtime::{
     RingRuntime, RingTransport, RunStats, RuntimeConfig, ServerRuntime, TenantId, TenantRegistry,
     TenantSpec,
 };
-use sb_sentinel::{SloSpec, SloTracker};
+use sb_sentinel::{SloHandle, SloSpec};
 use sb_ycsb::WorkloadSpec;
 
 thread_local! {
@@ -255,7 +255,7 @@ fn four_thousand_tenants_cost_memory_in_proportion() {
 #[test]
 fn good_completions_inside_one_bucket_evaluate_nothing_and_allocate_nothing() {
     let spec = SloSpec::default();
-    let mut slo = SloTracker::new(spec);
+    let slo = SloHandle::new(spec);
     slo.complete(0, 1); // Opens the bucket: one evaluation.
     assert_eq!(slo.evaluations(), 1);
 

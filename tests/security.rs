@@ -407,7 +407,8 @@ fn a_full_connection_window_stays_clear_of_the_next_servers() {
 #[test]
 fn registration_past_a_layout_window_is_refused_and_changes_nothing() {
     let mut w = world();
-    let servers = w.sb.server_count();
+    // Server ids are dense, so the next id is the count registered so far.
+    let mut servers = w.victim + 1;
     let fresh =
         w.k.create_process(&sb_rewriter::corpus::generate(7, 2048, 0));
     let fresh_tid = w.k.create_thread(fresh, 0);
@@ -421,7 +422,6 @@ fn registration_past_a_layout_window_is_refused_and_changes_nothing() {
         ),
         Err(SbError::TooManyConnections)
     ));
-    assert_eq!(w.sb.server_count(), servers);
     let asp = w.k.processes[fresh].asp;
     for untouched in [
         layout::TRAMPOLINE_BASE,
@@ -439,8 +439,11 @@ fn registration_past_a_layout_window_is_refused_and_changes_nothing() {
     // One process may host SB_SERVERS_PER_PROCESS servers (the victim's
     // process already hosts one) …
     for _ in 1..layout::SB_SERVERS_PER_PROCESS {
-        w.sb.register_server(&mut w.k, w.victim_tid, 0, 64, null_handler())
-            .unwrap();
+        let id =
+            w.sb.register_server(&mut w.k, w.victim_tid, 0, 64, null_handler())
+                .unwrap();
+        assert_eq!(id, servers, "a refused registration consumed an id");
+        servers += 1;
     }
     assert!(matches!(
         w.sb.register_server(&mut w.k, w.victim_tid, 0, 64, null_handler()),
@@ -448,22 +451,21 @@ fn registration_past_a_layout_window_is_refused_and_changes_nothing() {
     ));
     // … and the machine SB_SERVERS.
     let mut host = fresh_tid;
-    while w.sb.server_count() < layout::SB_SERVERS {
-        if w.sb
-            .server_count()
-            .is_multiple_of(layout::SB_SERVERS_PER_PROCESS)
-        {
-            host = new_client(&mut w.k, w.sb.server_count() as u64);
+    while servers < layout::SB_SERVERS {
+        if servers.is_multiple_of(layout::SB_SERVERS_PER_PROCESS) {
+            host = new_client(&mut w.k, servers as u64);
         }
-        w.sb.register_server(&mut w.k, host, 0, 64, null_handler())
-            .unwrap();
+        let id =
+            w.sb.register_server(&mut w.k, host, 0, 64, null_handler())
+                .unwrap();
+        assert_eq!(id, servers);
+        servers += 1;
     }
     let late = new_client(&mut w.k, 8);
     assert!(matches!(
         w.sb.register_server(&mut w.k, late, 1, 64, null_handler()),
         Err(SbError::TooManyServers)
     ));
-    assert_eq!(w.sb.server_count(), layout::SB_SERVERS);
     // The victim still serves.
     w.k.run_thread(w.client);
     let victim = w.victim;
