@@ -2,19 +2,21 @@
 //! results and the results-file writer.
 //!
 //! Every file is rendered by [`sb_observe::Json`], the workspace's one
-//! JSON value. A run's row is `sb_runtime::run_stats_json` and a fault
-//! ledger row `sb_sentinel::fault_row_json`, each its one renderer, which
-//! a postmortem bundle below this crate embeds too; the scenario
-//! modules' other result structs are rendered to rows here.
+//! JSON value. A run's row is `sb_runtime::run_stats_json`, a fault
+//! ledger row `sb_sentinel::fault_row_json`, SLO health
+//! `sb_sentinel::slo_json` and a capture's loss `sb_observe::loss_json`,
+//! each its one renderer, which a postmortem bundle below this crate
+//! embeds too; the scenario modules' other result structs are rendered
+//! to rows here.
 
 use std::{
     fs, io,
     path::{Path, PathBuf},
 };
 
-use sb_observe::Json;
+use sb_observe::{loss_json, Json};
 use sb_runtime::run_stats_json;
-use sb_sentinel::{fault_row_json, BundleReceipt};
+use sb_sentinel::{fault_row_json, slo_json, BundleReceipt};
 use skybridge_repro::scenarios::chaos::{ChaosOutcome, FsChaosOutcome};
 
 /// Where a postmortem bundle went and what it holds. The path is the
@@ -25,19 +27,11 @@ pub fn receipt_json(r: &BundleReceipt) -> Json {
     Json::obj()
         .field("path", format!("{RESULTS_DIR}/postmortem/{file}"))
         .field("included_events", r.included_events)
-        .field("truncated_events", r.loss.clipped)
-        .field("ring_dropped", r.loss.ring_dropped)
+        .field("loss", loss_json(&r.loss))
 }
 
 /// One serving chaos cell as a JSON row (`results/chaos.json`).
 pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
-    let slo = Json::obj()
-        .field("good", out.slo.good)
-        .field("bad", out.slo.bad)
-        .field("fast_burn", out.slo.fast_burn)
-        .field("slow_burn", out.slo.slow_burn)
-        .field("breaches", out.slo.breaches)
-        .field("breached", out.slo.breached());
     let postmortem = out.postmortem.as_ref().map_or(Json::Null, receipt_json);
     Json::obj()
         .field("mix", mix)
@@ -48,11 +42,7 @@ pub fn chaos_outcome_json(out: &ChaosOutcome, mix: &str, seed: u64) -> Json {
         .field("leaked", out.report.leaked())
         .field("unrecovered", out.report.unrecovered())
         .field("conserved", out.conserved())
-        .field("trace_injected", out.trace.injected())
-        .field("trace_detected", out.trace.detected)
-        .field("trace_recovered", out.trace.recovered)
-        .field("trace_matches_ledger", out.trace_matches_ledger())
-        .field("slo", slo)
+        .field("slo", slo_json(&out.slo))
         .field("postmortem", postmortem)
         .field(
             "faults",
@@ -181,9 +171,10 @@ mod tests {
     }
 
     /// An incident bundle keeps each fact once: on a trap kernel and on
-    /// MPK it reads back as schema v2 with no `metrics` block, a `run`
-    /// block whose bytes are the chaos row's `run`, and every PMU
-    /// counter, MPK's `wrpkru_writes` among them.
+    /// MPK it reads back as schema v3 with no `metrics` block, `run`,
+    /// `slo` and capture-loss blocks whose bytes are the chaos row's `run`,
+    /// `slo` and receipt `loss`, and every PMU counter, MPK's
+    /// `wrpkru_writes` among them.
     #[test]
     fn a_bundle_holds_the_chaos_rows_run_and_every_pmu_counter() {
         use sb_microkernel::Personality;
@@ -192,19 +183,29 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("sb-bench-bundle-{}", std::process::id()));
         let spec = PostmortemSpec::in_dir(&dir);
-        assert_eq!(SCHEMA, "sb-postmortem-v2");
+        assert_eq!(SCHEMA, "sb-postmortem-v3");
         for backend in [Backend::Trap(Personality::sel4()), Backend::Mpk] {
             let out = run_postmortem_drill(&backend, 0xd811, 60, &spec);
             let receipt = out.postmortem.as_ref().expect("the drill writes a bundle");
             let bundle = receipt.read_back().expect("schema-clean");
             assert!(bundle.get("metrics").is_none(), "{}", backend.label());
             let row = chaos_outcome_json(&out, "drill", 0xd811);
-            assert_eq!(
-                bundle.get("run").map(Json::to_string),
-                row.get("run").map(Json::to_string),
-                "{}",
-                backend.label()
-            );
+            for (in_bundle, in_row) in [
+                (bundle.get("run"), row.get("run")),
+                (bundle.get("slo"), row.get("slo")),
+                (
+                    bundle.get("capture").and_then(|c| c.get("loss")),
+                    row.get("postmortem").and_then(|p| p.get("loss")),
+                ),
+            ] {
+                assert!(in_bundle.is_some(), "{}", backend.label());
+                assert_eq!(
+                    in_bundle.map(Json::to_string),
+                    in_row.map(Json::to_string),
+                    "{}",
+                    backend.label()
+                );
+            }
             let Some(Json::Obj(pmu)) = bundle.get("pmu") else {
                 panic!("{}: no pmu block", backend.label())
             };

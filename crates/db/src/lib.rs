@@ -15,8 +15,10 @@
 //! * **B-tree tables** ([`btree`]) keyed by integer row keys, holding
 //!   variable-length records ([`record`]);
 //! * the four operations Table 4 measures — `INSERT`, `UPDATE`, `SELECT`
-//!   (query), `DELETE` — plus a tiny SQL front end ([`sql`]) used by the
-//!   examples.
+//!   (query), `DELETE` — as [`Database`] methods. There is no SQL front
+//!   end: the simulated stack charges a statement's parse and execution
+//!   as one fixed cost per operation (`DB_OP_CPU` in the root package's
+//!   `scenarios::sqlite`).
 //!
 //! All I/O flows through [`sb_fs::FileSystem`], so every database
 //! operation produces the same layered traffic as the paper's stack:
@@ -27,7 +29,6 @@ pub mod db;
 pub mod journal;
 pub mod pager;
 pub mod record;
-pub mod sql;
 
 pub use crate::{
     db::{Database, DbError, DbStats},

@@ -7,12 +7,13 @@
 //! need no monotone event order; wait-state spans render on a separate
 //! thread track per lane so they never overlap the call slices of the
 //! same lane. A trace whose rings overwrote events is **marked
-//! truncated** — the pass's [`Loss`] rides in `otherData` and in
-//! [`ChromeTrace::loss`] so no report reads as complete when it isn't.
+//! truncated** — the pass's [`Loss`] rides in `otherData` (rendered by
+//! [`loss_json`]) and in [`ChromeTrace::loss`] so no report reads as
+//! complete when it isn't.
 
 use crate::json::Json;
 use crate::ring::{EventKind, Recorder};
-use crate::span::{Loss, Span};
+use crate::span::{loss_json, Loss, Span};
 
 /// Simulated cycles per microsecond on the modeled 4 GHz part — the
 /// trace `ts` unit conversion.
@@ -78,13 +79,6 @@ pub fn chrome_trace(rec: &Recorder) -> ChromeTrace {
         }
     }
 
-    // Fault events are sequence-stamped, not cycle-stamped; they get
-    // their own track with the raw sequence as `ts`.
-    for ev in rec.global_events() {
-        let name = format!("{}:{}", ev.point, ev.stage.name());
-        events.push(instant(&name, "faults".into(), ev.seq as f64, 0));
-    }
-
     let loss = pass.loss;
     let exported = events.len() as u64;
     let doc = Json::obj()
@@ -93,9 +87,7 @@ pub fn chrome_trace(rec: &Recorder) -> ChromeTrace {
             "otherData",
             Json::obj()
                 .field("truncated", loss.ring_dropped > 0)
-                .field("dropped_events", loss.ring_dropped)
-                .field("unmatched_events", loss.unmatched)
-                .field("unclosed_events", loss.unclosed),
+                .field("loss", loss_json(&loss)),
         )
         .field("traceEvents", Json::Arr(events));
     ChromeTrace {
@@ -109,7 +101,7 @@ pub fn chrome_trace(rec: &Recorder) -> ChromeTrace {
 #[cfg(feature = "trace")]
 mod tests {
     use super::*;
-    use crate::ring::{FaultStage, InstantKind, SpanKind};
+    use crate::ring::{InstantKind, SpanKind};
 
     #[test]
     fn exported_trace_is_valid_json_with_expected_slices() {
@@ -119,14 +111,12 @@ mod tests {
         rec.end(0, SpanKind::Call, 2000, 1);
         rec.span(1, SpanKind::QueueWait, 0, 500, 2);
         rec.instant(1, InstantKind::Retry, 700, 2);
-        rec.fault("handler_panic", FaultStage::Fired);
         let t = chrome_trace(&rec);
         Json::parse(&t.json).expect("exported trace must be JSON");
-        assert_eq!(t.events, 5, "3 slices + 1 instant + 1 fault");
+        assert_eq!(t.events, 4, "3 slices + 1 instant");
         assert_eq!(t.loss, Loss::default());
         assert!(t.json.contains("\"name\":\"handler\""));
         assert!(t.json.contains("lane 1 wait"), "wait spans get own track");
-        assert!(t.json.contains("handler_panic:fired"));
         assert!(t.json.contains("\"truncated\":false"));
     }
 
@@ -143,7 +133,7 @@ mod tests {
             "8 complete spans into 4 slots drop 4"
         );
         assert!(t.json.contains("\"truncated\":true"));
-        assert!(t.json.contains("\"dropped_events\":4"));
+        assert!(t.json.contains("\"loss\":{\"ring_dropped\":4,"));
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //!
 //! * [`Recorder`] + [`EventRing`] — per-lane fixed-capacity rings of
 //!   typed [`Event`]s (call/phase spans, queue admit/shed/deadline,
-//!   retry/backoff, fault lifecycle), timestamped by the transport's
+//!   retry/backoff, recovery), timestamped by the transport's
 //!   per-lane simulated-cycle clocks. The emit path is a flag check plus
 //!   a slot write; with the `trace` feature off it compiles to nothing.
 //! * [`Log2Histogram`] — fixed-memory latency quantiles with a bounded
 //!   relative error, behind the runtime's latency tracks.
 //! * [`span::span_pass`] — the one place a lane's events become spans:
 //!   Begin/End pairing, nesting, and the one [`Loss`] account every
-//!   reader below reports.
+//!   reader below reports, rendered by one [`loss_json`].
 //! * [`phase::attribute`] — folds a recorded run's spans into a
 //!   trampoline / switch / marshal / queue-wait / handler cycle
 //!   breakdown ([`PhaseProfile`]), a software Figure 7, and into
@@ -46,8 +46,7 @@ pub use hist::{Log2Histogram, HIST_RELATIVE_ERROR};
 pub use json::Json;
 pub use phase::{attribute, attribute_by_corr, PhaseProfile};
 pub use ring::{
-    Event, EventKind, EventRing, FaultCounts, FaultEvent, FaultStage, InstantKind, Recorder,
-    SpanKind, DEFAULT_RING_CAPACITY,
+    Event, EventKind, EventRing, InstantKind, Recorder, SpanKind, DEFAULT_RING_CAPACITY,
 };
-pub use span::{span_pass, Loss, Span, SpanPass};
+pub use span::{loss_json, span_pass, Loss, Span, SpanPass};
 pub use varint::{get_varint, put_varint};

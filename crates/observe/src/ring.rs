@@ -1,8 +1,7 @@
 //! Typed trace events, the per-lane event ring, and the [`Recorder`].
 //!
 //! The recorder is the stack's one emit surface: every instrumented layer
-//! (transports, the SkyBridge core, the dispatcher, the fault plane)
-//! holds a cheap clone and pushes fixed-size [`Event`]s into per-lane
+//! (transports, the SkyBridge core, the dispatcher) holds a cheap clone and pushes fixed-size [`Event`]s into per-lane
 //! rings. Lanes are the transport's serving lanes — each owns a simulated
 //! core, so a lane's events are timestamped by one monotone cycle clock
 //! and need no cross-lane ordering. The dispatcher uses one extra lane
@@ -146,33 +145,6 @@ impl InstantKind {
     }
 }
 
-/// Lifecycle stage of an injected fault, mirroring the fault-plane
-/// ledger's transitions. The chaos suite's two-source check compares the
-/// per-stage counts against the ledger's roll-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultStage {
-    /// The fault fired (an instance opened in the ledger).
-    Fired,
-    /// The instance was rescinded — it never actually misbehaved.
-    Rescinded,
-    /// The system observed the fault.
-    Detected,
-    /// A recovery path resolved the fault.
-    Recovered,
-}
-
-impl FaultStage {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultStage::Fired => "fired",
-            FaultStage::Rescinded => "rescinded",
-            FaultStage::Detected => "detected",
-            FaultStage::Recovered => "recovered",
-        }
-    }
-}
-
 /// What an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -201,30 +173,14 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// One fault-plane transition on the global track.
-///
-/// Kept as its own (wider) record so lane [`Event`]s stay small: fault
-/// transitions are rare, call-path events are the hot ring traffic, and
-/// a `&'static str` payload in [`EventKind`] would double every lane
-/// event's footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Monotone sequence number (fault events have no lane clock).
-    pub seq: u64,
-    /// The lifecycle stage.
-    pub stage: FaultStage,
-    /// The fault point's stable name.
-    pub point: &'static str,
-}
-
 /// A fixed-capacity overwrite-oldest ring of events.
 ///
 /// The backing storage grows on demand up to `capacity` and is then
 /// reused forever; a push into a full ring overwrites the oldest event
 /// and counts it as dropped.
 #[derive(Debug)]
-pub struct EventRing<T = Event> {
-    buf: Vec<T>,
+pub struct EventRing {
+    buf: Vec<Event>,
     capacity: usize,
     /// Next overwrite slot once the ring is full — the oldest held
     /// event. Kept as an explicit wrapping index so the hot push never
@@ -234,7 +190,7 @@ pub struct EventRing<T = Event> {
     pushed: u64,
 }
 
-impl<T: Copy> EventRing<T> {
+impl EventRing {
     /// An empty ring bounded at `capacity` events.
     ///
     /// # Panics
@@ -252,7 +208,7 @@ impl<T: Copy> EventRing<T> {
 
     /// Appends `ev`, overwriting the oldest event when full.
     #[inline]
-    pub fn push(&mut self, ev: T) {
+    pub fn push(&mut self, ev: Event) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -286,7 +242,7 @@ impl<T: Copy> EventRing<T> {
     }
 
     /// The held events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &Event> {
         let start = if self.buf.len() < self.capacity {
             0
         } else {
@@ -296,36 +252,11 @@ impl<T: Copy> EventRing<T> {
     }
 }
 
-/// Per-stage fault-event totals, maintained as live counters so they
-/// survive ring overwrite (the two-source chaos check depends on that).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Fault instances fired.
-    pub fired: u64,
-    /// Instances rescinded (never actually misbehaved).
-    pub rescinded: u64,
-    /// Instances detected.
-    pub detected: u64,
-    /// Instances recovered.
-    pub recovered: u64,
-}
-
-impl FaultCounts {
-    /// Instances that really happened: fired minus rescinded — the
-    /// trace-side mirror of the ledger's `injected` total.
-    pub fn injected(&self) -> u64 {
-        self.fired - self.rescinded
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     enabled: Cell<bool>,
     capacity: usize,
     lanes: RefCell<Vec<EventRing>>,
-    global: RefCell<EventRing<FaultEvent>>,
-    fault_seq: Cell<u64>,
-    faults: Cell<FaultCounts>,
     /// Events removed by [`Recorder::take_lane_events`] and the drops
     /// they had already suffered — folded back into
     /// [`Recorder::recorded`] / [`Recorder::dropped`] so a chunked
@@ -333,14 +264,14 @@ struct Inner {
     drained_events: Cell<u64>,
     drained_dropped: Cell<u64>,
     /// Unused: holds `Inner` at the 272 bytes it had while it carried the
-    /// cycle sampler's state. Every transport boot allocates off
-    /// recorders, and glibc places what follows by their size: at 160
+    /// cycle sampler's state and the fault track. Every transport boot
+    /// allocates off recorders, and glibc places what follows by their size: at 160
     /// bytes the benchmark's first thread-local lands low in the heap,
     /// so glibc trims the heap after each SkyBridge transport drop and
     /// every later boot in the process re-faults ~230 pages (`xcall_sky`
     /// `setup_s` +29 %). EXPERIMENTS.md "Exact profile and profile diff"
     /// has the allocation trace.
-    _heap_layout: [u64; 14],
+    _heap_layout: [u64; 26],
 }
 
 /// The shared recorder handle every instrumented layer holds.
@@ -379,12 +310,9 @@ impl Recorder {
                 enabled: Cell::new(enabled),
                 capacity: capacity.max(1),
                 lanes: RefCell::new(Vec::new()),
-                global: RefCell::new(EventRing::new(capacity.max(1))),
-                fault_seq: Cell::new(0),
-                faults: Cell::new(FaultCounts::default()),
                 drained_events: Cell::new(0),
                 drained_dropped: Cell::new(0),
-                _heap_layout: [0; 14],
+                _heap_layout: [0; 26],
             }),
         }
     }
@@ -486,39 +414,6 @@ impl Recorder {
         let _ = (lane, kind, t, corr);
     }
 
-    /// Records a fault-plane transition on the global track. `point` is
-    /// the fault point's stable name; the timestamp is a monotone
-    /// sequence number (fault events have no lane clock).
-    pub fn fault(&self, point: &'static str, stage: FaultStage) {
-        #[cfg(feature = "trace")]
-        {
-            if !self.inner.enabled.get() {
-                return;
-            }
-            let mut c = self.inner.faults.get();
-            match stage {
-                FaultStage::Fired => c.fired += 1,
-                FaultStage::Rescinded => c.rescinded += 1,
-                FaultStage::Detected => c.detected += 1,
-                FaultStage::Recovered => c.recovered += 1,
-            }
-            self.inner.faults.set(c);
-            let seq = self.inner.fault_seq.get();
-            self.inner.fault_seq.set(seq + 1);
-            self.inner
-                .global
-                .borrow_mut()
-                .push(FaultEvent { seq, stage, point });
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (point, stage);
-    }
-
-    /// Live per-stage fault totals (immune to ring overwrite).
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.inner.faults.get()
-    }
-
     /// Drains every lane's event ring, returning the held events per
     /// lane (oldest first) — the chunked-capture primitive: harvest and
     /// fold into a [`PhaseProfile`](crate::phase::PhaseProfile) before
@@ -557,11 +452,6 @@ impl Recorder {
         }
     }
 
-    /// The global (fault) track's held events, oldest first.
-    pub fn global_events(&self) -> Vec<FaultEvent> {
-        self.inner.global.borrow().iter().copied().collect()
-    }
-
     /// Reads every lane, each clipped to its newest `budget` events,
     /// through the span pass ([`span_pass`]): returns the events read and
     /// the pass. Each lane's loss ahead of what was read is its own ring's
@@ -584,32 +474,25 @@ impl Recorder {
         (lanes, pass)
     }
 
-    /// Total events lost to ring overwrite, across every track
-    /// (including tracks already harvested by
+    /// Total events lost to ring overwrite, across every lane
+    /// (including lanes already harvested by
     /// [`Recorder::take_lane_events`]).
     pub fn dropped(&self) -> u64 {
         let lanes = self.inner.lanes.borrow();
-        lanes.iter().map(EventRing::dropped).sum::<u64>()
-            + self.inner.global.borrow().dropped()
-            + self.inner.drained_dropped.get()
+        lanes.iter().map(EventRing::dropped).sum::<u64>() + self.inner.drained_dropped.get()
     }
 
-    /// Total events ever recorded, across every track (including
+    /// Total events ever recorded, across every lane (including
     /// events already harvested by [`Recorder::take_lane_events`]).
     pub fn recorded(&self) -> u64 {
         let lanes = self.inner.lanes.borrow();
-        lanes.iter().map(EventRing::pushed).sum::<u64>()
-            + self.inner.global.borrow().pushed()
-            + self.inner.drained_events.get()
+        lanes.iter().map(EventRing::pushed).sum::<u64>() + self.inner.drained_events.get()
     }
 
-    /// Empties every track and zeroes the drop/fault accounting; the
+    /// Empties every lane and zeroes the drop accounting; the
     /// enabled flag is untouched.
     pub fn clear(&self) {
         self.inner.lanes.borrow_mut().clear();
-        *self.inner.global.borrow_mut() = EventRing::new(self.inner.capacity);
-        self.inner.fault_seq.set(0);
-        self.inner.faults.set(FaultCounts::default());
         self.inner.drained_events.set(0);
         self.inner.drained_dropped.set(0);
     }
@@ -633,7 +516,14 @@ mod tests {
         // assumes 24-byte lane events; growing Event silently would
         // inflate every ring's working set.
         assert!(std::mem::size_of::<Event>() <= 24);
-        assert!(std::mem::size_of::<FaultEvent>() <= 32);
+    }
+
+    /// `Inner` keeps the 272 bytes `_heap_layout` holds it at: a smaller
+    /// recorder allocation moves the benchmark's heap placement
+    /// (`xcall_sky` `setup_s`).
+    #[test]
+    fn the_recorder_allocation_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<Inner>(), 272);
     }
 
     #[test]
@@ -676,10 +566,8 @@ mod tests {
         r.end(0, SpanKind::Call, 20, 1);
         r.span(1, SpanKind::Handler, 5, 9, 2);
         r.instant(2, InstantKind::Retry, 7, 3);
-        r.fault("handler_panic", FaultStage::Fired);
         assert_eq!(r.lane_count(), 0, "no ring was ever created");
         assert_eq!(r.recorded(), 0);
-        assert_eq!(r.fault_counts(), FaultCounts::default());
     }
 
     #[cfg(feature = "trace")]
@@ -706,21 +594,6 @@ mod tests {
             EventKind::Complete(SpanKind::Marshal, 0),
             "a backwards end clamps to a zero-length span"
         );
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn fault_counts_survive_ring_overwrite() {
-        let r = Recorder::new(2);
-        for _ in 0..10 {
-            r.fault("torn_write", FaultStage::Fired);
-            r.fault("torn_write", FaultStage::Recovered);
-        }
-        assert_eq!(r.global_events().len(), 2, "ring holds only the newest");
-        assert!(r.dropped() > 0);
-        let c = r.fault_counts();
-        assert_eq!((c.fired, c.recovered), (10, 10), "counters never drop");
-        assert_eq!(c.injected(), 10);
     }
 
     #[cfg(feature = "trace")]

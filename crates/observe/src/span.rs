@@ -10,14 +10,15 @@
 
 use sb_sim::Cycles;
 
+use crate::json::Json;
 use crate::ring::{Event, EventKind, SpanKind};
 
 /// What a capture lost, counted once for every reader of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Loss {
     /// Events the rings overwrote before the read. Read from a
-    /// [`Recorder`](crate::Recorder), this is `Recorder::dropped`: every track, the
-    /// global fault track and lanes already harvested included.
+    /// [`Recorder`](crate::Recorder), this is `Recorder::dropped`: every lane,
+    /// lanes already harvested included.
     pub ring_dropped: u64,
     /// Held events a reader left out: a postmortem keeps each lane's
     /// newest events up to its budget.
@@ -36,6 +37,16 @@ impl Loss {
         self.unmatched += other.unmatched;
         self.unclosed += other.unclosed;
     }
+}
+
+/// `loss` as JSON, one key per field: the one rendering the Chrome
+/// export, the postmortem bundle and its receipt share.
+pub fn loss_json(loss: &Loss) -> Json {
+    Json::obj()
+        .field("ring_dropped", loss.ring_dropped)
+        .field("clipped", loss.clipped)
+        .field("unmatched", loss.unmatched)
+        .field("unclosed", loss.unclosed)
 }
 
 /// One closed span of a lane.

@@ -67,8 +67,6 @@ impl std::error::Error for VmfuncError {}
 /// The tiny hypervisor.
 #[derive(Debug)]
 pub struct Rootkernel {
-    /// Boot configuration.
-    pub config: RootkernelConfig,
     /// The huge-page identity EPT the Subkernel runs under.
     pub base_ept: Ept,
     /// Per-core VMCS.
@@ -113,7 +111,6 @@ impl Rootkernel {
         }
         machine.cpu_mut(0).advance(BOOT_CYCLES);
         Rootkernel {
-            config,
             base_ept,
             vmcs,
             exits: ExitStats::default(),

@@ -29,6 +29,8 @@ pub mod postmortem;
 pub mod slo;
 pub mod trace;
 
-pub use postmortem::{fault_row_json, BundleReceipt, PostmortemInput, PostmortemSpec, SCHEMA};
+pub use postmortem::{
+    fault_row_json, slo_json, BundleReceipt, PostmortemInput, PostmortemSpec, SCHEMA,
+};
 pub use slo::{SloHandle, SloHealth, SloSpec};
 pub use trace::{assemble, assemble_lanes, PathStep, RequestTrace, SpanNode, TraceForest};

@@ -6,10 +6,11 @@
 //! fault-plane ledger, and the SLO tracker's health — is snapshotted
 //! into one JSON file under `results/postmortem/`, each fact once. The
 //! bundle reads its lanes through the one span pass (`sb_observe::span`)
-//! and carries that pass's loss account: how many events each lane held,
-//! how many the per-lane budget kept, how many the rings had already
-//! overwritten, and the spans the clipped window cut in half — so a
-//! reader can never mistake a clipped capture for the whole story.
+//! and carries that pass's loss account once, rendered by
+//! `sb_observe::loss_json`: how many held events the per-lane budget
+//! clipped, how many the rings had already overwritten, and the spans
+//! the clipped window cut in half — so a reader can never mistake a
+//! clipped capture for the whole story.
 //!
 //! Bundles are [`Json`] values: rendered by its one writer, and read
 //! back by its parser ([`BundleReceipt::read_back`]) wherever a bundle's
@@ -20,16 +21,16 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use sb_faultplane::{FaultReport, FaultRow};
-use sb_observe::{Event, EventKind, Json, Loss, PhaseProfile, Recorder, SpanPass};
+use sb_observe::{loss_json, Event, EventKind, Json, Loss, PhaseProfile, Recorder, SpanPass};
 use sb_sim::Pmu;
 
 use crate::slo::SloHealth;
 
 /// Bundle schema identifier, bumped on incompatible layout changes.
-pub const SCHEMA: &str = "sb-postmortem-v2";
+pub const SCHEMA: &str = "sb-postmortem-v3";
 
 /// Newest events a written bundle keeps per lane; older held events are
-/// clipped and counted in the bundle's truncation block.
+/// clipped and counted in the bundle's `capture.loss`.
 const MAX_EVENTS_PER_LANE: usize = 512;
 
 /// Where bundles are written.
@@ -81,8 +82,8 @@ pub struct BundleReceipt {
 
 impl BundleReceipt {
     /// Reads the bundle back from disk and parses it: an `Err` unless it
-    /// is one JSON document of this [`SCHEMA`] whose truncation block
-    /// counts exactly the events this receipt does.
+    /// is one JSON document of this [`SCHEMA`] whose `capture` block
+    /// counts exactly the events and the loss this receipt does.
     pub fn read_back(&self) -> Result<Json, String> {
         let body = fs::read_to_string(&self.path).map_err(|e| e.to_string())?;
         let bundle = Json::parse(&body)?;
@@ -90,15 +91,15 @@ impl BundleReceipt {
         if schema != Some(SCHEMA) {
             return Err(format!("schema {schema:?}, not {SCHEMA}"));
         }
-        for (key, n) in [
-            ("included_events", self.included_events),
-            ("clipped_events", self.loss.clipped),
-            ("ring_dropped", self.loss.ring_dropped),
+        let capture = bundle.get("capture");
+        for (key, receipt) in [
+            ("included_events", Json::U64(self.included_events)),
+            ("loss", loss_json(&self.loss)),
         ] {
-            let held = bundle.get("truncation").and_then(|t| t.get(key));
-            if !matches!(held, Some(Json::U64(v)) if *v == n) {
+            let held = capture.and_then(|c| c.get(key)).map(Json::to_string);
+            if held.as_deref() != Some(receipt.to_string().as_str()) {
                 return Err(format!(
-                    "truncation.{key} is {held:?}, the receipt says {n}"
+                    "capture.{key} is {held:?}, the receipt says {receipt}"
                 ));
             }
         }
@@ -124,54 +125,29 @@ fn event_json(ev: &Event) -> Json {
     j
 }
 
-/// The rings block: each lane's held events (its newest `budget`, as
-/// the span pass read them) with its clip and overwrite counts, plus the
-/// global fault ring.
-fn rings_json(rec: &Recorder, held: &[Vec<Event>], pass: &SpanPass) -> Json {
-    let lanes = held
-        .iter()
-        .zip(&pass.lost)
-        .enumerate()
-        .map(|(lane, (events, lost))| {
-            Json::obj()
-                .field("lane", lane)
-                .field("available", events.len() as u64 + lost.clipped)
-                .field("included", events.len())
-                .field("clipped", lost.clipped)
-                .field("ring_dropped", lost.ring_dropped)
-                .field("events", Json::Arr(events.iter().map(event_json).collect()))
-        });
-    let global: Vec<Json> = rec
-        .global_events()
-        .iter()
-        .map(|f| {
-            Json::obj()
-                .field("seq", f.seq)
-                .field("stage", f.stage.name())
-                .field("point", f.point)
-        })
-        .collect();
-    Json::obj()
-        .field("lanes", Json::Arr(lanes.collect()))
-        .field("global", Json::Arr(global))
+/// The rings block: each lane's held events, its newest `budget`, as
+/// the span pass read them.
+fn rings_json(held: &[Vec<Event>]) -> Json {
+    let lanes = held.iter().enumerate().map(|(lane, events)| {
+        Json::obj()
+            .field("lane", lane)
+            .field("events", Json::Arr(events.iter().map(event_json).collect()))
+    });
+    Json::Arr(lanes.collect())
 }
 
 /// The exact profile of the events the bundle holds: their self-cycles
 /// folded by stack path (`call;handler`), so a bundle is enough to draw
 /// the flamegraph of the window that breached. A clipped or overwritten
 /// lane can open mid-span; the pass counts such spans as `unmatched` /
-/// `unclosed`, and they are charged nowhere.
+/// `unclosed` in the capture's loss, and they are charged nowhere.
 fn flamegraph_json(pass: &SpanPass) -> Json {
-    let prof = PhaseProfile::of(pass);
-    let folds = prof
+    let folds = PhaseProfile::of(pass)
         .stacks
         .into_iter()
         .map(|(path, cycles)| (path, Json::U64(cycles)))
         .collect();
-    Json::obj()
-        .field("folds", Json::Obj(folds))
-        .field("unmatched", prof.loss.unmatched)
-        .field("unclosed", prof.loss.unclosed)
+    Json::obj().field("folds", Json::Obj(folds))
 }
 
 fn pmu_json(p: &Pmu) -> Json {
@@ -215,7 +191,9 @@ fn faults_json(r: &FaultReport) -> Json {
         .field("leaked", r.leaked())
 }
 
-fn slo_json(h: &SloHealth) -> Json {
+/// SLO health: the renderer of a bundle's `slo` block and of the chaos
+/// results' rows alike.
+pub fn slo_json(h: &SloHealth) -> Json {
     Json::obj()
         .field("good", h.good)
         .field("bad", h.bad)
@@ -233,21 +211,20 @@ pub fn render(input: &PostmortemInput<'_>, max_events_per_lane: usize) -> (Strin
         Some(rec) => {
             let (held, pass) = rec.capture(max_events_per_lane);
             let included = held.iter().map(|lane| lane.len() as u64).sum();
-            let rings = rings_json(rec, &held, &pass);
+            let rings = rings_json(&held);
             (rings, flamegraph_json(&pass), included, pass.loss)
         }
         None => (Json::Null, Json::Null, 0, Loss::default()),
     };
-    let truncation = Json::obj()
+    let capture = Json::obj()
         .field("per_lane_budget", max_events_per_lane)
         .field("included_events", included)
-        .field("clipped_events", loss.clipped)
-        .field("ring_dropped", loss.ring_dropped);
+        .field("loss", loss_json(&loss));
     let bundle = Json::obj()
         .field("schema", SCHEMA)
         .field("reason", input.reason)
         .field("tag", input.tag)
-        .field("truncation", truncation)
+        .field("capture", capture)
         .field("rings", rings)
         .field("flamegraph", flamegraph)
         .field("run", input.run.cloned().unwrap_or(Json::Null))
@@ -366,10 +343,10 @@ mod tests {
             loss.ring_dropped, 0,
             "nothing was overwritten at capacity 256"
         );
+        assert_eq!(num(&bundle, &["capture", "loss", "clipped"]), 60.0);
         // The newest events are the ones kept.
-        assert_eq!(num(&bundle, &["rings", "lanes", "0", "clipped"]), 60.0);
         assert_eq!(
-            num(&bundle, &["rings", "lanes", "0", "events", "39", "t"]),
+            num(&bundle, &["rings", "0", "events", "39", "t"]),
             990.0,
             "lane 0's final span survives"
         );
@@ -436,18 +413,21 @@ mod tests {
             (&["schema"][..], SCHEMA),
             (&["reason"], "slo_breach"),
             (&["tag"], "full"),
-            (&["rings", "lanes", "0", "events", "0", "ev"], "complete"),
-            (&["rings", "lanes", "0", "events", "0", "kind"], "call"),
+            (&["rings", "0", "events", "0", "ev"], "complete"),
+            (&["rings", "0", "events", "0", "kind"], "call"),
         ] {
             assert_eq!(at(&b, path).as_str(), Some(text), "{path:?}");
         }
         for (path, n) in [
-            (&["truncation", "per_lane_budget"][..], 16.0),
-            (&["truncation", "included_events"], 1.0),
-            (&["truncation", "clipped_events"], 0.0),
-            (&["rings", "lanes", "0", "events", "0", "t"], 0.0),
-            (&["rings", "lanes", "0", "events", "0", "corr"], 1.0),
-            (&["rings", "lanes", "0", "events", "0", "dur"], 100.0),
+            (&["capture", "per_lane_budget"][..], 16.0),
+            (&["capture", "included_events"], 1.0),
+            (&["capture", "loss", "ring_dropped"], 0.0),
+            (&["capture", "loss", "clipped"], 0.0),
+            (&["capture", "loss", "unmatched"], 0.0),
+            (&["capture", "loss", "unclosed"], 0.0),
+            (&["rings", "0", "events", "0", "t"], 0.0),
+            (&["rings", "0", "events", "0", "corr"], 1.0),
+            (&["rings", "0", "events", "0", "dur"], 100.0),
             (&["run", "offered"], 3.0),
             (&["run", "latency_p99"], 250.0),
             (&["pmu", "vmfuncs"], 7.0),
@@ -530,9 +510,23 @@ mod tests {
         assert!(receipt.path.ends_with("seed_0x1_evil.json"));
         let bundle = receipt.read_back().expect("valid on disk");
         assert_eq!(at(&bundle, &["tag"]).as_str(), Some("seed 0x1/evil"));
-        receipt.loss.ring_dropped += 1;
+        // Every loss field is held to the receipt, not only the two a
+        // clip and an overwrite set.
+        let fields: [fn(&mut Loss) -> &mut u64; 4] = [
+            |l| &mut l.ring_dropped,
+            |l| &mut l.clipped,
+            |l| &mut l.unmatched,
+            |l| &mut l.unclosed,
+        ];
+        for field in fields {
+            let mut wrong = receipt.clone();
+            *field(&mut wrong.loss) += 1;
+            let e = wrong.read_back().unwrap_err();
+            assert!(e.contains("capture.loss"), "{e}");
+        }
+        receipt.included_events += 1;
         let e = receipt.read_back().unwrap_err();
-        assert!(e.contains("truncation.ring_dropped"), "{e}");
+        assert!(e.contains("capture.included_events"), "{e}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

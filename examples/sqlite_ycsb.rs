@@ -1,33 +1,33 @@
 //! The §6.5 application stack: minidb (SQLite substitute) over the xv6fs
-//! server over the RAM-disk server, driven by YCSB-A — with real SQL.
+//! server over the RAM-disk server, driven by YCSB-A.
 //!
 //! ```text
 //! cargo run --release --example sqlite_ycsb
 //! ```
 
-use sb_db::{sql, Database};
+use sb_db::{Database, Value};
 use sb_fs::{FileSystem, RamDisk};
 use sb_microkernel::Personality;
 use skybridge_repro::scenarios::sqlite::{SqliteStack, StackMode};
 
 fn main() {
-    // Part 1: minidb speaks SQL, standalone (no simulation), to show the
-    // database substrate is a real engine.
-    println!("--- minidb SQL session (standalone) ---");
+    // Part 1: minidb standalone (no simulation), to show the database
+    // substrate is a real engine: Table 4's four operations on one table.
+    println!("--- minidb session (standalone) ---");
     let fs = FileSystem::mkfs(RamDisk::new(8192), 64);
     let mut db = Database::open(fs, "/d.db", 64).unwrap();
-    for stmt in [
-        "CREATE TABLE usertable",
-        "INSERT INTO usertable VALUES (1, 'alice', 31)",
-        "INSERT INTO usertable VALUES (2, 'bob', 44)",
-        "UPDATE usertable SET ('robert', 45) WHERE key = 2",
-        "DELETE FROM usertable WHERE key = 1",
-    ] {
-        sql::execute(&mut db, stmt).unwrap();
-        println!("  ok: {stmt}");
-    }
-    let rows = sql::execute(&mut db, "SELECT * FROM usertable").unwrap();
-    println!("  SELECT * FROM usertable -> {rows:?}");
+    let person = |name: &str, age| vec![Value::Text(name.into()), Value::Int(age)];
+    db.create_table("usertable").unwrap();
+    println!("  ok: create table usertable");
+    db.insert("usertable", 1, &person("alice", 31)).unwrap();
+    db.insert("usertable", 2, &person("bob", 44)).unwrap();
+    println!("  ok: insert rows 1 and 2");
+    db.update("usertable", 2, &person("robert", 45)).unwrap();
+    println!("  ok: update row 2");
+    db.delete("usertable", 1).unwrap();
+    println!("  ok: delete row 1");
+    let rows = db.scan("usertable").unwrap();
+    println!("  scan usertable -> {rows:?}");
 
     // Part 2: the same engine on the simulated three-process stack,
     // YCSB-A, comparing the transports.

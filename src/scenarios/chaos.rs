@@ -22,9 +22,9 @@
 //! torn writes, power loss) and checks the committed-prefix property
 //! across the remount.
 
-use sb_faultplane::{FaultHandle, FaultMix, FaultObserver, FaultPoint, FaultReport, FaultStage};
+use sb_faultplane::{FaultHandle, FaultMix, FaultPoint, FaultReport};
 use sb_fs::{log::Log, BlockDevice, FaultyDisk, RamDisk, BSIZE};
-use sb_observe::{FaultCounts, Recorder, DEFAULT_RING_CAPACITY};
+use sb_observe::{Recorder, DEFAULT_RING_CAPACITY};
 use sb_runtime::{
     run_stats_json, Faulty, PoissonArrivals, RetryPolicy, RingConfig, RingTransport, RunStats,
     RuntimeConfig, ServiceSpec, SkyBridgeTransport, Transport,
@@ -92,13 +92,9 @@ pub fn drill_mix() -> FaultMix {
 pub struct ChaosOutcome {
     /// The run's dispatcher statistics.
     pub stats: RunStats,
-    /// The fault ledger roll-up. The suite asserts `report.leaked() == 0`.
+    /// The fault ledger roll-up, the one record of the cell's faults. The
+    /// suite asserts `report.leaked() == 0`.
     pub report: FaultReport,
-    /// The trace-side fault counters: every ledger transition is
-    /// mirrored into the cell's recorder through the observer bridge, so
-    /// these must agree with [`ChaosOutcome::report`] exactly — the
-    /// two-source zero-leak check.
-    pub trace: FaultCounts,
     /// Online SLO health over the cell, evaluated in the dispatcher
     /// against [`chaos_slo`].
     pub slo: sb_sentinel::SloHealth,
@@ -113,16 +109,6 @@ impl ChaosOutcome {
     /// outcome.
     pub fn conserved(&self) -> bool {
         self.stats.conserved()
-    }
-
-    /// The two-source check: the trace stream's fault counters must
-    /// equal the ledger roll-up stage by stage. The ledger and the
-    /// recorder count independently (flag flips vs observer events), so
-    /// agreement means no transition was dropped by either side.
-    pub fn trace_matches_ledger(&self) -> bool {
-        self.trace.injected() == self.report.injected()
-            && self.trace.detected == self.report.detected()
-            && self.trace.recovered == self.report.recovered()
     }
 }
 
@@ -189,25 +175,9 @@ fn chaos_cell(
     };
     let faults = FaultHandle::new(seed, mix.clone());
 
-    // The cell runs with tracing on: phase spans from the transport,
-    // queue events from the dispatcher, and — through the observer
-    // bridge — one trace event per ledger transition, counted
-    // independently of the ledger for the two-source check.
+    // The cell runs with tracing on: phase spans from the transport and
+    // queue events from the dispatcher, for the flight recorder's bundle.
     let recorder = Recorder::new(DEFAULT_RING_CAPACITY);
-    {
-        let rec = recorder.clone();
-        faults.set_observer(FaultObserver::new(move |point, stage| {
-            rec.fault(
-                point.name(),
-                match stage {
-                    FaultStage::Fired => sb_observe::FaultStage::Fired,
-                    FaultStage::Rescinded => sb_observe::FaultStage::Rescinded,
-                    FaultStage::Detected => sb_observe::FaultStage::Detected,
-                    FaultStage::Recovered => sb_observe::FaultStage::Recovered,
-                },
-            );
-        }));
-    }
 
     // Transports inject from the shared plane — the SkyBridge transport
     // from inside the facility, the trap transports through the
@@ -302,7 +272,6 @@ fn chaos_cell(
     ChaosOutcome {
         stats,
         report,
-        trace: recorder.fault_counts(),
         slo: health,
         postmortem: bundle,
     }
@@ -527,7 +496,6 @@ mod tests {
         let out = ChaosOutcome {
             stats,
             report: FaultReport::default(),
-            trace: FaultCounts::default(),
             slo: sb_sentinel::SloHealth::default(),
             postmortem: None,
         };
@@ -546,12 +514,6 @@ mod tests {
         );
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
-        assert!(
-            out.trace_matches_ledger(),
-            "trace {:?} disagrees with ledger {}",
-            out.trace,
-            out.report
-        );
         assert!(out.stats.completed > 0);
     }
 
@@ -567,12 +529,6 @@ mod tests {
         );
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
-        assert!(
-            out.trace_matches_ledger(),
-            "trace {:?} disagrees with ledger {}",
-            out.trace,
-            out.report
-        );
         assert!(out.stats.completed > 0);
     }
 
@@ -593,12 +549,6 @@ mod tests {
         );
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
-        assert!(
-            out.trace_matches_ledger(),
-            "trace {:?} disagrees with ledger {}",
-            out.trace,
-            out.report
-        );
         assert!(out.stats.completed > 0);
     }
 
@@ -629,7 +579,7 @@ mod tests {
         let receipt = out
             .postmortem
             .expect("an unrecovered fault must trip the flight recorder");
-        // The bundle parses, carries the schema, and its truncation block
+        // The bundle parses, carries the schema, and its capture block
         // agrees with the receipt to the event.
         let bundle = receipt.read_back().expect("bundle is schema-clean");
         assert_eq!(

@@ -39,12 +39,6 @@ fn chaos_matrix_conserves_and_leaks_nothing() {
                     out.report
                 );
                 assert!(
-                    out.trace_matches_ledger(),
-                    "{label}: trace counters {:?} disagree with the ledger {}",
-                    out.trace,
-                    out.report
-                );
-                assert!(
                     out.stats.completed > 0,
                     "{label}: the run must still make progress"
                 );
@@ -134,12 +128,6 @@ fn ring_chaos_matrix_conserves_and_leaks_nothing() {
                     out.report.detected(),
                     out.report.injected(),
                     "{label}: every injected fault must be observed: {}",
-                    out.report
-                );
-                assert!(
-                    out.trace_matches_ledger(),
-                    "{label}: trace counters {:?} disagree with the ledger {}",
-                    out.trace,
                     out.report
                 );
                 assert!(

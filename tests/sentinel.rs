@@ -163,7 +163,7 @@ fn wrapped_rings_report_loss_exactly_and_never_fabricate() {
 
 /// The flight recorder end-to-end: a drill that leaks a fault on
 /// purpose must produce a self-contained bundle that parses, carries
-/// the schema tag, and accounts for truncation with the exact counts
+/// the schema tag, and accounts for its capture with the exact counts
 /// the receipt reported.
 #[test]
 fn drill_incident_produces_a_schema_clean_bundle() {
@@ -177,7 +177,7 @@ fn drill_incident_produces_a_schema_clean_bundle() {
         "the drill must leave a fault stuck"
     );
     let receipt = out.postmortem.expect("an incident must write a bundle");
-    // `read_back` holds the schema and the truncation block to the receipt.
+    // `read_back` holds the schema and the capture block to the receipt.
     let bundle = receipt.read_back().expect("bundle reads back");
     assert_eq!(
         bundle.get("reason").and_then(Json::as_str),
@@ -208,9 +208,7 @@ fn bundles_carry_flamegraphs() {
     let (body, ..) = render(&input, 512);
     Json::parse(&body).expect("bundle must be valid JSON");
     assert!(
-        body.contains(
-            "\"flamegraph\":{\"folds\":{\"call\":50,\"call;handler\":40},\"unmatched\":0,\"unclosed\":0}"
-        ),
+        body.contains("\"flamegraph\":{\"folds\":{\"call\":50,\"call;handler\":40}}"),
         "the flamegraph charges each frame its self-cycles: {body}"
     );
 
