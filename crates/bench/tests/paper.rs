@@ -21,22 +21,30 @@ fn experiments_artefacts_and_write_ups_are_in_bijection() {
     let table: BTreeSet<&str> = ENTRIES.iter().map(Entry::name).collect();
     assert_eq!(table.len(), ENTRIES.len(), "a name is listed twice");
 
-    // One writer per file: its entry, or the bin for the ledger.
+    // One writer per file: its entry, the bin for the ledger, or a
+    // golden (`tests/<golden>.rs`) for its pins.
     let mut written = vec!["fidelity.json".to_string()];
     written.extend(ENTRIES.iter().flat_map(Entry::files));
+    let tests = fs::read_dir(root.join("tests")).expect("tests/");
+    written.extend(tests.filter_map(|e| {
+        let name = e.expect("entry").file_name().to_string_lossy().into_owned();
+        let golden = name.strip_suffix("_golden.rs")?;
+        Some(format!("pins/{golden}_golden.json"))
+    }));
     let files: BTreeSet<&String> = written.iter().collect();
     assert_eq!(files.len(), written.len(), "written twice: {written:?}");
 
     // Every committed file but the host clock's trajectory, the
     // hand-picked Perfetto sample and the untracked bundle and trace
-    // subtrees; a directory other than `flamegraphs/` counts as a file.
+    // subtrees; a directory other than `flamegraphs/` and `pins/` counts
+    // as a file.
     let results = root.join("results");
     let ls = |dir: &'static str| {
         let entries = fs::read_dir(results.join(dir)).expect("results/");
         entries.map(move |e| format!("{dir}{}", e.expect("entry").file_name().to_string_lossy()))
     };
-    let skipped = "BENCH_history.jsonl sample_trace.json postmortem traces flamegraphs";
-    let committed: BTreeSet<String> = (ls("").chain(ls("flamegraphs/")))
+    let skipped = "BENCH_history.jsonl sample_trace.json postmortem traces flamegraphs pins";
+    let committed: BTreeSet<String> = (ls("").chain(ls("flamegraphs/")).chain(ls("pins/")))
         .filter(|f| !skipped.split(' ').any(|s| s == f))
         .collect();
     assert_eq!(

@@ -616,6 +616,70 @@ fn one_serving_workload() {
     );
 }
 
+/// The integer literals of `text` wide enough to be a pin: above
+/// `u32::MAX` (every digest), or six or more significant decimal digits
+/// (a clock or a count; trailing zeros do not count, so `1_000_000` is a
+/// size). Floats, and a number inside an identifier, are not literals.
+fn pin_sized_literals(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !bytes[i].is_ascii_digit() || (i > 0 && word(bytes[i - 1])) {
+            i += 1;
+            continue;
+        }
+        let end = i + bytes[i..].iter().take_while(|&&b| word(b)).count();
+        let token = &text[i..end];
+        let float =
+            bytes.get(end) == Some(&b'.') && bytes.get(end + 1).is_some_and(u8::is_ascii_digit);
+        i = end;
+        let digits: String = token.chars().filter(|&c| c != '_').collect();
+        let digits = ["u64", "u32", "u16", "u8", "usize", "i64", "i32"]
+            .iter()
+            .find_map(|s| digits.strip_suffix(s))
+            .unwrap_or(&digits);
+        let (hex, value) = match digits.strip_prefix("0x") {
+            Some(hex) => (true, u128::from_str_radix(hex, 16)),
+            None => (false, digits.parse::<u128>()),
+        };
+        let Ok(value) = value else { continue };
+        let significant = digits.trim_end_matches('0').len();
+        if !float && (value > u32::MAX as u128 || (!hex && significant >= 6)) {
+            out.push(token);
+        }
+    }
+    out
+}
+
+/// No golden expected value lives in a `.rs` file: the goldens' pins are
+/// rows of `results/pins/`, re-captured with every other results file by
+/// `tools/regen_results.sh`. A pin-sized literal in `tests/*_golden.rs`
+/// fails here; the constants of the goldens' hashes and stream live in
+/// `tests/support/`.
+#[test]
+fn no_golden_pins_a_value_in_its_source() {
+    let tests = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
+    let mut goldens = 0;
+    let mut found = Vec::new();
+    for (path, text) in sources(&tests) {
+        let name = path.file_name().expect("file").to_string_lossy();
+        if name.ends_with("_golden.rs") {
+            goldens += 1;
+            for literal in pin_sized_literals(&text) {
+                found.push(format!("{name}: {literal}"));
+            }
+        }
+    }
+    assert_eq!(goldens, 4, "the four goldens");
+    assert!(
+        found.is_empty(),
+        "pin-sized literals in the goldens (move them to results/pins/):\n{}",
+        found.join("\n")
+    );
+}
+
 /// One SkyBridge crossing: the direct call and the batched ring crossing
 /// are built from the same private steps, so each fault injection, the
 /// return trampoline's fetch and the handler's dispatch appear once in

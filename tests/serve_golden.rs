@@ -7,17 +7,13 @@
 //! budget, ring at budget 1} × three traffic shapes it runs a few hundred
 //! seeded requests and folds everything the run reports into one digest:
 //! every `RunStats` field and tenant row, the fabric's action log, the
-//! fault ledger and the recorder's events. The constants were captured
-//! on the commit before the two dispatchers became one loop. A diff here
-//! means a serving schedule moved: either a modelled mechanism really
-//! changed (re-capture, and say why in the PR), or a refactor is wrong.
-//!
-//! Re-captured once: PR 23 moved SkyBridge's function-list page off
-//! d-TLB page colour 0 (`layout::SERVER_LIST_BASE`, DESIGN.md §9), so a
-//! SkyBridge call got cheaper and every start time after the first
-//! moved with it: the nine `skybridge` cells are PR 23's. The other 36
-//! (three trap kernels, MPK — none maps that page) are the original
-//! capture.
+//! fault ledger and the recorder's events. Each of the 45 digests is a
+//! row of `results/pins/serve_golden.json`, first captured before the two
+//! dispatchers became one loop. A moved row means a serving schedule
+//! moved: either a modelled mechanism really changed (re-capture, and say
+//! why in the change), or a refactor is wrong.
+
+mod support;
 
 use sb_faultplane::{FaultHandle, FaultMix, FaultPoint};
 use sb_runtime::{
@@ -29,6 +25,7 @@ use sb_sim::Cycles;
 use skybridge_repro::scenarios::runtime::{
     build_backend, request_factory, workload, Backend, PAYLOAD,
 };
+use support::{pins, Fold};
 
 const LANES: usize = 2;
 const REQUESTS: usize = 400;
@@ -55,58 +52,50 @@ enum Traffic {
 const MODES: [Mode; 3] = [Mode::Direct, Mode::Ring(8), Mode::Ring(1)];
 const TRAFFIC: [Traffic; 3] = [Traffic::Poisson, Traffic::Tenants, Traffic::Chaos];
 
-/// Order-sensitive fold of a `u64` stream.
-struct Digest(u64);
-
-impl Digest {
-    fn put(&mut self, v: u64) {
-        self.0 = ((self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15)).rotate_left(29);
+/// Folds every field of `s` into `d`.
+fn fold_stats(d: &mut Fold, s: &RunStats) {
+    for v in [
+        s.workers as u64,
+        s.offered,
+        s.completed,
+        s.shed_queue_full,
+        s.shed_deadline,
+        s.shed_rate_limit,
+        s.timed_out,
+        s.failed,
+        s.retries,
+        s.recoveries,
+        s.bytes_copied,
+        s.start,
+        s.end,
+        s.max_queue_depth as u64,
+        s.latencies.len() as u64,
+        s.p50(),
+        s.p95(),
+        s.p99(),
+        s.mean().to_bits(),
+    ] {
+        d.put(v);
     }
-
-    fn stats(&mut self, s: &RunStats) {
+    for &b in &s.busy {
+        d.put(b);
+    }
+    for (&id, t) in &s.tenants {
         for v in [
-            s.workers as u64,
-            s.offered,
-            s.completed,
-            s.shed_queue_full,
-            s.shed_deadline,
-            s.shed_rate_limit,
-            s.timed_out,
-            s.failed,
-            s.retries,
-            s.recoveries,
-            s.bytes_copied,
-            s.start,
-            s.end,
-            s.max_queue_depth as u64,
-            s.latencies.len() as u64,
-            s.p50(),
-            s.p95(),
-            s.p99(),
-            s.mean().to_bits(),
+            id as u64,
+            t.offered,
+            t.completed,
+            t.shed_queue_full,
+            t.shed_deadline,
+            t.shed_rate_limit,
+            t.timed_out,
+            t.failed,
+            t.percentile(50.0),
+            t.percentile(95.0),
+            t.p99(),
+            t.latencies.mean().to_bits(),
         ] {
-            self.put(v);
-        }
-        for &b in &s.busy {
-            self.put(b);
-        }
-        for (&id, t) in &s.tenants {
-            for v in [
-                id as u64,
-                t.offered,
-                t.completed,
-                t.shed_queue_full,
-                t.shed_deadline,
-                t.shed_rate_limit,
-                t.timed_out,
-                t.failed,
-                t.percentile(50.0),
-                t.percentile(95.0),
-                t.p99(),
-                t.latencies.mean().to_bits(),
-            ] {
-                self.put(v);
-            }
+            d.put(v);
         }
     }
 }
@@ -194,8 +183,8 @@ fn serve<T: Transport>(
     }
 }
 
-/// The digest of one cell, plus a one-line summary for failure output.
-fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
+/// The digest of one cell.
+fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> u64 {
     let mut inner = build_backend(backend, LANES);
     let mut calib = request_factory();
     let service = calibrate(inner.as_mut(), &mut calib);
@@ -205,7 +194,7 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
         recorder: recorder.clone(),
         ..RuntimeConfig::default()
     };
-    let mut d = Digest(0);
+    let mut d = Fold::default();
     let (stats, actions) = match traffic {
         Traffic::Poisson => {
             let cfg = RuntimeConfig {
@@ -272,7 +261,7 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
             (s, a)
         }
     };
-    d.stats(&stats);
+    fold_stats(&mut d, &stats);
     d.put(actions as u64);
     d.put(recorder.recorded());
     for lane in 0..recorder.lane_count() {
@@ -281,152 +270,19 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> (u64, String) {
             d.put(e.corr);
         }
     }
-    let summary = format!(
-        "offered {} completed {} shed {}/{}/{} timed_out {} failed {} retries {} recoveries {} \
-         end {} depth {} p50 {} p99 {} actions {} events {}",
-        stats.offered,
-        stats.completed,
-        stats.shed_queue_full,
-        stats.shed_deadline,
-        stats.shed_rate_limit,
-        stats.timed_out,
-        stats.failed,
-        stats.retries,
-        stats.recoveries,
-        stats.end,
-        stats.max_queue_depth,
-        stats.p50(),
-        stats.p99(),
-        actions,
-        recorder.recorded(),
-    );
-    (d.0, summary)
+    d.0
 }
-
-/// `GOLDEN[personality][mode][traffic]`, in `Backend::all()`, [`MODES`]
-/// and [`TRAFFIC`] order.
-const GOLDEN: [[[u64; 3]; 3]; 5] = [
-    // seL4
-    [
-        [
-            0xd4ab_c9ca_9e2e_1801,
-            0xee89_ae2c_98aa_1cba,
-            0xebe4_fb7d_f63d_47e1,
-        ],
-        [
-            0x94e1_9954_c011_c540,
-            0xcc67_cfc8_c49d_95de,
-            0x6611_b896_f4ac_eb75,
-        ],
-        [
-            0x062b_05ef_b2d9_56cf,
-            0xc330_bfcf_990d_edad,
-            0x8bb1_f9d4_06db_fd38,
-        ],
-    ],
-    // Fiasco.OC
-    [
-        [
-            0xdf8f_0e97_51b2_d549,
-            0x7983_8744_589a_7d4a,
-            0x840d_8577_ba8b_450e,
-        ],
-        [
-            0x0a7a_5733_826c_8713,
-            0xea47_565a_d471_9ccd,
-            0xfea3_fd4f_050c_616f,
-        ],
-        [
-            0x9237_d784_5443_021f,
-            0x0e63_3657_48e9_e4a1,
-            0x9527_9257_8510_ff60,
-        ],
-    ],
-    // Zircon
-    [
-        [
-            0x421f_f1de_4bbd_3972,
-            0x46c4_6a66_7acc_61bb,
-            0x3e77_72f2_f111_bd79,
-        ],
-        [
-            0xf0d6_8784_3cea_5a2e,
-            0x8073_d3d2_8c03_cc9d,
-            0x8a2e_bc4b_7490_a86d,
-        ],
-        [
-            0xd25e_f11e_067c_f7b4,
-            0x03e5_bdf2_6c9a_865f,
-            0x7018_685e_10e3_4250,
-        ],
-    ],
-    // skybridge (PR 23's layout)
-    [
-        [
-            0xfd18_3633_1068_69d9,
-            0x9737_0c0d_3f56_6d9d,
-            0x4615_3744_49b3_3980,
-        ],
-        [
-            0x39d9_5d54_1343_ec90,
-            0x5e8c_0a33_59e0_346c,
-            0x44b8_9dd0_1891_0d9a,
-        ],
-        [
-            0x7689_942f_e3c5_5a3a,
-            0x6819_97c2_01a4_244f,
-            0x8465_aedb_1758_2ce4,
-        ],
-    ],
-    // mpk
-    [
-        [
-            0xa93f_dba8_05e5_e712,
-            0x5a7e_8cb7_0d9f_a05c,
-            0x8e9b_ce71_8eb1_c003,
-        ],
-        [
-            0xdd3a_7c69_731a_380c,
-            0xf0b3_2c74_0068_dae5,
-            0x6b9f_4e9e_ddc3_0d39,
-        ],
-        [
-            0x56fe_21b3_006d_1e4a,
-            0x72f0_46f1_9e12_f7ad,
-            0x9cd8_0415_fd9c_b9e3,
-        ],
-    ],
-];
 
 #[test]
 fn every_serving_cell_matches_its_golden_schedule() {
-    let backends = Backend::all();
-    assert_eq!(
-        backends.len(),
-        GOLDEN.len(),
-        "one golden row per personality"
-    );
-    let mut got = [[[0u64; 3]; 3]; 5];
-    let mut moved = Vec::new();
-    for (b, backend) in backends.iter().enumerate() {
-        for (m, &mode) in MODES.iter().enumerate() {
-            for (x, &traffic) in TRAFFIC.iter().enumerate() {
-                let (digest, summary) = run_cell(backend, mode, traffic);
-                got[b][m][x] = digest;
-                if digest != GOLDEN[b][m][x] {
-                    moved.push(format!(
-                        "{} {mode:?} {traffic:?}: {digest:#018x} != {:#018x}\n    {summary}",
-                        backend.label(),
-                        GOLDEN[b][m][x]
-                    ));
-                }
+    let mut rows = Vec::new();
+    for backend in Backend::all() {
+        for mode in MODES {
+            for traffic in TRAFFIC {
+                let case = format!("{} {mode:?} {traffic:?}", backend.label());
+                rows.push((case, run_cell(&backend, mode, traffic)));
             }
         }
     }
-    assert!(
-        moved.is_empty(),
-        "{} serving schedules moved:\n{}\nmeasured table:\n{got:#018x?}",
-        moved.len(),
-        moved.join("\n")
-    );
+    pins::check(rows);
 }

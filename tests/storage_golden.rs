@@ -19,44 +19,28 @@
 //! * a digest of the final disk image and of the table's logical content,
 //! * `DbStats`, file-system commits, log absorptions and raw disk I/O
 //!
-//! against constants captured before the host side of the storage path
-//! was rebuilt (slot-array log, frame-slab pager, in-page B-tree search).
-//! A diff here means the storage stack's externally billed behaviour
-//! moved: either a modelled mechanism really changed (re-capture, and say
-//! why in the PR), or a host optimisation is wrong.
+//! against the rows of `results/pins/storage_golden.json`, 17 a pager
+//! size, first captured before the host side of the storage path was
+//! rebuilt (slot-array log, frame-slab pager, in-page B-tree search). A
+//! moved row means the storage stack's externally billed behaviour moved:
+//! either a modelled mechanism really changed (re-capture, and say why in
+//! the change), or a host optimisation is wrong.
 
-use sb_db::{Database, DbError, DbStats, Value};
+mod support;
+
+use sb_db::{Database, DbError, Value};
 use sb_fs::{BlockDevice, FileApi, FileSystem, FsError, Inum, RamDisk, BSIZE};
+use support::{pins, Fnv, SplitMix64};
 
 const OPS: u64 = 2048;
 const DISK_BLOCKS: u32 = 8192;
 /// `FileSystem::mkfs` puts the log header here; asserted below.
 const LOG_HEADER: u32 = 2;
 
-/// FNV-1a, kept local so the golden depends on no crate's hash.
-#[derive(Debug, Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 /// Forwards every trait call to `inner`, folding it into a running digest.
 struct Recording<T> {
     inner: T,
-    digest: Digest,
+    digest: Fnv,
     calls: u64,
 }
 
@@ -64,7 +48,7 @@ impl<T> Recording<T> {
     fn new(inner: T) -> Self {
         Recording {
             inner,
-            digest: Digest::new(),
+            digest: Fnv::new(),
             calls: 0,
         }
     }
@@ -133,25 +117,7 @@ impl<F: FileApi> FileApi for Recording<F> {
     }
 }
 
-/// Everything the run pins.
-#[derive(Debug, PartialEq, Eq)]
-struct Trace {
-    file_calls: u64,
-    file_digest: u64,
-    block_calls: u64,
-    block_digest: u64,
-    image_digest: u64,
-    rows_digest: u64,
-    /// ok, duplicate-key, key-not-found outcomes over the mix.
-    outcomes: [u64; 3],
-    db: DbStats,
-    fs_commits: u64,
-    log_absorbed: u64,
-    disk_reads: u64,
-    disk_writes: u64,
-}
-
-fn row_digest(d: &mut Digest, key: i64, row: &[Value]) {
+fn row_digest(d: &mut Fnv, key: i64, row: &[Value]) {
     d.word(key as u64);
     for v in row {
         match v {
@@ -163,27 +129,20 @@ fn row_digest(d: &mut Digest, key: i64, row: &[Value]) {
     }
 }
 
-/// Runs the mix with a pager of `cache_pages` frames.
-fn run_mix(cache_pages: usize) -> Trace {
+/// Runs the mix with a pager of `cache_pages` frames and returns every
+/// pinned figure of the run, by name.
+fn run_mix(cache_pages: usize) -> Vec<(&'static str, u64)> {
     let fs = FileSystem::mkfs(Recording::new(RamDisk::new(DISK_BLOCKS)), 16);
     assert_eq!(fs.superblock().logstart, LOG_HEADER);
     let mut db = Database::open(Recording::new(fs), "/g.db", cache_pages).expect("open");
     db.create_table("t").expect("create table");
 
-    // SplitMix64: the stream is part of the golden and must not depend on
-    // any crate's generator.
-    let mut state = 0x5eed_0000_0000_0d15u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::seeded(0xd15);
+    let mut next = move || rng.draw();
 
     let mut live: Vec<i64> = Vec::new();
     let mut outcomes = [0u64; 3];
-    let mut rows = Digest::new();
+    let mut rows = Fnv::new();
     for i in 0..OPS {
         let r = next();
         // Seven in eight rows are near the leaf limit, so leaves split
@@ -253,97 +212,72 @@ fn run_mix(cache_pages: usize) -> Trace {
     let fs = file.inner;
     let (fs_commits, log_absorbed) = (fs.commits(), fs.absorbed());
     let disk = fs.into_device();
-    let mut image = Digest::new();
+    let mut image = Fnv::new();
     let mut ram = disk.inner;
     let (disk_reads, disk_writes) = (ram.reads, ram.writes);
     for bno in 0..DISK_BLOCKS {
         image.bytes(ram.read_block(bno));
     }
-    Trace {
-        file_calls: file.calls,
-        file_digest: file.digest.0,
-        block_calls: disk.calls,
-        block_digest: disk.digest.0,
-        image_digest: image.0,
-        rows_digest: rows.0,
-        outcomes,
-        db: stats,
-        fs_commits,
-        log_absorbed,
-        disk_reads,
-        disk_writes,
-    }
+    let [ok, duplicate_key, key_not_found] = outcomes;
+    vec![
+        ("file_calls", file.calls),
+        ("file_digest", file.digest.0),
+        ("block_calls", disk.calls),
+        ("block_digest", disk.digest.0),
+        ("image_digest", image.0),
+        ("rows_digest", rows.0),
+        ("ok", ok),
+        ("duplicate_key", duplicate_key),
+        ("key_not_found", key_not_found),
+        ("cache_hits", stats.cache_hits),
+        ("cache_misses", stats.cache_misses),
+        ("writebacks", stats.writebacks),
+        ("db_commits", stats.commits),
+        ("fs_commits", fs_commits),
+        ("log_absorbed", log_absorbed),
+        ("disk_reads", disk_reads),
+        ("disk_writes", disk_writes),
+    ]
 }
 
-/// Captured on the commit before the storage path's host structures were
-/// rebuilt. A two-frame pager evicts dirty pages mid-transaction (the
+/// Pins the run at `cache_pages` frames as `<cache_pages> frames <name>`
+/// rows. A two-frame pager evicts dirty pages mid-transaction (the
 /// writeback path); thirty-two frames is the graph cell's setting.
-fn golden(cache_pages: usize) -> Trace {
-    match cache_pages {
-        2 => Trace {
-            file_calls: 16625,
-            file_digest: 16578057396756852978,
-            block_calls: 257278,
-            block_digest: 17704778781576472922,
-            image_digest: 16701860779301787385,
-            rows_digest: 1022205873492487726,
-            outcomes: [1811, 172, 65],
-            db: DbStats {
-                cache_hits: 5002,
-                cache_misses: 6388,
-                writebacks: 2649,
-                commits: 1553,
-            },
-            fs_commits: 9501,
-            log_absorbed: 5631,
-            disk_reads: 178810,
-            disk_writes: 78468,
-        },
-        32 => Trace {
-            file_calls: 13288,
-            file_digest: 980780877604443757,
-            block_calls: 205477,
-            block_digest: 3754178235519386851,
-            image_digest: 3792479667506379357,
-            rows_digest: 1022205873492487726,
-            outcomes: [1811, 172, 65],
-            db: DbStats {
-                cache_hits: 8339,
-                cache_misses: 3051,
-                writebacks: 2649,
-                commits: 1553,
-            },
-            fs_commits: 9501,
-            log_absorbed: 5631,
-            disk_reads: 127009,
-            disk_writes: 78468,
-        },
-        _ => unreachable!("no golden for {cache_pages} frames"),
-    }
+fn pin(cache_pages: usize) {
+    let rows = run_mix(cache_pages).into_iter();
+    pins::check(
+        rows.map(|(name, v)| (format!("{cache_pages} frames {name}"), v))
+            .collect(),
+    );
 }
 
 #[test]
 fn storage_trace_two_frames() {
-    assert_eq!(run_mix(2), golden(2));
+    pin(2);
 }
 
 #[test]
 fn storage_trace_thirty_two_frames() {
-    assert_eq!(run_mix(32), golden(32));
+    pin(32);
 }
 
 /// The mix must actually reach the paths the golden is meant to pin (read
-/// off the pinned traces: the two tests above hold the runs to them).
+/// off the committed rows: the two tests above hold the runs to them).
 #[test]
 fn mix_reaches_splits_evictions_and_rollbacks() {
-    let (small, large) = (golden(2), golden(32));
-    assert_eq!(small.rows_digest, large.rows_digest);
-    assert_eq!(small.outcomes, large.outcomes);
-    let [ok, duplicate, missing] = small.outcomes;
-    assert!(duplicate > 20 && missing > 20, "{:?}", small.outcomes);
+    let committed = pins::committed();
+    let pin = |frames: usize, name: &str| {
+        let case = format!("{frames} frames {name}");
+        let row = committed.iter().find(|(c, _)| *c == case);
+        row.unwrap_or_else(|| panic!("no row `{case}`")).1
+    };
+    for name in ["rows_digest", "ok", "duplicate_key", "key_not_found"] {
+        assert_eq!(pin(2, name), pin(32, name), "{name}");
+    }
+    assert!(pin(2, "duplicate_key") > 20 && pin(2, "key_not_found") > 20);
     // Two near-limit rows fill a leaf: > 341 leaf splits overflow the
     // root's internal page as well.
-    assert!(ok > 1500, "{:?}", small.outcomes);
-    assert!(small.db.cache_misses > 2 * large.db.cache_misses);
-    assert!(small.log_absorbed > 0);
+    assert!(pin(2, "ok") > 1500);
+    assert!(pin(2, "cache_misses") > 2 * pin(32, "cache_misses"));
+    assert!(pin(2, "log_absorbed") > 0);
 }

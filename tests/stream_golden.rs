@@ -4,13 +4,17 @@
 //! operations and tenants from `sb-ycsb`'s scrambled Zipfian and its
 //! arrivals from `PoissonArrivals`. This pins those streams: for each
 //! factory configuration in use it folds a million requests' (key,
-//! write, tenant, arrival) into one digest. The constants were captured
-//! on the commit before the Zipfian's rank stopped calling libm's `pow`
-//! per draw; a diff here means a generated stream moved, and every
-//! digest and simulated figure downstream of it moved too.
+//! write, tenant, arrival) into one digest, a row of
+//! `results/pins/stream_golden.json` named after the configuration. The
+//! rows were first captured before the Zipfian's rank stopped calling
+//! libm's `pow` per draw; a moved row means a generated stream moved, and
+//! every digest and simulated figure downstream of it moved too.
+
+mod support;
 
 use sb_runtime::{PoissonArrivals, RequestFactory, TenantId};
 use sb_ycsb::{zipf::fnv_hash, OpKind, WorkloadSpec};
+use support::{pins, Fold};
 
 /// Requests folded per configuration.
 const DRAWS: usize = 1_000_000;
@@ -28,18 +32,17 @@ fn seeded(spec: WorkloadSpec) -> WorkloadSpec {
     WorkloadSpec { seed: SEED, ..spec }
 }
 
-/// Order-sensitive fold of a `u64` stream.
-fn digest(mut factory: RequestFactory) -> u64 {
-    let mut d = 0u64;
-    let mut put = |v: u64| d = ((d ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15)).rotate_left(29);
+/// Pins the fold of `factory`'s first [`DRAWS`] requests as `case`.
+fn pin(case: &str, mut factory: RequestFactory) {
+    let mut d = Fold::default();
     for t in PoissonArrivals::new(MEAN_GAP, SEED).take(DRAWS) {
         let r = factory.make(t, None);
-        put(r.key);
-        put(r.write as u64);
-        put(r.tenant as u64);
-        put(r.arrival);
+        d.put(r.key);
+        d.put(r.write as u64);
+        d.put(r.tenant as u64);
+        d.put(r.arrival);
     }
-    d
+    pins::check(vec![(case.to_string(), d.0)]);
 }
 
 #[test]
@@ -50,19 +53,23 @@ fn serve_ring_stream_is_pinned() {
         TENANTS,
         SEED,
     );
-    assert_eq!(digest(f), 0x27f9_dbe5_9714_6580);
+    pin("serve_ring", f);
 }
 
 #[test]
 fn ycsb_a_stream_is_pinned() {
-    let f = RequestFactory::new(seeded(WorkloadSpec::ycsb_a(RECORDS, 64)), 64);
-    assert_eq!(digest(f), 0x02d8_a915_0c15_642a);
+    pin(
+        "ycsb_a",
+        RequestFactory::new(seeded(WorkloadSpec::ycsb_a(RECORDS, 64)), 64),
+    );
 }
 
 #[test]
 fn ycsb_c_stream_is_pinned() {
-    let f = RequestFactory::new(seeded(WorkloadSpec::ycsb_c(RECORDS, 64)), 64);
-    assert_eq!(digest(f), 0x34c0_702b_2a87_81e2);
+    pin(
+        "ycsb_c",
+        RequestFactory::new(seeded(WorkloadSpec::ycsb_c(RECORDS, 64)), 64),
+    );
 }
 
 #[test]
@@ -71,20 +78,21 @@ fn graph_read_write_stream_is_pinned() {
         mix: vec![(OpKind::Read, 40), (OpKind::Update, 60)],
         ..WorkloadSpec::ycsb_a(GRAPH_RECORDS, 48)
     };
-    let f = RequestFactory::new(seeded(spec), 48);
-    assert_eq!(digest(f), 0xf67a_56a8_fea3_583e);
+    pin("graph_read_write", RequestFactory::new(seeded(spec), 48));
 }
 
 #[test]
 fn graph_read_only_stream_is_pinned() {
-    let f = RequestFactory::new(seeded(WorkloadSpec::ycsb_c(GRAPH_RECORDS, 48)), 48);
-    assert_eq!(digest(f), 0xb0d5_068c_6f3c_00f3);
+    pin(
+        "graph_read_only",
+        RequestFactory::new(seeded(WorkloadSpec::ycsb_c(GRAPH_RECORDS, 48)), 48),
+    );
 }
 
 /// An irregular interleave of five tenants, a few thousand requests
 /// short of [`DRAWS`] so the digest also covers the exhausted schedule's
-/// fall-back to tenant 0. The two schedule pins below were captured on
-/// the commit before the factory drew its requests a block at a time.
+/// fall-back to tenant 0. The two schedule rows were first captured
+/// before the factory drew its requests a block at a time.
 fn schedule() -> Vec<TenantId> {
     (0..DRAWS as u64 - 4_321)
         .map(|i| (fnv_hash(i) % 5) as TenantId)
@@ -94,13 +102,17 @@ fn schedule() -> Vec<TenantId> {
 #[test]
 fn tenant_schedule_stream_is_pinned() {
     let spec = seeded(WorkloadSpec::ycsb_a(RECORDS, 64));
-    let f = RequestFactory::with_tenant_schedule(spec, 64, schedule());
-    assert_eq!(digest(f), 0x149b_e1d5_7db5_0439);
+    pin(
+        "tenant_schedule",
+        RequestFactory::with_tenant_schedule(spec, 64, schedule()),
+    );
 }
 
 #[test]
 fn per_tenant_streams_are_pinned() {
     let spec = seeded(WorkloadSpec::ycsb_a(RECORDS, 64));
-    let f = RequestFactory::with_per_tenant_streams(spec, 64, schedule());
-    assert_eq!(digest(f), 0x532c_ac51_0188_4e80);
+    pin(
+        "per_tenant_streams",
+        RequestFactory::with_per_tenant_streams(spec, 64, schedule()),
+    );
 }

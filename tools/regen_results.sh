@@ -7,16 +7,20 @@
 # Runs `sb-bench` once with no name, so every registry entry runs: the
 # paper's eleven tables and figures (and the fidelity ledger
 # fidelity.json their cells add up to) and the seven gated sweeps, into
-# `dir/results` (default target/regen/results); then diffs that tree
-# against results/. No variable is set: every run size is a constant of
-# its entry, the one the committed file records, so each runs here
-# exactly as `cargo run --release -p sb-bench NAME` does. Everything
-# they print is simulated, so any difference is a finding: a simulated
-# figure moved (re-capture the file in the change that moved it, and
-# say why) or a gate broke (the bin exits non-zero first). ~18 s
-# release-built on a 2-core host, most of it `figure9_11`; to re-baseline
-# every committed file after an intended change, copy `dir/results/`
-# over `results/`.
+# `dir/results` (default target/regen/results). Then runs the four
+# goldens (tests/*_golden.rs), each of which writes the pins it measured
+# to `$CARGO_TARGET_TMPDIR/pins/<golden>.json`, copies those into
+# `dir/results/pins/`, and diffs the whole tree against results/. A
+# failed golden still reaches the diff, which names its moved rows; a
+# golden that did not run shows as a missing pins file. No variable is
+# set: every run size is a constant of its entry, the one the committed
+# file records, so each runs here exactly as `cargo run --release -p
+# sb-bench NAME` does. Everything they print is simulated, so any
+# difference is a finding: a simulated figure or pin moved (re-capture
+# it in the change that moved it, and say why) or a gate broke (the bin
+# exits non-zero first). ~18 s release-built on a 2-core host, most of
+# it `figure9_11`; to re-baseline every committed file and pin after an
+# intended change, copy `dir/results/` over `results/`.
 #
 # Tier-1 already runs sixteen of the eighteen entries in-process, every
 # gated sweep and nine paper artefacts (held file for file and gate for
@@ -49,6 +53,23 @@ cd "$dir"
 echo "regen: every registry entry" >&2
 cargo run --release --quiet --manifest-path "$root/Cargo.toml" -p sb-bench >/dev/null
 
+# The goldens write their pins under the test profile's `tmp/`, in the
+# target directory the test build uses.
+pins="${CARGO_TARGET_DIR:-$root/target}/tmp/pins"
+cd "$root"
+rm -rf "$pins"
+echo "regen: the four goldens" >&2
+goldens=0
+cargo test --quiet --no-fail-fast --manifest-path "$root/Cargo.toml" \
+    --test sim_golden --test serve_golden --test storage_golden --test stream_golden \
+    >&2 || goldens=$?
+mkdir -p "$dir/results/pins"
+cp "$pins"/*.json "$dir/results/pins/" 2>/dev/null || true
+
 diff -r -x BENCH_history.jsonl -x sample_trace.json -x postmortem -x traces \
     "$root/results" "$dir/results"
-echo "regen: every artefact under results/ regenerates to the committed bytes" >&2
+if [ "$goldens" -ne 0 ]; then
+    echo "regen: a golden failed (exit $goldens)" >&2
+    exit "$goldens"
+fi
+echo "regen: every artefact and pin under results/ regenerates to the committed bytes" >&2
