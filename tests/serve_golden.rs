@@ -23,7 +23,7 @@ use sb_runtime::{
 };
 use sb_sim::Cycles;
 use skybridge_repro::scenarios::runtime::{
-    build_backend, request_factory, workload, Backend, PAYLOAD,
+    build_backend, calibrate, request_factory, workload, Backend, PAYLOAD,
 };
 use support::{pins, Fold};
 
@@ -100,22 +100,6 @@ fn fold_stats(d: &mut Fold, s: &RunStats) {
     }
 }
 
-/// Mean cycles per call on `t`'s warmed lanes, so arrival gaps can be
-/// stated as a load: 64 warm-up calls per lane, then 64 measured ones.
-fn calibrate(t: &mut dyn Transport, f: &mut RequestFactory) -> Cycles {
-    let mut t0 = 0;
-    for i in 0..128 {
-        if i == 64 {
-            t0 = t.now(0);
-        }
-        for l in 0..LANES {
-            let r = f.make(t.now(l), None);
-            t.call(l, &r).expect("calibration call");
-        }
-    }
-    ((t.now(0) - t0) / 64).max(1)
-}
-
 fn slo(service: Cycles) -> SloSpec {
     SloSpec {
         latency_objective: 3 * service,
@@ -185,9 +169,10 @@ fn serve<T: Transport>(
 
 /// The digest of one cell.
 fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> u64 {
-    let mut inner = build_backend(backend, LANES);
-    let mut calib = request_factory();
-    let service = calibrate(inner.as_mut(), &mut calib);
+    let inner = build_backend(backend, LANES);
+    // Arrival gaps are stated as a load on the workload's calibrated
+    // service time.
+    let service = calibrate(backend, 64, 64).quantum();
     let gap = |rho: f64| service as f64 / (LANES as f64 * rho);
     let recorder = Recorder::new(1 << 16);
     let base = RuntimeConfig {
