@@ -35,9 +35,8 @@ const TRACE_RING: usize = 1 << 15;
 
 /// `SB_TRACE` mode: one fully traced cell whose Chrome trace goes to
 /// `results/traces/runtime_scaling_trace.json` for Perfetto (the
-/// `traces/` subtree is scratch output and stays untracked; a small
-/// checked-in sample lives at `results/sample_trace.json`). Uses a ring much
-/// larger than the always-on default so a whole cell fits without
+/// `traces/` subtree is scratch output and stays untracked). Uses a ring
+/// much larger than the always-on default so a whole cell fits without
 /// overwrites (and reports how many events were dropped if not).
 fn dump_trace(backend: &Backend, a: &mut Artefact) {
     let recorder = Recorder::new(TRACE_RING);

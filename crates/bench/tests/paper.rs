@@ -34,16 +34,15 @@ fn experiments_artefacts_and_write_ups_are_in_bijection() {
     let files: BTreeSet<&String> = written.iter().collect();
     assert_eq!(files.len(), written.len(), "written twice: {written:?}");
 
-    // Every committed file but the host clock's trajectory, the
-    // hand-picked Perfetto sample and the untracked bundle and trace
-    // subtrees; a directory other than `flamegraphs/` and `pins/` counts
-    // as a file.
+    // Every committed file but the host clock's trajectory and the
+    // untracked bundle and trace subtrees; a directory other than
+    // `flamegraphs/` and `pins/` counts as a file.
     let results = root.join("results");
     let ls = |dir: &'static str| {
         let entries = fs::read_dir(results.join(dir)).expect("results/");
         entries.map(move |e| format!("{dir}{}", e.expect("entry").file_name().to_string_lossy()))
     };
-    let skipped = "BENCH_history.jsonl sample_trace.json postmortem traces flamegraphs pins";
+    let skipped = "BENCH_history.jsonl postmortem traces flamegraphs pins";
     let committed: BTreeSet<String> = (ls("").chain(ls("flamegraphs/")).chain(ls("pins/")))
         .filter(|f| !skipped.split(' ').any(|s| s == f))
         .collect();

@@ -32,8 +32,6 @@ pub enum FsError {
     FileTooLarge,
     /// Name longer than [`DIRSIZ`].
     NameTooLong,
-    /// Directory not empty on unlink.
-    DirNotEmpty,
     /// Not a valid file system (bad magic, or a geometry the device
     /// cannot hold).
     BadSuperblock,
@@ -49,7 +47,6 @@ impl std::fmt::Display for FsError {
             FsError::NoSpace => "no space",
             FsError::FileTooLarge => "file too large",
             FsError::NameTooLong => "name too long",
-            FsError::DirNotEmpty => "directory not empty",
             FsError::BadSuperblock => "bad superblock",
         };
         write!(f, "{s}")
@@ -186,7 +183,7 @@ impl<D: BlockDevice> FileSystem<D> {
         // Mark the metadata blocks used in the bitmap and create "/".
         fs.log.begin_op();
         for b in 0..datastart {
-            fs.bitmap_set(b, true);
+            fs.bitmap_set(b);
         }
         let root = Dinode {
             typ: InodeType::Dir,
@@ -256,15 +253,11 @@ impl<D: BlockDevice> FileSystem<D> {
 
     // ----- bitmap allocation -----
 
-    fn bitmap_set(&mut self, bno: u32, used: bool) {
+    fn bitmap_set(&mut self, bno: u32) {
         let bblock = self.sb.bmapstart + bno / (BSIZE as u32 * 8);
         let buf = self.log.modify(&mut self.dev, bblock);
         let bit = (bno % (BSIZE as u32 * 8)) as usize;
-        if used {
-            buf[bit / 8] |= 1 << (bit % 8);
-        } else {
-            buf[bit / 8] &= !(1 << (bit % 8));
-        }
+        buf[bit / 8] |= 1 << (bit % 8);
     }
 
     fn balloc(&mut self) -> Result<u32, FsError> {
@@ -277,16 +270,12 @@ impl<D: BlockDevice> FileSystem<D> {
                 if bno >= self.sb.size {
                     return Err(FsError::NoSpace);
                 }
-                self.bitmap_set(bno, true);
+                self.bitmap_set(bno);
                 self.log.write(bno, &ZERO_BLOCK);
                 return Ok(bno);
             }
         }
         Err(FsError::NoSpace)
-    }
-
-    fn bfree(&mut self, bno: u32) {
-        self.bitmap_set(bno, false);
     }
 
     // ----- inodes -----
@@ -321,11 +310,11 @@ impl<D: BlockDevice> FileSystem<D> {
         self.log.patch(&mut self.dev, b, off + at, &v.to_le_bytes());
     }
 
-    fn ialloc(&mut self, typ: InodeType) -> Result<Inum, FsError> {
+    fn ialloc(&mut self) -> Result<Inum, FsError> {
         for inum in 1..self.sb.ninodes as Inum {
             if self.read_inode(inum).typ == InodeType::Free {
                 let d = Dinode {
-                    typ,
+                    typ: InodeType::File,
                     nlink: 1,
                     size: 0,
                     addrs: [0; NDIRECT + 2],
@@ -501,22 +490,13 @@ impl<D: BlockDevice> FileSystem<D> {
 
     /// Creates a regular file, returning its inode number.
     pub fn create(&mut self, path: &str) -> Result<Inum, FsError> {
-        self.create_typed(path, InodeType::File)
-    }
-
-    /// Creates a directory.
-    pub fn mkdir(&mut self, path: &str) -> Result<Inum, FsError> {
-        self.create_typed(path, InodeType::Dir)
-    }
-
-    fn create_typed(&mut self, path: &str, typ: InodeType) -> Result<Inum, FsError> {
         self.log.begin_op();
         let r = (|| {
             let (dir, name) = self.namei_parent(path)?;
             if self.dir_lookup(dir, name).is_some() {
                 return Err(FsError::Exists);
             }
-            let inum = self.ialloc(typ)?;
+            let inum = self.ialloc()?;
             self.dir_link(dir, name, inum)?;
             Ok(inum)
         })();
@@ -562,122 +542,6 @@ impl<D: BlockDevice> FileSystem<D> {
             }
         }
         Ok(())
-    }
-
-    /// Creates a hard link `new` to the existing file `old`.
-    pub fn link(&mut self, old: &str, new: &str) -> Result<(), FsError> {
-        self.log.begin_op();
-        let r = (|| {
-            let inum = self.namei(old)?;
-            let mut d = self.read_inode(inum);
-            if d.typ == InodeType::Dir {
-                return Err(FsError::IsADir);
-            }
-            let (dir, name) = self.namei_parent(new)?;
-            if self.dir_lookup(dir, name).is_some() {
-                return Err(FsError::Exists);
-            }
-            self.dir_link(dir, name, inum)?;
-            d.nlink += 1;
-            self.write_inode(inum, &d);
-            Ok(())
-        })();
-        self.log.end_op(&mut self.dev);
-        r
-    }
-
-    /// Removes a file (or an empty directory).
-    pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
-        self.log.begin_op();
-        let r = (|| {
-            let (dir, name) = self.namei_parent(path)?;
-            let inum = self.dir_lookup(dir, name).ok_or(FsError::NotFound)?;
-            let mut d = self.read_inode(inum);
-            if d.typ == InodeType::Dir && self.dir_entries(inum) > 0 {
-                return Err(FsError::DirNotEmpty);
-            }
-            if d.nlink > 1 {
-                // Other links remain: drop the entry, keep the data.
-                d.nlink -= 1;
-                self.write_inode(inum, &d);
-                let dd = self.read_inode(dir);
-                let mut off = 0;
-                while off < dd.size as usize {
-                    let mut slot = [0u8; DIRENT_SIZE];
-                    self.readi(dir, off, &mut slot);
-                    let e = Dirent::decode(&slot);
-                    if e.inum == inum && e.name == name {
-                        self.writei(dir, off, &[0u8; DIRENT_SIZE])?;
-                        break;
-                    }
-                    off += DIRENT_SIZE;
-                }
-                return Ok(());
-            }
-            // Free data blocks.
-            for a in d.addrs.iter().take(NDIRECT) {
-                if *a != 0 {
-                    self.bfree(*a);
-                }
-            }
-            if d.addrs[NDIRECT] != 0 {
-                self.free_indirect(d.addrs[NDIRECT]);
-            }
-            if d.addrs[NDIRECT + 1] != 0 {
-                let dbl = *self.bread(d.addrs[NDIRECT + 1]);
-                for slot in 0..NINDIRECT {
-                    let mid = u32::from_le_bytes(dbl[slot * 4..slot * 4 + 4].try_into().unwrap());
-                    if mid != 0 {
-                        self.free_indirect(mid);
-                    }
-                }
-                self.bfree(d.addrs[NDIRECT + 1]);
-            }
-            self.write_inode(inum, &Dinode::empty());
-            // Clear the directory entry.
-            let dd = self.read_inode(dir);
-            let mut off = 0;
-            while off < dd.size as usize {
-                let mut slot = [0u8; DIRENT_SIZE];
-                self.readi(dir, off, &mut slot);
-                let e = Dirent::decode(&slot);
-                if e.inum == inum && e.name == name {
-                    self.writei(dir, off, &[0u8; DIRENT_SIZE])?;
-                    break;
-                }
-                off += DIRENT_SIZE;
-            }
-            Ok(())
-        })();
-        self.log.end_op(&mut self.dev);
-        r
-    }
-
-    /// Frees an indirect block and everything it references.
-    fn free_indirect(&mut self, ib: u32) {
-        let ind = *self.bread(ib);
-        for slot in 0..NINDIRECT {
-            let bno = u32::from_le_bytes(ind[slot * 4..slot * 4 + 4].try_into().unwrap());
-            if bno != 0 {
-                self.bfree(bno);
-            }
-        }
-        self.bfree(ib);
-    }
-
-    fn dir_entries(&mut self, dir: Inum) -> usize {
-        let d = self.read_inode(dir);
-        let mut n = 0;
-        let mut off = 0;
-        while off < d.size as usize {
-            let mut slot = [0u8; DIRENT_SIZE];
-            self.readi(dir, off, &mut slot);
-            if Dirent::decode(&slot).inum != 0 {
-                n += 1;
-            }
-            off += DIRENT_SIZE;
-        }
-        n
     }
 }
 

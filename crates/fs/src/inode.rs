@@ -70,16 +70,6 @@ pub struct Dinode {
 }
 
 impl Dinode {
-    /// A free inode.
-    pub fn empty() -> Self {
-        Dinode {
-            typ: InodeType::Free,
-            nlink: 0,
-            size: 0,
-            addrs: [0; NDIRECT + 2],
-        }
-    }
-
     /// Serializes into its 64-byte slot.
     pub fn encode(&self) -> [u8; INODE_SIZE] {
         let mut b = [0u8; INODE_SIZE];
@@ -113,10 +103,12 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let mut d = Dinode::empty();
-        d.typ = InodeType::File;
-        d.nlink = 3;
-        d.size = 123456;
+        let mut d = Dinode {
+            typ: InodeType::File,
+            nlink: 3,
+            size: 123456,
+            addrs: [0; NDIRECT + 2],
+        };
         d.addrs[0] = 77;
         d.addrs[NDIRECT + 1] = 99;
         assert_eq!(Dinode::decode(&d.encode()), d);

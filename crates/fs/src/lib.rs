@@ -14,7 +14,8 @@
 //! * [`inode`], [`dir`] — on-disk inodes (12 direct + 1 indirect block)
 //!   and directories;
 //! * [`fs`] — the `FileSystem` facade: `mkfs`, `mount`, create/open/
-//!   read/write/unlink/mkdir with full path resolution.
+//!   read/write with full path resolution (the namespace operations the
+//!   database's traffic uses: files in the root directory).
 //!
 //! Like the paper's port, the file system is single-threaded and the
 //! multi-thread experiments serialize on "one big lock" (§6.5) — modeled

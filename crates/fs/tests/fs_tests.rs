@@ -88,13 +88,14 @@ fn file_too_large_is_refused() {
 #[test]
 fn directories_and_paths() {
     let mut fs = fresh();
-    fs.mkdir("/data").unwrap();
-    fs.mkdir("/data/journal").unwrap();
-    let f = fs.create("/data/journal/wal").unwrap();
+    let f = fs.create("/wal").unwrap();
     fs.write_at(f, 0, b"j").unwrap();
-    assert_eq!(fs.namei("/data/journal/wal").unwrap(), f);
+    assert_eq!(fs.namei("/wal").unwrap(), f);
+    assert_eq!(fs.namei("/").unwrap(), ROOT_INUM);
     assert_eq!(fs.namei("/nope"), Err(FsError::NotFound));
-    assert_eq!(fs.namei("/data/journal/wal/x"), Err(FsError::NotADir));
+    assert_eq!(fs.namei("/nope/x"), Err(FsError::NotFound));
+    assert_eq!(fs.namei("/wal/x"), Err(FsError::NotADir));
+    assert_eq!(fs.open("/"), Err(FsError::IsADir));
 }
 
 #[test]
@@ -102,32 +103,6 @@ fn create_duplicate_fails() {
     let mut fs = fresh();
     fs.create("/x").unwrap();
     assert_eq!(fs.create("/x"), Err(FsError::Exists));
-}
-
-#[test]
-fn unlink_frees_space_for_reuse() {
-    let mut fs = FileSystem::mkfs(RamDisk::new(512), 32);
-    // Fill a good chunk, delete, refill — must not run out of space.
-    for round in 0..5 {
-        let name = "/blob".to_string();
-        let f = fs.create(&name).unwrap();
-        let data = vec![round as u8; 100 * 1024];
-        fs.write_at(f, 0, &data).unwrap();
-        fs.unlink(&name).unwrap();
-    }
-    // And unlinked names are gone.
-    assert_eq!(fs.open("/blob"), Err(FsError::NotFound));
-}
-
-#[test]
-fn unlink_nonempty_dir_refused() {
-    let mut fs = fresh();
-    fs.mkdir("/d").unwrap();
-    fs.create("/d/f").unwrap();
-    assert_eq!(fs.unlink("/d"), Err(FsError::DirNotEmpty));
-    fs.unlink("/d/f").unwrap();
-    fs.unlink("/d").unwrap();
-    assert_eq!(fs.namei("/d"), Err(FsError::NotFound));
 }
 
 #[test]
@@ -280,37 +255,6 @@ fn crash_during_update_preserves_consistency() {
     }
 }
 
-#[test]
-fn hard_links_share_data_until_last_unlink() {
-    let mut fs = fresh();
-    let f = fs.create("/orig").unwrap();
-    fs.write_at(f, 0, b"shared-bytes").unwrap();
-    fs.link("/orig", "/alias").unwrap();
-    // Both names reach the same inode and data.
-    assert_eq!(fs.namei("/orig").unwrap(), fs.namei("/alias").unwrap());
-    // Unlink one name: the data survives through the other.
-    fs.unlink("/orig").unwrap();
-    let a = fs.open("/alias").unwrap();
-    let mut buf = [0u8; 12];
-    fs.read_at(a, 0, &mut buf);
-    assert_eq!(&buf, b"shared-bytes");
-    // Unlink the last name: the inode is freed and reusable.
-    fs.unlink("/alias").unwrap();
-    assert_eq!(fs.open("/alias"), Err(FsError::NotFound));
-    let g = fs.create("/fresh").unwrap();
-    fs.write_at(g, 0, b"new").unwrap();
-}
-
-#[test]
-fn link_errors() {
-    let mut fs = fresh();
-    fs.create("/a").unwrap();
-    fs.mkdir("/d").unwrap();
-    assert_eq!(fs.link("/missing", "/b"), Err(FsError::NotFound));
-    assert_eq!(fs.link("/d", "/b"), Err(FsError::IsADir));
-    assert_eq!(fs.link("/a", "/a"), Err(FsError::Exists));
-}
-
 // ----- model-based property test -----
 
 #[derive(Debug, Clone)]
@@ -322,7 +266,6 @@ enum Op {
         len: u16,
         val: u8,
     },
-    Unlink(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -334,7 +277,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             len,
             val
         }),
-        (0u8..6).prop_map(Op::Unlink),
     ]
 }
 
@@ -342,7 +284,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The file system agrees with an in-memory model under arbitrary
-    /// create/write/unlink sequences.
+    /// create/write sequences.
     #[test]
     fn matches_in_memory_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
         let mut fs = FileSystem::mkfs(RamDisk::new(4096), 64);
@@ -376,14 +318,6 @@ proptest! {
                             prop_assert!(!model.contains_key(&file));
                         }
                         Err(e) => prop_assert!(false, "open failed: {e}"),
-                    }
-                }
-                Op::Unlink(f) => {
-                    let r = fs.unlink(&path(f));
-                    if model.remove(&f).is_some() {
-                        prop_assert!(r.is_ok());
-                    } else {
-                        prop_assert_eq!(r, Err(FsError::NotFound));
                     }
                 }
             }

@@ -137,7 +137,7 @@ impl RequestFactory {
                     .next_op(),
                 None => self.workload.next_op(),
             };
-            let write = !matches!(op.kind, OpKind::Read | OpKind::Scan);
+            let write = op.kind != OpKind::Read;
             self.block[at] = (op.key, write, tenant);
         }
     }
@@ -337,7 +337,7 @@ mod tests {
                 } else {
                     shared.next_op()
                 };
-                let write = !matches!(op.kind, OpKind::Read | OpKind::Scan);
+                let write = op.kind != OpKind::Read;
                 (id, op.key, write, tenant)
             })
             .collect()

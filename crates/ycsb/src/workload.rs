@@ -13,10 +13,6 @@ pub enum OpKind {
     Update,
     /// Insert a fresh record.
     Insert,
-    /// Read-modify-write.
-    ReadModifyWrite,
-    /// Short range scan.
-    Scan,
 }
 
 /// One generated operation.

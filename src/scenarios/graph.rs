@@ -112,7 +112,7 @@ fn drill_trace(spec: &GraphSpec, ops: u64, seed: u64) -> Vec<(u64, bool)> {
     (0..ops)
         .map(|_| {
             let op = wl.next_op();
-            let write = !matches!(op.kind, OpKind::Read | OpKind::Scan);
+            let write = op.kind != OpKind::Read;
             (op.key, write)
         })
         .collect()

@@ -617,14 +617,6 @@ impl SqliteStack {
                 c.db.insert("usertable", key, &[Value::Text(payload)])
                     .is_ok()
             }
-            OpKind::ReadModifyWrite => {
-                let cur = c.db.query("usertable", key).unwrap();
-                cur.is_some()
-                    && c.db
-                        .update("usertable", key, &[Value::Text(payload)])
-                        .is_ok()
-            }
-            OpKind::Scan => !c.db.scan("usertable").unwrap().is_empty(),
         };
         // The database's own CPU work, charged to the client core.
         let stats1 = c.db.stats();

@@ -86,8 +86,6 @@ pub struct TenantOutcome {
     pub victims: Vec<VictimVerdict>,
     /// SLO-burn actions the fabric took in the contended run.
     pub actions: Vec<TenantAction>,
-    /// The aggressor's health at end of contended run, if tracked.
-    pub aggressor_health: Option<SloHealth>,
     /// The backend's calibrated cycles per call, rounded up — the
     /// non-preemptive service quantum the isolation bound allows for.
     pub quantum: Cycles,
@@ -213,7 +211,7 @@ fn streams(seed: u64, with_aggressor: bool) -> (Vec<Cycles>, Vec<TenantId>) {
 }
 
 /// One run of the cell; returns the stats plus the fabric's action log
-/// and per-tenant SLO health readings.
+/// and the victims' SLO health readings.
 fn run_cell(
     backend: &Backend,
     ring_mode: bool,
@@ -229,7 +227,6 @@ fn run_cell(
     let ring = ring_mode.then(RingConfig::default);
     let read = |stats, fabric: &TenantFabric| {
         let healths = (1..=VICTIMS)
-            .chain([AGGRESSOR])
             .filter_map(|v| Some((v, fabric.slo_health(v)?)))
             .collect();
         (stats, fabric.actions().to_vec(), healths)
@@ -262,7 +259,6 @@ pub fn run_noisy_neighbor(backend: &Backend, ring_mode: bool, seed: u64) -> Tena
         contended,
         victims,
         actions,
-        aggressor_health: healths.get(&AGGRESSOR).copied(),
         // Warmup runs past the KV store's growth phase first.
         quantum: calibrate(backend, 512, 512).quantum(),
     }

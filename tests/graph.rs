@@ -36,7 +36,7 @@ fn trace(spec: &GraphSpec, ops: u64, seed: u64) -> Vec<(u64, bool)> {
     (0..ops)
         .map(|_| {
             let op = wl.next_op();
-            (op.key, !matches!(op.kind, OpKind::Read | OpKind::Scan))
+            (op.key, op.kind != OpKind::Read)
         })
         .collect()
 }

@@ -201,7 +201,10 @@ fn tenant_stack_folds_partition_the_overall_fold() {
 
 /// A dispatcher run under tracing emits the queue-side events — one
 /// admit instant per queued arrival on the queue's pseudo-lane — and the
-/// whole stream still exports as valid, well-nested Chrome trace JSON.
+/// whole stream still exports as valid, well-nested Chrome trace JSON in
+/// the shape Perfetto's importer keys on: the `ns` time-unit header,
+/// complete (`"X"`) events, and a lossless `otherData` (`truncated`
+/// false, every key of its `loss` zero).
 #[test]
 fn dispatcher_runs_export_clean_traces() {
     let recorder = Recorder::new(1 << 15);
@@ -239,7 +242,24 @@ fn dispatcher_runs_export_clean_traces() {
     assert_eq!(trace.loss.ring_dropped, 0, "this run fits the ring");
     assert!(trace.events > 0);
     assert_eq!(trace.loss.unmatched + trace.loss.unclosed, 0);
-    Json::parse(&trace.json).expect("chrome trace must be valid JSON");
+    let doc = Json::parse(&trace.json).expect("chrome trace must be valid JSON");
+    assert_eq!(
+        doc.get("displayTimeUnit").and_then(Json::as_str),
+        Some("ns")
+    );
+    let events = doc.get("traceEvents").and_then(Json::as_array);
+    assert!(
+        events.is_some_and(|evs| evs
+            .iter()
+            .any(|e| e.get("ph").and_then(Json::as_str) == Some("X"))),
+        "complete events present"
+    );
+    let other = doc.get("otherData").expect("otherData");
+    assert!(matches!(other.get("truncated"), Some(Json::Bool(false))));
+    for key in ["ring_dropped", "clipped", "unmatched", "unclosed"] {
+        let lost = other.get("loss").and_then(|l| l.get(key));
+        assert!(matches!(lost, Some(Json::U64(0))), "loss.{key}: {lost:?}");
+    }
 }
 
 /// Ring overwrite is loud, not silent: a deliberately tiny ring drops
@@ -264,36 +284,6 @@ fn ring_overwrite_is_surfaced_by_the_export() {
     );
     assert_eq!(trace.loss.ring_dropped, recorder.dropped());
     Json::parse(&trace.json).expect("a truncated trace is still valid JSON");
-}
-
-/// The checked-in sample trace (`results/sample_trace.json`, a small
-/// `SB_TRACE` capture) stays loadable by Perfetto: valid JSON in the
-/// Chrome trace shape, with the event array and time-unit header the
-/// importer keys on. Full-size captures land untracked under
-/// `results/traces/`; this sample is the format's regression anchor.
-#[test]
-fn checked_in_sample_trace_smokes_through_the_perfetto_format() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/sample_trace.json");
-    let body = std::fs::read_to_string(path).expect("sample trace present");
-    let trace = Json::parse(&body).expect("sample trace must be valid JSON");
-    assert_eq!(
-        trace.get("displayTimeUnit").and_then(Json::as_str),
-        Some("ns")
-    );
-    let events = trace.get("traceEvents").and_then(Json::as_array);
-    assert!(
-        events.is_some_and(|evs| evs
-            .iter()
-            .any(|e| e.get("ph").and_then(Json::as_str) == Some("X"))),
-        "complete events present"
-    );
-    assert!(
-        matches!(
-            trace.get("otherData").and_then(|o| o.get("truncated")),
-            Some(Json::Bool(false))
-        ),
-        "the sample must be a lossless capture"
-    );
 }
 
 /// Every committed JSON artefact reads back through the one parser, and

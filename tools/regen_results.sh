@@ -31,9 +31,8 @@
 # checks that a release build agrees with the test build.
 #
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
-# by tools/bench_history.sh), sample_trace.json (a hand-picked Perfetto
-# capture of runtime_scaling's traced cell) and the untracked postmortem/
-# and traces/ subtrees.
+# by tools/bench_history.sh) and the untracked postmortem/ and traces/
+# subtrees.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -66,7 +65,7 @@ cargo test --quiet --no-fail-fast --manifest-path "$root/Cargo.toml" \
 mkdir -p "$dir/results/pins"
 cp "$pins"/*.json "$dir/results/pins/" 2>/dev/null || true
 
-diff -r -x BENCH_history.jsonl -x sample_trace.json -x postmortem -x traces \
+diff -r -x BENCH_history.jsonl -x postmortem -x traces \
     "$root/results" "$dir/results"
 if [ "$goldens" -ne 0 ]; then
     echo "regen: a golden failed (exit $goldens)" >&2
