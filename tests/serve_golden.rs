@@ -52,50 +52,51 @@ enum Traffic {
 const MODES: [Mode; 3] = [Mode::Direct, Mode::Ring(8), Mode::Ring(1)];
 const TRAFFIC: [Traffic; 3] = [Traffic::Poisson, Traffic::Tenants, Traffic::Chaos];
 
-/// Folds every field of `s` into `d`.
-fn fold_stats(d: &mut Fold, s: &RunStats) {
-    for v in [
-        s.workers as u64,
-        s.offered,
-        s.completed,
-        s.shed_queue_full,
-        s.shed_deadline,
-        s.shed_rate_limit,
-        s.timed_out,
-        s.failed,
-        s.retries,
-        s.recoveries,
-        s.bytes_copied,
-        s.start,
-        s.end,
-        s.max_queue_depth as u64,
-        s.latencies.len() as u64,
-        s.p50(),
-        s.p95(),
-        s.p99(),
-        s.mean().to_bits(),
-    ] {
-        d.put(v);
-    }
-    for &b in &s.busy {
-        d.put(b);
-    }
-    for (&id, t) in &s.tenants {
+impl Fold {
+    fn stats(&mut self, s: &RunStats) {
         for v in [
-            id as u64,
-            t.offered,
-            t.completed,
-            t.shed_queue_full,
-            t.shed_deadline,
-            t.shed_rate_limit,
-            t.timed_out,
-            t.failed,
-            t.percentile(50.0),
-            t.percentile(95.0),
-            t.p99(),
-            t.latencies.mean().to_bits(),
+            s.workers as u64,
+            s.offered,
+            s.completed,
+            s.shed_queue_full,
+            s.shed_deadline,
+            s.shed_rate_limit,
+            s.timed_out,
+            s.failed,
+            s.retries,
+            s.recoveries,
+            s.bytes_copied,
+            s.start,
+            s.end,
+            s.max_queue_depth as u64,
+            s.latencies.len() as u64,
+            s.p50(),
+            s.p95(),
+            s.p99(),
+            s.mean().to_bits(),
         ] {
-            d.put(v);
+            self.put(v);
+        }
+        for &b in &s.busy {
+            self.put(b);
+        }
+        for (&id, t) in &s.tenants {
+            for v in [
+                id as u64,
+                t.offered,
+                t.completed,
+                t.shed_queue_full,
+                t.shed_deadline,
+                t.shed_rate_limit,
+                t.timed_out,
+                t.failed,
+                t.percentile(50.0),
+                t.percentile(95.0),
+                t.p99(),
+                t.latencies.mean().to_bits(),
+            ] {
+                self.put(v);
+            }
         }
     }
 }
@@ -246,7 +247,7 @@ fn run_cell(backend: &Backend, mode: Mode, traffic: Traffic) -> u64 {
             (s, a)
         }
     };
-    fold_stats(&mut d, &stats);
+    d.stats(&stats);
     d.put(actions as u64);
     d.put(recorder.recorded());
     for lane in 0..recorder.lane_count() {
