@@ -418,19 +418,24 @@ impl<D: BlockDevice> FileSystem<D> {
 
     // ----- directories -----
 
-    fn dir_lookup(&mut self, dir: Inum, name: &str) -> Option<Inum> {
+    /// The entry `name` of directory `dir`; `NotADir` when `dir` is not
+    /// one, so nothing reads a regular file's data as entries.
+    fn dir_lookup(&mut self, dir: Inum, name: &str) -> Result<Option<Inum>, FsError> {
         let d = self.read_inode(dir);
+        if d.typ != InodeType::Dir {
+            return Err(FsError::NotADir);
+        }
         let mut off = 0;
         while off < d.size as usize {
             let mut slot = [0u8; DIRENT_SIZE];
             self.readi(dir, off, &mut slot);
             let e = Dirent::decode(&slot);
             if e.inum != 0 && e.name == name {
-                return Some(e.inum);
+                return Ok(Some(e.inum));
             }
             off += DIRENT_SIZE;
         }
-        None
+        Ok(None)
     }
 
     fn dir_link(&mut self, dir: Inum, name: &str, inum: Inum) -> Result<(), FsError> {
@@ -466,7 +471,7 @@ impl<D: BlockDevice> FileSystem<D> {
             if self.read_inode(at).typ != InodeType::Dir {
                 return Err(FsError::NotADir);
             }
-            at = self.dir_lookup(at, part).ok_or(FsError::NotFound)?;
+            at = self.dir_lookup(at, part)?.ok_or(FsError::NotFound)?;
         }
         Ok(at)
     }
@@ -481,7 +486,7 @@ impl<D: BlockDevice> FileSystem<D> {
             if self.read_inode(at).typ != InodeType::Dir {
                 return Err(FsError::NotADir);
             }
-            at = self.dir_lookup(at, part).ok_or(FsError::NotFound)?;
+            at = self.dir_lookup(at, part)?.ok_or(FsError::NotFound)?;
         }
         Ok((at, last))
     }
@@ -493,7 +498,7 @@ impl<D: BlockDevice> FileSystem<D> {
         self.log.begin_op();
         let r = (|| {
             let (dir, name) = self.namei_parent(path)?;
-            if self.dir_lookup(dir, name).is_some() {
+            if self.dir_lookup(dir, name)?.is_some() {
                 return Err(FsError::Exists);
             }
             let inum = self.ialloc()?;

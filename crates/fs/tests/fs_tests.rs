@@ -26,6 +26,22 @@ fn create_write_read_roundtrip() {
 }
 
 #[test]
+fn a_file_created_below_a_regular_file_is_refused() {
+    let mut fs = fresh();
+    let wal = fs.create("/wal").unwrap();
+    fs.write_at(wal, 0, b"log").unwrap();
+    assert_eq!(fs.create("/wal/x"), Err(FsError::NotADir));
+    assert_eq!(fs.open("/wal/x"), Err(FsError::NotADir));
+    let mut out = [0u8; 8];
+    assert_eq!(
+        fs.read_at(wal, 0, &mut out),
+        3,
+        "no entry was written into /wal"
+    );
+    assert_eq!(&out[..3], b"log");
+}
+
+#[test]
 fn read_beyond_eof_is_short() {
     let mut fs = fresh();
     let f = fs.create("/x").unwrap();
@@ -260,6 +276,8 @@ fn crash_during_update_preserves_consistency() {
 #[derive(Debug, Clone)]
 enum Op {
     Create(u8),
+    /// A create of `/f{n}/x`: below a file, or below nothing.
+    CreateBelow(u8),
     Write {
         file: u8,
         off: u16,
@@ -271,6 +289,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..6).prop_map(Op::Create),
+        (0u8..6).prop_map(Op::CreateBelow),
         (0u8..6, 0u16..5000, 1u16..3000, any::<u8>()).prop_map(|(file, off, len, val)| Op::Write {
             file,
             off,
@@ -284,7 +303,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The file system agrees with an in-memory model under arbitrary
-    /// create/write sequences.
+    /// create/write sequences, creates below a file or nothing included.
     #[test]
     fn matches_in_memory_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
         let mut fs = FileSystem::mkfs(RamDisk::new(4096), 64);
@@ -300,6 +319,10 @@ proptest! {
                     } else {
                         prop_assert_eq!(r, Err(FsError::Exists));
                     }
+                }
+                Op::CreateBelow(f) => {
+                    let refused = if model.contains_key(&f) { FsError::NotADir } else { FsError::NotFound };
+                    prop_assert_eq!(fs.create(&format!("{}/x", path(f))), Err(refused));
                 }
                 Op::Write { file, off, len, val } => {
                     let data = vec![val; len as usize];

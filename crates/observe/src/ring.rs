@@ -328,12 +328,12 @@ impl Recorder {
         self.inner.capacity
     }
 
+    /// The ring write of an enabled recorder. The emit methods check
+    /// the flag inline and call this only when it is set, so a disabled
+    /// recorder costs a load and a branch at each call site.
     #[cfg(feature = "trace")]
-    #[inline]
+    #[inline(never)]
     fn emit(&self, lane: usize, ev: Event) {
-        if !self.inner.enabled.get() {
-            return;
-        }
         let mut lanes = self.inner.lanes.borrow_mut();
         if lanes.len() <= lane {
             let cap = self.inner.capacity;
@@ -346,14 +346,16 @@ impl Recorder {
     #[inline]
     pub fn begin(&self, lane: usize, kind: SpanKind, t: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        self.emit(
-            lane,
-            Event {
-                t,
-                corr,
-                kind: EventKind::Begin(kind),
-            },
-        );
+        if self.inner.enabled.get() {
+            self.emit(
+                lane,
+                Event {
+                    t,
+                    corr,
+                    kind: EventKind::Begin(kind),
+                },
+            );
+        }
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t, corr);
     }
@@ -362,14 +364,16 @@ impl Recorder {
     #[inline]
     pub fn end(&self, lane: usize, kind: SpanKind, t: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        self.emit(
-            lane,
-            Event {
-                t,
-                corr,
-                kind: EventKind::End(kind),
-            },
-        );
+        if self.inner.enabled.get() {
+            self.emit(
+                lane,
+                Event {
+                    t,
+                    corr,
+                    kind: EventKind::End(kind),
+                },
+            );
+        }
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t, corr);
     }
@@ -383,7 +387,7 @@ impl Recorder {
     #[inline]
     pub fn span(&self, lane: usize, kind: SpanKind, t0: Cycles, t1: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        {
+        if self.inner.enabled.get() {
             let dur = t1.saturating_sub(t0).min(u32::MAX as Cycles) as u32;
             self.emit(
                 lane,
@@ -402,14 +406,16 @@ impl Recorder {
     #[inline]
     pub fn instant(&self, lane: usize, kind: InstantKind, t: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        self.emit(
-            lane,
-            Event {
-                t,
-                corr,
-                kind: EventKind::Instant(kind),
-            },
-        );
+        if self.inner.enabled.get() {
+            self.emit(
+                lane,
+                Event {
+                    t,
+                    corr,
+                    kind: EventKind::Instant(kind),
+                },
+            );
+        }
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t, corr);
     }

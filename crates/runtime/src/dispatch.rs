@@ -699,23 +699,22 @@ impl<T: Transport> Rings<'_, T> {
         let mut resubmit: Vec<(Request, u32)> = Vec::new();
         while let Some(c) = self.ring.pop_completion(lane) {
             let now = self.ring.now(lane);
-            let req = c.req;
-            if let Some(h) = self.held[lane].get_mut(core.fabric.slot(req.tenant)) {
+            if let Some(h) = self.held[lane].get_mut(core.fabric.slot(c.req.tenant)) {
                 *h = h.saturating_sub(1);
             }
             // Attempts before this one; the entry is re-listed if the
             // request goes round again.
-            let listed = self.retried.iter().position(|&(id, _)| id == req.id);
+            let listed = self.retried.iter().position(|&(id, _)| id == c.corr);
             let attempts = listed.map_or(0, |at| self.retried.swap_remove(at).1);
-            match c.result {
+            match &c.result {
                 // Expired at batch-cut time — burned no service time,
                 // exactly like the central queue's start-time check.
-                _ if c.expired => core.settle(Outcome::ShedDeadline { lane }, &req, now),
-                Ok(_) => core.settle(Outcome::Completed, &req, now),
-                Err(e) if core.retry(self.ring, lane, req.id, &e, attempts) => {
-                    resubmit.push((req, attempts + 1));
+                _ if c.expired => core.settle(Outcome::ShedDeadline { lane }, &c.req, now),
+                Ok(_) => core.settle(Outcome::Completed, &c.req, now),
+                Err(e) if core.retry(self.ring, lane, c.corr, e, attempts) => {
+                    resubmit.push((c.req, attempts + 1));
                 }
-                Err(e) => core.settle_error(&e, &req, now),
+                Err(e) => core.settle_error(e, &c.req, now),
             }
         }
         // Re-queue retries. The doorbell freed at least as many slots

@@ -34,8 +34,6 @@
 //!   back-pressures the doorbell (entries simply stay submitted) rather
 //!   than overwriting unacknowledged completions.
 
-use std::collections::VecDeque;
-
 use sb_observe::{Recorder, SpanKind};
 use sb_sim::Cycles;
 
@@ -109,9 +107,10 @@ pub struct RingCompletion {
 
 /// One ring slot. While queued its buffer holds the staged wire frame;
 /// the completion writes the reply over the frame's payload, as a
-/// server answers in place in the shared buffer. Slots (and so their
-/// buffers) are recycled: acknowledged → spare → next submission.
-#[derive(Debug)]
+/// server answers in place in the shared buffer. A slot never moves:
+/// the ledger totals walk over it, and every frame the array wraps onto
+/// it reuses its buffer.
+#[derive(Debug, Default)]
 struct Slot {
     /// The staged frame, then the posted reply. Sized to what it
     /// carries, never to `slot_bytes`.
@@ -120,24 +119,38 @@ struct Slot {
     req: Request,
     deadline: Cycles,
     expired: bool,
-    result: Result<usize, CallError>,
+    /// The posted outcome, until the pop takes it.
+    result: Option<Result<usize, CallError>>,
 }
 
-/// One lane's rings, oldest entry first: `slots[..completed]` is the
-/// completion ring, `slots[completed..]` the submission ring. Posting
-/// a completion moves the boundary, not the entry.
+/// One lane's rings over a fixed array of `2·capacity + 1` slots that
+/// the ledger totals index modulo its length: the submission ring is
+/// `[posted, submitted)`, the completion ring `[acked, posted)`, and
+/// slot `acked − 1` is the acknowledged-reply view. Each ring holds at
+/// most `capacity` entries, so the three never overlap.
 #[derive(Debug, Default)]
 struct LaneRings {
-    slots: VecDeque<Slot>,
-    completed: usize,
-    /// The last acknowledged slot; its buffer is the `Transport::reply`
-    /// view.
-    acked: Option<Slot>,
+    slots: Box<[Slot]>,
     /// Total frames ever submitted / completions posted / completions
     /// acknowledged — the power-loss drill's ledger.
     submitted_total: u64,
     posted_total: u64,
     acked_total: u64,
+}
+
+impl LaneRings {
+    /// The index of the slot the ledger total `t` lands on.
+    #[inline]
+    fn at(&self, t: u64) -> usize {
+        (t % self.slots.len() as u64) as usize
+    }
+
+    /// The slots of the totals `[from, to)`, oldest first.
+    #[inline]
+    fn span_mut(&mut self, from: u64, to: u64) -> impl Iterator<Item = &mut Slot> {
+        let (front, back) = self.slots.split_at_mut(self.at(from));
+        back.iter_mut().chain(front).take((to - from) as usize)
+    }
 }
 
 /// The doorbell adapter: per-lane submission/completion rings over any
@@ -147,8 +160,6 @@ pub struct RingTransport<T: Transport> {
     inner: T,
     cfg: RingConfig,
     lanes: Vec<LaneRings>,
-    /// Slots not in any ring, waiting for the next submission.
-    spare: Vec<Slot>,
     /// The live requests of the batch being drained (reused storage for
     /// the contiguous slice [`Transport::call_batch`] takes).
     batch: Vec<Request>,
@@ -167,8 +178,12 @@ impl<T: Transport> RingTransport<T> {
         RingTransport {
             inner,
             cfg,
-            lanes: (0..lanes).map(|_| LaneRings::default()).collect(),
-            spare: Vec::new(),
+            lanes: (0..lanes)
+                .map(|_| LaneRings {
+                    slots: (0..2 * cfg.capacity + 1).map(|_| Slot::default()).collect(),
+                    ..LaneRings::default()
+                })
+                .collect(),
             batch: Vec::new(),
             meter: CopyMeter::new(),
             recorder: Recorder::off(),
@@ -221,18 +236,11 @@ impl<T: Transport> RingTransport<T> {
         if self.sq_len(lane) >= self.cfg.capacity {
             return Err(RingError::Full);
         }
-        let mut slot = self.spare.pop().unwrap_or_else(|| Slot {
-            buf: Lane::new(),
-            req: req.clone(),
-            deadline,
-            expired: false,
-            result: Ok(0),
-        });
-        slot.req = req.clone();
+        let rings = &mut self.lanes[lane];
+        let slot = &mut rings.slots[rings.at(rings.submitted_total)];
+        slot.req.clone_from(req);
         slot.deadline = deadline;
         slot.buf.encode(req, deadline, &self.meter);
-        let rings = &mut self.lanes[lane];
-        rings.slots.push_back(slot);
         rings.submitted_total += 1;
         Ok(())
     }
@@ -246,20 +254,18 @@ impl<T: Transport> RingTransport<T> {
     /// Returns the number of completions posted.
     pub fn doorbell(&mut self, lane: usize) -> usize {
         let now = self.inner.now(lane);
-        let rings = &mut self.lanes[lane];
         // Cut the batch: up to the budget, one completion slot reserved
         // per entry, expiry judged once at cut time. Only live entries
         // cross the boundary; expired ones must not burn service time.
-        let cq_space = self.cfg.capacity.saturating_sub(rings.completed);
-        let cut = (rings.slots.len() - rings.completed)
-            .min(self.cfg.batch_budget)
-            .min(cq_space);
+        let cq_space = self.cfg.capacity - self.cq_len(lane);
+        let cut = self.sq_len(lane).min(self.cfg.batch_budget).min(cq_space);
         if cut == 0 {
             return 0;
         }
-        let cut = rings.completed..rings.completed + cut;
+        let rings = &mut self.lanes[lane];
+        let (first, end) = (rings.posted_total, rings.posted_total + cut as u64);
         self.batch.clear();
-        for slot in rings.slots.range_mut(cut.clone()) {
+        for slot in rings.span_mut(first, end) {
             slot.expired = slot.deadline != 0 && now > slot.deadline;
             if !slot.expired {
                 self.batch.push(slot.req.clone());
@@ -272,19 +278,19 @@ impl<T: Transport> RingTransport<T> {
             // Completions arrive in batch order, so the live slot each
             // belongs to is found by walking the cut alongside them.
             let meter = &self.meter;
-            let mut live = rings.slots.range_mut(cut.clone()).filter(|s| !s.expired);
+            let mut live = rings.span_mut(first, end).filter(|s| !s.expired);
             let mut done = 0usize;
             let mut post = |i: usize, result: Result<usize, CallError>, reply: &[u8]| {
                 debug_assert_eq!(i, done, "batch completions arrive in order");
                 let slot = live.next().expect("surplus batch completions");
                 meter.add(reply.len());
                 slot.buf.set_reply(reply);
-                slot.result = result;
+                slot.result = Some(result);
                 done += 1;
             };
             let consumed = self.inner.call_batch(lane, &self.batch, &mut post);
-            let end = self.inner.now(lane).max(now);
-            self.recorder.end(lane, SpanKind::Doorbell, end, 0);
+            let drained = self.inner.now(lane).max(now);
+            self.recorder.end(lane, SpanKind::Doorbell, drained, 0);
             let consumed = consumed.min(self.batch.len());
             assert_eq!(
                 done, consumed,
@@ -297,13 +303,13 @@ impl<T: Transport> RingTransport<T> {
         // everything after it — expired or not — stays in the
         // submission ring, so completions never overtake each other.
         let mut live_left = consumed;
-        let mut posted = 0usize;
-        for slot in rings.slots.range_mut(cut) {
+        let mut posted = 0;
+        for slot in rings.span_mut(first, end) {
             if slot.expired {
                 slot.buf.set_reply(&[]);
-                slot.result = Err(CallError::Timeout {
+                slot.result = Some(Err(CallError::Timeout {
                     elapsed: now - slot.deadline,
-                });
+                }));
             } else if live_left > 0 {
                 live_left -= 1;
             } else {
@@ -315,50 +321,48 @@ impl<T: Transport> RingTransport<T> {
             }
             posted += 1;
         }
-        rings.completed += posted;
         rings.posted_total += posted as u64;
         posted
     }
 
     /// Acknowledges the oldest completion on `lane`, if any. Its slot
     /// becomes the lane's acknowledged-reply view (readable via
-    /// [`RingTransport::completion_reply`] / `Transport::reply`) and the
-    /// slot acknowledged before it returns to the spares.
+    /// [`RingTransport::completion_reply`] / `Transport::reply`) until
+    /// the next pop.
     pub fn pop_completion(&mut self, lane: usize) -> Option<RingCompletion> {
         let rings = &mut self.lanes[lane];
-        if rings.completed == 0 {
+        if rings.acked_total == rings.posted_total {
             return None;
         }
-        let mut slot = rings.slots.pop_front()?;
-        rings.completed -= 1;
+        let slot = &mut rings.slots[rings.at(rings.acked_total)];
         rings.acked_total += 1;
-        let completion = RingCompletion {
+        Some(RingCompletion {
             corr: slot.req.id,
             expired: slot.expired,
-            result: std::mem::replace(&mut slot.result, Ok(0)),
+            result: slot.result.take().expect("a posted slot holds its outcome"),
             req: slot.req.clone(),
-        };
-        self.spare.extend(rings.acked.replace(slot));
-        Some(completion)
+        })
     }
 
     /// The last acknowledged reply on `lane` (valid until the next pop).
     pub fn completion_reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane]
-            .acked
-            .as_ref()
-            .map_or(&[], |s| s.buf.reply())
+        let rings = &self.lanes[lane];
+        match rings.acked_total {
+            0 => &[],
+            t => rings.slots[rings.at(t - 1)].buf.reply(),
+        }
     }
 
     /// Frames currently queued in `lane`'s submission ring.
     pub fn sq_len(&self, lane: usize) -> usize {
         let rings = &self.lanes[lane];
-        rings.slots.len() - rings.completed
+        (rings.submitted_total - rings.posted_total) as usize
     }
 
     /// Completions currently waiting to be acknowledged on `lane`.
     pub fn cq_len(&self, lane: usize) -> usize {
-        self.lanes[lane].completed
+        let rings = &self.lanes[lane];
+        (rings.posted_total - rings.acked_total) as usize
     }
 
     /// Correlation ids of the frames still queued on `lane`, parsed out
@@ -366,20 +370,16 @@ impl<T: Transport> RingTransport<T> {
     /// frames, and the power-loss drill's durable set.
     pub fn queued_corrs(&self, lane: usize) -> Vec<u64> {
         let rings = &self.lanes[lane];
-        rings
-            .slots
-            .range(rings.completed..)
-            .filter_map(|s| WireHeader::parse(s.buf.wire()).map(|h| h.corr))
+        (rings.posted_total..rings.submitted_total)
+            .filter_map(|t| WireHeader::parse(rings.slots[rings.at(t)].buf.wire()).map(|h| h.corr))
             .collect()
     }
 
     /// Correlation ids of completions posted but not yet acknowledged.
     pub fn unacked_corrs(&self, lane: usize) -> Vec<u64> {
         let rings = &self.lanes[lane];
-        rings
-            .slots
-            .range(..rings.completed)
-            .map(|s| s.req.id)
+        (rings.acked_total..rings.posted_total)
+            .map(|t| rings.slots[rings.at(t)].req.id)
             .collect()
     }
 
@@ -564,6 +564,36 @@ mod tests {
             .map(|c| c.corr)
             .collect();
         assert_eq!(corrs, vec![1, 2]);
+    }
+
+    /// The most the three spans can hold at once: a full completion
+    /// ring, a full submission ring and the acknowledged view — one
+    /// slot more than two rings' worth.
+    #[test]
+    fn the_acknowledged_reply_survives_a_full_window() {
+        for c in [1, 64] {
+            let mut r = RingTransport::new(
+                FixedServiceTransport::new(1, 10),
+                RingConfig {
+                    capacity: c,
+                    batch_budget: c,
+                    slot_bytes: 64,
+                },
+            );
+            let mut id = 0u64;
+            let mut submit = |r: &mut RingTransport<_>| {
+                r.submit(0, &req(id, 16)).unwrap();
+                id += 1;
+            };
+            (0..c).for_each(|_| submit(&mut r));
+            assert_eq!(r.doorbell(0), c);
+            let popped = r.pop_completion(0).unwrap();
+            (0..c).for_each(|_| submit(&mut r));
+            assert_eq!(r.doorbell(0), 1, "one completion fits");
+            submit(&mut r);
+            assert_eq!((r.cq_len(0), r.sq_len(0)), (c, c));
+            assert_eq!(r.completion_reply(0), popped.req.encode(), "capacity {c}");
+        }
     }
 
     #[test]

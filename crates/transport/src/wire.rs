@@ -44,7 +44,7 @@ pub const OP_TAG_OFFSET: usize = 8;
 pub type TenantId = u16;
 
 /// One request flowing through a transport.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Request {
     /// Monotone request number — the wire correlation id.
     pub id: u64,

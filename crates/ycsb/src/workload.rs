@@ -87,19 +87,25 @@ pub struct Workload {
     spec: WorkloadSpec,
     zipf: ScrambledZipfian,
     rng: SmallRng,
-    total_weight: u32,
+    /// The mix's running weight totals; the last is the whole weight.
+    bounds: Vec<u32>,
 }
 
 impl Workload {
     /// Instantiates the generator.
     pub fn new(spec: WorkloadSpec) -> Self {
-        let total_weight = spec.mix.iter().map(|(_, w)| w).sum();
-        assert!(total_weight > 0, "empty mix");
+        let bounds: Vec<u32> = (spec.mix.iter())
+            .scan(0, |total, &(_, w)| {
+                *total += w;
+                Some(*total)
+            })
+            .collect();
+        assert!(bounds.last().is_some_and(|&t| t > 0), "empty mix");
         Workload {
             zipf: ScrambledZipfian::new(spec.record_count),
             rng: SmallRng::seed_from_u64(spec.seed),
             spec,
-            total_weight,
+            bounds,
         }
     }
 
@@ -110,21 +116,11 @@ impl Workload {
 
     /// Draws the next operation.
     pub fn next_op(&mut self) -> Op {
-        let mut pick = self.rng.gen_range(0..self.total_weight);
-        let kind = self
-            .spec
-            .mix
-            .iter()
-            .find(|(_, w)| {
-                if pick < *w {
-                    true
-                } else {
-                    pick -= w;
-                    false
-                }
-            })
-            .map(|(k, _)| *k)
-            .expect("weights sum to total");
+        let pick = self.rng.gen_range(0..self.bounds[self.bounds.len() - 1]);
+        // The entry `pick` falls in is the number of running totals at
+        // or below it — no branch on the draw.
+        let at: usize = self.bounds.iter().map(|&b| usize::from(b <= pick)).sum();
+        let kind = self.spec.mix[at].0;
         Op {
             kind,
             key: self.zipf.next(&mut self.rng),
@@ -151,6 +147,57 @@ mod tests {
         }
         let ratio = reads as f64 / (reads + updates) as f64;
         assert!((0.47..0.53).contains(&ratio), "read ratio {ratio}");
+    }
+
+    /// The pick as a walk over the mix: the first entry whose weight
+    /// the remainder of `pick` falls under.
+    fn find(mix: &[(OpKind, u32)], mut pick: u32) -> OpKind {
+        mix.iter()
+            .find(|(_, w)| {
+                if pick < *w {
+                    true
+                } else {
+                    pick -= w;
+                    false
+                }
+            })
+            .map(|(k, _)| *k)
+            .expect("weights sum to total")
+    }
+
+    /// 10⁷ draws per mix against [`find`] on the same draws: a zero
+    /// weight, a one-entry mix and the benchmark's 40/60.
+    #[test]
+    fn the_pick_is_the_walk_over_the_mix() {
+        use OpKind::*;
+        let mixes = [
+            vec![(Read, 0), (Update, 3), (Insert, 0), (Read, 5)],
+            vec![(Update, 7)],
+            vec![(Read, 40), (Update, 60)],
+        ];
+        for mix in mixes {
+            let spec = WorkloadSpec {
+                mix: mix.clone(),
+                ..WorkloadSpec::ycsb_a(10_000, 64)
+            };
+            let total = mix.iter().map(|&(_, w)| w).sum();
+            let mut w = Workload::new(spec.clone());
+            let mut same = SmallRng::seed_from_u64(spec.seed);
+            let zipf = ScrambledZipfian::new(spec.record_count);
+            for _ in 0..10_000_000 {
+                let kind = find(&mix, same.gen_range(0..total));
+                let key = zipf.next(&mut same);
+                assert_eq!(
+                    w.next_op(),
+                    Op {
+                        kind,
+                        key,
+                        value_len: 64
+                    },
+                    "{mix:?}"
+                );
+            }
+        }
     }
 
     #[test]

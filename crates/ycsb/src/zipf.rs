@@ -141,33 +141,52 @@ fn unit(bits: u64) -> f64 {
 pub struct ScrambledZipfian {
     inner: Zipfian,
     items: u64,
+    /// Low bytes a rank below `items` can have nonzero: the hash folds
+    /// only these.
+    bytes: u32,
+    /// `FNV_PRIME^(8 − bytes)`: the folds of the zero high bytes, which
+    /// leave the hash's xor a no-op, as one multiply.
+    zeros: u64,
 }
 
 impl ScrambledZipfian {
     /// A generator over `n` keys.
     pub fn new(n: u64) -> Self {
+        let inner = Zipfian::new(n);
+        let bytes = (u64::BITS - (n - 1).leading_zeros()).div_ceil(8);
         ScrambledZipfian {
-            inner: Zipfian::new(n),
+            inner,
             items: n,
+            bytes,
+            zeros: (bytes..8).fold(1, |p, _| p.wrapping_mul(FNV_PRIME)),
         }
     }
 
     /// Draws the next key in `[0, n)`.
     pub fn next<R: Rng>(&self, rng: &mut R) -> u64 {
-        let rank = self.inner.next(rng);
-        fnv_hash(rank) % self.items
+        self.scramble(self.inner.next(rng))
+    }
+
+    /// `fnv_hash(rank) % n` for a rank below `n`.
+    fn scramble(&self, rank: u64) -> u64 {
+        fnv_fold(rank, self.bytes).wrapping_mul(self.zeros) % self.items
     }
 }
 
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit (YCSB's scrambling hash).
-pub fn fnv_hash(mut v: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+pub fn fnv_hash(v: u64) -> u64 {
+    fnv_fold(v, 8)
+}
+
+/// FNV-1a over the low `bytes` bytes of `v`, least significant first.
+fn fnv_fold(mut v: u64, bytes: u32) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for _ in 0..8 {
-        let octet = v & 0xff;
+    for _ in 0..bytes {
+        hash ^= v & 0xff;
         v >>= 8;
-        hash ^= octet;
-        hash = hash.wrapping_mul(PRIME);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -377,6 +396,34 @@ mod tests {
             let mut same = rng.clone();
             for _ in 0..10_000_000 {
                 assert_eq!(z.next(&mut rng), libm_rank(&z, same.gen()), "n {n}");
+            }
+        }
+    }
+
+    /// Sizes at each byte-count edge, the benchmark's tenant count, the
+    /// graph workloads' records and the paper's 10 000.
+    const SCRAMBLED: [u64; 11] = [1, 2, 3, 8, 255, 256, 257, 4_096, 10_000, 65_536, 65_537];
+
+    #[test]
+    fn the_fold_is_the_hash_for_every_rank_below_n() {
+        for n in SCRAMBLED {
+            let z = ScrambledZipfian::new(n);
+            for rank in 0..n {
+                assert_eq!(z.scramble(rank), fnv_hash(rank) % n, "n {n}, rank {rank}");
+            }
+        }
+    }
+
+    /// 10⁷ keys per size against the definition on the same draws.
+    #[test]
+    fn scrambled_draws_are_the_hash_of_the_rank() {
+        for n in SCRAMBLED {
+            let z = ScrambledZipfian::new(n);
+            let mut rng = SmallRng::seed_from_u64(n);
+            let mut same = rng.clone();
+            for _ in 0..10_000_000 {
+                let want = fnv_hash(z.inner.next(&mut same)) % n;
+                assert_eq!(z.next(&mut rng), want, "n {n}");
             }
         }
     }

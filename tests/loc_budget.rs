@@ -112,9 +112,10 @@ const BUDGET: &[(&str, usize)] = &[
     // `sb-runtime`), once the callerless `RegImage` and
     // `Request::reg_image` went; 1231 once the `opcode` module, stamped
     // on no wire, went; 1203 once `TrapIpcTransport::with_kpti` (and the
-    // label it built) and `RingTransport::with_defaults` went; rounded up
-    // to the next 10.
-    ("transport", 1_210),
+    // label it built) and `RingTransport::with_defaults` went; 1197 once
+    // the rings became one fixed slot array per lane (no `VecDeque`, no
+    // spare pool); rounded up to the next 10.
+    ("transport", 1_200),
     // 259 once the Zipfian's tail rank became a proven multiply chain
     // with libm's `pow` as its fallback and the callerless
     // `Workload::load_keys` went, rounded up to the next 10.
