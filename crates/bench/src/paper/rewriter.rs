@@ -80,7 +80,7 @@ const CASES: [(&str, &str, &[u8]); 7] = [
 /// The register file after interpreting `code` (with its rewrite `page`)
 /// from one fixed starting state.
 fn interpret(code: &[u8], page: &[u8]) -> [u64; 16] {
-    let mut s = State::new();
+    let mut s = State::default();
     s.regs[0] = 0x1111;
     s.regs[1] = 3;
     s.regs[2] = 0;

@@ -234,8 +234,8 @@ fn no_cell_is_further_from_the_paper_than_its_band() {
 
 /// The entries Tier-1's optimised test build runs in seconds, longest
 /// first: every gated sweep and nine paper artefacts. `table6` waits
-/// for a digest of the host files it scans, and `figure9_11` (~27 s)
-/// for its cells to run in parallel; both are left to
+/// for a digest of the host files it scans, and `figure9_11` for its
+/// cells to run in parallel; both are left to
 /// `tools/regen_results.sh`.
 const REDERIVED: &str = "table4 profile tenant graph runtime_scaling ring chaos sentinel \
                          table5 ablations table1 figure2 table2 table3 figure7 figure8";

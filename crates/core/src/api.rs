@@ -160,20 +160,6 @@ pub struct SkyBridge {
     trace_corr: u64,
 }
 
-impl std::fmt::Debug for SkyBridge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkyBridge")
-            .field("servers", &self.servers.len())
-            .field(
-                "bindings",
-                &self.bindings.iter().flatten().flatten().count(),
-            )
-            .field("violations", &self.violations)
-            .field("call_count", &self.call_count)
-            .finish()
-    }
-}
-
 impl SkyBridge {
     /// Creates the facility (deterministic key RNG for reproducibility).
     pub fn new() -> Self {
@@ -208,20 +194,10 @@ impl SkyBridge {
         self.trace_corr = corr;
     }
 
-    /// The currently stamped trace id.
-    pub fn trace_corr(&self) -> u64 {
-        self.trace_corr
-    }
-
     /// Attaches a live fault plane (chaos runs). Without this call the
     /// facility keeps its default all-zero mix and never injects.
     pub fn attach_faults(&mut self, faults: FaultHandle) {
         self.faults = faults;
-    }
-
-    /// The attached fault plane (for report collection).
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
     }
 
     /// Kills `server` (chaos/test control, and the internal effect of an

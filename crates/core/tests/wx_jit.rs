@@ -8,7 +8,7 @@ use skybridge::{attack, SkyBridge};
 
 fn setup() -> (Kernel, SkyBridge, usize) {
     let mut k = Kernel::boot(KernelConfig::with_rootkernel(Personality::sel4()));
-    let mut sb = SkyBridge::new();
+    let mut sb = SkyBridge::default();
     let pid = k.create_process(&sb_rewriter::corpus::generate(1, 4 * 4096, 0));
     let tid = k.create_thread(pid, 0);
     k.run_thread(tid);

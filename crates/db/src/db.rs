@@ -384,11 +384,6 @@ impl<F: FileApi> Database<F> {
         }
     }
 
-    /// Borrow of the underlying file system (I/O statistics).
-    pub fn fs(&self) -> &F {
-        &self.fs
-    }
-
     /// Mutable borrow of the underlying file system. A file-system
     /// *proxy* (the graph's charged FS adapter) carries configuration of
     /// its own — which transport to charge, whether charging is live —

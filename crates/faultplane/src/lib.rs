@@ -598,6 +598,12 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_debugs_as_its_plane() {
+        let h = FaultHandle::new(5, FaultMix::none());
+        assert!(format!("{h:?}").starts_with("FaultHandle(Plane {"));
+    }
+
+    #[test]
     fn report_display_and_rows() {
         let h = FaultHandle::new(5, FaultMix::none().with(FaultPoint::TornWrite, 10_000));
         h.fire(FaultPoint::TornWrite);

@@ -10,14 +10,6 @@ pub const BSIZE: usize = 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DevError;
 
-impl std::fmt::Display for DevError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "transient block I/O error")
-    }
-}
-
-impl std::error::Error for DevError {}
-
 /// A block device.
 ///
 /// In the simulated system the device is served by a separate process (the
@@ -192,11 +184,6 @@ impl FaultyDisk {
     /// remount after the crash would see).
     pub fn into_survivor(self) -> RamDisk {
         self.inner
-    }
-
-    /// The fault handle this disk injects from.
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
     }
 }
 

@@ -585,11 +585,6 @@ impl Kernel {
         core
     }
 
-    /// Simulated wall-clock (max core time).
-    pub fn now(&self) -> Cycles {
-        self.machine.wall_clock()
-    }
-
     /// Executes a no-op system call on behalf of the current thread of
     /// `core`: full mode switch, trivial dispatch, KPTI page-table swap
     /// and restore (the Table 2 "no-op system call" rows).

@@ -104,11 +104,6 @@ impl Log2Histogram {
         self.count
     }
 
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact sum of all samples.
     pub fn sum(&self) -> u128 {
         self.sum

@@ -562,6 +562,7 @@ mod tests {
             let expect: Vec<Cycles> = (n.saturating_sub(5)..n).collect();
             assert_eq!(held, expect, "fill level {n}");
             assert_eq!(r.pushed(), n);
+            assert_eq!(r.is_empty(), n == 0);
         }
     }
 

@@ -34,20 +34,6 @@ pub const RSP: usize = 4;
 pub const HALT: u64 = 0xdead_0000_dead_0000;
 
 impl State {
-    /// Fresh state with the stack pointer placed in scratch memory.
-    pub fn new() -> Self {
-        let mut s = State {
-            regs: [0; 16],
-            mem: HashMap::new(),
-            zf: false,
-            sf: false,
-            rip: 0,
-            vmfunc_log: Vec::new(),
-        };
-        s.regs[RSP] = 0x7fff_0000;
-        s
-    }
-
     fn read_mem(&self, addr: u64, n: usize) -> u64 {
         let mut v = 0u64;
         for i in 0..n {
@@ -76,9 +62,19 @@ impl State {
     }
 }
 
+/// Fresh state with the stack pointer placed in scratch memory.
 impl Default for State {
     fn default() -> Self {
-        Self::new()
+        let mut s = State {
+            regs: [0; 16],
+            mem: HashMap::new(),
+            zf: false,
+            sf: false,
+            rip: 0,
+            vmfunc_log: Vec::new(),
+        };
+        s.regs[RSP] = 0x7fff_0000;
+        s
     }
 }
 
@@ -495,7 +491,7 @@ pub fn assert_equivalent(
     setup: impl Fn(&mut State),
     compare_flags: bool,
 ) {
-    let mut a = State::new();
+    let mut a = State::default();
     setup(&mut a);
     run(
         Program {
@@ -508,7 +504,7 @@ pub fn assert_equivalent(
         10_000,
     )
     .expect("original program must run");
-    let mut b = State::new();
+    let mut b = State::default();
     setup(&mut b);
     run(
         Program {
@@ -546,7 +542,7 @@ mod tests {
     use super::*;
 
     fn run_code(code: &[u8], setup: impl Fn(&mut State)) -> State {
-        let mut st = State::new();
+        let mut st = State::default();
         setup(&mut st);
         run(
             Program {

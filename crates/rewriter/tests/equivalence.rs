@@ -140,7 +140,7 @@ fn spanning_relocation_is_equivalent() {
 fn literal_vmfunc_no_longer_executes() {
     let code = [0x0f, 0x01, 0xd4, 0xc3];
     let out = rewrite_checked(&code);
-    let mut st = State::new();
+    let mut st = State::default();
     run(
         Program {
             code: &out.code,
@@ -214,7 +214,7 @@ proptest! {
             s.regs[2] = 0x3333;
             s.regs[3] = 0x4444;
         };
-        let mut a = State::new();
+        let mut a = State::default();
         setup(&mut a);
         run(
             Program {
@@ -227,7 +227,7 @@ proptest! {
             100_000,
         )
         .unwrap();
-        let mut b = State::new();
+        let mut b = State::default();
         setup(&mut b);
         run(
             Program {

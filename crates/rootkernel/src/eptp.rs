@@ -167,7 +167,9 @@ mod tests {
     #[test]
     fn fills_up_to_hardware_capacity_without_eviction() {
         let mut l = EptpList::new(1);
+        assert!(l.is_empty());
         l.pin(0, Hpa(0x1000));
+        assert!(!l.is_empty());
         for i in 0..(EPTP_LIST_CAPACITY - 1) as u64 {
             let (slot, evicted) = l.ensure(Hpa(0x10_0000 + i * 0x1000));
             assert!(evicted.is_none());
@@ -180,7 +182,9 @@ mod tests {
     #[test]
     fn eviction_picks_least_recently_used() {
         let mut l = EptpList::new(1);
+        assert!(l.is_empty());
         l.pin(0, Hpa(0x1000));
+        assert!(!l.is_empty());
         for i in 0..(EPTP_LIST_CAPACITY - 1) as u64 {
             l.ensure(Hpa(0x10_0000 + i * 0x1000));
         }

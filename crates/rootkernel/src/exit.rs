@@ -3,12 +3,8 @@
 /// Why control left non-root mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExitReason {
-    /// `CPUID` unconditionally exits on VT-x.
-    Cpuid,
     /// `VMCALL`: the Subkernel↔Rootkernel hypercall interface.
     Vmcall,
-    /// A guest-physical access missed (or was denied by) the active EPT.
-    EptViolation,
     /// An external interrupt arrived while the exit control demanded exits
     /// (the Rootkernel's pass-through configuration avoids these).
     ExternalInterrupt,
@@ -26,12 +22,8 @@ pub enum ExitReason {
 /// pass-through configuration saves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExitStats {
-    /// `CPUID` exits.
-    pub cpuid: u64,
     /// `VMCALL` hypercalls.
     pub vmcall: u64,
-    /// EPT violations.
-    pub ept_violation: u64,
     /// External-interrupt exits.
     pub external_interrupt: u64,
     /// Privileged-instruction exits.
@@ -43,20 +35,13 @@ pub struct ExitStats {
 impl ExitStats {
     /// Total exits across all reasons.
     pub fn total(&self) -> u64 {
-        self.cpuid
-            + self.vmcall
-            + self.ept_violation
-            + self.external_interrupt
-            + self.privileged
-            + self.vmfunc_fault
+        self.vmcall + self.external_interrupt + self.privileged + self.vmfunc_fault
     }
 
     /// Records one exit.
     pub fn record(&mut self, reason: ExitReason) {
         match reason {
-            ExitReason::Cpuid => self.cpuid += 1,
             ExitReason::Vmcall => self.vmcall += 1,
-            ExitReason::EptViolation => self.ept_violation += 1,
             ExitReason::ExternalInterrupt => self.external_interrupt += 1,
             ExitReason::PrivilegedInstruction => self.privileged += 1,
             ExitReason::VmfuncFault => self.vmfunc_fault += 1,
@@ -73,9 +58,9 @@ mod tests {
         let mut s = ExitStats::default();
         s.record(ExitReason::Vmcall);
         s.record(ExitReason::Vmcall);
-        s.record(ExitReason::EptViolation);
+        s.record(ExitReason::VmfuncFault);
         assert_eq!(s.vmcall, 2);
-        assert_eq!(s.ept_violation, 1);
+        assert_eq!(s.vmfunc_fault, 1);
         assert_eq!(s.total(), 3);
     }
 }

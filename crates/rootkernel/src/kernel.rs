@@ -136,11 +136,6 @@ impl Rootkernel {
         self.take_exit(machine, core, ExitReason::Vmcall);
     }
 
-    /// `CPUID` always exits on VT-x.
-    pub fn cpuid(&mut self, machine: &mut Machine, core: CpuId) {
-        self.take_exit(machine, core, ExitReason::Cpuid);
-    }
-
     /// An external interrupt arrived on `core`.
     ///
     /// Returns `true` if it caused a VM exit (commercial configuration);
@@ -163,12 +158,6 @@ impl Rootkernel {
             self.take_exit(machine, core, ExitReason::PrivilegedInstruction);
             true
         }
-    }
-
-    /// An EPT violation on `core` at `gpa`. Always exits; the Rootkernel's
-    /// design goal is that this never fires in steady state.
-    pub fn ept_violation(&mut self, machine: &mut Machine, core: CpuId) {
-        self.take_exit(machine, core, ExitReason::EptViolation);
     }
 
     /// Hypercall: obtain (creating if needed) the process EPT for a client
@@ -226,11 +215,6 @@ impl Rootkernel {
     pub fn install_eptp_list(&mut self, machine: &mut Machine, core: CpuId, list: EptpList) {
         self.vmcall(machine, core);
         self.vmcs[core].eptp_list = list;
-    }
-
-    /// The EPTP list currently installed on `core`.
-    pub fn eptp_list(&self, core: CpuId) -> &EptpList {
-        &self.vmcs[core].eptp_list
     }
 
     /// Executes `VMFUNC(leaf, index)` on `core` — the entire hypervisor

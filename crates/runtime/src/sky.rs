@@ -127,11 +127,6 @@ impl SkyBridgeTransport {
     pub fn attach_faults(&mut self, faults: FaultHandle) {
         self.sb.attach_faults(faults);
     }
-
-    /// The facility's fault plane (report collection).
-    pub fn faults(&self) -> FaultHandle {
-        self.sb.faults().clone()
-    }
 }
 
 impl Transport for SkyBridgeTransport {

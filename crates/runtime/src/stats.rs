@@ -62,7 +62,7 @@ impl LatencyTrack {
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
+        self.len() == 0
     }
 
     /// Whether percentiles are exact (the run fit the verbatim cap).
@@ -631,10 +631,11 @@ mod tests {
     #[test]
     fn latency_track_is_exact_under_the_cap() {
         let mut t = LatencyTrack::default();
+        assert!(t.is_empty());
         for v in [30u64, 10, 20] {
             t.push(v);
         }
-        assert!(t.is_exact());
+        assert!(t.is_exact() && !t.is_empty());
         assert_eq!(t.percentile(0.0), 10);
         assert_eq!(t.percentile(50.0), 20);
         assert_eq!(t.percentile(100.0), 30);

@@ -207,15 +207,7 @@ pub enum TenantAction {
     },
 }
 
-impl TenantAction {
-    /// The tenant the action concerns.
-    pub fn tenant(&self) -> TenantId {
-        match *self {
-            TenantAction::Quarantine { tenant, .. } => tenant,
-            TenantAction::WidenWeight { tenant, .. } => tenant,
-        }
-    }
-}
+impl TenantAction {}
 
 /// Tenant id → dense slot number, for the ids seen so far: a two-level
 /// table, `pages[id / 256][id % 256]` holding the slot number plus one

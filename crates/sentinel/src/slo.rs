@@ -206,11 +206,6 @@ impl SloHandle {
         })))
     }
 
-    /// The objective under evaluation.
-    pub fn spec(&self) -> SloSpec {
-        self.0.borrow().spec
-    }
-
     /// Records a completed request: `latency` cycles from arrival to
     /// done, at lane-clock time `t`.
     pub fn complete(&self, t: Cycles, latency: Cycles) {

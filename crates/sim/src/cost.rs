@@ -133,37 +133,6 @@ impl CostModel {
             base
         }
     }
-
-    /// One-way cost of SkyBridge's direct server call: `VMFUNC` plus the
-    /// trampoline's register/stack work (134 + 64 = 198 cycles, §6.3).
-    pub fn skybridge_one_way(&self) -> Cycles {
-        self.vmfunc + self.trampoline_logic
-    }
-
-    /// Crossing cost of one MPK domain round-trip: two `WRPKRU` flips
-    /// (enter the server's protection domain, restore the caller's) with
-    /// no address-space or EPTP switch in between. 2 × 28 = 56 cycles —
-    /// well under the VMFUNC round-trip, which is the speed side of the
-    /// five-way comparison (the isolation side is what walk-level pkey
-    /// checks and KPTI assumptions quantify).
-    pub fn mpk_round_trip(&self) -> Cycles {
-        2 * self.wrpkru
-    }
-
-    /// The KPTI tax on one no-op syscall: the extra cycles Meltdown
-    /// page-table isolation adds to every kernel crossing (Table 2:
-    /// 431 − 181 = 250). Trap personalities pay this on *every* IPC leg
-    /// under KPTI; SkyBridge and MPK never enter the kernel on the data
-    /// path, so their crossing costs are KPTI-invariant.
-    pub fn kpti_tax(&self) -> Cycles {
-        self.noop_syscall(true) - self.noop_syscall(false)
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::skylake()
-    }
 }
 
 #[cfg(test)]
@@ -200,8 +169,10 @@ mod tests {
 
     #[test]
     fn skybridge_roundtrip_is_396() {
+        // §6.3: VMFUNC plus the trampoline's register and stack work,
+        // 134 + 64 = 198 cycles each way.
         let c = CostModel::skylake();
-        assert_eq!(2 * c.skybridge_one_way(), 396);
+        assert_eq!(2 * (c.vmfunc + c.trampoline_logic), 396);
     }
 
     #[test]
@@ -210,13 +181,8 @@ mod tests {
         // flips must undercut both the bare VMFUNC round-trip and the
         // full SkyBridge crossing (VMFUNC + trampoline, both ways).
         let c = CostModel::skylake();
-        assert_eq!(c.mpk_round_trip(), 56);
-        assert!(c.mpk_round_trip() < 2 * c.vmfunc);
-        assert!(c.mpk_round_trip() < 2 * c.skybridge_one_way());
-    }
-
-    #[test]
-    fn kpti_tax_is_250() {
-        assert_eq!(CostModel::skylake().kpti_tax(), 250);
+        assert_eq!(2 * c.wrpkru, 56);
+        assert!(2 * c.wrpkru < 2 * c.vmfunc);
+        assert!(2 * c.wrpkru < 2 * (c.vmfunc + c.trampoline_logic));
     }
 }

@@ -104,11 +104,6 @@ impl SimLock {
         self.free_at = self.free_at.max(self.last_start + stretched.max(cs));
     }
 
-    /// The current convoy-length estimate.
-    pub fn congestion(&self) -> f64 {
-        self.congestion
-    }
-
     /// Fraction of acquisitions that were contended, in `[0, 1]`.
     pub fn contention_ratio(&self) -> f64 {
         if self.acquires == 0 {
@@ -184,7 +179,7 @@ mod tests {
             l.release(s + 100);
             now = s; // Always request while held → contended.
         }
-        assert!(l.congestion() > 2.0);
+        assert!(l.congestion > 2.0);
         // The lock stays busy longer than the raw critical sections.
         let s = l.acquire(9, now);
         l.release(s + 100);
@@ -197,7 +192,7 @@ mod tests {
             l.release(s + 1);
             t = s + 1_000_000;
         }
-        assert!(l.congestion() < 0.5);
+        assert!(l.congestion < 0.5);
     }
 
     #[test]

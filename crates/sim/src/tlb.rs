@@ -106,11 +106,6 @@ impl Tlb {
         }
     }
 
-    /// The geometry this TLB was built with.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
-    }
-
     fn set_of(&self, vpn: u64) -> usize {
         (vpn as usize) & self.set_mask
     }

@@ -44,16 +44,6 @@ impl<T: Transport> Faulty<T> {
         }
     }
 
-    /// The shared fault plane.
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
     /// Panic/hang interception ahead of the real call. `Ok(())` means
     /// "no injection — delegate".
     fn intercept(&mut self, lane: usize) -> Result<(), CallError> {

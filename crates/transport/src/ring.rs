@@ -606,4 +606,16 @@ mod tests {
         assert_eq!(r.now(0), 100);
         assert_eq!(r.now(1), 0);
     }
+
+    #[test]
+    fn bind_and_pmu_reach_the_inner_transport() {
+        let fixed = RingTransport::new(FixedServiceTransport::new(1, 100), RingConfig::default());
+        assert_eq!(fixed.pmu(), None, "a synthetic transport has no cores");
+        let inner = crate::mpk::MpkTransport::new(1, &crate::ServiceSpec::default());
+        let mut r = RingTransport::new(inner, RingConfig::default());
+        r.call(0, &req(1, 48)).unwrap();
+        assert!(r.pmu().is_some_and(|p| p.wrpkru_writes > 0));
+        assert_eq!(r.pmu(), r.inner().pmu());
+        assert!(!r.bind(0), "an MPK lane has no binding to renew");
+    }
 }

@@ -24,8 +24,6 @@ use sb_sim::{Cycles, Pmu};
 use sb_ycsb::kv::{KvMixSpec, KvOp};
 use skybridge::{ServerId, SkyBridge};
 
-use crate::scenarios::runtime::Backend;
-
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvMode {
@@ -39,10 +37,6 @@ pub enum KvMode {
     IpcCrossCore,
     /// Three processes, SkyBridge direct server calls.
     SkyBridge,
-    /// One address space, MPK protection-key domains: each component
-    /// boundary is a `WRPKRU` flip, and the KV slot region is tagged
-    /// with `MPK_SLOT_KEY` so only the kv domain can touch it.
-    Mpk,
 }
 
 /// The one-way direct IPC cost the Delay configuration compensates
@@ -80,17 +74,6 @@ const SCRATCH_PAGES: u64 = 14;
 
 /// Fixed per-component software work (hashing, parsing, copying).
 const COMPONENT_CPU: Cycles = 180;
-
-/// Protection key tagging the KV slot region in [`KvMode::Mpk`]: only
-/// the kv domain's PKRU grants it, so the client and enc components
-/// cannot reach the store even though all three share one address space.
-const MPK_SLOT_KEY: u8 = 1;
-
-/// PKRU of the client and enc domains: access-disable the slot key.
-const MPK_APP_PKRU: u32 = 0b11 << (2 * MPK_SLOT_KEY as u32);
-
-/// PKRU of the kv domain: full rights (the slot region is its own).
-const MPK_KV_PKRU: u32 = 0;
 
 /// Rust-side KV index (the slot directory; the *data* lives in simulated
 /// memory).
@@ -138,26 +121,15 @@ fn code_image(seed: u64, len: usize) -> Vec<u8> {
 impl KvPipeline {
     /// Builds the pipeline for `mode` at key/value length `len`, with
     /// heap capacity for `capacity_ops` insertions, under the paper's
-    /// default seL4 cost personality.
+    /// seL4 cost personality (SkyBridge boots it with the Rootkernel).
     pub fn new(mode: KvMode, len: usize, capacity_ops: usize) -> Self {
-        KvPipeline::with_personality(Personality::sel4(), mode, len, capacity_ops)
-    }
-
-    /// [`KvPipeline::new`] under an explicit kernel cost personality —
-    /// the trap-IPC configurations charge that kernel's crossing costs;
-    /// SkyBridge boots the same personality with the rootkernel.
-    pub fn with_personality(
-        personality: Personality,
-        mode: KvMode,
-        len: usize,
-        capacity_ops: usize,
-    ) -> Self {
+        let personality = Personality::sel4();
         let config = match mode {
             KvMode::SkyBridge => KernelConfig::with_rootkernel(personality),
             _ => KernelConfig::native(personality),
         };
         let mut k = Kernel::boot(config);
-        let single_space = matches!(mode, KvMode::Baseline | KvMode::Delay | KvMode::Mpk);
+        let single_space = matches!(mode, KvMode::Baseline | KvMode::Delay);
         let cross = mode == KvMode::IpcCrossCore;
 
         let client_pid = k.create_process(&code_image(21, 4096));
@@ -183,11 +155,7 @@ impl KvPipeline {
         // the default heap.
         let slot_bytes = (capacity_ops + 8) * (2 * len + 16);
         let slot_pages = slot_bytes.div_ceil(4096) + 1;
-        if mode == KvMode::Mpk {
-            k.map_heap_keyed(kv_pid, SLOT_BASE, slot_pages, MPK_SLOT_KEY);
-        } else {
-            k.map_heap(kv_pid, SLOT_BASE, slot_pages);
-        }
+        k.map_heap(kv_pid, SLOT_BASE, slot_pages);
         if single_space {
             k.map_heap(client_pid, COMM_BASE, 2);
         }
@@ -237,7 +205,7 @@ impl KvPipeline {
         let (mut enc_cap, mut kv_cap) = (0, 0);
         let mut sb_enc = 0;
         match mode {
-            KvMode::Baseline | KvMode::Delay | KvMode::Mpk => {}
+            KvMode::Baseline | KvMode::Delay => {}
             KvMode::Ipc | KvMode::IpcCrossCore => {
                 let (enc_ep, _) = k.create_endpoint(enc_pid);
                 let (kv_ep, _) = k.create_endpoint(kv_pid);
@@ -284,12 +252,6 @@ impl KvPipeline {
             }
         }
         k.run_thread(client);
-        if mode == KvMode::Mpk {
-            // Enter the client domain: the slot region is out of reach
-            // until the kv crossing flips to [`MPK_KV_PKRU`].
-            let core = k.core_of(client);
-            k.wrpkru(core, MPK_APP_PKRU);
-        }
         KvPipeline {
             k,
             sb,
@@ -351,7 +313,7 @@ impl KvPipeline {
         let req = Self::encode_req(op);
         // Client-side work: compose the request in its buffer.
         let client_buf = match self.mode {
-            KvMode::Baseline | KvMode::Delay | KvMode::Mpk => COMM_BASE,
+            KvMode::Baseline | KvMode::Delay => COMM_BASE,
             _ => self.k.threads[self.client].msg_buf,
         };
         component_work(&mut self.k, self.client, layout::CODE_BASE, 4096);
@@ -377,30 +339,6 @@ impl KvPipeline {
                 // decrypt on the way back.
                 let out = enc_transform(&mut self.k, self.client, &reply, Leg::Reply);
                 self.k.compute(self.client, delay);
-                self.k.user_write(self.client, client_buf, &out).unwrap();
-                out
-            }
-            KvMode::Mpk => {
-                // The Figure 1 pipeline as MPK domains: the same four
-                // component boundaries the trap and SkyBridge modes
-                // cross, each paid as one WRPKRU flip on the client's
-                // core. The kv domain alone holds the slot key, so the
-                // store stays unreachable outside its crossing.
-                let core = self.k.core_of(self.client);
-                // client → enc.
-                self.k.wrpkru(core, MPK_APP_PKRU);
-                let enc = enc_transform(&mut self.k, self.client, &req, Leg::Request);
-                self.k.user_write(self.client, client_buf, &enc).unwrap();
-                // enc → kv: the only window where the slots are in reach.
-                self.k.wrpkru(core, MPK_KV_PKRU);
-                let mut state = self.kv_state.borrow_mut();
-                let reply = kv_server_op(&mut self.k, self.client, &mut state, &enc);
-                drop(state);
-                // kv → enc: decrypt on the way back.
-                self.k.wrpkru(core, MPK_APP_PKRU);
-                let out = enc_transform(&mut self.k, self.client, &reply, Leg::Reply);
-                // enc → client.
-                self.k.wrpkru(core, MPK_APP_PKRU);
                 self.k.user_write(self.client, client_buf, &out).unwrap();
                 out
             }
@@ -444,31 +382,6 @@ impl KvPipeline {
                 sb.direct_server_call(&mut self.k, self.client, self.sb_enc, &req)
                     .expect("direct call")
                     .0
-            }
-        }
-    }
-}
-
-impl KvPipeline {
-    /// The pipeline for a unified serving [`Backend`]: trap backends run
-    /// the three-process kernel-IPC configuration under their own cost
-    /// personality; the SkyBridge backend runs `direct_server_call`; the
-    /// MPK backend runs protection-key domains in one address space.
-    /// This is how the standalone Figure 1 scenario joins the
-    /// all-five-personalities sweeps.
-    pub fn for_backend(backend: &Backend, len: usize, capacity_ops: usize) -> Self {
-        match backend {
-            Backend::SkyBridge => KvPipeline::with_personality(
-                Personality::sel4(),
-                KvMode::SkyBridge,
-                len,
-                capacity_ops,
-            ),
-            Backend::Trap(p) => {
-                KvPipeline::with_personality(p.clone(), KvMode::Ipc, len, capacity_ops)
-            }
-            Backend::Mpk => {
-                KvPipeline::with_personality(Personality::sel4(), KvMode::Mpk, len, capacity_ops)
             }
         }
     }
@@ -628,8 +541,8 @@ mod tests {
         // value it inserted (through encrypt→store→fetch→decrypt), on
         // every mode — also when its first byte, encrypted, looks like a
         // request tag (0x5b ^ 0x5a == 1, 0x58 ^ 0x5a == 2).
-        use KvMode::{Baseline, Delay, Ipc, IpcCrossCore, Mpk};
-        for mode in [Baseline, Delay, Ipc, IpcCrossCore, KvMode::SkyBridge, Mpk] {
+        use KvMode::{Baseline, Delay, Ipc, IpcCrossCore};
+        for mode in [Baseline, Delay, Ipc, IpcCrossCore, KvMode::SkyBridge] {
             let mut p = KvPipeline::new(mode, 16, 128);
             p.run_ops(100);
             assert!(p.kv_state.borrow().index.len() > 10);
@@ -644,49 +557,5 @@ mod tests {
                 assert_eq!(p.one_op(&KvOp::Query { key }), value, "{mode:?}");
             }
         }
-    }
-
-    #[test]
-    fn pipeline_runs_under_every_serving_backend() {
-        // The unified path: all five personalities drive the Figure 1
-        // pipeline, and the crossing-cost ordering shows up in the
-        // per-op cycles: every trap kernel > SkyBridge > MPK.
-        let mut avg = Vec::new();
-        for backend in Backend::all() {
-            let mut p = KvPipeline::for_backend(&backend, 16, 192);
-            p.run_ops(32); // Warmup.
-            let s = p.run_ops(128);
-            assert_eq!(s.ops, 128, "{}: all ops ran", backend.label());
-            assert!(s.avg_cycles > 0);
-            assert!(p.kv_state.borrow().index.len() > 10);
-            avg.push((backend.label().to_string(), s.avg_cycles));
-        }
-        let mpk = avg.last().expect("MPK is the last backend").1;
-        let sky = avg[avg.len() - 2].1;
-        assert_eq!(avg[avg.len() - 2].0, "skybridge");
-        assert!(
-            avg[..avg.len() - 2].iter().all(|(_, c)| sky < *c),
-            "SkyBridge must beat every trap kernel: {avg:?}"
-        );
-        assert!(
-            mpk < sky,
-            "two WRPKRU flips must undercut the VMFUNC round trip: {avg:?}"
-        );
-    }
-
-    #[test]
-    fn mpk_pipeline_walls_off_the_slot_region() {
-        let mut p = KvPipeline::for_backend(&Backend::Mpk, 16, 192);
-        p.run_ops(16); // The pipeline itself crosses domains cleanly.
-                       // Outside the kv domain the slot region must be unreachable:
-                       // the client's armed PKRU denies the slot key.
-        let mut b = [0u8; 8];
-        let err =
-            p.k.user_read(p.client, SLOT_BASE, &mut b)
-                .expect_err("the client domain must not reach the kv slots");
-        assert!(format!("{err}").contains("pkey"), "got: {err}");
-        // The pipeline still serves after the denied probe.
-        let s = p.run_ops(16);
-        assert_eq!(s.ops, 16);
     }
 }

@@ -33,8 +33,6 @@ use sb_sim::{CpuId, Cycles, SimLock};
 use sb_ycsb::{OpKind, Workload, WorkloadSpec};
 use skybridge::{ServerId, SkyBridge};
 
-use crate::scenarios::runtime::Backend;
-
 /// Transport configuration of the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackMode {
@@ -44,9 +42,6 @@ pub enum StackMode {
     IpcMt,
     /// SkyBridge direct server calls.
     SkyBridge,
-    /// MPK protection-key domains in one address space: each server
-    /// crossing is a `WRPKRU` flip pair on the client's core.
-    Mpk,
 }
 
 /// FS server software cycles per request.
@@ -68,15 +63,6 @@ const DB_PAGE_CPU: Cycles = 180;
 
 /// Largest payload per IPC message (the per-thread message buffer).
 const MSG_MAX: usize = layout::MSG_BUF_SIZE;
-
-/// PKRU values of the three [`StackMode::Mpk`] domains (database
-/// client, FS server, block-device server). The stack charges every
-/// crossing through the kernel's `wrpkru` facade — real cycles, real
-/// PMU counts; pkey *enforcement* fidelity is proven at the transport
-/// and memory layers, so the throughput stack does not re-tag its heap.
-const MPK_DB_PKRU: u32 = 0b11 << 2;
-const MPK_FS_PKRU: u32 = 0b11 << 4;
-const MPK_BD_PKRU: u32 = 0b11 << 6;
 
 /// The shared simulation state (kernel + SkyBridge + the big lock).
 pub struct Sim {
@@ -136,17 +122,6 @@ impl Sim {
                 sb.direct_server_call(&mut self.k, client, self.sb_fs, &msg)
                     .expect("fs direct call");
             }
-            StackMode::Mpk => {
-                // One address space: the request bytes are composed in
-                // place (pay the compose copy the other modes pay at
-                // their message writes) and the crossing is one WRPKRU
-                // flip into the FS domain on the client's core.
-                let core = self.k.core_of(client);
-                let words = req.min(MSG_MAX).div_ceil(8) as Cycles;
-                let per_word = self.k.machine.cost.copy_per_word;
-                self.k.machine.cpu_mut(core).advance(words * per_word);
-                self.k.wrpkru(core, MPK_FS_PKRU);
-            }
             _ => {
                 let cap = self.fs_caps[self.client_index(client)];
                 self.k
@@ -164,15 +139,6 @@ impl Sim {
         }
         match self.mode {
             StackMode::SkyBridge => {}
-            StackMode::Mpk => {
-                // The reply is served in place: flip back to the
-                // database domain after charging the reply compose.
-                let core = self.k.core_of(client);
-                let words = resp.min(MSG_MAX).div_ceil(8) as Cycles;
-                let per_word = self.k.machine.cost.copy_per_word;
-                self.k.machine.cpu_mut(core).advance(words * per_word);
-                self.k.wrpkru(core, MPK_DB_PKRU);
-            }
             _ => {
                 let core = self.k.core_of(client);
                 let fs_tid = self.fs_tid_for(core);
@@ -203,14 +169,6 @@ impl Sim {
                 let core = self.k.core_of(client);
                 self.k.machine.cpu_mut(core).advance(BD_CALL_CPU);
             }
-            StackMode::Mpk => {
-                // Nested crossing: FS domain → block-device domain and
-                // back, two more flips on the executing client's core.
-                let core = self.k.core_of(self.driver);
-                self.k.wrpkru(core, MPK_BD_PKRU);
-                self.k.machine.cpu_mut(core).advance(BD_CALL_CPU);
-                self.k.wrpkru(core, MPK_FS_PKRU);
-            }
             _ => {
                 // The FS thread issues the block IPC from its core.
                 let client_core = self.k.core_of(self.driver);
@@ -234,7 +192,7 @@ impl Sim {
     /// The core on which FS *computation* runs for the current driver.
     fn fs_compute_core(&self) -> CpuId {
         match self.mode {
-            StackMode::SkyBridge | StackMode::Mpk => self.k.core_of(self.driver),
+            StackMode::SkyBridge => self.k.core_of(self.driver),
             _ => {
                 let c = self.k.core_of(self.driver);
                 self.k.core_of(self.fs_tid_for(c))
@@ -384,22 +342,6 @@ pub struct SqliteStack {
 }
 
 impl SqliteStack {
-    /// The stack for a unified serving [`Backend`]: trap backends run
-    /// the multi-threaded kernel-IPC configuration under their own cost
-    /// personality; the SkyBridge backend runs direct server calls; the
-    /// MPK backend crosses protection-key domains in one address space.
-    /// This is how the standalone §6.5 scenario joins the
-    /// all-five-personalities sweeps.
-    pub fn for_backend(backend: &Backend, nclients: usize) -> Self {
-        match backend {
-            Backend::SkyBridge => {
-                SqliteStack::new(Personality::sel4(), StackMode::SkyBridge, nclients, false)
-            }
-            Backend::Trap(p) => SqliteStack::new(p.clone(), StackMode::IpcMt, nclients, false),
-            Backend::Mpk => SqliteStack::new(Personality::sel4(), StackMode::Mpk, nclients, false),
-        }
-    }
-
     /// Builds the stack: `nclients` client threads (one per core), the FS
     /// and block-device servers per `mode`, on `personality`'s kernel.
     ///
@@ -479,16 +421,6 @@ impl SqliteStack {
                     bridge.register_client(&mut k, tid, sb_bd).unwrap();
                 }
                 sb = Some(bridge);
-            }
-            StackMode::Mpk => {
-                // One address space, no kernel on the data path: no
-                // endpoints and no bridge — the crossings are WRPKRU
-                // flips charged at the call sites, and the database
-                // domain starts armed on every client core.
-                for &tid in &client_tids {
-                    let core = k.core_of(tid);
-                    k.wrpkru(core, MPK_DB_PKRU);
-                }
             }
             _ => {
                 // Endpoints: one per server thread; clients get caps to
@@ -757,33 +689,6 @@ mod tests {
             assert_eq!(stats.ops, 40);
             assert!(stats.ops_per_sec > 0.0, "mode {mode:?}");
         }
-    }
-
-    #[test]
-    fn stack_runs_under_every_serving_backend() {
-        // The unified path: all five personalities drive the §6.5 stack,
-        // and the crossing-cost ordering shows up in throughput: MPK >
-        // SkyBridge > every trap kernel.
-        let mut rates = Vec::new();
-        for backend in Backend::all() {
-            let mut s = SqliteStack::for_backend(&backend, 1);
-            s.load(64, 100);
-            let stats = s.run_ycsb(30);
-            assert_eq!(stats.ops, 30, "{}: all ops ran", backend.label());
-            assert!(stats.ops_per_sec > 0.0);
-            rates.push((backend.label().to_string(), stats.ops_per_sec));
-        }
-        let rate = |label: &str| rates.iter().find(|(l, _)| l == label).expect("a backend").1;
-        let (sky, mpk) = (rate("skybridge"), rate("mpk"));
-        let traps = Personality::all().map(|p| rate(p.name));
-        assert!(
-            traps.iter().all(|&r| sky > r),
-            "SkyBridge must out-serve every trap kernel: {rates:?}"
-        );
-        assert!(
-            mpk > sky,
-            "two WRPKRU flips must out-serve the VMFUNC round trip: {rates:?}"
-        );
     }
 
     #[test]

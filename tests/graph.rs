@@ -196,6 +196,7 @@ fn node_pmus_show_no_node_thrashing_its_dtlb() {
         }
     };
     drive(&mut t, 1..2_001);
+    assert!(!t.bind(0), "every node's lane is bound: none rebinds");
     let (warm, warm_sum) = (t.node_pmus(), t.pmu().expect("kernel-backed nodes"));
     drive(&mut t, 2_001..2_001 + OPS);
 

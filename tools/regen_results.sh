@@ -18,17 +18,17 @@
 # sb-bench NAME` does. Everything they print is simulated, so any
 # difference is a finding: a simulated figure or pin moved (re-capture
 # it in the change that moved it, and say why) or a gate broke (the bin
-# exits non-zero first). ~18 s release-built on a 2-core host, most of
-# it `figure9_11`; to re-baseline every committed file and pin after an
-# intended change, copy `dir/results/` over `results/`.
+# exits non-zero first). Most of the run is `figure9_11`. To
+# re-baseline every committed file and pin after an intended change,
+# copy `dir/results/` over `results/`.
 #
 # Tier-1 already runs sixteen of the eighteen entries in-process, every
 # gated sweep and nine paper artefacts (held file for file and gate for
 # gate by crates/bench/tests/paper.rs, in the optimised test profile the
 # root Cargo.toml sets). `table6`, whose real-binary rows count the
-# host's installed files, and `figure9_11` (32.7 s release-built on a
-# 2-core host) are re-derived only here; for the other sixteen this diff
-# checks that a release build agrees with the test build.
+# host's installed files, and `figure9_11` are re-derived only here;
+# for the other sixteen this diff checks that a release build agrees
+# with the test build.
 #
 # Not diffed: BENCH_history.jsonl (the host clock's trajectory, appended
 # by tools/bench_history.sh) and the untracked postmortem/ and traces/
