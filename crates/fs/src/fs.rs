@@ -468,9 +468,6 @@ impl<D: BlockDevice> FileSystem<D> {
     pub fn namei(&mut self, path: &str) -> Result<Inum, FsError> {
         let mut at = ROOT_INUM;
         for part in Self::path_parts(path) {
-            if self.read_inode(at).typ != InodeType::Dir {
-                return Err(FsError::NotADir);
-            }
             at = self.dir_lookup(at, part)?.ok_or(FsError::NotFound)?;
         }
         Ok(at)
@@ -483,9 +480,6 @@ impl<D: BlockDevice> FileSystem<D> {
         };
         let mut at = ROOT_INUM;
         for part in dirs {
-            if self.read_inode(at).typ != InodeType::Dir {
-                return Err(FsError::NotADir);
-            }
             at = self.dir_lookup(at, part)?.ok_or(FsError::NotFound)?;
         }
         Ok((at, last))
