@@ -447,18 +447,6 @@ pub fn read_u64(
     Ok(u64::from_le_bytes(b))
 }
 
-/// Convenience: writes a guest-virtual little-endian `u64`.
-pub fn write_u64(
-    m: &mut Machine,
-    core: CpuId,
-    mem: &mut HostMem,
-    gva: Gva,
-    value: u64,
-    user: bool,
-) -> Result<(), MemFault> {
-    write_bytes(m, core, mem, gva, &value.to_le_bytes(), user)
-}
-
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -475,6 +463,18 @@ mod tests {
     struct Env {
         m: Machine,
         mem: HostMem,
+    }
+
+    /// A guest store of a little-endian `u64`, the access most tests here make.
+    fn write_u64(
+        m: &mut Machine,
+        core: CpuId,
+        mem: &mut HostMem,
+        gva: Gva,
+        value: u64,
+        user: bool,
+    ) -> Result<(), MemFault> {
+        write_bytes(m, core, mem, gva, &value.to_le_bytes(), user)
     }
 
     fn env() -> Env {

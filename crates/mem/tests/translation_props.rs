@@ -88,11 +88,11 @@ proptest! {
         m.cpu_mut(0).load_cr3(client.root_gpa.0, 1);
         m.cpu_mut(0).load_eptp(base_ept.root.0);
         for &p in &pages {
-            walk::write_u64(&mut m, 0, &mut mem, Gva(base + p * PAGE_SIZE), seed ^ p, true).unwrap();
+            walk::write_bytes(&mut m, 0, &mut mem, Gva(base + p * PAGE_SIZE), &(seed ^ p).to_le_bytes(), true).unwrap();
         }
         m.cpu_mut(0).load_eptp(bind.root.0); // VMFUNC; CR3 untouched.
         for &p in &pages {
-            walk::write_u64(&mut m, 0, &mut mem, Gva(base + p * PAGE_SIZE), !(seed ^ p), true).unwrap();
+            walk::write_bytes(&mut m, 0, &mut mem, Gva(base + p * PAGE_SIZE), &(!(seed ^ p)).to_le_bytes(), true).unwrap();
         }
         // Verify both views read back their own values.
         m.cpu_mut(0).load_eptp(base_ept.root.0);

@@ -3,7 +3,7 @@
 
 use sb_mem::{AddressSpace, Gpa, Gva, HostMem, MemFault, PteFlags, PAGE_SIZE};
 use sb_rootkernel::{Rootkernel, RootkernelConfig};
-use sb_sim::{AccessKind, CpuId, Cycles, Machine, MachineConfig, PrivilegeLevel, TlbTag};
+use sb_sim::{AccessKind, CpuId, Cycles, Machine, PrivilegeLevel, TlbTag};
 
 use crate::{
     layout,
@@ -21,8 +21,6 @@ pub struct KernelConfig {
     /// Kernel page-table isolation (Meltdown mitigation). The paper's
     /// baseline IPC numbers disable it; Table 2 quantifies the delta.
     pub kpti: bool,
-    /// Machine configuration.
-    pub machine: MachineConfig,
     /// `Some` boots the SkyBridge Rootkernel underneath the Subkernel
     /// during [`Kernel::boot`] (the self-virtualization of §4.1).
     pub rootkernel: Option<RootkernelConfig>,
@@ -33,7 +31,6 @@ impl Default for KernelConfig {
         KernelConfig {
             personality: Personality::sel4(),
             kpti: false,
-            machine: MachineConfig::default(),
             rootkernel: None,
         }
     }
@@ -106,7 +103,7 @@ impl Kernel {
     /// it — the Subkernel "has one line of code to call the
     /// self-virtualization module", §3.2).
     pub fn boot(config: KernelConfig) -> Self {
-        let mut machine = Machine::new(config.machine);
+        let mut machine = Machine::skylake();
         let mut mem = HostMem::new();
         let kernel_asp = AddressSpace::new(&mut mem, 0);
         // Kernel image: contiguous frames from the bump allocator.

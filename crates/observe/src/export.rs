@@ -98,7 +98,6 @@ pub fn chrome_trace(rec: &Recorder) -> ChromeTrace {
 }
 
 #[cfg(test)]
-#[cfg(feature = "trace")]
 mod tests {
     use super::*;
     use crate::ring::{InstantKind, SpanKind};

@@ -10,7 +10,7 @@
 //!   typed [`Event`]s (call/phase spans, queue admit/shed/deadline,
 //!   retry/backoff, recovery), timestamped by the transport's
 //!   per-lane simulated-cycle clocks. The emit path is a flag check plus
-//!   a slot write; with the `trace` feature off it compiles to nothing.
+//!   a slot write, and [`Recorder::off`] stops at the check.
 //! * [`Log2Histogram`] — fixed-memory latency quantiles with a bounded
 //!   relative error, behind the runtime's latency tracks.
 //! * [`span::span_pass`] — the one place a lane's events become spans:

@@ -14,8 +14,9 @@
 //! counts them in [`Recorder::dropped`], so exporters can refuse to
 //! present a truncated trace as complete.
 //!
-//! With the crate's `trace` feature disabled every emit method compiles
-//! to an empty inline function.
+//! Whether a recorder records is fixed when it is made:
+//! [`Recorder::new`] records, [`Recorder::off`] drops every event after
+//! that one flag read.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -254,7 +255,7 @@ impl EventRing {
 
 #[derive(Debug)]
 struct Inner {
-    enabled: Cell<bool>,
+    enabled: bool,
     capacity: usize,
     lanes: RefCell<Vec<EventRing>>,
     /// Events removed by [`Recorder::take_lane_events`] and the drops
@@ -299,7 +300,7 @@ impl Recorder {
     }
 
     /// A disabled recorder (the no-cost default every config starts
-    /// with); [`Recorder::set_enabled`] can turn it on later.
+    /// with). It stays off: a recorded run attaches a [`Recorder::new`].
     pub fn off() -> Self {
         Recorder::with_state(DEFAULT_RING_CAPACITY, false)
     }
@@ -307,7 +308,7 @@ impl Recorder {
     fn with_state(capacity: usize, enabled: bool) -> Self {
         Recorder {
             inner: Rc::new(Inner {
-                enabled: Cell::new(enabled),
+                enabled,
                 capacity: capacity.max(1),
                 lanes: RefCell::new(Vec::new()),
                 drained_events: Cell::new(0),
@@ -315,12 +316,6 @@ impl Recorder {
                 _heap_layout: [0; 26],
             }),
         }
-    }
-
-    /// Turns recording on or off at runtime (a no-op without the
-    /// `trace` feature).
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.set(on);
     }
 
     /// The per-lane ring capacity, in events.
@@ -331,7 +326,6 @@ impl Recorder {
     /// The ring write of an enabled recorder. The emit methods check
     /// the flag inline and call this only when it is set, so a disabled
     /// recorder costs a load and a branch at each call site.
-    #[cfg(feature = "trace")]
     #[inline(never)]
     fn emit(&self, lane: usize, ev: Event) {
         let mut lanes = self.inner.lanes.borrow_mut();
@@ -345,8 +339,7 @@ impl Recorder {
     /// Opens a span of `kind` on `lane` at lane-clock `t`.
     #[inline]
     pub fn begin(&self, lane: usize, kind: SpanKind, t: Cycles, corr: u64) {
-        #[cfg(feature = "trace")]
-        if self.inner.enabled.get() {
+        if self.inner.enabled {
             self.emit(
                 lane,
                 Event {
@@ -356,15 +349,12 @@ impl Recorder {
                 },
             );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (lane, kind, t, corr);
     }
 
     /// Closes the innermost open span of `kind` on `lane` at `t`.
     #[inline]
     pub fn end(&self, lane: usize, kind: SpanKind, t: Cycles, corr: u64) {
-        #[cfg(feature = "trace")]
-        if self.inner.enabled.get() {
+        if self.inner.enabled {
             self.emit(
                 lane,
                 Event {
@@ -374,8 +364,6 @@ impl Recorder {
                 },
             );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (lane, kind, t, corr);
     }
 
     /// Records a completed **leaf** section as one [`EventKind::Complete`]
@@ -386,8 +374,7 @@ impl Recorder {
     /// cycles (≈ one simulated second — far beyond any section).
     #[inline]
     pub fn span(&self, lane: usize, kind: SpanKind, t0: Cycles, t1: Cycles, corr: u64) {
-        #[cfg(feature = "trace")]
-        if self.inner.enabled.get() {
+        if self.inner.enabled {
             let dur = t1.saturating_sub(t0).min(u32::MAX as Cycles) as u32;
             self.emit(
                 lane,
@@ -398,15 +385,12 @@ impl Recorder {
                 },
             );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (lane, kind, t0, t1, corr);
     }
 
     /// Records a point event on `lane` at `t`.
     #[inline]
     pub fn instant(&self, lane: usize, kind: InstantKind, t: Cycles, corr: u64) {
-        #[cfg(feature = "trace")]
-        if self.inner.enabled.get() {
+        if self.inner.enabled {
             self.emit(
                 lane,
                 Event {
@@ -416,8 +400,6 @@ impl Recorder {
                 },
             );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (lane, kind, t, corr);
     }
 
     /// Drains every lane's event ring, returning the held events per
@@ -495,8 +477,8 @@ impl Recorder {
         lanes.iter().map(EventRing::pushed).sum::<u64>() + self.inner.drained_events.get()
     }
 
-    /// Empties every lane and zeroes the drop accounting; the
-    /// enabled flag is untouched.
+    /// Empties every lane and zeroes the drop accounting; an enabled
+    /// recorder keeps recording.
     pub fn clear(&self) {
         self.inner.lanes.borrow_mut().clear();
         self.inner.drained_events.set(0);
@@ -577,18 +559,6 @@ mod tests {
         assert_eq!(r.recorded(), 0);
     }
 
-    #[cfg(feature = "trace")]
-    #[test]
-    fn enable_toggle_gates_emission() {
-        let r = Recorder::off();
-        r.set_enabled(true);
-        r.span(0, SpanKind::Call, 0, 5, 1);
-        r.set_enabled(false);
-        r.span(0, SpanKind::Call, 6, 9, 2);
-        assert_eq!(r.events(0).len(), 1, "only the enabled window recorded");
-    }
-
-    #[cfg(feature = "trace")]
     #[test]
     fn span_emits_one_complete_event_and_clamps_backwards_time() {
         let r = Recorder::new(8);
@@ -603,7 +573,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn clones_share_rings_and_clear_resets() {
         let r = Recorder::new(8);

@@ -476,67 +476,6 @@ pub fn run(prog: Program<'_>, st: &mut State, max_steps: usize) -> Result<(), In
     Err(InterpError::StepLimit)
 }
 
-/// Runs `original` and `(rewritten, page)` from the same initial state and
-/// asserts identical final registers, memory, and `VMFUNC` count.
-///
-/// `setup` initializes both copies of the state (e.g. pointing `rdi` at a
-/// buffer). Flags are *not* compared when `compare_flags` is false
-/// (undefined-after-IMUL cases).
-pub fn assert_equivalent(
-    original: &[u8],
-    rewritten: &[u8],
-    page: &[u8],
-    code_base: u64,
-    page_base: u64,
-    setup: impl Fn(&mut State),
-    compare_flags: bool,
-) {
-    let mut a = State::default();
-    setup(&mut a);
-    run(
-        Program {
-            code: original,
-            code_base,
-            page: &[],
-            page_base,
-        },
-        &mut a,
-        10_000,
-    )
-    .expect("original program must run");
-    let mut b = State::default();
-    setup(&mut b);
-    run(
-        Program {
-            code: rewritten,
-            code_base,
-            page,
-            page_base,
-        },
-        &mut b,
-        10_000,
-    )
-    .expect("rewritten program must run");
-    assert_eq!(a.regs, b.regs, "register state diverged");
-    // Bytes below the (restored) stack pointer are dead: the rewritten
-    // code's PUSH/POP scratch traffic legitimately differs there.
-    let live = |m: &HashMap<u64, u8>| -> HashMap<u64, u8> {
-        m.iter()
-            .filter(|(addr, _)| !(0x7ffe_0000..0x7fff_0000).contains(*addr))
-            .map(|(a, v)| (*a, *v))
-            .collect()
-    };
-    assert_eq!(live(&a.mem), live(&b.mem), "memory state diverged");
-    assert_eq!(
-        a.vmfunc_log.len(),
-        b.vmfunc_log.len(),
-        "VMFUNC execution count diverged"
-    );
-    if compare_flags {
-        assert_eq!((a.zf, a.sf), (b.zf, b.sf), "flags diverged");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

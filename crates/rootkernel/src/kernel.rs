@@ -315,12 +315,12 @@ mod tests {
         cpu.load_cr3(asp.root_gpa.0, asp.pcid);
         // Ordinary guest execution: memory traffic through the base EPT.
         for i in 0..64 {
-            walk::write_u64(
+            walk::write_bytes(
                 &mut e.machine,
                 0,
                 &mut e.mem,
                 Gva(0x50_0000 + i * 8),
-                i,
+                &i.to_le_bytes(),
                 true,
             )
             .unwrap();

@@ -9,8 +9,8 @@
 
 /// A bundle of event counters.
 ///
-/// Counters only ever increase; benches take a [`Pmu::snapshot`] before and
-/// after a region and subtract.
+/// Counters only ever increase; benches copy the `Pmu` before a region
+/// and take the [`Pmu::delta`] after it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Pmu {
     /// L1 instruction-cache misses.
@@ -48,11 +48,6 @@ impl Pmu {
     /// A zeroed counter bundle.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Copies the current counter values.
-    pub fn snapshot(&self) -> Pmu {
-        *self
     }
 
     /// Component-wise difference `self - earlier`.
@@ -110,7 +105,7 @@ mod tests {
         let mut a = Pmu::new();
         a.l1i_misses = 10;
         a.ipis = 3;
-        let before = a.snapshot();
+        let before = a;
         a.l1i_misses += 5;
         a.ipis += 1;
         let d = a.delta(&before);

@@ -26,13 +26,13 @@ use sb_faultplane::{FaultHandle, FaultMix, FaultPoint, FaultReport};
 use sb_fs::{log::Log, BlockDevice, FaultyDisk, RamDisk, BSIZE};
 use sb_observe::{Recorder, DEFAULT_RING_CAPACITY};
 use sb_runtime::{
-    run_stats_json, Faulty, PoissonArrivals, RetryPolicy, RingConfig, RingTransport, RunStats,
-    RuntimeConfig, ServiceSpec, SkyBridgeTransport, Transport,
+    run_stats_json, Faulty, PoissonArrivals, RetryPolicy, RingConfig, RunStats, RuntimeConfig,
+    ServiceSpec, SkyBridgeTransport, Transport,
 };
 use sb_sentinel::{postmortem, BundleReceipt, PostmortemInput, PostmortemSpec, SloHandle, SloSpec};
 
 use crate::scenarios::runtime::{
-    build_backend, build_backend_with_spec, request_factory, serve_open_loop, Backend,
+    build_backend_with_spec, request_factory, serve_open_loop, Backend,
 };
 
 /// Lanes (and cores) per chaos cell.
@@ -277,116 +277,6 @@ fn chaos_cell(
     }
 }
 
-/// One ring power-loss drill's result. The drill freezes a ring
-/// mid-flight — frames queued, completions posted but unacknowledged,
-/// acknowledgments taken — and proves the async boundary never loses or
-/// duplicates work across the cut.
-#[derive(Debug)]
-pub struct PowerDrillOutcome {
-    /// Frames submitted before the cut.
-    pub submitted: usize,
-    /// Completions the client had acknowledged (popped) at the cut.
-    pub acked_at_cut: usize,
-    /// Completions posted but not yet acknowledged at the cut.
-    pub in_cq_at_cut: usize,
-    /// Frames still queued in the submission ring at the cut.
-    pub in_sq_at_cut: usize,
-}
-
-/// The ring power-loss drill: submits `requests` frames with a lazy,
-/// seed-jittered acknowledgment cadence, cuts power at a seeded point,
-/// and checks the ledger partition — every submitted correlation id is
-/// in **exactly one** of {acknowledged, completion ring, submission
-/// ring} — then restarts, drains the remainder, and proves the
-/// acknowledged set only grew: nothing acked before the cut is lost,
-/// nothing completes twice, and every frame ends acknowledged.
-///
-/// # Panics
-///
-/// Panics if any of those invariants fails.
-pub fn run_ring_power_drill(
-    backend: &Backend,
-    seed: u64,
-    requests: u64,
-    ring: RingConfig,
-) -> PowerDrillOutcome {
-    use std::collections::BTreeSet;
-
-    assert!(requests >= 2);
-    let mut rt = RingTransport::new(build_backend(backend, 1), ring);
-    let mut factory = request_factory();
-    let budget = rt.config().batch_budget.max(1);
-    let cut = 1 + seed % (requests - 1);
-
-    let mut submitted: BTreeSet<u64> = BTreeSet::new();
-    let mut acked: BTreeSet<u64> = BTreeSet::new();
-    for i in 0..cut {
-        let req = factory.make(i * 2_000, None);
-        if rt.submit(0, &req).is_err() {
-            // Ring full: cut a batch, acknowledge just enough to free
-            // completion slots, leave the rest unacked in the CQ.
-            rt.doorbell(0);
-            while rt.cq_len(0) > budget / 2 {
-                let c = rt.pop_completion(0).expect("cq nonempty");
-                assert!(acked.insert(c.corr), "corr {} acked twice", c.corr);
-            }
-            rt.submit(0, &req).expect("the doorbell freed a slot");
-        }
-        submitted.insert(req.id);
-        if rt.sq_len(0) >= budget {
-            rt.doorbell(0);
-        }
-        if (seed ^ i).is_multiple_of(3) {
-            while let Some(c) = rt.pop_completion(0) {
-                assert!(acked.insert(c.corr), "corr {} acked twice", c.corr);
-            }
-        }
-    }
-
-    // Power cut. The ledger partition at the frozen instant: every
-    // submitted corr is in exactly one place.
-    let in_sq: BTreeSet<u64> = rt.queued_corrs(0).into_iter().collect();
-    let in_cq: BTreeSet<u64> = rt.unacked_corrs(0).into_iter().collect();
-    for corr in &submitted {
-        let places = u8::from(acked.contains(corr))
-            + u8::from(in_sq.contains(corr))
-            + u8::from(in_cq.contains(corr));
-        assert_eq!(places, 1, "corr {corr} is in {places} places at the cut");
-    }
-    let outcome = PowerDrillOutcome {
-        submitted: submitted.len(),
-        acked_at_cut: acked.len(),
-        in_cq_at_cut: in_cq.len(),
-        in_sq_at_cut: in_sq.len(),
-    };
-
-    // Restart: drain everything that survived the cut. Acknowledged
-    // completions must never reappear (no duplicates) or vanish.
-    let frozen = acked.clone();
-    let mut rounds = 0;
-    while rt.sq_len(0) > 0 || rt.cq_len(0) > 0 {
-        rt.doorbell(0);
-        while let Some(c) = rt.pop_completion(0) {
-            assert!(
-                acked.insert(c.corr),
-                "corr {} completed twice across the restart",
-                c.corr
-            );
-        }
-        rounds += 1;
-        assert!(rounds < 10_000, "the restart drain must terminate");
-    }
-    assert!(
-        frozen.is_subset(&acked),
-        "acknowledged completions were lost across the cut"
-    );
-    assert_eq!(
-        acked, submitted,
-        "every submitted frame must complete exactly once"
-    );
-    outcome
-}
-
 /// First block of the FS cell's log region.
 const FS_LOG_START: u32 = 2;
 /// Blocks in the FS cell's log region.
@@ -550,22 +440,6 @@ mod tests {
         assert!(out.conserved(), "{:?}", out.stats);
         assert_eq!(out.report.leaked(), 0, "{}", out.report);
         assert!(out.stats.completed > 0);
-    }
-
-    #[test]
-    fn power_drill_partitions_and_drains() {
-        let out = run_ring_power_drill(
-            &Backend::SkyBridge,
-            0x9d11,
-            60,
-            RingConfig {
-                capacity: 8,
-                batch_budget: 4,
-                slot_bytes: 4096,
-            },
-        );
-        assert_eq!(out.submitted as u64, 1 + 0x9d11 % 59);
-        assert!(out.in_sq_at_cut + out.in_cq_at_cut > 0, "{out:?}");
     }
 
     #[test]

@@ -328,31 +328,3 @@ fn disabled_recorder_records_nothing() {
     assert_eq!(recorder.recorded(), 0);
     assert_eq!(recorder.dropped(), 0);
 }
-
-/// The trace-off configuration — `sb-observe` without its `trace`
-/// feature, every emit compiled to nothing — passes its own tests.
-/// Cargo unifies features within one build, so this one is a second
-/// build, `cargo test -p sb-observe --no-default-features`, into a
-/// target directory of its own (~3 s cold, ~0.1 s warm).
-#[test]
-fn the_trace_off_build_passes_its_own_tests() {
-    let out = std::process::Command::new(env!("CARGO"))
-        .args(["test", "-q", "--offline", "-p", "sb-observe"])
-        .arg("--no-default-features")
-        .args([
-            "--manifest-path",
-            concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"),
-        ])
-        .args([
-            "--target-dir",
-            concat!(env!("CARGO_TARGET_TMPDIR"), "/trace-off"),
-        ])
-        .output()
-        .expect("cargo runs");
-    assert!(
-        out.status.success(),
-        "cargo test -p sb-observe --no-default-features failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
